@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from quon2d.diagram import (
-    BraidNeg, BraidPos, Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering,
+    BraidNeg, BraidPos, Cap, Cup, Dot, DotPair, Scattering,
 )
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import evaluate_closed_fast
@@ -15,30 +15,13 @@ from quon2d.rewrite import (
     ReidemeisterI, ReidemeisterII, ReidemeisterIII, RewriteSite,
     ScatteringReduce, SpaceTimeDual, YangBaxter, apply_rule,
 )
-from devtests.fuzz_fast import random_closed_diagram
-
-
-def embed(rng, pattern, pattern_width, max_extra=10):
-    """Random closed diagram containing `pattern` acting on `pattern_width` strands."""
-    while True:
-        host = random_closed_diagram(rng, max_width=10, max_elems=max_extra,
-                                     allow_dots=False, allow_star=False)
-        widths = host.widths()
-        # find an insertion slice with enough strands
-        slots = [t for t, w in enumerate(widths) if w >= pattern_width]
-        if not slots:
-            continue
-        t = int(rng.choice(slots))
-        off = int(rng.integers(0, widths[t] - pattern_width + 1))
-        from quon2d.diagram import offset_elements
-        els = host.elements[:t] + offset_elements(pattern, off) + host.elements[t:]
-        return MajoranaDiagram(0, 0, els, host.amplitude), t, off
+from tests.conftest import embed_pattern
 
 
 def check(name, rng, pattern, width, rule, site_fn, trials=60):
     bad = 0
     for _ in range(trials):
-        d, t, off = embed(rng, pattern, width)
+        d, t, off = embed_pattern(rng, pattern, width)
         site = site_fn(t, off)
         d2 = apply_rule(d, rule, site)
         v1 = evaluate_closed_oracle(d) if d.max_width() <= 16 else evaluate_closed_fast(d)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fock import evaluate_closed_oracle
 from .gaussian import evaluate_closed_fast
-from .quon import QuonDiagram, evaluate_closed_quon, string_genus
+from .quon import ParityCut, QuonDiagram, evaluate_closed_quon, string_genus
 from .rewrite import ReidemeisterII, RewriteSite, ScatteringReduce, apply_rule
 from .serialize import emit_dot, parse_diagram, serialize_diagram
 
@@ -84,34 +84,37 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
                 except Quon2dError:
                     continue
         if changed and core is not q.core:
-            q = QuonDiagram(core, q.parity_cuts, q.open_intervals,
-                            q.boundary_tracking, q.notches)
+            q = _with_core(q, core, i, 1)
             continue
         for i in range(len(core.elements) - 1):
             a, b = core.elements[i], core.elements[i + 1]
             if isinstance(a, (BraidPos, BraidNeg)) and isinstance(b, (BraidPos, BraidNeg)) \
                     and type(a) is not type(b) and a.j == b.j:
-                core = apply_rule(core, ReidemeisterII(), RewriteSite.at(i))
-                q = QuonDiagram(core, _shift_cut_times(q.parity_cuts, i),
-                                q.open_intervals, q.boundary_tracking,
-                                _shift_cut_times(q.notches, i))
+                q = _with_core(q, apply_rule(core, ReidemeisterII(), RewriteSite.at(i)), i, 2)
                 changed = True
                 break
     return q
 
 
-def _shift_cut_times(cuts, removed_at):
-    out = []
-    from .quon import ParityCut
+def _with_core(q: QuonDiagram, core, at: int, removed: int) -> QuonDiagram:
+    """q with its core replaced by `core`, in which the `removed` elements
+    from index `at` of q.core were rewritten.  Cuts and notches after them
+    move by the change in element count; one between them moves to `at`."""
+    delta = len(core.elements) - len(q.core.elements)
 
-    for c in cuts:
-        t = c.time_index
-        if t > removed_at + 1:
-            t -= 2
-        elif t == removed_at + 1:
-            t = removed_at
-        out.append(ParityCut(t, c.strands))
-    return tuple(out)
+    def retimed(cuts):
+        out = []
+        for c in cuts:
+            t = c.time_index
+            if t >= at + removed:
+                t += delta
+            elif t > at:
+                t = at
+            out.append(ParityCut(t, c.strands))
+        return tuple(out)
+
+    return QuonDiagram(core, retimed(q.parity_cuts), q.open_intervals,
+                       q.boundary_tracking, retimed(q.notches))
 
 
 def main(argv=None) -> int:

@@ -461,10 +461,10 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
     core = q.core.with_elements(els).scaled(_SQRT2)
 
     def shifted(cut):
+        # the inserted loop has closed again before any later slice
         if cut.time_index <= t:
             return cut
-        return ParityCut(cut.time_index + 2,
-                         tuple(s + 2 if s >= p else s for s in cut.strands))
+        return ParityCut(cut.time_index + 2, cut.strands)
 
     new_cuts = tuple(shifted(c) for c in q.parity_cuts)
     new_notches = tuple(shifted(c) for c in q.notches)

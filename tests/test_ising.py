@@ -92,6 +92,20 @@ def test_kw_chain_per_step_preservation():
     assert dual.edges[0][2] == pytest.approx(kw_dual_coupling(0.4))
 
 
+def test_kw_chain_matches_oracle_on_4x4():
+    lattice = IsingLattice.square(4, 4, 0.4)
+    want = partition_oracle(lattice)
+    steps, _ = kw_rewrite_chain(lattice)
+    for step in steps:
+        assert abs(evaluate_closed_quon(step) - want) <= 1e-9 * want
+
+
+def test_kw_chain_5x5_keeps_its_value():
+    steps, _ = kw_rewrite_chain(IsingLattice.square(5, 5, 0.4))
+    first, last = evaluate_closed_quon(steps[0]), evaluate_closed_quon(steps[-1])
+    assert abs(first - last) <= 1e-9 * abs(first)
+
+
 def test_kw_chain_final_angles_are_dual():
     coupling = 0.4
     steps, _ = kw_rewrite_chain(IsingLattice.square(3, 3, coupling))
