@@ -16,18 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .diagram import (
-    BraidNeg,
-    BraidPos,
-    Cap,
-    Cup,
-    Dot,
-    DotPair,
-    MajoranaDiagram,
-    Scattering,
-    ScatteringStar,
-    is_generic_angle,
-)
 from .errors import NoEnclosingLoop, NotMatchgate, RankTooLarge, TooLarge, UntaggedTensor
 from .quon import QuonDiagram, string_genus
 from .wires import WireTrace
@@ -49,37 +37,16 @@ class ClassReport:
             raise ValueError("matchgate form implies punctured matchgate form")
 
 
-def _resolve_marks(q: QuonDiagram) -> set[int]:
-    """Worldline labels of the boundary-tracking anchors."""
-    trace = WireTrace(q.core)
-    label = {}
-    for li, group in enumerate(trace.worldlines()):
-        for sid in group:
-            label[sid] = li
-    marks = set()
-    for t, pos in q.boundary_tracking:
-        if 0 <= t < len(trace.slices) and 0 <= pos < len(trace.slices[t]):
-            marks.add(label[trace.slices[t][pos]])
-    return marks
-
-
 def boundary_tracking_ok(q: QuonDiagram) -> bool:
     """Every marked strand must be quiet (no dots, braids, or scatterings),
     and marks must exist whenever the diagram has boundary structure."""
     trace = WireTrace(q.core)
-    lines = trace.worldlines()
-    label = {}
-    for li, group in enumerate(lines):
-        for sid in group:
-            label[sid] = li
-    marked = _resolve_marks(q)
+    labels = trace.worldline_labels()
+    marked = {labels[trace.slices[t][pos]] for t, pos in q.boundary_tracking}
     if not marked and (q.open_intervals or q.parity_cuts):
         return False
-    for li in marked:
-        group = lines[li]
-        if not trace.is_quiet(group):
-            return False
-    return True
+    lines = trace.worldlines()
+    return all(trace.is_quiet(lines[li]) for li in marked)
 
 
 def classify(q: QuonDiagram, cleanup: bool = True) -> ClassReport:

@@ -8,21 +8,13 @@ star-triangle, factory, emit-dot.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import sys
 
 from . import __version__
 from .circuits import Circuit, Gate
-from .diagram import BraidNeg, BraidPos, Cap, Cup, Scattering, is_generic_angle
-from .errors import (
-    InvariantViolation,
-    NumericalInstability,
-    ParseError,
-    Quon2dError,
-)
-from .fock import evaluate_closed_oracle
-from .gaussian import evaluate_closed_fast
-from .quon import ParityCut, QuonDiagram, evaluate_closed_quon, string_genus
+from .diagram import BraidNeg, BraidPos, Scattering, is_generic_angle
+from .errors import InvariantViolation, ParseError, Quon2dError
+from .quon import QuonDiagram, evaluate_closed_quon
 from .rewrite import ReidemeisterII, RewriteSite, ScatteringReduce, apply_rule
 from .serialize import emit_dot, parse_diagram, serialize_diagram
 
@@ -59,7 +51,10 @@ def parse_circuit_text(text: str) -> Circuit:
         except (IndexError, ValueError) as exc:
             raise ParseError(f"circuit line {lineno}: {exc}") from exc
         n = max(n, max(gates[-1].qubits) + 1)
-    return Circuit(n, tuple(gates))
+    try:
+        return Circuit(n, tuple(gates))
+    except ValueError as exc:
+        raise ParseError(f"circuit: {exc}") from exc
 
 
 def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
@@ -84,37 +79,40 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
                 except Quon2dError:
                     continue
         if changed and core is not q.core:
-            q = _with_core(q, core, i, 1)
+            q = q.splice(i, 1, core)
             continue
         for i in range(len(core.elements) - 1):
             a, b = core.elements[i], core.elements[i + 1]
             if isinstance(a, (BraidPos, BraidNeg)) and isinstance(b, (BraidPos, BraidNeg)) \
                     and type(a) is not type(b) and a.j == b.j:
-                q = _with_core(q, apply_rule(core, ReidemeisterII(), RewriteSite.at(i)), i, 2)
+                q = q.splice(i, 2, apply_rule(core, ReidemeisterII(), RewriteSite.at(i)))
                 changed = True
                 break
     return q
 
 
-def _with_core(q: QuonDiagram, core, at: int, removed: int) -> QuonDiagram:
-    """q with its core replaced by `core`, in which the `removed` elements
-    from index `at` of q.core were rewritten.  Cuts and notches after them
-    move by the change in element count; one between them moves to `at`."""
-    delta = len(core.elements) - len(q.core.elements)
+def _bits(text: str) -> tuple[int, ...]:
+    """A bit string such as `0110`; commas between bits are ignored."""
+    text = text.replace(",", "")
+    if set(text) - {"0", "1"}:
+        raise argparse.ArgumentTypeError(f"bits must be 0 or 1, got {text!r}")
+    return tuple(int(b) for b in text)
 
-    def retimed(cuts):
-        out = []
-        for c in cuts:
-            t = c.time_index
-            if t >= at + removed:
-                t += delta
-            elif t > at:
-                t = at
-            out.append(ParityCut(t, c.strands))
-        return tuple(out)
 
-    return QuonDiagram(core, retimed(q.parity_cuts), q.open_intervals,
-                       q.boundary_tracking, retimed(q.notches))
+def _bit_groups(text: str) -> tuple[tuple[int, ...], ...]:
+    """Comma-separated bit strings, one per open interval."""
+    return tuple(_bits(group) for group in text.split(","))
+
+
+def _couplings(text: str) -> list[complex]:
+    try:
+        u = [complex(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"couplings must be complex numbers, got {text!r}") \
+            from None
+    if len(u) != 3:
+        raise argparse.ArgumentTypeError("--u needs three couplings")
+    return u
 
 
 def main(argv=None) -> int:
@@ -125,12 +123,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("eval", help="evaluate a closed diagram file")
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true", help="use the Fock oracle")
-    p.add_argument("--fast", action="store_true", help="use the Gaussian evaluator (default)")
 
     p = sub.add_parser("amplitude", help="circuit amplitude <out|U|in>")
     p.add_argument("circuit")
-    p.add_argument("--in", dest="bits_in", required=True)
-    p.add_argument("--out", dest="bits_out", required=True)
+    p.add_argument("--in", dest="bits_in", type=_bits, required=True)
+    p.add_argument("--out", dest="bits_out", type=_bits, required=True)
 
     p = sub.add_parser("simplify", help="greedy value-preserving simplification")
     p.add_argument("file")
@@ -150,12 +147,14 @@ def main(argv=None) -> int:
     p.add_argument("--oracle", action="store_true")
 
     p = sub.add_parser("star-triangle", help="solve the star-triangle relation")
-    p.add_argument("--u", required=True, help="three comma-separated couplings")
+    p.add_argument("--u", type=_couplings, required=True,
+                   help="three comma-separated couplings")
 
     p = sub.add_parser("factory", help="apply a move script to a seed diagram")
     p.add_argument("seed")
     p.add_argument("--script", required=True)
-    p.add_argument("--component", help="comma-separated bits for the expanded evaluation")
+    p.add_argument("--component", type=_bit_groups,
+                   help="comma-separated bits for the expanded evaluation")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("emit-dot", help="write a graph-layout description")
@@ -164,15 +163,15 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except SystemExit as exc:  # --help and --version exit with code 0
+        return USAGE_ERROR if exc.code else 0
 
     try:
         return _dispatch(args)
     except (ParseError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
-    except (Quon2dError, NumericalInstability) as exc:
+    except Quon2dError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EVAL_ERROR
     except OSError as exc:
@@ -204,9 +203,7 @@ def _dispatch(args) -> int:
         from .compiler import circuit_amplitude
 
         circuit = parse_circuit_text(_read(args.circuit))
-        bits_in = [int(b) for b in args.bits_in.replace(",", "")]
-        bits_out = [int(b) for b in args.bits_out.replace(",", "")]
-        print(_fmt(circuit_amplitude(circuit, bits_in, bits_out)))
+        print(_fmt(circuit_amplitude(circuit, args.bits_in, args.bits_out)))
         return 0
 
     if args.command == "simplify":
@@ -251,48 +248,31 @@ def _dispatch(args) -> int:
     if args.command == "star-triangle":
         from .ising import star_triangle_solve
 
-        u = [complex(part) for part in args.u.split(",")]
-        if len(u) != 3:
-            print("error: --u needs three couplings", file=sys.stderr)
-            return USAGE_ERROR
-        sol = star_triangle_solve(*u)
+        sol = star_triangle_solve(*args.u)
         print(f"v1: {_fmt(sol.v1)}")
         print(f"v2: {_fmt(sol.v2)}")
         print(f"v3: {_fmt(sol.v3)}")
         print(f"R:  {_fmt(sol.r)}")
-        print(f"residual: {sol.residual(u):.3e}")
+        print(f"residual: {sol.residual(args.u):.3e}")
         return 0
 
     if args.command == "factory":
-        from .factory import FactoryLedger, parse_move_script
+        from .factory import (
+            FactoryLedger,
+            apply_move,
+            evaluate_component_expanded,
+            parse_move_script,
+        )
         from .quon import BasisAssignment
 
-        seed = parse_diagram(_read(args.seed))
-        moves = parse_move_script(_read(args.script))
-        ledger = FactoryLedger(seed)
-        ledger.moves = moves
-        result = ledger.replay()
-        ledger_full = FactoryLedger(seed)
-        current = seed
-        from .factory import Insert, Stretch, Switch, insert_move, stretch, switch_move
-
-        for move in moves:
-            if isinstance(move, Stretch):
-                current, ledger_full = stretch(current, move, ledger_full)
-            elif isinstance(move, Insert):
-                current, ledger_full = insert_move(current, move, ledger_full)
-            else:
-                current, ledger_full = switch_move(current, move, ledger_full)
-        print(f"n_S: {ledger_full.n_s}", file=sys.stderr)
+        current = parse_diagram(_read(args.seed))
+        ledger = FactoryLedger(current)
+        for move in parse_move_script(_read(args.script)):
+            current, ledger = apply_move(current, move, ledger)
+        print(f"n_S: {ledger.n_s}", file=sys.stderr)
         if args.component is not None:
-            from .factory import evaluate_component_expanded
-
-            groups = tuple(
-                tuple(int(b) for b in grp)
-                for grp in args.component.split(",")
-            )
             value = evaluate_component_expanded(
-                current, ledger_full, BasisAssignment(groups)
+                current, ledger, BasisAssignment(args.component)
             )
             print(_fmt(value))
         if args.output:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit, Gate, circuit_oracle_unitary, gate_matrix
+from .circuits import Circuit, Gate
 from .diagram import (
     BraidNeg,
     BraidPos,
@@ -40,7 +40,7 @@ from .diagram import (
     Scattering,
     offset_elements,
 )
-from .errors import IntervalMismatch, TooManyLegs, UnknownGenerator
+from .errors import BitLengthMismatch, IntervalMismatch, TooManyLegs, UnknownGenerator
 from .quon import (
     BOTTOM,
     TOP,
@@ -313,7 +313,10 @@ def circuit_amplitude(c: Circuit, bits_in, bits_out) -> complex:
     bits_in = tuple(int(b) for b in bits_in)
     bits_out = tuple(int(b) for b in bits_out)
     if len(bits_in) != c.n_qubits or len(bits_out) != c.n_qubits:
-        raise ValueError("bit strings must have one bit per qubit")
+        raise BitLengthMismatch(
+            f"{len(bits_in)} input and {len(bits_out)} output bits for a "
+            f"{c.n_qubits}-qubit circuit; give one bit per qubit"
+        )
     q = compile_circuit(c)
     groups = []
     for iv in q.open_intervals:
@@ -434,44 +437,6 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
     if mode == "neighboring" and gap != 0:
         raise IntervalMismatch("neighboring contraction needs adjacent intervals")
 
-    core = q.core
-    cuts = list(q.parity_cuts)
-    notches = list(q.notches)
-    # gluing through the resolution of the identity imposes the bundle's
-    # parity projection: a notch for neighboring contractions (the manifold
-    # pinch between the mouths), the puncture's own cut otherwise
-    if iv_a.side == BOTTOM:
-        tail: list = []
-        t0 = len(core.elements)
-        start = iv_a.start
-        if gap:
-            # braid the a-bundle rightward across the gap (positive-over)
-            for step in range(gap):
-                pos = start + s - 1 + step
-                for j in range(pos, start + step - 1, -1):
-                    tail.append(BraidPos(j))
-            start = iv_a.start + gap
-        projection = ParityCut(t0 + len(tail), tuple(range(start, start + s)))
-        if mode == "non_neighboring":
-            cuts.append(projection)
-        else:
-            notches.append(projection)
-        for k in range(s):
-            tail.append(Cup(start + s - 1 - k))
-        elements = core.elements + tuple(tail)
-        new_core = MajoranaDiagram(core.width_in, core.width_out - 2 * s,
-                                   elements, core.amplitude)
-    else:
-        if mode == "non_neighboring":
-            raise IntervalMismatch("non-neighboring top contraction is not supported")
-        head = tuple(Cap(iv_a.start + k) for k in range(s))
-        elements = head + core.elements
-        cuts = [ParityCut(c.time_index + s, c.strands) for c in q.parity_cuts]
-        notches = [ParityCut(c.time_index + s, c.strands) for c in q.notches]
-        notches.append(ParityCut(s, tuple(iv_a.strands)))
-        new_core = MajoranaDiagram(core.width_in - 2 * s, core.width_out,
-                                   elements, core.amplitude)
-
     intervals = []
     for k, iv in enumerate(q.open_intervals):
         if k in (interval_a, interval_b):
@@ -482,5 +447,38 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
             intervals.append(replace(iv, start=iv.start - s))
         else:
             intervals.append(iv)
-    return QuonDiagram(new_core, tuple(cuts), tuple(intervals),
-                       q.boundary_tracking, tuple(notches))
+
+    core = q.core
+    # gluing through the resolution of the identity imposes the bundle's
+    # parity projection: a notch for neighboring contractions (the manifold
+    # pinch between the mouths), the puncture's own cut otherwise
+    if iv_a.side == BOTTOM:
+        # the gluing is appended, so nothing needs re-timing
+        tail: list = []
+        start = iv_a.start
+        if gap:
+            # braid the a-bundle rightward across the gap (positive-over)
+            for step in range(gap):
+                pos = start + s - 1 + step
+                for j in range(pos, start + step - 1, -1):
+                    tail.append(BraidPos(j))
+            start = iv_a.start + gap
+        projection = ParityCut(len(core.elements) + len(tail), tuple(range(start, start + s)))
+        for k in range(s):
+            tail.append(Cup(start + s - 1 - k))
+        new_core = MajoranaDiagram(core.width_in, core.width_out - 2 * s,
+                                   core.elements + tuple(tail), core.amplitude)
+        cuts, notches = q.parity_cuts, q.notches
+        if mode == "non_neighboring":
+            cuts += (projection,)
+        else:
+            notches += (projection,)
+        return QuonDiagram(new_core, cuts, intervals, q.boundary_tracking, notches)
+
+    if mode == "non_neighboring":
+        raise IntervalMismatch("non-neighboring top contraction is not supported")
+    head = tuple(Cap(iv_a.start + k) for k in range(s))
+    new_core = MajoranaDiagram(core.width_in - 2 * s, core.width_out,
+                               head + core.elements, core.amplitude)
+    glued = q.splice(0, 0, new_core, intervals)
+    return replace(glued, notches=glued.notches + (ParityCut(s, tuple(iv_a.strands)),))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import InvariantViolation, WidthMismatch
@@ -142,6 +142,30 @@ def check_element(el: Element, width: int) -> None:
         raise InvariantViolation(f"unknown element {el!r}")
 
 
+def element_positions(el: Element) -> tuple[int, ...]:
+    """The strand positions `el` acts on, ascending: those it creates on the
+    slice after it for a cap, those it reads on the slice before it for every
+    other element."""
+    if isinstance(el, Dot):
+        return (el.j,)
+    if isinstance(el, DotPair):
+        return (el.j, el.k)
+    return (el.j, el.j + 1)
+
+
+def reposition(el: Element, positions) -> Element:
+    """`el` moved onto `positions`, ascending and listed as element_positions
+    lists them."""
+    lo = positions[0]
+    if isinstance(el, DotPair):
+        return DotPair(lo, positions[-1])
+    if isinstance(el, Scattering):
+        return Scattering(lo, el.theta, el.orientation)
+    if isinstance(el, ScatteringStar):
+        return ScatteringStar(lo, el.phi, el.orientation)
+    return type(el)(lo)
+
+
 def slice_widths(width_in: int, elements: Iterable[Element]) -> list[int]:
     """Replay the element sequence; returns the width before each element plus the final width."""
     if width_in < 0 or width_in % 2:
@@ -167,6 +191,8 @@ class MajoranaDiagram:
     width_out: int
     elements: tuple[Element, ...] = ()
     amplitude: complex = 1.0 + 0.0j
+    # the width before each element plus the final width, from the replay
+    _widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -176,6 +202,7 @@ class MajoranaDiagram:
             raise InvariantViolation(
                 f"element replay ends at width {widths[-1]}, declared width_out {self.width_out}"
             )
+        object.__setattr__(self, "_widths", tuple(widths))
 
     # -- inspection ----------------------------------------------------
 
@@ -184,10 +211,10 @@ class MajoranaDiagram:
         return self.width_in == 0 and self.width_out == 0
 
     def widths(self) -> list[int]:
-        return slice_widths(self.width_in, self.elements)
+        return list(self._widths)
 
     def max_width(self) -> int:
-        return max(self.widths())
+        return max(self._widths)
 
     def dot_count(self) -> int:
         n = 0
@@ -218,8 +245,8 @@ class MajoranaDiagram:
 
     def with_elements(self, elements: Iterable[Element]) -> "MajoranaDiagram":
         elements = tuple(elements)
-        widths = slice_widths(self.width_in, elements)
-        return MajoranaDiagram(self.width_in, widths[-1], elements, self.amplitude)
+        width_out = self.width_in + sum(element_width_delta(el) for el in elements)
+        return MajoranaDiagram(self.width_in, width_out, elements, self.amplitude)
 
     # -- constructors ----------------------------------------------------
 
@@ -251,22 +278,10 @@ def compose(top: MajoranaDiagram, bottom: MajoranaDiagram) -> MajoranaDiagram:
     )
 
 
-def _offset_element(el: Element, off: int) -> Element:
-    if isinstance(el, DotPair):
-        return DotPair(el.j + off, el.k + off)
-    return type(el)(el.j + off, *_extra_fields(el))
-
-
-def _extra_fields(el: Element) -> tuple:
-    if isinstance(el, Scattering):
-        return (el.theta, el.orientation)
-    if isinstance(el, ScatteringStar):
-        return (el.phi, el.orientation)
-    return ()
-
-
 def offset_elements(elements: Iterable[Element], off: int) -> tuple[Element, ...]:
-    return tuple(_offset_element(el, off) for el in elements)
+    return tuple(
+        reposition(el, [p + off for p in element_positions(el)]) for el in elements
+    )
 
 
 def tensor_product(left: MajoranaDiagram, right: MajoranaDiagram) -> MajoranaDiagram:

@@ -21,7 +21,6 @@ from .diagram import (
     Cap,
     Cup,
     DotPair,
-    Element,
     MajoranaDiagram,
     Scattering,
     is_generic_angle,
@@ -31,6 +30,7 @@ from .errors import (
     InvalidRegion,
     InvalidSegment,
     ParityMismatch,
+    ParseError,
     PathCrossesHole,
     PatternMismatch,
     RegionOccupied,
@@ -45,10 +45,9 @@ from .quon import (
     QuonDiagram,
     encode_basis,
     evaluate_closed_quon,
+    string_genus,
 )
 from .rewrite import braid_expansion_weights
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -101,28 +100,17 @@ class FactoryLedger:
         q = self.seed
         ledger = FactoryLedger(self.seed)
         for move in self.moves:
-            if isinstance(move, Stretch):
-                q, ledger = stretch(q, move, ledger)
-            elif isinstance(move, Insert):
-                q, ledger = insert_move(q, move, ledger)
-            else:
-                q, ledger = switch_move(q, move, ledger)
+            q, ledger = apply_move(q, move, ledger)
         return q
 
 
-def _shift_cuts(cuts, t0: int, dt: int, pos0: int | None = None, dp: int = 0):
-    out = []
-    for c in cuts:
-        t = c.time_index + (dt if c.time_index >= t0 else 0)
-        strands = c.strands
-        if pos0 is not None and c.time_index >= t0:
-            strands = tuple(s + dp if s >= pos0 else s for s in strands)
-        out.append(ParityCut(t, strands))
-    return tuple(out)
-
-
-def _shift_marks(marks, t0: int, dt: int):
-    return frozenset((t + dt, p) if t >= t0 else (t, p) for (t, p) in marks)
+def apply_move(q: QuonDiagram, move: Move, ledger: FactoryLedger):
+    """Apply one move of any kind; returns (diagram, ledger with the move)."""
+    if isinstance(move, Stretch):
+        return stretch(q, move, ledger)
+    if isinstance(move, Insert):
+        return insert_move(q, move, ledger)
+    return switch_move(q, move, ledger)
 
 
 def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
@@ -145,13 +133,7 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
         out = tuple(BraidPos(p + k) for k in range(reach))
         back = tuple(BraidNeg(p + reach - 1 - k) for k in range(reach))
         els = q.core.elements[:t] + out + back + q.core.elements[t:]
-        core = q.core.with_elements(els)
-        cuts = _shift_cuts(q.parity_cuts, t, 2 * reach)
-        notches = _shift_cuts(q.notches, t, 2 * reach)
-        marks = _shift_marks(q.boundary_tracking, t, 2 * reach)
-        new_q = QuonDiagram(core, cuts, q.open_intervals, marks, notches)
-        new_ledger = replace_ledger(ledger, move)
-        return new_q, new_ledger
+        return q.splice(t, 0, q.core.with_elements(els)), replace_ledger(ledger, move)
 
     if move.target == "new_encoder":
         # the finger terminates on a fresh 2-strand bottom interval placed at
@@ -240,14 +222,9 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
             + offset_elements(payload.elements, p)
             + q.core.elements[t:]
         )
-        core = q.core.with_elements(els).scaled(payload.amplitude / value)
-        cuts = _shift_cuts(q.parity_cuts, t, len(payload.elements))
-        notches = _shift_cuts(q.notches, t, len(payload.elements))
-        marks = _shift_marks(q.boundary_tracking, t, len(payload.elements))
-        return (
-            QuonDiagram(core, cuts, q.open_intervals, marks, notches),
-            replace_ledger(ledger, move),
-        )
+        core = MajoranaDiagram(q.core.width_in, q.core.width_out, els,
+                               q.core.amplitude * payload.amplitude / value)
+        return q.splice(t, 0, core), replace_ledger(ledger, move)
 
     if move.payload == "string_hole_pair":
         if (p + 1) % 2:
@@ -255,15 +232,11 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
                 "string-hole pair needs an odd strand count to its left; "
                 "use the double variant here"
             )
-        els = q.core.elements[:t] + (Cap(p), Cup(p)) + q.core.elements[t:]
-        core = q.core.with_elements(els).scaled(_SQRT2)
-        cuts = list(_shift_cuts(q.parity_cuts, t, 2))
-        cuts.append(ParityCut(t + 1, tuple(range(p)) + (p,)))
-        notches = _shift_cuts(q.notches, t, 2)
+        new_q = string_genus(q, 0, "insert", region=(t, p))
         # the fresh ring is a boundary-tracking line around the new hole
-        marks = _shift_marks(q.boundary_tracking, t, 2) | {(t + 1, p), (t + 1, p + 1)}
+        ring = {(t + 1, p), (t + 1, p + 1)}
         return (
-            QuonDiagram(core, tuple(cuts), q.open_intervals, marks, notches),
+            replace(new_q, boundary_tracking=new_q.boundary_tracking | ring),
             replace_ledger(ledger, move),
         )
 
@@ -271,15 +244,12 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         if p % 2:
             raise ParityMismatch("double string-hole pair needs an even left count")
         els = q.core.elements[:t] + (Cap(p), Cap(p + 1), Cup(p + 1), Cup(p)) + q.core.elements[t:]
-        core = q.core.with_elements(els)
-        cuts = list(_shift_cuts(q.parity_cuts, t, 4))
-        cuts.append(ParityCut(t + 2, tuple(range(p)) + (p, p + 1)))
-        notches = _shift_cuts(q.notches, t, 4)
-        marks = _shift_marks(q.boundary_tracking, t, 4) | {
-            (t + 2, p), (t + 2, p + 1), (t + 2, p + 2), (t + 2, p + 3)
-        }
+        new_q = q.splice(t, 0, q.core.with_elements(els))
+        hole = ParityCut(t + 2, tuple(range(p)) + (p, p + 1))
+        ring = {(t + 2, p), (t + 2, p + 1), (t + 2, p + 2), (t + 2, p + 3)}
         return (
-            QuonDiagram(core, tuple(cuts), q.open_intervals, marks, notches),
+            replace(new_q, parity_cuts=new_q.parity_cuts + (hole,),
+                    boundary_tracking=new_q.boundary_tracking | ring),
             replace_ledger(ledger, move),
         )
     raise InvalidRegion(f"unknown payload {move.payload!r}")
@@ -297,14 +267,7 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
         if not 0 <= p <= w - 2:
             raise PatternMismatch(f"no strand pair at {p}")
         new_els = els[:t] + (DotPair(p, p + 1),) + els[t:]
-        core = q.core.with_elements(new_els)
-        cuts = _shift_cuts(q.parity_cuts, t, 1)
-        notches = _shift_cuts(q.notches, t, 1)
-        marks = _shift_marks(q.boundary_tracking, t, 1)
-        return (
-            QuonDiagram(core, cuts, q.open_intervals, marks, notches),
-            replace_ledger(ledger, move),
-        )
+        return q.splice(t, 0, q.core.with_elements(new_els)), replace_ledger(ledger, move)
 
     if not 0 <= move.site < len(els):
         raise PatternMismatch(f"site {move.site} out of range")
@@ -317,11 +280,7 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
         else:
             raise PatternMismatch(f"element {move.site} is not a braid")
         core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
-        return (
-            QuonDiagram(core, q.parity_cuts, q.open_intervals, q.boundary_tracking,
-                        q.notches),
-            replace_ledger(ledger, move),
-        )
+        return q.splice(move.site, 1, core), replace_ledger(ledger, move)
     if move.change == "braid_to_scattering":
         if not isinstance(el, (BraidPos, BraidNeg)):
             raise PatternMismatch(f"element {move.site} is not a braid")
@@ -333,12 +292,12 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
             else cmath.exp(-1j * math.pi / 8)
         )
         new = Scattering(el.j, theta)
-        core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
-        core = core.scaled(amp)
+        core = MajoranaDiagram(q.core.width_in, q.core.width_out,
+                               els[:move.site] + (new,) + els[move.site + 1:],
+                               q.core.amplitude * amp)
         transformed = move.site if is_generic_angle(theta) else None
         return (
-            QuonDiagram(core, q.parity_cuts, q.open_intervals, q.boundary_tracking,
-                        q.notches),
+            q.splice(move.site, 1, core),
             replace_ledger(ledger, move, transformed=transformed),
         )
     if move.change == "set_angle":
@@ -346,11 +305,7 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
             raise PatternMismatch(f"element {move.site} is not a scattering")
         new = Scattering(el.j, complex(move.theta), el.orientation)
         core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
-        return (
-            QuonDiagram(core, q.parity_cuts, q.open_intervals, q.boundary_tracking,
-                        q.notches),
-            replace_ledger(ledger, move),
-        )
+        return q.splice(move.site, 1, core), replace_ledger(ledger, move)
     raise PatternMismatch(f"unknown switch change {move.change!r}")
 
 
@@ -435,5 +390,5 @@ def parse_move_script(text: str) -> list[Move]:
             else:
                 raise ValueError(f"unknown move {kind!r}")
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"move script line {lineno}: {exc}") from exc
+            raise ParseError(f"move script line {lineno}: {exc}") from exc
     return moves

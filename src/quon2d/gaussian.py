@@ -265,11 +265,11 @@ def assemble_frontier(diag: MajoranaDiagram):
         add_point(slice_now[el.j + 1], t + 0.0, pair_id)
         add_point(slice_now[el.j], t + _SUB, pair_id)
 
-    loops = [g for g in trace.worldlines() if trace.is_closed_worldline(g)]
-    frontier.amplitude *= _SQRT2 ** len(loops)
-    seg_to_loop = {sid: li for li, group in enumerate(loops) for sid in group}
+    # in a closed diagram every worldline is a loop
+    frontier.amplitude *= _SQRT2 ** len(trace.worldlines())
+    labels = trace.worldline_labels()
     for p in points:
-        p.loop = seg_to_loop[p.seg]
+        p.loop = labels[p.seg]
     return frontier, points, mus, _LoopGeometry(trace)
 
 
@@ -325,12 +325,7 @@ class PreparedDiagram:
     def __init__(self, diag: MajoranaDiagram):
         self.frontier, self.points, self.mus, self.geom = assemble_frontier(diag)
         self.trace = self.geom.trace
-        self._label = {}
-        for li, group in enumerate(self.trace.worldlines()):
-            for sid in group:
-                self._label[sid] = li
-        for p in self.points:  # relabel so extra points share the loop ids
-            p.loop = self._label[p.seg]
+        self._label = self.trace.worldline_labels()
 
     def evaluate(self, extra=()) -> complex:
         points = list(self.points)

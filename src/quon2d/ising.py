@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .diagram import (
     ScatteringStar,
     VERTICAL,
 )
-from .errors import NonPlanarInput, Singular, TooManySites
+from .errors import InvariantViolation, NonPlanarInput, Singular, TooManySites
 from .quon import QuonDiagram, string_genus
 from .rewrite import RewriteSite, SpaceTimeDual, apply_rule
 
@@ -48,9 +48,9 @@ class IsingLattice:
     def __post_init__(self):
         for a, b, k in self.edges:
             if not (0 <= a < self.n_sites and 0 <= b < self.n_sites and a != b):
-                raise ValueError(f"bad edge ({a}, {b})")
+                raise InvariantViolation(f"bad edge ({a}, {b})")
             if not math.isfinite(k):
-                raise ValueError("couplings must be finite")
+                raise InvariantViolation(f"coupling {k} of edge ({a}, {b}) is not finite")
         if not self._planar():
             raise NonPlanarInput("the interaction graph is not planar")
 
@@ -216,9 +216,8 @@ def kw_rewrite_chain(lattice: IsingLattice):
                 break
         if site is None:
             break
-        core = apply_rule(current.core, SpaceTimeDual(), RewriteSite.at(site))
-        current = QuonDiagram(core, current.parity_cuts, current.open_intervals,
-                              current.boundary_tracking, current.notches)
+        current = current.splice(
+            site, 1, apply_rule(current.core, SpaceTimeDual(), RewriteSite.at(site)))
         steps.append(current)
 
     dual_rows = max(rows - 1, 1)

@@ -11,7 +11,7 @@ SWAP-hole relations edit the manifold syntactically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import diagram as dg
 from .diagram import (
@@ -23,7 +23,8 @@ from .diagram import (
     DotPair,
     MajoranaDiagram,
     dagger,
-    offset_elements,
+    element_positions,
+    reposition,
 )
 from .errors import (
     BitLengthMismatch,
@@ -35,7 +36,6 @@ from .errors import (
     WidthMismatch,
 )
 from .fock import evaluate_closed_oracle
-from .gaussian import evaluate_closed_fast
 from .wires import WireTrace
 
 TOP = "top"
@@ -103,13 +103,10 @@ class OpenInterval:
         """Strand pairs (local indices) read off the pairing data, ordered by
         leftmost member."""
         trace = WireTrace(self.pairing_data)
-        label = {}
-        for li, group in enumerate(trace.worldlines()):
-            for sid in group:
-                label[sid] = li
+        labels = trace.worldline_labels()
         groups: dict[int, list[int]] = {}
         for pos, sid in enumerate(trace.slices[-1]):
-            groups.setdefault(label[sid], []).append(pos)
+            groups.setdefault(labels[sid], []).append(pos)
         pairs = []
         for members in groups.values():
             if len(members) != 2:
@@ -150,14 +147,21 @@ class QuonDiagram:
         object.__setattr__(self, "notches", tuple(self.notches))
         object.__setattr__(self, "open_intervals", tuple(self.open_intervals))
         object.__setattr__(self, "boundary_tracking", frozenset(self.boundary_tracking))
-        widths = self.core.widths()
+        widths = self.core._widths
         for cut in self.parity_cuts + self.notches:
-            if not 0 <= cut.time_index <= len(self.core.elements):
+            if not 0 <= cut.time_index < len(widths):
                 raise InvariantViolation(f"cut time {cut.time_index} out of range")
             w = widths[cut.time_index]
             if any(not 0 <= s < w for s in cut.strands):
                 raise InvariantViolation(
                     f"cut strands {cut.strands} not alive at slice {cut.time_index} (width {w})"
+                )
+        for t, pos in self.boundary_tracking:
+            if not 0 <= t < len(widths) or not 0 <= pos < widths[t]:
+                raise InvariantViolation(
+                    f"boundary-tracking anchor ({t}, {pos}) is not on a strand: its slice "
+                    f"must lie in 0..{len(widths) - 1} and its position below that "
+                    f"slice's width"
                 )
         for side, width in ((TOP, self.core.width_in), (BOTTOM, self.core.width_out)):
             ivs = sorted(
@@ -182,9 +186,36 @@ class QuonDiagram:
     def scaled(self, factor: complex) -> "QuonDiagram":
         return replace(self, core=self.core.scaled(factor))
 
-    @staticmethod
-    def closed(core: MajoranaDiagram, cuts=()) -> "QuonDiagram":
-        return QuonDiagram(core, tuple(cuts))
+    def splice(self, at: int, removed: int, core: MajoranaDiagram,
+               open_intervals=None) -> "QuonDiagram":
+        """This diagram with `core` in place of its own, where `core` has the
+        `removed` elements from index `at` replaced.
+
+        Every parity cut, notch and boundary-tracking anchor is re-timed by
+        one rule: a slice at or after at + removed moves by the change in
+        length, a slice strictly inside the replaced run moves to `at`, and
+        every other slice stays.  So a pure insertion (removed == 0) moves a
+        cut at slice `at` past the inserted block.  `open_intervals` replaces
+        the intervals when `core` changes a boundary.
+        """
+        end = at + removed
+        delta = len(core.elements) - len(self.core.elements)
+
+        def retimed(t: int) -> int:
+            if t >= end:
+                return t + delta
+            return at if t > at else t
+
+        def cuts(projections):
+            return tuple(ParityCut(retimed(c.time_index), c.strands) for c in projections)
+
+        return QuonDiagram(
+            core,
+            cuts(self.parity_cuts),
+            self.open_intervals if open_intervals is None else open_intervals,
+            frozenset((retimed(t), pos) for t, pos in self.boundary_tracking),
+            cuts(self.notches),
+        )
 
 
 def count_holes(q: QuonDiagram) -> int:
@@ -320,15 +351,12 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
         raise WidthMismatch("top encoders do not cover the top boundary")
     if bottom_closure.width_in != q.core.width_out:
         raise WidthMismatch("bottom encoders do not cover the bottom boundary")
-    core = dg.compose(dg.compose(top_closure, q.core), bottom_closure)
-    shift = len(top_closure.elements)
-    cuts = tuple(
-        ParityCut(c.time_index + shift, c.strands) for c in q.parity_cuts
+    # the bottom closure is appended, so nothing needs re-timing for it
+    bottom_closed = QuonDiagram(
+        dg.compose(q.core, bottom_closure), q.parity_cuts,
+        [q.open_intervals[i] for i in top], q.boundary_tracking, q.notches,
     )
-    notches = tuple(
-        ParityCut(c.time_index + shift, c.strands) for c in q.notches
-    )
-    return QuonDiagram(core, cuts, notches=notches)
+    return bottom_closed.splice(0, 0, dg.compose(top_closure, bottom_closed.core), ())
 
 
 # -- manifold rewrites -----------------------------------------------------
@@ -337,7 +365,7 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
 def _quiet_loop_of_cut(q: QuonDiagram, cut: ParityCut):
     """Find a closed quiet worldline enclosing the cut: exactly one of the
     cut's strands lies on the loop at the cut's slice and the rest sit on one
-    side of it.  Returns (loop segment ids, its elements' indices)."""
+    side of it.  Returns (trace, loop segment ids, its elements' indices)."""
     trace = WireTrace(q.core)
     slice_now = trace.slices[cut.time_index]
     cut_segs = [slice_now[s] for s in cut.strands]
@@ -362,59 +390,59 @@ def _quiet_loop_of_cut(q: QuonDiagram, cut: ParityCut):
                 {trace.turns[trace.segments[sid].birth_turn].elem_index for sid in group}
                 | {trace.turns[trace.segments[sid].death_turn].elem_index for sid in group}
             )
-            return group, elem_indices
+            return trace, group, elem_indices
     return None
 
 
-def _delete_worldline(core: MajoranaDiagram, trace: WireTrace, group: list[int],
-                      elem_indices: set[int], cuts: tuple[ParityCut, ...]):
-    """Remove a quiet worldline (its caps/cups) from the diagram, re-indexing
-    every kept element's positions and the cut data."""
+def _delete_worldline(q: QuonDiagram, trace: WireTrace, group: list[int],
+                      elem_indices: set[int], hole_id: int) -> QuonDiagram:
+    """q without hole `hole_id` and the quiet worldline `group` (its caps and
+    cups at `elem_indices`), amplitude x 1/sqrt2.  Every kept element, cut,
+    notch and anchor moves through one map of slices and positions; the
+    anchors on the deleted loop are dropped."""
     removed = set(group)
     for i in elem_indices:
-        if not isinstance(core.elements[i], (Cap, Cup)):
+        if not isinstance(q.core.elements[i], (Cap, Cup)):
             raise PatternMismatch("only caps and cups can be deleted with a loop")
+    first, last = min(elem_indices), max(elem_indices)
+
+    def new_time(t: int) -> int:
+        return t - sum(1 for i in elem_indices if i < t)
 
     def new_position(t: int, p: int) -> int:
+        if t <= first or t > last:  # the loop is not alive at this slice
+            return p
         return sum(1 for sid in trace.slices[t][:p] if sid not in removed)
 
+    def kept(t: int, p: int) -> bool:
+        return trace.slices[t][p] not in removed
+
     new_els = []
-    for t, el in enumerate(core.elements):
+    for t, el in enumerate(q.core.elements):
         if t in elem_indices:
             continue
-        if isinstance(el, Cap):
-            new_els.append(Cap(new_position(t + 1, el.j)))
-        elif isinstance(el, Cup):
-            new_els.append(Cup(new_position(t, el.j)))
-        else:
-            positions = sorted(new_position(t, p) for p in _element_positions(el))
-            new_els.append(_reposition(el, positions))
-    out_cuts = []
-    for cut in cuts:
-        kept = [s for s in cut.strands if trace.slices[cut.time_index][s] not in removed]
-        new_strands = tuple(new_position(cut.time_index, s) for s in kept)
-        new_time = sum(1 for i in range(cut.time_index) if i not in elem_indices)
-        out_cuts.append(ParityCut(new_time, new_strands))
-    new_core = MajoranaDiagram(core.width_in, core.width_out, tuple(new_els),
-                               core.amplitude)
-    return new_core, tuple(out_cuts)
+        slice_of = t + 1 if isinstance(el, Cap) else t
+        new_els.append(reposition(el, [new_position(slice_of, p)
+                                       for p in element_positions(el)]))
 
+    def moved(cuts):
+        return tuple(
+            ParityCut(new_time(c.time_index),
+                      tuple(new_position(c.time_index, s) for s in c.strands
+                            if kept(c.time_index, s)))
+            for c in cuts
+        )
 
-def _element_positions(el) -> list[int]:
-    if isinstance(el, Dot):
-        return [el.j]
-    if isinstance(el, DotPair):
-        return [el.j, el.k]
-    return [el.j, el.j + 1]
-
-
-def _reposition(el, positions):
-    lo = positions[0]
-    if isinstance(el, Dot):
-        return Dot(lo)
-    if isinstance(el, DotPair):
-        return DotPair(lo, positions[1])
-    return dg._offset_element(el, lo - el.j)
+    core = MajoranaDiagram(q.core.width_in, q.core.width_out, tuple(new_els),
+                           q.core.amplitude / _SQRT2)
+    return QuonDiagram(
+        core,
+        moved(c for k, c in enumerate(q.parity_cuts) if k != hole_id),
+        q.open_intervals,
+        frozenset((new_time(t), new_position(t, p))
+                  for t, p in q.boundary_tracking if kept(t, p)),
+        moved(q.notches),
+    )
 
 
 def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
@@ -433,15 +461,8 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
         found = _quiet_loop_of_cut(q, cut)
         if found is None:
             raise NoEnclosingLoop(f"hole {hole_id} has no isolated enclosing loop")
-        group, elem_indices = found
-        cuts = tuple(c for k, c in enumerate(q.parity_cuts) if k != hole_id)
-        n_holes = len(cuts)
-        new_core, new_all = _delete_worldline(
-            q.core, WireTrace(q.core), group, set(elem_indices), cuts + q.notches
-        )
-        new_core = new_core.scaled(1 / _SQRT2)
-        return replace(q, core=new_core, parity_cuts=new_all[:n_holes],
-                       notches=new_all[n_holes:])
+        trace, group, elem_indices = found
+        return _delete_worldline(q, trace, group, set(elem_indices), hole_id)
 
     if direction != "insert":
         raise ValueError(f"direction {direction!r}")
@@ -453,24 +474,12 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
         raise InvalidRegion(f"region {region} outside the diagram")
     if (p + 1) % 2:
         raise InvalidRegion("position must leave an even cut (odd strand count left of the loop)")
-    els = (
-        q.core.elements[:t]
-        + (Cap(p), Cup(p))
-        + q.core.elements[t:]
-    )
-    core = q.core.with_elements(els).scaled(_SQRT2)
-
-    def shifted(cut):
-        # the inserted loop has closed again before any later slice
-        if cut.time_index <= t:
-            return cut
-        return ParityCut(cut.time_index + 2, cut.strands)
-
-    new_cuts = tuple(shifted(c) for c in q.parity_cuts)
-    new_notches = tuple(shifted(c) for c in q.notches)
+    els = q.core.elements[:t] + (Cap(p), Cup(p)) + q.core.elements[t:]
+    core = MajoranaDiagram(q.core.width_in, q.core.width_out, els,
+                           q.core.amplitude * _SQRT2)
+    spliced = q.splice(t, 0, core)
     inserted = ParityCut(t + 1, tuple(range(p)) + (p,))
-    return replace(q, core=core, parity_cuts=new_cuts + (inserted,),
-                   notches=new_notches)
+    return replace(spliced, parity_cuts=spliced.parity_cuts + (inserted,))
 
 
 def swap_hole_remove(q: QuonDiagram, hole_id: int) -> QuonDiagram:
@@ -531,12 +540,8 @@ def normalize_cuts(q: QuonDiagram) -> QuonDiagram:
     """
     trace = WireTrace(q.core)
     dotted_lines = set()
-    lines = trace.worldlines()
-    label = {}
-    for li, group in enumerate(lines):
-        for sid in group:
-            label[sid] = li
-    for li, group in enumerate(lines):
+    labels = trace.worldline_labels()
+    for li, group in enumerate(trace.worldlines()):
         for sid in group:
             for _, el in trace.segments[sid].touches:
                 if isinstance(el, (Dot, DotPair)):
@@ -548,40 +553,13 @@ def normalize_cuts(q: QuonDiagram) -> QuonDiagram:
         if not cut.strands:
             continue
         slice_now = trace.slices[cut.time_index]
-        if all(label[slice_now[s]] not in dotted_lines for s in cut.strands):
+        if all(labels[slice_now[s]] not in dotted_lines for s in cut.strands):
             continue
         keep.append(cut)
     return replace(q, parity_cuts=tuple(keep))
 
 
 # -- gluing -----------------------------------------------------------------
-
-
-def quon_tensor(left: QuonDiagram, right: QuonDiagram) -> QuonDiagram:
-    """Horizontal stacking of Quon diagrams (amplitudes multiply)."""
-    core = dg.tensor_product(left.core, right.core)
-    shift_t = len(left.core.elements)
-    l_widths = left.core.widths()
-    cuts = list(left.parity_cuts)
-    for c in right.parity_cuts:
-        cuts.append(
-            ParityCut(c.time_index + shift_t,
-                      tuple(s + left.core.width_out for s in c.strands))
-        )
-    notches = list(left.notches)
-    for c in right.notches:
-        notches.append(
-            ParityCut(c.time_index + shift_t,
-                      tuple(s + left.core.width_out for s in c.strands))
-        )
-    intervals = list(left.open_intervals)
-    for iv in right.open_intervals:
-        off = left.core.width_in if iv.side == TOP else left.core.width_out
-        intervals.append(replace(iv, start=iv.start + off))
-    return QuonDiagram(core, tuple(cuts), tuple(intervals),
-                       left.boundary_tracking | {
-                           (t + shift_t, p) for (t, p) in right.boundary_tracking},
-                       notches=tuple(notches))
 
 
 def quon_compose(top: QuonDiagram, bottom: QuonDiagram) -> QuonDiagram:
@@ -593,16 +571,10 @@ def quon_compose(top: QuonDiagram, bottom: QuonDiagram) -> QuonDiagram:
                   key=lambda iv: iv.start)
     if [(iv.start, iv.size) for iv in tops] != [(iv.start, iv.size) for iv in bots]:
         raise WidthMismatch("glued boundary intervals do not align")
-    core = dg.compose(top.core, bottom.core)
-    shift = len(top.core.elements)
-    cuts = list(top.parity_cuts) + [
-        ParityCut(c.time_index + shift, c.strands) for c in bottom.parity_cuts
-    ]
-    notches = list(top.notches) + [
-        ParityCut(c.time_index + shift, c.strands) for c in bottom.notches
-    ]
     intervals = [iv for iv in top.open_intervals if iv.side == TOP] + [
         iv for iv in bottom.open_intervals if iv.side == BOTTOM
     ]
-    marks = top.boundary_tracking | {(t + shift, p) for (t, p) in bottom.boundary_tracking}
-    return QuonDiagram(core, tuple(cuts), tuple(intervals), marks, tuple(notches))
+    below = bottom.splice(0, 0, dg.compose(top.core, bottom.core), intervals)
+    return QuonDiagram(below.core, top.parity_cuts + below.parity_cuts, intervals,
+                       top.boundary_tracking | below.boundary_tracking,
+                       top.notches + below.notches)

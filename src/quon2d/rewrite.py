@@ -42,7 +42,9 @@ from .diagram import (
     MajoranaDiagram,
     Scattering,
     ScatteringStar,
+    element_positions,
     is_generic_angle,
+    reposition,
     scattering_weights,
 )
 from .errors import NoSolution, NotAScattering, PatternMismatch, SingularAngle
@@ -618,16 +620,6 @@ def _swap_element(diag: MajoranaDiagram, index: int, new: Element,
     return MajoranaDiagram(diag.width_in, diag.width_out, els, diag.amplitude * scalar)
 
 
-def _positions(el: Element) -> set[int]:
-    if isinstance(el, Dot):
-        return {el.j}
-    if isinstance(el, DotPair):
-        return {el.j, el.k}
-    if isinstance(el, Cap):
-        return set()  # creates fresh strands
-    return {el.j, el.j + 1}
-
-
 def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
     els = diag.elements
     if i + 1 >= len(els):
@@ -649,17 +641,14 @@ def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
             return p + 2 if p >= first.j else p
         return p
 
-    second_positions = _positions(second)
     if isinstance(second, Cap):
         new_second = Cap(back_through_first(second.j, pivot_ok=True))
     else:
-        mapped = {back_through_first(p, pivot_ok=False) for p in second_positions}
-        new_second = _retarget(second, mapped)
-    # check disjointness in the common (pre-first) frame
-    first_strands = {first.j, first.j + 1} if isinstance(first, (Cup,)) else _positions(first)
-    if isinstance(first, Cap):
-        first_strands = set()
-    second_strands = _positions(new_second)
+        new_second = reposition(second, [back_through_first(p, pivot_ok=False)
+                                         for p in element_positions(second)])
+    # check disjointness in the common (pre-first) frame; a cap reads no strand
+    first_strands = set() if isinstance(first, Cap) else set(element_positions(first))
+    second_strands = set() if isinstance(new_second, Cap) else set(element_positions(new_second))
     if first_strands & second_strands:
         raise PatternMismatch("elements share a strand")
 
@@ -671,34 +660,9 @@ def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
             return p - 2 if p >= new_second.j + 2 else p
         return p
 
-    if isinstance(first, Cap):
-        new_first = Cap(fwd_through_second(first.j))
-    elif isinstance(first, DotPair):
-        new_first = DotPair(fwd_through_second(first.j), fwd_through_second(first.k))
-    else:
-        mapped = sorted(fwd_through_second(p) for p in _positions(first))
-        new_first = _retarget(first, set(mapped))
+    new_first = reposition(first, [fwd_through_second(p) for p in element_positions(first)])
     new_els = els[:i] + (new_second, new_first) + els[i + 2:]
     try:
         return MajoranaDiagram(diag.width_in, diag.width_out, new_els, diag.amplitude)
     except Exception as exc:  # ill-formed after swap means the move was invalid
         raise PatternMismatch(f"swap produces an ill-formed diagram: {exc}") from exc
-
-
-def _retarget(el: Element, positions: set[int]) -> Element:
-    lo = min(positions)
-    if isinstance(el, Dot):
-        return Dot(lo)
-    if isinstance(el, DotPair):
-        return DotPair(lo, max(positions))
-    if isinstance(el, Cup):
-        return Cup(lo)
-    if isinstance(el, BraidPos):
-        return BraidPos(lo)
-    if isinstance(el, BraidNeg):
-        return BraidNeg(lo)
-    if isinstance(el, Scattering):
-        return Scattering(lo, el.theta, el.orientation)
-    if isinstance(el, ScatteringStar):
-        return ScatteringStar(lo, el.phi, el.orientation)
-    raise PatternMismatch(f"cannot retarget {el!r}")

@@ -11,13 +11,15 @@ Schema (version 1):
                     {"kind": "scattering", "j": 0, "theta": [re, im],
                      "orientation": "vertical"}, ... ],
       "parity_cuts": [ {"time_index": 3, "strands": [0, 1]}, ... ],
+      "notches": [ {"time_index": 5, "strands": [0, 1, 2, 3]}, ... ],
       "open_intervals": [ {"side": "bottom", "start": 0, "size": 4,
-                           "pairing": <nested document or null>}, ... ],
-      "boundary_tracking": [[slice, position], ...],
-      "ledger": null | {"moves": [...]}   # optional, opaque to the parser
+                           "pairing": {"width_out": 4, "amplitude": [re, im],
+                                       "elements": [...]} or null}, ... ],
+      "boundary_tracking": [[slice, position], ...]
     }
 
-Parsing re-validates every diagram invariant; round-trips are exact.
+Parsing re-validates every diagram invariant (anchors included); round-trips
+are exact.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ class Segment:
     sid: int
     birth_turn: int | None = None  # turn id, None when entering at the top
     death_turn: int | None = None  # turn id, None when leaving at the bottom
-    birth_index: int = 0  # element index where the segment appears
-    death_index: int = -1  # element index where it is consumed (-1: open)
     top_position: int | None = None
     bottom_position: int | None = None
     touches: list[tuple[int, Element]] = field(default_factory=list)
@@ -52,16 +50,17 @@ class WireTrace:
         self.turns: list[Turn] = []
         # slices[t] = tuple of segment ids at the slice before element t
         self.slices: list[tuple[int, ...]] = []
+        self._worldlines: list[list[int]] | None = None
 
         cur: list[int] = []
         for pos in range(diag.width_in):
-            cur.append(self._new_segment(birth_index=0, top_position=pos))
+            cur.append(self._new_segment(top_position=pos))
         self.slices.append(tuple(cur))
 
         for t, el in enumerate(diag.elements):
             if isinstance(el, Cap):
-                a = self._new_segment(birth_index=t + 1)
-                b = self._new_segment(birth_index=t + 1)
+                a = self._new_segment()
+                b = self._new_segment()
                 tid = len(self.turns)
                 self.turns.append(Turn("cap", t, (a, b)))
                 self.segments[a].birth_turn = tid
@@ -73,7 +72,6 @@ class WireTrace:
                 self.turns.append(Turn("cup", t, (a, b)))
                 for sid in (a, b):
                     self.segments[sid].death_turn = tid
-                    self.segments[sid].death_index = t
                 del cur[el.j:el.j + 2]
             elif isinstance(el, Dot):
                 self.segments[cur[el.j]].touches.append((t, el))
@@ -88,15 +86,28 @@ class WireTrace:
         for pos, sid in enumerate(cur):
             self.segments[sid].bottom_position = pos
 
-    def _new_segment(self, birth_index: int, top_position: int | None = None) -> int:
+    def _new_segment(self, top_position: int | None = None) -> int:
         sid = len(self.segments)
-        self.segments.append(Segment(sid, birth_index=birth_index, top_position=top_position))
+        self.segments.append(Segment(sid, top_position=top_position))
         return sid
 
     # -- worldlines ------------------------------------------------------
 
     def worldlines(self) -> list[list[int]]:
         """Connected components of segments linked through turns."""
+        if self._worldlines is None:
+            self._worldlines = self._components()
+        return self._worldlines
+
+    def worldline_labels(self) -> list[int]:
+        """labels[sid] is the index in worldlines() of segment sid's worldline."""
+        labels = [0] * len(self.segments)
+        for li, group in enumerate(self.worldlines()):
+            for sid in group:
+                labels[sid] = li
+        return labels
+
+    def _components(self) -> list[list[int]]:
         parent = list(range(len(self.segments)))
 
         def find(x):
@@ -114,12 +125,6 @@ class WireTrace:
             groups.setdefault(find(s), []).append(s)
         return list(groups.values())
 
-    def worldline_of(self, sid: int) -> list[int]:
-        for group in self.worldlines():
-            if sid in group:
-                return group
-        raise KeyError(sid)
-
     def is_closed_worldline(self, group: list[int]) -> bool:
         return all(
             self.segments[s].top_position is None
@@ -130,10 +135,6 @@ class WireTrace:
     def is_quiet(self, group: list[int]) -> bool:
         """No dots, braids, or scatterings touch any segment of the worldline."""
         return all(not self.segments[s].touches for s in group)
-
-    def segment_at(self, elem_index: int, position: int) -> int:
-        """Segment occupying `position` on the slice before element `elem_index`."""
-        return self.slices[elem_index][position]
 
     def closed_quiet_loops(self) -> list[list[int]]:
         return [

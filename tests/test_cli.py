@@ -1,8 +1,11 @@
 import pytest
 
-from quon2d.cli import greedy_simplify
+from quon2d.circuits import Circuit, Gate
+from quon2d.cli import greedy_simplify, main
+from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, DotPair, MajoranaDiagram, Scattering
 from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon
+from quon2d.serialize import parse_diagram, serialize_diagram
 
 # two theta = 0 scatterings that simplify removes, before a dot pair
 CORE = MajoranaDiagram(0, 0, (
@@ -25,3 +28,85 @@ def test_simplify_keeps_a_cut_after_the_dot_pair():
     want = evaluate_closed_quon(q, use_oracle=True)
     got = evaluate_closed_quon(greedy_simplify(q), use_oracle=True)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# -- the command line ---------------------------------------------------------
+
+
+def _run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_compile_then_amplitude_and_factory(tmp_path, capsys):
+    circuit = _write(tmp_path / "bell.txt", "H 0\nCNOT 0 1  # entangle\n")
+    compiled = tmp_path / "bell.json"
+    assert _run(capsys, "compile", circuit, "-o", compiled)[0] == 0
+    q = parse_diagram(compiled.read_text())
+    assert len(q.open_intervals) == 4 and q.notches
+
+    code, out, _ = _run(capsys, "amplitude", circuit, "--in", "00", "--out", "1,1")
+    assert code == 0
+    assert complex(out.strip()) == pytest.approx(2 ** -0.5, abs=1e-9)
+
+    script = _write(tmp_path / "moves.txt",
+                    "stretch 0 1 2  # bulk\ninsert 0 1 string_hole_pair\ninsert 3 2 loop\n")
+    grown = tmp_path / "grown.json"
+    code, out, err = _run(capsys, "factory", compiled, "--script", script,
+                          "--component", "0,0,1,1", "-o", grown)
+    assert code == 0 and "n_S: 0" in err
+    assert complex(out.strip()) == pytest.approx(2 ** -0.5, abs=1e-9)
+    assert parse_diagram(grown.read_text()).hole_count() == 1
+
+
+def test_eval_and_simplify(tmp_path, capsys):
+    doc = _write(tmp_path / "cut.json",
+                 serialize_diagram(QuonDiagram(CORE, (ParityCut(6, (0, 1)),))))
+    code, out, _ = _run(capsys, "eval", doc)
+    want = evaluate_closed_quon(QuonDiagram(CORE, (ParityCut(6, (0, 1)),)))
+    assert code == 0 and complex(out.strip()) == pytest.approx(want, abs=1e-9)
+    code, out, _ = _run(capsys, "eval", doc, "--oracle")
+    assert code == 0 and complex(out.strip()) == pytest.approx(want, abs=1e-9)
+
+    simplified = tmp_path / "simple.json"
+    code, _, err = _run(capsys, "simplify", doc, "-o", simplified)
+    assert code == 0 and "value preserved" in err
+    q = parse_diagram(simplified.read_text())
+    assert len(q.core.elements) == len(CORE.elements) - 2
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    (["factory", "seed.json", "--script", "bad.txt"], {"bad.txt": "stretch 0 0\n"}, 3),
+    (["factory", "seed.json", "--script", "bad.txt"], {"bad.txt": "warp 1 2\n"}, 3),
+    (["factory", "seed.json", "--script", "ok.txt", "--component", "0,x"],
+     {"ok.txt": "stretch 0 1 1\n"}, 1),
+    (["amplitude", "z.txt", "--in", "00", "--out", "0"], {}, 2),
+    (["amplitude", "z.txt", "--in", "2", "--out", "0"], {}, 1),
+    (["compile", "neg.txt", "-o", "out.json"], {"neg.txt": "X -1\n"}, 3),
+    (["compile", "neg.txt", "-o", "out.json"], {"neg.txt": "RZ 0 abc\n"}, 3),
+    (["eval", "seed.json"], {}, 2),
+    (["eval", "doc.json"], {"doc.json": "{not json"}, 3),
+    (["eval", "doc.json"], {"doc.json": '{"format": "quon2d-diagram", "version": 1, '
+                                        '"boundary_tracking": [[3, 0]]}'}, 3),
+    (["eval", "missing.json"], {}, 1),
+    (["ising", "--rows", "2", "--cols", "2", "--K", "nan"], {}, 3),
+    (["star-triangle", "--u", "1,2"], {}, 1),
+    (["bogus"], {}, 1),
+])
+def test_bad_input_exits_with_a_code(tmp_path, capsys, monkeypatch, argv, files, code):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "z.txt", "Z 0\n")
+    _write(tmp_path / "seed.json",
+           serialize_diagram(compile_circuit(Circuit(1, (Gate("Z", (0,)),)))))
+    for name, text in files.items():
+        _write(tmp_path / name, text)
+    got, _, err = _run(capsys, *argv)
+    assert got == code
+    assert "error" in err

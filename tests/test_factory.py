@@ -7,7 +7,7 @@ from quon2d.circuits import Circuit, Gate
 from quon2d.classify import classify
 from quon2d.compiler import compile_circuit, quon_to_dense_tensor
 from quon2d.diagram import BraidNeg, BraidPos, Cap, MajoranaDiagram, Scattering
-from quon2d.errors import ParityMismatch, PatternMismatch, TooManyTransformed
+from quon2d.errors import ParityMismatch, ParseError, PatternMismatch, TooManyTransformed
 from quon2d.factory import (
     FactoryLedger,
     Insert,
@@ -196,5 +196,5 @@ def test_move_script_parser():
     assert isinstance(moves[2], Insert) and moves[2].payload == "string_hole_pair"
     assert isinstance(moves[3], Switch) and moves[3].theta == 0.4
     assert isinstance(moves[4], Switch) and moves[4].position == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_move_script("warp 1 2")

@@ -187,6 +187,8 @@ def test_spacetime_dual_rule_preserves_value(rng):
                lambda t, o: RewriteSite.at(t))
     _preserved(rng, (Scattering(0, 1.1, "horizontal"),), 2, SpaceTimeDual(),
                lambda t, o: RewriteSite.at(t))
+    _preserved(rng, (Scattering(0, 0.9 - 0.1j, "horizontal"),), 2, SpaceTimeDual(),
+               lambda t, o: RewriteSite.at(t))
     _preserved(rng, (ScatteringStar(0, 0.8),), 2, SpaceTimeDual(),
                lambda t, o: RewriteSite.at(t), trials=20)
 

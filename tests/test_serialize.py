@@ -1,0 +1,84 @@
+import json
+
+import pytest
+
+from quon2d.circuits import Circuit, Gate
+from quon2d.compiler import compile_circuit, parity_tensor_quon
+from quon2d.errors import InvariantViolation, ParseError
+from quon2d.factory import FactoryLedger, Insert, Stretch, Switch, apply_move
+from quon2d.serialize import parse_diagram, serialize_diagram
+
+COMPILED = {
+    name: compile_circuit(Circuit(2, gates))
+    for name, gates in (
+        ("cz", (Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("RZ", (1,), 0.3))),
+        ("swap", (Gate("X", (0,)), Gate("SWAP", (0, 1)))),
+        ("cnot", (Gate("CNOT", (1, 0)), Gate("XX", (0, 1), 1.1))),
+    )
+}
+
+
+def _factory_output():
+    q = COMPILED["cnot"]
+    ledger = FactoryLedger(q)
+    for move in (Switch(0, "braid_to_scattering", theta=0.4 + 0.1j), Stretch(0, 1, 2),
+                 Insert(0, 1, "string_hole_pair"), Insert(2, 2, "double_string_hole_pair"),
+                 Insert(5, 0, "closed_diagram")):
+        q, ledger = apply_move(q, move, ledger)
+    return q
+
+
+@pytest.mark.parametrize("q", [
+    *COMPILED.values(), _factory_output(), parity_tensor_quon(3),
+], ids=[*COMPILED, "factory", "parity3"])
+def test_round_trip_is_exact(q):
+    assert q.parity_cuts or q.notches or q.boundary_tracking
+    text = serialize_diagram(q)
+    back = parse_diagram(text)
+    assert back == q
+    assert serialize_diagram(back) == text
+
+
+def test_round_trip_keeps_holes_notches_and_anchors():
+    assert COMPILED["swap"].parity_cuts
+    assert COMPILED["cz"].notches and COMPILED["cnot"].notches
+    q = _factory_output()
+    assert q.hole_count() == 2 and len(q.boundary_tracking) > 4
+    assert parse_diagram(serialize_diagram(q)).boundary_tracking == q.boundary_tracking
+
+
+def _doc(**changes):
+    doc = json.loads(serialize_diagram(COMPILED["cz"]))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    _doc(format="other"),
+    _doc(version=2),
+    _doc(amplitude="x"),
+    _doc(elements=[{"kind": "warp", "j": 0}]),
+    _doc(elements=[{"kind": "cap"}]),
+    _doc(elements=[{"kind": "cap", "j": "x"}]),
+    _doc(elements=[5]),
+    _doc(parity_cuts=[{"time_index": 0}]),
+    _doc(notches=[{"strands": [0, 1]}]),
+    _doc(open_intervals=[{"side": "top"}]),
+    _doc(boundary_tracking=[[1]]),
+])
+def test_malformed_documents_raise_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_diagram(text)
+
+
+@pytest.mark.parametrize("changes", [
+    {"boundary_tracking": [[10_000, 0]]},
+    {"boundary_tracking": [[0, 8]]},
+    {"parity_cuts": [{"time_index": 0, "strands": [8, 9]}]},
+    {"elements": [{"kind": "cup", "j": 0}]},
+])
+def test_structurally_invalid_documents_are_rejected(changes):
+    with pytest.raises(InvariantViolation):
+        parse_diagram(_doc(**changes))
