@@ -83,8 +83,7 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
             continue
         for i in range(len(core.elements) - 1):
             a, b = core.elements[i], core.elements[i + 1]
-            if isinstance(a, (BraidPos, BraidNeg)) and isinstance(b, (BraidPos, BraidNeg)) \
-                    and type(a) is not type(b) and a.j == b.j:
+            if isinstance(a, (BraidPos, BraidNeg)) and b == a.dagger():
                 q = q.splice(i, 2, apply_rule(core, ReidemeisterII(), RewriteSite.at(i)))
                 changed = True
                 break

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .errors import InvariantViolation, WidthMismatch
+from .errors import InvariantViolation, NumericalInstability, WidthMismatch
 
 EPS_ANGLE = 1e-9
 
@@ -35,47 +36,177 @@ VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
 
 
+class _Element:
+    """What every element kind knows about itself.  The defaults here are
+    those of a self-adjoint element on the two strands j, j+1 that keeps the
+    width; each kind overrides what differs."""
+
+    KIND = ""  # the document name
+    width_delta = 0  # strands added to the slice
+    dots = 0  # Majorana operators inserted
+
+    def __post_init__(self):
+        try:
+            for p in self.positions():
+                operator.index(p)
+        except TypeError:
+            raise InvariantViolation(f"{self!r}: strand positions must be integers") from None
+
+    def positions(self) -> tuple[int, ...]:
+        """The strand positions the element acts on, ascending: those it
+        creates on the slice after it for a cap, those it reads on the slice
+        before it for every other element."""
+        return (self.j, self.j + 1)
+
+    def moved(self, positions):
+        """This element on `positions`, listed as positions() lists them."""
+        return type(self)(positions[0])
+
+    def check(self, width: int) -> None:
+        """Raise InvariantViolation unless the element fits a slice of `width`."""
+        if not 0 <= self.j <= width - 2:
+            raise InvariantViolation(
+                f"{type(self).__name__} position {self.j} outside 0..{width - 2}"
+            )
+
+    def dagger(self):
+        return self
+
+
 @dataclass(frozen=True)
-class Cap:
+class Cap(_Element):
     """Pair creation of Majoranas at positions j, j+1."""
 
+    KIND = "cap"
+    width_delta = 2
+
     j: int
+
+    def check(self, width: int) -> None:
+        if not 0 <= self.j <= width:
+            raise InvariantViolation(f"cap position {self.j} outside 0..{width}")
+
+    def dagger(self):
+        return Cup(self.j)
 
 
 @dataclass(frozen=True)
-class Cup:
+class Cup(_Element):
     """Pair annihilation of the strands at positions j, j+1."""
 
+    KIND = "cup"
+    width_delta = -2
+
     j: int
+
+    def dagger(self):
+        return Cap(self.j)
 
 
 @dataclass(frozen=True)
-class Dot:
+class Dot(_Element):
     """Majorana operator insertion g_j."""
 
+    KIND = "dot"
+    dots = 1
+
     j: int
+
+    def positions(self):
+        return (self.j,)
+
+    def check(self, width: int) -> None:
+        if not 0 <= self.j < width:
+            raise InvariantViolation(f"dot position {self.j} outside 0..{width - 1}")
 
 
 @dataclass(frozen=True)
-class DotPair:
+class DotPair(_Element):
     """Simultaneous pair of dots, i * g_j g_k with j < k."""
+
+    KIND = "dot_pair"
+    dots = 2
 
     j: int
     k: int
 
+    def positions(self):
+        return (self.j, self.k)
+
+    def moved(self, positions):
+        return DotPair(positions[0], positions[-1])
+
+    def check(self, width: int) -> None:
+        if not 0 <= self.j < self.k < width:
+            raise InvariantViolation(
+                f"dot pair ({self.j}, {self.k}) not ordered inside width {width}"
+            )
+
 
 @dataclass(frozen=True)
-class BraidPos:
+class BraidPos(_Element):
+    KIND = "braid_pos"
+
     j: int
 
+    def weights(self) -> tuple[complex, complex]:
+        """Coefficients (a, b) of the operator a*1 + b*U, U = i g_j g_{j+1}."""
+        c = cmath.exp(-1j * math.pi / 8) / math.sqrt(2)
+        return c, 1j * c
+
+    def dagger(self):
+        return BraidNeg(self.j)
+
 
 @dataclass(frozen=True)
-class BraidNeg:
+class BraidNeg(_Element):
+    KIND = "braid_neg"
+
     j: int
 
+    def weights(self) -> tuple[complex, complex]:
+        c = cmath.exp(1j * math.pi / 8) / math.sqrt(2)
+        return c, -1j * c
+
+    def dagger(self):
+        return BraidPos(self.j)
+
+
+class _ScatteringKind(_Element):
+    """The two scattering kinds: weights (1+e)/2, (1-e)/2 vertically and
+    1/sqrt2, e/sqrt2 horizontally, with e = exp(i * angle())."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.orientation not in (VERTICAL, HORIZONTAL):
+            raise InvariantViolation(
+                f"{self!r}: orientation must be {VERTICAL!r} or {HORIZONTAL!r}"
+            )
+        try:
+            finite = cmath.isfinite(self.angle())
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise InvariantViolation(f"{self!r}: the angle must be a finite number")
+
+    def exponential(self) -> complex:
+        try:
+            return self._exp()
+        except OverflowError:
+            raise NumericalInstability(
+                f"{self!r}: exp(i * angle) overflows a float; the angle's imaginary "
+                f"part must stay above about -709"
+            ) from None
+
+    def weights(self) -> tuple[complex, complex]:
+        e = self.exponential()
+        if self.orientation == VERTICAL:
+            return (1 + e) / 2, (1 - e) / 2
+        return 1 / math.sqrt(2), e / math.sqrt(2)
+
 
 @dataclass(frozen=True)
-class Scattering:
+class Scattering(_ScatteringKind):
     """Two-strand scattering (1+e^{i theta})/2 + (1-e^{i theta})/2 * i g_j g_{j+1}.
 
     The horizontal orientation connects the endpoints sideways instead and
@@ -83,23 +214,53 @@ class Scattering:
     normalization.
     """
 
+    KIND = "scattering"
+
     j: int
     theta: complex
     orientation: str = VERTICAL
 
+    def angle(self) -> complex:
+        return complex(self.theta)
+
+    def _exp(self) -> complex:
+        return cmath.exp(1j * complex(self.theta))
+
+    def moved(self, positions):
+        return Scattering(positions[0], self.theta, self.orientation)
+
+    def dagger(self):
+        # -conj(theta) so that the adjoint property holds for complex angles too;
+        # reduces to the negation map for real angles.
+        return Scattering(self.j, -complex(self.theta).conjugate(), self.orientation)
+
 
 @dataclass(frozen=True)
-class ScatteringStar:
+class ScatteringStar(_ScatteringKind):
     """Real-exponential scattering variant; equals Scattering when phi = i*theta."""
+
+    KIND = "scattering_star"
 
     j: int
     phi: complex
     orientation: str = VERTICAL
 
+    def angle(self) -> complex:
+        return -1j * complex(self.phi)
+
+    def _exp(self) -> complex:
+        return cmath.exp(complex(self.phi))
+
+    def moved(self, positions):
+        return ScatteringStar(positions[0], self.phi, self.orientation)
+
+    def dagger(self):
+        return ScatteringStar(self.j, complex(self.phi).conjugate(), self.orientation)
+
 
 Element = Union[Cap, Cup, Dot, DotPair, BraidPos, BraidNeg, Scattering, ScatteringStar]
 
-_TWO_STRAND = (BraidPos, BraidNeg, Scattering, ScatteringStar)
+KINDS = {cls.KIND: cls for cls in Element.__args__}  # document name -> kind
 
 
 def is_generic_angle(theta: complex) -> bool:
@@ -109,63 +270,6 @@ def is_generic_angle(theta: complex) -> bool:
     return abs(theta - k * (math.pi / 2)) > EPS_ANGLE
 
 
-def element_width_delta(el: Element) -> int:
-    if isinstance(el, Cap):
-        return 2
-    if isinstance(el, Cup):
-        return -2
-    return 0
-
-
-def check_element(el: Element, width: int) -> None:
-    """Validate `el` against the current slice width; raises InvariantViolation."""
-    if isinstance(el, Cap):
-        if not 0 <= el.j <= width:
-            raise InvariantViolation(f"cap position {el.j} outside 0..{width}")
-    elif isinstance(el, Cup):
-        if not 0 <= el.j <= width - 2:
-            raise InvariantViolation(f"cup position {el.j} outside 0..{width - 2}")
-    elif isinstance(el, Dot):
-        if not 0 <= el.j < width:
-            raise InvariantViolation(f"dot position {el.j} outside 0..{width - 1}")
-    elif isinstance(el, DotPair):
-        if not 0 <= el.j < el.k < width:
-            raise InvariantViolation(
-                f"dot pair ({el.j}, {el.k}) not ordered inside width {width}"
-            )
-    elif isinstance(el, _TWO_STRAND):
-        if not 0 <= el.j <= width - 2:
-            raise InvariantViolation(
-                f"{type(el).__name__} position {el.j} outside 0..{width - 2}"
-            )
-    else:
-        raise InvariantViolation(f"unknown element {el!r}")
-
-
-def element_positions(el: Element) -> tuple[int, ...]:
-    """The strand positions `el` acts on, ascending: those it creates on the
-    slice after it for a cap, those it reads on the slice before it for every
-    other element."""
-    if isinstance(el, Dot):
-        return (el.j,)
-    if isinstance(el, DotPair):
-        return (el.j, el.k)
-    return (el.j, el.j + 1)
-
-
-def reposition(el: Element, positions) -> Element:
-    """`el` moved onto `positions`, ascending and listed as element_positions
-    lists them."""
-    lo = positions[0]
-    if isinstance(el, DotPair):
-        return DotPair(lo, positions[-1])
-    if isinstance(el, Scattering):
-        return Scattering(lo, el.theta, el.orientation)
-    if isinstance(el, ScatteringStar):
-        return ScatteringStar(lo, el.phi, el.orientation)
-    return type(el)(lo)
-
-
 def slice_widths(width_in: int, elements: Iterable[Element]) -> list[int]:
     """Replay the element sequence; returns the width before each element plus the final width."""
     if width_in < 0 or width_in % 2:
@@ -173,8 +277,11 @@ def slice_widths(width_in: int, elements: Iterable[Element]) -> list[int]:
     widths = [width_in]
     w = width_in
     for el in elements:
-        check_element(el, w)
-        w += element_width_delta(el)
+        try:
+            el.check(w)
+        except AttributeError:
+            raise InvariantViolation(f"unknown element {el!r}") from None
+        w += el.width_delta
         widths.append(w)
     return widths
 
@@ -217,26 +324,15 @@ class MajoranaDiagram:
         return max(self._widths)
 
     def dot_count(self) -> int:
-        n = 0
-        for el in self.elements:
-            if isinstance(el, Dot):
-                n += 1
-            elif isinstance(el, DotPair):
-                n += 2
-        return n
+        return sum(el.dots for el in self.elements)
 
     def is_parity_even(self) -> bool:
         """Even total dot count; required for a diagram to embed in a Quon manifold."""
         return self.dot_count() % 2 == 0
 
     def generic_scattering_count(self) -> int:
-        n = 0
-        for el in self.elements:
-            if isinstance(el, Scattering) and is_generic_angle(el.theta):
-                n += 1
-            elif isinstance(el, ScatteringStar) and is_generic_angle(-1j * complex(el.phi)):
-                n += 1
-        return n
+        return sum(1 for el in self.elements
+                   if isinstance(el, _ScatteringKind) and is_generic_angle(el.angle()))
 
     def scaled(self, factor: complex) -> "MajoranaDiagram":
         return MajoranaDiagram(
@@ -245,7 +341,7 @@ class MajoranaDiagram:
 
     def with_elements(self, elements: Iterable[Element]) -> "MajoranaDiagram":
         elements = tuple(elements)
-        width_out = self.width_in + sum(element_width_delta(el) for el in elements)
+        width_out = self.width_in + sum(el.width_delta for el in elements)
         return MajoranaDiagram(self.width_in, width_out, elements, self.amplitude)
 
     # -- constructors ----------------------------------------------------
@@ -279,9 +375,7 @@ def compose(top: MajoranaDiagram, bottom: MajoranaDiagram) -> MajoranaDiagram:
 
 
 def offset_elements(elements: Iterable[Element], off: int) -> tuple[Element, ...]:
-    return tuple(
-        reposition(el, [p + off for p in element_positions(el)]) for el in elements
-    )
+    return tuple(el.moved([p + off for p in el.positions()]) for el in elements)
 
 
 def tensor_product(left: MajoranaDiagram, right: MajoranaDiagram) -> MajoranaDiagram:
@@ -299,52 +393,13 @@ def tensor_product(left: MajoranaDiagram, right: MajoranaDiagram) -> MajoranaDia
     )
 
 
-def dagger_element(el: Element) -> Element:
-    if isinstance(el, Cap):
-        return Cup(el.j)
-    if isinstance(el, Cup):
-        return Cap(el.j)
-    if isinstance(el, BraidPos):
-        return BraidNeg(el.j)
-    if isinstance(el, BraidNeg):
-        return BraidPos(el.j)
-    if isinstance(el, Scattering):
-        # -conj(theta) so that the adjoint property holds for complex angles too;
-        # reduces to the negation map for real angles.
-        return Scattering(el.j, -complex(el.theta).conjugate(), el.orientation)
-    if isinstance(el, ScatteringStar):
-        return ScatteringStar(el.j, complex(el.phi).conjugate(), el.orientation)
-    return el  # Dot and DotPair are self-adjoint
-
-
 def dagger(diag: MajoranaDiagram) -> MajoranaDiagram:
     """Vertical reflection: order reversed, caps and cups swapped, angles negated,
     braid signs flipped, amplitude conjugated."""
     return MajoranaDiagram(
         diag.width_out,
         diag.width_in,
-        tuple(dagger_element(el) for el in reversed(diag.elements)),
+        tuple(el.dagger() for el in reversed(diag.elements)),
         complex(diag.amplitude).conjugate(),
     )
 
-
-def scattering_weights(el: Element) -> tuple[complex, complex]:
-    """Coefficients (a, b) with operator a*1 + b*U on the parallel/dot-pair basis,
-    U = i g_j g_{j+1}.  Defined for every two-strand element."""
-    if isinstance(el, BraidPos):
-        c = cmath.exp(-1j * math.pi / 8) / math.sqrt(2)
-        return c, 1j * c
-    if isinstance(el, BraidNeg):
-        c = cmath.exp(1j * math.pi / 8) / math.sqrt(2)
-        return c, -1j * c
-    if isinstance(el, Scattering):
-        e = cmath.exp(1j * complex(el.theta))
-        if el.orientation == VERTICAL:
-            return (1 + e) / 2, (1 - e) / 2
-        return 1 / math.sqrt(2), e / math.sqrt(2)
-    if isinstance(el, ScatteringStar):
-        e = cmath.exp(complex(el.phi))
-        if el.orientation == VERTICAL:
-            return (1 + e) / 2, (1 - e) / 2
-        return 1 / math.sqrt(2), e / math.sqrt(2)
-    raise InvariantViolation(f"{el!r} has no scattering weights")

@@ -95,6 +95,12 @@ class FactoryLedger:
     def n_s(self) -> int:
         return len(self.transformed_scatterings)
 
+    def spliced(self, at: int, grown: int) -> "FactoryLedger":
+        """This ledger after a move inserted `grown` elements at index `at`:
+        every site at or after `at` moves with its element."""
+        sites = [s + grown if s >= at else s for s in self.transformed_scatterings]
+        return FactoryLedger(self.seed, self.moves, sites)
+
     def replay(self) -> QuonDiagram:
         """Re-apply the logged moves to the seed."""
         q = self.seed
@@ -133,7 +139,8 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
         out = tuple(BraidPos(p + k) for k in range(reach))
         back = tuple(BraidNeg(p + reach - 1 - k) for k in range(reach))
         els = q.core.elements[:t] + out + back + q.core.elements[t:]
-        return q.splice(t, 0, q.core.with_elements(els)), replace_ledger(ledger, move)
+        return (q.splice(t, 0, q.core.with_elements(els)),
+                replace_ledger(ledger.spliced(t, 2 * reach), move))
 
     if move.target == "new_encoder":
         # the finger terminates on a fresh 2-strand bottom interval placed at
@@ -224,7 +231,8 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         )
         core = MajoranaDiagram(q.core.width_in, q.core.width_out, els,
                                q.core.amplitude * payload.amplitude / value)
-        return q.splice(t, 0, core), replace_ledger(ledger, move)
+        return (q.splice(t, 0, core),
+                replace_ledger(ledger.spliced(t, len(payload.elements)), move))
 
     if move.payload == "string_hole_pair":
         if (p + 1) % 2:
@@ -237,7 +245,7 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         ring = {(t + 1, p), (t + 1, p + 1)}
         return (
             replace(new_q, boundary_tracking=new_q.boundary_tracking | ring),
-            replace_ledger(ledger, move),
+            replace_ledger(ledger.spliced(t, 2), move),
         )
 
     if move.payload == "double_string_hole_pair":
@@ -250,7 +258,7 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         return (
             replace(new_q, parity_cuts=new_q.parity_cuts + (hole,),
                     boundary_tracking=new_q.boundary_tracking | ring),
-            replace_ledger(ledger, move),
+            replace_ledger(ledger.spliced(t, 4), move),
         )
     raise InvalidRegion(f"unknown payload {move.payload!r}")
 
@@ -267,19 +275,16 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
         if not 0 <= p <= w - 2:
             raise PatternMismatch(f"no strand pair at {p}")
         new_els = els[:t] + (DotPair(p, p + 1),) + els[t:]
-        return q.splice(t, 0, q.core.with_elements(new_els)), replace_ledger(ledger, move)
+        return (q.splice(t, 0, q.core.with_elements(new_els)),
+                replace_ledger(ledger.spliced(t, 1), move))
 
     if not 0 <= move.site < len(els):
         raise PatternMismatch(f"site {move.site} out of range")
     el = els[move.site]
     if move.change == "flip_braid":
-        if isinstance(el, BraidPos):
-            new = BraidNeg(el.j)
-        elif isinstance(el, BraidNeg):
-            new = BraidPos(el.j)
-        else:
+        if not isinstance(el, (BraidPos, BraidNeg)):
             raise PatternMismatch(f"element {move.site} is not a braid")
-        core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
+        core = q.core.with_elements(els[:move.site] + (el.dagger(),) + els[move.site + 1:])
         return q.splice(move.site, 1, core), replace_ledger(ledger, move)
     if move.change == "braid_to_scattering":
         if not isinstance(el, (BraidPos, BraidNeg)):
@@ -317,11 +322,11 @@ def evaluate_component_expanded(q: QuonDiagram, ledger: FactoryLedger, bits,
     n_s = ledger.n_s
     if n_s > limit:
         raise TooManyTransformed(f"n_S = {n_s} exceeds the limit {limit}")
-    closed = encode_basis(q, bits if isinstance(bits, BasisAssignment) else BasisAssignment(tuple(bits)))
+    assignment = bits if isinstance(bits, BasisAssignment) else BasisAssignment(tuple(bits))
+    closed = encode_basis(q, assignment)
     # sites index the core elements; encode_basis prepends the top encoders
     from .quon import TOP, encoder_ket
 
-    assignment = bits if isinstance(bits, BasisAssignment) else BasisAssignment(tuple(bits))
     top_len = sum(
         len(encoder_ket(iv, assignment.bits[k]).elements)
         for k, iv in enumerate(q.open_intervals)

@@ -9,8 +9,8 @@ through the Jordan-Wigner dictionary:
 * a cap at an even position inserts a fresh qubit in |0> with weight 2^{1/4};
   at an odd position it splits qubit q via |b> -> 2^{-1/4} sum_p |p, p xor b>,
 * cups are the daggers of caps,
-* braids and scatterings act as a*1 + b*(i g_j g_{j+1}) with the weights from
-  `scattering_weights`; the parity factor i g_{2q} g_{2q+1} is Z_q and
+* braids and scatterings act as a*1 + b*(i g_j g_{j+1}) with the element's
+  `weights()`; the parity factor i g_{2q} g_{2q+1} is Z_q and
   i g_{2q+1} g_{2q+2} is X_q X_{q+1}.
 
 Every normalization question elsewhere in the package is settled against
@@ -23,18 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import (
-    BraidNeg,
-    BraidPos,
-    Cap,
-    Cup,
-    Dot,
-    DotPair,
-    MajoranaDiagram,
-    Scattering,
-    ScatteringStar,
-    scattering_weights,
-)
+from .diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram
 from .errors import NotClosed, OracleTooLarge
 
 _QUARTER = 2.0 ** 0.25
@@ -153,11 +142,9 @@ def apply_element(state: FockState, el) -> FockState:
     if isinstance(el, DotPair):
         u = apply_gamma(apply_gamma(t, el.k), el.j)
         return FockState(state.n_strands, (1j * u).ravel())
-    if isinstance(el, (BraidPos, BraidNeg, Scattering, ScatteringStar)):
-        a, b = scattering_weights(el)
-        u = a * t + b * _parity_factor(t, el.j)
-        return FockState(state.n_strands, u.ravel())
-    raise TypeError(f"unknown element {el!r}")
+    a, b = el.weights()  # braids and scatterings
+    u = a * t + b * _parity_factor(t, el.j)
+    return FockState(state.n_strands, u.ravel())
 
 
 def global_parity(state: FockState) -> FockState:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, scattering_weights
+from .diagram import MajoranaDiagram
 from .errors import NotClosed, NumericalInstability
 from .wires import LEFT, WireTrace
 
@@ -168,20 +168,6 @@ class _LoopGeometry:
             tid = self.other_turn(seg, tid)
         raise NumericalInstability("pair walk failed to close its loop")
 
-    def contraction(self, a: _Point, b: _Point) -> complex:
-        """Exact two-point function <T g_b g_a> of the bare wiring."""
-        if a.loop != b.loop:
-            return 0.0 + 0.0j
-        if a.seg == b.seg:
-            return 1.0 + 0.0j
-        factor, first, spans = self.chain(a.seg, b.seg)
-        lo, hi = min(a.time, first), max(a.time, first)
-        crossings = 1 if lo < b.time < hi else 0
-        for s_lo, s_hi in spans:
-            if s_lo < b.time < s_hi:
-                crossings += 1
-        return -factor if crossings % 2 else factor
-
 
 def contraction_matrix(geom: _LoopGeometry, order: list[_Point]) -> np.ndarray:
     """Antisymmetric matrix of pairwise contractions, grouped by segment pair."""
@@ -236,19 +222,17 @@ def assemble_frontier(diag: MajoranaDiagram):
         points.append(_Point(len(points), seg, time, pair=pair))
 
     for t, el in enumerate(diag.elements):
+        if el.width_delta:  # caps and cups are the bare wiring
+            continue
         slice_now = trace.slices[t]
-        if isinstance(el, (Cap, Cup)):
+        if el.dots:
+            # a dot pair is i * g_j g_k with g_k acting first
+            if el.dots == 2:
+                frontier.amplitude *= 1j
+            for n, p in enumerate(reversed(el.positions())):
+                add_point(slice_now[p], t + n * _SUB, None)
             continue
-        if isinstance(el, Dot):
-            add_point(slice_now[el.j], float(t), None)
-            continue
-        if isinstance(el, DotPair):
-            # i * g_j g_k with g_k acting first
-            frontier.amplitude *= 1j
-            add_point(slice_now[el.k], t + 0.0, None)
-            add_point(slice_now[el.j], t + _SUB, None)
-            continue
-        a_w, b_w = scattering_weights(el)
+        a_w, b_w = el.weights()
         if abs(b_w) <= MU_MIN * abs(a_w):
             frontier.amplitude *= a_w
             continue

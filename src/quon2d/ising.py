@@ -46,6 +46,11 @@ class IsingLattice:
     shape: tuple[int, int] | None = None  # (rows, cols) for the built-in square
 
     def __post_init__(self):
+        if self.n_sites < 1:
+            shape = "" if self.shape is None else f"{self.shape[0]} x {self.shape[1]} "
+            raise InvariantViolation(
+                f"the {shape}lattice has no sites; it needs at least one row and one column"
+            )
         for a, b, k in self.edges:
             if not (0 <= a < self.n_sites and 0 <= b < self.n_sites and a != b):
                 raise InvariantViolation(f"bad edge ({a}, {b})")

@@ -19,12 +19,9 @@ from .diagram import (
     BraidPos,
     Cap,
     Cup,
-    Dot,
     DotPair,
     MajoranaDiagram,
     dagger,
-    element_positions,
-    reposition,
 )
 from .errors import (
     BitLengthMismatch,
@@ -401,9 +398,8 @@ def _delete_worldline(q: QuonDiagram, trace: WireTrace, group: list[int],
     notch and anchor moves through one map of slices and positions; the
     anchors on the deleted loop are dropped."""
     removed = set(group)
-    for i in elem_indices:
-        if not isinstance(q.core.elements[i], (Cap, Cup)):
-            raise PatternMismatch("only caps and cups can be deleted with a loop")
+    if not all(q.core.elements[i].width_delta for i in elem_indices):
+        raise PatternMismatch("only caps and cups can be deleted with a loop")
     first, last = min(elem_indices), max(elem_indices)
 
     def new_time(t: int) -> int:
@@ -421,9 +417,8 @@ def _delete_worldline(q: QuonDiagram, trace: WireTrace, group: list[int],
     for t, el in enumerate(q.core.elements):
         if t in elem_indices:
             continue
-        slice_of = t + 1 if isinstance(el, Cap) else t
-        new_els.append(reposition(el, [new_position(slice_of, p)
-                                       for p in element_positions(el)]))
+        slice_of = t + 1 if el.width_delta > 0 else t  # a cap's strands are born after it
+        new_els.append(el.moved([new_position(slice_of, p) for p in el.positions()]))
 
     def moved(cuts):
         return tuple(
@@ -535,25 +530,19 @@ def normalize_cuts(q: QuonDiagram) -> QuonDiagram:
     """Drop cuts whose projection is trivially satisfied.
 
     Conservative: deletes only cuts with an empty strand set, and cuts whose
-    strands lie on worldlines never touched by dots or parity-odd insertions
-    anywhere in the diagram (so the parity on them is identically even).
+    strands lie on worldlines no element touches anywhere in the diagram (so
+    the parity on them is identically even).  Caps and cups never touch a
+    segment; dots, braids and scatterings can all carry parity across.
     """
     trace = WireTrace(q.core)
-    dotted_lines = set()
     labels = trace.worldline_labels()
-    for li, group in enumerate(trace.worldlines()):
-        for sid in group:
-            for _, el in trace.segments[sid].touches:
-                if isinstance(el, (Dot, DotPair)):
-                    dotted_lines.add(li)
-                elif not isinstance(el, (Cap, Cup)):
-                    dotted_lines.add(li)  # scatterings/braids can carry parity across
+    touched = {labels[seg.sid] for seg in trace.segments if seg.touches}
     keep = []
     for cut in q.parity_cuts:
         if not cut.strands:
             continue
         slice_now = trace.slices[cut.time_index]
-        if all(labels[slice_now[s]] not in dotted_lines for s in cut.strands):
+        if all(labels[slice_now[s]] not in touched for s in cut.strands):
             continue
         keep.append(cut)
     return replace(q, parity_cuts=tuple(keep))

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .diagram import (
+    HORIZONTAL,
     VERTICAL,
     BraidNeg,
     BraidPos,
@@ -42,10 +43,7 @@ from .diagram import (
     MajoranaDiagram,
     Scattering,
     ScatteringStar,
-    element_positions,
     is_generic_angle,
-    reposition,
-    scattering_weights,
 )
 from .errors import NoSolution, NotAScattering, PatternMismatch, SingularAngle
 
@@ -160,16 +158,6 @@ RewriteRule = (
 # -- Table II expansions -------------------------------------------------
 
 
-def _element_exponential(el: Element) -> complex:
-    """The e with expansion weights (1+e)/2, (1-e)/2 (e^{i theta} for the
-    ordinary scattering, e^{phi} for the star)."""
-    if isinstance(el, Scattering):
-        return cmath.exp(1j * complex(el.theta))
-    if isinstance(el, ScatteringStar):
-        return cmath.exp(complex(el.phi))
-    raise NotAScattering(f"{el!r} has no exponential weight")
-
-
 def expand_scattering(diag: MajoranaDiagram, site: int, mode: str = "dots"):
     """Expand the scattering at element `site` as a weighted pair of diagrams.
 
@@ -188,17 +176,14 @@ def expand_scattering(diag: MajoranaDiagram, site: int, mode: str = "dots"):
         return weight, MajoranaDiagram(diag.width_in, diag.width_out, els, diag.amplitude)
 
     if mode == "dots":
-        if isinstance(el, (BraidPos, BraidNeg)):
-            w1, w2 = scattering_weights(el)
-            return [rebuild((), w1), rebuild((DotPair(j, j + 1),), w2)]
-        e = _element_exponential(el)
-        w1, w2 = (1 + e) / 2, (1 - e) / 2
-        if orientation == VERTICAL:
+        if orientation == VERTICAL:  # braids included
+            w1, w2 = el.weights()
             return [rebuild((), w1), rebuild((DotPair(j, j + 1),), w2)]
         # horizontal: cup-then-cap, plain and with a dot on each right arm
+        e = el.exponential()
         k = (Cup(j), Cap(j))
         k_dotted = (Dot(j + 1), Cup(j), Cap(j), Dot(j + 1))
-        return [rebuild(k, w1), rebuild(k_dotted, w2)]
+        return [rebuild(k, (1 + e) / 2), rebuild(k_dotted, (1 - e) / 2)]
     if mode == "braids":
         a_term, b_term = braid_expansion_weights(el)
         if orientation == VERTICAL:
@@ -214,7 +199,9 @@ def braid_expansion_weights(el: Element) -> tuple[complex, complex]:
         return 1.0 + 0.0j, 0.0 + 0.0j
     if isinstance(el, BraidNeg):
         return 0.0 + 0.0j, 1.0 + 0.0j
-    e = _element_exponential(el)
+    if not isinstance(el, (Scattering, ScatteringStar)):
+        raise NotAScattering(f"{el!r} has no exponential weight")
+    e = el.exponential()
     a_term = cmath.exp(-1j * _PI / 8) * (1 + 1j * e) / 2
     b_term = cmath.exp(1j * _PI / 8) * (1 - 1j * e) / 2
     return a_term, b_term
@@ -428,14 +415,14 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
         other = els[ci]
         if isinstance(other, Cap) and ci == di - 1:
             if dot.j == other.j:  # left arm -> right arm
-                return _swap_element(diag, di, Dot(other.j + 1), 1j)
+                return _replace(diag, di, 1, (Dot(other.j + 1),), 1j)
             if dot.j == other.j + 1:
-                return _swap_element(diag, di, Dot(other.j), -1j)
+                return _replace(diag, di, 1, (Dot(other.j),), -1j)
         if isinstance(other, Cup) and ci == di + 1:
             if dot.j == other.j:  # left arm -> right arm
-                return _swap_element(diag, di, Dot(other.j + 1), -1j)
+                return _replace(diag, di, 1, (Dot(other.j + 1),), -1j)
             if dot.j == other.j + 1:
-                return _swap_element(diag, di, Dot(other.j), 1j)
+                return _replace(diag, di, 1, (Dot(other.j),), 1j)
         raise PatternMismatch("dot is not on an arm of the adjacent cap/cup")
 
     if isinstance(rule, ReidemeisterI):
@@ -460,10 +447,7 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
             b1, b2 = els[i], els[i + 1]
         except IndexError:
             raise PatternMismatch("needs two braids") from None
-        ok = (isinstance(b1, BraidPos) and isinstance(b2, BraidNeg)) or (
-            isinstance(b1, BraidNeg) and isinstance(b2, BraidPos)
-        )
-        if not ok or b1.j != b2.j:
+        if not (isinstance(b1, (BraidPos, BraidNeg)) and b2 == b1.dagger()):
             raise PatternMismatch("needs opposite braids at one position")
         return _replace(diag, i, 2, (), 1.0)
 
@@ -498,23 +482,17 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
 
     if isinstance(rule, BraidTypeSwitch):
         el = els[i]
-        if isinstance(el, BraidPos):
-            repl = (BraidNeg(el.j), DotPair(el.j, el.j + 1))
-            scalar = RULE_SCALARS["braid_switch_pos_to_neg"]
-        elif isinstance(el, BraidNeg):
-            repl = (BraidPos(el.j), DotPair(el.j, el.j + 1))
-            scalar = RULE_SCALARS["braid_switch_neg_to_pos"]
-        else:
+        if not isinstance(el, (BraidPos, BraidNeg)):
             raise PatternMismatch(f"element {i} is not a braid")
-        return _replace(diag, i, 1, repl, scalar)
+        scalar = RULE_SCALARS["braid_switch_pos_to_neg" if isinstance(el, BraidPos)
+                              else "braid_switch_neg_to_pos"]
+        return _replace(diag, i, 1, (el.dagger(), DotPair(el.j, el.j + 1)), scalar)
 
     if isinstance(rule, ScatteringReduce):
         el = els[i]
-        if isinstance(el, ScatteringStar):
-            el = Scattering(el.j, -1j * complex(el.phi), el.orientation)
-        if not isinstance(el, Scattering):
+        if not isinstance(el, (Scattering, ScatteringStar)):
             raise PatternMismatch(f"element {i} is not a scattering")
-        theta = complex(el.theta)
+        theta = el.angle()
         if is_generic_angle(theta):
             raise PatternMismatch(f"scattering angle {theta} is generic")
         k = round(theta.real / (_PI / 2)) % 4
@@ -554,21 +532,13 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
 
     if isinstance(rule, SpaceTimeDual):
         el = els[i]
-        if isinstance(el, Scattering):
-            a, phi = spacetime_dual(el.theta)
-            flipped = VERTICAL if el.orientation != VERTICAL else "horizontal"
-            repl = (Scattering(el.j, phi, flipped),)
-        elif isinstance(el, ScatteringStar):
-            e = cmath.exp(complex(el.phi))
-            if abs(1 + e) <= 1e-12 or abs(1 - e) <= 1e-12:
-                raise SingularAngle(f"phi={el.phi} is singular for the duality")
-            a = (1 + e) / 2
-            psi = cmath.log((1 - e) / (1 + e))
-            flipped = VERTICAL if el.orientation != VERTICAL else "horizontal"
-            repl = (ScatteringStar(el.j, psi, flipped),)
-        else:
+        if not isinstance(el, (Scattering, ScatteringStar)):
             raise PatternMismatch(f"element {i} is not a scattering")
-        return _replace(diag, i, 1, repl, RULE_SCALARS["spacetime_loop_factor"] * a)
+        a, phi = spacetime_dual(el.angle())
+        flipped = VERTICAL if el.orientation != VERTICAL else HORIZONTAL
+        dual = (Scattering(el.j, phi, flipped) if isinstance(el, Scattering)
+                else ScatteringStar(el.j, 1j * phi, flipped))
+        return _replace(diag, i, 1, (dual,), RULE_SCALARS["spacetime_loop_factor"] * a)
 
     if isinstance(rule, DotPassScattering):
         try:
@@ -614,12 +584,6 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
     raise TypeError(f"unknown rule {rule!r}")
 
 
-def _swap_element(diag: MajoranaDiagram, index: int, new: Element,
-                  scalar: complex) -> MajoranaDiagram:
-    els = diag.elements[:index] + (new,) + diag.elements[index + 1:]
-    return MajoranaDiagram(diag.width_in, diag.width_out, els, diag.amplitude * scalar)
-
-
 def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
     els = diag.elements
     if i + 1 >= len(els):
@@ -644,11 +608,11 @@ def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
     if isinstance(second, Cap):
         new_second = Cap(back_through_first(second.j, pivot_ok=True))
     else:
-        new_second = reposition(second, [back_through_first(p, pivot_ok=False)
-                                         for p in element_positions(second)])
+        new_second = second.moved([back_through_first(p, pivot_ok=False)
+                                   for p in second.positions()])
     # check disjointness in the common (pre-first) frame; a cap reads no strand
-    first_strands = set() if isinstance(first, Cap) else set(element_positions(first))
-    second_strands = set() if isinstance(new_second, Cap) else set(element_positions(new_second))
+    first_strands = set() if isinstance(first, Cap) else set(first.positions())
+    second_strands = set() if isinstance(new_second, Cap) else set(new_second.positions())
     if first_strands & second_strands:
         raise PatternMismatch("elements share a strand")
 
@@ -660,7 +624,7 @@ def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
             return p - 2 if p >= new_second.j + 2 else p
         return p
 
-    new_first = reposition(first, [fwd_through_second(p) for p in element_positions(first)])
+    new_first = first.moved([fwd_through_second(p) for p in first.positions()])
     new_els = els[:i] + (new_second, new_first) + els[i + 2:]
     try:
         return MajoranaDiagram(diag.width_in, diag.width_out, new_els, diag.amplitude)

@@ -7,9 +7,7 @@ Schema (version 1):
       "version": 1,
       "width_in": 0, "width_out": 0,
       "amplitude": [re, im],
-      "elements": [ {"kind": "cap", "j": 0},
-                    {"kind": "scattering", "j": 0, "theta": [re, im],
-                     "orientation": "vertical"}, ... ],
+      "elements": [ {"kind": "cap", "j": 0}, ... ],
       "parity_cuts": [ {"time_index": 3, "strands": [0, 1]}, ... ],
       "notches": [ {"time_index": 5, "strands": [0, 1, 2, 3]}, ... ],
       "open_intervals": [ {"side": "bottom", "start": 0, "size": 4,
@@ -18,6 +16,16 @@ Schema (version 1):
       "boundary_tracking": [[slice, position], ...]
     }
 
+Each element is an object with its "kind" and its fields:
+
+    cap, cup, dot, braid_pos, braid_neg    j
+    dot_pair                               j, k  (j < k)
+    scattering                             j, theta [re, im], orientation
+    scattering_star                        j, phi [re, im], orientation
+
+where j and k are strand positions and orientation is "vertical" (the
+default when absent) or "horizontal".
+
 Parsing re-validates every diagram invariant (anchors included); round-trips
 are exact.
 """
@@ -25,19 +33,10 @@ are exact.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 
-from .diagram import (
-    BraidNeg,
-    BraidPos,
-    Cap,
-    Cup,
-    Dot,
-    DotPair,
-    MajoranaDiagram,
-    Scattering,
-    ScatteringStar,
-)
-from .errors import InvariantViolation, ParseError
+from .diagram import KINDS, MajoranaDiagram, Scattering, ScatteringStar
+from .errors import ParseError
 from .quon import OpenInterval, ParityCut, QuonDiagram
 from .wires import WireTrace
 
@@ -58,52 +57,44 @@ def _complex_in(v, what: str) -> complex:
     raise ParseError(f"{what}: expected [re, im], got {v!r}")
 
 
+# each kind's fields in constructor order: (name, annotation, default)
+_FIELDS = {cls: tuple((f.name, f.type, f.default) for f in fields(cls))
+           for cls in KINDS.values()}
+
+
 def element_to_dict(el) -> dict:
-    if isinstance(el, Cap):
-        return {"kind": "cap", "j": el.j}
-    if isinstance(el, Cup):
-        return {"kind": "cup", "j": el.j}
-    if isinstance(el, Dot):
-        return {"kind": "dot", "j": el.j}
-    if isinstance(el, DotPair):
-        return {"kind": "dot_pair", "j": el.j, "k": el.k}
-    if isinstance(el, BraidPos):
-        return {"kind": "braid_pos", "j": el.j}
-    if isinstance(el, BraidNeg):
-        return {"kind": "braid_neg", "j": el.j}
-    if isinstance(el, Scattering):
-        return {"kind": "scattering", "j": el.j, "theta": _complex_out(el.theta),
-                "orientation": el.orientation}
-    if isinstance(el, ScatteringStar):
-        return {"kind": "scattering_star", "j": el.j, "phi": _complex_out(el.phi),
-                "orientation": el.orientation}
-    raise ParseError(f"unknown element {el!r}")
+    d = {"kind": el.KIND}
+    for name, kind, _ in _FIELDS[type(el)]:
+        value = getattr(el, name)
+        d[name] = _complex_out(value) if kind == "complex" else value
+    return d
 
 
 def element_from_dict(d: dict, where: str):
     try:
-        kind = d["kind"]
-        if kind == "cap":
-            return Cap(int(d["j"]))
-        if kind == "cup":
-            return Cup(int(d["j"]))
-        if kind == "dot":
-            return Dot(int(d["j"]))
-        if kind == "dot_pair":
-            return DotPair(int(d["j"]), int(d["k"]))
-        if kind == "braid_pos":
-            return BraidPos(int(d["j"]))
-        if kind == "braid_neg":
-            return BraidNeg(int(d["j"]))
-        if kind == "scattering":
-            return Scattering(int(d["j"]), _complex_in(d["theta"], where),
-                              d.get("orientation", "vertical"))
-        if kind == "scattering_star":
-            return ScatteringStar(int(d["j"]), _complex_in(d["phi"], where),
-                                  d.get("orientation", "vertical"))
+        cls = KINDS.get(d["kind"])
+        if cls is None:
+            raise ParseError(f"{where}: unknown element kind {d['kind']!r}")
+        args = []
+        for name, kind, default in _FIELDS[cls]:
+            value = d[name] if default is MISSING else d.get(name, default)
+            if kind == "complex":
+                value = _complex_in(value, where)
+            elif kind == "int":
+                value = int(value)
+            args.append(value)
+        return cls(*args)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: unknown element kind {d.get('kind')!r}")
+
+
+def _cuts_out(cuts) -> list:
+    return [{"time_index": c.time_index, "strands": list(c.strands)} for c in cuts]
+
+
+def _cuts_in(docs) -> tuple[ParityCut, ...]:
+    return tuple(ParityCut(int(c["time_index"]), tuple(int(s) for s in c["strands"]))
+                 for c in docs)
 
 
 def diagram_to_dict(q: QuonDiagram) -> dict:
@@ -114,14 +105,8 @@ def diagram_to_dict(q: QuonDiagram) -> dict:
         "width_out": q.core.width_out,
         "amplitude": _complex_out(q.core.amplitude),
         "elements": [element_to_dict(el) for el in q.core.elements],
-        "parity_cuts": [
-            {"time_index": c.time_index, "strands": list(c.strands)}
-            for c in q.parity_cuts
-        ],
-        "notches": [
-            {"time_index": c.time_index, "strands": list(c.strands)}
-            for c in q.notches
-        ],
+        "parity_cuts": _cuts_out(q.parity_cuts),
+        "notches": _cuts_out(q.notches),
         "open_intervals": [
             {
                 "side": iv.side,
@@ -166,10 +151,6 @@ def parse_diagram(text: str) -> QuonDiagram:
             elements,
             _complex_in(doc.get("amplitude", 1.0), "amplitude"),
         )
-        cuts = tuple(
-            ParityCut(int(c["time_index"]), tuple(int(s) for s in c["strands"]))
-            for c in doc.get("parity_cuts", [])
-        )
         intervals = []
         for iv in doc.get("open_intervals", []):
             pairing = None
@@ -190,15 +171,8 @@ def parse_diagram(text: str) -> QuonDiagram:
         marks = frozenset(
             (int(a), int(b)) for a, b in doc.get("boundary_tracking", [])
         )
-        notches = tuple(
-            ParityCut(int(c["time_index"]), tuple(int(s) for s in c["strands"]))
-            for c in doc.get("notches", [])
-        )
-        return QuonDiagram(core, cuts, tuple(intervals), marks, notches)
-    except InvariantViolation:
-        raise
-    except ParseError:
-        raise
+        return QuonDiagram(core, _cuts_in(doc.get("parity_cuts", [])), tuple(intervals),
+                           marks, _cuts_in(doc.get("notches", [])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -210,10 +184,8 @@ def emit_dot(q: QuonDiagram) -> str:
     lines = ["graph quon {", "  rankdir=TB;"]
     for t, el in enumerate(q.core.elements):
         label = type(el).__name__
-        if isinstance(el, Scattering):
-            label += f" {complex(el.theta):.3g}"
-        elif isinstance(el, ScatteringStar):
-            label += f"* {complex(el.phi):.3g}"
+        if isinstance(el, (Scattering, ScatteringStar)):
+            label += f" {el.angle():.3g}"
         lines.append(f'  e{t} [label="{t}: {label}", shape=box];')
     for sid, seg in enumerate(trace.segments):
         ends = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Cap, Cup, Dot, DotPair, Element, MajoranaDiagram
+from .diagram import Element, MajoranaDiagram
 
 LEFT = 0
 RIGHT = 1
@@ -58,7 +58,8 @@ class WireTrace:
         self.slices.append(tuple(cur))
 
         for t, el in enumerate(diag.elements):
-            if isinstance(el, Cap):
+            grown = el.width_delta
+            if grown > 0:  # a cap
                 a = self._new_segment()
                 b = self._new_segment()
                 tid = len(self.turns)
@@ -66,21 +67,16 @@ class WireTrace:
                 self.segments[a].birth_turn = tid
                 self.segments[b].birth_turn = tid
                 cur[el.j:el.j] = [a, b]
-            elif isinstance(el, Cup):
+            elif grown < 0:  # a cup
                 a, b = cur[el.j], cur[el.j + 1]
                 tid = len(self.turns)
                 self.turns.append(Turn("cup", t, (a, b)))
                 for sid in (a, b):
                     self.segments[sid].death_turn = tid
                 del cur[el.j:el.j + 2]
-            elif isinstance(el, Dot):
-                self.segments[cur[el.j]].touches.append((t, el))
-            elif isinstance(el, DotPair):
-                self.segments[cur[el.j]].touches.append((t, el))
-                self.segments[cur[el.k]].touches.append((t, el))
             else:
-                self.segments[cur[el.j]].touches.append((t, el))
-                self.segments[cur[el.j + 1]].touches.append((t, el))
+                for p in el.positions():
+                    self.segments[cur[p]].touches.append((t, el))
             self.slices.append(tuple(cur))
 
         for pos, sid in enumerate(cur):

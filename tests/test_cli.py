@@ -82,6 +82,12 @@ def test_eval_and_simplify(tmp_path, capsys):
     assert len(q.core.elements) == len(CORE.elements) - 2
 
 
+def _loop_with(element: str) -> str:
+    """A closed-diagram document: one loop around `element` at strand 0."""
+    return ('{"format": "quon2d-diagram", "version": 1, "elements": [{"kind": "cap", "j": 0}, '
+            '{"j": 0, ' + element + '}, {"kind": "cup", "j": 0}]}')
+
+
 @pytest.mark.parametrize("argv, files, code", [
     (["factory", "seed.json", "--script", "bad.txt"], {"bad.txt": "stretch 0 0\n"}, 3),
     (["factory", "seed.json", "--script", "bad.txt"], {"bad.txt": "warp 1 2\n"}, 3),
@@ -97,6 +103,14 @@ def test_eval_and_simplify(tmp_path, capsys):
                                         '"boundary_tracking": [[3, 0]]}'}, 3),
     (["eval", "missing.json"], {}, 1),
     (["ising", "--rows", "2", "--cols", "2", "--K", "nan"], {}, 3),
+    (["ising", "--rows", "2", "--cols", "2", "--K", "-400"], {}, 2),
+    (["ising", "--rows", "0", "--cols", "2", "--K", "0.3"], {}, 3),
+    (["eval", "doc.json"], {"doc.json": _loop_with('"kind": "scattering_star", "phi": [800, 0]')}, 2),
+    (["eval", "doc.json", "--oracle"],
+     {"doc.json": _loop_with('"kind": "scattering_star", "phi": [800, 0]')}, 2),
+    (["eval", "doc.json"], {"doc.json": _loop_with('"kind": "scattering", "theta": [NaN, 0]')}, 3),
+    (["eval", "doc.json"], {"doc.json": _loop_with(
+        '"kind": "scattering", "theta": [0.3, 0], "orientation": "sideways"')}, 3),
     (["star-triangle", "--u", "1,2"], {}, 1),
     (["bogus"], {}, 1),
 ])

@@ -13,13 +13,22 @@ from quon2d.factory import (
     Insert,
     Stretch,
     Switch,
+    apply_move,
     evaluate_component_expanded,
     insert_move,
     parse_move_script,
     stretch,
     switch_move,
 )
-from quon2d.quon import BOTTOM, BasisAssignment, OpenInterval, QuonDiagram, count_holes
+from quon2d.quon import (
+    BOTTOM,
+    BasisAssignment,
+    OpenInterval,
+    QuonDiagram,
+    count_holes,
+    encode_basis,
+    evaluate_closed_quon,
+)
 
 PI = math.pi
 
@@ -141,6 +150,29 @@ def test_component_expansion_counts_terms(monkeypatch):
     assert len(calls) == 2 ** ledger.n_s
     direct = quon_to_dense_tensor(q).tensor()[0, 1, 1, 0]
     assert value == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("later", [
+    Insert(0, 0, "closed_diagram"),
+    Insert(1, 1, "string_hole_pair"),
+    Insert(0, 0, "double_string_hole_pair"),
+    Stretch(0, 0, 2),
+    Switch(1, "add_dot_pair", position=0),
+    Insert(4, 0, "closed_diagram"),  # after the scattering: its site stays
+])
+def test_transformed_sites_move_with_their_scattering(later):
+    q = compile_circuit(Circuit(2, (Gate("H", (0,)), Gate("S", (1,)))))
+    ledger = FactoryLedger(q)
+    for move in (Switch(1, "braid_to_scattering", theta=0.7), later):
+        q, ledger = apply_move(q, move, ledger)
+    (site,) = ledger.transformed_scatterings
+    assert q.core.elements[site] == Scattering(q.core.elements[site].j, 0.7)
+    bits = BasisAssignment.of((0,), (0,), (0,), (0,))
+    value = evaluate_component_expanded(q, ledger, bits)
+    assert value == pytest.approx(evaluate_closed_quon(encode_basis(q, bits)), abs=1e-9)
+    if later == Insert(0, 0, "closed_diagram"):
+        assert value == pytest.approx(quon_to_dense_tensor(q).entries[0], abs=1e-9)
+        assert value == pytest.approx(0.852 - 0.396j, abs=1e-3)
 
 
 def test_component_expansion_limit():

@@ -5,7 +5,7 @@ import pytest
 
 from quon2d.classify import classify
 from quon2d.diagram import ScatteringStar, VERTICAL
-from quon2d.errors import NonPlanarInput, Singular, TooManySites
+from quon2d.errors import InvariantViolation, NonPlanarInput, Singular, TooManySites
 from quon2d.ising import (
     IsingLattice,
     build_ising_quon,
@@ -33,6 +33,14 @@ def test_nonplanar_rejected():
     edges = [(a, b, 0.1) for a in range(5) for b in range(a + 1, 5)]
     with pytest.raises(NonPlanarInput):
         IsingLattice(5, tuple(edges))  # K5
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (3, 0), (-1, 2)])
+def test_lattice_without_sites_is_rejected(rows, cols):
+    with pytest.raises(InvariantViolation, match=f"{rows} x {cols} lattice has no sites"):
+        IsingLattice.square(rows, cols, 0.3)
+    with pytest.raises(InvariantViolation, match="no sites"):
+        IsingLattice(0, ())
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 3)])
