@@ -26,7 +26,7 @@ from .diagram import (
     tensor_product,
 )
 from .fock import FockState, evaluate_closed_oracle
-from .gaussian import GaussianFrontier, evaluate_closed_fast, pfaffian
+from .gaussian import evaluate_closed_fast, pfaffian
 from .quon import (
     BasisAssignment,
     OpenInterval,

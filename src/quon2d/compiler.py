@@ -15,9 +15,9 @@ the dense oracle (global phases included):
 * CZ: the Appendix-style gadget G_H / SWAP / G_X / G_H on the middle dense
   qubits, conjugated into this encoding by logical Hadamards.
 
-`quon_to_dense_tensor` enumerates basis encoders over every open interval
+`quon_to_dense_tensor` enumerates basis assignments over every open interval
 (top intervals left to right, then bottom ones), which is also how tensor
-legs are ordered.
+legs are ordered; all components are terms of one factorisation.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gaussian
 from .circuits import Circuit, Gate
 from .diagram import (
     BraidNeg,
@@ -48,8 +49,11 @@ from .quon import (
     OpenInterval,
     ParityCut,
     QuonDiagram,
+    all_projections,
     encode_basis,
+    encoder_slots,
     evaluate_closed_quon,
+    projection_sum,
 )
 
 _PI = math.pi
@@ -274,7 +278,12 @@ def compile_circuit(c: Circuit) -> QuonDiagram:
 
 def quon_to_dense_tensor(q: QuonDiagram, use_oracle: bool = False) -> DenseTensor:
     """Component enumeration over all basis assignments; legs are the open
-    intervals' qubits, top intervals (left to right) first."""
+    intervals' qubits, top intervals (left to right) first.
+
+    Every component is a set of terms of one factorisation
+    (`_prepared_components`); `use_oracle` instead closes q with each
+    assignment's encoders and evaluates it with the Fock oracle.
+    """
     order = sorted(
         range(len(q.open_intervals)),
         key=lambda i: (q.open_intervals[i].side != TOP, q.open_intervals[i].start),
@@ -283,6 +292,12 @@ def quon_to_dense_tensor(q: QuonDiagram, use_oracle: bool = False) -> DenseTenso
     rank = sum(leg_counts)
     if rank > 12:
         raise TooManyLegs(f"{rank} legs exceeds the 12-leg extraction limit")
+    if use_oracle:
+        def component(groups):
+            encoded = encode_basis(q, BasisAssignment(tuple(groups)))
+            return evaluate_closed_quon(encoded, use_oracle=True)
+    else:
+        component = _prepared_components(q)
     entries = np.zeros(2 ** rank, dtype=complex)
     for bits in itertools.product((0, 1), repeat=rank):
         groups: list[tuple[int, ...]] = [()] * len(q.open_intervals)
@@ -290,14 +305,55 @@ def quon_to_dense_tensor(q: QuonDiagram, use_oracle: bool = False) -> DenseTenso
         for i, count in zip(order, leg_counts):
             groups[i] = tuple(bits[pos:pos + count])
             pos += count
-        value = evaluate_closed_quon(
-            encode_basis(q, BasisAssignment(tuple(groups))), use_oracle=use_oracle
-        )
         idx = 0
         for b in bits:
             idx = (idx << 1) | b
-        entries[idx] = value
+        entries[idx] = component(groups)
     return DenseTensor(rank, entries)
+
+
+def _prepared_components(q: QuonDiagram):
+    """The basis components of q as terms of one `PreparedDiagram`.
+
+    q is closed once by its all-zero encoders.  Each candidate encoder dot
+    (`encoder_slots`) is a one-point group: a top interval's at the slice
+    after all top caps, a bottom interval's at the slice before the bottom
+    cups, each side in descending strand order.  Top slots come first, then
+    the projections' parity strings, then bottom slots.  Returns the function
+    that maps per-interval bits to their component: the dots the bits put
+    down, summed over the projections.
+    """
+    intervals = q.open_intervals
+    closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
+    top_end = sum(len(iv.pairing_data.elements) for iv in intervals if iv.side == TOP)
+    # (strand at the boundary, interval, slot) of every candidate dot, per side
+    slots = {
+        side: sorted(((iv.start + s, i, k) for i, iv in enumerate(intervals) if iv.side == side
+                      for k, s in enumerate(encoder_slots(iv))), reverse=True)
+        for side in (TOP, BOTTOM)
+    }
+    cuts = all_projections(closed)
+    groups = (
+        [(top_end, (strand,)) for strand, _, _ in slots[TOP]]
+        + [(c.time_index, c.strands) for c in cuts]
+        + [(top_end + len(q.core.elements), (strand,)) for strand, _, _ in slots[BOTTOM]]
+    )
+    group_of = {(i, k): g for g, (_, i, k) in enumerate(slots[TOP])}
+    group_of.update({(i, k): g for g, (_, i, k) in
+                     enumerate(slots[BOTTOM], len(slots[TOP]) + len(cuts))})
+    prepared = gaussian.PreparedDiagram(closed.core, groups)
+
+    def component(bit_groups) -> complex:
+        selected = 0
+        for i, bits in enumerate(bit_groups):
+            dots = [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
+            for k in dots:
+                selected |= 1 << group_of[(i, k)]
+        return projection_sum(
+            (prepared.evaluate(selected | s << len(slots[TOP])) for s in range(1 << len(cuts))),
+            len(cuts))
+
+    return component
 
 
 def dense_gate_matrix(q: QuonDiagram) -> np.ndarray:

@@ -32,7 +32,13 @@ from .diagram import (
     ScatteringStar,
     VERTICAL,
 )
-from .errors import InvariantViolation, NonPlanarInput, Singular, TooManySites
+from .errors import (
+    InvariantViolation,
+    NonPlanarInput,
+    NumericalInstability,
+    Singular,
+    TooManySites,
+)
 from .quon import QuonDiagram, string_genus
 from .rewrite import RewriteSite, SpaceTimeDual, apply_rule
 
@@ -94,7 +100,8 @@ class IsingLattice:
 def partition_oracle(lattice: IsingLattice, limit: int = 24) -> float:
     """Exact spin enumeration of sum_sigma exp(K sum sigma sigma'), taken
     in blocks of 2^14 configurations, which bounds the memory and keeps
-    the arrays in cache."""
+    the arrays in cache.  Raises NumericalInstability when Z overflows a
+    float."""
     n = lattice.n_sites
     if n > limit:
         raise TooManySites(f"{n} sites exceeds the enumeration limit {limit}")
@@ -107,7 +114,15 @@ def partition_oracle(lattice: IsingLattice, limit: int = 24) -> float:
         for a, b, k in lattice.edges:
             agree = ((configs >> (n - 1 - a)) ^ (configs >> (n - 1 - b))) & 1
             energy += k * (1.0 - 2.0 * agree)
-        total += float(np.exp(energy).sum())
+        with np.errstate(over="ignore"):
+            total += float(np.exp(energy).sum())
+    if not math.isfinite(total):
+        bound = sum(abs(k) for _, _, k in lattice.edges)
+        raise NumericalInstability(
+            f"the partition function overflows a float: a configuration's energy "
+            f"reaches {bound:.4g}, and exp of it must stay below about 1.8e308 "
+            f"(energies up to about 709)"
+        )
     return total
 
 

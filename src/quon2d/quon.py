@@ -3,9 +3,11 @@
 The manifold is kept abstract: a list of parity cuts (one per hole, each a
 fermion-parity-even projection (1 + P)/2 on a strand subset at a time slice)
 plus open boundary intervals where strands terminate, carrying the pairing
-data of Appendix-style basis encoders.  Closed-Quon evaluation expands the
-2^{n_h} cut subsets into plain Majorana diagrams; the string-genus and
-SWAP-hole relations edit the manifold syntactically.
+data of Appendix-style basis encoders.  Closed-Quon evaluation sums over the
+2^{n_h} cut subsets, every term a small Pfaffian of one factorisation of the
+core (gaussian.PreparedDiagram); the oracle path expands each subset into a
+plain Majorana diagram instead.  The string-genus and SWAP-hole relations
+edit the manifold syntactically.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import diagram as dg
+from . import gaussian
 from .diagram import (
     BraidNeg,
     BraidPos,
@@ -253,45 +256,47 @@ def expanded_core(q: QuonDiagram, subset: int) -> MajoranaDiagram:
     return q.core.with_elements(els)
 
 
+def projection_sum(terms, count: int) -> complex:
+    """(1/2)^count times the sum of the terms, exactly rounded: the result
+    does not depend on the term order."""
+    terms = list(terms)
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return total * (0.5 ** count)
+
+
 def evaluate_closed_quon(q: QuonDiagram, use_oracle: bool = False) -> complex:
     """(1/2)^{n_h} sum over cut subsets of the expanded Majorana diagrams.
 
-    Each term is evaluated by the Gaussian evaluator (assembled once, the
-    parity strings re-inserted per subset); `use_oracle` switches every term
-    to the Fock oracle instead.
+    The terms are those of one `PreparedDiagram` whose point groups are the
+    projections' parity strings; `use_oracle` switches every term to the
+    Fock oracle on the expanded core instead.
     """
     if q.open_intervals:
         raise HasOpenIntervals(f"{len(q.open_intervals)} open intervals remain")
     cuts = all_projections(q)
     n = len(cuts)
     if use_oracle:
-        terms = [evaluate_closed_oracle(expanded_core(q, s)) for s in range(1 << n)]
-    else:
-        from .gaussian import PreparedDiagram
-
-        prepared = PreparedDiagram(q.core)
-        terms = [
-            prepared.evaluate(
-                [
-                    (cut.time_index, cut.strands)
-                    for bit, cut in enumerate(cuts)
-                    if subset >> bit & 1
-                ]
-            )
-            for subset in range(1 << n)
-        ]
-    # exactly-rounded summation: the result is independent of term order
-    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    return total * (0.5 ** n)
+        return projection_sum(
+            (evaluate_closed_oracle(expanded_core(q, s)) for s in range(1 << n)), n)
+    prepared = gaussian.PreparedDiagram(q.core, [(c.time_index, c.strands) for c in cuts])
+    return projection_sum((prepared.evaluate(s) for s in range(1 << n)), n)
 
 
 # -- basis encoders --------------------------------------------------------
 
 
+def encoder_slots(interval: OpenInterval) -> tuple[int, ...]:
+    """Local strands of an interval's bit-dependent encoder dots: the
+    rightmost member of each inner pair (one per qubit), then that of the
+    outer pair, which takes a dot when the bit total is odd."""
+    pairs = interval.pairs()
+    return tuple(pair[1] for pair in pairs[1:]) + (pairs[0][1],)
+
+
 def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
-    """Ket-form encoder |b> for one interval: pairing data, bit-dependent
-    simultaneous dots on the rightmost member of each inner pair (plus the
-    outer pair when the bit total is odd), normalized so <b|b'> = delta.
+    """Ket-form encoder |b> for one interval: pairing data plus simultaneous
+    dots on the `encoder_slots` its bits select, normalized so
+    <b|b'> = delta.
 
     The normalization 2^{-(p+1)/4} makes the p+1 pairing loops of <b|b>
     evaluate to one (1/sqrt2 in the one-qubit case).
@@ -301,17 +306,13 @@ def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
         raise BitLengthMismatch(
             f"{len(bits)} bits for a {interval.qubit_count}-qubit interval"
         )
-    pairs = interval.pairs()
+    slots = encoder_slots(interval)
+    dot_strands = [slots[k] for k, b in enumerate(bits) if b]
+    if sum(bits) % 2:
+        dot_strands.append(slots[-1])
     elements = list(interval.pairing_data.elements)
-    dot_strands = []
-    b_tot = sum(bits)
-    for i, b in enumerate(bits):
-        if b:
-            dot_strands.append(pairs[i + 1][1])
-    if b_tot % 2:
-        dot_strands.append(pairs[0][1])
     if dot_strands:
-        elements.extend(parity_string_elements(tuple(sorted(dot_strands))))
+        elements.extend(parity_string_elements(tuple(dot_strands)))
     amp = interval.pairing_data.amplitude * 2.0 ** (-(interval.qubit_count + 1) / 4)
     return MajoranaDiagram(0, interval.size, tuple(elements), amp)
 

@@ -210,14 +210,16 @@ def braid_expansion_weights(el: Element) -> tuple[complex, complex]:
 # -- angle solvers --------------------------------------------------------
 
 
-def spacetime_dual(theta: complex) -> tuple[complex, complex]:
-    """Space-time duality data (A, phi): A = (1+e^{i theta})/2 and
-    e^{i phi} = (1-e^{i theta})/(1+e^{i theta}).
+def spacetime_dual(el: Scattering | ScatteringStar) -> tuple[complex, complex]:
+    """Space-time duality data (A, phi) of a scattering element with angle
+    theta and e = e^{i theta} (`el.exponential()`): A = (1 + e)/2 and
+    e^{i phi} = (1 - e)/(1 + e).
 
     Raises SingularAngle near theta = pi (A vanishes) and theta = 0 (no
-    finite dual angle exists).
+    finite dual angle exists), and NumericalInstability when e overflows.
     """
-    e = cmath.exp(1j * complex(theta))
+    e = el.exponential()
+    theta = el.angle()
     if abs(1 + e) <= 1e-12:
         raise SingularAngle(f"theta={theta} has 1+e^(i theta) ~ 0")
     if abs(1 - e) <= 1e-12:
@@ -534,7 +536,7 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
         el = els[i]
         if not isinstance(el, (Scattering, ScatteringStar)):
             raise PatternMismatch(f"element {i} is not a scattering")
-        a, phi = spacetime_dual(el.angle())
+        a, phi = spacetime_dual(el)
         flipped = VERTICAL if el.orientation != VERTICAL else HORIZONTAL
         dual = (Scattering(el.j, phi, flipped) if isinstance(el, Scattering)
                 else ScatteringStar(el.j, 1j * phi, flipped))

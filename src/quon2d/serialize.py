@@ -57,6 +57,16 @@ def _complex_in(v, what: str) -> complex:
     raise ParseError(f"{what}: expected [re, im], got {v!r}")
 
 
+def _int_in(v, what: str) -> int:
+    """An integer field.  A fraction, a string or a boolean is rejected,
+    never truncated."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ParseError(f"{what}: expected an integer, got {v!r}")
+
+
 # each kind's fields in constructor order: (name, annotation, default)
 _FIELDS = {cls: tuple((f.name, f.type, f.default) for f in fields(cls))
            for cls in KINDS.values()}
@@ -81,7 +91,7 @@ def element_from_dict(d: dict, where: str):
             if kind == "complex":
                 value = _complex_in(value, where)
             elif kind == "int":
-                value = int(value)
+                value = _int_in(value, f"{where}.{name}")
             args.append(value)
         return cls(*args)
     except (KeyError, TypeError, ValueError) as exc:
@@ -92,9 +102,12 @@ def _cuts_out(cuts) -> list:
     return [{"time_index": c.time_index, "strands": list(c.strands)} for c in cuts]
 
 
-def _cuts_in(docs) -> tuple[ParityCut, ...]:
-    return tuple(ParityCut(int(c["time_index"]), tuple(int(s) for s in c["strands"]))
-                 for c in docs)
+def _cuts_in(docs, what: str) -> tuple[ParityCut, ...]:
+    return tuple(
+        ParityCut(_int_in(c["time_index"], f"{what}[{k}].time_index"),
+                  tuple(_int_in(s, f"{what}[{k}].strands") for s in c["strands"]))
+        for k, c in enumerate(docs)
+    )
 
 
 def diagram_to_dict(q: QuonDiagram) -> dict:
@@ -146,8 +159,8 @@ def parse_diagram(text: str) -> QuonDiagram:
             for i, d in enumerate(doc.get("elements", []))
         )
         core = MajoranaDiagram(
-            int(doc.get("width_in", 0)),
-            int(doc.get("width_out", 0)),
+            _int_in(doc.get("width_in", 0), "width_in"),
+            _int_in(doc.get("width_out", 0), "width_out"),
             elements,
             _complex_in(doc.get("amplitude", 1.0), "amplitude"),
         )
@@ -158,7 +171,7 @@ def parse_diagram(text: str) -> QuonDiagram:
                 p = iv["pairing"]
                 pairing = MajoranaDiagram(
                     0,
-                    int(p["width_out"]),
+                    _int_in(p["width_out"], "pairing width_out"),
                     tuple(
                         element_from_dict(d, "pairing element")
                         for d in p.get("elements", [])
@@ -166,13 +179,15 @@ def parse_diagram(text: str) -> QuonDiagram:
                     _complex_in(p.get("amplitude", 1.0), "pairing amplitude"),
                 )
             intervals.append(
-                OpenInterval(iv["side"], int(iv["start"]), int(iv["size"]), pairing)
+                OpenInterval(iv["side"], _int_in(iv["start"], "interval start"),
+                             _int_in(iv["size"], "interval size"), pairing)
             )
         marks = frozenset(
-            (int(a), int(b)) for a, b in doc.get("boundary_tracking", [])
+            (_int_in(a, "boundary_tracking"), _int_in(b, "boundary_tracking"))
+            for a, b in doc.get("boundary_tracking", [])
         )
-        return QuonDiagram(core, _cuts_in(doc.get("parity_cuts", [])), tuple(intervals),
-                           marks, _cuts_in(doc.get("notches", [])))
+        return QuonDiagram(core, _cuts_in(doc.get("parity_cuts", []), "parity_cuts"),
+                           tuple(intervals), marks, _cuts_in(doc.get("notches", []), "notches"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 

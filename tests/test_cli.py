@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from quon2d.circuits import Circuit, Gate
@@ -124,3 +126,11 @@ def test_bad_input_exits_with_a_code(tmp_path, capsys, monkeypatch, argv, files,
     got, _, err = _run(capsys, *argv)
     assert got == code
     assert "error" in err
+
+
+def test_ising_oracle_overflow_is_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code, out, err = _run(capsys, "ising", "--rows", 2, "--cols", 2, "--K", -400, "--oracle")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "overflows a float" in err

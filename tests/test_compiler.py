@@ -16,7 +16,7 @@ from quon2d.compiler import (
     quon_to_dense_tensor,
 )
 from quon2d.errors import NonAdjacentTwoQubitGate, TooManyLegs, UnknownGenerator
-from quon2d.quon import count_holes
+from quon2d.quon import all_projections, count_holes
 
 PI = math.pi
 
@@ -31,9 +31,9 @@ ALL_GATES = [
 ]
 
 
-def random_circuit(n, depth, rng, two_qubit_rate=0.45):
-    names1 = ["X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-", "RZ"]
-    names2 = ["XX", "CNOT", "CZ", "SWAP"]
+def random_circuit(n, depth, rng, two_qubit_rate=0.45,
+                   names1=("X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-", "RZ"),
+                   names2=("XX", "CNOT", "CZ", "SWAP")):
     gates = []
     for _ in range(depth):
         if n >= 2 and rng.random() < two_qubit_rate:
@@ -118,6 +118,22 @@ def test_functoriality(rng):
         a = dense_gate_matrix(composed)
         b = dense_gate_matrix(direct)
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def test_clifford_components_match_the_unitary():
+    """Every basis component of random Clifford circuits with at most 7
+    projections: their Gaussian cores are exactly singular (deferred pivots)
+    and many components are exactly zero."""
+    rng = np.random.default_rng(61)
+    checked = 0
+    while checked < 10:
+        c = random_circuit(int(rng.integers(2, 4)), 8, rng, two_qubit_rate=0.4,
+                           names1=("H", "S", "X", "Y", "Z"), names2=("CZ", "CNOT", "SWAP"))
+        q = compile_circuit(c)
+        if len(all_projections(q)) > 7:
+            continue
+        checked += 1
+        assert np.max(np.abs(dense_gate_matrix(q) - circuit_oracle_unitary(c))) <= 1e-9
 
 
 def test_circuit_amplitude_examples(rng):

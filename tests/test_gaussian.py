@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -6,9 +7,16 @@ import pytest
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
 from quon2d.errors import NotClosed, NumericalInstability
 from quon2d.fock import evaluate_closed_oracle
-from quon2d.gaussian import PANEL, PreparedDiagram, evaluate_closed_fast, pfaffian
+from quon2d.gaussian import (
+    DEFER_TOL,
+    PANEL,
+    PreparedDiagram,
+    _eliminate,
+    evaluate_closed_fast,
+    pfaffian,
+)
 from quon2d.ising import IsingLattice, build_ising_quon, partition_oracle
-from quon2d.quon import evaluate_closed_quon
+from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon, expanded_core
 
 from conftest import random_closed_diagram
 
@@ -124,13 +132,46 @@ def test_prepared_diagram_matches_expansion(rng):
             continue
         k = 2 * int(rng.integers(1, w // 2 + 1))
         strands = tuple(sorted(rng.choice(w, size=k, replace=False).tolist()))
-        prep = PreparedDiagram(d).evaluate([(t, strands)])
-        from quon2d.quon import ParityCut, QuonDiagram, expanded_core
-
+        prep = PreparedDiagram(d, [(t, strands)]).evaluate(1)
         ref = evaluate_closed_oracle(
             expanded_core(QuonDiagram(d, (ParityCut(t, strands),)), 1)
         )
         assert abs(prep - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_singular_core_rows_are_deferred(rng):
+    """Core rows 1 and 4 have no entry among the core rows, so no pivot:
+    they are deferred behind the core and join every small matrix.  Each
+    principal sub-Pfaffian over the core and a subset S of the other rows is
+    pf * Pf(Schur[deferred + S])."""
+    core, n = 6, 10
+    a = random_antisymmetric(rng, n)
+    a[np.ix_([1, 4], range(core))] = 0.0
+    a[np.ix_(range(core), [1, 4])] = 0.0
+    eliminated = a.copy()
+    pf, e = _eliminate(eliminated, core, DEFER_TOL)
+    assert e == core - 2
+    schur = eliminated[e:, e:]
+    for size in (0, 2, 4):
+        for subset in itertools.combinations(range(core, n), size):
+            rows = list(range(core)) + list(subset)
+            small = list(range(core - e)) + [r - e for r in subset]
+            want = pfaffian_recursive(a[np.ix_(rows, rows)])
+            assert pf * pfaffian(schur[np.ix_(small, small)]) == pytest.approx(want, abs=1e-12)
+
+
+def test_prepared_diagram_with_singular_core():
+    """One dot on each of two loops: their contraction vanishes, so the core
+    has no pivot.  A parity string across both loops pairs each dot with a
+    dot of its own loop."""
+    d = MajoranaDiagram(0, 0, (Cap(0), Cap(2), Dot(1), Dot(2), Cup(2), Cup(0)), 0.7 - 0.2j)
+    for t, strands in ((2, (0, 3)), (3, (0, 2)), (4, (1, 2))):
+        prepared = PreparedDiagram(d, [(t, strands)])
+        expanded = QuonDiagram(d, (ParityCut(t, strands),))
+        for subset in (0, 1):
+            want = evaluate_closed_oracle(expanded_core(expanded, subset))
+            assert abs(prepared.evaluate(subset) - want) <= 1e-12
+        assert abs(evaluate_closed_oracle(expanded_core(expanded, 1))) > 0.1
 
 
 def test_scaling_smoke():

@@ -81,12 +81,10 @@ def test_hole_expansion_bit_exact_both_orders(rng):
     for _ in range(20):
         q = random_quon(rng, max_width=10, max_elems=16)
         n = len(q.parity_cuts)
-        prepared = PreparedDiagram(q.core)
+        prepared = PreparedDiagram(q.core, [(c.time_index, c.strands) for c in q.parity_cuts])
 
         def term(subset):
-            extra = [(c.time_index, c.strands)
-                     for bit, c in enumerate(q.parity_cuts) if subset >> bit & 1]
-            return prepared.evaluate(extra)
+            return prepared.evaluate(subset)
 
         for order in (range(1 << n), reversed(range(1 << n))):
             terms = [term(s) for s in order]

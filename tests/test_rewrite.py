@@ -15,7 +15,13 @@ from quon2d.diagram import (
     Scattering,
     ScatteringStar,
 )
-from quon2d.errors import NoSolution, NotAScattering, PatternMismatch, SingularAngle
+from quon2d.errors import (
+    NoSolution,
+    NotAScattering,
+    NumericalInstability,
+    PatternMismatch,
+    SingularAngle,
+)
 from quon2d.fock import diagram_operator, evaluate_closed_oracle
 from quon2d.rewrite import (
     RULE_SCALARS,
@@ -173,13 +179,19 @@ def test_expand_rejects_non_scattering():
 
 
 def test_spacetime_dual_values():
-    a, phi = spacetime_dual(PI / 2)
+    a, phi = spacetime_dual(Scattering(0, PI / 2))
     assert a == pytest.approx((1 + 1j) / 2)
     assert cmath.exp(1j * phi) == pytest.approx(-1j)
     with pytest.raises(SingularAngle):
-        spacetime_dual(0.0)
+        spacetime_dual(Scattering(0, 0.0))
     with pytest.raises(SingularAngle):
-        spacetime_dual(PI)
+        spacetime_dual(Scattering(0, PI))
+
+
+def test_spacetime_dual_overflow_is_typed():
+    d = MajoranaDiagram(0, 0, (Cap(0), ScatteringStar(0, 800), Cup(0)))
+    with pytest.raises(NumericalInstability, match="overflows a float"):
+        apply_rule(d, SpaceTimeDual(), RewriteSite.at(1))
 
 
 def test_spacetime_dual_rule_preserves_value(rng):

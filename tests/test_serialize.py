@@ -6,7 +6,7 @@ from quon2d.circuits import Circuit, Gate
 from quon2d.compiler import compile_circuit, parity_tensor_quon
 from quon2d.errors import InvariantViolation, ParseError
 from quon2d.factory import FactoryLedger, Insert, Stretch, Switch, apply_move
-from quon2d.serialize import parse_diagram, serialize_diagram
+from quon2d.serialize import element_from_dict, parse_diagram, serialize_diagram
 
 COMPILED = {
     name: compile_circuit(Circuit(2, gates))
@@ -71,6 +71,38 @@ def _doc(**changes):
 def test_malformed_documents_raise_parse_error(text):
     with pytest.raises(ParseError):
         parse_diagram(text)
+
+
+def _interval_doc(**changes):
+    intervals = json.loads(serialize_diagram(COMPILED["cz"]))["open_intervals"]
+    intervals[0].update(changes)
+    return _doc(open_intervals=intervals)
+
+
+def test_fractional_positions_are_not_truncated():
+    with pytest.raises(ParseError, match="expected an integer, got 0.5"):
+        element_from_dict({"kind": "dot_pair", "j": 0.5, "k": 1.9}, "elements[0]")
+
+
+@pytest.mark.parametrize("text", [
+    _doc(elements=[{"kind": "dot_pair", "j": 0.5, "k": 1.9}]),
+    _doc(elements=[{"kind": "cap", "j": True}]),
+    _doc(elements=[{"kind": "cap", "j": "0"}]),
+    _doc(width_in=8.5),
+    _doc(width_out=7.9),
+    _doc(parity_cuts=[{"time_index": 0.5, "strands": [0, 1]}]),
+    _doc(notches=[{"time_index": 0, "strands": [0.5, 1]}]),
+    _doc(boundary_tracking=[[0, 0.5]]),
+    _interval_doc(start=0.5),
+    _interval_doc(size=4.5),
+])
+def test_non_integral_fields_raise_parse_error(text):
+    with pytest.raises(ParseError, match="expected an integer"):
+        parse_diagram(text)
+
+
+def test_integral_floats_are_read_exactly():
+    assert parse_diagram(_doc(width_in=8.0, width_out=8.0)) == COMPILED["cz"]
 
 
 @pytest.mark.parametrize("changes", [
