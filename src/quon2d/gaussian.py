@@ -323,7 +323,7 @@ class PreparedDiagram:
 
     def __init__(self, diag: MajoranaDiagram, groups=()):
         self.amplitude, points, mus, geom = assemble_frontier(diag)
-        labels = geom.trace.worldline_labels()
+        labels = geom.trace.worldline_labels() if groups else []
         core = sorted(points, key=lambda p: p.time)
         extras: list[_Point] = []
         self._groups: list[range] = []

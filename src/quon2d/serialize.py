@@ -60,9 +60,9 @@ def _complex_in(v, what: str) -> complex:
 def _int_in(v, what: str) -> int:
     """An integer field.  A fraction, a string or a boolean is rejected,
     never truncated."""
-    if isinstance(v, int) and not isinstance(v, bool):
+    if type(v) is int:  # not a bool
         return v
-    if isinstance(v, float) and v.is_integer():
+    if type(v) is float and v.is_integer():
         return int(v)
     raise ParseError(f"{what}: expected an integer, got {v!r}")
 
