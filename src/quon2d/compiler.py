@@ -50,6 +50,7 @@ from .quon import (
     ParityCut,
     QuonDiagram,
     all_projections,
+    basis_bits,
     encode_basis,
     encoder_slots,
     evaluate_closed_quon,
@@ -292,36 +293,32 @@ def quon_to_dense_tensor(q: QuonDiagram, use_oracle: bool = False) -> DenseTenso
     rank = sum(leg_counts)
     if rank > 12:
         raise TooManyLegs(f"{rank} legs exceeds the 12-leg extraction limit")
-    if use_oracle:
-        def component(groups):
-            encoded = encode_basis(q, BasisAssignment(tuple(groups)))
-            return evaluate_closed_quon(encoded, use_oracle=True)
-    else:
-        component = _prepared_components(q)
-    entries = np.zeros(2 ** rank, dtype=complex)
-    for bits in itertools.product((0, 1), repeat=rank):
+    assignments = []
+    for bits in itertools.product((0, 1), repeat=rank):  # entry index order
         groups: list[tuple[int, ...]] = [()] * len(q.open_intervals)
         pos = 0
         for i, count in zip(order, leg_counts):
             groups[i] = tuple(bits[pos:pos + count])
             pos += count
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        entries[idx] = component(groups)
-    return DenseTensor(rank, entries)
+        assignments.append(groups)
+    if use_oracle:
+        entries = [evaluate_closed_quon(encode_basis(q, BasisAssignment(groups)), use_oracle=True)
+                   for groups in assignments]
+    else:
+        entries = _prepared_components(q, assignments)
+    return DenseTensor(rank, np.array(entries, dtype=complex))
 
 
-def _prepared_components(q: QuonDiagram):
-    """The basis components of q as terms of one `PreparedDiagram`.
+def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
+    """The basis components of q for each assignment of per-interval bits,
+    as terms of one `PreparedDiagram` evaluated in one call.
 
     q is closed once by its all-zero encoders.  Each candidate encoder dot
     (`encoder_slots`) is a one-point group: a top interval's at the slice
     after all top caps, a bottom interval's at the slice before the bottom
     cups, each side in descending strand order.  Top slots come first, then
-    the projections' parity strings, then bottom slots.  Returns the function
-    that maps per-interval bits to their component: the dots the bits put
-    down, summed over the projections.
+    the projections' parity strings, then bottom slots.  A component is the
+    sum over the projections of the terms with the dots its bits put down.
     """
     intervals = q.open_intervals
     closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
@@ -341,19 +338,16 @@ def _prepared_components(q: QuonDiagram):
     group_of = {(i, k): g for g, (_, i, k) in enumerate(slots[TOP])}
     group_of.update({(i, k): g for g, (_, i, k) in
                      enumerate(slots[BOTTOM], len(slots[TOP]) + len(cuts))})
-    prepared = gaussian.PreparedDiagram(closed.core, groups)
-
-    def component(bit_groups) -> complex:
+    masks = []
+    for bit_groups in assignments:
         selected = 0
         for i, bits in enumerate(bit_groups):
             dots = [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
             for k in dots:
                 selected |= 1 << group_of[(i, k)]
-        return projection_sum(
-            (prepared.evaluate(selected | s << len(slots[TOP])) for s in range(1 << len(cuts))),
-            len(cuts))
-
-    return component
+        masks.extend(selected | s << len(slots[TOP]) for s in range(1 << len(cuts)))
+    terms = gaussian.PreparedDiagram(closed.core, groups).evaluate(masks)
+    return [projection_sum(row, len(cuts)) for row in terms.reshape(len(assignments), -1)]
 
 
 def dense_gate_matrix(q: QuonDiagram) -> np.ndarray:
@@ -366,8 +360,8 @@ def dense_gate_matrix(q: QuonDiagram) -> np.ndarray:
 
 def circuit_amplitude(c: Circuit, bits_in, bits_out) -> complex:
     """<bits_out| U(c) |bits_in> including the global phase."""
-    bits_in = tuple(int(b) for b in bits_in)
-    bits_out = tuple(int(b) for b in bits_out)
+    bits_in = basis_bits(bits_in)
+    bits_out = basis_bits(bits_out)
     if len(bits_in) != c.n_qubits or len(bits_out) != c.n_qubits:
         raise BitLengthMismatch(
             f"{len(bits_in)} input and {len(bits_out)} output bits for a "

@@ -57,6 +57,10 @@ class BitLengthMismatch(Quon2dError):
     pass
 
 
+class InvalidBit(Quon2dError):
+    """A basis bit other than 0 or 1."""
+
+
 class NonAdjacentTwoQubitGate(Quon2dError):
     pass
 

@@ -42,8 +42,13 @@ after Wimmer, "Efficient numerical computation of the Pfaffian for dense and
 banded skew-symmetric matrices" (ACM TOMS 38, 2012, arXiv:1102.3440): panels
 of 2 * PANEL columns are eliminated with their trailing updates held back,
 then applied as one matrix product.  `pfaffian` is the same elimination with
-every row in the core and nothing kept.  Everything here is validated
-against the Fock oracle.
+every row in the core and nothing kept; it evaluates the one matrix of a
+diagram without groups.  The terms of a diagram with groups are many small
+matrices, where NumPy's per-call overhead, not arithmetic, would dominate a
+per-term elimination.  `PreparedDiagram.evaluate` gathers them into stacks
+of equal size (at most STACK entries each) and `_pfaffians` eliminates a
+whole stack in one unblocked Parlett-Reid pass, one rank-2 update of the
+stack per step.  Everything here is validated against the Fock oracle.
 """
 
 from __future__ import annotations
@@ -55,11 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import MajoranaDiagram
-from .errors import NotClosed, NumericalInstability
+from .errors import NotClosed, NumericalInstability, TooLarge
 from .wires import LEFT, WireTrace
 
 MU_MIN = 1e-13
 PANEL = 32  # pivot steps whose trailing updates are applied together
+STACK = 1 << 17  # matrix entries (2 MB) in one stack of small term matrices
+MAX_GROUPS = 63  # point groups a term mask, a non-negative int64, can select
 SINGULAR_TOL = 1e-16  # relative size of a pivot taken as zero
 DEFER_TOL = 1e-8  # about sqrt(eps): a core pivot this small is deferred behind the core
 
@@ -152,6 +159,50 @@ def pfaffian(mat: np.ndarray, singular_tol: float = SINGULAR_TOL) -> complex:
         return 0.0 + 0.0j
     pf, eliminated = _eliminate(a, n, singular_tol)
     return pf if eliminated == n else 0.0 + 0.0j
+
+
+def _pfaffians(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of a stack a[t] of antisymmetric matrices, overwriting a.
+
+    One unblocked Parlett-Reid pass over the whole stack: at step k each
+    matrix pivots the largest |entry| of its row k into column k + 1 with
+    its own swaps, and the stack takes one rank-2 update.  A row whose
+    largest |entry| is at or below SINGULAR_TOL times max(max|entry|, 1) of
+    its matrix makes that Pfaffian exactly 0 (as in `pfaffian`); the matrix
+    goes on with a unit pivot.  Every operation acts on each matrix alone,
+    so a Pfaffian does not depend on the other matrices in the stack.
+    """
+    count, n = a.shape[:2]
+    if n % 2:
+        return np.zeros(count, dtype=complex)
+    pf = np.ones(count, dtype=complex)
+    tol = SINGULAR_TOL * np.maximum(np.abs(a).max(axis=(1, 2), initial=0.0), 1.0)
+    zero = np.zeros(count, dtype=bool)
+    at = np.arange(count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n, 2):
+            s = a[:, k:, k:]  # the trailing blocks; s[:, 0] is row k
+            p = 1 + np.argmax(np.abs(s[:, 0, 1:]), axis=1)
+            row = s[at, p]
+            s[at, p] = s[:, 1]
+            s[:, 1] = row
+            col = s[at, :, p]
+            s[at, :, p] = s[:, :, 1]
+            s[:, :, 1] = col
+            pf = np.where(p > 1, -pf, pf)
+            pivot = s[:, 0, 1]
+            unusable = np.abs(pivot) <= tol
+            zero |= unusable
+            pivot = np.where(unusable, 1.0, pivot)
+            # out of place: NumPy rounds an in-place product of a one-element
+            # array differently from that of a longer one
+            pf = pf * pivot
+            if k + 2 < n:
+                tau = s[:, 0, 2:] / pivot[:, None]
+                u = s[:, 1, 2:, None] * tau[:, None, :]
+                s[:, 2:, 2:] += u - u.transpose(0, 2, 1)
+    pf[zero] = 0.0
+    return pf
 
 
 @dataclass
@@ -308,17 +359,20 @@ class PreparedDiagram:
     a basis encoder.  Groups with an odd number of points must come in time
     order; a group with an even number may come anywhere in the list.
 
-    `evaluate(selected)` is the value of the diagram decorated with the
-    groups whose bits are set in `selected`.  For the selected points S
-    (an even number of them, each pair carrying a factor i) it is
+    `evaluate(masks)` gives, for each mask, the value of the diagram
+    decorated with the groups whose bits are set in it.  For the selected
+    points S (each pair carrying a factor i) it is
 
         amplitude * i^(|S|/2) * sign * Pf(eliminated) * Pf(Schur[deferred + S])
 
     Pf(eliminated) and Schur come from one `_eliminate` of the core rows of
     the contraction matrix over all points, built in [core, groups] order.
     The sign is the parity of the number of core points later in time than
-    a selected point, summed over S.  Without groups there is one term and
-    nothing is eliminated ahead: its Pfaffian is the whole matrix.
+    a selected point, summed over S.  The terms' matrices Schur[deferred + S]
+    are gathered into stacks by size, and each stack is one `_pfaffians`
+    pass; an odd size is 0.  Without groups there is one term and nothing is
+    eliminated ahead: its Pfaffian is the whole matrix, by `pfaffian`.  At
+    most MAX_GROUPS groups (TooLarge): a mask is an int64.
     """
 
     def __init__(self, diag: MajoranaDiagram, groups=()):
@@ -327,6 +381,8 @@ class PreparedDiagram:
         core = sorted(points, key=lambda p: p.time)
         extras: list[_Point] = []
         self._groups: list[range] = []
+        if len(groups) > MAX_GROUPS:
+            raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
         for time_index, strands in groups:
             slice_now = geom.trace.slices[time_index]
             first = len(extras)
@@ -350,7 +406,9 @@ class PreparedDiagram:
 
         core_times = [p.time for p in core]
         later = [len(core) - bisect.bisect(core_times, p.time) for p in extras]
-        self._flips = [sum(later[x] for x in group) for group in self._groups]
+        self._flips = np.array([sum(later[x] for x in group) for group in self._groups], dtype=int)
+        self._group_of = np.array([g for g, group in enumerate(self._groups) for _ in group],
+                                  dtype=int)
         self._points = len(core) + len(extras)
         if extras:
             self._pf, self._eliminated = _eliminate(w, len(core), DEFER_TOL)
@@ -360,23 +418,52 @@ class PreparedDiagram:
         self._schur = w
         self._deferred = len(core) - self._eliminated
 
-    def evaluate(self, selected: int = 0) -> complex:
-        chosen = [g for g in range(len(self._groups)) if selected >> g & 1]
+    def evaluate(self, masks) -> np.ndarray:
+        """The values of the terms whose groups the masks select (bit g of
+        a mask selects group g), as a complex array in mask order.  A value
+        depends only on its own mask, bit for bit, whatever masks come with
+        it; a non-finite one raises NumericalInstability."""
+        masks = np.asarray(masks, dtype=np.int64)
         d = self._deferred
-        rows = list(range(d)) + [d + x for g in chosen for x in self._groups[g]]
-        sub = self._schur[np.ix_(rows, rows)] if chosen else self._schur[:d, :d]
-        points = len(rows) - d
-        flips = sum(self._flips[g] for g in chosen)
-        phase = (1, 1j, -1, -1j)[points // 2 % 4] * (-1) ** flips
-        value = self.amplitude * phase * self._pf * pfaffian(sub)
-        if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._groups:
+                values = self.amplitude * self._terms(masks)
+            else:  # the one term is the whole matrix: the blocked kernel
+                values = np.full(len(masks), self.amplitude * (self._pf * pfaffian(self._schur)))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            points = np.flatnonzero(masks[bad[0]] >> self._group_of & 1)
+            rows = np.concatenate([np.arange(d), d + points])
+            sub = self._schur[np.ix_(rows, rows)]
             raise NumericalInstability(
                 f"non-finite value from a {len(sub)} x {len(sub)} Pfaffian with largest "
                 f"|entry| {float(np.max(np.abs(sub), initial=0.0)):.3g} and amplitude "
                 f"{abs(self.amplitude):.3g}, after eliminating {self._eliminated} of "
                 f"{self._points} points (their Pfaffian {abs(self._pf):.3g})"
             )
-        return complex(value)
+        return values
+
+    def _terms(self, masks: np.ndarray) -> np.ndarray:
+        """phase * Pf(eliminated) * Pf(Schur[deferred + S]) of each mask, the
+        small Pfaffians gathered into stacks by size."""
+        bits = (masks[:, None] >> np.arange(len(self._groups)) & 1).astype(bool)
+        chosen = bits[:, self._group_of]  # each term's selected points, in group order
+        points = chosen.sum(axis=1)
+        phase = np.array([1, 1j, -1, -1j])[points // 2 % 4] * (-1) ** (bits @ self._flips % 2)
+        d = self._deferred
+        sizes = d + points
+        pfs = np.zeros(len(masks), dtype=complex)  # odd sizes stay 0
+        for size in np.unique(sizes[sizes % 2 == 0]):
+            terms = np.flatnonzero(sizes == size)
+            rows = np.empty((len(terms), size), dtype=int)
+            rows[:, :d] = np.arange(d)
+            rows[:, d:] = d + np.nonzero(chosen[terms])[1].reshape(len(terms), size - d)
+            step = max(1, STACK // max(size, 1) ** 2)
+            for first in range(0, len(terms), step):
+                r = rows[first:first + step]
+                pfs[terms[first:first + step]] = _pfaffians(
+                    self._schur[r[:, :, None], r[:, None, :]])
+        return phase * (self._pf * pfs)
 
 
 def evaluate_closed_fast(diag: MajoranaDiagram) -> complex:
@@ -386,4 +473,4 @@ def evaluate_closed_fast(diag: MajoranaDiagram) -> complex:
     Raises NotClosed for open diagrams and NumericalInstability when the
     assembled Pfaffian degenerates (callers may fall back to the oracle).
     """
-    return PreparedDiagram(diag).evaluate()
+    return complex(PreparedDiagram(diag).evaluate([0])[0])

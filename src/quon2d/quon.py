@@ -13,7 +13,10 @@ edit the manifold syntactically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import diagram as dg
 from . import gaussian
@@ -29,6 +32,7 @@ from .diagram import (
 from .errors import (
     BitLengthMismatch,
     HasOpenIntervals,
+    InvalidBit,
     InvalidRegion,
     InvariantViolation,
     NoEnclosingLoop,
@@ -115,15 +119,28 @@ class OpenInterval:
         return sorted(pairs)
 
 
+def basis_bits(bits) -> tuple[int, ...]:
+    """bits as a tuple of the ints 0 and 1.  Anything else (2, -1, 0.5, "1")
+    raises InvalidBit instead of being truncated or parsed."""
+    for b in bits:
+        if not (isinstance(b, (numbers.Real, np.bool_)) and b in (0, 1)):
+            raise InvalidBit(f"bits must be 0 or 1, got {b!r}")
+    return tuple(int(b) for b in bits)
+
+
 @dataclass(frozen=True)
 class BasisAssignment:
-    """Per-interval bit vectors, in the interval order used by QuonDiagram."""
+    """Per-interval bit vectors, in the interval order used by QuonDiagram;
+    each bit must be 0 or 1 (InvalidBit)."""
 
     bits: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "bits", tuple(basis_bits(g) for g in self.bits))
+
     @staticmethod
     def of(*bit_groups) -> "BasisAssignment":
-        return BasisAssignment(tuple(tuple(int(b) for b in g) for g in bit_groups))
+        return BasisAssignment(bit_groups)
 
 
 @dataclass(frozen=True)
@@ -279,7 +296,7 @@ def evaluate_closed_quon(q: QuonDiagram, use_oracle: bool = False) -> complex:
         return projection_sum(
             (evaluate_closed_oracle(expanded_core(q, s)) for s in range(1 << n)), n)
     prepared = gaussian.PreparedDiagram(q.core, [(c.time_index, c.strands) for c in cuts])
-    return projection_sum((prepared.evaluate(s) for s in range(1 << n)), n)
+    return projection_sum(prepared.evaluate(range(1 << n)), n)
 
 
 # -- basis encoders --------------------------------------------------------
@@ -301,7 +318,7 @@ def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
     The normalization 2^{-(p+1)/4} makes the p+1 pairing loops of <b|b>
     evaluate to one (1/sqrt2 in the one-qubit case).
     """
-    bits = tuple(int(b) for b in bits)
+    bits = basis_bits(bits)
     if len(bits) != interval.qubit_count:
         raise BitLengthMismatch(
             f"{len(bits)} bits for a {interval.qubit_count}-qubit interval"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from quon2d.circuits import Circuit, Gate
+
 from quon2d.diagram import (
     BraidNeg,
     BraidPos,
@@ -77,6 +79,26 @@ def embed_pattern(rng, pattern, pattern_width, max_extra=10):
         off = int(rng.integers(0, widths[t] - pattern_width + 1))
         els = host.elements[:t] + offset_elements(pattern, off) + host.elements[t:]
         return MajoranaDiagram(0, 0, els, host.amplitude), t, off
+
+
+def random_circuit(n, depth, rng, two_qubit_rate=0.45,
+                   names1=("X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-", "RZ"),
+                   names2=("XX", "CNOT", "CZ", "SWAP")):
+    """Random nearest-neighbour circuit of `depth` gates drawn from the pools."""
+    gates = []
+    for _ in range(depth):
+        if n >= 2 and rng.random() < two_qubit_rate:
+            q = int(rng.integers(0, n - 1))
+            name = names2[int(rng.integers(0, len(names2)))]
+            pair = (q, q + 1) if rng.random() < 0.5 else (q + 1, q)
+            angle = float(rng.uniform(0, 2 * np.pi)) if name == "XX" else None
+            gates.append(Gate(name, pair, angle))
+        else:
+            q = int(rng.integers(0, n))
+            name = names1[int(rng.integers(0, len(names1)))]
+            angle = float(rng.uniform(0, 2 * np.pi)) if name == "RZ" else None
+            gates.append(Gate(name, (q,), angle))
+    return Circuit(n, tuple(gates))
 
 
 @pytest.fixture

@@ -15,8 +15,10 @@ from quon2d.compiler import (
     parity_tensor_quon,
     quon_to_dense_tensor,
 )
-from quon2d.errors import NonAdjacentTwoQubitGate, TooManyLegs, UnknownGenerator
-from quon2d.quon import all_projections, count_holes
+from quon2d.errors import InvalidBit, NonAdjacentTwoQubitGate, TooManyLegs, UnknownGenerator
+from quon2d.quon import BasisAssignment, all_projections, count_holes, encode_basis
+
+from conftest import random_circuit
 
 PI = math.pi
 
@@ -29,25 +31,6 @@ ALL_GATES = [
     Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)),
     Gate("CZ", (0, 1)), Gate("SWAP", (0, 1)),
 ]
-
-
-def random_circuit(n, depth, rng, two_qubit_rate=0.45,
-                   names1=("X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-", "RZ"),
-                   names2=("XX", "CNOT", "CZ", "SWAP")):
-    gates = []
-    for _ in range(depth):
-        if n >= 2 and rng.random() < two_qubit_rate:
-            q = int(rng.integers(0, n - 1))
-            name = names2[int(rng.integers(0, len(names2)))]
-            pair = (q, q + 1) if rng.random() < 0.5 else (q + 1, q)
-            angle = float(rng.uniform(0, 2 * PI)) if name == "XX" else None
-            gates.append(Gate(name, pair, angle))
-        else:
-            q = int(rng.integers(0, n))
-            name = names1[int(rng.integers(0, len(names1)))]
-            angle = float(rng.uniform(0, 2 * PI)) if name == "RZ" else None
-            gates.append(Gate(name, (q,), angle))
-    return Circuit(n, tuple(gates))
 
 
 def test_oracle_gate_basics():
@@ -159,6 +142,38 @@ def test_random_circuit_amplitudes(rng):
         assert circuit_amplitude(c, bits_in, bits_out) == pytest.approx(
             u[row, col], abs=1e-9
         )
+
+
+def test_twelve_projection_amplitudes():
+    """2 qubits, four H/CZ/H/CNOT layers with seeded one-qubit gates
+    between them: 12 projections, 4096 terms per amplitude, more than one
+    stack for the larger term sizes."""
+    rng = np.random.default_rng(12)
+    gates = []
+    for _ in range(4):
+        for gate in (Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("H", (1,)), Gate("CNOT", (0, 1))):
+            name = ("S", "X", "RZ", "RXQ+", "Y")[int(rng.integers(0, 5))]
+            angle = float(rng.uniform(0, 2 * PI)) if name == "RZ" else None
+            gates += [gate, Gate(name, (int(rng.integers(0, 2)),), angle)]
+    c = Circuit(2, tuple(gates))
+    assert len(all_projections(compile_circuit(c))) == 12
+    u = circuit_oracle_unitary(c)
+    for col, row in enumerate(rng.integers(0, 4, 4)):
+        bits_in, bits_out = (col >> 1, col & 1), (int(row) >> 1, int(row) & 1)
+        assert abs(circuit_amplitude(c, bits_in, bits_out) - u[row, col]) <= 1e-9
+
+
+def test_basis_bits_must_be_0_or_1():
+    c = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))
+    assert abs(circuit_amplitude(c, (True, 0.0), (1, np.int64(1))) + 0.5 ** 0.5) <= 1e-12
+    for bits_in, bits_out in (((2, 0), (0, 0)), ((0.5, 0), (0, 0)), ((0, 0), (0, -1)),
+                              (("1", 0), (0, 0)), ((0, 0), (1.5, 1))):
+        with pytest.raises(InvalidBit, match="bits must be 0 or 1"):
+            circuit_amplitude(c, bits_in, bits_out)
+    q = compile_circuit(Circuit(1, (Gate("H", (0,)),)))
+    for bits in (((2,), (0,)), ((0,), (-1,)), ((0.5,), (0,))):
+        with pytest.raises(InvalidBit, match="bits must be 0 or 1"):
+            encode_basis(q, BasisAssignment(bits))
 
 
 # -- generating tensors -------------------------------------------------------

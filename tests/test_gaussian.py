@@ -5,20 +5,30 @@ import numpy as np
 import pytest
 
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
-from quon2d.errors import NotClosed, NumericalInstability
+from quon2d.errors import NotClosed, NumericalInstability, TooLarge
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import (
     DEFER_TOL,
+    MAX_GROUPS,
     PANEL,
     PreparedDiagram,
     _eliminate,
     evaluate_closed_fast,
     pfaffian,
 )
+from quon2d.compiler import compile_circuit
 from quon2d.ising import IsingLattice, build_ising_quon, partition_oracle
-from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon, expanded_core
+from quon2d.quon import (
+    BasisAssignment,
+    ParityCut,
+    QuonDiagram,
+    all_projections,
+    encode_basis,
+    evaluate_closed_quon,
+    expanded_core,
+)
 
-from conftest import random_closed_diagram
+from conftest import random_circuit, random_closed_diagram
 
 
 def pfaffian_recursive(a):
@@ -132,7 +142,7 @@ def test_prepared_diagram_matches_expansion(rng):
             continue
         k = 2 * int(rng.integers(1, w // 2 + 1))
         strands = tuple(sorted(rng.choice(w, size=k, replace=False).tolist()))
-        prep = PreparedDiagram(d, [(t, strands)]).evaluate(1)
+        prep = PreparedDiagram(d, [(t, strands)]).evaluate([1])[0]
         ref = evaluate_closed_oracle(
             expanded_core(QuonDiagram(d, (ParityCut(t, strands),)), 1)
         )
@@ -168,10 +178,86 @@ def test_prepared_diagram_with_singular_core():
     for t, strands in ((2, (0, 3)), (3, (0, 2)), (4, (1, 2))):
         prepared = PreparedDiagram(d, [(t, strands)])
         expanded = QuonDiagram(d, (ParityCut(t, strands),))
-        for subset in (0, 1):
+        for subset, got in enumerate(prepared.evaluate([0, 1])):
             want = evaluate_closed_oracle(expanded_core(expanded, subset))
-            assert abs(prepared.evaluate(subset) - want) <= 1e-12
+            assert abs(got - want) <= 1e-12
         assert abs(evaluate_closed_oracle(expanded_core(expanded, 1))) > 0.1
+
+
+def random_groups(rng, d, count):
+    """Point groups in time order: parity strings and single encoder-like
+    dots, so that terms select odd as well as even numbers of points."""
+    widths = d.widths()
+    groups = []
+    for _ in range(count):
+        t = int(rng.integers(0, len(d.elements) + 1))
+        if widths[t] == 0:
+            continue
+        size = 1 if rng.random() < 0.4 else 2 * int(rng.integers(1, widths[t] // 2 + 1))
+        strands = tuple(sorted(rng.choice(widths[t], size=min(size, widths[t]),
+                                          replace=False).tolist()))
+        groups.append((t, strands))
+    return sorted(groups)
+
+
+def per_term(prepared, mask):
+    """One term as its own principal sub-Pfaffian of the Schur complement."""
+    d = prepared._deferred
+    chosen = [g for g in range(len(prepared._groups)) if mask >> g & 1]
+    rows = list(range(d)) + [d + x for g in chosen for x in prepared._groups[g]]
+    points = len(rows) - d
+    flips = sum(int(prepared._flips[g]) for g in chosen)
+    phase = (1, 1j, -1, -1j)[points // 2 % 4] * (-1) ** flips
+    return prepared.amplitude * phase * prepared._pf * pfaffian(prepared._schur[np.ix_(rows, rows)])
+
+
+def clifford_cores(rng, count):
+    """Closed cores of Clifford circuits with their projections: exactly
+    singular, so core rows are deferred."""
+    while count:
+        c = random_circuit(int(rng.integers(2, 4)), 6, rng, two_qubit_rate=0.4,
+                           names1=("H", "S", "X", "Z"), names2=("CZ", "CNOT"))
+        q = compile_circuit(c)
+        zeros = BasisAssignment(tuple((0,) * iv.qubit_count for iv in q.open_intervals))
+        closed = encode_basis(q, zeros)
+        cuts = all_projections(closed)
+        if len(cuts) <= 6:
+            count -= 1
+            yield closed.core, [(cut.time_index, cut.strands) for cut in cuts]
+
+
+def test_batched_terms_equal_per_term_pfaffians(rng):
+    """Every mask, mask 0 and odd selections included: the batched value is
+    the term's own sub-Pfaffian, and bit for bit the same whatever masks it
+    is evaluated with and in whatever order."""
+    cases = [(d, random_groups(rng, d, int(rng.integers(1, 7))))
+             for d in (random_closed_diagram(rng, max_width=10, max_elems=30) for _ in range(40))]
+    cases += list(clifford_cores(rng, 8))
+    deferred = 0
+    for d, groups in cases:
+        prepared = PreparedDiagram(d, groups)
+        deferred += prepared._deferred > 0
+        masks = list(range(1 << len(groups)))
+        values = prepared.evaluate(masks)
+        for mask, got in zip(masks, values):
+            want = per_term(prepared, mask)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        def bits(v):
+            return np.ascontiguousarray(v).view(np.uint64)
+
+        assert np.array_equal(bits(prepared.evaluate(masks[::-1])[::-1]), bits(values))
+        for mask in masks:
+            assert np.array_equal(bits(prepared.evaluate([mask])), bits(values[[mask]]))
+        subset = rng.permutation(masks)[:max(1, len(masks) // 3)]
+        assert np.array_equal(bits(prepared.evaluate(subset)), bits(values[subset]))
+    assert deferred >= 8
+
+
+def test_groups_beyond_a_mask_are_refused():
+    loop, group = MajoranaDiagram.loop(), (1, (0, 1))
+    assert PreparedDiagram(loop, [group] * MAX_GROUPS).evaluate([0]) == pytest.approx(2 ** 0.5)
+    with pytest.raises(TooLarge, match="at most 63"):
+        PreparedDiagram(loop, [group] * (MAX_GROUPS + 1))
 
 
 def test_scaling_smoke():
@@ -206,3 +292,17 @@ def test_non_finite_value_reports_the_pfaffian():
     d = MajoranaDiagram(0, 0, (Cap(0), DotPair(0, 1), Cup(0)), 1.5e308)
     with pytest.raises(NumericalInstability, match=r"2 x 2 Pfaffian with largest \|entry\| 1"):
         evaluate_closed_fast(d)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_term_in_a_batch_reports_the_first():
+    """Only the terms that overflow are non-finite; the error names the first
+    of them in mask order, and no NumPy warning escapes."""
+    d = MajoranaDiagram(0, 0, (Cap(0), Cap(2), Scattering(1, 0.3), Cup(2), Cup(0)), 1e308)
+    prepared = PreparedDiagram(d, [(3, (1, 2)), (3, (0, 3))])  # |terms| 1.98, 0.30, 0.30, 1.98
+    assert np.all(np.isfinite(prepared.evaluate([1, 2])))
+    facts = r"with largest \|entry\| {} and amplitude [0-9.e+]+, after eliminating 2 of 6 points"
+    with pytest.raises(NumericalInstability, match=r"a 4 x 4 Pfaffian " + facts.format(r"[0-9.]+")):
+        prepared.evaluate([1, 2, 3, 0])
+    with pytest.raises(NumericalInstability, match=r"a 0 x 0 Pfaffian " + facts.format("0")):
+        prepared.evaluate([1, 0, 3])

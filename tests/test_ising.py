@@ -17,7 +17,8 @@ from quon2d.ising import (
     star_triangle_oracle,
     star_triangle_solve,
 )
-from quon2d.quon import evaluate_closed_quon
+from quon2d.gaussian import PreparedDiagram
+from quon2d.quon import all_projections, evaluate_closed_quon
 
 
 def test_partition_oracle_basics():
@@ -113,6 +114,18 @@ def test_kw_chain_5x5_keeps_its_value():
     first = evaluate_closed_quon(steps[0])
     for step in steps[1:]:
         assert abs(evaluate_closed_quon(step) - first) <= 1e-9 * abs(first)
+
+
+def test_string_hole_terms_vanish_exactly():
+    """Each string-hole cut of a 9-cut step puts one point on its fresh loop,
+    whose Schur row is exactly zero: every term selecting one comes out 0."""
+    steps, _ = kw_rewrite_chain(IsingLattice.square(5, 5, 0.4))
+    q = steps[9]
+    cuts = all_projections(q)
+    assert len(cuts) == 9
+    prepared = PreparedDiagram(q.core, [(c.time_index, c.strands) for c in cuts])
+    terms = prepared.evaluate(range(512))
+    assert np.count_nonzero(terms == 0) == 511 and terms[0] != 0
 
 
 def test_kw_chain_final_angles_are_dual():
