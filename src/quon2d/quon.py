@@ -120,8 +120,13 @@ class OpenInterval:
 
 
 def basis_bits(bits) -> tuple[int, ...]:
-    """bits as a tuple of the ints 0 and 1.  Anything else (2, -1, 0.5, "1")
-    raises InvalidBit instead of being truncated or parsed."""
+    """bits as a tuple of the ints 0 and 1.  Anything else (2, -1, 0.5, "1",
+    or bits that are not a sequence) raises InvalidBit instead of being
+    truncated or parsed."""
+    try:
+        bits = tuple(bits)
+    except TypeError:
+        raise InvalidBit(f"bits must be a sequence of 0s and 1s, got {bits!r}") from None
     for b in bits:
         if not (isinstance(b, (numbers.Real, np.bool_)) and b in (0, 1)):
             raise InvalidBit(f"bits must be 0 or 1, got {b!r}")

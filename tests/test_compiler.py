@@ -174,6 +174,8 @@ def test_basis_bits_must_be_0_or_1():
     for bits in (((2,), (0,)), ((0,), (-1,)), ((0.5,), (0,))):
         with pytest.raises(InvalidBit, match="bits must be 0 or 1"):
             encode_basis(q, BasisAssignment(bits))
+    with pytest.raises(InvalidBit, match="bits must be a sequence"):
+        BasisAssignment((0, 1))
 
 
 # -- generating tensors -------------------------------------------------------

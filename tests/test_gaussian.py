@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
 from quon2d.errors import NotClosed, NumericalInstability, TooLarge
 from quon2d.fock import evaluate_closed_oracle
@@ -16,7 +17,6 @@ from quon2d.gaussian import (
     evaluate_closed_fast,
     pfaffian,
 )
-from quon2d.compiler import compile_circuit
 from quon2d.ising import IsingLattice, build_ising_quon, partition_oracle
 from quon2d.quon import (
     BasisAssignment,
@@ -226,6 +226,10 @@ def clifford_cores(rng, count):
             yield closed.core, [(cut.time_index, cut.strands) for cut in cuts]
 
 
+def raw_bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
 def test_batched_terms_equal_per_term_pfaffians(rng):
     """Every mask, mask 0 and odd selections included: the batched value is
     the term's own sub-Pfaffian, and bit for bit the same whatever masks it
@@ -242,14 +246,11 @@ def test_batched_terms_equal_per_term_pfaffians(rng):
         for mask, got in zip(masks, values):
             want = per_term(prepared, mask)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        def bits(v):
-            return np.ascontiguousarray(v).view(np.uint64)
-
-        assert np.array_equal(bits(prepared.evaluate(masks[::-1])[::-1]), bits(values))
+        assert np.array_equal(raw_bits(prepared.evaluate(masks[::-1])[::-1]), raw_bits(values))
         for mask in masks:
-            assert np.array_equal(bits(prepared.evaluate([mask])), bits(values[[mask]]))
+            assert np.array_equal(raw_bits(prepared.evaluate([mask])), raw_bits(values[[mask]]))
         subset = rng.permutation(masks)[:max(1, len(masks) // 3)]
-        assert np.array_equal(bits(prepared.evaluate(subset)), bits(values[subset]))
+        assert np.array_equal(raw_bits(prepared.evaluate(subset)), raw_bits(values[subset]))
     assert deferred >= 8
 
 
