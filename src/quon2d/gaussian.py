@@ -376,13 +376,13 @@ class PreparedDiagram:
     """
 
     def __init__(self, diag: MajoranaDiagram, groups=()):
+        if len(groups) > MAX_GROUPS:
+            raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
         self.amplitude, points, mus, geom = assemble_frontier(diag)
         labels = geom.trace.worldline_labels() if groups else []
         core = sorted(points, key=lambda p: p.time)
         extras: list[_Point] = []
         self._groups: list[range] = []
-        if len(groups) > MAX_GROUPS:
-            raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
         for time_index, strands in groups:
             slice_now = geom.trace.slices[time_index]
             first = len(extras)
