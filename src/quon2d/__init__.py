@@ -32,7 +32,6 @@ from .quon import (
     OpenInterval,
     ParityCut,
     QuonDiagram,
-    count_holes,
     encode_basis,
     evaluate_closed_quon,
     string_genus,

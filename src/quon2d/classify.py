@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .errors import NoEnclosingLoop, NotMatchgate, RankTooLarge, TooLarge, UntaggedTensor
-from .quon import QuonDiagram, string_genus
+from .errors import NotMatchgate, RankTooLarge, TooLarge, UntaggedTensor
+from .quon import QuonDiagram, remove_holes_to_fixpoint
 from .wires import WireTrace
 
 _PI = math.pi
@@ -67,22 +67,6 @@ def classify(q: QuonDiagram, cleanup: bool = True) -> ClassReport:
         generic_scattering_count=generic,
     boundary_tracking_ok=tracking,
     )
-
-
-def remove_holes_to_fixpoint(q: QuonDiagram) -> QuonDiagram:
-    """Apply string-genus removals in syntactic-pattern order until stuck."""
-    current = q
-    progress = True
-    while progress and current.parity_cuts:
-        progress = False
-        for hole_id in range(len(current.parity_cuts)):
-            try:
-                current = string_genus(current, hole_id, "remove")
-                progress = True
-                break
-            except NoEnclosingLoop:
-                continue
-    return current
 
 
 # -- matchgate identity ------------------------------------------------------

@@ -12,7 +12,6 @@ import sys
 
 from . import __version__
 from .circuits import Circuit, Gate
-from .diagram import BraidNeg, BraidPos, Scattering, is_generic_angle
 from .errors import InvariantViolation, ParseError, Quon2dError
 from .quon import QuonDiagram, evaluate_closed_quon
 from .rewrite import ReidemeisterII, RewriteSite, ScatteringReduce, apply_rule
@@ -58,36 +57,25 @@ def parse_circuit_text(text: str) -> Circuit:
 
 
 def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
-    """String-genus removals, Reidemeister II cancellations, and k*pi/2
-    scattering reductions, to fixpoint."""
+    """String-genus removals, k*pi/2 scattering reductions and Reidemeister
+    II cancellations, to fixpoint.  Each pass removes the holes it can, then
+    applies the first rule that matches anywhere, at its first match."""
     from .classify import remove_holes_to_fixpoint
 
-    changed = True
-    while changed:
-        changed = False
+    rules = (ScatteringReduce(), ReidemeisterII())
+    while True:
         cleaned = remove_holes_to_fixpoint(q)
-        if cleaned.hole_count() != q.hole_count():
+        removed = cleaned.hole_count() != q.hole_count()
+        if removed:
             q = cleaned
-            changed = True
-        core = q.core
-        for i, el in enumerate(core.elements):
-            if isinstance(el, Scattering) and not is_generic_angle(el.theta):
-                try:
-                    core = apply_rule(core, ScatteringReduce(), RewriteSite.at(i))
-                    changed = True
-                    break
-                except Quon2dError:
-                    continue
-        if changed and core is not q.core:
-            q = q.splice(i, 1, core)
-            continue
-        for i in range(len(core.elements) - 1):
-            a, b = core.elements[i], core.elements[i + 1]
-            if isinstance(a, (BraidPos, BraidNeg)) and b == a.dagger():
-                q = q.splice(i, 2, apply_rule(core, ReidemeisterII(), RewriteSite.at(i)))
-                changed = True
-                break
-    return q
+        els = q.core.elements
+        hit = next(((rule, i, found[0]) for rule in rules for i in range(len(els))
+                    if (found := rule.rewrite(els, i)) is not None), None)
+        if hit is not None:
+            rule, i, count = hit
+            q = q.splice(i, count, apply_rule(q.core, rule, RewriteSite.at(i)))
+        elif not removed:
+            return q
 
 
 def _bits(text: str) -> tuple[int, ...]:

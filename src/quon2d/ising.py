@@ -227,15 +227,11 @@ def kw_rewrite_chain(lattice: IsingLattice):
             current = string_genus(current, 0, "insert", region=(cols, 1))
             steps.append(current)
 
-    # space-time duality on every edge scattering
-    while True:
-        site = None
-        for i, el in enumerate(current.core.elements):
-            if isinstance(el, ScatteringStar) and el.orientation == VERTICAL:
-                site = i
-                break
-        if site is None:
-            break
+    # space-time duality on every edge scattering; the rule replaces one
+    # element by one, so the sites found up front stay valid
+    sites = [i for i, el in enumerate(current.core.elements)
+             if isinstance(el, ScatteringStar) and el.orientation == VERTICAL]
+    for site in sites:
         current = current.splice(
             site, 1, apply_rule(current.core, SpaceTimeDual(), RewriteSite.at(site)))
         steps.append(current)
@@ -309,9 +305,13 @@ class StarTriangleSolution:
 
 def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSolution:
     """Find (v1, v2, v3, R) with star(u) = R * triangle(v) on all 8
-    components; raises Singular on the measure-zero degenerate set."""
+    components; raises Singular on the measure-zero degenerate set and
+    InvariantViolation for a coupling that is not finite."""
     from scipy.optimize import least_squares
 
+    for name, u in (("u1", u1), ("u2", u2), ("u3", u3)):
+        if not cmath.isfinite(u):
+            raise InvariantViolation(f"coupling {name} = {u} is not finite")
     star = star_triangle_oracle((u1, u2, u3), "star")
     scale = float(np.max(np.abs(star)))
     if scale < 1e-14:

@@ -152,7 +152,7 @@ class BasisAssignment:
 class QuonDiagram:
     """Majorana core + manifold data.
 
-    parity_cuts are the genuine holes (they set count_holes and the
+    parity_cuts are the genuine holes (they set hole_count and the
     classification); notches are the automatically imposed boundary
     projections from gate/mouth gluings - same (1+P)/2 semantics in the
     evaluator, but not holes of the manifold.
@@ -238,10 +238,6 @@ class QuonDiagram:
             frozenset((retimed(t), pos) for t, pos in self.boundary_tracking),
             cuts(self.notches),
         )
-
-
-def count_holes(q: QuonDiagram) -> int:
-    return q.hole_count()
 
 
 # -- hole expansion evaluation --------------------------------------------
@@ -382,11 +378,11 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
 # -- manifold rewrites -----------------------------------------------------
 
 
-def _quiet_loop_of_cut(q: QuonDiagram, cut: ParityCut):
-    """Find a closed quiet worldline enclosing the cut: exactly one of the
-    cut's strands lies on the loop at the cut's slice and the rest sit on one
-    side of it.  Returns (trace, loop segment ids, its elements' indices)."""
-    trace = WireTrace(q.core)
+def _quiet_loop_of_cut(q: QuonDiagram, trace: WireTrace, cut: ParityCut):
+    """Find a closed quiet worldline enclosing the cut in `trace`, q.core's
+    trace: exactly one of the cut's strands lies on the loop at the cut's
+    slice and the rest sit on one side of it.  Returns (loop segment ids,
+    its elements' indices), or None."""
     slice_now = trace.slices[cut.time_index]
     cut_segs = [slice_now[s] for s in cut.strands]
     other_cut_strands = set()
@@ -406,11 +402,11 @@ def _quiet_loop_of_cut(q: QuonDiagram, cut: ParityCut):
         rest = [s for s in cut.strands if s != on_loop[0]]
         lo, hi = min(loop_positions), max(loop_positions)
         if all(s < lo for s in rest) or all(s > hi for s in rest):
-            elem_indices = sorted(
+            elem_indices = (
                 {trace.turns[trace.segments[sid].birth_turn].elem_index for sid in group}
                 | {trace.turns[trace.segments[sid].death_turn].elem_index for sid in group}
             )
-            return trace, group, elem_indices
+            return group, elem_indices
     return None
 
 
@@ -475,12 +471,11 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
     if direction == "remove":
         if not 0 <= hole_id < len(q.parity_cuts):
             raise NoEnclosingLoop(f"no hole {hole_id}")
-        cut = q.parity_cuts[hole_id]
-        found = _quiet_loop_of_cut(q, cut)
+        trace = WireTrace(q.core)
+        found = _quiet_loop_of_cut(q, trace, q.parity_cuts[hole_id])
         if found is None:
             raise NoEnclosingLoop(f"hole {hole_id} has no isolated enclosing loop")
-        trace, group, elem_indices = found
-        return _delete_worldline(q, trace, group, set(elem_indices), hole_id)
+        return _delete_worldline(q, trace, *found, hole_id)
 
     if direction != "insert":
         raise ValueError(f"direction {direction!r}")
@@ -498,6 +493,22 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
     spliced = q.splice(t, 0, core)
     inserted = ParityCut(t + 1, tuple(range(p)) + (p,))
     return replace(spliced, parity_cuts=spliced.parity_cuts + (inserted,))
+
+
+def remove_holes_to_fixpoint(q: QuonDiagram) -> QuonDiagram:
+    """Apply string-genus removals in syntactic-pattern order until stuck:
+    each pass reads one WireTrace and removes the first hole that has an
+    isolated enclosing loop."""
+    while q.parity_cuts:
+        trace = WireTrace(q.core)
+        for hole_id, cut in enumerate(q.parity_cuts):
+            found = _quiet_loop_of_cut(q, trace, cut)
+            if found is not None:
+                break
+        else:
+            break
+        q = _delete_worldline(q, trace, *found, hole_id)
+    return q
 
 
 def swap_hole_remove(q: QuonDiagram, hole_id: int) -> QuonDiagram:

@@ -16,6 +16,16 @@ calibration tests) rather than transcribed from figures:
   loop factor sqrt(2) (the horizontal primitive carries the cup/cap
   normalization), so the applied scalar is sqrt(2)*A.
 
+Each rule is a frozen dataclass (a RewriteRule) whose one method,
+`rewrite(els, *indices)`, holds both its match and its replacement: it
+returns (count, replacement, scalar) when its pattern is at the site and
+None when it is not, so a caller can scan for the first matching index
+without catching anything.  A rule raises only when its pattern matches but
+the move has no value-preserving result (SingularAngle, NoSolution,
+NumericalInstability).  `apply_rule` checks the site's indices, calls the
+rule once, raises one PatternMismatch naming the rule, the index and the
+pattern it needs, and splices the replacement into the diagram.
+
 The Yang-Baxter solver works in the two-dimensional spinor representation
 (the three-strand scatterings generate a complexified SU(2)); solutions are
 verified as 8x8 operators by the tests.
@@ -73,86 +83,254 @@ class RewriteSite:
         return RewriteSite(tuple(indices))
 
 
-@dataclass(frozen=True)
-class DotRelocateCapCup:
-    pass
+class RewriteRule:
+    """A value-preserving local move (see the module docstring): a site
+    holds ARITY element indices, and PATTERN names what `rewrite` matches."""
+
+    ARITY = 1
+    PATTERN = ""
 
 
 @dataclass(frozen=True)
-class ReidemeisterI:
+class DotRelocateCapCup(RewriteRule):
+    """Site (dot index, cap/cup index)."""
+
+    ARITY = 2
+    PATTERN = "a dot on an arm of the cap just before it or of the cup just after it"
+
+    def rewrite(self, els, di, ci):
+        dot, other = els[di], els[ci]
+        if not isinstance(dot, Dot):
+            return None
+        if isinstance(other, Cap) and ci == di - 1:
+            sign = 1
+        elif isinstance(other, Cup) and ci == di + 1:
+            sign = -1
+        else:
+            return None
+        if dot.j == other.j:  # left arm -> right arm
+            return 1, (Dot(other.j + 1),), sign * 1j
+        if dot.j == other.j + 1:
+            return 1, (Dot(other.j),), -sign * 1j
+        return None
+
+
+@dataclass(frozen=True)
+class ReidemeisterI(RewriteRule):
     writhe: int = 1  # +1 removes a positive-braid kink, -1 a negative one
 
+    PATTERN = "a cap, a braid of the writhe's sign on a strand next to it, and the cup closing it"
 
-@dataclass(frozen=True)
-class ReidemeisterII:
-    pass
-
-
-@dataclass(frozen=True)
-class ReidemeisterIII:
-    pass
-
-
-@dataclass(frozen=True)
-class DotThroughBraid:
-    pass
-
-
-@dataclass(frozen=True)
-class BraidTypeSwitch:
-    pass
+    def rewrite(self, els, i):
+        if i + 3 > len(els):
+            return None
+        cap, braid, cup = els[i:i + 3]
+        if not (isinstance(cap, Cap) and isinstance(cup, Cup) and cap.j == cup.j
+                and braid.j in (cap.j - 1, cap.j + 1)):
+            return None
+        if isinstance(braid, BraidPos) and self.writhe == 1:
+            return 3, (), RULE_SCALARS["kink_pos"]
+        if isinstance(braid, BraidNeg) and self.writhe == -1:
+            return 3, (), RULE_SCALARS["kink_neg"]
+        return None
 
 
 @dataclass(frozen=True)
-class ScatteringReduce:
-    pass
+class ReidemeisterII(RewriteRule):
+    PATTERN = "a braid followed by its inverse at the same position"
+
+    def rewrite(self, els, i):
+        if i + 1 < len(els) and isinstance(els[i], (BraidPos, BraidNeg)) \
+                and els[i + 1] == els[i].dagger():
+            return 2, (), 1.0
+        return None
 
 
 @dataclass(frozen=True)
-class YangBaxter:
-    phis: Optional[tuple[complex, complex, complex]] = None  # solved if omitted
+class ReidemeisterIII(RewriteRule):
+    PATTERN = "three braids of one sign at alternating positions j, j +- 1, j"
+
+    def rewrite(self, els, i):
+        if i + 3 > len(els):
+            return None
+        b1, b2, b3 = els[i:i + 3]
+        kind = type(b1)
+        if kind not in (BraidPos, BraidNeg) or type(b2) is not kind or type(b3) is not kind \
+                or b1.j != b3.j or abs(b2.j - b1.j) != 1:
+            return None
+        return 3, (kind(b2.j), kind(b1.j), kind(b2.j)), 1.0
 
 
 @dataclass(frozen=True)
-class SpaceTimeDual:
-    pass
+class DotThroughBraid(RewriteRule):
+    PATTERN = "a dot on one of the strands of the braid after it"
+
+    def rewrite(self, els, i):
+        if i + 2 > len(els):
+            return None
+        dot, braid = els[i:i + 2]
+        if not isinstance(dot, Dot) or not isinstance(braid, (BraidPos, BraidNeg)):
+            return None
+        sign = 1 if isinstance(braid, BraidPos) else -1
+        if dot.j == braid.j:
+            return 2, (braid, Dot(braid.j + 1)), sign
+        if dot.j == braid.j + 1:
+            return 2, (braid, Dot(braid.j)), -sign
+        return None
 
 
 @dataclass(frozen=True)
-class DotPassScattering:
-    pass
+class BraidTypeSwitch(RewriteRule):
+    PATTERN = "a braid"
+
+    def rewrite(self, els, i):
+        el = els[i]
+        if isinstance(el, BraidPos):
+            scalar = RULE_SCALARS["braid_switch_pos_to_neg"]
+        elif isinstance(el, BraidNeg):
+            scalar = RULE_SCALARS["braid_switch_neg_to_pos"]
+        else:
+            return None
+        return 1, (el.dagger(), DotPair(el.j, el.j + 1)), scalar
 
 
 @dataclass(frozen=True)
-class DotAbsorbScattering:
-    pass
+class ScatteringReduce(RewriteRule):
+    PATTERN = "a scattering at a multiple of pi/2 (a horizontal one at 0)"
+
+    def rewrite(self, els, i):
+        el = els[i]
+        if not isinstance(el, (Scattering, ScatteringStar)):
+            return None
+        theta = el.angle()
+        if is_generic_angle(theta):
+            return None
+        k = round(theta.real / (_PI / 2)) % 4
+        if el.orientation != VERTICAL:
+            return (1, (Cup(el.j), Cap(el.j)), 1.0) if k == 0 else None
+        if k == 0:
+            return 1, (), 1.0
+        if k == 2:
+            return 1, (DotPair(el.j, el.j + 1),), 1.0
+        if k == 3:  # theta = -pi/2
+            return 1, (BraidPos(el.j),), RULE_SCALARS["scatter_to_braid_pos"]
+        return 1, (BraidNeg(el.j),), RULE_SCALARS["scatter_to_braid_neg"]
 
 
 @dataclass(frozen=True)
-class CommuteDistantElements:
-    pass
+class YangBaxter(RewriteRule):
+    """The partner angles come from `solve_yang_baxter_full`."""
+
+    PATTERN = "three vertical scatterings or braids at alternating positions j, j +- 1, j"
+
+    def rewrite(self, els, i):
+        if i + 3 > len(els):
+            return None
+        e1, e2, e3 = els[i:i + 3]
+        parts = [_as_vertical_scattering(el) for el in (e1, e2, e3)]
+        if None in parts or e1.j != e3.j or abs(e2.j - e1.j) != 1:
+            return None
+        (t1, f1), (t2, f2), (t3, f3) = parts
+        (p1, p2, p3), scalar = solve_yang_baxter_full(t1, t2, t3)
+        repl = (Scattering(e2.j, p1), Scattering(e1.j, p2), Scattering(e2.j, p3))
+        return 3, repl, f1 * f2 * f3 * scalar
 
 
 @dataclass(frozen=True)
-class PairDotsToBraids:
-    pass
+class SpaceTimeDual(RewriteRule):
+    PATTERN = "a scattering"
+
+    def rewrite(self, els, i):
+        el = els[i]
+        if not isinstance(el, (Scattering, ScatteringStar)):
+            return None
+        a, phi = spacetime_dual(el)
+        flipped = VERTICAL if el.orientation != VERTICAL else HORIZONTAL
+        dual = (Scattering(el.j, phi, flipped) if isinstance(el, Scattering)
+                else ScatteringStar(el.j, 1j * phi, flipped))
+        return 1, (dual,), RULE_SCALARS["spacetime_loop_factor"] * a
 
 
-RewriteRule = (
-    DotRelocateCapCup
-    | ReidemeisterI
-    | ReidemeisterII
-    | ReidemeisterIII
-    | DotThroughBraid
-    | BraidTypeSwitch
-    | ScatteringReduce
-    | YangBaxter
-    | SpaceTimeDual
-    | DotPassScattering
-    | DotAbsorbScattering
-    | CommuteDistantElements
-    | PairDotsToBraids
-)
+@dataclass(frozen=True)
+class DotPassScattering(RewriteRule):
+    PATTERN = "a dot on one of the strands of the vertical scattering after it"
+
+    def rewrite(self, els, i):
+        if i + 2 > len(els):
+            return None
+        dot, sc = els[i:i + 2]
+        if not isinstance(dot, Dot) or not isinstance(sc, Scattering) \
+                or sc.orientation != VERTICAL:
+            return None
+        if dot.j == sc.j:
+            moved, sign = Dot(sc.j + 1), 1j
+        elif dot.j == sc.j + 1:
+            moved, sign = Dot(sc.j), -1j
+        else:
+            return None
+        return 2, (Scattering(sc.j, _PI - complex(sc.theta)), moved), sign * sc.exponential()
+
+
+@dataclass(frozen=True)
+class DotAbsorbScattering(RewriteRule):
+    PATTERN = "a dot pair on the two strands of the vertical scattering after it"
+
+    def rewrite(self, els, i):
+        if i + 2 > len(els):
+            return None
+        pair, sc = els[i:i + 2]
+        if not (isinstance(pair, DotPair) and isinstance(sc, Scattering)
+                and sc.orientation == VERTICAL and pair.j == sc.j and pair.k == sc.j + 1):
+            return None
+        return 2, (Scattering(sc.j, complex(sc.theta) + _PI),), 1.0
+
+
+@dataclass(frozen=True)
+class CommuteDistantElements(RewriteRule):
+    PATTERN = "two adjacent elements, neither a lone dot, on disjoint strands"
+
+    def rewrite(self, els, i):
+        if i + 2 > len(els):
+            return None
+        first, second = els[i:i + 2]
+        if isinstance(first, Dot) or isinstance(second, Dot):
+            return None  # a lone dot is parity-odd and does not commute freely
+
+        # `second` back through `first`, to the slice before `first`
+        back = _points(second)
+        if isinstance(first, Cap):
+            # no strand read off the cap's pair, and no cap inside the pair
+            taken = (first.j + 1,) if isinstance(second, Cap) else (first.j, first.j + 1)
+            if any(p in taken for p in back):
+                return None
+            back = [p - 2 if p >= first.j + 2 else p for p in back]
+        elif isinstance(first, Cup):
+            back = [p + 2 if p >= first.j else p for p in back]
+        new_second = _moved(second, back)
+        # disjoint strands in the slice before `first`; a cap reads none
+        if new_second is None or not isinstance(first, Cap) and not isinstance(new_second, Cap) \
+                and set(first.positions()) & set(new_second.positions()):
+            return None
+
+        # `first` forward through `new_second`
+        forward = _points(first)
+        if isinstance(new_second, Cap):
+            forward = [p + 2 if p >= new_second.j else p for p in forward]
+        elif isinstance(new_second, Cup):
+            forward = [p - 2 if p >= new_second.j + 2 else p for p in forward]
+        new_first = _moved(first, forward)
+        return None if new_first is None else (2, (new_second, new_first), 1.0)
+
+
+@dataclass(frozen=True)
+class PairDotsToBraids(RewriteRule):
+    PATTERN = "a dot pair on adjacent strands"
+
+    def rewrite(self, els, i):
+        el = els[i]
+        if not (isinstance(el, DotPair) and el.k == el.j + 1):
+            return None
+        return 1, (BraidPos(el.j), BraidPos(el.j)), RULE_SCALARS["pair_dots_to_braids"]
 
 
 # -- Table II expansions -------------------------------------------------
@@ -380,255 +558,48 @@ def _yang_baxter_numeric(target: np.ndarray, seed_thetas):
 # -- rule application -----------------------------------------------------
 
 
-def _replace(diag: MajoranaDiagram, start: int, count: int,
-             repl: tuple[Element, ...], scalar: complex) -> MajoranaDiagram:
-    els = diag.elements[:start] + repl + diag.elements[start + count:]
-    return MajoranaDiagram(diag.width_in, diag.width_out, els,
-                           diag.amplitude * scalar)
-
-
-def _as_vertical_scattering(el: Element) -> tuple[complex, complex]:
-    """(theta, amplitude factor) turning the element into Scattering(theta)."""
+def _as_vertical_scattering(el: Element):
+    """(theta, amplitude factor) turning the element into Scattering(theta),
+    or None when it is neither a vertical scattering nor a braid."""
     if isinstance(el, Scattering) and el.orientation == VERTICAL:
         return complex(el.theta), 1.0
     if isinstance(el, BraidPos):
         return -_PI / 2, cmath.exp(1j * _PI / 8)
     if isinstance(el, BraidNeg):
         return _PI / 2, cmath.exp(-1j * _PI / 8)
-    raise PatternMismatch(f"{el!r} is not a vertical scattering")
+    return None
+
+
+def _points(el: Element) -> tuple[int, ...]:
+    """Where an element sits on its slice: a cap's insertion point, or the
+    strands any other element reads."""
+    return (el.j,) if isinstance(el, Cap) else el.positions()
+
+
+def _moved(el: Element, points) -> Optional[Element]:
+    """`el` at `points` (as `_points` lists them), or None when the element
+    cannot take them: two-strand elements whose strands were split apart."""
+    new = el.moved(points)
+    return new if _points(new) == tuple(points) else None
 
 
 def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> MajoranaDiagram:
-    """Apply `rule` at `site`; raises PatternMismatch when the local pattern
-    does not match the rule's left-hand side.  Closed-diagram value is
-    preserved exactly (up to the documented float tolerance)."""
+    """Apply `rule` at `site`; raises PatternMismatch when a site index is
+    out of range or the local pattern does not match the rule's left-hand
+    side.  Closed-diagram value is preserved exactly (up to the documented
+    float tolerance)."""
     els = diag.elements
-    i = site.indices[0]
-    if not 0 <= i < len(els):
-        raise PatternMismatch(f"element index {i} out of range")
-
-    if isinstance(rule, DotRelocateCapCup):
-        if len(site.indices) != 2:
-            raise PatternMismatch("site needs (dot index, cap/cup index)")
-        di, ci = site.indices
-        if abs(di - ci) != 1 or not isinstance(els[di], Dot):
-            raise PatternMismatch("dot must be adjacent to its cap/cup")
-        dot: Dot = els[di]
-        other = els[ci]
-        if isinstance(other, Cap) and ci == di - 1:
-            if dot.j == other.j:  # left arm -> right arm
-                return _replace(diag, di, 1, (Dot(other.j + 1),), 1j)
-            if dot.j == other.j + 1:
-                return _replace(diag, di, 1, (Dot(other.j),), -1j)
-        if isinstance(other, Cup) and ci == di + 1:
-            if dot.j == other.j:  # left arm -> right arm
-                return _replace(diag, di, 1, (Dot(other.j + 1),), -1j)
-            if dot.j == other.j + 1:
-                return _replace(diag, di, 1, (Dot(other.j),), 1j)
-        raise PatternMismatch("dot is not on an arm of the adjacent cap/cup")
-
-    if isinstance(rule, ReidemeisterI):
-        try:
-            cap, braid, cup = els[i], els[i + 1], els[i + 2]
-        except IndexError:
-            raise PatternMismatch("kink needs three elements") from None
-        if not (isinstance(cap, Cap) and isinstance(cup, Cup) and cap.j == cup.j):
-            raise PatternMismatch("kink needs a matching cap/cup pair")
-        if isinstance(braid, BraidPos) and rule.writhe == 1:
-            scalar = RULE_SCALARS["kink_pos"]
-        elif isinstance(braid, BraidNeg) and rule.writhe == -1:
-            scalar = RULE_SCALARS["kink_neg"]
-        else:
-            raise PatternMismatch("braid sign does not match the writhe")
-        if braid.j not in (cap.j - 1, cap.j + 1):
-            raise PatternMismatch("braid does not touch the kink strand")
-        return _replace(diag, i, 3, (), scalar)
-
-    if isinstance(rule, ReidemeisterII):
-        try:
-            b1, b2 = els[i], els[i + 1]
-        except IndexError:
-            raise PatternMismatch("needs two braids") from None
-        if not (isinstance(b1, (BraidPos, BraidNeg)) and b2 == b1.dagger()):
-            raise PatternMismatch("needs opposite braids at one position")
-        return _replace(diag, i, 2, (), 1.0)
-
-    if isinstance(rule, ReidemeisterIII):
-        try:
-            b1, b2, b3 = els[i], els[i + 1], els[i + 2]
-        except IndexError:
-            raise PatternMismatch("needs three braids") from None
-        kinds = {type(b1), type(b2), type(b3)}
-        if len(kinds) != 1 or not kinds <= {BraidPos, BraidNeg}:
-            raise PatternMismatch("needs three braids of one sign")
-        if not (b1.j == b3.j and abs(b2.j - b1.j) == 1):
-            raise PatternMismatch("needs alternating positions j, j', j")
-        kind = type(b1)
-        return _replace(diag, i, 3, (kind(b2.j), kind(b1.j), kind(b2.j)), 1.0)
-
-    if isinstance(rule, DotThroughBraid):
-        try:
-            dot, braid = els[i], els[i + 1]
-        except IndexError:
-            raise PatternMismatch("needs dot then braid") from None
-        if not isinstance(dot, Dot) or not isinstance(braid, (BraidPos, BraidNeg)):
-            raise PatternMismatch("needs dot then braid")
-        j = braid.j
-        if dot.j == j:
-            new_pos, sign = j + 1, 1 if isinstance(braid, BraidPos) else -1
-        elif dot.j == j + 1:
-            new_pos, sign = j, -1 if isinstance(braid, BraidPos) else 1
-        else:
-            raise PatternMismatch("dot not on the braid strands")
-        return _replace(diag, i, 2, (braid, Dot(new_pos)), sign)
-
-    if isinstance(rule, BraidTypeSwitch):
-        el = els[i]
-        if not isinstance(el, (BraidPos, BraidNeg)):
-            raise PatternMismatch(f"element {i} is not a braid")
-        scalar = RULE_SCALARS["braid_switch_pos_to_neg" if isinstance(el, BraidPos)
-                              else "braid_switch_neg_to_pos"]
-        return _replace(diag, i, 1, (el.dagger(), DotPair(el.j, el.j + 1)), scalar)
-
-    if isinstance(rule, ScatteringReduce):
-        el = els[i]
-        if not isinstance(el, (Scattering, ScatteringStar)):
-            raise PatternMismatch(f"element {i} is not a scattering")
-        theta = el.angle()
-        if is_generic_angle(theta):
-            raise PatternMismatch(f"scattering angle {theta} is generic")
-        k = round(theta.real / (_PI / 2)) % 4
-        if el.orientation != VERTICAL:
-            if k == 0:
-                return _replace(diag, i, 1, (Cup(el.j), Cap(el.j)), 1.0)
-            raise PatternMismatch("only the theta=0 horizontal reduction is supported")
-        if k == 0:
-            return _replace(diag, i, 1, (), 1.0)
-        if k == 2:
-            return _replace(diag, i, 1, (DotPair(el.j, el.j + 1),), 1.0)
-        if k == 3:  # theta = -pi/2
-            return _replace(diag, i, 1, (BraidPos(el.j),), RULE_SCALARS["scatter_to_braid_pos"])
-        return _replace(diag, i, 1, (BraidNeg(el.j),), RULE_SCALARS["scatter_to_braid_neg"])
-
-    if isinstance(rule, YangBaxter):
-        try:
-            e1, e2, e3 = els[i], els[i + 1], els[i + 2]
-        except IndexError:
-            raise PatternMismatch("needs three scatterings") from None
-        t1, f1 = _as_vertical_scattering(e1)
-        t2, f2 = _as_vertical_scattering(e2)
-        t3, f3 = _as_vertical_scattering(e3)
-        if not (e1.j == e3.j and abs(e2.j - e1.j) == 1):
-            raise PatternMismatch("needs alternating positions j, j', j")
-        if rule.phis is not None:
-            phis, scalar = rule.phis, 1.0 + 0.0j
-        else:
-            phis, scalar = solve_yang_baxter_full(t1, t2, t3)
-        p1, p2, p3 = phis
-        repl = (
-            Scattering(e2.j, p1),
-            Scattering(e1.j, p2),
-            Scattering(e2.j, p3),
+    indices = site.indices
+    if len(indices) != rule.ARITY or not all(0 <= k < len(els) for k in indices):
+        raise PatternMismatch(
+            f"{rule!r} needs a site of {rule.ARITY} element indices in 0..{len(els) - 1}, "
+            f"got {indices}"
         )
-        return _replace(diag, i, 3, repl, f1 * f2 * f3 * scalar)
-
-    if isinstance(rule, SpaceTimeDual):
-        el = els[i]
-        if not isinstance(el, (Scattering, ScatteringStar)):
-            raise PatternMismatch(f"element {i} is not a scattering")
-        a, phi = spacetime_dual(el)
-        flipped = VERTICAL if el.orientation != VERTICAL else HORIZONTAL
-        dual = (Scattering(el.j, phi, flipped) if isinstance(el, Scattering)
-                else ScatteringStar(el.j, 1j * phi, flipped))
-        return _replace(diag, i, 1, (dual,), RULE_SCALARS["spacetime_loop_factor"] * a)
-
-    if isinstance(rule, DotPassScattering):
-        try:
-            dot, sc = els[i], els[i + 1]
-        except IndexError:
-            raise PatternMismatch("needs dot then scattering") from None
-        if not isinstance(dot, Dot) or not isinstance(sc, Scattering) \
-                or sc.orientation != VERTICAL:
-            raise PatternMismatch("needs dot then vertical scattering")
-        theta = complex(sc.theta)
-        new_theta = _PI - theta
-        if dot.j == sc.j:
-            repl = (Scattering(sc.j, new_theta), Dot(sc.j + 1))
-            scalar = 1j * cmath.exp(1j * theta)
-        elif dot.j == sc.j + 1:
-            repl = (Scattering(sc.j, new_theta), Dot(sc.j))
-            scalar = -1j * cmath.exp(1j * theta)
-        else:
-            raise PatternMismatch("dot not on the scattering strands")
-        return _replace(diag, i, 2, repl, scalar)
-
-    if isinstance(rule, DotAbsorbScattering):
-        try:
-            pair, sc = els[i], els[i + 1]
-        except IndexError:
-            raise PatternMismatch("needs dot pair then scattering") from None
-        if not (isinstance(pair, DotPair) and isinstance(sc, Scattering)
-                and sc.orientation == VERTICAL
-                and pair.j == sc.j and pair.k == sc.j + 1):
-            raise PatternMismatch("needs an adjacent dot pair on the scattering strands")
-        return _replace(diag, i, 2, (Scattering(sc.j, complex(sc.theta) + _PI),), 1.0)
-
-    if isinstance(rule, CommuteDistantElements):
-        return _commute_adjacent(diag, i)
-
-    if isinstance(rule, PairDotsToBraids):
-        el = els[i]
-        if not (isinstance(el, DotPair) and el.k == el.j + 1):
-            raise PatternMismatch("needs an adjacent dot pair")
-        repl = (BraidPos(el.j), BraidPos(el.j))
-        return _replace(diag, i, 1, repl, RULE_SCALARS["pair_dots_to_braids"])
-
-    raise TypeError(f"unknown rule {rule!r}")
-
-
-def _commute_adjacent(diag: MajoranaDiagram, i: int) -> MajoranaDiagram:
-    els = diag.elements
-    if i + 1 >= len(els):
-        raise PatternMismatch("needs two adjacent elements")
-    first, second = els[i], els[i + 1]
-    for el in (first, second):
-        if isinstance(el, Dot):
-            raise PatternMismatch("a lone dot is parity-odd and does not commute freely")
-
-    # map `second`'s positions back through `first` (to the pre-first frame)
-    def back_through_first(p: int, pivot_ok: bool) -> int:
-        if isinstance(first, Cap):
-            if p in (first.j, first.j + 1) and not pivot_ok:
-                raise PatternMismatch("elements share a strand")
-            if p == first.j + 1 and pivot_ok:
-                raise PatternMismatch("insertion splits the cap pair")
-            return p - 2 if p >= first.j + 2 else p
-        if isinstance(first, Cup):
-            return p + 2 if p >= first.j else p
-        return p
-
-    if isinstance(second, Cap):
-        new_second = Cap(back_through_first(second.j, pivot_ok=True))
-    else:
-        new_second = second.moved([back_through_first(p, pivot_ok=False)
-                                   for p in second.positions()])
-    # check disjointness in the common (pre-first) frame; a cap reads no strand
-    first_strands = set() if isinstance(first, Cap) else set(first.positions())
-    second_strands = set() if isinstance(new_second, Cap) else set(new_second.positions())
-    if first_strands & second_strands:
-        raise PatternMismatch("elements share a strand")
-
-    # map `first`'s positions forward through `new_second`
-    def fwd_through_second(p: int) -> int:
-        if isinstance(new_second, Cap):
-            return p + 2 if p >= new_second.j else p
-        if isinstance(new_second, Cup):
-            return p - 2 if p >= new_second.j + 2 else p
-        return p
-
-    new_first = first.moved([fwd_through_second(p) for p in first.positions()])
-    new_els = els[:i] + (new_second, new_first) + els[i + 2:]
-    try:
-        return MajoranaDiagram(diag.width_in, diag.width_out, new_els, diag.amplitude)
-    except Exception as exc:  # ill-formed after swap means the move was invalid
-        raise PatternMismatch(f"swap produces an ill-formed diagram: {exc}") from exc
+    found = rule.rewrite(els, *indices)
+    if found is None:
+        raise PatternMismatch(
+            f"{rule!r} does not match at element {indices[0]}: it needs {rule.PATTERN}")
+    count, repl, scalar = found
+    i = indices[0]
+    return MajoranaDiagram(diag.width_in, diag.width_out, els[:i] + repl + els[i + count:],
+                           diag.amplitude * scalar)

@@ -18,7 +18,8 @@ from quon2d.classify import (
 )
 from quon2d.compiler import compile_circuit, quon_to_dense_tensor
 from quon2d.errors import NotMatchgate, RankTooLarge
-from quon2d.quon import count_holes, string_genus
+from quon2d.quon import string_genus
+from quon2d.wires import WireTrace
 
 PI = math.pi
 
@@ -95,9 +96,28 @@ def test_classify_monotone_under_removal(rng):
     before = classify(q, cleanup=False)
     cleaned = remove_holes_to_fixpoint(q)
     after = classify(cleaned, cleanup=False)
-    assert count_holes(cleaned) < count_holes(q)
+    assert cleaned.hole_count() < q.hole_count()
     assert after.clifford_form >= before.clifford_form
     assert after.punctured_matchgate_form >= before.punctured_matchgate_form
+
+
+def test_hole_removal_reads_one_trace_per_pass(monkeypatch):
+    # two SWAPs leave 4 holes no string-genus removal takes, before a
+    # string-hole pair that one removal takes: two passes, one trace each
+    import quon2d.quon as quon
+
+    q = compile_circuit(Circuit(2, (Gate("SWAP", (0, 1)), Gate("SWAP", (0, 1)))))
+    q = string_genus(q, 0, "insert", region=(0, 1))
+    builds = []
+
+    def counted(core):
+        builds.append(core)
+        return WireTrace(core)
+
+    monkeypatch.setattr(quon, "WireTrace", counted)
+    cleaned = remove_holes_to_fixpoint(q)
+    assert (q.hole_count(), cleaned.hole_count()) == (5, 4)
+    assert len(builds) == 2
 
 
 # -- matchgate identity -------------------------------------------------------

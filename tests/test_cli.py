@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from quon2d.circuits import Circuit, Gate
 from quon2d.cli import greedy_simplify, main
 from quon2d.compiler import compile_circuit
-from quon2d.diagram import Cap, Cup, DotPair, MajoranaDiagram, Scattering
+from quon2d.diagram import Cap, Cup, DotPair, MajoranaDiagram, Scattering, ScatteringStar
+from quon2d.fock import evaluate_closed_oracle
 from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon
 from quon2d.serialize import parse_diagram, serialize_diagram
 
@@ -30,6 +32,17 @@ def test_simplify_keeps_a_cut_after_the_dot_pair():
     want = evaluate_closed_quon(q, use_oracle=True)
     got = evaluate_closed_quon(greedy_simplify(q), use_oracle=True)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_simplify_reduces_stars_at_multiples_of_half_pi():
+    for star in (ScatteringStar(1, 0.0), ScatteringStar(1, 0.5j * math.pi),
+                 ScatteringStar(1, -0.5j * math.pi), ScatteringStar(1, 1j * math.pi),
+                 ScatteringStar(1, 0.0, "horizontal")):
+        core = MajoranaDiagram(0, 0, (Cap(0), Cap(2), star, Scattering(1, 0.9), Cup(2), Cup(0)))
+        simplified = greedy_simplify(QuonDiagram(core))
+        assert star not in simplified.core.elements
+        assert evaluate_closed_quon(simplified, use_oracle=True) == pytest.approx(
+            evaluate_closed_oracle(core), abs=1e-12)
 
 
 # -- the command line ---------------------------------------------------------
@@ -126,6 +139,13 @@ def test_bad_input_exits_with_a_code(tmp_path, capsys, monkeypatch, argv, files,
     got, _, err = _run(capsys, *argv)
     assert got == code
     assert "error" in err
+
+
+@pytest.mark.parametrize("couplings", ["1,1,1e400", "nan,1,1"])
+def test_star_triangle_non_finite_coupling_is_one_error_line(capsys, couplings):
+    code, out, err = _run(capsys, "star-triangle", "--u", couplings)
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "is not finite" in err
 
 
 def test_ising_oracle_overflow_is_one_error_line(capsys):

@@ -16,7 +16,7 @@ from quon2d.compiler import (
     quon_to_dense_tensor,
 )
 from quon2d.errors import InvalidBit, NonAdjacentTwoQubitGate, TooManyLegs, UnknownGenerator
-from quon2d.quon import BasisAssignment, all_projections, count_holes, encode_basis
+from quon2d.quon import BasisAssignment, all_projections, encode_basis
 
 from conftest import random_circuit
 
@@ -86,7 +86,7 @@ def test_rz_quarter_dense():
 
 def test_swap_carries_two_holes():
     q = compile_circuit(Circuit(2, (Gate("SWAP", (0, 1)),)))
-    assert count_holes(q) == 2
+    assert q.hole_count() == 2
 
 
 def test_functoriality(rng):
@@ -235,9 +235,9 @@ def test_contract_identity_to_identity():
 
 def test_contract_non_neighboring_adds_hole(rng):
     p4 = parity_tensor_quon(4)
-    before = count_holes(p4)
+    before = p4.hole_count()
     q = contract_legs(p4, 0, 2, "non_neighboring")
-    assert count_holes(q) == before + 1
+    assert q.hole_count() == before + 1
     t4 = quon_to_dense_tensor(p4).tensor()
     got = quon_to_dense_tensor(q).tensor()
     assert np.max(np.abs(got - np.einsum("axay->xy", t4))) <= 1e-9

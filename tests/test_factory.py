@@ -25,7 +25,6 @@ from quon2d.quon import (
     BasisAssignment,
     OpenInterval,
     QuonDiagram,
-    count_holes,
     encode_basis,
     evaluate_closed_quon,
 )
@@ -58,7 +57,7 @@ def test_insert_string_hole_pair():
     q = small_compiled()
     t0 = quon_to_dense_tensor(q).entries
     q2, _ = insert_move(q, Insert(1, 1, "string_hole_pair"), FactoryLedger(q))
-    assert count_holes(q2) == count_holes(q) + 1
+    assert q2.hole_count() == q.hole_count() + 1
     assert np.max(np.abs(quon_to_dense_tensor(q2).entries - t0)) <= 1e-9
 
 
@@ -66,7 +65,7 @@ def test_insert_double_string_hole_pair():
     q = small_compiled()
     t0 = quon_to_dense_tensor(q).entries
     q2, _ = insert_move(q, Insert(1, 2, "double_string_hole_pair"), FactoryLedger(q))
-    assert count_holes(q2) == count_holes(q) + 1
+    assert q2.hole_count() == q.hole_count() + 1
     assert np.max(np.abs(quon_to_dense_tensor(q2).entries - t0)) <= 1e-9
 
 
@@ -209,7 +208,7 @@ def test_punctured_matchgate_generation():
     report = classify(q, cleanup=False)
     assert report.punctured_matchgate_form
     assert not report.matchgate_form  # the hole is genuine
-    assert count_holes(q) == 1
+    assert q.hole_count() == 1
 
 
 def test_move_script_parser():

@@ -23,7 +23,6 @@ from quon2d.quon import (
     OpenInterval,
     ParityCut,
     QuonDiagram,
-    count_holes,
     encode_basis,
     encoder_ket,
     evaluate_closed_quon,
@@ -125,10 +124,10 @@ def test_string_genus_insert_remove_inverse():
     q0 = QuonDiagram(core)
     v0 = evaluate_closed_quon(q0)
     q1 = string_genus(q0, 0, "insert", region=(2, 1))
-    assert count_holes(q1) == 1
+    assert q1.hole_count() == 1
     assert evaluate_closed_quon(q1) == pytest.approx(v0, abs=1e-9)
     q2 = string_genus(q1, 0, "remove")
-    assert count_holes(q2) == 0
+    assert q2.hole_count() == 0
     assert q2.core.elements == q0.core.elements
     assert q2.core.amplitude == pytest.approx(q0.core.amplitude)
 
@@ -174,10 +173,10 @@ def test_swap_hole_remove():
 
     c = Circuit(2, (Gate("SWAP", (0, 1)),))
     q = compile_circuit(c)
-    assert count_holes(q) == 2
+    assert q.hole_count() == 2
     q = swap_hole_remove(q, 0)
     q = swap_hole_remove(q, 0)
-    assert count_holes(q) == 0
+    assert q.hole_count() == 0
     assert np.max(np.abs(dense_gate_matrix(q) - circuit_oracle_unitary(c))) <= 1e-9
 
 
@@ -253,7 +252,7 @@ def test_normalize_cuts_conservative(rng):
 def test_count_holes_monotone():
     core = MajoranaDiagram(0, 0, (Cap(0), Cup(0)))
     q = QuonDiagram(core)
-    assert count_holes(q) == 0
+    assert q.hole_count() == 0
     q1 = string_genus(q, 0, "insert", region=(1, 1))
-    assert count_holes(q1) == 1
-    assert count_holes(string_genus(q1, 0, "remove")) == 0
+    assert q1.hole_count() == 1
+    assert string_genus(q1, 0, "remove").hole_count() == 0

@@ -20,6 +20,7 @@ from quon2d.errors import (
     NotAScattering,
     NumericalInstability,
     PatternMismatch,
+    Quon2dError,
     SingularAngle,
 )
 from quon2d.fock import diagram_operator, evaluate_closed_oracle
@@ -48,7 +49,7 @@ from quon2d.rewrite import (
     yang_baxter_operator,
 )
 
-from conftest import embed_pattern
+from conftest import embed_pattern, random_closed_diagram
 
 PI = math.pi
 
@@ -235,6 +236,69 @@ def test_commute_distant_elements(rng):
     with pytest.raises(PatternMismatch):
         apply_rule(MajoranaDiagram(4, 4, (BraidPos(0), BraidPos(1))),
                    CommuteDistantElements(), RewriteSite.at(0))
+
+
+def test_commute_refuses_a_cap_that_splits_a_braid():
+    # the braid's strands would land on j and j + 3, around the cap's pair
+    with pytest.raises(PatternMismatch):
+        apply_rule(MajoranaDiagram(2, 4, (BraidNeg(0), Cap(1))),
+                   CommuteDistantElements(), RewriteSite.at(0))
+    closed = MajoranaDiagram(0, 0, (Cap(0), Dot(0), BraidNeg(0), Cap(1), Dot(1), Cup(1), Cup(0)))
+    with pytest.raises(PatternMismatch):
+        apply_rule(closed, CommuteDistantElements(), RewriteSite.at(2))
+
+
+def test_every_site_index_is_range_checked():
+    d = MajoranaDiagram(2, 4, (Dot(0), Cap(0)))
+    # (0, -1) would wrap around to the cap after the dot
+    for indices in ((0, -1), (0, 2), (0,), (1, 0, 1)):
+        with pytest.raises(PatternMismatch):
+            apply_rule(d, DotRelocateCapCup(), RewriteSite.at(*indices))
+    for indices in ((-1,), (2,), (0, 1)):
+        with pytest.raises(PatternMismatch):
+            apply_rule(d, CommuteDistantElements(), RewriteSite.at(*indices))
+
+
+RULES = (
+    DotRelocateCapCup(), ReidemeisterI(1), ReidemeisterI(-1), ReidemeisterII(),
+    ReidemeisterIII(), DotThroughBraid(), BraidTypeSwitch(), ScatteringReduce(),
+    YangBaxter(), SpaceTimeDual(), DotPassScattering(), DotAbsorbScattering(),
+    CommuteDistantElements(), PairDotsToBraids(),
+)
+
+
+# patterns that random diagrams seldom contain, with their widths
+SELDOM = (
+    ((Cap(1), BraidPos(0), Cup(1)), 2), ((Cap(0), BraidNeg(1), Cup(0)), 2),
+    ((BraidNeg(0), BraidNeg(1), BraidNeg(0)), 3),
+    ((Scattering(0, 0.3), BraidPos(1), Scattering(0, 1.1)), 3),
+    ((ScatteringStar(0, 0.5j * PI),), 2), ((Scattering(0, 0.0, "horizontal"),), 2),
+)
+
+
+def test_every_rule_at_every_site_keeps_the_value_or_raises_typed():
+    rng = np.random.default_rng(88)
+    corpus = [random_closed_diagram(rng, max_width=8, max_elems=14) for _ in range(150)]
+    corpus += [embed_pattern(rng, pattern, width)[0] for pattern, width in SELDOM
+               for _ in range(4)]
+    applied = set()
+    for d in corpus:
+        value = evaluate_closed_oracle(d)
+        n = len(d.elements)
+        for rule in RULES:
+            if isinstance(rule, DotRelocateCapCup):
+                sites = [RewriteSite.at(i, k) for i in range(n) for k in (i - 1, i + 1, -1, n)]
+            else:
+                sites = [RewriteSite.at(i) for i in range(n)]
+            for site in sites:
+                try:
+                    out = apply_rule(d, rule, site)
+                except Quon2dError:
+                    continue
+                applied.add(rule)
+                got = evaluate_closed_oracle(out)
+                assert abs(got - value) <= 1e-9 * max(1.0, abs(value)), (rule, site, d)
+    assert applied == set(RULES)
 
 
 def test_pair_dots_to_braids(rng):
