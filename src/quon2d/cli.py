@@ -68,14 +68,14 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
         removed = cleaned.hole_count() != q.hole_count()
         if removed:
             q = cleaned
-        els = q.core.elements
-        hit = next(((rule, i, found[0]) for rule in rules for i in range(len(els))
-                    if (found := rule.rewrite(els, i)) is not None), None)
-        if hit is not None:
-            rule, i, count = hit
-            q = q.splice(i, count, apply_rule(q.core, rule, RewriteSite.at(i)))
-        elif not removed:
-            return q
+        for rule in rules:
+            i = rule.first_match(q.core.elements)
+            if i is not None:
+                q = q.splice(i, rule.SPAN, apply_rule(q.core, rule, RewriteSite.at(i)))
+                break
+        else:
+            if not removed:
+                return q
 
 
 def _bits(text: str) -> tuple[int, ...]:

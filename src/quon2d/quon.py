@@ -402,11 +402,9 @@ def _quiet_loop_of_cut(q: QuonDiagram, trace: WireTrace, cut: ParityCut):
         rest = [s for s in cut.strands if s != on_loop[0]]
         lo, hi = min(loop_positions), max(loop_positions)
         if all(s < lo for s in rest) or all(s > hi for s in rest):
-            elem_indices = (
-                {trace.turns[trace.segments[sid].birth_turn].elem_index for sid in group}
-                | {trace.turns[trace.segments[sid].death_turn].elem_index for sid in group}
-            )
-            return group, elem_indices
+            ends = [(trace.segments[sid].birth_turn, trace.segments[sid].death_turn)
+                    for sid in group]
+            return group, {trace.turns[turn].elem_index for pair in ends for turn in pair}
     return None
 
 

@@ -16,15 +16,12 @@ calibration tests) rather than transcribed from figures:
   loop factor sqrt(2) (the horizontal primitive carries the cup/cap
   normalization), so the applied scalar is sqrt(2)*A.
 
-Each rule is a frozen dataclass (a RewriteRule) whose one method,
-`rewrite(els, *indices)`, holds both its match and its replacement: it
-returns (count, replacement, scalar) when its pattern is at the site and
-None when it is not, so a caller can scan for the first matching index
-without catching anything.  A rule raises only when its pattern matches but
-the move has no value-preserving result (SingularAngle, NoSolution,
-NumericalInstability).  `apply_rule` checks the site's indices, calls the
-rule once, raises one PatternMismatch naming the rule, the index and the
-pattern it needs, and splices the replacement into the diagram.
+Each rule is a RewriteRule whose one method, `rewrite`, holds both its
+match and its replacement; it raises only where its pattern matches but the
+move has no value-preserving result (SingularAngle, NoSolution,
+NumericalInstability).  `apply_rule` checks the site, calls the rule once,
+raises one PatternMismatch naming the rule, the index and the pattern it
+needs, and splices the replacement into the diagram.
 
 The Yang-Baxter solver works in the two-dimensional spinor representation
 (the three-strand scatterings generate a complexified SU(2)); solutions are
@@ -36,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,12 +79,30 @@ class RewriteSite:
         return RewriteSite(tuple(indices))
 
 
+_BRAIDS = (BraidPos, BraidNeg)
+_SCATTERINGS = (Scattering, ScatteringStar)
+
+
 class RewriteRule:
-    """A value-preserving local move (see the module docstring): a site
-    holds ARITY element indices, and PATTERN names what `rewrite` matches."""
+    """A value-preserving local move.  A site holds ARITY element indices;
+    the rule replaces the SPAN elements from the site's first index, which
+    must be of a LEAD kind.  `rewrite(els, *indices)` is called only where
+    those hold and returns (replacement, scalar) when the pattern (named by
+    PATTERN) is there, None when it is not, so scans catch nothing and test
+    one element kind per index."""
 
     ARITY = 1
+    SPAN = 1
+    LEAD: tuple = ()
     PATTERN = ""
+
+    def first_match(self, els) -> int | None:
+        """The first index where this one-index rule matches, or None."""
+        lead = self.LEAD
+        for i in range(len(els) - self.SPAN + 1):
+            if isinstance(els[i], lead) and self.rewrite(els, i) is not None:
+                return i
+        return None
 
 
 @dataclass(frozen=True)
@@ -96,12 +110,11 @@ class DotRelocateCapCup(RewriteRule):
     """Site (dot index, cap/cup index)."""
 
     ARITY = 2
+    LEAD = (Dot,)
     PATTERN = "a dot on an arm of the cap just before it or of the cup just after it"
 
     def rewrite(self, els, di, ci):
         dot, other = els[di], els[ci]
-        if not isinstance(dot, Dot):
-            return None
         if isinstance(other, Cap) and ci == di - 1:
             sign = 1
         elif isinstance(other, Cup) and ci == di + 1:
@@ -109,9 +122,9 @@ class DotRelocateCapCup(RewriteRule):
         else:
             return None
         if dot.j == other.j:  # left arm -> right arm
-            return 1, (Dot(other.j + 1),), sign * 1j
+            return (Dot(other.j + 1),), sign * 1j
         if dot.j == other.j + 1:
-            return 1, (Dot(other.j),), -sign * 1j
+            return (Dot(other.j),), -sign * 1j
         return None
 
 
@@ -119,113 +132,106 @@ class DotRelocateCapCup(RewriteRule):
 class ReidemeisterI(RewriteRule):
     writhe: int = 1  # +1 removes a positive-braid kink, -1 a negative one
 
+    SPAN = 3
+    LEAD = (Cap,)
     PATTERN = "a cap, a braid of the writhe's sign on a strand next to it, and the cup closing it"
 
     def rewrite(self, els, i):
-        if i + 3 > len(els):
-            return None
         cap, braid, cup = els[i:i + 3]
-        if not (isinstance(cap, Cap) and isinstance(cup, Cup) and cap.j == cup.j
-                and braid.j in (cap.j - 1, cap.j + 1)):
+        if not (isinstance(cup, Cup) and cap.j == cup.j and braid.j in (cap.j - 1, cap.j + 1)):
             return None
         if isinstance(braid, BraidPos) and self.writhe == 1:
-            return 3, (), RULE_SCALARS["kink_pos"]
+            return (), RULE_SCALARS["kink_pos"]
         if isinstance(braid, BraidNeg) and self.writhe == -1:
-            return 3, (), RULE_SCALARS["kink_neg"]
+            return (), RULE_SCALARS["kink_neg"]
         return None
 
 
 @dataclass(frozen=True)
 class ReidemeisterII(RewriteRule):
+    SPAN = 2
+    LEAD = _BRAIDS
     PATTERN = "a braid followed by its inverse at the same position"
 
     def rewrite(self, els, i):
-        if i + 1 < len(els) and isinstance(els[i], (BraidPos, BraidNeg)) \
-                and els[i + 1] == els[i].dagger():
-            return 2, (), 1.0
+        if els[i + 1] == els[i].dagger():
+            return (), 1.0
         return None
 
 
 @dataclass(frozen=True)
 class ReidemeisterIII(RewriteRule):
+    SPAN = 3
+    LEAD = _BRAIDS
     PATTERN = "three braids of one sign at alternating positions j, j +- 1, j"
 
     def rewrite(self, els, i):
-        if i + 3 > len(els):
-            return None
         b1, b2, b3 = els[i:i + 3]
         kind = type(b1)
-        if kind not in (BraidPos, BraidNeg) or type(b2) is not kind or type(b3) is not kind \
-                or b1.j != b3.j or abs(b2.j - b1.j) != 1:
+        if type(b2) is not kind or type(b3) is not kind or b1.j != b3.j \
+                or abs(b2.j - b1.j) != 1:
             return None
-        return 3, (kind(b2.j), kind(b1.j), kind(b2.j)), 1.0
+        return (kind(b2.j), kind(b1.j), kind(b2.j)), 1.0
 
 
 @dataclass(frozen=True)
 class DotThroughBraid(RewriteRule):
+    SPAN = 2
+    LEAD = (Dot,)
     PATTERN = "a dot on one of the strands of the braid after it"
 
     def rewrite(self, els, i):
-        if i + 2 > len(els):
-            return None
         dot, braid = els[i:i + 2]
-        if not isinstance(dot, Dot) or not isinstance(braid, (BraidPos, BraidNeg)):
+        if not isinstance(braid, _BRAIDS):
             return None
         sign = 1 if isinstance(braid, BraidPos) else -1
         if dot.j == braid.j:
-            return 2, (braid, Dot(braid.j + 1)), sign
+            return (braid, Dot(braid.j + 1)), sign
         if dot.j == braid.j + 1:
-            return 2, (braid, Dot(braid.j)), -sign
+            return (braid, Dot(braid.j)), -sign
         return None
 
 
 @dataclass(frozen=True)
 class BraidTypeSwitch(RewriteRule):
+    LEAD = _BRAIDS
     PATTERN = "a braid"
 
     def rewrite(self, els, i):
         el = els[i]
-        if isinstance(el, BraidPos):
-            scalar = RULE_SCALARS["braid_switch_pos_to_neg"]
-        elif isinstance(el, BraidNeg):
-            scalar = RULE_SCALARS["braid_switch_neg_to_pos"]
-        else:
-            return None
-        return 1, (el.dagger(), DotPair(el.j, el.j + 1)), scalar
+        key = "braid_switch_pos_to_neg" if isinstance(el, BraidPos) else "braid_switch_neg_to_pos"
+        return (el.dagger(), DotPair(el.j, el.j + 1)), RULE_SCALARS[key]
 
 
 @dataclass(frozen=True)
 class ScatteringReduce(RewriteRule):
+    LEAD = _SCATTERINGS
     PATTERN = "a scattering at a multiple of pi/2 (a horizontal one at 0)"
 
     def rewrite(self, els, i):
         el = els[i]
-        if not isinstance(el, (Scattering, ScatteringStar)):
-            return None
         theta = el.angle()
         if is_generic_angle(theta):
             return None
         k = round(theta.real / (_PI / 2)) % 4
         if el.orientation != VERTICAL:
-            return (1, (Cup(el.j), Cap(el.j)), 1.0) if k == 0 else None
+            return ((Cup(el.j), Cap(el.j)), 1.0) if k == 0 else None
         if k == 0:
-            return 1, (), 1.0
+            return (), 1.0
         if k == 2:
-            return 1, (DotPair(el.j, el.j + 1),), 1.0
+            return (DotPair(el.j, el.j + 1),), 1.0
         if k == 3:  # theta = -pi/2
-            return 1, (BraidPos(el.j),), RULE_SCALARS["scatter_to_braid_pos"]
-        return 1, (BraidNeg(el.j),), RULE_SCALARS["scatter_to_braid_neg"]
+            return (BraidPos(el.j),), RULE_SCALARS["scatter_to_braid_pos"]
+        return (BraidNeg(el.j),), RULE_SCALARS["scatter_to_braid_neg"]
 
 
 @dataclass(frozen=True)
 class YangBaxter(RewriteRule):
-    """The partner angles come from `solve_yang_baxter_full`."""
-
+    SPAN = 3
+    LEAD = (Scattering,) + _BRAIDS
     PATTERN = "three vertical scatterings or braids at alternating positions j, j +- 1, j"
 
     def rewrite(self, els, i):
-        if i + 3 > len(els):
-            return None
         e1, e2, e3 = els[i:i + 3]
         parts = [_as_vertical_scattering(el) for el in (e1, e2, e3)]
         if None in parts or e1.j != e3.j or abs(e2.j - e1.j) != 1:
@@ -233,34 +239,32 @@ class YangBaxter(RewriteRule):
         (t1, f1), (t2, f2), (t3, f3) = parts
         (p1, p2, p3), scalar = solve_yang_baxter_full(t1, t2, t3)
         repl = (Scattering(e2.j, p1), Scattering(e1.j, p2), Scattering(e2.j, p3))
-        return 3, repl, f1 * f2 * f3 * scalar
+        return repl, f1 * f2 * f3 * scalar
 
 
 @dataclass(frozen=True)
 class SpaceTimeDual(RewriteRule):
+    LEAD = _SCATTERINGS
     PATTERN = "a scattering"
 
     def rewrite(self, els, i):
         el = els[i]
-        if not isinstance(el, (Scattering, ScatteringStar)):
-            return None
         a, phi = spacetime_dual(el)
         flipped = VERTICAL if el.orientation != VERTICAL else HORIZONTAL
         dual = (Scattering(el.j, phi, flipped) if isinstance(el, Scattering)
                 else ScatteringStar(el.j, 1j * phi, flipped))
-        return 1, (dual,), RULE_SCALARS["spacetime_loop_factor"] * a
+        return (dual,), RULE_SCALARS["spacetime_loop_factor"] * a
 
 
 @dataclass(frozen=True)
 class DotPassScattering(RewriteRule):
+    SPAN = 2
+    LEAD = (Dot,)
     PATTERN = "a dot on one of the strands of the vertical scattering after it"
 
     def rewrite(self, els, i):
-        if i + 2 > len(els):
-            return None
         dot, sc = els[i:i + 2]
-        if not isinstance(dot, Dot) or not isinstance(sc, Scattering) \
-                or sc.orientation != VERTICAL:
+        if not isinstance(sc, Scattering) or sc.orientation != VERTICAL:
             return None
         if dot.j == sc.j:
             moved, sign = Dot(sc.j + 1), 1j
@@ -268,33 +272,35 @@ class DotPassScattering(RewriteRule):
             moved, sign = Dot(sc.j), -1j
         else:
             return None
-        return 2, (Scattering(sc.j, _PI - complex(sc.theta)), moved), sign * sc.exponential()
+        return (Scattering(sc.j, _PI - complex(sc.theta)), moved), sign * sc.exponential()
 
 
 @dataclass(frozen=True)
 class DotAbsorbScattering(RewriteRule):
+    SPAN = 2
+    LEAD = (DotPair,)
     PATTERN = "a dot pair on the two strands of the vertical scattering after it"
 
     def rewrite(self, els, i):
-        if i + 2 > len(els):
-            return None
         pair, sc = els[i:i + 2]
-        if not (isinstance(pair, DotPair) and isinstance(sc, Scattering)
-                and sc.orientation == VERTICAL and pair.j == sc.j and pair.k == sc.j + 1):
+        if not (isinstance(sc, Scattering) and sc.orientation == VERTICAL
+                and pair.j == sc.j and pair.k == sc.j + 1):
             return None
-        return 2, (Scattering(sc.j, complex(sc.theta) + _PI),), 1.0
+        return (Scattering(sc.j, complex(sc.theta) + _PI),), 1.0
 
 
 @dataclass(frozen=True)
 class CommuteDistantElements(RewriteRule):
-    PATTERN = "two adjacent elements, neither a lone dot, on disjoint strands"
+    SPAN = 2
+    # a lone dot is parity-odd and does not commute freely
+    LEAD = (Cap, Cup, DotPair) + _BRAIDS + _SCATTERINGS
+    PATTERN = ("two adjacent elements, neither a lone dot, neither reading nor "
+               "splitting the strands of the other")
 
     def rewrite(self, els, i):
-        if i + 2 > len(els):
-            return None
         first, second = els[i:i + 2]
-        if isinstance(first, Dot) or isinstance(second, Dot):
-            return None  # a lone dot is parity-odd and does not commute freely
+        if isinstance(second, Dot):
+            return None
 
         # `second` back through `first`, to the slice before `first`
         back = _points(second)
@@ -319,18 +325,19 @@ class CommuteDistantElements(RewriteRule):
         elif isinstance(new_second, Cup):
             forward = [p - 2 if p >= new_second.j + 2 else p for p in forward]
         new_first = _moved(first, forward)
-        return None if new_first is None else (2, (new_second, new_first), 1.0)
+        return None if new_first is None else ((new_second, new_first), 1.0)
 
 
 @dataclass(frozen=True)
 class PairDotsToBraids(RewriteRule):
+    LEAD = (DotPair,)
     PATTERN = "a dot pair on adjacent strands"
 
     def rewrite(self, els, i):
         el = els[i]
-        if not (isinstance(el, DotPair) and el.k == el.j + 1):
+        if el.k != el.j + 1:
             return None
-        return 1, (BraidPos(el.j), BraidPos(el.j)), RULE_SCALARS["pair_dots_to_braids"]
+        return (BraidPos(el.j), BraidPos(el.j)), RULE_SCALARS["pair_dots_to_braids"]
 
 
 # -- Table II expansions -------------------------------------------------
@@ -576,7 +583,7 @@ def _points(el: Element) -> tuple[int, ...]:
     return (el.j,) if isinstance(el, Cap) else el.positions()
 
 
-def _moved(el: Element, points) -> Optional[Element]:
+def _moved(el: Element, points) -> Element | None:
     """`el` at `points` (as `_points` lists them), or None when the element
     cannot take them: two-strand elements whose strands were split apart."""
     new = el.moved(points)
@@ -595,11 +602,12 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
             f"{rule!r} needs a site of {rule.ARITY} element indices in 0..{len(els) - 1}, "
             f"got {indices}"
         )
-    found = rule.rewrite(els, *indices)
-    if found is None:
-        raise PatternMismatch(
-            f"{rule!r} does not match at element {indices[0]}: it needs {rule.PATTERN}")
-    count, repl, scalar = found
     i = indices[0]
-    return MajoranaDiagram(diag.width_in, diag.width_out, els[:i] + repl + els[i + count:],
+    found = None
+    if i + rule.SPAN <= len(els) and isinstance(els[i], rule.LEAD):
+        found = rule.rewrite(els, *indices)
+    if found is None:
+        raise PatternMismatch(f"{rule!r} does not match at element {i}: it needs {rule.PATTERN}")
+    repl, scalar = found
+    return MajoranaDiagram(diag.width_in, diag.width_out, els[:i] + repl + els[i + rule.SPAN:],
                            diag.amplitude * scalar)

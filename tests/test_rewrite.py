@@ -195,6 +195,12 @@ def test_spacetime_dual_overflow_is_typed():
         apply_rule(d, SpaceTimeDual(), RewriteSite.at(1))
 
 
+def test_dot_pass_overflow_is_typed():
+    with pytest.raises(NumericalInstability, match="overflows a float"):
+        apply_rule(MajoranaDiagram(2, 2, (Dot(0), Scattering(0, -800j))),
+                   DotPassScattering(), RewriteSite.at(0))
+
+
 def test_spacetime_dual_rule_preserves_value(rng):
     _preserved(rng, (Scattering(0, 0.7 + 0.2j),), 2, SpaceTimeDual(),
                lambda t, o: RewriteSite.at(t))
