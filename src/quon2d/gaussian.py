@@ -9,13 +9,27 @@ the weighted sum over insertion subsets collapses into a single Pfaffian:
     value = amplitude * sqrt(2)^loops * prod(alpha_t * mu_t)
             * prod(mandatory scalars) * Pf(G + pair-couplings(1/mu))
 
-A pair contraction G(x, y) is computed by walking one dot along its loop to
-the other using three exact moves: sliding a dot in time along its strand
-(-1 whenever it passes the partner sitting on a different strand), hopping
-across a cap (a dot on the left arm equals i times the dot on the right arm),
-and hopping across a cup (a dot on the right arm equals i times the dot on
-the left arm).  Once the two dots share a strand the leftover operator is
-g^2 = 1.  Cross-loop contractions vanish.
+A contraction G(x, y) moves the dot x along its loop onto y's strand by
+exact moves, until g^2 = 1 is left: sliding in time along a strand (-1
+whenever it passes y on another strand) and hopping across a turn (a dot on
+the left arm of a cap, or the right arm of a cup, is i times the dot on the
+other arm).  `contraction_matrix` walks each loop once, leaving its first
+segment through the birth turn and each segment through the turn it did not
+enter by.  Segment k of the walk records its exit boundary (the turn's slice
++ 1/4 for a cap, - 1/4 for a cup), its span from entry to exit boundary, and
+the exponent e of the phase collected before its exit: a turn adds 1 from
+the left arm of a cap or the right arm of a cup, 3 otherwise.  E is the
+loop's total.  For x before y in time on segments a != b of one loop
+
+    G(x, y) = i^(e_b - e_a) * (i^E if k_a > k_b) * (-1)^c,
+
+where c counts the spans strictly between a and b, going forward, that hold
+t_y strictly inside, plus one if t_y lies strictly between t_x and a's exit.
+G is 1 within a segment and 0 across loops.  The moves walk x out through
+a's birth turn, for some segments the other way round, to the same entry:
+backward turns give inverse factors, so the phases differ by i^E = -1 (on
+every loop), and the counts c by an odd number, the strands of the loop at
+time t_y other than y's own.
 
 One factorisation per diagram.  A parity projection (1 + P)/2 of a hole or
 notch, and a bit-dependent dot of a basis encoder, add an optional group of
@@ -145,19 +159,18 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
     return pf, k
 
 
-def pfaffian(mat: np.ndarray, singular_tol: float = SINGULAR_TOL) -> complex:
+def pfaffian(mat: np.ndarray) -> complex:
     """Pfaffian of a complex antisymmetric matrix: `_eliminate` with every
     row in the core.  A deferred row leaves only entries at or below
-    singular_tol times max(max|entry|, 1) to pair it with, and makes the
-    Pfaffian zero.
-    """
+    SINGULAR_TOL times max(max|entry|, 1) to pair it with, and makes the
+    Pfaffian zero."""
     a = np.array(mat, dtype=complex)
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
     if n % 2:
         return 0.0 + 0.0j
-    pf, eliminated = _eliminate(a, n, singular_tol)
+    pf, eliminated = _eliminate(a, n, SINGULAR_TOL)
     return pf if eliminated == n else 0.0 + 0.0j
 
 
@@ -209,100 +222,62 @@ def _pfaffians(a: np.ndarray) -> np.ndarray:
 class _Point:
     seg: int
     time: float
-    loop: int = -1
     pair: int | None = None  # optional-pair id, None for mandatory insertions
 
 
-class _LoopGeometry:
-    """Per-loop adjacency used by the pair walker, with memoized hop chains."""
+def contraction_matrix(trace: WireTrace, order: list[_Point]) -> np.ndarray:
+    """Antisymmetric matrix of the contractions G(x, y) of the points, from
+    one walk around each loop of `trace` (see the module docstring)."""
+    if not order:  # bare loops have nothing to contract
+        return np.zeros((0, 0), dtype=complex)
+    loops = trace.worldlines()
+    walk, e_walk, exit_walk, totals = [], [], [], []  # loop after loop
+    for group in loops:
+        sid, e = group[0], 0
+        tid = trace.segments[sid].birth_turn
+        for _ in group:
+            turn = trace.turns[tid]
+            walk.append(sid)
+            e_walk.append(e)
+            exit_walk.append(turn.elem_index + (0.25 if turn.kind == "cap" else -0.25))
+            e += 1 if (turn.side_of(sid) == LEFT) == (turn.kind == "cap") else 3
+            sid = turn.other(sid)
+            seg = trace.segments[sid]
+            tid = seg.death_turn if seg.birth_turn == tid else seg.birth_turn
+        totals.append(e)
+    lengths = np.array([len(group) for group in loops], dtype=int)
+    first = np.cumsum(lengths) - lengths  # walk index of each loop's first segment
+    loop_w = np.repeat(np.arange(len(loops)), lengths)
+    k_w = np.arange(len(walk)) - first[loop_w]
+    exits = np.array(exit_walk)
+    prev = np.arange(len(walk)) - 1
+    prev[first] += lengths  # a loop's first segment is entered from its last
+    lo = np.full((len(loops), lengths.max()), np.inf)  # spans, padded
+    hi = -lo
+    lo[loop_w, k_w] = np.minimum(exits[prev], exits)
+    hi[loop_w, k_w] = np.maximum(exits[prev], exits)
 
-    def __init__(self, trace: WireTrace):
-        self.trace = trace
-        self.turns = trace.turns
-        self.segments = trace.segments
-        self._chains: dict[tuple[int, int], tuple] = {}
-
-    def other_turn(self, sid: int, tid: int) -> int:
-        seg = self.segments[sid]
-        return seg.death_turn if seg.birth_turn == tid else seg.birth_turn
-
-    def chain(self, seg_a: int, seg_b: int):
-        """Walk data from seg_a to seg_b along the loop (fixed orientation):
-        (factor, first boundary, fixed crossing intervals).  Only the first
-        slide's interval depends on the moving dot's time; the rest are the
-        fixed inter-boundary spans."""
-        key = (seg_a, seg_b)
-        cached = self._chains.get(key)
-        if cached is not None:
-            return cached
-        acc = 1.0 + 0.0j
-        seg = seg_a
-        tid = self.segments[seg].birth_turn
-        boundaries = []
-        for _ in range(2 * len(self.segments) + 4):
-            turn = self.turns[tid]
-            boundary = turn.elem_index + (0.25 if turn.kind == "cap" else -0.25)
-            boundaries.append(boundary)
-            side = turn.side_of(seg)
-            if turn.kind == "cap":
-                acc *= 1j if side == LEFT else -1j
-            else:
-                acc *= 1j if side != LEFT else -1j
-            seg = turn.other(seg)
-            if seg == seg_b:
-                spans = tuple(
-                    (min(boundaries[k], boundaries[k + 1]),
-                     max(boundaries[k], boundaries[k + 1]))
-                    for k in range(len(boundaries) - 1)
-                )
-                out = (acc, boundaries[0], spans)
-                self._chains[key] = out
-                return out
-            tid = self.other_turn(seg, tid)
-        raise NumericalInstability("pair walk failed to close its loop")
-
-
-def contraction_matrix(geom: _LoopGeometry, order: list[_Point]) -> np.ndarray:
-    """Antisymmetric matrix of pairwise contractions, grouped by segment pair."""
-    n = len(order)
-    w = np.zeros((n, n), dtype=complex)
-    by_seg: dict[int, list[int]] = {}
-    for i, p in enumerate(order):
-        by_seg.setdefault(p.seg, []).append(i)
-    seg_ids = sorted(by_seg)
-    times = np.array([p.time for p in order])
-    for sa in seg_ids:
-        ia = np.array(by_seg[sa])
-        for sb in seg_ids:
-            if sa == sb:
-                continue
-            p0 = order[by_seg[sa][0]]
-            q0 = order[by_seg[sb][0]]
-            if p0.loop != q0.loop:
-                continue
-            ib = np.array(by_seg[sb])
-            factor, first, spans = geom.chain(sa, sb)
-            tb = times[ib]
-            fixed = np.zeros(len(ib), dtype=int)
-            for s_lo, s_hi in spans:
-                fixed += (s_lo < tb) & (tb < s_hi)
-            ta = times[ia][:, None]
-            lo = np.minimum(ta, first)
-            hi = np.maximum(ta, first)
-            crossings = fixed[None, :] + ((lo < tb[None, :]) & (tb[None, :] < hi))
-            vals = factor * np.where(crossings % 2, -1.0, 1.0)
-            w[np.ix_(ia, ib)] = np.where(ta < tb[None, :], vals, 0.0)
-    for sa in seg_ids:
-        ia = np.array(by_seg[sa])
-        ta = times[ia]
-        block = np.where(ta[:, None] < ta[None, :], 1.0 + 0.0j, 0.0)
-        w[np.ix_(ia, ia)] = block
-    w = w - w.T  # keep only time-ordered upper entries, antisymmetrize
+    # each point's segment, as a walk index (the walks cover every segment once)
+    at = np.argsort(walk)[[p.seg for p in order]]
+    t = np.array([p.time for p in order])
+    loop, k, e = loop_w[at], k_w[at], np.array(e_walk)[at]
+    # prefix[y, j]: spans among the first j of y's loop that hold t_y strictly inside
+    prefix = np.zeros((len(order), lo.shape[1] + 1), dtype=int)
+    np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
+    x, y = np.nonzero((loop[:, None] == loop[None, :]) & (t[:, None] < t[None, :]))
+    # a wrap (k[x] > k[y]) also passes all the loop's strands at t_y: an even number
+    between = prefix[y, k[y]] - prefix[y, k[x] + 1]
+    exit_x = exits[at[x]]
+    partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
+    power = e[y] - e[x] + (k[x] > k[y]) * np.array(totals)[loop[y]] + 2 * (between + partial)
+    w = np.zeros((len(order), len(order)), dtype=complex)
+    w[x, y] = np.where(at[x] == at[y], 1.0, np.array([1, 1j, -1, -1j])[power % 4])
+    w[y, x] = 0.0 - w[x, y]
     return w
 
 
 def assemble_frontier(diag: MajoranaDiagram):
-    """Sweep a closed diagram into (amplitude, points, pair weights, geometry)."""
+    """Sweep a closed diagram into (amplitude, points, pair weights, trace)."""
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
@@ -310,9 +285,6 @@ def assemble_frontier(diag: MajoranaDiagram):
     amplitude = complex(diag.amplitude)
     points: list[_Point] = []
     mus: list[complex] = []
-
-    def add_point(seg: int, time: float, pair: int | None) -> None:
-        points.append(_Point(seg, time, pair=pair))
 
     for t, el in enumerate(diag.elements):
         if el.width_delta:  # caps and cups are the bare wiring
@@ -323,7 +295,7 @@ def assemble_frontier(diag: MajoranaDiagram):
             if el.dots == 2:
                 amplitude *= 1j
             for n, p in enumerate(reversed(el.positions())):
-                add_point(slice_now[p], t + n * _SUB, None)
+                points.append(_Point(slice_now[p], t + n * _SUB))
             continue
         a_w, b_w = el.weights()
         if abs(b_w) <= MU_MIN * abs(a_w):
@@ -332,22 +304,18 @@ def assemble_frontier(diag: MajoranaDiagram):
         if abs(a_w) <= MU_MIN * abs(b_w):
             # pure dot-pair insertion: (i*b) g_j g_{j+1}
             amplitude *= 1j * b_w
-            add_point(slice_now[el.j + 1], t + 0.0, None)
-            add_point(slice_now[el.j], t + _SUB, None)
-            continue
-        mu = 1j * b_w / a_w
-        amplitude *= a_w * mu
-        pair_id = len(mus)
-        mus.append(mu)
-        add_point(slice_now[el.j + 1], t + 0.0, pair_id)
-        add_point(slice_now[el.j], t + _SUB, pair_id)
+            pair_id = None
+        else:
+            mu = 1j * b_w / a_w
+            amplitude *= a_w * mu
+            pair_id = len(mus)
+            mus.append(mu)
+        points.append(_Point(slice_now[el.j + 1], t + 0.0, pair_id))
+        points.append(_Point(slice_now[el.j], t + _SUB, pair_id))
 
     # in a closed diagram every worldline is a loop
     amplitude *= _SQRT2 ** len(trace.worldlines())
-    labels = trace.worldline_labels()
-    for p in points:
-        p.loop = labels[p.seg]
-    return amplitude, points, mus, _LoopGeometry(trace)
+    return amplitude, points, mus, trace
 
 
 class PreparedDiagram:
@@ -378,22 +346,19 @@ class PreparedDiagram:
     def __init__(self, diag: MajoranaDiagram, groups=()):
         if len(groups) > MAX_GROUPS:
             raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
-        self.amplitude, points, mus, geom = assemble_frontier(diag)
-        labels = geom.trace.worldline_labels() if groups else []
+        self.amplitude, points, mus, trace = assemble_frontier(diag)
         core = sorted(points, key=lambda p: p.time)
         extras: list[_Point] = []
         self._groups: list[range] = []
         for time_index, strands in groups:
-            slice_now = geom.trace.slices[time_index]
             first = len(extras)
             for pos in sorted(strands, reverse=True):
-                seg = slice_now[pos]
                 # strictly inside the slice: turn boundaries sit at t -/+ 0.25
                 time = time_index - 0.5 + 1e-6 * (len(extras) + 1)
-                extras.append(_Point(seg, time, loop=labels[seg]))
+                extras.append(_Point(trace.slices[time_index][pos], time))
             self._groups.append(range(first, len(extras)))
 
-        w = contraction_matrix(geom, core + extras)
+        w = contraction_matrix(trace, core + extras)
         pair_rows: dict[int, list[int]] = {}
         for i, p in enumerate(core):
             if p.pair is not None:

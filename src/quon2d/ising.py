@@ -62,14 +62,34 @@ class IsingLattice:
                 raise InvariantViolation(f"bad edge ({a}, {b})")
             if not math.isfinite(k):
                 raise InvariantViolation(f"coupling {k} of edge ({a}, {b}) is not finite")
-        if not self._planar():
+        if self.shape is not None:
+            self._check_grid()
+        elif not self._planar():
             raise NonPlanarInput("the interaction graph is not planar")
 
+    def _check_grid(self) -> None:
+        """A shaped lattice holds each bond of its rows x cols grid once, and
+        no other bond; a grid is planar."""
+        rows, cols = self.shape
+        grid = f"the {rows} x {cols} grid"
+        if self.n_sites != rows * cols:
+            raise InvariantViolation(f"{grid} has {rows * cols} sites, not {self.n_sites}")
+        bonds = _grid_bonds(rows, cols)
+        grid_bonds, seen = set(bonds), set()
+        for a, b, _ in self.edges:
+            bond = (min(a, b), max(a, b))
+            if bond not in grid_bonds:
+                raise InvariantViolation(f"bond ({a}, {b}) is not a bond of {grid}")
+            if bond in seen:
+                raise InvariantViolation(f"bond ({a}, {b}) appears twice")
+            seen.add(bond)
+        for bond in bonds:
+            if bond not in seen:
+                raise InvariantViolation(f"bond {bond} of {grid} is missing")
+
     def _planar(self) -> bool:
-        try:
-            import networkx as nx
-        except ImportError:  # pragma: no cover - networkx ships with the env
-            return True
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_sites))
         g.add_edges_from((a, b) for a, b, _ in self.edges)
@@ -82,19 +102,23 @@ class IsingLattice:
         """Open rows x cols square lattice; `overrides` maps (site_a, site_b)
         pairs to per-edge couplings."""
         overrides = overrides or {}
-        edges = []
+        edges = tuple(
+            (a, b, float(overrides.get((a, b), overrides.get((b, a), coupling))))
+            for a, b in _grid_bonds(rows, cols)
+        )
+        return IsingLattice(rows * cols, edges, (rows, cols))
 
-        def k_of(a, b):
-            return overrides.get((a, b), overrides.get((b, a), coupling))
 
-        for r in range(rows):
-            for c in range(cols):
-                s = r * cols + c
-                if c + 1 < cols:
-                    edges.append((s, s + 1, float(k_of(s, s + 1))))
-                if r + 1 < rows:
-                    edges.append((s, s + cols, float(k_of(s, s + cols))))
-        return IsingLattice(rows * cols, tuple(edges), (rows, cols))
+def _grid_bonds(rows: int, cols: int) -> list[tuple[int, int]]:
+    """The bonds (s, s + 1) and (s, s + cols) of the open rows x cols grid,
+    site by site in row-major order."""
+    bonds = []
+    for s in range(rows * cols):
+        if (s + 1) % cols:
+            bonds.append((s, s + 1))
+        if s + cols < rows * cols:
+            bonds.append((s, s + cols))
+    return bonds
 
 
 def partition_oracle(lattice: IsingLattice, limit: int = 24) -> float:
@@ -305,8 +329,10 @@ class StarTriangleSolution:
 
 def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSolution:
     """Find (v1, v2, v3, R) with star(u) = R * triangle(v) on all 8
-    components; raises Singular on the measure-zero degenerate set and
-    InvariantViolation for a coupling that is not finite."""
+    components, fitted to the star tensor scaled to largest |entry| 1.
+    Raises Singular on the measure-zero degenerate set, InvariantViolation
+    for a coupling that is not finite and NumericalInstability when the
+    star tensor overflows."""
     from scipy.optimize import least_squares
 
     for name, u in (("u1", u1), ("u2", u2), ("u3", u3)):
@@ -314,8 +340,11 @@ def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSo
             raise InvariantViolation(f"coupling {name} = {u} is not finite")
     star = star_triangle_oracle((u1, u2, u3), "star")
     scale = float(np.max(np.abs(star)))
+    if not math.isfinite(scale):
+        raise NumericalInstability(f"the star tensor of ({u1}, {u2}, {u3}) overflows a float")
     if scale < 1e-14:
         raise Singular("star tensor vanishes")
+    star = star / scale  # fit R / scale, so that the residuals stay O(1)
 
     def resid(x):
         v = (x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5])
@@ -332,10 +361,11 @@ def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSo
     rng = np.random.default_rng(0)
     seeds += [rng.normal(scale=0.7, size=8) for _ in range(7)]
     for x0 in seeds:
-        res = least_squares(resid, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if np.max(np.abs(res.fun)) <= 1e-10 * max(1.0, scale):
+        with np.errstate(over="ignore", invalid="ignore"):  # a seed far off may overflow
+            res = least_squares(resid, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        if np.max(np.abs(res.fun)) <= 1e-10:
             x = res.x
             return StarTriangleSolution(
-                x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5], x[6] + 1j * x[7]
+                x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5], (x[6] + 1j * x[7]) * scale
             )
     raise Singular(f"no star-triangle partner for ({u1}, {u2}, {u3})")

@@ -21,44 +21,26 @@ from quon2d.errors import NotMatchgate, RankTooLarge
 from quon2d.quon import string_genus
 from quon2d.wires import WireTrace
 
+from conftest import random_circuit
+
 PI = math.pi
 
 
-def matchgate_circuit(rng, n, depth):
-    gates = []
-    for _ in range(depth):
-        if n >= 2 and rng.random() < 0.5:
-            q = int(rng.integers(0, n - 1))
-            gates.append(Gate("XX", (q, q + 1), float(rng.uniform(0, 2 * PI))))
-        else:
-            gates.append(Gate("RZ", (int(rng.integers(0, n)),),
-                              float(rng.uniform(0, 2 * PI))))
-    return Circuit(n, tuple(gates))
-
-
-def clifford_circuit(rng, n, depth):
-    names = ["S", "H", "SINV", "X", "Z"]
-    gates = []
-    for _ in range(depth):
-        if n >= 2 and rng.random() < 0.4:
-            q = int(rng.integers(0, n - 1))
-            gates.append(Gate("CNOT", (q, q + 1)))
-        else:
-            gates.append(Gate(names[int(rng.integers(0, len(names)))],
-                              (int(rng.integers(0, n)),)))
-    return Circuit(n, tuple(gates))
+# gate pools of random_circuit that compile to matchgate and Clifford form
+MATCHGATE = dict(two_qubit_rate=0.5, names1=("RZ",), names2=("XX",))
+CLIFFORD = dict(two_qubit_rate=0.4, names1=("S", "H", "SINV", "X", "Z"), names2=("CNOT",))
 
 
 def test_clifford_circuits_classify_clifford(rng):
     for _ in range(5):
-        c = clifford_circuit(rng, 2, 5)
+        c = random_circuit(2, 5, rng, **CLIFFORD)
         report = classify(compile_circuit(c))
         assert report.clifford_form
         assert report.generic_scattering_count == 0
 
 
 def test_rz_breaks_clifford(rng):
-    c = clifford_circuit(rng, 2, 4)
+    c = random_circuit(2, 4, rng, **CLIFFORD)
     doped = Circuit(2, c.gates + (Gate("RZ", (0,), 0.3),))
     report = classify(compile_circuit(doped))
     assert not report.clifford_form
@@ -67,7 +49,7 @@ def test_rz_breaks_clifford(rng):
 
 def test_matchgate_circuits_classify_matchgate(rng):
     for _ in range(5):
-        c = matchgate_circuit(rng, 3, 6)
+        c = random_circuit(3, 6, rng, **MATCHGATE)
         report = classify(compile_circuit(c))
         assert report.matchgate_form
         assert report.boundary_tracking_ok
@@ -151,7 +133,7 @@ def test_matchgate_form_implies_mgi(rng):
     # Thm-2 soundness at desk scale: matchgate-form diagrams produce
     # matchgate tensors
     for _ in range(3):
-        c = matchgate_circuit(rng, 2, 4)
+        c = random_circuit(2, 4, rng, **MATCHGATE)
         q = compile_circuit(c)
         assert classify(q).matchgate_form
         t = quon_to_dense_tensor(q)
@@ -162,7 +144,7 @@ def test_clifford_tensor_entries_property(rng):
     # nonzero entries of a compiled Clifford tensor share one magnitude and
     # have pi/4-multiple phases relative to a global phase
     for _ in range(4):
-        c = clifford_circuit(rng, 2, 4)
+        c = random_circuit(2, 4, rng, **CLIFFORD)
         t = quon_to_dense_tensor(compile_circuit(c)).entries
         nz = t[np.abs(t) > 1e-9]
         mags = np.abs(nz)
@@ -218,7 +200,7 @@ def _random_network(rng, n_cliff=2, n_match=2):
     """Chain of tagged rank-3/4 tensors contracted in a line."""
     tensors = []
     for _ in range(n_cliff):
-        c = clifford_circuit(rng, 2, 3)
+        c = random_circuit(2, 3, rng, **CLIFFORD)
         tensors.append(("clifford", circuit_oracle_unitary(c).reshape(2, 2, 2, 2)))
     for _ in range(n_match):
         g = MatchgateGate(_random_su2(rng), _random_su2(rng))

@@ -148,6 +148,20 @@ def test_star_triangle_non_finite_coupling_is_one_error_line(capsys, couplings):
     assert len(err.strip().splitlines()) == 1 and "is not finite" in err
 
 
+@pytest.mark.parametrize("couplings", ["1e200,1,1", "1e300,1e300,1e300"])
+def test_star_triangle_huge_coupling_warns_nothing(capsys, couplings):
+    """The fit runs on the star tensor scaled to O(1): a solution with its
+    residual line, or one error line, and no NumPy or SciPy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "star-triangle", "--u", couplings)
+    if code == 0:
+        assert "residual: " in out and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_ising_oracle_overflow_is_one_error_line(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either

@@ -14,6 +14,8 @@ from quon2d.gaussian import (
     PANEL,
     PreparedDiagram,
     _eliminate,
+    assemble_frontier,
+    contraction_matrix,
     evaluate_closed_fast,
     pfaffian,
 )
@@ -27,6 +29,7 @@ from quon2d.quon import (
     evaluate_closed_quon,
     expanded_core,
 )
+from quon2d.wires import WireTrace
 
 from conftest import random_circuit, random_closed_diagram
 
@@ -123,6 +126,40 @@ def test_fast_matches_oracle_randomized(rng):
             ref = evaluate_closed_oracle(d)
             got = evaluate_closed_fast(d)
             assert abs(ref - got) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_contraction_entries_are_two_dot_ratios(rng):
+    """A Dot at slot (t1, p1) and one at (t2, p2), t1 <= t2, multiply a
+    caps/cups-only wiring's value by the contraction entry of the two
+    points.  Every ordered pair of slots is tried: one slot twice (one
+    segment), the two arms of a cap in either order (a walk that wraps round
+    the loop and one that does not), and slots on different loops (0)."""
+    cases = 0
+    for _ in range(3):
+        while True:  # the caps and cups of a random diagram are a closed wiring
+            d = random_closed_diagram(rng, max_width=6, max_elems=30)
+            d = MajoranaDiagram(0, 0, tuple(el for el in d.elements if el.width_delta))
+            loops = WireTrace(d).worldlines()
+            if len(loops) >= 2 and max(map(len, loops)) >= 6:
+                break
+        base = evaluate_closed_oracle(d)
+        widths = d.widths()
+        slots = [(t, p) for t in range(len(d.elements) + 1) for p in range(widths[t])]
+        zeros = ones = 0
+        for (t1, p1), (t2, p2) in itertools.product(slots, repeat=2):
+            if t1 > t2:
+                continue
+            els = d.elements
+            dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
+                                     + els[t2:])
+            _, points, _, trace = assemble_frontier(dotted)
+            entry = contraction_matrix(trace, points)[0, 1]
+            assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
+            zeros += entry == 0
+            ones += (t1, p1) == (t2, p2) and entry == 1
+            cases += 1
+        assert zeros and ones
+    assert cases > 1000
 
 
 def test_unmatchable_dots_vanish(rng):

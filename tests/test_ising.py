@@ -44,6 +44,27 @@ def test_lattice_without_sites_is_rejected(rows, cols):
         IsingLattice(0, ())
 
 
+@pytest.mark.parametrize("n_sites, bonds, shape, message", [
+    (4, [(0, 3)], (2, 2), r"bond \(0, 3\) is not a bond of the 2 x 2 grid"),
+    (4, [(0, 1), (2, 3), (0, 2), (1, 3)], (1, 4), r"bond \(0, 2\) is not a bond of the 1 x 4"),
+    (4, [(0, 1), (1, 0), (0, 2), (1, 3), (2, 3)], (2, 2), r"bond \(1, 0\) appears twice"),
+    (4, [(0, 1), (0, 2), (1, 3)], (2, 2), r"bond \(2, 3\) of the 2 x 2 grid is missing"),
+    (5, [(0, 1), (0, 2), (1, 3), (2, 3)], (2, 2), "the 2 x 2 grid has 4 sites, not 5"),
+])
+def test_shaped_lattice_must_be_its_grid(n_sites, bonds, shape, message):
+    """The square builder reads bonds by grid position: a shaped lattice
+    that is not exactly its grid is refused, not failed with a KeyError."""
+    with pytest.raises(InvariantViolation, match=message):
+        IsingLattice(n_sites, tuple((a, b, 0.3) for a, b in bonds), shape)
+
+
+def test_shaped_lattice_takes_bonds_either_way_round():
+    square = IsingLattice.square(2, 3, 0.3, overrides={(4, 5): 0.6})
+    flipped = IsingLattice(6, tuple((b, a, k) for a, b, k in reversed(square.edges)), (2, 3))
+    z = evaluate_closed_quon(build_ising_quon(flipped)).real
+    assert z == pytest.approx(partition_oracle(square), rel=1e-10)
+
+
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 3)])
 @pytest.mark.parametrize("coupling", [0.2, 0.4407, 1.0])
 def test_square_lattice_partition(shape, coupling):
