@@ -175,41 +175,36 @@ def _gai_layers(theta, phi1, phi2, odd_sector: bool):
 
 
 def gab_rotation_layers(a: np.ndarray, b: np.ndarray):
-    """Rotation layers (kind, dense qubit, alpha) with
-    prod e^{i alpha Z/XX} = G(A, B) / phase; returns (layers, phase).
+    """Rotation layers (kind, dense qubit, alpha), first-applied first, and
+    the phase with G(A, B) = phase * prod Rot(-2 alpha): Rot is Rz on the
+    dense qubit for kind "z" and XXRot for "xx", since e^{i alpha Z} =
+    e^{i alpha} Rz(-2 alpha) and likewise for XX.  Returns (layers, phase).
 
-    Layers are listed first-applied first.  A and B are rescaled to SU(2);
-    the removed determinant root is returned as `phase`.
+    Layers with |alpha| < 1e-15 are dropped.  A and B are rescaled to SU(2);
+    the phase is the removed determinant root times prod e^{i alpha}.
     """
     a = np.asarray(a, dtype=complex).reshape(2, 2)
     b = np.asarray(b, dtype=complex).reshape(2, 2)
     det_a, det_b = np.linalg.det(a), np.linalg.det(b)
     if abs(det_a - det_b) > 1e-9:
         raise NotMatchgate("det A != det B")
-    root = cmath.sqrt(det_a)
-    a_su, b_su = a / root, b / root
-    layers = _gai_layers(*_su2_params(b_su), odd_sector=True)
-    layers += _gai_layers(*_su2_params(a_su), odd_sector=False)
-    return layers, root
+    phase = cmath.sqrt(det_a)
+    layers = _gai_layers(*_su2_params(b / phase), odd_sector=True)
+    layers += _gai_layers(*_su2_params(a / phase), odd_sector=False)
+    layers = [layer for layer in layers if abs(layer[2]) >= 1e-15]
+    for _, _, alpha in layers:
+        phase *= cmath.exp(1j * alpha)
+    return layers, phase
 
 
 def decompose_gab(g: MatchgateGate):
     """Circuit over {Rz, XXRot} whose oracle unitary equals G(A, B) up to the
     returned overall phase: (circuit, phase)."""
     layers, phase = gab_rotation_layers(g.a, g.b)
-    gates = []
-    total_phase = phase
-    for kind, which, alpha in layers:
-        if abs(alpha) < 1e-15:
-            continue
-        # e^{i alpha Z} = e^{i alpha} Rz(-2 alpha); e^{i alpha XX} likewise
-        total_phase *= cmath.exp(1j * alpha)
-        angle = (-2 * alpha) % (2 * _PI)
-        if kind == "z":
-            gates.append(Gate("RZ", (which,), angle))
-        else:
-            gates.append(Gate("XX", (0, 1), angle))
-    return Circuit(2, tuple(gates)), complex(total_phase)
+    # e^{i alpha Z} = e^{i alpha} Rz(-2 alpha); e^{i alpha XX} likewise
+    gates = (Gate("RZ", (which,), -2 * alpha) if kind == "z" else Gate("XX", (0, 1), -2 * alpha)
+             for kind, which, alpha in layers)
+    return Circuit(2, tuple(gates)), complex(phase)
 
 
 # -- desk-scale decomposition -------------------------------------------------

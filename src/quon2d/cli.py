@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from .circuits import Circuit, Gate
+from .circuits import GATES, Circuit, Gate
 from .errors import InvariantViolation, ParseError, Quon2dError
 from .quon import QuonDiagram, evaluate_closed_quon
 from .rewrite import ReidemeisterII, RewriteSite, ScatteringReduce, apply_rule
@@ -26,33 +26,30 @@ def _fmt(z: complex) -> str:
 
 
 def parse_circuit_text(text: str) -> Circuit:
-    """One gate per line: `GATE q [q2] [angle]`, comments with #."""
+    """One gate per line: `GATE q [q2] [angle]`, comments with #; each
+    gate's qubit count and angle come from `GATES`."""
     gates = []
     n = 0
-    names_angle = {"RZ": 1, "XX": 2}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        parts = line.split()
-        name = parts[0].upper()
+        name, *args = fields
+        kind = GATES.get(name.upper())
         try:
-            if name in ("X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-"):
-                gates.append(Gate(name, (int(parts[1]),)))
-            elif name == "RZ":
-                gates.append(Gate(name, (int(parts[1]),), float(parts[2])))
-            elif name == "XX":
-                gates.append(Gate(name, (int(parts[1]), int(parts[2])), float(parts[3])))
-            elif name in ("CNOT", "CZ", "SWAP"):
-                gates.append(Gate(name, (int(parts[1]), int(parts[2]))))
-            else:
-                raise ValueError(f"unknown gate {name!r}")
-        except (IndexError, ValueError) as exc:
+            if kind is None:
+                raise InvariantViolation(f"unknown gate {name!r}")
+            if len(args) != kind.qubits + kind.takes_angle:
+                raise InvariantViolation(f"{name} takes {kind.qubits + kind.takes_angle} "
+                                         f"field(s) after its name, got {len(args)}")
+            angle = float(args.pop()) if kind.takes_angle else None
+            gates.append(Gate(name, tuple(int(q) for q in args), angle))
+        except (ValueError, InvariantViolation) as exc:
             raise ParseError(f"circuit line {lineno}: {exc}") from exc
         n = max(n, max(gates[-1].qubits) + 1)
     try:
         return Circuit(n, tuple(gates))
-    except ValueError as exc:
+    except InvariantViolation as exc:
         raise ParseError(f"circuit: {exc}") from exc
 
 

@@ -1,7 +1,8 @@
 """Compilers between circuits / elementary tensors and Quon diagrams.
 
 Four strands per qubit; each gate is the element block calibrated against
-the dense oracle (global phases included):
+the dense oracle (global phases included), looked up in `_BLOCKS`, which is
+keyed by the names of `circuits.GATES`:
 
 * X, Y, Z: simultaneous dot pairs on strands (2,3), (1,3), (1,2) of the block,
 * S / Sinv: one negative/positive braid on the middle strands, amplitude
@@ -10,7 +11,8 @@ the dense oracle (global phases included):
 * Rz(theta): one vertical scattering on the middle strands,
 * XXRot(theta): cup / scattering / cap across the two blocks, amplitude
   sqrt(2), plus one parity cut that keeps compositions parity-clean,
-* CNOT: the e^{i pi/4 XX} decomposition with single-qubit Cliffords,
+* CNOT: no block; it is written into the gate stream as its e^{i pi/4 XX}
+  decomposition with single-qubit Cliffords,
 * SWAP: a full 16-crossing weave of negative braids with its two cuts,
 * CZ: the Appendix-style gadget G_H / SWAP / G_X / G_H on the middle dense
   qubits, conjugated into this encoding by logical Hadamards.
@@ -30,7 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gaussian
+from .circuits import H as H_MATRIX
 from .circuits import Circuit, Gate
+from .classify import gab_rotation_layers
 from .diagram import (
     BraidNeg,
     BraidPos,
@@ -90,37 +94,17 @@ class DenseTensor:
 # -- gate blocks ------------------------------------------------------------
 
 
-def _single_qubit_block(gate: Gate, base: int):
-    """(elements, amplitude, cuts) for a one-qubit gate on strands base..base+3."""
-    n = gate.name
-    if n == "X":
-        return (DotPair(base + 2, base + 3),), 1.0, ()
-    if n == "Y":
-        return (DotPair(base + 1, base + 3),), 1.0, ()
-    if n == "Z":
-        return (DotPair(base + 1, base + 2),), 1.0, ()
-    if n == "S":
-        return (BraidNeg(base + 1),), cmath.exp(1j * _PI / 8), ()
-    if n == "SINV":
-        return (BraidPos(base + 1),), cmath.exp(-1j * _PI / 8), ()
-    if n == "H":
-        els = (BraidNeg(base + 1), BraidNeg(base + 2), BraidNeg(base + 1))
-        return els, cmath.exp(1j * _PI / 8), ()
-    if n == "RXQ+":
-        return (BraidNeg(base + 2),), cmath.exp(1j * _PI / 8), ()
-    if n == "RXQ-":
-        return (BraidPos(base + 2),), cmath.exp(-1j * _PI / 8), ()
-    if n == "RZ":
-        return (Scattering(base + 1, gate.angle),), 1.0, ()
-    raise UnknownGenerator(n)
+def _fixed(amplitude, *elements):
+    """The block of a gate without an angle: `elements` on strands counted
+    from the qubit block's first strand."""
+    return lambda gate, base: (offset_elements(elements, base), amplitude, (), ())
 
 
-def _xx_block(theta: float, base: int, n_elements_before: int):
+def _xx_block(gate: Gate, base: int):
     """XX rotation across blocks at base and base+4, with its notch
     projection (the manifold pinch between the qubit blocks)."""
-    els = (Cup(base + 3), Scattering(base + 2, theta), Cap(base + 3))
-    notch = ParityCut(n_elements_before + 3, tuple(range(base, base + 4)))
-    return els, _SQRT2, (notch,)
+    els = (Cup(base + 3), Scattering(base + 2, gate.angle), Cap(base + 3))
+    return els, _SQRT2, (), (ParityCut(3, tuple(range(base, base + 4))),)
 
 
 def _weave(base: int, n: int, m: int):
@@ -134,87 +118,74 @@ def _weave(base: int, n: int, m: int):
     return tuple(els)
 
 
+def _swap_block(gate: Gate, base: int):
+    """A full 16-crossing weave between the SWAP's two closed-interval
+    notches, realized as genuine holes; the SWAP-hole relation removes them
+    when adjacent."""
+    els = _weave(base, 4, 4)
+    strands = tuple(range(base, base + 4))
+    return els, 1.0, (ParityCut(0, strands), ParityCut(len(els), strands)), ()
+
+
 def _gab_layers(a_mat: np.ndarray, b_mat: np.ndarray):
     """Scattering layers realizing G(A, B) on two dense qubits (strand
-    offsets are local to a 4-strand window); see classify.decompose_gab."""
-    from .classify import gab_rotation_layers
-
+    offsets are local to a 4-strand window), and their phase: e^{i alpha Z_d}
+    is e^{i alpha} Scattering(2d, -2 alpha) and e^{i alpha XX} is
+    e^{i alpha} Scattering(1, -2 alpha); see classify.decompose_gab."""
     layers, phase = gab_rotation_layers(a_mat, b_mat)
-    els = []
-    amp = phase
-    for kind, which, alpha in layers:
-        # e^{i alpha Z_d} = e^{i alpha} * Scattering(2d, -2 alpha)
-        # e^{i alpha X X}  = e^{i alpha} * Scattering(2d+1, -2 alpha)
-        if abs(alpha) < 1e-15:
-            continue
-        pos = 2 * which if kind == "z" else 1
-        els.append(Scattering(pos, -2 * alpha))
-        amp *= cmath.exp(1j * alpha)
-    return tuple(els), amp
+    return tuple(Scattering(2 * which if kind == "z" else 1, -2 * alpha)
+                 for kind, which, alpha in layers), phase
 
 
-def _cz_block(base: int, n_elements_before: int):
+_E8 = cmath.exp(1j * _PI / 8)  # the amplitude of S, H and RXQ+
+_HADAMARD = (BraidNeg(1), BraidNeg(2), BraidNeg(1))
+
+
+def _cz_block(gate: Gate, base: int):
     """CZ via the gadget (G_H, SWAP, G_X, G_H) on the middle dense qubits,
     conjugated by logical Hadamards into this encoding."""
-    from .circuits import H as H_MATRIX
-
-    h_pair_els = []
-    amp = 1.0 + 0.0j
-    for q_base in (base, base + 4):
-        els, a, _ = _single_qubit_block(Gate("H", (0,)), q_base)
-        h_pair_els.extend(els)
-        amp *= a
-
+    hadamards = offset_elements(_HADAMARD, base) + offset_elements(_HADAMARD, base + 4)
     gh_els, gh_amp = _gab_layers(H_MATRIX, H_MATRIX)
-    mid = base + 2  # gadget window: strands base+2 .. base+5
-    gh_els = offset_elements(gh_els, mid)
-    gx_els = (DotPair(base + 3, base + 4),)
-    swap_els = offset_elements(_weave(0, 2, 2), mid)
-
-    elements = []
-    cuts = []
-    t = n_elements_before
-
-    def emit(els, cut_strands=None):
-        nonlocal t
-        elements.extend(els)
-        t += len(els)
-        if cut_strands is not None:
-            cuts.append(ParityCut(t, cut_strands))
-
-    emit(tuple(h_pair_els))
-    emit(gh_els)
-    emit(swap_els, cut_strands=tuple(range(base + 2, base + 4)))
-    emit(gx_els)
-    emit(gh_els)
+    gh_els = offset_elements(gh_els, base + 2)  # gadget window: base+2 .. base+5
+    head = hadamards + gh_els + offset_elements(_weave(0, 2, 2), base + 2)
+    els = head + (DotPair(base + 3, base + 4),) + gh_els + hadamards
     # the gadget's inner cut halves the flow; the content-preserving
     # normalization restores it (pinned by the dense-oracle gate test)
-    amp *= 2.0 * gh_amp * gh_amp
-    for q_base in (base, base + 4):
-        els, a, _ = _single_qubit_block(Gate("H", (0,)), q_base)
-        emit(els)
-        amp *= a
-    cuts.append(ParityCut(t, tuple(range(base, base + 4))))
-    return tuple(elements), amp, tuple(cuts)
+    amp = _E8 * _E8 * (2.0 * gh_amp * gh_amp) * _E8 * _E8
+    notches = (ParityCut(len(head), tuple(range(base + 2, base + 4))),
+               ParityCut(len(els), tuple(range(base, base + 4))))
+    return els, amp, (), notches
 
 
-def _cnot_gates(control: int, target: int):
-    """CNOT as the e^{i pi/4 XX} decomposition; verified to reproduce the
-    permutation matrix including global phase."""
-    c, t = control, target
-    return [
-        Gate("H", (c,)),
-        Gate("RXQ+", (t,)),
-        Gate("XX", (min(c, t), max(c, t)), -_PI / 2),
-        Gate("RXQ+", (c,)),
-        Gate("H", (c,)),
-    ]
+# name -> (gate, first strand of its lowest qubit) -> (elements, amplitude,
+# holes, notches), cut times counted from the block's first element
+_BLOCKS = {
+    "X": _fixed(1.0, DotPair(2, 3)),
+    "Y": _fixed(1.0, DotPair(1, 3)),
+    "Z": _fixed(1.0, DotPair(1, 2)),
+    "S": _fixed(_E8, BraidNeg(1)),
+    "SINV": _fixed(cmath.exp(-1j * _PI / 8), BraidPos(1)),
+    "H": _fixed(_E8, *_HADAMARD),
+    "RXQ+": _fixed(_E8, BraidNeg(2)),
+    "RXQ-": _fixed(cmath.exp(-1j * _PI / 8), BraidPos(2)),
+    "RZ": lambda gate, base: ((Scattering(base + 1, gate.angle),), 1.0, (), ()),
+    "XX": _xx_block,
+    "CZ": _cz_block,
+    "SWAP": _swap_block,
+}
 
 
-# phases of the replaced sub-gates: RXQ+ carries e^{i pi/4} relative to
-# e^{-i pi/4 X} and XXRot(-pi/2) carries e^{-i pi/4} relative to e^{i pi/4 XX};
-# together with the decomposition's e^{i pi/4} everything cancels
-_CNOT_EXTRA_AMP = 1.0 + 0.0j
+def _compiled_gates(gates):
+    """The gates with each CNOT written as its e^{i pi/4 XX} decomposition,
+    whose sub-gates' amplitudes reproduce the permutation matrix including
+    its global phase, so CNOT needs no block of its own."""
+    for g in gates:
+        if g.name != "CNOT":
+            yield g
+            continue
+        c, t = g.qubits
+        yield from (Gate("H", (c,)), Gate("RXQ+", (t,)), Gate("XX", (c, t), -_PI / 2),
+                    Gate("RXQ+", (c,)), Gate("H", (c,)))
 
 
 def compile_circuit(c: Circuit) -> QuonDiagram:
@@ -225,44 +196,13 @@ def compile_circuit(c: Circuit) -> QuonDiagram:
     holes: list[ParityCut] = []
     notches: list[ParityCut] = []
     amplitude = 1.0 + 0.0j
-    marks = set()
-    for q in range(c.n_qubits):
-        marks.add((0, 4 * q))
-        marks.add((0, 4 * q + 3))
-
-    for g in c.gates:
-        if g.name in ("X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-", "RZ"):
-            els, amp, gate_cuts = _single_qubit_block(g, 4 * g.qubits[0])
-        elif g.name == "XX":
-            els, amp, gate_cuts = _xx_block(g.angle, 4 * min(g.qubits), len(elements))
-        elif g.name == "CNOT":
-            for sg in _cnot_gates(g.qubits[0], g.qubits[1]):
-                if sg.name == "XX":
-                    e2, a2, c2 = _xx_block(sg.angle, 4 * min(sg.qubits), len(elements))
-                else:
-                    e2, a2, c2 = _single_qubit_block(sg, 4 * sg.qubits[0])
-                elements.extend(e2)
-                amplitude *= a2
-                notches.extend(c2)
-            amplitude *= _CNOT_EXTRA_AMP
-            continue
-        elif g.name == "CZ":
-            els, amp, gate_cuts = _cz_block(4 * min(g.qubits), len(elements))
-        elif g.name == "SWAP":
-            # the two closed-interval notches of the SWAP realized as genuine
-            # holes; the SWAP-hole relation removes them when adjacent
-            base = 4 * min(g.qubits)
-            pre_cut = ParityCut(len(elements), tuple(range(base, base + 4)))
-            els = _weave(base, 4, 4)
-            post_cut = ParityCut(len(elements) + len(els), tuple(range(base, base + 4)))
-            elements.extend(els)
-            holes.extend((pre_cut, post_cut))
-            continue
-        else:
-            raise UnknownGenerator(g.name)
+    for g in _compiled_gates(c.gates):
+        els, amp, gate_holes, gate_notches = _BLOCKS[g.name](g, 4 * min(g.qubits))
+        t = len(elements)
+        holes.extend(ParityCut(t + cut.time_index, cut.strands) for cut in gate_holes)
+        notches.extend(ParityCut(t + cut.time_index, cut.strands) for cut in gate_notches)
         elements.extend(els)
         amplitude *= amp
-        notches.extend(gate_cuts)
 
     core = MajoranaDiagram(width, width, tuple(elements), amplitude)
     intervals = tuple(
@@ -270,8 +210,8 @@ def compile_circuit(c: Circuit) -> QuonDiagram:
         for side in (TOP, BOTTOM)
         for q in range(c.n_qubits)
     )
-    return QuonDiagram(core, tuple(holes), intervals, frozenset(marks),
-                       tuple(notches))
+    marks = frozenset((0, 4 * q + s) for q in range(c.n_qubits) for s in (0, 3))
+    return QuonDiagram(core, tuple(holes), intervals, marks, tuple(notches))
 
 
 # -- dense extraction -------------------------------------------------------

@@ -217,9 +217,10 @@ def _build_generic(lattice: IsingLattice) -> QuonDiagram:
 
 
 def kw_dual_coupling(coupling: float) -> float:
-    """K* with e^{-2K*} = tanh K (equivalently tanh K* = e^{-2K})."""
-    if coupling <= 0:
-        raise ValueError("the duality map needs K > 0")
+    """K* with e^{-2K*} = tanh K (equivalently tanh K* = e^{-2K}); raises
+    InvariantViolation unless K > 0."""
+    if not coupling > 0:
+        raise InvariantViolation(f"the duality map needs K > 0, got {coupling}")
     return -0.5 * math.log(math.tanh(coupling))
 
 
@@ -234,12 +235,17 @@ def kw_rewrite_chain(lattice: IsingLattice):
     final diagram carries the dual-lattice angles (the dual coupling K* with
     e^{-2K*} = tanh K on every edge, in the rotated orientation).
 
-    Returns (steps, dual_lattice).
+    Returns (steps, dual_lattice).  Raises InvariantViolation, before any
+    step is built, unless every edge has the same coupling K > 0.
     """
     if lattice.shape is None:
-        raise ValueError("the rewrite chain is implemented for square lattices")
+        raise InvariantViolation("the rewrite chain is implemented for square lattices")
     rows, cols = lattice.shape
     couplings = {k for _, _, k in lattice.edges}
+    if len(couplings) != 1:
+        raise InvariantViolation(
+            f"the rewrite chain needs one coupling on every edge, got {sorted(couplings)}")
+    dual_k = kw_dual_coupling(couplings.pop())
     steps = [build_ising_quon(lattice)]
 
     # insert a string-hole pair on each dual plaquette (interior vertices)
@@ -262,10 +268,7 @@ def kw_rewrite_chain(lattice: IsingLattice):
 
     dual_rows = max(rows - 1, 1)
     dual_cols = max(cols - 1, 1)
-    dual_k = {kw_dual_coupling(k) for k in couplings}
-    dual = IsingLattice.square(dual_rows, dual_cols, dual_k.pop() if len(dual_k) == 1
-                               else kw_dual_coupling(next(iter(couplings))))
-    return steps, dual
+    return steps, IsingLattice.square(dual_rows, dual_cols, dual_k)
 
 
 def kw_dual_angle(angle: complex) -> complex:
@@ -322,9 +325,11 @@ class StarTriangleSolution:
     r: complex
 
     def residual(self, u) -> float:
+        """max|star(u) - R * triangle(v)| / max|star(u)| over the 8
+        components: the fit's error relative to the star's largest entry."""
         star = star_triangle_oracle(u, "star")
         tri = star_triangle_oracle((self.v1, self.v2, self.v3), "triangle")
-        return float(np.max(np.abs(star - self.r * tri)))
+        return float(np.max(np.abs(star - self.r * tri)) / np.max(np.abs(star)))
 
 
 def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSolution:

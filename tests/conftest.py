@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quon2d.circuits import Circuit, Gate
+from quon2d.circuits import GATES, Circuit, Gate
 
 from quon2d.diagram import (
     BraidNeg,
@@ -82,21 +82,22 @@ def embed_pattern(rng, pattern, pattern_width, max_extra=10):
 
 
 def random_circuit(n, depth, rng, two_qubit_rate=0.45,
-                   names1=("X", "Y", "Z", "S", "SINV", "H", "RXQ+", "RXQ-", "RZ"),
-                   names2=("XX", "CNOT", "CZ", "SWAP")):
-    """Random nearest-neighbour circuit of `depth` gates drawn from the pools."""
+                   names1=tuple(name for name, kind in GATES.items() if kind.qubits == 1),
+                   names2=tuple(name for name, kind in GATES.items() if kind.qubits == 2)):
+    """Random nearest-neighbour circuit of `depth` gates drawn from the pools
+    (by default every gate of `GATES`, split by arity)."""
     gates = []
     for _ in range(depth):
         if n >= 2 and rng.random() < two_qubit_rate:
             q = int(rng.integers(0, n - 1))
             name = names2[int(rng.integers(0, len(names2)))]
             pair = (q, q + 1) if rng.random() < 0.5 else (q + 1, q)
-            angle = float(rng.uniform(0, 2 * np.pi)) if name == "XX" else None
+            angle = float(rng.uniform(0, 2 * np.pi)) if GATES[name].takes_angle else None
             gates.append(Gate(name, pair, angle))
         else:
             q = int(rng.integers(0, n))
             name = names1[int(rng.integers(0, len(names1)))]
-            angle = float(rng.uniform(0, 2 * np.pi)) if name == "RZ" else None
+            angle = float(rng.uniform(0, 2 * np.pi)) if GATES[name].takes_angle else None
             gates.append(Gate(name, (q,), angle))
     return Circuit(n, tuple(gates))
 

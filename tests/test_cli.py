@@ -4,9 +4,10 @@ import warnings
 import pytest
 
 from quon2d.circuits import Circuit, Gate
-from quon2d.cli import greedy_simplify, main
+from quon2d.cli import greedy_simplify, main, parse_circuit_text
 from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, DotPair, MajoranaDiagram, Scattering, ScatteringStar
+from quon2d.errors import ParseError
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon
 from quon2d.serialize import parse_diagram, serialize_diagram
@@ -160,6 +161,34 @@ def test_star_triangle_huge_coupling_warns_nothing(capsys, couplings):
     else:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
+
+
+def test_star_triangle_prints_the_relative_residual(capsys):
+    """The star tensor's largest entry is 4e200; the residual is relative to
+    it, so a fit good to round-off reads as one."""
+    code, out, _ = _run(capsys, "star-triangle", "--u", "1e200,1,1")
+    assert code == 0
+    assert float(out.split("residual: ")[1]) <= 1e-9
+
+
+def test_parse_circuit_text_reads_arity_and_angle_from_the_gate_table():
+    text = "h 0  # comment\n\nXX 1 0 -1.5\nCNOT 1 2\nRZ 2 0.25\n"
+    assert parse_circuit_text(text) == Circuit(3, (
+        Gate("H", (0,)), Gate("XX", (1, 0), -1.5), Gate("CNOT", (1, 2)), Gate("RZ", (2,), 0.25)))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("H 0\nX 0 1\n", "line 2: X takes 1 field"),
+    ("RZ 0 0.3 7\n", "line 1: RZ takes 2 field"),
+    ("XX 0 1\n", "line 1: XX takes 3 field"),
+    ("RZ 0 nan\n", "line 1: .*RZ needs a finite angle"),
+    ("XX 0 1 inf\n", "line 1: .*XX needs a finite angle"),
+    ("FROB 0\n", "line 1: unknown gate 'FROB'"),
+    ("X 0.5\n", "line 1: invalid literal"),
+])
+def test_parse_circuit_text_rejects_bad_lines(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_circuit_text(text)
 
 
 def test_ising_oracle_overflow_is_one_error_line(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from quon2d.circuits import Circuit, Gate, circuit_oracle_unitary, gate_matrix
+from quon2d.circuits import GATES, Circuit, Gate, circuit_oracle_unitary, gate_matrix
 from quon2d.compiler import (
     DenseTensor,
     circuit_amplitude,
@@ -15,7 +15,13 @@ from quon2d.compiler import (
     parity_tensor_quon,
     quon_to_dense_tensor,
 )
-from quon2d.errors import InvalidBit, NonAdjacentTwoQubitGate, TooManyLegs, UnknownGenerator
+from quon2d.errors import (
+    InvalidBit,
+    InvariantViolation,
+    NonAdjacentTwoQubitGate,
+    TooManyLegs,
+    UnknownGenerator,
+)
 from quon2d.quon import BasisAssignment, all_projections, encode_basis
 
 from conftest import random_circuit
@@ -31,6 +37,36 @@ ALL_GATES = [
     Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0)),
     Gate("CZ", (0, 1)), Gate("SWAP", (0, 1)),
 ]
+
+
+def test_all_gates_cover_the_gate_table():
+    """A gate added to GATES without a block or a matrix fails the fidelity
+    test below."""
+    assert {g.name for g in ALL_GATES} == set(GATES)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Gate("RZ", (0,), float("nan")), "RZ needs a finite angle"),
+    (lambda: Gate("XX", (0, 1), float("inf")), "XX needs a finite angle"),
+    (lambda: Gate("RZ", (0,)), "RZ needs a finite angle"),
+    (lambda: Gate("RZ", (0,), "0.3"), "RZ needs a finite angle"),
+    (lambda: Gate("X", (0,), 0.3), "X takes no angle"),
+    (lambda: Gate("X", (0.5,)), "qubits must be integers"),
+    (lambda: Gate("CZ", (0, 1.0)), "qubits must be integers"),
+    (lambda: Gate("FROB", (0,)), "unknown gate 'FROB'"),
+    (lambda: Gate("H", (0, 1)), r"H takes 1 qubit\(s\)"),
+    (lambda: Gate("SWAP", (0,)), r"SWAP takes 2 qubit\(s\)"),
+    (lambda: Circuit(2, (Gate("X", (2,)),)), "outside 0..1"),
+])
+def test_bad_gates_raise_invariant_violation(make, match):
+    with pytest.raises(InvariantViolation, match=match):
+        make()
+
+
+def test_gate_qubits_become_ints_and_angles_reduce():
+    g = Gate("xx", (np.int64(1), np.int64(0)), -PI / 2)
+    assert g == Gate("XX", (1, 0), 1.5 * PI)
+    assert all(type(q) is int for q in g.qubits)
 
 
 def test_oracle_gate_basics():

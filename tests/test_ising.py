@@ -161,6 +161,30 @@ def test_kw_chain_final_angles_are_dual():
         assert abs(complex(el.phi).imag) <= 1e-9
 
 
+@pytest.mark.parametrize("lattice, match", [
+    (IsingLattice.square(3, 3, 0.4, {(0, 1): 0.7}), "one coupling on every edge"),
+    (IsingLattice.square(3, 3, -0.2), "needs K > 0"),
+    (IsingLattice.square(3, 3, 0.0), "needs K > 0"),
+])
+def test_kw_chain_rejects_a_lattice_without_one_positive_coupling(lattice, match, monkeypatch):
+    """Checked before any step is built: the dual of a non-uniform lattice
+    has no single K*, and K <= 0 has none at all."""
+    import quon2d.ising
+
+    def no_steps(lattice):
+        raise AssertionError("a step was built")
+
+    monkeypatch.setattr(quon2d.ising, "build_ising_quon", no_steps)
+    with pytest.raises(InvariantViolation, match=match):
+        kw_rewrite_chain(lattice)
+
+
+def test_kw_dual_coupling_needs_a_positive_coupling():
+    for coupling in (-0.2, 0.0, float("nan")):
+        with pytest.raises(InvariantViolation, match="needs K > 0"):
+            kw_dual_coupling(coupling)
+
+
 def test_kw_dual_fixed_point():
     kc = kw_self_dual_point()
     assert kc == pytest.approx(0.5 * math.log(1 + math.sqrt(2)))
