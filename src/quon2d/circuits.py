@@ -91,10 +91,20 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on qubits 0..n_qubits - 1.  Raises InvariantViolation for a
+    qubit count that is not a non-negative integer (a bool is not one) and
+    for a gate outside the qubits; NonAdjacentTwoQubitGate for a two-qubit
+    gate on qubits that are not neighbours."""
+
     n_qubits: int
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        n = self.n_qubits
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise InvariantViolation(
+                f"n_qubits must be a non-negative integer, the number of qubits; got {n!r}")
+        object.__setattr__(self, "n_qubits", int(n))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(not 0 <= q < self.n_qubits for q in g.qubits):

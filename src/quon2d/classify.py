@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .errors import NotMatchgate, RankTooLarge, TooLarge, UntaggedTensor
+from .errors import InvariantViolation, NotMatchgate, RankTooLarge, TooLarge, UntaggedTensor
 from .quon import QuonDiagram, remove_holes_to_fixpoint
 from .wires import WireTrace
 
@@ -34,7 +34,9 @@ class ClassReport:
 
     def __post_init__(self):
         if self.matchgate_form and not self.punctured_matchgate_form:
-            raise ValueError("matchgate form implies punctured matchgate form")
+            raise InvariantViolation(
+                "matchgate form implies punctured matchgate form: set "
+                "punctured_matchgate_form=True or matchgate_form=False")
 
 
 def boundary_tracking_ok(q: QuonDiagram) -> bool:
@@ -78,9 +80,11 @@ def matchgate_identity_residual(entries: np.ndarray, rank: int | None = None) ->
     entries = np.asarray(entries, dtype=complex).reshape(-1)
     n = int(round(math.log2(entries.size)))
     if 2 ** n != entries.size:
-        raise ValueError("entry count must be a power of two")
+        raise InvariantViolation(
+            f"{entries.size} entries: a tensor of rank n has 2^n entries, one per bit string")
     if rank is not None and rank != n:
-        raise ValueError(f"rank {rank} does not match {entries.size} entries")
+        raise InvariantViolation(
+            f"rank {rank} does not match {entries.size} entries: pass rank={n} or omit it")
     if n > 8:
         raise RankTooLarge(f"rank {n} exceeds the limit 8")
     worst = 0.0

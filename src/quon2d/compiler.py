@@ -45,7 +45,14 @@ from .diagram import (
     Scattering,
     offset_elements,
 )
-from .errors import BitLengthMismatch, IntervalMismatch, TooManyLegs, UnknownGenerator
+from .errors import (
+    BitLengthMismatch,
+    IntervalMismatch,
+    InvariantViolation,
+    NonPlanarInput,
+    TooManyLegs,
+    UnknownGenerator,
+)
 from .quon import (
     BOTTOM,
     TOP,
@@ -77,7 +84,9 @@ class DenseTensor:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex).reshape(-1)
         if entries.shape != (2 ** self.rank,):
-            raise ValueError(f"rank {self.rank} needs {2 ** self.rank} entries")
+            raise InvariantViolation(
+                f"rank {self.rank} needs {2 ** self.rank} entries, one per bit string; "
+                f"got {entries.size}")
         object.__setattr__(self, "entries", entries)
 
     def tensor(self) -> np.ndarray:
@@ -139,19 +148,19 @@ def _gab_layers(a_mat: np.ndarray, b_mat: np.ndarray):
 
 _E8 = cmath.exp(1j * _PI / 8)  # the amplitude of S, H and RXQ+
 _HADAMARD = (BraidNeg(1), BraidNeg(2), BraidNeg(1))
+_GH_LAYERS, _GH_PHASE = _gab_layers(H_MATRIX, H_MATRIX)  # the CZ gadget's G(H, H)
 
 
 def _cz_block(gate: Gate, base: int):
     """CZ via the gadget (G_H, SWAP, G_X, G_H) on the middle dense qubits,
     conjugated by logical Hadamards into this encoding."""
     hadamards = offset_elements(_HADAMARD, base) + offset_elements(_HADAMARD, base + 4)
-    gh_els, gh_amp = _gab_layers(H_MATRIX, H_MATRIX)
-    gh_els = offset_elements(gh_els, base + 2)  # gadget window: base+2 .. base+5
+    gh_els = offset_elements(_GH_LAYERS, base + 2)  # gadget window: base+2 .. base+5
     head = hadamards + gh_els + offset_elements(_weave(0, 2, 2), base + 2)
     els = head + (DotPair(base + 3, base + 4),) + gh_els + hadamards
     # the gadget's inner cut halves the flow; the content-preserving
     # normalization restores it (pinned by the dense-oracle gate test)
-    amp = _E8 * _E8 * (2.0 * gh_amp * gh_amp) * _E8 * _E8
+    amp = _E8 * _E8 * (2.0 * _GH_PHASE * _GH_PHASE) * _E8 * _E8
     notches = (ParityCut(len(head), tuple(range(base + 2, base + 4))),
                ParityCut(len(els), tuple(range(base, base + 4))))
     return els, amp, (), notches
@@ -381,7 +390,8 @@ def caps_from_pairing(size: int, pairs) -> tuple:
     """Cap sequence realizing a non-crossing perfect matching of 0..size-1."""
     remaining = sorted(tuple(sorted(p)) for p in pairs)
     if sorted(x for p in remaining for x in p) != list(range(size)):
-        raise ValueError("pairs must tile 0..size-1")
+        raise InvariantViolation(
+            f"pairs must cover each of 0..{size - 1} exactly once; got {sorted(remaining)}")
     order = []
     positions = list(range(size))
     live = {p: i for i, p in enumerate(positions)}
@@ -397,7 +407,8 @@ def caps_from_pairing(size: int, pairs) -> tuple:
                 progress = True
                 break
         if not progress:
-            raise ValueError("pairing is not planar (non-crossing)")
+            raise NonPlanarInput(
+                f"pairs {sorted(pending)} cross: caps realize only a non-crossing pairing")
     caps = tuple(Cap(pos) for _, pos in reversed(order))
     return caps
 

@@ -73,6 +73,11 @@ class UnknownGenerator(Quon2dError):
     pass
 
 
+class UnknownMode(Quon2dError):
+    """A mode, direction or kind name that the call does not accept; the
+    message lists the names it does."""
+
+
 class IntervalMismatch(Quon2dError):
     pass
 

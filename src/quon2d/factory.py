@@ -393,7 +393,8 @@ def parse_move_script(text: str) -> list[Move]:
                 else:
                     moves.append(Switch(site, change))
             else:
-                raise ValueError(f"unknown move {kind!r}")
+                raise ParseError(f"move script line {lineno}: unknown move {kind!r}; "
+                                 "use stretch, insert or switch")
         except (IndexError, ValueError) as exc:
             raise ParseError(f"move script line {lineno}: {exc}") from exc
     return moves

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram
-from .errors import NotClosed, OracleTooLarge
+from .errors import InvariantViolation, NotClosed, OracleTooLarge
 
 _QUARTER = 2.0 ** 0.25
 
@@ -41,12 +41,13 @@ class FockState:
     def __post_init__(self):
         n = self.n_strands
         if n < 0 or n % 2:
-            raise ValueError(f"n_strands must be even and non-negative, got {n}")
+            raise InvariantViolation(
+                f"n_strands must be even and non-negative (two per qubit), got {n}")
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2 ** (n // 2),):
-            raise ValueError(
-                f"amplitude vector has length {self.amplitudes.shape}, expected {2 ** (n // 2)}"
-            )
+            raise InvariantViolation(
+                f"amplitude vector has shape {self.amplitudes.shape}; {n} strands need a "
+                f"flat vector of {2 ** (n // 2)} amplitudes")
 
     @staticmethod
     def scalar(value: complex = 1.0) -> "FockState":

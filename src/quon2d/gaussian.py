@@ -51,11 +51,19 @@ points later than it.  This follows the few-non-Gaussian-element methods of
 Dias & Koenig (arXiv:2307.12912) and Reardon-Smith, Oszmaniec & Korzekwa
 (arXiv:2307.12702).
 
-The elimination is a blocked Parlett-Reid (LTL^T) with partial pivoting,
-after Wimmer, "Efficient numerical computation of the Pfaffian for dense and
-banded skew-symmetric matrices" (ACM TOMS 38, 2012, arXiv:1102.3440): panels
-of 2 * PANEL columns are eliminated with their trailing updates held back,
-then applied as one matrix product.  `pfaffian` is the same elimination with
+The elimination is a blocked, banded Parlett-Reid (LTL^T) with partial
+pivoting, after Wimmer, "Efficient numerical computation of the Pfaffian for
+dense and banded skew-symmetric matrices" (ACM TOMS 38, 2012,
+arXiv:1102.3440): panels of 2 * PANEL columns are eliminated with their
+trailing updates held back, then applied as one matrix product.  Every step
+works in a window of rows [k, hi): the rows from hi on are original rows,
+untouched, because no row eliminated or swapped so far reaches them (see
+`_eliminate`).  The window follows the actual nonzeros and fill, so nothing
+is assumed about the matrix.  With a window of width w the elimination costs
+O(N w^2).  W of an L x L Ising lattice in time order has bandwidth about 4L,
+and the window stays within it: at L = 14 (N = 728, bandwidth 55) it spans
+at most 56 rows.  A dense W, such as a compiled circuit's, opens the whole
+matrix at step 0 and costs O(N^3).  `pfaffian` is the same elimination with
 every row in the core and nothing kept; it evaluates the one matrix of a
 diagram without groups.  The terms of a diagram with groups are many small
 matrices, where NumPy's per-call overhead, not arithmetic, would dominate a
@@ -89,8 +97,8 @@ _SUB = 1e-4  # sub-slot offset for multiple insertions of one element
 
 
 def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, int]:
-    """Blocked Parlett-Reid elimination of the first `core` rows of the
-    antisymmetric matrix `a`, in place.
+    """Blocked, banded Parlett-Reid elimination of the first `core` rows of
+    the antisymmetric matrix `a`, in place.
 
     Returns (pf, e): the Pfaffian of the eliminated part, swap signs
     included, and the number e of eliminated rows.  a[e:, e:] is then the
@@ -111,9 +119,26 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
     pending in p and q (the current matrix is the stored one plus p q^T);
     each step reads rows k and k + 1 with one matrix-vector product each,
     and the panel's updates reach the trailing block as one matrix product.
+
+    Window: every row at a position >= hi is an original row of `a`, at its
+    own position and untouched by any update.  The reach of an original row
+    is one past its last nonzero column.  Step k raises hi to the reach of
+    row k before its pivot search, and to the reaches of rows k + 1 and kp
+    once the pivot kp is chosen, before they swap.  Then rows k and k + 1
+    vanish beyond hi, so the step's update, and every swapped row and
+    column, lies in [k, hi): the pivot search, the matrix-vector products,
+    the swaps and the panel's product touch that window only.  A deferral
+    sets hi = n.  With a window of width w the elimination costs O(N w^2);
+    a dense matrix reaches hi = n at step 0 and costs O(N^3).
     """
+    if core < 2:  # no pair of core rows to eliminate
+        return 1.0 + 0.0j, 0
     n = a.shape[0]
     scale = max(float(np.max(np.abs(a), initial=0.0)), 1.0)
+    nonzero = a[:, ::-1] != 0
+    last = np.where(nonzero.any(axis=1), n - np.argmax(nonzero, axis=1), 0).tolist()
+    orig = list(range(n))  # the original row at each position
+    hi = 0
     pf = 1.0 + 0.0j
     k = 0
     while k + 1 < core:
@@ -123,39 +148,45 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
         q = np.zeros_like(p)
         while k + 1 < core and k - k0 < p.shape[1]:
             j = k - k0
-            row = a[k, k + 1:] + q[j + 1:, :j] @ p[j, :j]
-            i = int(np.argmax(np.abs(row[:core - k - 1])))
+            hi = max(hi, k + 2, last[orig[k]])
+            row = a[k, k + 1:hi] + q[j + 1:hi - k0, :j] @ p[j, :j]
+            i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
             if abs(row[i]) <= singular_tol * scale:
                 if core == n:  # nothing kept: row k pairs with no row at all
                     return 0.0 + 0.0j, k
                 core -= 1  # defer row k behind the remaining core rows
+                hi = n
                 if core != k:
                     a[[k, core], k:] = a[[core, k], k:]
                     a[k:, [k, core]] = a[k:, [core, k]]
                     p[[j, core - k0]] = p[[core - k0, j]]
                     q[[j, core - k0]] = q[[core - k0, j]]
+                    orig[k], orig[core] = orig[core], orig[k]
                     pf = -pf
                 continue
+            kp = k + 1 + i
+            reached = hi  # row k vanishes from column reached on
+            hi = max(hi, last[orig[k + 1]], last[orig[kp]])
             if i:
-                kp = k + 1 + i
-                a[[k + 1, kp], k + 1:] = a[[kp, k + 1], k + 1:]
-                a[k + 1:, [k + 1, kp]] = a[k + 1:, [kp, k + 1]]
+                a[[k + 1, kp], k + 1:hi] = a[[kp, k + 1], k + 1:hi]
+                a[k + 1:hi, [k + 1, kp]] = a[k + 1:hi, [kp, k + 1]]
                 p[[j + 1, j + 1 + i]] = p[[j + 1 + i, j + 1]]
                 q[[j + 1, j + 1 + i]] = q[[j + 1 + i, j + 1]]
+                orig[k + 1], orig[kp] = orig[kp], orig[k + 1]
                 row[[0, i]] = row[[i, 0]]
                 pf = -pf
             pivot = row[0]
             pf *= pivot
-            if k + 2 < n:
+            if k + 2 < hi:
                 tau = row[1:] / pivot
-                col = -(a[k + 1, k + 2:] + q[j + 2:, :j] @ p[j + 1, :j])
-                p[j + 2:, j] = tau
-                p[j + 2:, j + 1] = col
-                q[j + 2:, j] = col
-                q[j + 2:, j + 1] = -tau
+                col = -(a[k + 1, k + 2:hi] + q[j + 2:hi - k0, :j] @ p[j + 1, :j])
+                p[j + 2:reached - k0, j] = tau
+                p[j + 2:hi - k0, j + 1] = col
+                q[j + 2:hi - k0, j] = col
+                q[j + 2:reached - k0, j + 1] = -tau
             k += 2
-        if k < n:
-            a[k:, k:] += p[k - k0:] @ q[k - k0:].T
+        if k < hi:
+            a[k:hi, k:hi] += p[k - k0:hi - k0] @ q[k - k0:hi - k0].T
     return pf, k
 
 

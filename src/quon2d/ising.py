@@ -38,6 +38,7 @@ from .errors import (
     NumericalInstability,
     Singular,
     TooManySites,
+    UnknownMode,
 )
 from .quon import QuonDiagram, string_genus
 from .rewrite import RewriteSite, SpaceTimeDual, apply_rule
@@ -314,7 +315,7 @@ def star_triangle_oracle(params, which: str = "star") -> np.ndarray:
             "xfa,ybc,zde,ab,cd,ef->xyz",
             p3, p3, p3, _edge(v3), _edge(v1), _edge(v2),
         )
-    raise ValueError(which)
+    raise UnknownMode(f"star_triangle_oracle builds 'star' or 'triangle', not {which!r}")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .errors import (
     InvariantViolation,
     NoEnclosingLoop,
     PatternMismatch,
+    UnknownMode,
     WidthMismatch,
 )
 from .fock import evaluate_closed_oracle
@@ -476,7 +477,7 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
         return _delete_worldline(q, trace, *found, hole_id)
 
     if direction != "insert":
-        raise ValueError(f"direction {direction!r}")
+        raise UnknownMode(f"string_genus direction is 'remove' or 'insert', not {direction!r}")
     if region is None:
         raise InvalidRegion("insert needs a (time_index, position) region")
     t, p = region

@@ -51,7 +51,7 @@ from .diagram import (
     ScatteringStar,
     is_generic_angle,
 )
-from .errors import NoSolution, NotAScattering, PatternMismatch, SingularAngle
+from .errors import NoSolution, NotAScattering, PatternMismatch, SingularAngle, UnknownMode
 
 _PI = math.pi
 
@@ -374,7 +374,7 @@ def expand_scattering(diag: MajoranaDiagram, site: int, mode: str = "dots"):
         if orientation == VERTICAL:
             return [rebuild((BraidPos(j),), a_term), rebuild((BraidNeg(j),), b_term)]
         return [rebuild((BraidPos(j),), b_term), rebuild((BraidNeg(j),), a_term)]
-    raise ValueError(f"unknown expansion mode {mode!r}")
+    raise UnknownMode(f"expansion mode is 'dots' or 'braids', not {mode!r}")
 
 
 def braid_expansion_weights(el: Element) -> tuple[complex, complex]:

@@ -17,7 +17,7 @@ from quon2d.classify import (
     remove_holes_to_fixpoint,
 )
 from quon2d.compiler import compile_circuit, quon_to_dense_tensor
-from quon2d.errors import NotMatchgate, RankTooLarge
+from quon2d.errors import InvariantViolation, NotMatchgate, RankTooLarge
 from quon2d.quon import string_genus
 from quon2d.wires import WireTrace
 
@@ -64,7 +64,7 @@ def test_swap_breaks_matchgate(rng):
 
 
 def test_report_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="matchgate form implies punctured"):
         ClassReport(False, True, False, 0, 0, True)
 
 

@@ -63,6 +63,33 @@ def test_bad_gates_raise_invariant_violation(make, match):
         make()
 
 
+@pytest.mark.parametrize("n_qubits", [1.5, -1, True, "2", None])
+def test_bad_qubit_counts_raise_invariant_violation(n_qubits):
+    with pytest.raises(InvariantViolation, match="n_qubits must be a non-negative integer"):
+        Circuit(n_qubits, ())
+
+
+def test_qubit_count_becomes_an_int():
+    c = Circuit(np.int64(2), (Gate("CZ", (0, 1)),))
+    assert type(c.n_qubits) is int and c == Circuit(2, (Gate("CZ", (0, 1)),))
+    assert compile_circuit(Circuit(0, ())).core.elements == ()
+
+
+def test_cz_gadget_layers_are_built_once(monkeypatch):
+    """G(H, H) of the CZ gadget is a constant of the encoding: compiling a
+    CZ fits no rotation layers, and gives the same diagram every time."""
+    import quon2d.compiler as compiler
+
+    c = Circuit(3, (Gate("CZ", (1, 2)), Gate("H", (0,)), Gate("CZ", (1, 0))))
+    first = compile_circuit(c)
+
+    def refuse(*args):
+        raise AssertionError("G(H, H) fitted again")
+
+    monkeypatch.setattr(compiler, "gab_rotation_layers", refuse)
+    assert compile_circuit(c) == first
+
+
 def test_gate_qubits_become_ints_and_angles_reduce():
     g = Gate("xx", (np.int64(1), np.int64(0)), -PI / 2)
     assert g == Gate("XX", (1, 0), 1.5 * PI)
@@ -296,5 +323,5 @@ def test_too_many_legs():
 
 
 def test_dense_tensor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="rank 2 needs 4 entries"):
         DenseTensor(2, np.zeros(3))

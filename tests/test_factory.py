@@ -227,5 +227,7 @@ def test_move_script_parser():
     assert isinstance(moves[2], Insert) and moves[2].payload == "string_hole_pair"
     assert isinstance(moves[3], Switch) and moves[3].theta == 0.4
     assert isinstance(moves[4], Switch) and moves[4].position == 0
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 1: unknown move 'warp'; use stretch"):
         parse_move_script("warp 1 2")
+    with pytest.raises(ParseError, match="line 2: invalid literal"):
+        parse_move_script("insert 0 0\nstretch 0 x 1")

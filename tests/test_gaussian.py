@@ -14,6 +14,7 @@ from quon2d.gaussian import (
     PANEL,
     PreparedDiagram,
     _eliminate,
+    _pfaffians,
     assemble_frontier,
     contraction_matrix,
     evaluate_closed_fast,
@@ -107,6 +108,142 @@ def test_pfaffian_pivots_across_panels(rng):
     assert pfaffian(dense[np.ix_(perm, perm)]) == pytest.approx(sign * pfaffian(dense), rel=1e-9)
     blocks[n - 2, n - 1] = blocks[n - 1, n - 2] = 0.0  # singular in the last panel
     assert pfaffian(blocks[np.ix_(perm, perm)]) == 0.0
+
+
+def random_banded(rng, n, width, cols=None):
+    """Complex n x cols matrix (cols defaults to n) with entries only within
+    `width` of the diagonal, a random share of them zero, so that the rows
+    reach unevenly far."""
+    cols = n if cols is None else cols
+    m = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
+    i, j = np.indices((n, cols))
+    return m * ((np.abs(i - j) <= width) & (rng.random((n, cols)) < rng.uniform(0.3, 1.0)))
+
+
+def banded_cases(rng, count):
+    """Antisymmetric band matrices of every bandwidth from 1 to n, n odd and
+    even up to 150, some symmetrically permuted (at random, or only locally),
+    some with zero rows and columns or an odd-sized direct summand, which
+    make them exactly singular.  Yields (matrix, exactly singular)."""
+    for _ in range(count):
+        n = int(rng.integers(1, 151)) if rng.random() < 0.5 else int(rng.integers(1, 11))
+        m = random_banded(rng, n, int(rng.integers(1, n + 1)))
+        a = m - m.T
+        singular = n % 2 == 1
+        if rng.random() < 0.3:
+            rows = rng.choice(n, size=int(rng.integers(1, 3)))
+            a[rows], a[:, rows] = 0.0, 0.0
+            singular = True
+        elif n > 2 and rng.random() < 0.2:
+            cut = 2 * int(rng.integers(0, n // 2)) + 1  # an odd leading block
+            a[:cut, cut:], a[cut:, :cut] = 0.0, 0.0
+            singular = True
+        if rng.random() < 0.5:
+            if rng.random() < 0.5:
+                perm = rng.permutation(n)
+            else:  # a local shuffle keeps the band narrow
+                perm = np.argsort(np.arange(n) + rng.integers(0, 6, size=n), kind="stable")
+            a = a[np.ix_(perm, perm)]
+        yield a, singular
+
+
+def test_banded_pfaffian_matches_unblocked_and_recursive(rng):
+    """The banded elimination agrees with the unblocked kernel, which keeps
+    no window, and for n <= 10 with the expansion by minors; an exactly
+    singular matrix gives exactly 0."""
+    singular = 0
+    for a, exactly_singular in banded_cases(rng, 300):
+        got = pfaffian(a)
+        want = _pfaffians(a[None].copy())[0]
+        assert abs(got - want) <= 1e-10 * abs(want)
+        if len(a) <= 10:
+            assert abs(got - pfaffian_recursive(a)) <= 1e-10 * abs(want)
+        if exactly_singular:
+            assert got == 0.0
+            singular += 1
+    assert singular > 50
+
+
+def test_window_takes_the_reach_of_the_swapped_out_row():
+    """Row 0 reaches column 2 only, and its pivot is there, so rows 1 and 2
+    swap.  Row 1 reaches the last column: the swap must carry that column's
+    entry, though neither row 0 nor the pivot row reaches it."""
+    n = 6
+    a = np.zeros((n, n), dtype=complex)
+    a[0, 1], a[0, 2] = 0.5, 2.0
+    a[1, 5], a[2, 3], a[3, 4], a[4, 5] = 1.5 - 1j, 0.7, 1.3j, 0.9
+    a -= a.T
+    assert pfaffian(a) == pytest.approx(pfaffian_recursive(a), rel=1e-12)
+
+
+def test_window_takes_the_reach_of_an_unswapped_pivot_row():
+    """Row 0's pivot is already in column 1, so nothing swaps; row 1 reaches
+    the last column, and the update of step 0 must reach it too."""
+    n = 6
+    a = np.zeros((n, n), dtype=complex)
+    a[0, 1], a[0, 2] = 2.0, 0.5
+    a[1, 5], a[2, 3], a[3, 4], a[4, 5], a[2, 5] = 1.5 - 1j, 0.7, 1.3j, 0.9, 0.4
+    a -= a.T
+    assert pfaffian(a) == pytest.approx(pfaffian_recursive(a), rel=1e-12)
+
+
+def test_banded_core_schur_identity(rng):
+    """A banded core followed by dense extra rows that reach a random run of
+    the core rows, some core rows without any entry among the core rows:
+    every sub-Pfaffian over the core and a set S of extras is pf times the
+    Schur complement's on the deferred rows and S."""
+    deferred = 0
+    for _ in range(60):
+        core = int(rng.integers(2, 80))
+        extra = int(rng.integers(1, 5))
+        n = core + extra
+        a = np.zeros((n, n), dtype=complex)
+        a[:core, :core] = random_banded(rng, core, int(rng.integers(1, core + 1)))
+        first, last = np.sort(rng.integers(0, core + 1, size=2))
+        a[first:last, core:] = rng.normal(size=(last - first, extra))
+        a[core:, core:] = rng.normal(size=(extra, extra))
+        a -= a.T
+        if rng.random() < 0.5:
+            perm = np.concatenate([rng.permutation(core), np.arange(core, n)])
+            a = a[np.ix_(perm, perm)]
+        if rng.random() < 0.4:
+            rows = rng.choice(core, size=int(rng.integers(1, 3)))
+            a[np.ix_(rows, range(core))], a[np.ix_(range(core), rows)] = 0.0, 0.0
+        eliminated = a.copy()
+        pf, e = _eliminate(eliminated, core, DEFER_TOL)
+        deferred += e < core
+        schur = eliminated[e:, e:]
+        for size in range(extra + 1):
+            for subset in itertools.combinations(range(core, n), size):
+                rows = list(range(core)) + list(subset)
+                small = list(range(core - e)) + [r - e for r in subset]
+                want = _pfaffians(a[np.ix_(rows, rows)][None].copy())[0]
+                got = pf * pfaffian(schur[np.ix_(small, small)])
+                assert abs(got - want) <= 1e-10 * abs(want)
+    assert deferred > 10
+
+
+def test_deferred_rows_keep_their_pending_updates(rng):
+    """Rows 0..3 form a rank-2 block, so step 0 leaves two of them with
+    round-off only, cancelled by pending updates; the last core row is zero.
+    The three are deferred behind the core, one of them to a position beyond
+    every row the chain of 2 x 2 blocks in between reaches.  Their Schur
+    complement vanishes, and with it every sub-Pfaffian over the core."""
+    core, n = 21, 23
+    a = np.zeros((n, n), dtype=complex)
+    x, y = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    a[:4, :4] = np.outer(x, y)
+    a[np.arange(4, core - 1, 2), np.arange(5, core - 1, 2)] = 1.0 + rng.random(8)
+    a[4:6, core:] = rng.normal(size=(2, 2))
+    a[core, core + 1] = 0.8
+    a -= a.T
+    eliminated = a.copy()
+    pf, e = _eliminate(eliminated, core, DEFER_TOL)
+    assert e == core - 3
+    assert np.max(np.abs(eliminated[e:core, e:])) <= 1e-12
+    for subset in ((core,), (core + 1,)):
+        small = [0, 1, 2] + [r - e for r in subset]
+        assert abs(pf * pfaffian(eliminated[e:, e:][np.ix_(small, small)])) <= 1e-12
 
 
 def test_fast_matches_oracle_loop_and_empty():

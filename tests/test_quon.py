@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from quon2d.classify import ClassReport, matchgate_identity_residual
+from quon2d.compiler import caps_from_pairing
 from quon2d.diagram import (
     BraidNeg,
     Cap,
@@ -13,9 +15,17 @@ from quon2d.diagram import (
     Scattering,
     compose,
 )
-from quon2d.errors import HasOpenIntervals, NoEnclosingLoop, PatternMismatch
-from quon2d.fock import evaluate_closed_oracle
+from quon2d.errors import (
+    HasOpenIntervals,
+    InvariantViolation,
+    NoEnclosingLoop,
+    NonPlanarInput,
+    PatternMismatch,
+    UnknownMode,
+)
+from quon2d.fock import FockState, evaluate_closed_oracle
 from quon2d.gaussian import evaluate_closed_fast
+from quon2d.ising import star_triangle_oracle
 from quon2d.quon import (
     BOTTOM,
     TOP,
@@ -31,6 +41,7 @@ from quon2d.quon import (
     string_genus,
     swap_hole_remove,
 )
+from quon2d.rewrite import expand_scattering
 
 from conftest import random_closed_diagram
 
@@ -145,6 +156,24 @@ def test_string_genus_no_loop_raises():
     q = QuonDiagram(core, (ParityCut(1, (0, 1)),))
     with pytest.raises(NoEnclosingLoop):
         string_genus(q, 0, "remove")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda q: string_genus(q, 0, "sideways"), UnknownMode, "'remove' or 'insert'"),
+    (lambda q: expand_scattering(q.core, 1, "knots"), UnknownMode, "'dots' or 'braids'"),
+    (lambda q: star_triangle_oracle((0.1, 0.2, 0.3), "square"), UnknownMode, "'star' or 'triangle'"),
+    (lambda q: FockState(3, np.ones(2)), InvariantViolation, "even and non-negative"),
+    (lambda q: FockState(4, np.ones(3)), InvariantViolation, "flat vector of 4 amplitudes"),
+    (lambda q: caps_from_pairing(4, [(0, 1), (1, 2)]), InvariantViolation, "exactly once"),
+    (lambda q: caps_from_pairing(4, [(0, 2), (1, 3)]), NonPlanarInput, "non-crossing"),
+    (lambda q: matchgate_identity_residual(np.ones(3)), InvariantViolation, "2\\^n entries"),
+    (lambda q: matchgate_identity_residual(np.ones(4), rank=3), InvariantViolation, "pass rank=2"),
+    (lambda q: ClassReport(False, True, False, 0, 0, True), InvariantViolation, "set punctured"),
+])
+def test_misuse_raises_typed_errors_that_say_what_to_do(call, error, match):
+    core = MajoranaDiagram(0, 0, (Cap(0), Scattering(0, 0.3), Cup(0)))
+    with pytest.raises(error, match=match):
+        call(QuonDiagram(core, (ParityCut(1, (0, 1)),)))
 
 
 def test_string_genus_removal_in_random_contexts(rng):
