@@ -134,9 +134,12 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
     if core < 2:  # no pair of core rows to eliminate
         return 1.0 + 0.0j, 0
     n = a.shape[0]
-    scale = max(float(np.max(np.abs(a), initial=0.0)), 1.0)
-    nonzero = a[:, ::-1] != 0
-    last = np.where(nonzero.any(axis=1), n - np.argmax(nonzero, axis=1), 0).tolist()
+    mag = np.abs(a)
+    scale = max(float(mag.max(initial=0.0)), 1.0)
+    nonzero = mag != 0
+    del mag
+    # the reach of each original row: one past its last nonzero column
+    last = np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0).tolist()
     orig = list(range(n))  # the original row at each position
     hi = 0
     pf = 1.0 + 0.0j
