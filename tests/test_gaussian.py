@@ -110,14 +110,13 @@ def test_pfaffian_pivots_across_panels(rng):
     assert pfaffian(blocks[np.ix_(perm, perm)]) == 0.0
 
 
-def random_banded(rng, n, width, cols=None):
-    """Complex n x cols matrix (cols defaults to n) with entries only within
-    `width` of the diagonal, a random share of them zero, so that the rows
-    reach unevenly far."""
-    cols = n if cols is None else cols
-    m = rng.normal(size=(n, cols)) + 1j * rng.normal(size=(n, cols))
-    i, j = np.indices((n, cols))
-    return m * ((np.abs(i - j) <= width) & (rng.random((n, cols)) < rng.uniform(0.3, 1.0)))
+def random_banded(rng, n, width):
+    """Complex n x n matrix with entries only within `width` of the
+    diagonal, a random share of them zero, so that the rows reach unevenly
+    far."""
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    i, j = np.indices((n, n))
+    return m * ((np.abs(i - j) <= width) & (rng.random((n, n)) < rng.uniform(0.3, 1.0)))
 
 
 def banded_cases(rng, count):
