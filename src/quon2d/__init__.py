@@ -66,7 +66,6 @@ from .factory import (
     Insert,
     Stretch,
     Switch,
-    evaluate_component_expanded,
     insert_move,
     stretch,
     switch_move,

@@ -138,7 +138,8 @@ def main(argv=None) -> int:
     p.add_argument("seed")
     p.add_argument("--script", required=True)
     p.add_argument("--component", type=_bit_groups,
-                   help="comma-separated bits for the expanded evaluation")
+                   help="print the basis component of the grown diagram: one bit "
+                        "string per open interval, comma-separated")
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("emit-dot", help="write a graph-layout description")
@@ -241,13 +242,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "factory":
-        from .factory import (
-            FactoryLedger,
-            apply_move,
-            evaluate_component_expanded,
-            parse_move_script,
-        )
-        from .quon import BasisAssignment
+        from .factory import FactoryLedger, apply_move, parse_move_script
+        from .quon import BasisAssignment, encode_basis
 
         current = parse_diagram(_read(args.seed))
         ledger = FactoryLedger(current)
@@ -255,9 +251,7 @@ def _dispatch(args) -> int:
             current, ledger = apply_move(current, move, ledger)
         print(f"n_S: {ledger.n_s}", file=sys.stderr)
         if args.component is not None:
-            value = evaluate_component_expanded(
-                current, ledger, BasisAssignment(args.component)
-            )
+            value = evaluate_closed_quon(encode_basis(current, BasisAssignment(args.component)))
             print(_fmt(value))
         if args.output:
             _write(args.output, serialize_diagram(current))

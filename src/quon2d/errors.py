@@ -114,10 +114,6 @@ class ParityMismatch(Quon2dError):
     pass
 
 
-class TooManyTransformed(Quon2dError):
-    pass
-
-
 class NonPlanarInput(Quon2dError):
     pass
 

@@ -1,18 +1,23 @@
 """Tractability-controlled network generation: stretch, insert, switch.
 
 Moves are pure QuonDiagram -> QuonDiagram functions; the ledger logs every
-move and tracks n_S, the number of braids switched into generic scatterings.
-Component evaluation expands each transformed scattering into its two braid
-terms (Table-style A/B weights), a sum of exactly 2^{n_S} tractable
-evaluations.
+move and counts n_S, the number of braids switched into generic scatterings.
+n_S is reported, not paid for: a generic scattering is Gaussian like a
+braid, so a component of the grown diagram is one `evaluate_closed_quon` of
+its basis encoding, whose cost is set by its projections, not by n_S.  A
+move checks its fields when it is built and raises InvariantViolation for an
+index that is not an integer, an unknown target, payload or change, or a
+missing or non-finite angle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 from . import diagram as dg
 from .diagram import (
@@ -28,26 +33,46 @@ from .diagram import (
 )
 from .errors import (
     InvalidRegion,
+    InvariantViolation,
     InvalidSegment,
     ParityMismatch,
     ParseError,
     PathCrossesHole,
     PatternMismatch,
     RegionOccupied,
-    TooManyTransformed,
 )
 from .gaussian import evaluate_closed_fast
 from .quon import (
     BOTTOM,
-    BasisAssignment,
     OpenInterval,
     ParityCut,
     QuonDiagram,
-    encode_basis,
-    evaluate_closed_quon,
     string_genus,
 )
-from .rewrite import braid_expansion_weights
+
+
+StretchTarget = Literal["bulk", "existing_encoder", "new_encoder"]
+Payload = Literal["closed_diagram", "string_hole_pair", "double_string_hole_pair"]
+Change = Literal["flip_braid", "braid_to_scattering", "set_angle", "add_dot_pair"]
+
+
+def _check_fields(move, indices, optional, kind_field, kinds) -> None:
+    """Make the `indices` (and the `optional` ones that are set) ints and
+    check that `kind_field` names one of the Literal `kinds`; raises
+    InvariantViolation naming the move and the field."""
+    name = type(move).__name__
+    for attr in indices + optional:
+        value = getattr(move, attr)
+        if value is None and attr in optional:
+            continue
+        try:
+            object.__setattr__(move, attr, operator.index(value))
+        except TypeError:
+            raise InvariantViolation(f"{name} {attr} must be an integer, got {value!r}") from None
+    kind = getattr(move, kind_field)
+    if kind not in get_args(kinds):
+        raise InvariantViolation(f"{name}: unknown {kind_field} {kind!r}; use one of "
+                                 f"{', '.join(get_args(kinds))}")
 
 
 @dataclass(frozen=True)
@@ -58,26 +83,46 @@ class Stretch:
     time_index: int
     position: int  # strand to stretch
     reach: int  # how many strands to cross (to the right)
-    target: Literal["bulk", "existing_encoder", "new_encoder"] = "bulk"
+    target: StretchTarget = "bulk"
     interval: Optional[int] = None  # for existing_encoder
+
+    def __post_init__(self):
+        _check_fields(self, ("time_index", "position", "reach"), ("interval",),
+                      "target", StretchTarget)
 
 
 @dataclass(frozen=True)
 class Insert:
     time_index: int
     position: int
-    payload: Literal["closed_diagram", "string_hole_pair", "double_string_hole_pair"] = (
-        "closed_diagram"
-    )
+    payload: Payload = "closed_diagram"
     diagram: Optional[MajoranaDiagram] = None  # for closed_diagram
+
+    def __post_init__(self):
+        _check_fields(self, ("time_index", "position"), (), "payload", Payload)
+        if self.diagram is not None and not isinstance(self.diagram, MajoranaDiagram):
+            raise InvariantViolation(f"Insert diagram must be a MajoranaDiagram, "
+                                     f"got {type(self.diagram).__name__}")
 
 
 @dataclass(frozen=True)
 class Switch:
     site: int  # element index
-    change: Literal["flip_braid", "braid_to_scattering", "set_angle", "add_dot_pair"]
-    theta: Optional[complex] = None
+    change: Change
+    theta: Optional[complex] = None  # for braid_to_scattering and set_angle
     position: Optional[int] = None  # for add_dot_pair (inserted before `site`)
+
+    def __post_init__(self):
+        _check_fields(self, ("site",), ("position",), "change", Change)
+        if self.change not in ("braid_to_scattering", "set_angle"):
+            if self.theta is not None:
+                raise InvariantViolation(f"Switch {self.change} takes no angle")
+            return
+        theta = self.theta
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Number) \
+                or not cmath.isfinite(theta):
+            raise InvariantViolation(f"Switch {self.change} needs a finite angle, got {theta!r}")
+        object.__setattr__(self, "theta", complex(theta))
 
 
 Move = Stretch | Insert | Switch
@@ -85,21 +130,12 @@ Move = Stretch | Insert | Switch
 
 @dataclass
 class FactoryLedger:
-    """Ordered move log plus the transformed-scattering sites."""
+    """Ordered move log plus n_S, the number of braids switched into generic
+    scatterings."""
 
     seed: QuonDiagram
     moves: list[Move] = field(default_factory=list)
-    transformed_scatterings: list[int] = field(default_factory=list)
-
-    @property
-    def n_s(self) -> int:
-        return len(self.transformed_scatterings)
-
-    def spliced(self, at: int, grown: int) -> "FactoryLedger":
-        """This ledger after a move inserted `grown` elements at index `at`:
-        every site at or after `at` moves with its element."""
-        sites = [s + grown if s >= at else s for s in self.transformed_scatterings]
-        return FactoryLedger(self.seed, self.moves, sites)
+    n_s: int = 0
 
     def replay(self) -> QuonDiagram:
         """Re-apply the logged moves to the seed."""
@@ -139,8 +175,7 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
         out = tuple(BraidPos(p + k) for k in range(reach))
         back = tuple(BraidNeg(p + reach - 1 - k) for k in range(reach))
         els = q.core.elements[:t] + out + back + q.core.elements[t:]
-        return (q.splice(t, 0, q.core.with_elements(els)),
-                replace_ledger(ledger.spliced(t, 2 * reach), move))
+        return q.splice(t, 0, q.core.with_elements(els)), replace_ledger(ledger, move)
 
     if move.target == "new_encoder":
         # the finger terminates on a fresh 2-strand bottom interval placed at
@@ -163,48 +198,44 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
                             q.boundary_tracking, q.notches)
         return new_q, replace_ledger(ledger, move)
 
-    if move.target == "existing_encoder":
-        if move.interval is None or not 0 <= move.interval < len(q.open_intervals):
-            raise InvalidSegment("existing_encoder needs a valid interval id")
-        iv = q.open_intervals[move.interval]
-        if iv.side != BOTTOM:
-            raise InvalidSegment("only bottom encoders can be stretched into")
-        end = iv.start + iv.size
-        if p >= end:
-            raise InvalidSegment("stretch into an encoder from its left side")
-        els = list(q.core.elements)
-        els.append(Cap(p))
-        for j in range(p + 1, end + 1):
-            els.append(BraidPos(j))
-        for j in range(p, end):
-            els.append(BraidPos(j))
-        core = MajoranaDiagram(q.core.width_in, q.core.width_out + 2,
-                               tuple(els), q.core.amplitude)
-        # the two new strands join the interval at its right edge; the
-        # pairing data gains the corresponding fresh pair
-        new_pairing = dg.tensor_product(iv.pairing_data, dg.MajoranaDiagram(0, 2, (Cap(0),)))
-        new_iv = OpenInterval(BOTTOM, iv.start, iv.size + 2, new_pairing)
-        intervals = []
-        for k, other in enumerate(q.open_intervals):
-            if k == move.interval:
-                intervals.append(new_iv)
-            elif other.side == BOTTOM and other.start >= end:
-                intervals.append(replace(other, start=other.start + 2))
-            else:
-                intervals.append(other)
-        new_q = QuonDiagram(core, q.parity_cuts, tuple(intervals),
-                            q.boundary_tracking, q.notches)
-        return new_q, replace_ledger(ledger, move)
-
-    raise InvalidSegment(f"unknown stretch target {move.target!r}")
+    # existing_encoder
+    if move.interval is None or not 0 <= move.interval < len(q.open_intervals):
+        raise InvalidSegment("existing_encoder needs a valid interval id")
+    iv = q.open_intervals[move.interval]
+    if iv.side != BOTTOM:
+        raise InvalidSegment("only bottom encoders can be stretched into")
+    end = iv.start + iv.size
+    if p >= end:
+        raise InvalidSegment("stretch into an encoder from its left side")
+    els = list(q.core.elements)
+    els.append(Cap(p))
+    for j in range(p + 1, end + 1):
+        els.append(BraidPos(j))
+    for j in range(p, end):
+        els.append(BraidPos(j))
+    core = MajoranaDiagram(q.core.width_in, q.core.width_out + 2,
+                           tuple(els), q.core.amplitude)
+    # the two new strands join the interval at its right edge; the
+    # pairing data gains the corresponding fresh pair
+    new_pairing = dg.tensor_product(iv.pairing_data, dg.MajoranaDiagram(0, 2, (Cap(0),)))
+    new_iv = OpenInterval(BOTTOM, iv.start, iv.size + 2, new_pairing)
+    intervals = []
+    for k, other in enumerate(q.open_intervals):
+        if k == move.interval:
+            intervals.append(new_iv)
+        elif other.side == BOTTOM and other.start >= end:
+            intervals.append(replace(other, start=other.start + 2))
+        else:
+            intervals.append(other)
+    new_q = QuonDiagram(core, q.parity_cuts, tuple(intervals),
+                        q.boundary_tracking, q.notches)
+    return new_q, replace_ledger(ledger, move)
 
 
-def replace_ledger(ledger: FactoryLedger, move: Move, transformed: int | None = None):
-    new = FactoryLedger(ledger.seed, list(ledger.moves) + [move],
-                        list(ledger.transformed_scatterings))
-    if transformed is not None:
-        new.transformed_scatterings.append(transformed)
-    return new
+def replace_ledger(ledger: FactoryLedger, move: Move, switched: bool = False):
+    """The ledger with `move` logged; `switched` counts one more braid
+    switched into a generic scattering."""
+    return FactoryLedger(ledger.seed, ledger.moves + [move], ledger.n_s + switched)
 
 
 def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
@@ -231,8 +262,7 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         )
         core = MajoranaDiagram(q.core.width_in, q.core.width_out, els,
                                q.core.amplitude * payload.amplitude / value)
-        return (q.splice(t, 0, core),
-                replace_ledger(ledger.spliced(t, len(payload.elements)), move))
+        return q.splice(t, 0, core), replace_ledger(ledger, move)
 
     if move.payload == "string_hole_pair":
         if (p + 1) % 2:
@@ -245,22 +275,21 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         ring = {(t + 1, p), (t + 1, p + 1)}
         return (
             replace(new_q, boundary_tracking=new_q.boundary_tracking | ring),
-            replace_ledger(ledger.spliced(t, 2), move),
+            replace_ledger(ledger, move),
         )
 
-    if move.payload == "double_string_hole_pair":
-        if p % 2:
-            raise ParityMismatch("double string-hole pair needs an even left count")
-        els = q.core.elements[:t] + (Cap(p), Cap(p + 1), Cup(p + 1), Cup(p)) + q.core.elements[t:]
-        new_q = q.splice(t, 0, q.core.with_elements(els))
-        hole = ParityCut(t + 2, tuple(range(p)) + (p, p + 1))
-        ring = {(t + 2, p), (t + 2, p + 1), (t + 2, p + 2), (t + 2, p + 3)}
-        return (
-            replace(new_q, parity_cuts=new_q.parity_cuts + (hole,),
-                    boundary_tracking=new_q.boundary_tracking | ring),
-            replace_ledger(ledger.spliced(t, 4), move),
-        )
-    raise InvalidRegion(f"unknown payload {move.payload!r}")
+    # double_string_hole_pair
+    if p % 2:
+        raise ParityMismatch("double string-hole pair needs an even left count")
+    els = q.core.elements[:t] + (Cap(p), Cap(p + 1), Cup(p + 1), Cup(p)) + q.core.elements[t:]
+    new_q = q.splice(t, 0, q.core.with_elements(els))
+    hole = ParityCut(t + 2, tuple(range(p)) + (p, p + 1))
+    ring = {(t + 2, p), (t + 2, p + 1), (t + 2, p + 2), (t + 2, p + 3)}
+    return (
+        replace(new_q, parity_cuts=new_q.parity_cuts + (hole,),
+                boundary_tracking=new_q.boundary_tracking | ring),
+        replace_ledger(ledger, move),
+    )
 
 
 def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
@@ -275,8 +304,7 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
         if not 0 <= p <= w - 2:
             raise PatternMismatch(f"no strand pair at {p}")
         new_els = els[:t] + (DotPair(p, p + 1),) + els[t:]
-        return (q.splice(t, 0, q.core.with_elements(new_els)),
-                replace_ledger(ledger.spliced(t, 1), move))
+        return q.splice(t, 0, q.core.with_elements(new_els)), replace_ledger(ledger, move)
 
     if not 0 <= move.site < len(els):
         raise PatternMismatch(f"site {move.site} out of range")
@@ -289,70 +317,24 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
     if move.change == "braid_to_scattering":
         if not isinstance(el, (BraidPos, BraidNeg)):
             raise PatternMismatch(f"element {move.site} is not a braid")
-        theta = complex(move.theta if move.theta is not None else 0.0)
         # keep the braid's own normalization so non-generic angles are no-ops
         amp = (
             cmath.exp(1j * math.pi / 8)
             if isinstance(el, BraidPos)
             else cmath.exp(-1j * math.pi / 8)
         )
-        new = Scattering(el.j, theta)
+        new = Scattering(el.j, move.theta)
         core = MajoranaDiagram(q.core.width_in, q.core.width_out,
                                els[:move.site] + (new,) + els[move.site + 1:],
                                q.core.amplitude * amp)
-        transformed = move.site if is_generic_angle(theta) else None
-        return (
-            q.splice(move.site, 1, core),
-            replace_ledger(ledger, move, transformed=transformed),
-        )
-    if move.change == "set_angle":
-        if not isinstance(el, Scattering):
-            raise PatternMismatch(f"element {move.site} is not a scattering")
-        new = Scattering(el.j, complex(move.theta), el.orientation)
-        core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
-        return q.splice(move.site, 1, core), replace_ledger(ledger, move)
-    raise PatternMismatch(f"unknown switch change {move.change!r}")
-
-
-def evaluate_component_expanded(q: QuonDiagram, ledger: FactoryLedger, bits,
-                                limit: int = 16) -> complex:
-    """Component evaluation as the weighted sum of exactly 2^{n_S} braid-only
-    variants of the transformed scatterings (plus the per-variant hole
-    expansion)."""
-    n_s = ledger.n_s
-    if n_s > limit:
-        raise TooManyTransformed(f"n_S = {n_s} exceeds the limit {limit}")
-    assignment = bits if isinstance(bits, BasisAssignment) else BasisAssignment(tuple(bits))
-    closed = encode_basis(q, assignment)
-    # sites index the core elements; encode_basis prepends the top encoders
-    from .quon import TOP, encoder_ket
-
-    top_len = sum(
-        len(encoder_ket(iv, assignment.bits[k]).elements)
-        for k, iv in enumerate(q.open_intervals)
-        if iv.side == TOP
-    )
-    sites = [s + top_len for s in ledger.transformed_scatterings]
-
-    total = 0.0 + 0.0j
-    for mask in range(1 << n_s):
-        els = list(closed.core.elements)
-        weight = 1.0 + 0.0j
-        for bit, site in enumerate(sites):
-            el = els[site]
-            a_term, b_term = braid_expansion_weights(el)
-            if mask >> bit & 1:
-                els[site] = BraidNeg(el.j)
-                weight *= b_term
-            else:
-                els[site] = BraidPos(el.j)
-                weight *= a_term
-        variant = QuonDiagram(
-            closed.core.with_elements(els), closed.parity_cuts,
-            notches=closed.notches,
-        )
-        total += weight * evaluate_closed_quon(variant)
-    return total
+        return (q.splice(move.site, 1, core),
+                replace_ledger(ledger, move, switched=is_generic_angle(move.theta)))
+    # set_angle
+    if not isinstance(el, Scattering):
+        raise PatternMismatch(f"element {move.site} is not a scattering")
+    new = Scattering(el.j, move.theta, el.orientation)
+    core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
+    return q.splice(move.site, 1, core), replace_ledger(ledger, move)
 
 
 def parse_move_script(text: str) -> list[Move]:
@@ -395,6 +377,6 @@ def parse_move_script(text: str) -> list[Move]:
             else:
                 raise ParseError(f"move script line {lineno}: unknown move {kind!r}; "
                                  "use stretch, insert or switch")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, InvariantViolation) as exc:
             raise ParseError(f"move script line {lineno}: {exc}") from exc
     return moves

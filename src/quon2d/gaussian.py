@@ -90,7 +90,13 @@ PANEL = 32  # pivot steps whose trailing updates are applied together
 STACK = 1 << 17  # matrix entries (2 MB) in one stack of small term matrices
 MAX_GROUPS = 63  # point groups a term mask, a non-negative int64, can select
 SINGULAR_TOL = 1e-16  # relative size of a pivot taken as zero
-DEFER_TOL = 1e-8  # about sqrt(eps): a core pivot this small is deferred behind the core
+# A core pivot at or below DEFER_TOL times the scale is deferred behind the
+# core.  A kept pivot p gives multipliers up to 1/p on the group rows and a
+# term's Pfaffian multiplies two of them, so its round-off grows like
+# eps / p^2: O(1) for p near sqrt(eps), which circuits with angles at
+# k*pi/2 + 1e-8 reach.  With 1e-3 near-Clifford amplitudes stay within 1e-10
+# of the unitary; with 1e-4 an offset of 2e-4 still missed by 3e-9.
+DEFER_TOL = 1e-3
 
 _SQRT2 = math.sqrt(2.0)
 _SUB = 1e-4  # sub-slot offset for multiple insertions of one element
@@ -115,7 +121,10 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
     swapped behind the remaining core rows (with no rows after the core, it
     has nothing left to pair with, and the elimination stops with pf = 0).
     A kept pivot bounds the multipliers of the columns after the core by
-    1 / singular_tol.  Within a panel of 2 * PANEL columns the updates stay
+    1 / singular_tol; a term's Pfaffian over those columns multiplies two
+    of them, so its round-off grows like eps / singular_tol^2, which is why
+    `PreparedDiagram` passes DEFER_TOL and not a tolerance near sqrt(eps).
+    Within a panel of 2 * PANEL columns the updates stay
     pending in p and q (the current matrix is the stored one plus p q^T);
     each step reads rows k and k + 1 with one matrix-vector product each,
     and the panel's updates reach the trailing block as one matrix product.

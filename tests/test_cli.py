@@ -5,8 +5,17 @@ import pytest
 
 from quon2d.circuits import Circuit, Gate
 from quon2d.cli import greedy_simplify, main, parse_circuit_text
-from quon2d.compiler import compile_circuit
-from quon2d.diagram import Cap, Cup, DotPair, MajoranaDiagram, Scattering, ScatteringStar
+from quon2d.compiler import compile_circuit, quon_to_dense_tensor
+from quon2d.diagram import (
+    BraidNeg,
+    BraidPos,
+    Cap,
+    Cup,
+    DotPair,
+    MajoranaDiagram,
+    Scattering,
+    ScatteringStar,
+)
 from quon2d.errors import ParseError
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon
@@ -80,6 +89,22 @@ def test_compile_then_amplitude_and_factory(tmp_path, capsys):
     assert code == 0 and "n_S: 0" in err
     assert complex(out.strip()) == pytest.approx(2 ** -0.5, abs=1e-9)
     assert parse_diagram(grown.read_text()).hole_count() == 1
+
+
+def test_factory_component_with_seventeen_switched_braids(tmp_path, capsys):
+    q = compile_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("H", (1,)),
+                                    Gate("CNOT", (1, 0)), Gate("H", (0,)))))
+    seed = _write(tmp_path / "seed.json", serialize_diagram(q))
+    braids = [i for i, el in enumerate(q.core.elements) if isinstance(el, (BraidPos, BraidNeg))]
+    script = _write(tmp_path / "moves.txt", "".join(
+        f"switch {site} braid_to_scattering {0.2 + 0.1 * k}\n" for k, site in enumerate(braids[:17])))
+    grown = tmp_path / "grown.json"
+    code, out, err = _run(capsys, "factory", seed, "--script", script,
+                          "--component", "1,0,1,1", "-o", grown)
+    assert code == 0 and "n_S: 17" in err
+    want = quon_to_dense_tensor(parse_diagram(grown.read_text())).tensor()[1, 0, 1, 1]
+    assert abs(want) > 0.1
+    assert complex(out.strip()) == pytest.approx(want, abs=1e-9)
 
 
 def test_eval_and_simplify(tmp_path, capsys):

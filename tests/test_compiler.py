@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,31 @@ def test_clifford_components_match_the_unitary():
             continue
         checked += 1
         assert np.max(np.abs(dense_gate_matrix(q) - circuit_oracle_unitary(c))) <= 1e-9
+
+
+@pytest.mark.parametrize("offset", [1e-8, -1e-8, 1e-6, 1e-4, 1e-3, 1e-2])
+def test_near_clifford_amplitudes_match_the_unitary(offset):
+    """Every amplitude of random 2-qubit circuits whose angles sit at
+    k*pi/2 + offset: a core pivot of the size of the offset must be deferred,
+    not kept with multipliers of the inverse size."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 4:
+        c = random_circuit(2, 5, rng, names2=("XX", "SWAP", "CNOT"))
+        if len(all_projections(compile_circuit(c))) > 6:
+            continue
+        checked += 1
+        c = Circuit(2, tuple(g if g.angle is None else replace(
+            g, angle=round(g.angle / (PI / 2)) * PI / 2 + offset) for g in c.gates))
+        u = circuit_oracle_unitary(c)
+        for col, row in np.ndindex(4, 4):
+            assert abs(circuit_amplitude(c, divmod(col, 2), divmod(row, 2)) - u[row, col]) <= 1e-9
+
+
+def test_near_clifford_zero_amplitude():
+    c = Circuit(2, (Gate("CNOT", (1, 0)), Gate("CNOT", (1, 0)), Gate("RZ", (0,), PI / 2 + 1e-8),
+                    Gate("CNOT", (0, 1))))
+    assert abs(circuit_amplitude(c, (1, 0), (0, 0))) <= 1e-9
 
 
 def test_circuit_amplitude_examples(rng):

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from quon2d import gaussian
 from quon2d.circuits import Circuit, Gate
 from quon2d.classify import classify
 from quon2d.compiler import compile_circuit, quon_to_dense_tensor
 from quon2d.diagram import BraidNeg, BraidPos, Cap, MajoranaDiagram, Scattering
-from quon2d.errors import ParityMismatch, ParseError, PatternMismatch, TooManyTransformed
+from quon2d.errors import InvariantViolation, ParityMismatch, ParseError, PatternMismatch
 from quon2d.factory import (
     FactoryLedger,
     Insert,
     Stretch,
     Switch,
     apply_move,
-    evaluate_component_expanded,
     insert_move,
     parse_move_script,
     stretch,
@@ -28,6 +28,8 @@ from quon2d.quon import (
     encode_basis,
     evaluate_closed_quon,
 )
+
+from conftest import random_circuit
 
 PI = math.pi
 
@@ -125,30 +127,90 @@ def test_ledger_replay_deterministic():
     assert replayed.core.amplitude == pytest.approx(q3.core.amplitude)
 
 
-def test_component_expansion_counts_terms(monkeypatch):
-    q = small_compiled()
+def _random_move(q, rng):
+    """One valid move on q: a braid switched to a generic angle or to a
+    small offset from the angle that leaves it a braid (+-pi/2), a loop or
+    string-hole insert, or a bulk stretch."""
+    els, widths = q.core.elements, q.core.widths()
+    braids = [i for i, el in enumerate(els) if isinstance(el, (BraidPos, BraidNeg))]
+    kind = rng.choice(["switch", "switch", "loop", "string_hole_pair", "stretch"])
+    if kind == "switch" and braids:
+        site = braids[int(rng.integers(len(braids)))]
+        if rng.random() < 0.4:
+            theta = float(rng.uniform(-PI, PI))
+        else:
+            offset = float(rng.choice([1e-8, -1e-8, 1e-6, 1e-4, 1e-2]))
+            theta = (-PI / 2 if isinstance(els[site], BraidPos) else PI / 2) + offset
+        return Switch(site, "braid_to_scattering", theta=theta)
+    if kind == "stretch":
+        holes = {cut.time_index for cut in q.parity_cuts}
+        slices = [t for t, w in enumerate(widths) if t not in holes and w >= 2]
+        t = slices[int(rng.integers(len(slices)))]
+        reach = int(rng.integers(1, widths[t]))
+        return Stretch(t, int(rng.integers(0, widths[t] - reach)), reach)
+    t = int(rng.integers(0, len(widths)))
+    if kind == "string_hole_pair" and widths[t]:
+        return Insert(t, 2 * int(rng.integers(0, (widths[t] + 1) // 2)) + 1, "string_hole_pair")
+    return Insert(t, int(rng.integers(0, widths[t] + 1)), "closed_diagram")
+
+
+def test_components_of_random_scripts_match_the_oracle():
+    """Random move scripts on compiled circuits: each component, one
+    factorisation of its basis encoding, against the Fock oracle."""
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        q = compile_circuit(random_circuit(2, 3, rng, names2=("XX", "CNOT")))
+        ledger = FactoryLedger(q)
+        for _ in range(int(rng.integers(3, 7))):
+            q, ledger = apply_move(q, _random_move(q, rng), ledger)
+        for _ in range(3):
+            bits = BasisAssignment(tuple((int(b),) for b in rng.integers(0, 2, 4)))
+            closed = encode_basis(q, bits)
+            assert abs(evaluate_closed_quon(closed)
+                       - evaluate_closed_quon(closed, use_oracle=True)) <= 1e-9
+
+
+def test_twenty_switched_braids_take_one_factorisation_per_component(monkeypatch):
+    c = Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("H", (1,)),
+                    Gate("CNOT", (1, 0)), Gate("H", (0,))))
+    q = compile_circuit(c)
     ledger = FactoryLedger(q)
-    braids = [i for i, el in enumerate(q.core.elements)
-              if isinstance(el, (BraidPos, BraidNeg))]
-    for site in braids[:2]:
-        q, ledger = switch_move(q, Switch(site, "braid_to_scattering",
-                                          theta=0.3 + 0.1 * site), ledger)
-    assert ledger.n_s == 2
-    calls = []
-    import quon2d.factory as factory_mod
+    braids = [i for i, el in enumerate(q.core.elements) if isinstance(el, (BraidPos, BraidNeg))]
+    for k, site in enumerate(braids[:20]):
+        q, ledger = switch_move(q, Switch(site, "braid_to_scattering", theta=0.3 + 0.11 * k),
+                                ledger)
+    assert ledger.n_s == 20
+    want = quon_to_dense_tensor(q).tensor()
+    assert np.max(np.abs(quon_to_dense_tensor(q, use_oracle=True).tensor() - want)) <= 1e-9
+    prepared = []
+    real = gaussian.PreparedDiagram
 
-    real = factory_mod.evaluate_closed_quon
+    def counting(*args):
+        prepared.append(1)
+        return real(*args)
 
-    def counting(*a, **kw):
-        calls.append(1)
-        return real(*a, **kw)
+    monkeypatch.setattr(gaussian, "PreparedDiagram", counting)
+    for index in np.ndindex(want.shape):
+        bits = BasisAssignment(tuple((b,) for b in index))
+        assert abs(evaluate_closed_quon(encode_basis(q, bits)) - want[index]) <= 1e-9
+    assert len(prepared) == want.size
 
-    monkeypatch.setattr(factory_mod, "evaluate_closed_quon", counting)
-    bits = BasisAssignment.of((0,), (1,), (1,), (0,))
-    value = evaluate_component_expanded(q, ledger, bits)
-    assert len(calls) == 2 ** ledger.n_s
-    direct = quon_to_dense_tensor(q).tensor()[0, 1, 1, 0]
-    assert value == pytest.approx(direct, abs=1e-9)
+
+def test_near_clifford_switch_on_a_three_qubit_circuit():
+    """A braid switched to pi/2 + 1e-8, next to the angle that leaves it a
+    braid: the component is zero, and a core pivot of 1e-8 kept instead of
+    deferred turns it into -2.43-57.9j."""
+    c = Circuit(3, (Gate("S", (2,)), Gate("CNOT", (1, 2)), Gate("CNOT", (2, 1)),
+                    Gate("CNOT", (1, 2)), Gate("S", (1,)), Gate("CNOT", (2, 1)),
+                    Gate("CNOT", (0, 1)), Gate("CNOT", (0, 1))))
+    q = compile_circuit(c)
+    q, ledger = switch_move(q, Switch(14, "braid_to_scattering", theta=PI / 2 + 1e-8),
+                            FactoryLedger(q))
+    assert ledger.n_s == 1
+    closed = encode_basis(q, BasisAssignment.of((0,), (1,), (0,), (1,), (0,), (0,)))
+    want = evaluate_closed_quon(closed, use_oracle=True)
+    assert abs(want) <= 1e-9
+    assert abs(evaluate_closed_quon(closed) - want) <= 1e-9
 
 
 @pytest.mark.parametrize("later", [
@@ -157,29 +219,24 @@ def test_component_expansion_counts_terms(monkeypatch):
     Insert(0, 0, "double_string_hole_pair"),
     Stretch(0, 0, 2),
     Switch(1, "add_dot_pair", position=0),
-    Insert(4, 0, "closed_diagram"),  # after the scattering: its site stays
+    Insert(4, 0, "closed_diagram"),  # after the scattering
 ])
-def test_transformed_sites_move_with_their_scattering(later):
+def test_switched_scattering_after_a_later_move(later):
     q = compile_circuit(Circuit(2, (Gate("H", (0,)), Gate("S", (1,)))))
     ledger = FactoryLedger(q)
-    for move in (Switch(1, "braid_to_scattering", theta=0.7), later):
-        q, ledger = apply_move(q, move, ledger)
-    (site,) = ledger.transformed_scatterings
-    assert q.core.elements[site] == Scattering(q.core.elements[site].j, 0.7)
     bits = BasisAssignment.of((0,), (0,), (0,), (0,))
-    value = evaluate_component_expanded(q, ledger, bits)
-    assert value == pytest.approx(evaluate_closed_quon(encode_basis(q, bits)), abs=1e-9)
-    if later == Insert(0, 0, "closed_diagram"):
-        assert value == pytest.approx(quon_to_dense_tensor(q).entries[0], abs=1e-9)
+    q, ledger = apply_move(q, Switch(1, "braid_to_scattering", theta=0.7), ledger)
+    assert ledger.n_s == 1
+    assert evaluate_closed_quon(encode_basis(q, bits)) == pytest.approx(0.852 - 0.396j, abs=1e-3)
+    q, ledger = apply_move(q, later, ledger)
+    assert ledger.n_s == 1
+    assert [el.theta for el in q.core.elements if isinstance(el, Scattering)].count(0.7) == 1
+    closed = encode_basis(q, bits)
+    value = evaluate_closed_quon(closed)
+    assert value == pytest.approx(evaluate_closed_quon(closed, use_oracle=True), abs=1e-9)
+    assert value == pytest.approx(quon_to_dense_tensor(q).entries[0], abs=1e-9)
+    if not isinstance(later, Switch):  # the other moves keep every component
         assert value == pytest.approx(0.852 - 0.396j, abs=1e-3)
-
-
-def test_component_expansion_limit():
-    q = small_compiled()
-    ledger = FactoryLedger(q)
-    ledger.transformed_scatterings = list(range(17))
-    with pytest.raises(TooManyTransformed):
-        evaluate_component_expanded(q, ledger, BasisAssignment.of((0,), (0,), (0,), (0,)))
 
 
 def test_stretch_into_encoders_grows_intervals():
@@ -211,6 +268,31 @@ def test_punctured_matchgate_generation():
     assert q.hole_count() == 1
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Switch(0, "set_angle"), "set_angle needs a finite angle"),
+    (lambda: Switch(0, "braid_to_scattering", theta="x"), "needs a finite angle, got 'x'"),
+    (lambda: Switch(0, "braid_to_scattering", theta=complex("nan")), "finite angle"),
+    (lambda: Switch(0, "flip_braid", theta=0.3), "flip_braid takes no angle"),
+    (lambda: Switch(0, "twist"), "unknown change 'twist'"),
+    (lambda: Switch(0, "add_dot_pair", position=0.5), "position must be an integer"),
+    (lambda: Stretch(1.5, 0, 1), "time_index must be an integer, got 1.5"),
+    (lambda: Stretch(0, 0, 1, "sideways"), "unknown target 'sideways'"),
+    (lambda: Stretch(0, 0, 0, "existing_encoder", interval="0"), "interval must be an integer"),
+    (lambda: Insert(0, None), "position must be an integer"),
+    (lambda: Insert(0, 0, "cube"), "unknown payload 'cube'"),
+    (lambda: Insert(0, 0, diagram="loop"), "diagram must be a MajoranaDiagram"),
+])
+def test_malformed_moves_raise_invariant_violation(make, match):
+    with pytest.raises(InvariantViolation, match=match):
+        make()
+
+
+def test_move_indices_become_ints():
+    move = Stretch(np.int64(2), np.int64(1), np.int64(3))
+    assert type(move.time_index) is int and move == Stretch(2, 1, 3)
+    assert Switch(np.int64(4), "set_angle", theta=np.float64(0.5)).theta == 0.5
+
+
 def test_move_script_parser():
     moves = parse_move_script(
         """
@@ -231,3 +313,7 @@ def test_move_script_parser():
         parse_move_script("warp 1 2")
     with pytest.raises(ParseError, match="line 2: invalid literal"):
         parse_move_script("insert 0 0\nstretch 0 x 1")
+    with pytest.raises(ParseError, match="line 2: Stretch: unknown target 'sideways'"):
+        parse_move_script("insert 0 0\nstretch 0 0 1 sideways")
+    with pytest.raises(ParseError, match="line 1: Switch set_angle needs a finite angle"):
+        parse_move_script("switch 3 set_angle nan")
