@@ -63,9 +63,11 @@ is assumed about the matrix.  With a window of width w the elimination costs
 O(N w^2).  W of an L x L Ising lattice in time order has bandwidth about 4L,
 and the window stays within it: at L = 14 (N = 728, bandwidth 55) it spans
 at most 56 rows.  A dense W, such as a compiled circuit's, opens the whole
-matrix at step 0 and costs O(N^3).  `pfaffian` is the same elimination with
-every row in the core and nothing kept; it evaluates the one matrix of a
-diagram without groups.  The terms of a diagram with groups are many small
+matrix at step 0 and costs O(N^3).  A diagram without groups is the same
+elimination with every row in the core, run in place when it is prepared;
+`pfaffian` runs it on a copy of any matrix, whose reaches it finds by one
+scan.  W itself is a dense allocation written at its nonzeros only (see
+`contraction_matrix`).  The terms of a diagram with groups are many small
 matrices, where NumPy's per-call overhead, not arithmetic, would dominate a
 per-term elimination.  `PreparedDiagram.evaluate` gathers them into stacks
 of equal size (at most STACK entries each) and `_pfaffians` eliminates a
@@ -82,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import MajoranaDiagram
-from .errors import NotClosed, NumericalInstability, TooLarge
+from .errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
 from .wires import LEFT, WireTrace
 
 MU_MIN = 1e-13
@@ -90,6 +92,7 @@ PANEL = 32  # pivot steps whose trailing updates are applied together
 STACK = 1 << 17  # matrix entries (2 MB) in one stack of small term matrices
 MAX_GROUPS = 63  # point groups a term mask, a non-negative int64, can select
 SINGULAR_TOL = 1e-16  # relative size of a pivot taken as zero
+ANTISYMMETRY_TOL = 1e-10  # relative size of a + a^T that `pfaffian` accepts
 # A core pivot at or below DEFER_TOL times the scale is deferred behind the
 # core.  A kept pivot p gives multipliers up to 1/p on the group rows and a
 # term's Pfaffian multiplies two of them, so its round-off grows like
@@ -102,9 +105,10 @@ _SQRT2 = math.sqrt(2.0)
 _SUB = 1e-4  # sub-slot offset for multiple insertions of one element
 
 
-def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, int]:
-    """Blocked, banded Parlett-Reid elimination of the first `core` rows of
-    the antisymmetric matrix `a`, in place.
+def _eliminate(a: np.ndarray, core: int, singular_tol: float, reach: list[int],
+               scale: float) -> tuple[complex, int]:
+    """Blocked, banded Parlett-Reid elimination of the first `core` >= 2
+    rows of the antisymmetric matrix `a`, in place.
 
     Returns (pf, e): the Pfaffian of the eliminated part, swap signs
     included, and the number e of eliminated rows.  a[e:, e:] is then the
@@ -117,9 +121,10 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
     Step k pivots the largest |entry| of row k among the remaining core
     columns into column k + 1 and eliminates with the rank-2 update
     tau col^T - col tau^T of the trailing block.  When that entry is at or
-    below singular_tol times max(max|entry|, 1), row k is deferred instead:
-    swapped behind the remaining core rows (with no rows after the core, it
-    has nothing left to pair with, and the elimination stops with pf = 0).
+    below singular_tol times `scale`, row k is deferred instead: swapped
+    behind the remaining core rows.  With no rows after the core it has
+    nothing left to pair with, and the elimination stops with pf = 0 and
+    e = n: nothing is left of the Schur complement.
     A kept pivot bounds the multipliers of the columns after the core by
     1 / singular_tol; a term's Pfaffian over those columns multiplies two
     of them, so its round-off grows like eps / singular_tol^2, which is why
@@ -130,25 +135,19 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
     and the panel's updates reach the trailing block as one matrix product.
 
     Window: every row at a position >= hi is an original row of `a`, at its
-    own position and untouched by any update.  The reach of an original row
-    is one past its last nonzero column.  Step k raises hi to the reach of
-    row k before its pivot search, and to the reaches of rows k + 1 and kp
-    once the pivot kp is chosen, before they swap.  Then rows k and k + 1
-    vanish beyond hi, so the step's update, and every swapped row and
-    column, lies in [k, hi): the pivot search, the matrix-vector products,
-    the swaps and the panel's product touch that window only.  A deferral
-    sets hi = n.  With a window of width w the elimination costs O(N w^2);
-    a dense matrix reaches hi = n at step 0 and costs O(N^3).
-    """
-    if core < 2:  # no pair of core rows to eliminate
-        return 1.0 + 0.0j, 0
+    own position and untouched by any update.  reach[r] is at least one past
+    the last nonzero column of row r of `a` (more only widens the window),
+    and `scale` is max(max|entry|, 1); both come from the caller, which
+    knows where the nonzeros are, so `a` is never scanned.  Step k raises
+    hi to the reach of row k before its pivot search, and to the reaches of
+    rows k + 1 and kp once the pivot kp is chosen, before they swap.  Then
+    rows k and k + 1 vanish beyond hi, so the step's update, and every
+    swapped row and column, lies in [k, hi): the pivot search, the
+    matrix-vector products, the swaps and the panel's product touch that
+    window only.  A deferral sets hi = n.  With a window of width w the
+    elimination costs O(N w^2); a dense matrix reaches hi = n at step 0 and
+    costs O(N^3)."""
     n = a.shape[0]
-    mag = np.abs(a)
-    scale = max(float(mag.max(initial=0.0)), 1.0)
-    nonzero = mag != 0
-    del mag
-    # the reach of each original row: one past its last nonzero column
-    last = np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0).tolist()
     orig = list(range(n))  # the original row at each position
     hi = 0
     pf = 1.0 + 0.0j
@@ -160,12 +159,12 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
         q = np.zeros_like(p)
         while k + 1 < core and k - k0 < p.shape[1]:
             j = k - k0
-            hi = max(hi, k + 2, last[orig[k]])
+            hi = max(hi, k + 2, reach[orig[k]])
             row = a[k, k + 1:hi] + q[j + 1:hi - k0, :j] @ p[j, :j]
             i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
             if abs(row[i]) <= singular_tol * scale:
                 if core == n:  # nothing kept: row k pairs with no row at all
-                    return 0.0 + 0.0j, k
+                    return 0.0 + 0.0j, n
                 core -= 1  # defer row k behind the remaining core rows
                 hi = n
                 if core != k:
@@ -178,7 +177,7 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
                 continue
             kp = k + 1 + i
             reached = hi  # row k vanishes from column reached on
-            hi = max(hi, last[orig[k + 1]], last[orig[kp]])
+            hi = max(hi, reach[orig[k + 1]], reach[orig[kp]])
             if i:
                 a[[k + 1, kp], k + 1:hi] = a[[kp, k + 1], k + 1:hi]
                 a[k + 1:hi, [k + 1, kp]] = a[k + 1:hi, [kp, k + 1]]
@@ -203,18 +202,41 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float) -> tuple[complex, 
 
 
 def pfaffian(mat: np.ndarray) -> complex:
-    """Pfaffian of a complex antisymmetric matrix: `_eliminate` with every
-    row in the core.  A deferred row leaves only entries at or below
-    SINGULAR_TOL times max(max|entry|, 1) to pair it with, and makes the
-    Pfaffian zero."""
-    a = np.array(mat, dtype=complex)
-    n = a.shape[0]
+    """Pfaffian of a complex antisymmetric matrix, which is left unchanged:
+    `_eliminate` of a copy with every row in the core, its reaches and
+    scale from one scan of the matrix.  A deferred row leaves only entries
+    at or below SINGULAR_TOL times max(max|entry|, 1) to pair it with, and
+    makes the Pfaffian zero.  Anything but a finite square matrix whose
+    max|a + a^T| is within ANTISYMMETRY_TOL of that scale raises
+    InvariantViolation."""
+    try:
+        a = np.array(mat, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvariantViolation(f"pfaffian takes a numeric matrix: {exc}") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvariantViolation(f"pfaffian takes a square 2-D matrix; got shape {a.shape}")
+    mag = np.abs(a)
+    if not np.isfinite(mag).all():
+        raise InvariantViolation("pfaffian takes finite entries; got inf or nan")
+    scale = max(float(mag.max(initial=0.0)), 1.0)
+    skew = float(np.abs(a + a.T).max(initial=0.0))
+    if skew > ANTISYMMETRY_TOL * scale:
+        raise InvariantViolation(
+            f"pfaffian takes an antisymmetric matrix; max|a + a^T| is {skew:.3g} against "
+            f"max(max|a|, 1) {scale:.3g} (pass (a - a.T) / 2 for its antisymmetric part)")
+    n = len(a)
     if n == 0:
         return 1.0 + 0.0j
     if n % 2:
         return 0.0 + 0.0j
-    pf, eliminated = _eliminate(a, n, SINGULAR_TOL)
-    return pf if eliminated == n else 0.0 + 0.0j
+    return _eliminate(a, n, SINGULAR_TOL, _dense_reach(mag), scale)[0]
+
+
+def _dense_reach(mag: np.ndarray) -> list[int]:
+    """One past the last nonzero column of each row, from a full scan of |a|."""
+    nonzero = mag != 0
+    n = len(mag)
+    return np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0).tolist()
 
 
 def _pfaffians(a: np.ndarray) -> np.ndarray:
@@ -268,11 +290,17 @@ class _Point:
     pair: int | None = None  # optional-pair id, None for mandatory insertions
 
 
-def contraction_matrix(trace: WireTrace, order: list[_Point]) -> np.ndarray:
-    """Antisymmetric matrix of the contractions G(x, y) of the points, from
-    one walk around each loop of `trace` (see the module docstring)."""
+def contraction_matrix(trace: WireTrace, order: list[_Point]):
+    """(W, x, y): the antisymmetric matrix W of the contractions G(x, y) of
+    the points, from one walk around each loop of `trace` (see the module
+    docstring), and its nonzeros W[x, y] = -W[y, x], the pairs of points x
+    before y on one loop.  Only points of one loop contract, so the pairs
+    are enumerated loop by loop: beyond W's zero allocation the cost is the
+    sum over loops of points^2, not N^2, and W is written at its nonzeros
+    only."""
     if not order:  # bare loops have nothing to contract
-        return np.zeros((0, 0), dtype=complex)
+        none = np.zeros(0, dtype=int)
+        return np.zeros((0, 0), dtype=complex), none, none
     loops = trace.worldlines()
     walk, e_walk, exit_walk, totals = [], [], [], []  # loop after loop
     for group in loops:
@@ -301,22 +329,32 @@ def contraction_matrix(trace: WireTrace, order: list[_Point]) -> np.ndarray:
     hi[loop_w, k_w] = np.maximum(exits[prev], exits)
 
     # each point's segment, as a walk index (the walks cover every segment once)
+    n = len(order)
     at = np.argsort(walk)[[p.seg for p in order]]
     t = np.array([p.time for p in order])
     loop, k, e = loop_w[at], k_w[at], np.array(e_walk)[at]
     # prefix[y, j]: spans among the first j of y's loop that hold t_y strictly inside
-    prefix = np.zeros((len(order), lo.shape[1] + 1), dtype=int)
+    prefix = np.zeros((n, lo.shape[1] + 1), dtype=int)
     np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
-    x, y = np.nonzero((loop[:, None] == loop[None, :]) & (t[:, None] < t[None, :]))
+    # the pairs x, y of one loop with t_x < t_y: in the points sorted by
+    # (loop, time), each point and every later one of its loop's run
+    s = np.lexsort((t, loop))
+    later = np.searchsorted(loop[s], loop[s], side="right") - np.arange(n) - 1
+    sx = np.repeat(np.arange(n), later)
+    sy = sx + 1 + np.arange(len(sx)) - np.repeat(np.cumsum(later) - later, later)
+    x, y = s[sx], s[sy]
+    keep = t[x] < t[y]
+    x, y = x[keep], y[keep]
     # a wrap (k[x] > k[y]) also passes all the loop's strands at t_y: an even number
     between = prefix[y, k[y]] - prefix[y, k[x] + 1]
     exit_x = exits[at[x]]
     partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
     power = e[y] - e[x] + (k[x] > k[y]) * np.array(totals)[loop[y]] + 2 * (between + partial)
-    w = np.zeros((len(order), len(order)), dtype=complex)
-    w[x, y] = np.where(at[x] == at[y], 1.0, np.array([1, 1j, -1, -1j])[power % 4])
-    w[y, x] = 0.0 - w[x, y]
-    return w
+    g = np.where(at[x] == at[y], 1.0, np.array([1, 1j, -1, -1j])[power % 4])
+    w = np.zeros((n, n), dtype=complex)
+    w[x, y] = g
+    w[y, x] = 0.0 - g
+    return w, x, y
 
 
 def assemble_frontier(diag: MajoranaDiagram):
@@ -376,14 +414,19 @@ class PreparedDiagram:
 
         amplitude * i^(|S|/2) * sign * Pf(eliminated) * Pf(Schur[deferred + S])
 
-    Pf(eliminated) and Schur come from one `_eliminate` of the core rows of
-    the contraction matrix over all points, built in [core, groups] order.
-    The sign is the parity of the number of core points later in time than
-    a selected point, summed over S.  The terms' matrices Schur[deferred + S]
-    are gathered into stacks by size, and each stack is one `_pfaffians`
-    pass; an odd size is 0.  Without groups there is one term and nothing is
-    eliminated ahead: its Pfaffian is the whole matrix, by `pfaffian`.  At
-    most MAX_GROUPS groups (TooLarge): a mask is an int64.
+    Pf(eliminated) and Schur come from one `_eliminate`, in place, of the
+    core rows of the contraction matrix W over all points, built in
+    [core, groups] order when the diagram is prepared.  The reach of each
+    row and the scale that `_eliminate` needs come from W's nonzeros: the
+    point pairs of `contraction_matrix` and the 1/mu entries of the optional
+    pairs, so nothing scans W.  The sign is the parity of the number of core
+    points later in time than a selected point, summed over S.  The terms'
+    matrices Schur[deferred + S] are gathered into stacks by size, and each
+    stack is one `_pfaffians` pass; an odd size is 0.  Without groups every
+    point is core: W is eliminated whole, with the zero test SINGULAR_TOL,
+    and the one term is Pf(eliminated), or 0 when a row is left over.  Only
+    the Schur block is kept.  At most MAX_GROUPS groups (TooLarge): a mask
+    is an int64.
     """
 
     def __init__(self, diag: MajoranaDiagram, groups=()):
@@ -401,7 +444,7 @@ class PreparedDiagram:
                 extras.append(_Point(trace.slices[time_index][pos], time))
             self._groups.append(range(first, len(extras)))
 
-        w = contraction_matrix(trace, core + extras)
+        w, x, y = contraction_matrix(trace, core + extras)
         pair_rows: dict[int, list[int]] = {}
         for i, p in enumerate(core):
             if p.pair is not None:
@@ -414,16 +457,28 @@ class PreparedDiagram:
 
         core_times = [p.time for p in core]
         later = [len(core) - bisect.bisect(core_times, p.time) for p in extras]
-        self._flips = np.array([sum(later[x] for x in group) for group in self._groups], dtype=int)
+        self._flips = np.array([sum(later[i] for i in group) for group in self._groups], dtype=int)
         self._group_of = np.array([g for g, group in enumerate(self._groups) for _ in group],
                                   dtype=int)
         self._points = len(core) + len(extras)
-        if extras:
-            self._pf, self._eliminated = _eliminate(w, len(core), DEFER_TOL)
-            w = w[self._eliminated:, self._eliminated:].copy()
-        else:
-            self._pf, self._eliminated = 1.0 + 0.0j, 0
-        self._schur = w
+        # W's largest |entry| before it is eliminated in place, for the error message
+        self._pf, self._eliminated, self._largest = 1.0 + 0.0j, 0, 0.0
+        if len(core) > 1:  # a pair of core rows to eliminate
+            # W's nonzeros, the contraction pairs and the 1/mu entries, give
+            # each row's reach and the scale with no pass over W
+            paired = np.array([i for i, _ in pair_rows.values()], dtype=int)
+            reach = np.zeros(len(w), dtype=int)
+            for rows, cols in ((x, y), (y, x), (paired, paired + 1), (paired + 1, paired)):
+                np.maximum.at(reach, rows, cols + 1)
+            self._largest = max(float(np.abs(w[rows, cols]).max(initial=0.0))
+                                for rows, cols in ((x, y), (paired, paired + 1)))
+            del x, y  # up to N^2 / 2 pairs: not held through the elimination
+            # without groups the elimination is the whole Pfaffian and a
+            # deferral ends it, so the zero test decides
+            self._pf, self._eliminated = _eliminate(
+                w, len(core), DEFER_TOL if extras else SINGULAR_TOL, reach.tolist(),
+                max(self._largest, 1.0))
+        self._schur = w[self._eliminated:, self._eliminated:].copy()
         self._deferred = len(core) - self._eliminated
 
     def evaluate(self, masks) -> np.ndarray:
@@ -432,28 +487,32 @@ class PreparedDiagram:
         depends only on its own mask, bit for bit, whatever masks come with
         it; a non-finite one raises NumericalInstability."""
         masks = np.asarray(masks, dtype=np.int64)
-        d = self._deferred
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._groups:
-                values = self.amplitude * self._terms(masks)
-            else:  # the one term is the whole matrix: the blocked kernel
-                values = np.full(len(masks), self.amplitude * (self._pf * pfaffian(self._schur)))
+            values = self.amplitude * self._terms(masks)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            points = np.flatnonzero(masks[bad[0]] >> self._group_of & 1)
-            rows = np.concatenate([np.arange(d), d + points])
-            sub = self._schur[np.ix_(rows, rows)]
+            if self._groups:
+                d = self._deferred
+                points = np.flatnonzero(masks[bad[0]] >> self._group_of & 1)
+                rows = np.concatenate([np.arange(d), d + points])
+                sub = self._schur[np.ix_(rows, rows)]
+                size, largest = len(sub), float(np.max(np.abs(sub), initial=0.0))
+                after = (f", after eliminating {self._eliminated} of {self._points} points "
+                         f"(their Pfaffian {abs(self._pf):.3g})")
+            else:  # the whole matrix, eliminated in place: its entries from before
+                size, largest = self._points, self._largest
+                after = f" (the Pfaffian {abs(self._pf):.3g})"
             raise NumericalInstability(
-                f"non-finite value from a {len(sub)} x {len(sub)} Pfaffian with largest "
-                f"|entry| {float(np.max(np.abs(sub), initial=0.0)):.3g} and amplitude "
-                f"{abs(self.amplitude):.3g}, after eliminating {self._eliminated} of "
-                f"{self._points} points (their Pfaffian {abs(self._pf):.3g})"
+                f"non-finite value from a {size} x {size} Pfaffian with largest |entry| "
+                f"{largest:.3g} and amplitude {abs(self.amplitude):.3g}{after}"
             )
         return values
 
     def _terms(self, masks: np.ndarray) -> np.ndarray:
         """phase * Pf(eliminated) * Pf(Schur[deferred + S]) of each mask, the
         small Pfaffians gathered into stacks by size."""
+        if not self._groups:  # S is empty; at most one row, an odd one, is left
+            return np.full(len(masks), self._pf * (0.0 if self._deferred else 1.0))
         bits = (masks[:, None] >> np.arange(len(self._groups)) & 1).astype(bool)
         chosen = bits[:, self._group_of]  # each term's selected points, in group order
         points = chosen.sum(axis=1)

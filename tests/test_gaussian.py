@@ -1,18 +1,21 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quon2d import gaussian
 from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
-from quon2d.errors import NotClosed, NumericalInstability, TooLarge
+from quon2d.errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import (
     DEFER_TOL,
     MAX_GROUPS,
     PANEL,
     PreparedDiagram,
+    _dense_reach,
     _eliminate,
     _pfaffians,
     assemble_frontier,
@@ -30,7 +33,7 @@ from quon2d.quon import (
     evaluate_closed_quon,
     expanded_core,
 )
-from quon2d.wires import WireTrace
+from quon2d.wires import LEFT, WireTrace
 
 from conftest import random_circuit, random_closed_diagram
 
@@ -49,6 +52,14 @@ def pfaffian_recursive(a):
         sub = a[np.ix_(rest, rest)]
         total += (-1) ** (j - 1) * a[0, j] * pfaffian_recursive(sub)
     return total
+
+
+def dense_eliminate(a, core):
+    """`_eliminate` with DEFER_TOL, given the reaches and scale of a scan of
+    the dense matrix, as `pfaffian` finds them."""
+    mag = np.abs(a)
+    scale = max(float(mag.max(initial=0.0)), 1.0)
+    return _eliminate(a, core, DEFER_TOL, _dense_reach(mag), scale)
 
 
 def random_antisymmetric(rng, n):
@@ -209,7 +220,7 @@ def test_banded_core_schur_identity(rng):
             rows = rng.choice(core, size=int(rng.integers(1, 3)))
             a[np.ix_(rows, range(core))], a[np.ix_(range(core), rows)] = 0.0, 0.0
         eliminated = a.copy()
-        pf, e = _eliminate(eliminated, core, DEFER_TOL)
+        pf, e = dense_eliminate(eliminated, core)
         deferred += e < core
         schur = eliminated[e:, e:]
         for size in range(extra + 1):
@@ -237,7 +248,7 @@ def test_deferred_rows_keep_their_pending_updates(rng):
     a[core, core + 1] = 0.8
     a -= a.T
     eliminated = a.copy()
-    pf, e = _eliminate(eliminated, core, DEFER_TOL)
+    pf, e = dense_eliminate(eliminated, core)
     assert e == core - 3
     assert np.max(np.abs(eliminated[e:core, e:])) <= 1e-12
     for subset in ((core,), (core + 1,)):
@@ -289,7 +300,7 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
                                      + els[t2:])
             _, points, _, trace = assemble_frontier(dotted)
-            entry = contraction_matrix(trace, points)[0, 1]
+            entry = contraction_matrix(trace, points)[0][0, 1]
             assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
             zeros += entry == 0
             ones += (t1, p1) == (t2, p2) and entry == 1
@@ -332,7 +343,7 @@ def test_singular_core_rows_are_deferred(rng):
     a[np.ix_([1, 4], range(core))] = 0.0
     a[np.ix_(range(core), [1, 4])] = 0.0
     eliminated = a.copy()
-    pf, e = _eliminate(eliminated, core, DEFER_TOL)
+    pf, e = dense_eliminate(eliminated, core)
     assert e == core - 2
     schur = eliminated[e:, e:]
     for size in (0, 2, 4):
@@ -468,6 +479,28 @@ def test_non_finite_value_reports_the_pfaffian():
         evaluate_closed_fast(d)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_value_reports_the_matrix_before_elimination(monkeypatch):
+    """Without groups W is eliminated in place when the diagram is prepared;
+    the error still names W's size and largest |entry| from before."""
+    seen = []
+    real = gaussian._eliminate
+
+    def eliminate(a, *args):
+        seen.append(float(np.max(np.abs(a))))
+        return real(a, *args)
+
+    monkeypatch.setattr(gaussian, "_eliminate", eliminate)
+    loops = (Cap(0), Cup(0)) * 2  # sqrt(2) each: the amplitude overflows
+    d = MajoranaDiagram(0, 0, (Cap(0), Cap(2), Scattering(1, 1.4), DotPair(0, 3), Cup(2), Cup(0))
+                        + loops, 1e308)
+    prepared = PreparedDiagram(d)
+    assert prepared._points == 4
+    message = rf"a 4 x 4 Pfaffian with largest \|entry\| {seen[0]:.3g} and amplitude inf"
+    with pytest.raises(NumericalInstability, match=message):
+        prepared.evaluate([0])
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_term_in_a_batch_reports_the_first():
     """Only the terms that overflow are non-finite; the error names the first
@@ -480,3 +513,151 @@ def test_non_finite_term_in_a_batch_reports_the_first():
         prepared.evaluate([1, 2, 3, 0])
     with pytest.raises(NumericalInstability, match=r"a 0 x 0 Pfaffian " + facts.format("0")):
         prepared.evaluate([1, 0, 3])
+
+
+@pytest.mark.parametrize("mat, message", [
+    (np.zeros((2, 3)), r"square 2-D matrix; got shape \(2, 3\)"),
+    (np.zeros(4), r"square 2-D matrix; got shape \(4,\)"),
+    ([[0, 1], [1, 0]], r"antisymmetric matrix; max\|a \+ a\^T\| is 2 .*\(pass \(a - a.T\) / 2"),
+    ([[0, np.nan], [-np.nan, 0]], "finite entries"),
+    ([[0, np.inf], [-np.inf, 0]], "finite entries"),
+], ids=["not square", "one-dimensional", "symmetric", "nan", "inf"])
+def test_pfaffian_takes_only_finite_antisymmetric_matrices(mat, message):
+    with pytest.raises(InvariantViolation, match=message):
+        pfaffian(mat)
+
+
+def test_evaluation_is_repeatable_and_pfaffian_keeps_its_argument(rng):
+    """A diagram is factorised once, when it is prepared: evaluating it again,
+    with or without groups, gives the same bits.  `pfaffian` eliminates a
+    copy."""
+    ising = build_ising_quon(IsingLattice.square(4, 6, 0.3)).core
+    d = random_closed_diagram(rng, max_width=10, max_elems=30)
+    cases = [(ising, []), (d, []), (d, random_groups(rng, d, 3))] + list(clifford_cores(rng, 2))
+    for diagram, groups in cases:
+        prepared = PreparedDiagram(diagram, groups)
+        masks = list(range(1 << len(groups)))
+        first = raw_bits(prepared.evaluate(masks))
+        assert np.array_equal(raw_bits(prepared.evaluate(masks)), first)
+    a = random_antisymmetric(rng, 2 * PANEL + 6)
+    kept = a.copy()
+    assert pfaffian(a) != 0
+    assert np.array_equal(raw_bits(a), raw_bits(kept))
+
+
+def contraction_matrix_by_mask(trace, order):
+    """The contraction matrix from every ordered pair of points: an N x N
+    mask of the pairs on one loop with t_x < t_y (the formula that the
+    per-loop pair lists replace)."""
+    if not order:
+        return np.zeros((0, 0), dtype=complex)
+    loops = trace.worldlines()
+    walk, e_walk, exit_walk, totals = [], [], [], []
+    for group in loops:
+        sid, e = group[0], 0
+        tid = trace.segments[sid].birth_turn
+        for _ in group:
+            turn = trace.turns[tid]
+            walk.append(sid)
+            e_walk.append(e)
+            exit_walk.append(turn.elem_index + (0.25 if turn.kind == "cap" else -0.25))
+            e += 1 if (turn.side_of(sid) == LEFT) == (turn.kind == "cap") else 3
+            sid = turn.other(sid)
+            seg = trace.segments[sid]
+            tid = seg.death_turn if seg.birth_turn == tid else seg.birth_turn
+        totals.append(e)
+    lengths = np.array([len(group) for group in loops], dtype=int)
+    first = np.cumsum(lengths) - lengths
+    loop_w = np.repeat(np.arange(len(loops)), lengths)
+    k_w = np.arange(len(walk)) - first[loop_w]
+    exits = np.array(exit_walk)
+    prev = np.arange(len(walk)) - 1
+    prev[first] += lengths
+    lo = np.full((len(loops), lengths.max()), np.inf)
+    hi = -lo
+    lo[loop_w, k_w] = np.minimum(exits[prev], exits)
+    hi[loop_w, k_w] = np.maximum(exits[prev], exits)
+    at = np.argsort(walk)[[p.seg for p in order]]
+    t = np.array([p.time for p in order])
+    loop, k, e = loop_w[at], k_w[at], np.array(e_walk)[at]
+    prefix = np.zeros((len(order), lo.shape[1] + 1), dtype=int)
+    np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
+    x, y = np.nonzero((loop[:, None] == loop[None, :]) & (t[:, None] < t[None, :]))
+    between = prefix[y, k[y]] - prefix[y, k[x] + 1]
+    exit_x = exits[at[x]]
+    partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
+    power = e[y] - e[x] + (k[x] > k[y]) * np.array(totals)[loop[y]] + 2 * (between + partial)
+    w = np.zeros((len(order), len(order)), dtype=complex)
+    w[x, y] = np.where(at[x] == at[y], 1.0, np.array([1, 1j, -1, -1j])[power % 4])
+    w[y, x] = 0.0 - w[x, y]
+    return w
+
+
+def prepared_cases(rng, monkeypatch):
+    """Prepare random closed diagrams with 0 to 4 point groups, Clifford cores
+    with their projections and a small Ising lattice.  Yields, for each, the
+    points and the (W, x, y) of `contraction_matrix`, and the matrix, reach
+    and scale that `_eliminate` was given."""
+    built, eliminated = [], []
+    real_build, real_eliminate = gaussian.contraction_matrix, gaussian._eliminate
+
+    def build(trace, order):
+        w, x, y = real_build(trace, order)
+        built.append((trace, order, w.copy(), x, y))
+        return w, x, y
+
+    def eliminate(a, core, singular_tol, reach, scale):
+        eliminated.append((a.copy(), list(reach), scale))
+        return real_eliminate(a, core, singular_tol, reach, scale)
+
+    monkeypatch.setattr(gaussian, "contraction_matrix", build)
+    monkeypatch.setattr(gaussian, "_eliminate", eliminate)
+    cases = [(d, random_groups(rng, d, int(rng.integers(0, 5))))
+             for d in (random_closed_diagram(rng, max_width=12, max_elems=40) for _ in range(80))]
+    cases += list(clifford_cores(rng, 4))
+    cases.append((build_ising_quon(IsingLattice.square(4, 5, 0.3)).core, []))
+    for d, groups in cases:
+        PreparedDiagram(d, groups)
+        yield built.pop() + eliminated.pop()
+
+
+def test_pair_lists_give_the_mask_formulas_matrix(rng, monkeypatch):
+    """W from the pairs of each loop equals W from the N x N mask of all
+    pairs, entry for entry, and the pairs, each once, are its nonzeros."""
+    points = 0
+    for trace, order, w, x, y, *_ in prepared_cases(rng, monkeypatch):
+        assert np.array_equal(w, contraction_matrix_by_mask(trace, order))
+        pairs = sorted(zip(np.minimum(x, y).tolist(), np.maximum(x, y).tolist()))
+        assert pairs == [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(w)))]
+        points += len(order)
+    assert points > 1000
+
+
+def test_reaches_cover_every_entry_eliminated(rng, monkeypatch):
+    """Every nonzero of the matrix `_eliminate` is given, the 1/mu entries
+    of the optional pairs and the group rows included, lies before its row's
+    reach, and the scale is max(max|entry|, 1).  The 1/mu entries widen
+    some reaches beyond those of the contractions."""
+    widened = 0
+    for *_, w, _, _, a, reach, scale in prepared_cases(rng, monkeypatch):
+        rows, cols = np.nonzero(a)
+        assert np.all(cols < np.array(reach, dtype=int)[rows])
+        assert scale == max(float(np.max(np.abs(a), initial=0.0)), 1.0)
+        widened += np.count_nonzero(np.array(reach) > _dense_reach(np.abs(w)))
+    assert widened > 20
+
+
+def test_ising_evaluation_holds_little_beyond_its_matrix():
+    """A 14 x 14 Ising Z (N = 728) is one W and a banded elimination of it;
+    traced allocations stay within 1.5 times W's bytes, which a dense copy
+    or a full |W| scan of W would break."""
+    lattice = IsingLattice.square(14, 14, 0.3)
+    evaluate_closed_quon(build_ising_quon(lattice))  # warm-up
+    w_bytes = 728 ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        evaluate_closed_quon(build_ising_quon(lattice))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * w_bytes, f"traced peak {peak / w_bytes:.2f} x W"
