@@ -1,7 +1,8 @@
 """Tractability-controlled network generation: stretch, insert, switch.
 
 Moves are pure QuonDiagram -> QuonDiagram functions; the ledger logs every
-move and counts n_S, the number of braids switched into generic scatterings.
+move and counts n_S, the net number of generic scatterings the switches made
+(a switch adds its change in genericity at the switched site: -1, 0 or +1).
 n_S is reported, not paid for: a generic scattering is Gaussian like a
 braid, so a component of the grown diagram is one `evaluate_closed_quon` of
 its basis encoding, whose cost is set by its projections, not by n_S.  A
@@ -130,8 +131,8 @@ Move = Stretch | Insert | Switch
 
 @dataclass
 class FactoryLedger:
-    """Ordered move log plus n_S, the number of braids switched into generic
-    scatterings."""
+    """Ordered move log plus n_S, the net number of generic scatterings the
+    switches made."""
 
     seed: QuonDiagram
     moves: list[Move] = field(default_factory=list)
@@ -232,9 +233,9 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
     return new_q, replace_ledger(ledger, move)
 
 
-def replace_ledger(ledger: FactoryLedger, move: Move, switched: bool = False):
-    """The ledger with `move` logged; `switched` counts one more braid
-    switched into a generic scattering."""
+def replace_ledger(ledger: FactoryLedger, move: Move, switched: int = 0):
+    """The ledger with `move` logged; `switched` is the move's change in the
+    number of generic scatterings at the switched site (-1, 0 or +1)."""
     return FactoryLedger(ledger.seed, ledger.moves + [move], ledger.n_s + switched)
 
 
@@ -293,7 +294,9 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
 
 
 def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
-    """Local replacement; n_S grows only for braid -> generic scattering."""
+    """Local replacement; n_S moves by the change in genericity at the site:
+    +1 for a braid made a generic scattering, and -1, 0 or +1 for an angle
+    set on a scattering."""
     els = q.core.elements
     if move.change == "add_dot_pair":
         t = move.site
@@ -328,13 +331,14 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
                                els[:move.site] + (new,) + els[move.site + 1:],
                                q.core.amplitude * amp)
         return (q.splice(move.site, 1, core),
-                replace_ledger(ledger, move, switched=is_generic_angle(move.theta)))
+                replace_ledger(ledger, move, is_generic_angle(move.theta)))
     # set_angle
     if not isinstance(el, Scattering):
         raise PatternMismatch(f"element {move.site} is not a scattering")
     new = Scattering(el.j, move.theta, el.orientation)
     core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
-    return q.splice(move.site, 1, core), replace_ledger(ledger, move)
+    switched = is_generic_angle(move.theta) - is_generic_angle(el.angle())
+    return q.splice(move.site, 1, core), replace_ledger(ledger, move, switched)
 
 
 def parse_move_script(text: str) -> list[Move]:

@@ -334,13 +334,22 @@ class StarTriangleSolution:
 
 
 def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSolution:
-    """Find (v1, v2, v3, R) with star(u) = R * triangle(v) on all 8
-    components, fitted to the star tensor scaled to largest |entry| 1.
-    Raises Singular on the measure-zero degenerate set, InvariantViolation
-    for a coupling that is not finite and NumericalInstability when the
-    star tensor overflows."""
-    from scipy.optimize import least_squares
+    """(v1, v2, v3, R) with star(u) = R * triangle(v) on all 8 components,
+    in closed form.
 
+    Both tensors live on the four even-parity entries 000, 011, 101, 110.
+    With s those entries of the star (scaled to largest |entry| 1) and N
+    their sum, h1 = (s0 + s1 - s2 - s3)/N, h2 = (s0 - s1 + s2 - s3)/N and
+    h3 = (s0 - s1 - s2 + s3)/N are the star's <Z_i>; the triangle's are
+    v2 v3, v1 v3 and v1 v2, and its four entries always sum to 8.  So, with
+    i the index of the largest |h_i|, v_i = sqrt(h_j h_k / h_i),
+    v_j = h_k / v_i and v_k = h_j / v_i (v_j = v_k = sqrt(h_i) when v_i is
+    0, and v = 0 when every h is), and R = N / 8.  The result is checked
+    by `StarTriangleSolution.residual`.
+
+    Raises Singular when N = 0 or the residual exceeds 1e-10 (the
+    measure-zero degenerate set), InvariantViolation for a coupling that is
+    not finite and NumericalInstability when the star tensor overflows."""
     for name, u in (("u1", u1), ("u2", u2), ("u3", u3)):
         if not cmath.isfinite(u):
             raise InvariantViolation(f"coupling {name} = {u} is not finite")
@@ -350,28 +359,23 @@ def star_triangle_solve(u1: complex, u2: complex, u3: complex) -> StarTriangleSo
         raise NumericalInstability(f"the star tensor of ({u1}, {u2}, {u3}) overflows a float")
     if scale < 1e-14:
         raise Singular("star tensor vanishes")
-    star = star / scale  # fit R / scale, so that the residuals stay O(1)
-
-    def resid(x):
-        v = (x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5])
-        r = x[6] + 1j * x[7]
-        tri = star_triangle_oracle(v, "triangle")
-        d = (star - r * tri).ravel()
-        return np.concatenate([d.real, d.imag])
-
-    seeds = [
-        np.array([abs(u1) * 0.5, 0, abs(u2) * 0.5, 0, abs(u3) * 0.5, 0, 0.5, 0]),
-        np.array([0.2, 0, 0.2, 0, 0.2, 0, 0.5, 0]),
-        np.array([0.7, 0, 0.7, 0, 0.7, 0, 1.0, 0]),
-    ]
-    rng = np.random.default_rng(0)
-    seeds += [rng.normal(scale=0.7, size=8) for _ in range(7)]
-    for x0 in seeds:
-        with np.errstate(over="ignore", invalid="ignore"):  # a seed far off may overflow
-            res = least_squares(resid, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if np.max(np.abs(res.fun)) <= 1e-10:
-            x = res.x
-            return StarTriangleSolution(
-                x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5], (x[6] + 1j * x[7]) * scale
-            )
-    raise Singular(f"no star-triangle partner for ({u1}, {u2}, {u3})")
+    even = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+    s0, s1, s2, s3 = (complex(star[x]) / scale for x in even)
+    total = s0 + s1 + s2 + s3
+    if total == 0:
+        raise Singular(f"no star-triangle partner for ({u1}, {u2}, {u3}): "
+                       "the star's even entries sum to 0")
+    h = [(s0 + s1 - s2 - s3) / total, (s0 - s1 + s2 - s3) / total, (s0 - s1 - s2 + s3) / total]
+    i = int(np.argmax(np.abs(h)))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    v = [0j, 0j, 0j]
+    if h[i] != 0:
+        v[i] = cmath.sqrt(h[j] * h[k] / h[i])
+        if v[i] == 0:
+            v[j] = v[k] = cmath.sqrt(h[i])
+        else:
+            v[j], v[k] = h[k] / v[i], h[j] / v[i]
+    sol = StarTriangleSolution(*v, total / 8 * scale)
+    if not sol.residual((u1, u2, u3)) <= 1e-10:
+        raise Singular(f"no star-triangle partner for ({u1}, {u2}, {u3})")
+    return sol

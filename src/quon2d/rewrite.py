@@ -24,8 +24,11 @@ raises one PatternMismatch naming the rule, the index and the pattern it
 needs, and splices the replacement into the diagram.
 
 The Yang-Baxter solver works in the two-dimensional spinor representation
-(the three-strand scatterings generate a complexified SU(2)); solutions are
-verified as 8x8 operators by the tests.
+(the three-strand scatterings generate a complexified SU(2)).  There the
+Hadamard-conjugated right-hand side is a 2x2 matrix whose entries are
+products of the partner angles' exponentials, so the solutions come in
+closed form: at most four candidates, each checked against
+`yang_baxter_operator`.  The tests verify them as 8x8 operators too.
 """
 
 from __future__ import annotations
@@ -51,7 +54,14 @@ from .diagram import (
     ScatteringStar,
     is_generic_angle,
 )
-from .errors import NoSolution, NotAScattering, PatternMismatch, SingularAngle, UnknownMode
+from .errors import (
+    NoSolution,
+    NotAScattering,
+    NumericalInstability,
+    PatternMismatch,
+    SingularAngle,
+    UnknownMode,
+)
 
 _PI = math.pi
 
@@ -415,151 +425,103 @@ def spacetime_dual(el: Scattering | ScatteringStar) -> tuple[complex, complex]:
     return a, phi
 
 
-def _su2_rotation(axis: str, angle: complex) -> np.ndarray:
-    half = complex(angle) / 2
-    c, s = cmath.cos(half), cmath.sin(half)
-    if axis == "z":
-        return np.array([[cmath.exp(-1j * half), 0], [0, cmath.exp(1j * half)]])
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def _scattering_matrix(axis: str, theta: complex) -> np.ndarray:
-    return cmath.exp(1j * complex(theta) / 2) * _su2_rotation(axis, theta)
+    """S_z = diag(1, e) or S_x = H S_z H, with e = e^{i theta}; raises
+    NumericalInstability when e overflows."""
+    try:
+        e = cmath.exp(1j * complex(theta))
+    except OverflowError:
+        raise NumericalInstability(
+            f"exp(i * {theta}) overflows a float; the angle's imaginary part must "
+            f"stay above about -709") from None
+    if axis == "z":
+        return np.array([[1, 0], [0, e]])
+    return np.array([[1 + e, 1 - e], [1 - e, 1 + e]]) / 2
 
 
 def yang_baxter_operator(thetas, first_axis: str = "z") -> np.ndarray:
-    """2x2 operator of the alternating triple; thetas[0] acts first."""
+    """2x2 operator of the alternating triple; thetas[0] acts first.  Raises
+    NumericalInstability when an entry overflows a float."""
     axes = [first_axis, "x" if first_axis == "z" else "z", first_axis]
     m = np.eye(2, dtype=complex)
-    for theta, axis in zip(thetas, axes):
-        m = _scattering_matrix(axis, theta) @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for theta, axis in zip(thetas, axes):
+            m = _scattering_matrix(axis, theta) @ m
+    if not np.all(np.isfinite(m)):
+        raise NumericalInstability(f"the operator of the angles {tuple(thetas)} overflows a float")
     return m
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def _angle(e: complex) -> complex:
+    """The principal phi with e^{i phi} = e."""
+    return -1j * cmath.log(e)
 
 
 def solve_yang_baxter(theta1: complex, theta2: complex, theta3: complex):
     """Angles (phi1, phi2, phi3) with S1(phi3) S0(phi2) S1(phi1) matching
-    S0(theta3) S1(theta2) S0(theta1) as three-strand operators.
-
-    The match is exact whenever an exact solution exists (all braid-doped
-    configurations); generic complex triples admit only a projective
-    solution, whose unit scalar `solve_yang_baxter_full` reports and
-    `apply_rule` folds into the amplitude.  Raises NoSolution on the
-    degenerate set where even the projective problem has no solution.
-    """
+    S0(theta3) S1(theta2) S0(theta1) as three-strand operators, up to the
+    scalar that `solve_yang_baxter_full` reports and `apply_rule` folds into
+    the amplitude (1 whenever an exact solution exists)."""
     phis, _scalar = solve_yang_baxter_full(theta1, theta2, theta3)
     return phis
 
 
 def solve_yang_baxter_full(theta1: complex, theta2: complex, theta3: complex):
-    """((phi1, phi2, phi3), scalar) with LHS == scalar * RHS exactly;
-    scalar == 1 whenever an exact solution exists."""
+    """((phi1, phi2, phi3), scalar) with LHS == scalar * RHS, in closed form.
+
+    Conjugating by the Hadamard H turns the right-hand side into
+    S_z(phi3) S_x(phi2) S_z(phi1) = [[p, qA], [qC, pAC]], where
+    p, q = (1 +- e^{i phi2})/2, A = e^{i phi1} and C = e^{i phi3}; so
+    kappa V = that form, with V = H LHS H and scalar 1/kappa.  A diagonal V
+    takes phi2 = 0, an antidiagonal one phi2 = pi, and a full one
+    p/q = sigma = +-sqrt(v11 v22 / (v12 v21)), one candidate per sign.
+    Every candidate is checked against `yang_baxter_operator`, with scalar 1
+    first and then its own: an exact one (scalar 1) is returned if there is
+    one, otherwise the one with the smallest sum |Im phi|.  Raises
+    NoSolution when no candidate passes.
+    """
     target = yang_baxter_operator((theta1, theta2, theta3), first_axis="z")
-    scale = max(1.0, float(np.max(np.abs(target))))
-    # conjugate by the basis swap so the unknown side is a z-x-z Euler problem
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    v = h @ target @ h
-    sum_theta = theta1 + theta2 + theta3
-
-    # the SL2 part of any solution is +-W = +-e^{-i sum/2} v; enumerate the
-    # sign sheets and sqrt branches, preferring an exact (scalar 1) match
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(target))))
+    v11, v12, v21, v22 = map(complex, (_HADAMARD @ target @ _HADAMARD).ravel())
+    # each candidate: (angles tried with scalar 1, angles for its own scalar
+    # 1/kappa, 1/kappa).  With scalar 1 the form's p = kappa v11 misses v11
+    # whatever the angles; scaling the off-diagonals by sqrt(kappa) instead
+    # of kappa keeps v22 exact and halves their error, so scalar 1 still
+    # passes where kappa is within the tolerance of 1
     candidates = []
-    for sheet in (1.0, -1.0):
-        for branch in (0, 1):
-            sol = _euler_zxz(sheet * v, sum_theta, branch)
-            if sol is None:
+    if v11 and v22:
+        candidates.append(((_angle(v22), 0j, 0j), (_angle(v22 / v11), 0j, 0j), v11))
+    if v12 and v21:
+        phis = (_angle(v12), complex(_PI), _angle(v21))
+        candidates.append((phis, phis, 1.0))
+    if v11 and v12 and v21 and v22:
+        root = cmath.sqrt(v11 / v12 * (v22 / v21))
+        for sigma in (root, -root):
+            if sigma * sigma == 1:  # p + q or p - q vanishes: no finite angle
                 continue
-            got = yang_baxter_operator(sol, first_axis="x")
-            if np.max(np.abs(got - target)) <= 1e-9 * scale:
-                return sol, 1.0 + 0.0j
-            candidates.append((sol, got))
-    for sol, got in candidates:
-        scalar = _aligned_scalar(target, got)
-        if scalar is not None:
-            return sol, scalar
-    sol = _yang_baxter_numeric(target, (theta1, theta2, theta3))
-    if sol is not None:
-        got = yang_baxter_operator(sol, first_axis="x")
-        scalar = _aligned_scalar(target, got)
-        if scalar is not None:
-            return sol, scalar
-    raise NoSolution(f"no Yang-Baxter partner for ({theta1}, {theta2}, {theta3})")
-
-
-def _aligned_scalar(target: np.ndarray, got: np.ndarray):
-    """c with target == c * got within 1e-9, or None."""
-    norm = np.vdot(got, got)
-    if abs(norm) < 1e-300:
-        return None
-    c = np.vdot(got, target) / norm
-    if np.max(np.abs(target - c * got)) <= 1e-9 * max(1.0, float(np.max(np.abs(target)))):
-        return complex(c)
-    return None
-
-
-def _euler_zxz(v: np.ndarray, sum_theta: complex, branch: int):
-    """Solve v = e^{i(a+b+c)/2} Rz(c) Rx(b) Rz(a) with a+b+c branch-matched
-    to sum_theta; returns (a, b, c) ordered first-to-last or None."""
-    w = cmath.exp(-1j * complex(sum_theta) / 2) * v
-    # w = Rz(c) Rx(b) Rz(a)
-    cosb2_sq = w[0, 0] * w[1, 1]
-    sinb2_sq = -w[0, 1] * w[1, 0]
-    cb = cmath.sqrt(cosb2_sq)
-    sb = cmath.sqrt(sinb2_sq)
-    if branch:
-        sb = -sb
-    if abs(cb) < 1e-12 or abs(sb) < 1e-12:
-        # braid-like degenerate axes: fall back to the numeric solver
-        return None
-    b = 2 * cmath.atan(sb / cb)
-    cb, sb = cmath.cos(b / 2), cmath.sin(b / 2)
-    if abs(cb) < 1e-12 or abs(sb) < 1e-12:
-        return None
-    e_sum = w[1, 1] / cb      # e^{i(a+c)/2}
-    e_diff = w[1, 0] / (-1j * sb)  # e^{-i(a-c)/2}
-    apc = -2j * cmath.log(e_sum)
-    amc = 2j * cmath.log(e_diff)
-    a = (apc + amc) / 2
-    c = (apc - amc) / 2
-    return (a, b, c)
-
-
-def _yang_baxter_numeric(target: np.ndarray, seed_thetas):
-    from scipy.optimize import least_squares
-
-    def resid(x):
-        x = np.clip(x, -20.0, 20.0)
-        phis = (x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5])
-        m = yang_baxter_operator(phis, first_axis="x")
-        norm = np.vdot(m, m)
-        c = np.vdot(m, target) / norm if abs(norm) > 1e-300 else 0.0
-        d = (c * m - target).ravel()
-        return np.concatenate([d.real, d.imag])
-
-    t1, t2, t3 = seed_thetas
-    seeds = [
-        (t3, t2, t1),
-        (t1, t2, t3),
-        (t2, t1, t2),
-        (-_PI / 2, -_PI / 2, -_PI / 2),
-        (0.3, 0.3, 0.3),
-    ]
-    rng = np.random.default_rng(0)
-    seeds += [tuple(rng.normal(scale=1.5, size=3) + 1j * rng.normal(scale=0.3, size=3))
-              for _ in range(8)]
-    scale = max(1.0, float(np.max(np.abs(target))))
-    for seed in seeds:
-        x0 = []
-        for s in seed:
-            s = complex(s)
-            x0 += [s.real, s.imag]
-        try:
-            res = least_squares(resid, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except (OverflowError, FloatingPointError):
-            continue
-        if np.max(np.abs(res.fun)) <= 1e-10 * scale:
-            x = np.clip(res.x, -20.0, 20.0)
-            return (x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5])
-    return None
+            p, q = sigma / (1 + sigma), 1 / (1 + sigma)
+            kappa = p / v11
+            exact, own = ((_angle(k * v12 / q), _angle(p - q), _angle(k * v21 / q))
+                          for k in (cmath.sqrt(kappa), kappa))
+            candidates.append((exact, own, 1 / kappa))
+    passed = []
+    for exact, own, own_scalar in candidates:
+        for phis, scalar in ((exact, 1.0), (own, own_scalar)):
+            try:
+                got = yang_baxter_operator(phis, first_axis="x")
+            except NumericalInstability:  # no partner a float can hold
+                continue
+            if np.max(np.abs(target - scalar * got)) <= tol:
+                passed.append((scalar != 1.0, sum(abs(phi.imag) for phi in phis),
+                               phis, complex(scalar)))
+                break
+    if not passed:
+        raise NoSolution(f"no Yang-Baxter partner for ({theta1}, {theta2}, {theta3})")
+    _, _, phis, scalar = min(passed, key=lambda c: c[:2])
+    return phis, scalar
 
 
 # -- rule application -----------------------------------------------------

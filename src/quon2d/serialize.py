@@ -193,8 +193,9 @@ def parse_diagram(text: str) -> QuonDiagram:
 
 
 def emit_dot(q: QuonDiagram) -> str:
-    """Graphviz description of the diagram: nodes are elements and turns,
-    edges are strand segments.  A debugging aid, not a rendering contract."""
+    """Graphviz description of the diagram: nodes are elements, boundary
+    points, holes (octagons) and notches (houses), edges are strand
+    segments.  A debugging aid, not a rendering contract."""
     trace = WireTrace(q.core)
     lines = ["graph quon {", "  rankdir=TB;"]
     for t, el in enumerate(q.core.elements):
@@ -219,7 +220,9 @@ def emit_dot(q: QuonDiagram) -> str:
             ends.append(f"bot{seg.bottom_position}")
         for a, b in zip(ends, ends[1:]):
             lines.append(f"  {a} -- {b} [label=s{sid}];")
-    for k, cut in enumerate(q.parity_cuts):
-        lines.append(f'  cut{k} [label="hole @{cut.time_index} {list(cut.strands)}", shape=octagon];')
+    for kind, cuts, shape in (("hole", q.parity_cuts, "octagon"), ("notch", q.notches, "house")):
+        for k, cut in enumerate(cuts):
+            lines.append(f'  {kind}{k} [label="{kind} @{cut.time_index} {list(cut.strands)}", '
+                         f'shape={shape}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

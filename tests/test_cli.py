@@ -107,6 +107,25 @@ def test_factory_component_with_seventeen_switched_braids(tmp_path, capsys):
     assert complex(out.strip()) == pytest.approx(want, abs=1e-9)
 
 
+def test_factory_counts_a_scattering_set_back_to_a_braid_angle(tmp_path, capsys):
+    seed = _write(tmp_path / "seed.json", serialize_diagram(
+        compile_circuit(Circuit(2, (Gate("H", (0,)), Gate("S", (1,)))))))
+    script = _write(tmp_path / "moves.txt",
+                    f"switch 1 braid_to_scattering 0.7\nswitch 1 set_angle {math.pi / 2!r}\n")
+    code, _, err = _run(capsys, "factory", seed, "--script", script, "-o", tmp_path / "out.json")
+    assert code == 0 and "n_S: 0" in err
+
+
+def test_emit_dot_names_every_hole_and_notch(tmp_path, capsys):
+    q = compile_circuit(Circuit(2, (Gate("CNOT", (0, 1)), Gate("SWAP", (0, 1)))))
+    assert len(q.parity_cuts) == 2 and q.notches
+    code, out, _ = _run(capsys, "emit-dot", _write(tmp_path / "q.json", serialize_diagram(q)))
+    assert code == 0 and out.startswith("graph quon {")
+    for kind, cuts in (("hole", q.parity_cuts), ("notch", q.notches)):
+        for k, cut in enumerate(cuts):
+            assert f'{kind}{k} [label="{kind} @{cut.time_index} {list(cut.strands)}"' in out
+
+
 def test_eval_and_simplify(tmp_path, capsys):
     doc = _write(tmp_path / "cut.json",
                  serialize_diagram(QuonDiagram(CORE, (ParityCut(6, (0, 1)),))))

@@ -169,17 +169,20 @@ def test_functoriality(rng):
 
 def test_clifford_components_match_the_unitary():
     """Every basis component of random Clifford circuits with at most 7
-    projections: their Gaussian cores are exactly singular (deferred pivots)
-    and many components are exactly zero."""
+    projections, and of an XX circuit whose exactly-zero entries met a
+    round-off pivot once: their Gaussian cores are exactly singular
+    (deferred pivots) and many components are exactly zero."""
     rng = np.random.default_rng(61)
-    checked = 0
-    while checked < 10:
+    c = Circuit(3, (Gate("H", (2,)), Gate("S", (2,)), Gate("XX", (1, 2), 5.379157193737768),
+                    Gate("CNOT", (0, 1))))
+    circuits = [(c, compile_circuit(c))]
+    while len(circuits) < 11:
         c = random_circuit(int(rng.integers(2, 4)), 8, rng, two_qubit_rate=0.4,
                            names1=("H", "S", "X", "Y", "Z"), names2=("CZ", "CNOT", "SWAP"))
         q = compile_circuit(c)
-        if len(all_projections(q)) > 7:
-            continue
-        checked += 1
+        if len(all_projections(q)) <= 7:
+            circuits.append((c, q))
+    for c, q in circuits:
         assert np.max(np.abs(dense_gate_matrix(q) - circuit_oracle_unitary(c))) <= 1e-9
 
 

@@ -196,6 +196,16 @@ def test_twenty_switched_braids_take_one_factorisation_per_component(monkeypatch
     assert len(prepared) == want.size
 
 
+def test_set_angle_moves_n_s_by_the_change_in_genericity():
+    q = compile_circuit(Circuit(2, (Gate("H", (0,)), Gate("S", (1,)))))
+    q, ledger = apply_move(q, Switch(1, "braid_to_scattering", theta=0.7), FactoryLedger(q))
+    assert ledger.n_s == q.core.generic_scattering_count() == 1
+    q, ledger = apply_move(q, Switch(1, "set_angle", theta=PI / 2), ledger)
+    assert ledger.n_s == q.core.generic_scattering_count() == 0
+    q, ledger = apply_move(q, Switch(1, "set_angle", theta=0.2), ledger)
+    assert ledger.n_s == q.core.generic_scattering_count() == 1
+
+
 def test_near_clifford_switch_on_a_three_qubit_circuit():
     """A braid switched to pi/2 + 1e-8, next to the angle that leaves it a
     braid: the component is zero, and a core pivot of 1e-8 kept instead of

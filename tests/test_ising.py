@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quon2d
 from quon2d.classify import classify
 from quon2d.diagram import ScatteringStar, VERTICAL
 from quon2d.errors import InvariantViolation, NonPlanarInput, Singular, TooManySites
@@ -212,6 +217,30 @@ def test_star_triangle_solves_random(rng):
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.normal(size=3) + 1j * rng.normal(size=3),
+    lambda rng: rng.normal(scale=3.0, size=3),
+], ids=["complex", "real_normal_3"])
+def test_star_triangle_solves_wide_couplings(rng, draw):
+    for _ in range(300):
+        u = tuple(draw(rng))
+        assert star_triangle_solve(*u).residual(u) <= 1e-9, u
+
+
+def test_solvers_leave_scipy_unloaded():
+    """Both closed-form solvers run on numpy alone."""
+    code = ("import sys\n"
+            "from quon2d.ising import star_triangle_solve\n"
+            "from quon2d.rewrite import solve_yang_baxter_full\n"
+            "star_triangle_solve(0.3, 0.5, 0.7)\n"
+            "solve_yang_baxter_full(0, 0.7, 0)\n"
+            "assert 'scipy' not in sys.modules\n")
+    src = str(Path(quon2d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_star_triangle_symmetric():
     sol = star_triangle_solve(0.31, 0.31, 0.31)
     assert sol.v1 == pytest.approx(sol.v2, abs=1e-9)
@@ -236,6 +265,9 @@ def test_star_triangle_zero_couplings():
         x, y, z = i >> 2 & 1, i >> 1 & 1, i & 1
         p3[x, y, z] = 1.0 if (x + y + z) % 2 == 0 else 0.0
     assert np.allclose(star, p3)
+    sol = star_triangle_solve(0.0, 0.0, 0.0)
+    assert (sol.v1, sol.v2, sol.v3) == (0, 0, 0)
+    assert sol.r == pytest.approx(0.5, abs=1e-15)
 
 
 def test_star_triangle_singular_detected():

@@ -195,6 +195,14 @@ def test_spacetime_dual_overflow_is_typed():
         apply_rule(d, SpaceTimeDual(), RewriteSite.at(1))
 
 
+def test_yang_baxter_overflow_is_typed():
+    d = MajoranaDiagram(4, 4, (Scattering(0, -1500j), Scattering(1, 0.3), Scattering(0, 0.2)))
+    with pytest.raises(NumericalInstability, match="overflows a float"):
+        apply_rule(d, YangBaxter(), RewriteSite.at(0))
+    with pytest.raises(NumericalInstability, match="overflows a float"):
+        solve_yang_baxter_full(-400j, -400j, 0)
+
+
 def test_dot_pass_overflow_is_typed():
     with pytest.raises(NumericalInstability, match="overflows a float"):
         apply_rule(MajoranaDiagram(2, 2, (Dot(0), Scattering(0, -800j))),
@@ -355,3 +363,50 @@ def test_yang_baxter_eight_by_eight_via_fock():
     rhs = diagram_operator(MajoranaDiagram(
         8, 8, (Scattering(1, phis[0]), Scattering(0, phis[1]), Scattering(1, phis[2]))))
     assert np.max(np.abs(lhs - scalar * rhs)) <= 1e-9
+
+
+def _yang_baxter_error(thetas, phis, scalar):
+    """max|LHS - scalar * RHS| relative to max(1, max|LHS|)."""
+    lhs = yang_baxter_operator(thetas, first_axis="z")
+    rhs = yang_baxter_operator(phis, first_axis="x")
+    return np.max(np.abs(lhs - scalar * rhs)) / max(1.0, np.max(np.abs(lhs)))
+
+
+@pytest.mark.parametrize("thetas, exact", [
+    ((0, 0.7, 0), True),  # diagonal after the Hadamard: phi2 = 0
+    ((0.4, PI, 0.4), False),  # diagonal, but only e^{0.4i} times a solution
+    ((0, PI, 0), True),  # diagonal
+    ((PI, 0.7, 0), True),  # antidiagonal: phi2 = pi
+])
+def test_yang_baxter_degenerate_triples(thetas, exact):
+    """The off-diagonal (or diagonal) entries are round-off, so the full
+    form's angles would be noise: real angles come from the degenerate form."""
+    phis, scalar = solve_yang_baxter_full(*thetas)
+    assert _yang_baxter_error(thetas, phis, scalar) <= 1e-9
+    assert (scalar == 1) == exact
+    assert max(abs(complex(phi).imag) for phi in phis) <= 1e-9
+
+
+def test_yang_baxter_keeps_scalar_one_near_the_tolerance():
+    """kappa is 1 + 1e-9j: with the off-diagonals scaled by kappa scalar 1
+    misses by 1.0000001e-9, by sqrt(kappa) it misses by 5e-10."""
+    thetas = (3 * PI / 2 - 1e-6, 2 * PI - 1e-9, -PI - 1e-6)
+    phis, scalar = solve_yang_baxter_full(*thetas)
+    assert scalar == 1
+    assert _yang_baxter_error(thetas, phis, 1.0) <= 1e-9
+
+
+def test_yang_baxter_fuzz(rng):
+    """Random complex triples, and multiples of pi/2 moved by 0 or 1e-12 to
+    1e-3: every triple is solved, with scalar 1 wherever scalar 1 passes."""
+    triples = [tuple(rng.normal(scale=1.5, size=3) + 1j * rng.normal(scale=0.5, size=3))
+               for _ in range(300)]
+    offsets = (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+    for _ in range(600):
+        triples.append(tuple(k * PI / 2 + rng.choice((-1, 1)) * rng.choice(offsets)
+                             for k in rng.integers(-4, 5, size=3)))
+    for thetas in triples:
+        phis, scalar = solve_yang_baxter_full(*thetas)
+        assert _yang_baxter_error(thetas, phis, scalar) <= 1e-9, thetas
+        if scalar != 1:
+            assert _yang_baxter_error(thetas, phis, 1.0) > 1e-9, thetas
