@@ -178,36 +178,25 @@ def _gai_layers(theta, phi1, phi2, odd_sector: bool):
     ]
 
 
-def gab_rotation_layers(a: np.ndarray, b: np.ndarray):
-    """Rotation layers (kind, dense qubit, alpha), first-applied first, and
-    the phase with G(A, B) = phase * prod Rot(-2 alpha): Rot is Rz on the
-    dense qubit for kind "z" and XXRot for "xx", since e^{i alpha Z} =
-    e^{i alpha} Rz(-2 alpha) and likewise for XX.  Returns (layers, phase).
-
-    Layers with |alpha| < 1e-15 are dropped.  A and B are rescaled to SU(2);
-    the phase is the removed determinant root times prod e^{i alpha}.
-    """
-    a = np.asarray(a, dtype=complex).reshape(2, 2)
-    b = np.asarray(b, dtype=complex).reshape(2, 2)
-    det_a, det_b = np.linalg.det(a), np.linalg.det(b)
-    if abs(det_a - det_b) > 1e-9:
-        raise NotMatchgate("det A != det B")
-    phase = cmath.sqrt(det_a)
-    layers = _gai_layers(*_su2_params(b / phase), odd_sector=True)
-    layers += _gai_layers(*_su2_params(a / phase), odd_sector=False)
-    layers = [layer for layer in layers if abs(layer[2]) >= 1e-15]
-    for _, _, alpha in layers:
-        phase *= cmath.exp(1j * alpha)
-    return layers, phase
-
-
 def decompose_gab(g: MatchgateGate):
     """Circuit over {Rz, XXRot} whose oracle unitary equals G(A, B) up to the
-    returned overall phase: (circuit, phase)."""
-    layers, phase = gab_rotation_layers(g.a, g.b)
-    # e^{i alpha Z} = e^{i alpha} Rz(-2 alpha); e^{i alpha XX} likewise
-    gates = (Gate("RZ", (which,), -2 * alpha) if kind == "z" else Gate("XX", (0, 1), -2 * alpha)
-             for kind, which, alpha in layers)
+    returned overall phase: (circuit, phase).
+
+    A and B are rescaled to SU(2) by the root of their common determinant
+    and written as rotation layers (kind, dense qubit, alpha), first-applied
+    first; e^{i alpha Z} = e^{i alpha} Rz(-2 alpha) and e^{i alpha XX} =
+    e^{i alpha} XXRot(-2 alpha), so the phase is the root times
+    prod e^{i alpha}.  Layers with |alpha| < 1e-15 are dropped.
+    """
+    phase = cmath.sqrt(np.linalg.det(g.a))
+    layers = _gai_layers(*_su2_params(g.b / phase), odd_sector=True)
+    layers += _gai_layers(*_su2_params(g.a / phase), odd_sector=False)
+    gates = []
+    for kind, which, alpha in layers:
+        if abs(alpha) >= 1e-15:
+            phase *= cmath.exp(1j * alpha)
+            gates.append(Gate("RZ", (which,), -2 * alpha) if kind == "z"
+                         else Gate("XX", (0, 1), -2 * alpha))
     return Circuit(2, tuple(gates)), complex(phase)
 
 
@@ -234,7 +223,6 @@ def clifford_matchgate_decompose(tensors, plan, open_legs):
         """Contract all plan edges internal to `indices`; returns
         (tensor, boundary) with boundary = list of (i, leg) in output order."""
         idx = {i: np.asarray(tensors[i][1], dtype=complex) for i in indices}
-        legmap = {i: list(range(idx[i].ndim)) for i in indices}
         # start with an identity scalar and absorb tensors one by one
         order = list(indices)
         result = np.array(1.0 + 0.0j)

@@ -1,8 +1,9 @@
 """Compilers between circuits / elementary tensors and Quon diagrams.
 
 Four strands per qubit; each gate is the element block calibrated against
-the dense oracle (global phases included), looked up in `_BLOCKS`, which is
-keyed by the names of `circuits.GATES`:
+the dense oracle (global phases included), looked up in `_BLOCKS`, or is
+written as sub-gates by `_SUBGATES`; together they are keyed by the names of
+`circuits.GATES`:
 
 * X, Y, Z: simultaneous dot pairs on strands (2,3), (1,3), (1,2) of the block,
 * S / Sinv: one negative/positive braid on the middle strands, amplitude
@@ -13,9 +14,9 @@ keyed by the names of `circuits.GATES`:
   sqrt(2), plus one parity cut that keeps compositions parity-clean,
 * CNOT: no block; it is written into the gate stream as its e^{i pi/4 XX}
   decomposition with single-qubit Cliffords,
-* SWAP: a full 16-crossing weave of negative braids with its two cuts,
-* CZ: the Appendix-style gadget G_H / SWAP / G_X / G_H on the middle dense
-  qubits, conjugated into this encoding by logical Hadamards.
+* CZ: no block; it is written into the gate stream as H(t) CNOT(c, t) H(t),
+  so it is Clifford-form with the one notch of its CNOT,
+* SWAP: a full 16-crossing weave of negative braids with its two cuts.
 
 `quon_to_dense_tensor` enumerates basis assignments over every open interval
 (top intervals left to right, then bottom ones), which is also how tensor
@@ -32,9 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gaussian
-from .circuits import H as H_MATRIX
 from .circuits import Circuit, Gate
-from .classify import gab_rotation_layers
 from .diagram import (
     BraidNeg,
     BraidPos,
@@ -136,35 +135,7 @@ def _swap_block(gate: Gate, base: int):
     return els, 1.0, (ParityCut(0, strands), ParityCut(len(els), strands)), ()
 
 
-def _gab_layers(a_mat: np.ndarray, b_mat: np.ndarray):
-    """Scattering layers realizing G(A, B) on two dense qubits (strand
-    offsets are local to a 4-strand window), and their phase: e^{i alpha Z_d}
-    is e^{i alpha} Scattering(2d, -2 alpha) and e^{i alpha XX} is
-    e^{i alpha} Scattering(1, -2 alpha); see classify.decompose_gab."""
-    layers, phase = gab_rotation_layers(a_mat, b_mat)
-    return tuple(Scattering(2 * which if kind == "z" else 1, -2 * alpha)
-                 for kind, which, alpha in layers), phase
-
-
 _E8 = cmath.exp(1j * _PI / 8)  # the amplitude of S, H and RXQ+
-_HADAMARD = (BraidNeg(1), BraidNeg(2), BraidNeg(1))
-_GH_LAYERS, _GH_PHASE = _gab_layers(H_MATRIX, H_MATRIX)  # the CZ gadget's G(H, H)
-
-
-def _cz_block(gate: Gate, base: int):
-    """CZ via the gadget (G_H, SWAP, G_X, G_H) on the middle dense qubits,
-    conjugated by logical Hadamards into this encoding."""
-    hadamards = offset_elements(_HADAMARD, base) + offset_elements(_HADAMARD, base + 4)
-    gh_els = offset_elements(_GH_LAYERS, base + 2)  # gadget window: base+2 .. base+5
-    head = hadamards + gh_els + offset_elements(_weave(0, 2, 2), base + 2)
-    els = head + (DotPair(base + 3, base + 4),) + gh_els + hadamards
-    # the gadget's inner cut halves the flow; the content-preserving
-    # normalization restores it (pinned by the dense-oracle gate test)
-    amp = _E8 * _E8 * (2.0 * _GH_PHASE * _GH_PHASE) * _E8 * _E8
-    notches = (ParityCut(len(head), tuple(range(base + 2, base + 4))),
-               ParityCut(len(els), tuple(range(base, base + 4))))
-    return els, amp, (), notches
-
 
 # name -> (gate, first strand of its lowest qubit) -> (elements, amplitude,
 # holes, notches), cut times counted from the block's first element
@@ -174,27 +145,33 @@ _BLOCKS = {
     "Z": _fixed(1.0, DotPair(1, 2)),
     "S": _fixed(_E8, BraidNeg(1)),
     "SINV": _fixed(cmath.exp(-1j * _PI / 8), BraidPos(1)),
-    "H": _fixed(_E8, *_HADAMARD),
+    "H": _fixed(_E8, BraidNeg(1), BraidNeg(2), BraidNeg(1)),
     "RXQ+": _fixed(_E8, BraidNeg(2)),
     "RXQ-": _fixed(cmath.exp(-1j * _PI / 8), BraidPos(2)),
     "RZ": lambda gate, base: ((Scattering(base + 1, gate.angle),), 1.0, (), ()),
     "XX": _xx_block,
-    "CZ": _cz_block,
     "SWAP": _swap_block,
 }
 
 
+# name -> (control, target) -> the sub-gates a gate without a block is
+# written as; CNOT's amplitudes reproduce its permutation matrix including
+# the global phase, and CZ is H(t) CNOT(c, t) H(t) exactly
+_SUBGATES = {
+    "CNOT": lambda c, t: (Gate("H", (c,)), Gate("RXQ+", (t,)), Gate("XX", (c, t), -_PI / 2),
+                          Gate("RXQ+", (c,)), Gate("H", (c,))),
+    "CZ": lambda c, t: (Gate("H", (t,)), Gate("CNOT", (c, t)), Gate("H", (t,))),
+}
+
+
 def _compiled_gates(gates):
-    """The gates with each CNOT written as its e^{i pi/4 XX} decomposition,
-    whose sub-gates' amplitudes reproduce the permutation matrix including
-    its global phase, so CNOT needs no block of its own."""
+    """The gates with each gate of `_SUBGATES` written as its sub-gates, until
+    every gate has a block."""
     for g in gates:
-        if g.name != "CNOT":
+        if g.name in _SUBGATES:
+            yield from _compiled_gates(_SUBGATES[g.name](*g.qubits))
+        else:
             yield g
-            continue
-        c, t = g.qubits
-        yield from (Gate("H", (c,)), Gate("RXQ+", (t,)), Gate("XX", (c, t), -_PI / 2),
-                    Gate("RXQ+", (c,)), Gate("H", (c,)))
 
 
 def compile_circuit(c: Circuit) -> QuonDiagram:
@@ -362,7 +339,6 @@ def parity_tensor_quon(degree: int) -> QuonDiagram:
     if degree < 1:
         raise UnknownGenerator(f"parity tensor degree {degree}")
     size = 4 * degree
-    pairing = {}
     # outer ring: (4k+3, 4k+4) between legs, wrap (0, 4d-1)
     # inner ring: (4k+2, 4k+5) between legs, wrap (1, 4d-2)
     pairs = []
@@ -393,8 +369,6 @@ def caps_from_pairing(size: int, pairs) -> tuple:
         raise InvariantViolation(
             f"pairs must cover each of 0..{size - 1} exactly once; got {sorted(remaining)}")
     order = []
-    positions = list(range(size))
-    live = {p: i for i, p in enumerate(positions)}
     pending = set(remaining)
     while pending:
         progress = False

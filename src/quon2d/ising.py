@@ -251,8 +251,8 @@ def kw_rewrite_chain(lattice: IsingLattice):
 
     # insert a string-hole pair on each dual plaquette (interior vertices)
     current = steps[-1]
-    for r in range(1, rows - 1):
-        for c in range(1, cols - 1):
+    for _ in range(1, rows - 1):
+        for _ in range(1, cols - 1):
             # any slice after the first row of caps hosts the pair; value
             # preservation is exact wherever the pair is placed
             current = string_genus(current, 0, "insert", region=(cols, 1))

@@ -385,7 +385,6 @@ def _quiet_loop_of_cut(q: QuonDiagram, trace: WireTrace, cut: ParityCut):
     slice and the rest sit on one side of it.  Returns (loop segment ids,
     its elements' indices), or None."""
     slice_now = trace.slices[cut.time_index]
-    cut_segs = [slice_now[s] for s in cut.strands]
     other_cut_strands = set()
     for c in q.parity_cuts + q.notches:
         if c is not cut:

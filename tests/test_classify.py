@@ -28,7 +28,7 @@ PI = math.pi
 
 # gate pools of random_circuit that compile to matchgate and Clifford form
 MATCHGATE = dict(two_qubit_rate=0.5, names1=("RZ",), names2=("XX",))
-CLIFFORD = dict(two_qubit_rate=0.4, names1=("S", "H", "SINV", "X", "Z"), names2=("CNOT",))
+CLIFFORD = dict(two_qubit_rate=0.4, names1=("S", "H", "SINV", "X", "Z"), names2=("CNOT", "CZ"))
 
 
 def test_clifford_circuits_classify_clifford(rng):
@@ -186,8 +186,11 @@ def test_decompose_gab_diagonal():
 
 
 def test_decompose_gab_random(rng):
-    for _ in range(10):
-        g = MatchgateGate(_random_su2(rng), _random_su2(rng))
+    """Random G(A, B) in SU(2) x SU(2), and G(H, H), whose det -1 puts a
+    phase on the rescaling to SU(2)."""
+    h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    for g in [MatchgateGate(h, h)] + [MatchgateGate(_random_su2(rng), _random_su2(rng))
+                                      for _ in range(10)]:
         c, phase = decompose_gab(g)
         got = phase * circuit_oracle_unitary(c)
         assert np.max(np.abs(got - g.matrix())) <= 1e-9

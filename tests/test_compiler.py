@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quon2d.circuits import GATES, Circuit, Gate, circuit_oracle_unitary, gate_matrix
+from quon2d.classify import classify
 from quon2d.compiler import (
     DenseTensor,
     circuit_amplitude,
@@ -76,21 +77,6 @@ def test_qubit_count_becomes_an_int():
     assert compile_circuit(Circuit(0, ())).core.elements == ()
 
 
-def test_cz_gadget_layers_are_built_once(monkeypatch):
-    """G(H, H) of the CZ gadget is a constant of the encoding: compiling a
-    CZ fits no rotation layers, and gives the same diagram every time."""
-    import quon2d.compiler as compiler
-
-    c = Circuit(3, (Gate("CZ", (1, 2)), Gate("H", (0,)), Gate("CZ", (1, 0))))
-    first = compile_circuit(c)
-
-    def refuse(*args):
-        raise AssertionError("G(H, H) fitted again")
-
-    monkeypatch.setattr(compiler, "gab_rotation_layers", refuse)
-    assert compile_circuit(c) == first
-
-
 def test_gate_qubits_become_ints_and_angles_reduce():
     g = Gate("xx", (np.int64(1), np.int64(0)), -PI / 2)
     assert g == Gate("XX", (1, 0), 1.5 * PI)
@@ -118,6 +104,32 @@ def test_gate_fidelity_including_global_phase(gate):
     got = dense_gate_matrix(compile_circuit(c))
     want = circuit_oracle_unitary(c)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("gate", ALL_GATES, ids=lambda g: f"{g.name}{g.qubits}")
+def test_gates_at_clifford_angles_compile_to_clifford_form(gate):
+    """Every gate of the table is Clifford-form at angles k*pi/2; at a generic
+    angle RZ and XX are not."""
+    n = max(gate.qubits) + 1
+    if gate.angle is not None:
+        generic = classify(compile_circuit(Circuit(n, (gate,))))
+        assert not generic.clifford_form and generic.generic_scattering_count == 1
+        gate = replace(gate, angle=round(gate.angle / (PI / 2)) * PI / 2)
+    report = classify(compile_circuit(Circuit(n, (gate,))))
+    assert report.clifford_form and report.generic_scattering_count == 0
+
+
+@pytest.mark.parametrize("c, t", [(0, 1), (1, 0)])
+def test_cz_is_h_cnot_h(c, t):
+    """CZ(c, t) compiles to H(t) CNOT(c, t) H(t): one notch, no holes,
+    Clifford-form and not matchgate-form."""
+    q = compile_circuit(Circuit(2, (Gate("CZ", (c, t)),)))
+    assert q == compile_circuit(Circuit(2, (Gate("H", (t,)), Gate("CNOT", (c, t)),
+                                            Gate("H", (t,)))))
+    assert len(q.notches) == 1 and q.parity_cuts == ()
+    report = classify(q)
+    assert report.clifford_form and report.generic_scattering_count == 0
+    assert not report.matchgate_form
 
 
 def test_compiled_s_structure():
@@ -237,12 +249,12 @@ def test_random_circuit_amplitudes(rng):
 
 
 def test_twelve_projection_amplitudes():
-    """2 qubits, four H/CZ/H/CNOT layers with seeded one-qubit gates
+    """2 qubits, six H/CZ/H/CNOT layers with seeded one-qubit gates
     between them: 12 projections, 4096 terms per amplitude, more than one
     stack for the larger term sizes."""
     rng = np.random.default_rng(12)
     gates = []
-    for _ in range(4):
+    for _ in range(6):
         for gate in (Gate("H", (0,)), Gate("CZ", (0, 1)), Gate("H", (1,)), Gate("CNOT", (0, 1))):
             name = ("S", "X", "RZ", "RXQ+", "Y")[int(rng.integers(0, 5))]
             angle = float(rng.uniform(0, 2 * PI)) if name == "RZ" else None

@@ -1,0 +1,84 @@
+"""Source hygiene of `src/quon2d`, checked with `ast`: no import its module
+never uses, and no function-local name that is assigned and never read."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import quon2d
+
+MODULES = sorted(Path(quon2d.__file__).parent.glob("*.py"))
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _loaded(node) -> set[str]:
+    """Every name read under `node`, nested scopes included (a closure reads
+    its enclosing function's locals)."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+            and not isinstance(n.ctx, ast.Store)}
+
+
+def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    used = _loaded(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append((node.lineno, name))
+    return found
+
+
+def _own_stores(fn) -> list[ast.Name]:
+    """The names `fn` binds in its own body, not inside a nested function or
+    class, which have scopes of their own."""
+    stores, stack = [], list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return stores
+
+
+def dead_locals(tree: ast.Module) -> list[tuple[int, str]]:
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCTIONS):
+            continue
+        read = _loaded(fn)
+        found += [(n.lineno, n.id) for n in _own_stores(fn)
+                  if not n.id.startswith("_") and n.id not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports_or_dead_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    faults = [f"{path.name}:{line}: unused import {name}"
+              for line, name in ([] if path.name == "__init__.py" else unused_imports(tree))]
+    faults += [f"{path.name}:{line}: local {name} is assigned and never read"
+               for line, name in dead_locals(tree)]
+    assert not faults, "\n".join(sorted(faults))
+
+
+def test_the_checks_catch_what_they_name():
+    tree = ast.parse(
+        "import os\n"
+        "from math import pi, tau\n"
+        "def f(x):\n"
+        "    kept = tau\n"
+        "    dead = 1\n"
+        "    for r in range(x):\n"
+        "        _ = r\n"
+        "    for c in range(x):\n"
+        "        pass\n"
+        "    return lambda: kept\n")
+    assert unused_imports(tree) == [(1, "os"), (2, "pi")]
+    assert dead_locals(tree) == [(5, "dead"), (8, "c")]
