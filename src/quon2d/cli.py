@@ -55,8 +55,9 @@ def parse_circuit_text(text: str) -> Circuit:
 
 def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
     """String-genus removals, k*pi/2 scattering reductions and Reidemeister
-    II cancellations, to fixpoint.  Each pass removes the holes it can, then
-    applies the first rule that matches anywhere, at its first match."""
+    II cancellations, to fixpoint.  Each pass removes the holes it can, with
+    one WireTrace and one rebuild for all of them, then applies the first
+    rule that matches anywhere, at its first match."""
     from .classify import remove_holes_to_fixpoint
 
     rules = (ScatteringReduce(), ReidemeisterII())
@@ -166,7 +167,10 @@ def main(argv=None) -> int:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _write(path: str | None, text: str) -> None:

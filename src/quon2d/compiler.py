@@ -245,6 +245,8 @@ def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
     cups, each side in descending strand order.  Top slots come first, then
     the projections' parity strings, then bottom slots.  A component is the
     sum over the projections of the terms with the dots its bits put down.
+    More than gaussian.MAX_TERMS terms in all raise TooLarge before any mask
+    is built.
     """
     intervals = q.open_intervals
     closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
@@ -256,6 +258,8 @@ def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
         for side in (TOP, BOTTOM)
     }
     cuts = all_projections(closed)
+    gaussian.check_terms(len(assignments) << len(cuts),
+                         f"{len(cuts)} projections over {len(assignments)} basis assignments")
     groups = (
         [(top_end, (strand,)) for strand, _, _ in slots[TOP]]
         + [(c.time_index, c.strands) for c in cuts]

@@ -91,6 +91,7 @@ MU_MIN = 1e-13
 PANEL = 32  # pivot steps whose trailing updates are applied together
 STACK = 1 << 17  # matrix entries (2 MB) in one stack of small term matrices
 MAX_GROUPS = 63  # point groups a term mask, a non-negative int64, can select
+MAX_TERMS = 1 << 20  # terms one evaluation holds: 2^18 of them peaked near 100 MB
 SINGULAR_TOL = 1e-16  # relative size of a pivot taken as zero
 ANTISYMMETRY_TOL = 1e-10  # relative size of a + a^T that `pfaffian` accepts
 # A core pivot at or below DEFER_TOL times the scale is deferred behind the
@@ -103,6 +104,13 @@ DEFER_TOL = 1e-3
 
 _SQRT2 = math.sqrt(2.0)
 _SUB = 1e-4  # sub-slot offset for multiple insertions of one element
+
+
+def check_terms(count: int, what: str) -> None:
+    """Raise TooLarge when an evaluation would hold more than MAX_TERMS
+    terms; callers check before they build any per-term array."""
+    if count > MAX_TERMS:
+        raise TooLarge(f"{what} give {count} terms; one evaluation holds at most {MAX_TERMS}")
 
 
 def _eliminate(a: np.ndarray, core: int, singular_tol: float, reach: list[int],
@@ -474,10 +482,12 @@ class PreparedDiagram:
                                 for rows, cols in ((x, y), (paired, paired + 1)))
             del x, y  # up to N^2 / 2 pairs: not held through the elimination
             # without groups the elimination is the whole Pfaffian and a
-            # deferral ends it, so the zero test decides
-            self._pf, self._eliminated = _eliminate(
-                w, len(core), DEFER_TOL if extras else SINGULAR_TOL, reach.tolist(),
-                max(self._largest, 1.0))
+            # deferral ends it, so the zero test decides; a Pfaffian past
+            # the float range reaches `evaluate` as a non-finite value
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._pf, self._eliminated = _eliminate(
+                    w, len(core), DEFER_TOL if extras else SINGULAR_TOL, reach.tolist(),
+                    max(self._largest, 1.0))
         self._schur = w[self._eliminated:, self._eliminated:].copy()
         self._deferred = len(core) - self._eliminated
 

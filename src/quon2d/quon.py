@@ -12,8 +12,11 @@ edit the manifold syntactically.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -288,12 +291,14 @@ def evaluate_closed_quon(q: QuonDiagram, use_oracle: bool = False) -> complex:
 
     The terms are those of one `PreparedDiagram` whose point groups are the
     projections' parity strings; `use_oracle` switches every term to the
-    Fock oracle on the expanded core instead.
+    Fock oracle on the expanded core instead.  More than
+    gaussian.MAX_TERMS terms raise TooLarge before any term is built.
     """
     if q.open_intervals:
         raise HasOpenIntervals(f"{len(q.open_intervals)} open intervals remain")
     cuts = all_projections(q)
     n = len(cuts)
+    gaussian.check_terms(1 << n, f"{n} projections")
     if use_oracle:
         return projection_sum(
             (evaluate_closed_oracle(expanded_core(q, s)) for s in range(1 << n)), n)
@@ -379,88 +384,102 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
 # -- manifold rewrites -----------------------------------------------------
 
 
-def _quiet_loop_of_cut(q: QuonDiagram, trace: WireTrace, cut: ParityCut):
-    """Find a closed quiet worldline enclosing the cut in `trace`, q.core's
-    trace: exactly one of the cut's strands lies on the loop at the cut's
-    slice and the rest sit on one side of it.  Returns (loop segment ids,
-    its elements' indices), or None."""
-    slice_now = trace.slices[cut.time_index]
-    other_cut_strands = set()
-    for c in q.parity_cuts + q.notches:
-        if c is not cut:
-            other_cut_strands.update(
-                trace.slices[c.time_index][s] for s in c.strands
-            )
-    for group in trace.closed_quiet_loops():
-        group_set = set(group)
-        if group_set & other_cut_strands:
-            continue
-        on_loop = [s for s in cut.strands if slice_now[s] in group_set]
-        if len(on_loop) != 1:
-            continue
-        loop_positions = [p for p, sid in enumerate(slice_now) if sid in group_set]
-        rest = [s for s in cut.strands if s != on_loop[0]]
-        lo, hi = min(loop_positions), max(loop_positions)
-        if all(s < lo for s in rest) or all(s > hi for s in rest):
-            ends = [(trace.segments[sid].birth_turn, trace.segments[sid].death_turn)
-                    for sid in group]
-            return group, {trace.turns[turn].elem_index for pair in ends for turn in pair}
-    return None
+def _removals(q: QuonDiagram, trace: WireTrace, holes) -> tuple[list[int], list[list[int]]]:
+    """The holes among `holes` that string-genus removal takes from q, with
+    their loops (segment ids in `trace`, q.core's trace), in the order that
+    repeated single removals take them.
+
+    A hole's loop is a closed quiet worldline with exactly one of the hole's
+    strands on it at the hole's slice and the rest on one side of it, and no
+    strand of another live cut or notch.  Each step takes the first live hole
+    in index order that has one, with its first loop in trace order; a
+    removed hole stops blocking.  A deletion keeps the other loops and the
+    order of the strands at every slice, so one trace serves every step."""
+    loops = trace.closed_quiet_loops()
+    loop_of = {sid: li for li, group in enumerate(loops) for sid in group}
+    touched_by = [set() for _ in loops]  # ids of the cuts with a strand on each loop
+    enclosing = []  # per cut, the loops that enclose it, in trace order
+    for k, cut in enumerate(all_projections(q)):
+        slice_now = trace.slices[cut.time_index]
+        on_loop: dict[int, list[int]] = {}
+        for s in cut.strands:
+            if slice_now[s] in loop_of:
+                on_loop.setdefault(loop_of[slice_now[s]], []).append(s)
+                touched_by[loop_of[slice_now[s]]].add(k)
+        enclosing.append([])
+        for li in sorted(li for li, on in on_loop.items() if len(on) == 1):
+            span = [p for p, sid in enumerate(slice_now) if loop_of.get(sid) == li]
+            rest = [s for s in cut.strands if s != on_loop[li][0]]
+            if all(s < span[0] for s in rest) or all(s > span[-1] for s in rest):
+                enclosing[k].append(li)
+
+    taken: dict[int, int] = {}  # hole id -> its loop, in removal order
+    while (pick := next(((h, li) for h in holes if h not in taken for li in enclosing[h]
+                         if li not in taken.values() and touched_by[li] <= {h, *taken}),
+                        None)) is not None:
+        taken[pick[0]] = pick[1]
+    return list(taken), [loops[li] for li in taken.values()]
 
 
-def _delete_worldline(q: QuonDiagram, trace: WireTrace, group: list[int],
-                      elem_indices: set[int], hole_id: int) -> QuonDiagram:
-    """q without hole `hole_id` and the quiet worldline `group` (its caps and
-    cups at `elem_indices`), amplitude x 1/sqrt2.  Every kept element, cut,
-    notch and anchor moves through one map of slices and positions; the
-    anchors on the deleted loop are dropped."""
-    removed = set(group)
-    if not all(q.core.elements[i].width_delta for i in elem_indices):
-        raise PatternMismatch("only caps and cups can be deleted with a loop")
-    first, last = min(elem_indices), max(elem_indices)
+def _delete_worldlines(q: QuonDiagram, trace: WireTrace, holes: list[int],
+                       loops: list[list[int]]) -> QuonDiagram:
+    """q without the holes `holes` and the quiet worldlines `loops` (segment
+    ids in `trace`, q.core's trace), in one rebuild, the amplitude divided by
+    sqrt2 once per loop.  Every kept element, cut, notch and anchor moves
+    through one map of slices and positions; the anchors on the deleted
+    loops are dropped."""
+    removed = {sid for group in loops for sid in group}
+    gone = sorted({trace.turns[turn].elem_index for sid in removed
+                   for turn in (trace.segments[sid].birth_turn, trace.segments[sid].death_turn)})
 
     def new_time(t: int) -> int:
-        return t - sum(1 for i in elem_indices if i < t)
+        return t - bisect_left(gone, t)
 
-    def new_position(t: int, p: int) -> int:
-        if t <= first or t > last:  # the loop is not alive at this slice
-            return p
-        return sum(1 for sid in trace.slices[t][:p] if sid not in removed)
+    @functools.cache
+    def kept_before(t: int) -> list[int] | None:
+        """The kept strands before each position of slice t, or None when
+        every strand there is kept."""
+        strands = trace.slices[t]
+        if removed.isdisjoint(strands):
+            return None
+        return list(itertools.accumulate((sid not in removed for sid in strands), initial=0))
 
-    def kept(t: int, p: int) -> bool:
-        return trace.slices[t][p] not in removed
+    def moved(t: int, positions) -> list[int]:
+        """The kept ones of `positions` at slice t, moved."""
+        shift = kept_before(t)
+        if shift is None:
+            return list(positions)
+        return [shift[p] for p in positions if trace.slices[t][p] not in removed]
 
-    new_els = []
+    deleted = set(gone)
+    elements = []
     for t, el in enumerate(q.core.elements):
-        if t in elem_indices:
-            continue
-        slice_of = t + 1 if el.width_delta > 0 else t  # a cap's strands are born after it
-        new_els.append(el.moved([new_position(slice_of, p) for p in el.positions()]))
+        if t not in deleted:
+            at = t + 1 if el.width_delta > 0 else t  # a cap's strands are born after it
+            elements.append(el if kept_before(at) is None else el.moved(moved(at, el.positions())))
+    # one division per loop, as one removal at a time divides
+    amplitude = functools.reduce(lambda amp, _: amp / _SQRT2, loops, q.core.amplitude)
 
-    def moved(cuts):
-        return tuple(
-            ParityCut(new_time(c.time_index),
-                      tuple(new_position(c.time_index, s) for s in c.strands
-                            if kept(c.time_index, s)))
-            for c in cuts
-        )
+    def cuts(projections):
+        return tuple(ParityCut(new_time(c.time_index), moved(c.time_index, c.strands))
+                     for c in projections)
 
-    core = MajoranaDiagram(q.core.width_in, q.core.width_out, tuple(new_els),
-                           q.core.amplitude / _SQRT2)
     return QuonDiagram(
-        core,
-        moved(c for k, c in enumerate(q.parity_cuts) if k != hole_id),
+        MajoranaDiagram(q.core.width_in, q.core.width_out, tuple(elements), amplitude),
+        cuts(c for k, c in enumerate(q.parity_cuts) if k not in holes),
         q.open_intervals,
-        frozenset((new_time(t), new_position(t, p))
-                  for t, p in q.boundary_tracking if kept(t, p)),
-        moved(q.notches),
+        frozenset((new_time(t), p) for t, anchor in q.boundary_tracking
+                  for p in moved(t, [anchor])),  # none when the anchor was on a loop
+        cuts(q.notches),
     )
 
 
 def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
                  region: tuple[int, int] | None = None) -> QuonDiagram:
     """Remove a hole with its enclosing isolated loop (amplitude x 1/sqrt2),
-    or insert a fresh string-hole pair (amplitude x sqrt2).
+    or insert a fresh string-hole pair (amplitude x sqrt2).  A removal reads
+    one WireTrace and rebuilds the diagram once, with the deletion that
+    `remove_holes_to_fixpoint` applies to all its holes at once.
 
     For `insert`, `region` is (time_index, position): a fresh loop is created
     at that slice and the new cut takes the strands left of it plus the
@@ -470,10 +489,10 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
         if not 0 <= hole_id < len(q.parity_cuts):
             raise NoEnclosingLoop(f"no hole {hole_id}")
         trace = WireTrace(q.core)
-        found = _quiet_loop_of_cut(q, trace, q.parity_cuts[hole_id])
-        if found is None:
+        holes, loops = _removals(q, trace, [hole_id])
+        if not holes:
             raise NoEnclosingLoop(f"hole {hole_id} has no isolated enclosing loop")
-        return _delete_worldline(q, trace, *found, hole_id)
+        return _delete_worldlines(q, trace, holes, loops)
 
     if direction != "insert":
         raise UnknownMode(f"string_genus direction is 'remove' or 'insert', not {direction!r}")
@@ -494,19 +513,15 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
 
 
 def remove_holes_to_fixpoint(q: QuonDiagram) -> QuonDiagram:
-    """Apply string-genus removals in syntactic-pattern order until stuck:
-    each pass reads one WireTrace and removes the first hole that has an
-    isolated enclosing loop."""
-    while q.parity_cuts:
-        trace = WireTrace(q.core)
-        for hole_id, cut in enumerate(q.parity_cuts):
-            found = _quiet_loop_of_cut(q, trace, cut)
-            if found is not None:
-                break
-        else:
-            break
-        q = _delete_worldline(q, trace, *found, hole_id)
-    return q
+    """Apply string-genus removals until no hole has an isolated enclosing
+    loop, taking each time the first such hole in index order, as repeated
+    `string_genus(q, h, "remove")` calls would.  One WireTrace finds every
+    removal and one rebuild deletes them all, whatever the number of holes."""
+    if not q.parity_cuts:
+        return q
+    trace = WireTrace(q.core)
+    holes, loops = _removals(q, trace, range(len(q.parity_cuts)))
+    return _delete_worldlines(q, trace, holes, loops) if holes else q
 
 
 def swap_hole_remove(q: QuonDiagram, hole_id: int) -> QuonDiagram:

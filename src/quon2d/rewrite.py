@@ -479,12 +479,14 @@ def solve_yang_baxter_full(theta1: complex, theta2: complex, theta3: complex):
     takes phi2 = 0, an antidiagonal one phi2 = pi, and a full one
     p/q = sigma = +-sqrt(v11 v22 / (v12 v21)), one candidate per sign.
     Every candidate is checked against `yang_baxter_operator`, with scalar 1
-    first and then its own: an exact one (scalar 1) is returned if there is
-    one, otherwise the one with the smallest sum |Im phi|.  Raises
-    NoSolution when no candidate passes.
+    first and then its own, entry by entry: each entry of scalar * RHS must
+    lie within 1e-9 of LHS's, relative to that entry's size (absolute below
+    one), so a huge entry of LHS leaves its small ones no slack.  An exact
+    candidate (scalar 1) is returned if there is one, otherwise the one with
+    the smallest sum |Im phi|.  Raises NoSolution when no candidate passes.
     """
     target = yang_baxter_operator((theta1, theta2, theta3), first_axis="z")
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(target))))
+    tol = 1e-9 * np.maximum(np.abs(target), 1.0)
     v11, v12, v21, v22 = map(complex, (_HADAMARD @ target @ _HADAMARD).ravel())
     # each candidate: (angles tried with scalar 1, angles for its own scalar
     # 1/kappa, 1/kappa).  With scalar 1 the form's p = kappa v11 misses v11
@@ -514,7 +516,7 @@ def solve_yang_baxter_full(theta1: complex, theta2: complex, theta3: complex):
                 got = yang_baxter_operator(phis, first_axis="x")
             except NumericalInstability:  # no partner a float can hold
                 continue
-            if np.max(np.abs(target - scalar * got)) <= tol:
+            if np.all(np.abs(target - scalar * got) <= tol):
                 passed.append((scalar != 1.0, sum(abs(phi.imag) for phi in phis),
                                phis, complex(scalar)))
                 break

@@ -67,6 +67,12 @@ def _int_in(v, what: str) -> int:
     raise ParseError(f"{what}: expected an integer, got {v!r}")
 
 
+def _object_in(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ParseError(f"{what}: expected an object, got {v!r}")
+    return v
+
+
 # each kind's fields in constructor order: (name, annotation, default)
 _FIELDS = {cls: tuple((f.name, f.type, f.default) for f in fields(cls))
            for cls in KINDS.values()}
@@ -94,7 +100,7 @@ def element_from_dict(d: dict, where: str):
                 value = _int_in(value, f"{where}.{name}")
             args.append(value)
         return cls(*args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -149,6 +155,8 @@ def parse_diagram(text: str) -> QuonDiagram:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long number, over-deep nesting
+        raise ParseError(f"unreadable document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:
@@ -165,13 +173,14 @@ def parse_diagram(text: str) -> QuonDiagram:
             _complex_in(doc.get("amplitude", 1.0), "amplitude"),
         )
         intervals = []
-        for iv in doc.get("open_intervals", []):
+        for k, iv in enumerate(doc.get("open_intervals", [])):
+            p = _object_in(iv, f"open_intervals[{k}]").get("pairing")
             pairing = None
-            if iv.get("pairing") is not None:
-                p = iv["pairing"]
+            if p is not None:
                 pairing = MajoranaDiagram(
                     0,
-                    _int_in(p["width_out"], "pairing width_out"),
+                    _int_in(_object_in(p, f"open_intervals[{k}].pairing")["width_out"],
+                            "pairing width_out"),
                     tuple(
                         element_from_dict(d, "pairing element")
                         for d in p.get("elements", [])
@@ -188,7 +197,7 @@ def parse_diagram(text: str) -> QuonDiagram:
         )
         return QuonDiagram(core, _cuts_in(doc.get("parity_cuts", []), "parity_cuts"),
                            tuple(intervals), marks, _cuts_in(doc.get("notches", []), "notches"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
 
 

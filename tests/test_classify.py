@@ -17,8 +17,10 @@ from quon2d.classify import (
     remove_holes_to_fixpoint,
 )
 from quon2d.compiler import compile_circuit, quon_to_dense_tensor
-from quon2d.errors import InvariantViolation, NotMatchgate, RankTooLarge
-from quon2d.quon import string_genus
+from quon2d.diagram import Cap, Cup, MajoranaDiagram, Scattering
+from quon2d.errors import InvariantViolation, NoEnclosingLoop, NotMatchgate, RankTooLarge
+from quon2d.ising import IsingLattice, kw_rewrite_chain
+from quon2d.quon import QuonDiagram, string_genus
 from quon2d.wires import WireTrace
 
 from conftest import random_circuit
@@ -83,13 +85,11 @@ def test_classify_monotone_under_removal(rng):
     assert after.punctured_matchgate_form >= before.punctured_matchgate_form
 
 
-def test_hole_removal_reads_one_trace_per_pass(monkeypatch):
-    # two SWAPs leave 4 holes no string-genus removal takes, before a
-    # string-hole pair that one removal takes: two passes, one trace each
+@pytest.fixture
+def trace_builds(monkeypatch):
+    """The cores quon.py builds a WireTrace of, from here on."""
     import quon2d.quon as quon
 
-    q = compile_circuit(Circuit(2, (Gate("SWAP", (0, 1)), Gate("SWAP", (0, 1)))))
-    q = string_genus(q, 0, "insert", region=(0, 1))
     builds = []
 
     def counted(core):
@@ -97,9 +97,87 @@ def test_hole_removal_reads_one_trace_per_pass(monkeypatch):
         return WireTrace(core)
 
     monkeypatch.setattr(quon, "WireTrace", counted)
+    return builds
+
+
+def test_hole_removal_reads_one_trace_per_pass(trace_builds):
+    # two SWAPs leave 4 holes no string-genus removal takes, before a
+    # string-hole pair that one removal takes: one trace finds it
+    q = compile_circuit(Circuit(2, (Gate("SWAP", (0, 1)), Gate("SWAP", (0, 1)))))
+    q = string_genus(q, 0, "insert", region=(0, 1))
+    trace_builds.clear()
     cleaned = remove_holes_to_fixpoint(q)
     assert (q.hole_count(), cleaned.hole_count()) == (5, 4)
-    assert len(builds) == 2
+    assert len(trace_builds) == 1
+
+
+def _removed_one_by_one(q):
+    """The reference: remove the first hole that has an isolated enclosing
+    loop with `string_genus`, until no hole has one."""
+    while True:
+        for hole_id in range(q.hole_count()):
+            try:
+                q = string_genus(q, hole_id, "remove")
+                break
+            except NoEnclosingLoop:
+                pass
+        else:
+            return q
+
+
+def _with_string_holes(q, rng, pairs):
+    """q with `pairs` string-hole pairs at random slices.  Half of them are
+    double: a second pair one slice later, left of the first loop (apart
+    from it) or right of it (its cut then holds the first loop and blocks
+    the first hole until the second is removed)."""
+    for _ in range(pairs):
+        widths = q.core.widths()
+        t = int(rng.integers(len(widths)))
+        p = 2 * int(rng.integers((widths[t] + 1) // 2)) + 1
+        q = string_genus(q, 0, "insert", region=(t, p))
+        if rng.random() < 0.5:
+            q = string_genus(q, 0, "insert", region=(t + 1, p + 2 * int(rng.integers(2))))
+    return q
+
+
+def test_hole_sweep_equals_removals_one_by_one(rng):
+    removed = 0
+    for _ in range(40):
+        c = random_circuit(int(rng.integers(1, 4)), int(rng.integers(1, 7)), rng)
+        q = _with_string_holes(compile_circuit(c), rng, int(rng.integers(1, 5)))
+        want = _removed_one_by_one(q)
+        assert remove_holes_to_fixpoint(q) == want
+        removed += q.hole_count() - want.hole_count()
+    assert removed >= 80
+
+
+def test_hole_sweep_takes_a_blocked_hole_once_its_blocker_is_gone():
+    """Hole 1's cut holds both strands of hole 0's loop, so hole 0 has no
+    isolated loop until hole 1 is removed; a single scan in index order
+    would leave it."""
+    core = MajoranaDiagram(0, 0, (Cap(0), Scattering(0, 0.7), Cup(0)))
+    q = string_genus(QuonDiagram(core), 0, "insert", region=(1, 1))
+    q = string_genus(q, 0, "insert", region=(2, 3))
+    with pytest.raises(NoEnclosingLoop):
+        string_genus(q, 0, "remove")
+    want = string_genus(string_genus(q, 1, "remove"), 0, "remove")
+    assert want.hole_count() == 0 and want.core.elements == core.elements
+    assert _removed_one_by_one(q) == want
+    assert remove_holes_to_fixpoint(q) == want
+
+
+@pytest.mark.parametrize("size", [3, 6])
+def test_hole_sweep_on_the_kramers_wannier_holes(size, trace_builds):
+    """The (L - 2)^2 string holes of the KW chain go in one sweep that reads
+    one WireTrace (16 holes at L = 6)."""
+    steps, _ = kw_rewrite_chain(IsingLattice.square(size, size, 0.4))
+    q = steps[(size - 2) ** 2]
+    assert q.hole_count() == (size - 2) ** 2
+    want = _removed_one_by_one(q)
+    trace_builds.clear()
+    got = remove_holes_to_fixpoint(q)
+    assert got == want and got.hole_count() == 0
+    assert len(trace_builds) == 1
 
 
 # -- matchgate identity -------------------------------------------------------

@@ -1,6 +1,9 @@
+import copy
+import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from quon2d.circuits import Circuit, Gate
@@ -16,10 +19,12 @@ from quon2d.diagram import (
     Scattering,
     ScatteringStar,
 )
-from quon2d.errors import ParseError
+from quon2d.errors import ParseError, Quon2dError
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon
 from quon2d.serialize import parse_diagram, serialize_diagram
+
+from conftest import random_circuit
 
 # two theta = 0 scatterings that simplify removes, before a dot pair
 CORE = MajoranaDiagram(0, 0, (
@@ -235,9 +240,73 @@ def test_parse_circuit_text_rejects_bad_lines(text, match):
         parse_circuit_text(text)
 
 
-def test_ising_oracle_overflow_is_one_error_line(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (("--rows", 2, "--cols", 2, "--K", -400, "--oracle"), "overflows a float"),
+    # the 20 x 20 lattice's Pfaffian passes the float range in the elimination
+    (("--rows", 20, "--cols", 20, "--K", 0.4), "non-finite value"),
+], ids=["oracle", "pfaffian"])
+def test_ising_overflow_is_one_error_line(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either
-        code, out, err = _run(capsys, "ising", "--rows", 2, "--cols", 2, "--K", -400, "--oracle")
+        code, out, err = _run(capsys, "ising", *argv)
     assert code == 2 and out == ""
-    assert len(err.strip().splitlines()) == 1 and "overflows a float" in err
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+# what a mutation puts in place of one node of a document
+MUTANTS = (None, True, 0, -1, 3, 1.5, 1e300, math.nan, 10 ** 400, "x", "", "cap", [], {},
+           [1.5], [0, 0], {"kind": "cap"}, {"j": 0})
+
+
+def _mutated(doc, rng):
+    """`doc` with one node, anywhere in it, replaced by a mutant, deleted or
+    wrapped in a list."""
+    doc = copy.deepcopy(doc)
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else (
+            enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            paths.append(path + (key,))
+            walk(child, path + (key,))
+
+    walk(doc, ())
+    *parents, key = paths[int(rng.integers(len(paths)))]
+    node = doc
+    for k in parents:
+        node = node[k]
+    how = int(rng.integers(3))
+    if how == 0:
+        node[key] = copy.deepcopy(MUTANTS[int(rng.integers(len(MUTANTS)))])
+    elif how == 1:
+        del node[key]
+    else:
+        node[key] = [node[key]]
+    return doc
+
+
+def test_mutated_documents_raise_only_typed_errors(tmp_path, capsys):
+    """Seeded mutations of compiled-circuit documents: parse_diagram either
+    reads each or raises a Quon2dError, and `classify` on the file ends with
+    an exit code and at most one error line, never a traceback.  Every tenth
+    file also has one byte overwritten, which may leave it not UTF-8."""
+    rng = np.random.default_rng(16)
+    docs = [json.loads(serialize_diagram(compile_circuit(random_circuit(2, 4, rng))))
+            for _ in range(4)]
+    path = tmp_path / "doc.json"
+    rejected = 0
+    for trial in range(300):
+        data = json.dumps(_mutated(docs[trial % len(docs)], rng)).encode()
+        if trial % 10 == 0:
+            at = int(rng.integers(len(data)))
+            data = data[:at] + bytes([int(rng.integers(256))]) + data[at + 1:]
+        try:
+            parse_diagram(data.decode(errors="replace"))
+        except Quon2dError:
+            rejected += 1
+        path.write_bytes(data)
+        code, _, err = _run(capsys, "classify", path)
+        assert code in (0, 2, 3)
+        assert code == 0 or len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert rejected >= 100, rejected

@@ -1,11 +1,12 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from quon2d.classify import ClassReport, matchgate_identity_residual
-from quon2d.compiler import caps_from_pairing
+from quon2d.compiler import caps_from_pairing, quon_to_dense_tensor
 from quon2d.diagram import (
     BraidNeg,
     Cap,
@@ -21,10 +22,11 @@ from quon2d.errors import (
     NoEnclosingLoop,
     NonPlanarInput,
     PatternMismatch,
+    TooLarge,
     UnknownMode,
 )
 from quon2d.fock import FockState, evaluate_closed_oracle
-from quon2d.gaussian import evaluate_closed_fast
+from quon2d.gaussian import MAX_TERMS, check_terms, evaluate_closed_fast
 from quon2d.ising import star_triangle_oracle
 from quon2d.quon import (
     BOTTOM,
@@ -285,3 +287,26 @@ def test_count_holes_monotone():
     q1 = string_genus(q, 0, "insert", region=(1, 1))
     assert q1.hole_count() == 1
     assert string_genus(q1, 0, "remove").hole_count() == 0
+
+
+def test_forty_projections_raise_too_large_at_once():
+    """2^40 terms: TooLarge comes back before any per-term array is built,
+    on the fast and the oracle route, closed or through the dense tensor of
+    an open diagram.  Building the masks alone would take terabytes."""
+    closed = QuonDiagram(MajoranaDiagram.loop(), tuple(ParityCut(1, ()) for _ in range(40)))
+    open_ = QuonDiagram(MajoranaDiagram.identity(2), (),
+                        (OpenInterval(TOP, 0, 2), OpenInterval(BOTTOM, 0, 2)),
+                        notches=tuple(ParityCut(0, (0, 1)) for _ in range(40)))
+    start = time.perf_counter()
+    for use_oracle in (False, True):
+        with pytest.raises(TooLarge, match="40 projections"):
+            evaluate_closed_quon(closed, use_oracle=use_oracle)
+        with pytest.raises(TooLarge, match="40 projections"):
+            quon_to_dense_tensor(open_, use_oracle=use_oracle)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_term_budget_bound():
+    check_terms(MAX_TERMS, "the bound")
+    with pytest.raises(TooLarge, match="one evaluation holds at most"):
+        check_terms(MAX_TERMS + 1, "one past the bound")

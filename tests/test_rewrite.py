@@ -396,6 +396,27 @@ def test_yang_baxter_keeps_scalar_one_near_the_tolerance():
     assert _yang_baxter_error(thetas, phis, 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("thetas", [(0.3, 30j, 0.2), (-40j, 0.3, 0.2), (2 - 36j, 0.3, 0.2)])
+def test_yang_baxter_large_imaginary_angles_are_verified_or_refused(thetas):
+    """LHS mixes entries of e^{36} and of one; a partner is checked entry
+    by entry, relative to each entry, so a returned one matches every entry
+    of LHS to 1e-9 (also as an 8 x 8 Fock operator), and otherwise the
+    solver raises NoSolution.  Checked against 1e-9 * max|LHS| only,
+    (2 - 36j, 0.3, 0.2) came back with its small entries 55% off."""
+    try:
+        phis, scalar = solve_yang_baxter_full(*thetas)
+    except NoSolution:
+        return
+    lhs = yang_baxter_operator(thetas, first_axis="z")
+    rhs = yang_baxter_operator(phis, first_axis="x")
+    assert np.all(np.abs(lhs - scalar * rhs) <= 1e-9 * np.maximum(np.abs(lhs), 1.0))
+    lhs8 = diagram_operator(MajoranaDiagram(8, 8, tuple(
+        Scattering(j, theta) for j, theta in zip((0, 1, 0), thetas))))
+    rhs8 = diagram_operator(MajoranaDiagram(8, 8, tuple(
+        Scattering(j, phi) for j, phi in zip((1, 0, 1), phis))))
+    assert np.all(np.abs(lhs8 - scalar * rhs8) <= 1e-9 * np.maximum(np.abs(lhs8), 1.0))
+
+
 def test_yang_baxter_fuzz(rng):
     """Random complex triples, and multiples of pi/2 moved by 0 or 1e-12 to
     1e-3: every triple is solved, with scalar 1 wherever scalar 1 passes."""

@@ -67,9 +67,23 @@ def _doc(**changes):
     _doc(notches=[{"strands": [0, 1]}]),
     _doc(open_intervals=[{"side": "top"}]),
     _doc(boundary_tracking=[[1]]),
+    _doc(open_intervals=[1.5]),
+    _doc(open_intervals=[None]),
+    _doc(open_intervals=[{"side": "top", "start": 0, "size": 2, "pairing": [4]}]),
+    _doc(open_intervals=[{"side": "top", "start": 0, "size": 2, "pairing": "x"}]),
+    _doc(amplitude=[10 ** 400, 0]),
 ])
 def test_malformed_documents_raise_parse_error(text):
     with pytest.raises(ParseError):
+        parse_diagram(text)
+
+
+@pytest.mark.parametrize("text", [
+    _doc(width_in=7).replace('"width_in": 7', '"width_in": ' + "9" * 5000),
+    "[" * 100_000,
+], ids=["over-long-number", "over-deep-nesting"])
+def test_unreadable_documents_raise_parse_error(text):
+    with pytest.raises(ParseError, match="unreadable document"):
         parse_diagram(text)
 
 
@@ -114,3 +128,4 @@ def test_integral_floats_are_read_exactly():
 def test_structurally_invalid_documents_are_rejected(changes):
     with pytest.raises(InvariantViolation):
         parse_diagram(_doc(**changes))
+
