@@ -57,20 +57,32 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
     """String-genus removals, k*pi/2 scattering reductions and Reidemeister
     II cancellations, to fixpoint.  Each pass removes the holes it can, with
     one WireTrace and one rebuild for all of them, then applies the first
-    rule that matches anywhere, at its first match."""
+    rule that matches anywhere, at its first match.
+
+    A rule's match at i reads elements i .. i + SPAN - 1 only, so each rule
+    keeps the index before which it is known not to match: its last scan's
+    end, lowered to i - SPAN + 1 by a rewrite at i, which leaves the
+    elements before i as they were, and reset to 0 by a hole removal.  A
+    scan starts there and finds the first match a scan from 0 would."""
     from .classify import remove_holes_to_fixpoint
 
     rules = (ScatteringReduce(), ReidemeisterII())
+    clean = [0] * len(rules)
     while True:
         cleaned = remove_holes_to_fixpoint(q)
         removed = cleaned.hole_count() != q.hole_count()
         if removed:
             q = cleaned
-        for rule in rules:
-            i = rule.first_match(q.core.elements)
-            if i is not None:
-                q = q.splice(i, rule.SPAN, apply_rule(q.core, rule, RewriteSite.at(i)))
-                break
+            clean = [0] * len(rules)
+        for r, rule in enumerate(rules):
+            i = rule.first_match(q.core.elements, clean[r])
+            if i is None:
+                clean[r] = len(q.core.elements)
+                continue
+            clean[r] = i
+            q = apply_rule(q, rule, RewriteSite.at(i))
+            clean = [min(k, max(i - other.SPAN + 1, 0)) for k, other in zip(clean, rules)]
+            break
         else:
             if not removed:
                 return q

@@ -445,8 +445,7 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
         projection = ParityCut(len(core.elements) + len(tail), tuple(range(start, start + s)))
         for k in range(s):
             tail.append(Cup(start + s - 1 - k))
-        new_core = MajoranaDiagram(core.width_in, core.width_out - 2 * s,
-                                   core.elements + tuple(tail), core.amplitude)
+        new_core = core.splice(len(core.elements), 0, tail, core.amplitude)
         cuts, notches = q.parity_cuts, q.notches
         if mode == "non_neighboring":
             cuts += (projection,)
@@ -457,7 +456,5 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
     if mode == "non_neighboring":
         raise IntervalMismatch("non-neighboring top contraction is not supported")
     head = tuple(Cap(iv_a.start + k) for k in range(s))
-    new_core = MajoranaDiagram(core.width_in - 2 * s, core.width_out,
-                               head + core.elements, core.amplitude)
-    glued = q.splice(0, 0, new_core, intervals)
-    return replace(glued, notches=glued.notches + (ParityCut(s, tuple(iv_a.strands)),))
+    return q.splice(0, 0, head, core.amplitude, width_in=core.width_in - 2 * s,
+                    open_intervals=intervals, notches=(ParityCut(s, tuple(iv_a.strands)),))

@@ -274,8 +274,13 @@ def slice_widths(width_in: int, elements: Iterable[Element]) -> list[int]:
     """Replay the element sequence; returns the width before each element plus the final width."""
     if width_in < 0 or width_in % 2:
         raise InvariantViolation(f"width_in {width_in} not an even non-negative integer")
-    widths = [width_in]
-    w = width_in
+    return _replay(width_in, elements)
+
+
+def _replay(w: int, elements: Iterable[Element]) -> list[int]:
+    """Check each element against the width it meets, starting from w;
+    returns w, then the width after each element."""
+    widths = [w]
     for el in elements:
         try:
             el.check(w)
@@ -291,7 +296,11 @@ class MajoranaDiagram:
     """An ordered element sequence with a scalar amplitude.
 
     width_in strands enter at the top, width_out leave at the bottom.  The
-    constructor replays the sequence and rejects ill-formed diagrams.
+    constructor replays the whole sequence, O(len(elements)): it checks that
+    width_in is even and non-negative, that each element is a known kind
+    that fits the width it meets, and that the replay ends at width_out,
+    and it keeps the width of every slice.  `splice` edits a run of
+    elements and replays only what the edit can change.
     """
 
     width_in: int
@@ -338,6 +347,48 @@ class MajoranaDiagram:
         return MajoranaDiagram(
             self.width_in, self.width_out, self.elements, self.amplitude * factor
         )
+
+    def splice(self, at: int, removed: int, replacement: Iterable[Element],
+               amplitude: complex, width_in: int | None = None) -> "MajoranaDiagram":
+        """This diagram with the `removed` elements from index `at` replaced
+        by `replacement`, and with `amplitude`.  `width_in` is the new top
+        width of a run at the top boundary (at == 0) that changes it.
+
+        The result is the diagram the constructor would build, width_out
+        being where its replay ends, and an invalid edit raises what the
+        constructor would.  The checks: the run lies inside the elements, a
+        new width_in comes with at == 0 and is even and non-negative, and
+        each replacement element fits the width it meets, replayed from the
+        width at `at`.  Where that replay ends at the old width of slice
+        at + removed, the elements after the run meet the widths they met
+        before: their widths are reused unchecked.  Otherwise they are
+        replayed and checked too.  Cost: O(len(replacement)) element checks
+        when the widths meet, O(len(elements)) otherwise, besides the tuple
+        copies of the elements and widths.
+        """
+        n = len(self.elements)
+        end = at + removed
+        if not 0 <= at <= end <= n:
+            raise InvariantViolation(f"run of {removed} elements from {at} outside 0..{n}")
+        replacement = tuple(replacement)
+        if width_in is None:
+            width_in = self.width_in
+        elif at:
+            raise InvariantViolation(f"a new width_in needs a run at the top boundary, not at {at}")
+        elif width_in < 0 or width_in % 2:
+            raise InvariantViolation(f"width_in {width_in} not an even non-negative integer")
+        run = _replay(self._widths[at] if at else width_in, replacement)
+        if run[-1] == self._widths[end]:
+            tail = self._widths[end + 1:]
+        else:
+            tail = tuple(_replay(run[-1], self.elements[end:])[1:])
+        widths = self._widths[:at] + tuple(run) + tail
+        diag = object.__new__(MajoranaDiagram)
+        for name, value in (("width_in", width_in), ("width_out", widths[-1]),
+                            ("elements", self.elements[:at] + replacement + self.elements[end:]),
+                            ("amplitude", complex(amplitude)), ("_widths", widths)):
+            object.__setattr__(diag, name, value)
+        return diag
 
     def with_elements(self, elements: Iterable[Element]) -> "MajoranaDiagram":
         elements = tuple(elements)

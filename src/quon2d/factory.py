@@ -8,7 +8,8 @@ braid, so a component of the grown diagram is one `evaluate_closed_quon` of
 its basis encoding, whose cost is set by its projections, not by n_S.  A
 move checks its fields when it is built and raises InvariantViolation for an
 index that is not an integer, an unknown target, payload or change, or a
-missing or non-finite angle.
+missing or non-finite angle; an Insert evaluates a closed payload then,
+which raises InvalidRegion where it cannot be normalized.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .quon import (
     OpenInterval,
     ParityCut,
     QuonDiagram,
-    string_genus,
 )
 
 
@@ -92,18 +92,43 @@ class Stretch:
                       "target", StretchTarget)
 
 
+_LOOP = MajoranaDiagram.loop()
+_LOOP_VALUE = evaluate_closed_fast(_LOOP)
+_SQRT2 = math.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class Insert:
+    """A closed payload (by default a bare loop) or a string-hole pair set
+    in at a slice.  A closed_diagram payload is checked and evaluated when
+    the move is built: one that is not closed, or that evaluates to zero
+    and so cannot be normalized, raises InvalidRegion."""
+
     time_index: int
     position: int
     payload: Payload = "closed_diagram"
     diagram: Optional[MajoranaDiagram] = None  # for closed_diagram
+    # the closed payload and its value, which normalizes it away
+    _closed: Optional[MajoranaDiagram] = field(init=False, repr=False, compare=False)
+    _value: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_fields(self, ("time_index", "position"), (), "payload", Payload)
         if self.diagram is not None and not isinstance(self.diagram, MajoranaDiagram):
             raise InvariantViolation(f"Insert diagram must be a MajoranaDiagram, "
                                      f"got {type(self.diagram).__name__}")
+        closed, value = None, 0j
+        if self.payload == "closed_diagram":
+            closed, value = _LOOP, _LOOP_VALUE
+            if self.diagram is not None:
+                closed = self.diagram
+                if not closed.is_closed:
+                    raise InvalidRegion("payload must be a closed diagram")
+                value = evaluate_closed_fast(closed)
+            if abs(value) < 1e-12:
+                raise InvalidRegion("payload evaluates to zero; cannot normalize")
+        object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "_value", value)
 
 
 @dataclass(frozen=True)
@@ -175,8 +200,7 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
     if move.target == "bulk":
         out = tuple(BraidPos(p + k) for k in range(reach))
         back = tuple(BraidNeg(p + reach - 1 - k) for k in range(reach))
-        els = q.core.elements[:t] + out + back + q.core.elements[t:]
-        return q.splice(t, 0, q.core.with_elements(els)), replace_ledger(ledger, move)
+        return q.splice(t, 0, out + back, q.core.amplitude), replace_ledger(ledger, move)
 
     if move.target == "new_encoder":
         # the finger terminates on a fresh 2-strand bottom interval placed at
@@ -184,15 +208,7 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
         if q.core.width_out == 0:
             raise InvalidSegment("no bottom boundary to grow an encoder on")
         end_w = q.core.width_out
-        # pull a cap pair out of the strand: cap at p, route its right strand
-        # to the right edge through positive braids
-        els = list(q.core.elements)
-        els.append(Cap(p))
-        for j in range(p + 1, end_w + 1):
-            els.append(BraidPos(j))
-        for j in range(p, end_w):
-            els.append(BraidPos(j))
-        core = MajoranaDiagram(q.core.width_in, end_w + 2, tuple(els), q.core.amplitude)
+        core = _append(q.core, p, end_w)
         intervals = list(q.open_intervals)
         intervals.append(OpenInterval(BOTTOM, end_w, 2))
         new_q = QuonDiagram(core, q.parity_cuts, tuple(intervals),
@@ -208,14 +224,7 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
     end = iv.start + iv.size
     if p >= end:
         raise InvalidSegment("stretch into an encoder from its left side")
-    els = list(q.core.elements)
-    els.append(Cap(p))
-    for j in range(p + 1, end + 1):
-        els.append(BraidPos(j))
-    for j in range(p, end):
-        els.append(BraidPos(j))
-    core = MajoranaDiagram(q.core.width_in, q.core.width_out + 2,
-                           tuple(els), q.core.amplitude)
+    core = _append(q.core, p, end)
     # the two new strands join the interval at its right edge; the
     # pairing data gains the corresponding fresh pair
     new_pairing = dg.tensor_product(iv.pairing_data, dg.MajoranaDiagram(0, 2, (Cap(0),)))
@@ -231,6 +240,15 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
     new_q = QuonDiagram(core, q.parity_cuts, tuple(intervals),
                         q.boundary_tracking, q.notches)
     return new_q, replace_ledger(ledger, move)
+
+
+def _append(core: MajoranaDiagram, p: int, end: int) -> MajoranaDiagram:
+    """The core with a cap pulled out of strand p appended at the bottom,
+    its right strand carried by positive braids to position `end` + 1; the
+    cuts keep their slices, so only the core is spliced."""
+    tail = ((Cap(p),) + tuple(BraidPos(j) for j in range(p + 1, end + 1))
+            + tuple(BraidPos(j) for j in range(p, end)))
+    return core.splice(len(core.elements), 0, tail, core.amplitude)
 
 
 def replace_ledger(ledger: FactoryLedger, move: Move, switched: int = 0):
@@ -250,45 +268,22 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         raise RegionOccupied(f"position {p} not inside slice {t} (width {widths[t]})")
 
     if move.payload == "closed_diagram":
-        payload = move.diagram if move.diagram is not None else MajoranaDiagram.loop()
-        if not payload.is_closed:
-            raise InvalidRegion("payload must be a closed diagram")
-        value = evaluate_closed_fast(payload)
-        if abs(value) < 1e-12:
-            raise InvalidRegion("payload evaluates to zero; cannot normalize")
-        els = (
-            q.core.elements[:t]
-            + offset_elements(payload.elements, p)
-            + q.core.elements[t:]
-        )
-        core = MajoranaDiagram(q.core.width_in, q.core.width_out, els,
-                               q.core.amplitude * payload.amplitude / value)
-        return q.splice(t, 0, core), replace_ledger(ledger, move)
+        return (q.splice(t, 0, offset_elements(move._closed.elements, p),
+                         q.core.amplitude * move._closed.amplitude / move._value),
+                replace_ledger(ledger, move))
 
-    if move.payload == "string_hole_pair":
-        if (p + 1) % 2:
-            raise ParityMismatch(
-                "string-hole pair needs an odd strand count to its left; "
-                "use the double variant here"
-            )
-        new_q = string_genus(q, 0, "insert", region=(t, p))
-        # the fresh ring is a boundary-tracking line around the new hole
-        ring = {(t + 1, p), (t + 1, p + 1)}
-        return (
-            replace(new_q, boundary_tracking=new_q.boundary_tracking | ring),
-            replace_ledger(ledger, move),
-        )
-
-    # double_string_hole_pair
-    if p % 2:
-        raise ParityMismatch("double string-hole pair needs an even left count")
-    els = q.core.elements[:t] + (Cap(p), Cap(p + 1), Cup(p + 1), Cup(p)) + q.core.elements[t:]
-    new_q = q.splice(t, 0, q.core.with_elements(els))
-    hole = ParityCut(t + 2, tuple(range(p)) + (p, p + 1))
-    ring = {(t + 2, p), (t + 2, p + 1), (t + 2, p + 2), (t + 2, p + 3)}
+    # k nested loops at p, the new hole on the strands left of them and the
+    # left strand of each, and a boundary-tracking ring on the loops' strands
+    k = 1 if move.payload == "string_hole_pair" else 2
+    if (p + k) % 2:
+        raise ParityMismatch(
+            "string-hole pair needs an odd strand count to its left; use the double variant here"
+            if k == 1 else "double string-hole pair needs an even left count")
+    loops = tuple(Cap(p + i) for i in range(k)) + tuple(Cup(p + i) for i in reversed(range(k)))
     return (
-        replace(new_q, parity_cuts=new_q.parity_cuts + (hole,),
-                boundary_tracking=new_q.boundary_tracking | ring),
+        q.splice(t, 0, loops, q.core.amplitude * _SQRT2 if k == 1 else q.core.amplitude,
+                 parity_cuts=(ParityCut(t + k, tuple(range(p + k))),),
+                 boundary_tracking={(t + k, p + i) for i in range(2 * k)}),
         replace_ledger(ledger, move),
     )
 
@@ -306,8 +301,7 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
         w = q.core.widths()[t]
         if not 0 <= p <= w - 2:
             raise PatternMismatch(f"no strand pair at {p}")
-        new_els = els[:t] + (DotPair(p, p + 1),) + els[t:]
-        return q.splice(t, 0, q.core.with_elements(new_els)), replace_ledger(ledger, move)
+        return q.splice(t, 0, (DotPair(p, p + 1),), q.core.amplitude), replace_ledger(ledger, move)
 
     if not 0 <= move.site < len(els):
         raise PatternMismatch(f"site {move.site} out of range")
@@ -315,8 +309,8 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
     if move.change == "flip_braid":
         if not isinstance(el, (BraidPos, BraidNeg)):
             raise PatternMismatch(f"element {move.site} is not a braid")
-        core = q.core.with_elements(els[:move.site] + (el.dagger(),) + els[move.site + 1:])
-        return q.splice(move.site, 1, core), replace_ledger(ledger, move)
+        return (q.splice(move.site, 1, (el.dagger(),), q.core.amplitude),
+                replace_ledger(ledger, move))
     if move.change == "braid_to_scattering":
         if not isinstance(el, (BraidPos, BraidNeg)):
             raise PatternMismatch(f"element {move.site} is not a braid")
@@ -326,19 +320,15 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
             if isinstance(el, BraidPos)
             else cmath.exp(-1j * math.pi / 8)
         )
-        new = Scattering(el.j, move.theta)
-        core = MajoranaDiagram(q.core.width_in, q.core.width_out,
-                               els[:move.site] + (new,) + els[move.site + 1:],
-                               q.core.amplitude * amp)
-        return (q.splice(move.site, 1, core),
+        return (q.splice(move.site, 1, (Scattering(el.j, move.theta),), q.core.amplitude * amp),
                 replace_ledger(ledger, move, is_generic_angle(move.theta)))
     # set_angle
     if not isinstance(el, Scattering):
         raise PatternMismatch(f"element {move.site} is not a scattering")
     new = Scattering(el.j, move.theta, el.orientation)
-    core = q.core.with_elements(els[:move.site] + (new,) + els[move.site + 1:])
     switched = is_generic_angle(move.theta) - is_generic_angle(el.angle())
-    return q.splice(move.site, 1, core), replace_ledger(ledger, move, switched)
+    return (q.splice(move.site, 1, (new,), q.core.amplitude),
+            replace_ledger(ledger, move, switched))
 
 
 def parse_move_script(text: str) -> list[Move]:

@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,17 +115,22 @@ def check_terms(count: int, what: str) -> None:
 
 
 def _eliminate(a: np.ndarray, core: int, singular_tol: float, reach: list[int],
-               scale: float) -> tuple[complex, int]:
+               scale: float) -> tuple[complex, int, int]:
     """Blocked, banded Parlett-Reid elimination of the first `core` >= 2
     rows of the antisymmetric matrix `a`, in place.
 
-    Returns (pf, e): the Pfaffian of the eliminated part, swap signs
-    included, and the number e of eliminated rows.  a[e:, e:] is then the
-    Schur complement on the deferred core rows (positions e .. core - 1)
-    followed by the rows after the core, so that for every set S of rows
-    after the core
+    Returns (pf, x, e): the Pfaffian of the eliminated part, swap signs
+    included, is pf * 2^x, and e is the number of eliminated rows.  At the
+    start of each panel the running product is renormalised by an exact
+    power of two once it has left [2^-64, 2^64) (see `_renormalised`), so
+    only the PANEL pivots of one panel must multiply within the float range
+    (on average below about 1e9 in size), not all of them, and pf * 2^x
+    equals the plain product wherever that is in float range.
+    a[e:, e:] is then the Schur complement on the deferred core rows
+    (positions e .. core - 1) followed by the rows after the core, so that
+    for every set S of rows after the core
 
-        Pf(a[core + S]) = pf * Pf(a[e:, e:] on deferred + S).
+        Pf(a[core + S]) = pf * 2^x * Pf(a[e:, e:] on deferred + S).
 
     Step k pivots the largest |entry| of row k among the remaining core
     columns into column k + 1 and eliminates with the rank-2 update
@@ -158,10 +164,11 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float, reach: list[int],
     n = a.shape[0]
     orig = list(range(n))  # the original row at each position
     hi = 0
-    pf = 1.0 + 0.0j
+    pf, x = 1.0 + 0.0j, 0
     k = 0
     while k + 1 < core:
         k0 = k
+        pf, x = _renormalised(pf, x)
         # pending updates of rows k0.. (row i of the matrix is row i - k0)
         p = np.zeros((n - k0, min(2 * PANEL, core - k0)), dtype=complex)
         q = np.zeros_like(p)
@@ -172,7 +179,7 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float, reach: list[int],
             i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
             if abs(row[i]) <= singular_tol * scale:
                 if core == n:  # nothing kept: row k pairs with no row at all
-                    return 0.0 + 0.0j, n
+                    return 0.0 + 0.0j, 0, n
                 core -= 1  # defer row k behind the remaining core rows
                 hi = n
                 if core != k:
@@ -206,7 +213,31 @@ def _eliminate(a: np.ndarray, core: int, singular_tol: float, reach: list[int],
             k += 2
         if k < hi:
             a[k:hi, k:hi] += p[k - k0:hi - k0] @ q[k - k0:hi - k0].T
-    return pf, k
+    return pf, x, k
+
+
+def _renormalised(pf: complex, x: int) -> tuple[complex, int]:
+    """(pf, x) as it is while pf's larger part lies in [2^-64, 2^64), so that
+    a product that stays there keeps x = 0; otherwise (pf / 2^s, x + s),
+    exactly, with s the binary exponent of that part, which leaves it in
+    [0.5, 1).  Zero and non-finite values stay as they are."""
+    s = math.frexp(max(abs(pf.real), abs(pf.imag)))[1]
+    if -64 < s <= 64:
+        return pf, x
+    return complex(math.ldexp(pf.real, -s), math.ldexp(pf.imag, -s)), x + s
+
+
+def _ldexp(z, x: int):
+    """z * 2^x, exactly, for a complex array or number (z itself when x is
+    0); past the float range it is inf, with no warning."""
+    if not x:
+        return z
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(z.real, x)
+        out.imag = np.ldexp(z.imag, x)
+    return out
 
 
 def pfaffian(mat: np.ndarray) -> complex:
@@ -237,7 +268,8 @@ def pfaffian(mat: np.ndarray) -> complex:
         return 1.0 + 0.0j
     if n % 2:
         return 0.0 + 0.0j
-    return _eliminate(a, n, SINGULAR_TOL, _dense_reach(mag), scale)[0]
+    pf, x, _ = _eliminate(a, n, SINGULAR_TOL, _dense_reach(mag), scale)
+    return complex(_ldexp(pf, x))
 
 
 def _dense_reach(mag: np.ndarray) -> list[int]:
@@ -366,7 +398,10 @@ def contraction_matrix(trace: WireTrace, order: list[_Point]):
 
 
 def assemble_frontier(diag: MajoranaDiagram):
-    """Sweep a closed diagram into (amplitude, points, pair weights, trace)."""
+    """Sweep a closed diagram into (amplitude, points, pair weights, trace).
+    An amplitude whose product underflows to a subnormal or zero float
+    raises NumericalInstability, as a product past the float range does
+    when the diagram is evaluated."""
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
@@ -404,6 +439,10 @@ def assemble_frontier(diag: MajoranaDiagram):
 
     # in a closed diagram every worldline is a loop
     amplitude *= _SQRT2 ** len(trace.worldlines())
+    if abs(amplitude) < sys.float_info.min and diag.amplitude != 0:
+        raise NumericalInstability(
+            f"the amplitude's product of element weights, {abs(amplitude):.3g}, underflows "
+            f"the float range, so the value's digits are lost")
     return amplitude, points, mus, trace
 
 
@@ -433,7 +472,12 @@ class PreparedDiagram:
     stack is one `_pfaffians` pass; an odd size is 0.  Without groups every
     point is core: W is eliminated whole, with the zero test SINGULAR_TOL,
     and the one term is Pf(eliminated), or 0 when a row is left over.  Only
-    the Schur block is kept.  At most MAX_GROUPS groups (TooLarge): a mask
+    the Schur block is kept.  Pf(eliminated) is kept as a mantissa and a
+    power of two (see `_eliminate`): each value is the amplitude times the
+    mantissa times the term's Pfaffian, scaled by that power of two last,
+    with ldexp, so a value in float range comes back even where
+    Pf(eliminated) alone is not, and bit for bit as the plain product
+    wherever that is in range.  At most MAX_GROUPS groups (TooLarge): a mask
     is an int64.
     """
 
@@ -470,7 +514,7 @@ class PreparedDiagram:
                                   dtype=int)
         self._points = len(core) + len(extras)
         # W's largest |entry| before it is eliminated in place, for the error message
-        self._pf, self._eliminated, self._largest = 1.0 + 0.0j, 0, 0.0
+        self._pf, self._exp, self._eliminated, self._largest = 1.0 + 0.0j, 0, 0, 0.0
         if len(core) > 1:  # a pair of core rows to eliminate
             # W's nonzeros, the contraction pairs and the 1/mu entries, give
             # each row's reach and the scale with no pass over W
@@ -482,10 +526,11 @@ class PreparedDiagram:
                                 for rows, cols in ((x, y), (paired, paired + 1)))
             del x, y  # up to N^2 / 2 pairs: not held through the elimination
             # without groups the elimination is the whole Pfaffian and a
-            # deferral ends it, so the zero test decides; a Pfaffian past
-            # the float range reaches `evaluate` as a non-finite value
+            # deferral ends it, so the zero test decides; a product past the
+            # float range within one panel reaches `evaluate` as a non-finite
+            # value
             with np.errstate(over="ignore", invalid="ignore"):
-                self._pf, self._eliminated = _eliminate(
+                self._pf, self._exp, self._eliminated = _eliminate(
                     w, len(core), DEFER_TOL if extras else SINGULAR_TOL, reach.tolist(),
                     max(self._largest, 1.0))
         self._schur = w[self._eliminated:, self._eliminated:].copy()
@@ -498,7 +543,7 @@ class PreparedDiagram:
         it; a non-finite one raises NumericalInstability."""
         masks = np.asarray(masks, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):
-            values = self.amplitude * self._terms(masks)
+            values = _ldexp(self.amplitude * self._terms(masks), self._exp)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             if self._groups:
@@ -508,15 +553,19 @@ class PreparedDiagram:
                 sub = self._schur[np.ix_(rows, rows)]
                 size, largest = len(sub), float(np.max(np.abs(sub), initial=0.0))
                 after = (f", after eliminating {self._eliminated} of {self._points} points "
-                         f"(their Pfaffian {abs(self._pf):.3g})")
+                         f"(their Pfaffian {self._pf_text()})")
             else:  # the whole matrix, eliminated in place: its entries from before
                 size, largest = self._points, self._largest
-                after = f" (the Pfaffian {abs(self._pf):.3g})"
+                after = f" (the Pfaffian {self._pf_text()})"
             raise NumericalInstability(
                 f"non-finite value from a {size} x {size} Pfaffian with largest |entry| "
                 f"{largest:.3g} and amplitude {abs(self.amplitude):.3g}{after}"
             )
         return values
+
+    def _pf_text(self) -> str:
+        """|Pf(eliminated)|, with its power of two when there is one."""
+        return f"{abs(self._pf):.3g}" + (f" x 2^{self._exp}" if self._exp else "")
 
     def _terms(self, masks: np.ndarray) -> np.ndarray:
         """phase * Pf(eliminated) * Pf(Schur[deferred + S]) of each mask, the

@@ -263,8 +263,7 @@ def kw_rewrite_chain(lattice: IsingLattice):
     sites = [i for i, el in enumerate(current.core.elements)
              if isinstance(el, ScatteringStar) and el.orientation == VERTICAL]
     for site in sites:
-        current = current.splice(
-            site, 1, apply_rule(current.core, SpaceTimeDual(), RewriteSite.at(site)))
+        current = apply_rule(current, SpaceTimeDual(), RewriteSite.at(site))
         steps.append(current)
 
     dual_rows = max(rows - 1, 1)

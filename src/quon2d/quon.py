@@ -173,34 +173,8 @@ class QuonDiagram:
         object.__setattr__(self, "notches", tuple(self.notches))
         object.__setattr__(self, "open_intervals", tuple(self.open_intervals))
         object.__setattr__(self, "boundary_tracking", frozenset(self.boundary_tracking))
-        widths = self.core._widths
-        for cut in self.parity_cuts + self.notches:
-            if not 0 <= cut.time_index < len(widths):
-                raise InvariantViolation(f"cut time {cut.time_index} out of range")
-            w = widths[cut.time_index]
-            if any(not 0 <= s < w for s in cut.strands):
-                raise InvariantViolation(
-                    f"cut strands {cut.strands} not alive at slice {cut.time_index} (width {w})"
-                )
-        for t, pos in self.boundary_tracking:
-            if not 0 <= t < len(widths) or not 0 <= pos < widths[t]:
-                raise InvariantViolation(
-                    f"boundary-tracking anchor ({t}, {pos}) is not on a strand: its slice "
-                    f"must lie in 0..{len(widths) - 1} and its position below that "
-                    f"slice's width"
-                )
-        for side, width in ((TOP, self.core.width_in), (BOTTOM, self.core.width_out)):
-            ivs = sorted(
-                (iv for iv in self.open_intervals if iv.side == side),
-                key=lambda iv: iv.start,
-            )
-            covered = []
-            for iv in ivs:
-                covered.extend(iv.strands)
-            if covered != list(range(width)):
-                raise InvariantViolation(
-                    f"{side} intervals {covered} do not partition strands 0..{width - 1}"
-                )
+        _check_marks(self.core._widths, self.parity_cuts + self.notches, self.boundary_tracking)
+        _check_intervals(self.core, self.open_intervals)
 
     @property
     def is_closed(self) -> bool:
@@ -212,36 +186,111 @@ class QuonDiagram:
     def scaled(self, factor: complex) -> "QuonDiagram":
         return replace(self, core=self.core.scaled(factor))
 
-    def splice(self, at: int, removed: int, core: MajoranaDiagram,
-               open_intervals=None) -> "QuonDiagram":
-        """This diagram with `core` in place of its own, where `core` has the
-        `removed` elements from index `at` replaced.
+    def splice(self, at: int, removed: int, replacement, amplitude: complex,
+               width_in: int | None = None, open_intervals=None, parity_cuts=(),
+               notches=(), boundary_tracking=()) -> "QuonDiagram":
+        """This diagram with the `removed` core elements from index `at`
+        replaced by `replacement` and the core amplitude set to `amplitude`:
+        the one edit of a diagram.  `width_in` is the new top width of a
+        run at the top boundary (see MajoranaDiagram.splice), and
+        `open_intervals` replaces the intervals when the edit changes a
+        boundary.  `parity_cuts`, `notches` and `boundary_tracking` are new
+        ones, on the result's slices, added after the re-timed ones.
 
         Every parity cut, notch and boundary-tracking anchor is re-timed by
         one rule: a slice at or after at + removed moves by the change in
         length, a slice strictly inside the replaced run moves to `at`, and
         every other slice stays.  So a pure insertion (removed == 0) moves a
-        cut at slice `at` past the inserted block.  `open_intervals` replaces
-        the intervals when `core` changes a boundary.
+        cut at slice `at` past the inserted block.
+
+        The result equals what the constructors would build, and an invalid
+        edit raises what they would.  The core replays only the replacement
+        when the widths meet at the run's end (MajoranaDiagram.splice), and
+        then only the cuts, notches and anchors re-timed from slices `at` to
+        at + removed are checked, because every other one keeps its strands
+        and the width of its slice.  When the widths after the run change,
+        all of them are checked.  The new ones are always checked, and the
+        intervals' partition of the boundaries is checked when the intervals
+        or a boundary width change.  Cost: O(len(replacement)) element
+        checks plus O(cuts + notches + anchors) re-timing when the widths
+        meet; O(len(elements)) more when they do not.
         """
+        old = self.core
+        core = old.splice(at, removed, replacement, amplitude, width_in)
         end = at + removed
-        delta = len(core.elements) - len(self.core.elements)
+        delta = len(core.elements) - len(old.elements)
+        # the old slices whose widths the edit may have changed: at .. last
+        last = end if core._widths[end + delta] == old._widths[end] else len(old.elements)
 
         def retimed(t: int) -> int:
             if t >= end:
                 return t + delta
             return at if t > at else t
 
-        def cuts(projections):
-            return tuple(ParityCut(retimed(c.time_index), c.strands) for c in projections)
+        def moved(projections):
+            return tuple(c if retimed(c.time_index) == c.time_index
+                         else ParityCut(retimed(c.time_index), c.strands) for c in projections)
 
-        return QuonDiagram(
-            core,
-            cuts(self.parity_cuts),
-            self.open_intervals if open_intervals is None else open_intervals,
-            frozenset((retimed(t), pos) for t, pos in self.boundary_tracking),
-            cuts(self.notches),
-        )
+        cuts, notched = moved(self.parity_cuts), moved(self.notches)
+        anchors = [(t, (retimed(t), pos)) for t, pos in self.boundary_tracking]
+        _check_marks(
+            core._widths,
+            [c for was, c in zip(self.parity_cuts + self.notches, cuts + notched)
+             if at <= was.time_index <= last] + [*parity_cuts, *notches],
+            [anchor for t, anchor in anchors if at <= t <= last] + [*boundary_tracking])
+        intervals = self.open_intervals if open_intervals is None else tuple(open_intervals)
+        if open_intervals is not None or (core.width_in, core.width_out) != (
+                old.width_in, old.width_out):
+            _check_intervals(core, intervals)
+        q = object.__new__(QuonDiagram)
+        for name, value in (("core", core), ("parity_cuts", cuts + tuple(parity_cuts)),
+                            ("open_intervals", intervals),
+                            ("boundary_tracking",
+                             frozenset(anchor for _, anchor in anchors) | set(boundary_tracking)),
+                            ("notches", notched + tuple(notches))):
+            object.__setattr__(q, name, value)
+        return q
+
+
+def _check_marks(widths, projections, anchors) -> None:
+    """Raise InvariantViolation unless each cut or notch in `projections`
+    and each anchor lies on live strands of a slice whose widths are
+    `widths`."""
+    for cut in projections:
+        if not 0 <= cut.time_index < len(widths):
+            raise InvariantViolation(f"cut time {cut.time_index} out of range")
+        w = widths[cut.time_index]
+        if any(not 0 <= s < w for s in cut.strands):
+            raise InvariantViolation(
+                f"cut strands {cut.strands} not alive at slice {cut.time_index} (width {w})"
+            )
+    for t, pos in anchors:
+        if not 0 <= t < len(widths) or not 0 <= pos < widths[t]:
+            raise InvariantViolation(
+                f"boundary-tracking anchor ({t}, {pos}) is not on a strand: its slice "
+                f"must lie in 0..{len(widths) - 1} and its position below that "
+                f"slice's width"
+            )
+
+
+_LISTED = 12  # strands a partition error lists
+
+
+def _check_intervals(core: MajoranaDiagram, intervals) -> None:
+    """Raise InvariantViolation unless the intervals of each side partition
+    that boundary's strands."""
+    for side, width in ((TOP, core.width_in), (BOTTOM, core.width_out)):
+        ivs = sorted((iv for iv in intervals if iv.side == side), key=lambda iv: iv.start)
+        covered = []
+        for iv in ivs:
+            covered.extend(iv.strands)
+        if covered != list(range(width)):
+            listed = ", ".join(map(str, covered[:_LISTED]))
+            if len(covered) > _LISTED:
+                listed += f", ... ({len(covered)} strands)"
+            raise InvariantViolation(
+                f"{side} intervals [{listed}] do not partition strands 0..{width - 1}"
+            )
 
 
 # -- hole expansion evaluation --------------------------------------------
@@ -374,11 +423,13 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
     if bottom_closure.width_in != q.core.width_out:
         raise WidthMismatch("bottom encoders do not cover the bottom boundary")
     # the bottom closure is appended, so nothing needs re-timing for it
-    bottom_closed = QuonDiagram(
-        dg.compose(q.core, bottom_closure), q.parity_cuts,
-        [q.open_intervals[i] for i in top], q.boundary_tracking, q.notches,
-    )
-    return bottom_closed.splice(0, 0, dg.compose(top_closure, bottom_closed.core), ())
+    core = q.core.splice(len(q.core.elements), 0, bottom_closure.elements,
+                         q.core.amplitude * bottom_closure.amplitude)
+    bottom_closed = QuonDiagram(core, q.parity_cuts, [q.open_intervals[i] for i in top],
+                                q.boundary_tracking, q.notches)
+    return bottom_closed.splice(0, 0, top_closure.elements,
+                                top_closure.amplitude * core.amplitude, width_in=0,
+                                open_intervals=())
 
 
 # -- manifold rewrites -----------------------------------------------------
@@ -504,12 +555,8 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
         raise InvalidRegion(f"region {region} outside the diagram")
     if (p + 1) % 2:
         raise InvalidRegion("position must leave an even cut (odd strand count left of the loop)")
-    els = q.core.elements[:t] + (Cap(p), Cup(p)) + q.core.elements[t:]
-    core = MajoranaDiagram(q.core.width_in, q.core.width_out, els,
-                           q.core.amplitude * _SQRT2)
-    spliced = q.splice(t, 0, core)
-    inserted = ParityCut(t + 1, tuple(range(p)) + (p,))
-    return replace(spliced, parity_cuts=spliced.parity_cuts + (inserted,))
+    return q.splice(t, 0, (Cap(p), Cup(p)), q.core.amplitude * _SQRT2,
+                    parity_cuts=(ParityCut(t + 1, tuple(range(p + 1))),))
 
 
 def remove_holes_to_fixpoint(q: QuonDiagram) -> QuonDiagram:
@@ -610,7 +657,8 @@ def quon_compose(top: QuonDiagram, bottom: QuonDiagram) -> QuonDiagram:
     intervals = [iv for iv in top.open_intervals if iv.side == TOP] + [
         iv for iv in bottom.open_intervals if iv.side == BOTTOM
     ]
-    below = bottom.splice(0, 0, dg.compose(top.core, bottom.core), intervals)
+    below = bottom.splice(0, 0, top.core.elements, top.core.amplitude * bottom.core.amplitude,
+                          width_in=top.core.width_in, open_intervals=intervals)
     return QuonDiagram(below.core, top.parity_cuts + below.parity_cuts, intervals,
                        top.boundary_tracking | below.boundary_tracking,
                        top.notches + below.notches)

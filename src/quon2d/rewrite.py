@@ -62,6 +62,7 @@ from .errors import (
     SingularAngle,
     UnknownMode,
 )
+from .quon import QuonDiagram
 
 _PI = math.pi
 
@@ -106,10 +107,11 @@ class RewriteRule:
     LEAD: tuple = ()
     PATTERN = ""
 
-    def first_match(self, els) -> int | None:
-        """The first index where this one-index rule matches, or None."""
+    def first_match(self, els, start: int = 0) -> int | None:
+        """The first index from `start` on where this one-index rule
+        matches, or None.  A match at i reads els[i:i + SPAN] only."""
         lead = self.LEAD
-        for i in range(len(els) - self.SPAN + 1):
+        for i in range(start, len(els) - self.SPAN + 1):
             if isinstance(els[i], lead) and self.rewrite(els, i) is not None:
                 return i
         return None
@@ -367,8 +369,7 @@ def expand_scattering(diag: MajoranaDiagram, site: int, mode: str = "dots"):
     orientation = getattr(el, "orientation", VERTICAL)
 
     def rebuild(repl: tuple[Element, ...], weight: complex) -> tuple[complex, MajoranaDiagram]:
-        els = diag.elements[:site] + repl + diag.elements[site + 1:]
-        return weight, MajoranaDiagram(diag.width_in, diag.width_out, els, diag.amplitude)
+        return weight, diag.splice(site, 1, repl, diag.amplitude)
 
     if mode == "dots":
         if orientation == VERTICAL:  # braids included
@@ -554,12 +555,15 @@ def _moved(el: Element, points) -> Element | None:
     return new if _points(new) == tuple(points) else None
 
 
-def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> MajoranaDiagram:
-    """Apply `rule` at `site`; raises PatternMismatch when a site index is
-    out of range or the local pattern does not match the rule's left-hand
-    side.  Closed-diagram value is preserved exactly (up to the documented
-    float tolerance)."""
-    els = diag.elements
+def apply_rule(diag, rule: RewriteRule, site: RewriteSite):
+    """Apply `rule` at `site` of a MajoranaDiagram, or of the core of a
+    QuonDiagram, whose cuts, notches and anchors the splice re-times;
+    returns a diagram of the same type.  Raises PatternMismatch when a site
+    index is out of range or the local pattern does not match the rule's
+    left-hand side.  Closed-diagram value is preserved exactly (up to the
+    documented float tolerance)."""
+    core = diag.core if isinstance(diag, QuonDiagram) else diag
+    els = core.elements
     indices = site.indices
     if len(indices) != rule.ARITY or not all(0 <= k < len(els) for k in indices):
         raise PatternMismatch(
@@ -573,5 +577,4 @@ def apply_rule(diag: MajoranaDiagram, rule: RewriteRule, site: RewriteSite) -> M
     if found is None:
         raise PatternMismatch(f"{rule!r} does not match at element {i}: it needs {rule.PATTERN}")
     repl, scalar = found
-    return MajoranaDiagram(diag.width_in, diag.width_out, els[:i] + repl + els[i + rule.SPAN:],
-                           diag.amplitude * scalar)
+    return diag.splice(i, rule.SPAN, repl, core.amplitude * scalar)

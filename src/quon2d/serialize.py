@@ -36,8 +36,8 @@ import json
 from dataclasses import MISSING, fields
 
 from .diagram import KINDS, MajoranaDiagram, Scattering, ScatteringStar
-from .errors import ParseError
-from .quon import OpenInterval, ParityCut, QuonDiagram
+from .errors import InvariantViolation, ParseError
+from .quon import BOTTOM, TOP, OpenInterval, ParityCut, QuonDiagram
 from .wires import WireTrace
 
 FORMAT = "quon2d-diagram"
@@ -187,10 +187,16 @@ def parse_diagram(text: str) -> QuonDiagram:
                     ),
                     _complex_in(p.get("amplitude", 1.0), "pairing amplitude"),
                 )
-            intervals.append(
-                OpenInterval(iv["side"], _int_in(iv["start"], "interval start"),
-                             _int_in(iv["size"], "interval size"), pairing)
-            )
+            side = iv["side"]
+            start = _int_in(iv["start"], "interval start")
+            size = _int_in(iv["size"], "interval size")
+            # before the interval is built: a default pairing holds size / 2 caps
+            width = {TOP: core.width_in, BOTTOM: core.width_out}.get(side)
+            if width is not None and not (0 <= start and 0 <= size and start + size <= width):
+                raise InvariantViolation(
+                    f"open_intervals[{k}]: a {side} interval of {size} strands from {start} "
+                    f"runs past the {side} boundary of {width} strands")
+            intervals.append(OpenInterval(side, start, size, pairing))
         marks = frozenset(
             (_int_in(a, "boundary_tracking"), _int_in(b, "boundary_tracking"))
             for a, b in doc.get("boundary_tracking", [])

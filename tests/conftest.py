@@ -1,5 +1,7 @@
 """Shared generators for randomized tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from quon2d.diagram import (
     VERTICAL,
     offset_elements,
 )
+from quon2d.factory import Insert, Stretch, Switch
 
 
 def random_closed_diagram(rng, max_width=16, max_elems=50, allow_dots=True,
@@ -100,6 +103,33 @@ def random_circuit(n, depth, rng, two_qubit_rate=0.45,
             angle = float(rng.uniform(0, 2 * np.pi)) if GATES[name].takes_angle else None
             gates.append(Gate(name, (q,), angle))
     return Circuit(n, tuple(gates))
+
+
+def random_move(q, rng):
+    """One valid move on q: a braid switched to a generic angle or to a
+    small offset from the angle that leaves it a braid (+-pi/2), a loop or
+    string-hole insert, or a bulk stretch."""
+    els, widths = q.core.elements, q.core.widths()
+    braids = [i for i, el in enumerate(els) if isinstance(el, (BraidPos, BraidNeg))]
+    kind = rng.choice(["switch", "switch", "loop", "string_hole_pair", "stretch"])
+    if kind == "switch" and braids:
+        site = braids[int(rng.integers(len(braids)))]
+        if rng.random() < 0.4:
+            theta = float(rng.uniform(-math.pi, math.pi))
+        else:
+            offset = float(rng.choice([1e-8, -1e-8, 1e-6, 1e-4, 1e-2]))
+            theta = (-math.pi / 2 if isinstance(els[site], BraidPos) else math.pi / 2) + offset
+        return Switch(site, "braid_to_scattering", theta=theta)
+    if kind == "stretch":
+        holes = {cut.time_index for cut in q.parity_cuts}
+        slices = [t for t, w in enumerate(widths) if t not in holes and w >= 2]
+        t = slices[int(rng.integers(len(slices)))]
+        reach = int(rng.integers(1, widths[t]))
+        return Stretch(t, int(rng.integers(0, widths[t] - reach)), reach)
+    t = int(rng.integers(0, len(widths)))
+    if kind == "string_hole_pair" and widths[t]:
+        return Insert(t, 2 * int(rng.integers(0, (widths[t] + 1) // 2)) + 1, "string_hole_pair")
+    return Insert(t, int(rng.integers(0, widths[t] + 1)), "closed_diagram")
 
 
 @pytest.fixture

@@ -242,8 +242,8 @@ def test_parse_circuit_text_rejects_bad_lines(text, match):
 
 @pytest.mark.parametrize("argv, message", [
     (("--rows", 2, "--cols", 2, "--K", -400, "--oracle"), "overflows a float"),
-    # the 20 x 20 lattice's Pfaffian passes the float range in the elimination
-    (("--rows", 20, "--cols", 20, "--K", 0.4), "non-finite value"),
+    # the 200 x 4 strip's amplitude, e^K per bond and sqrt2 per site, is nan
+    (("--rows", 200, "--cols", 4, "--K", 0.4), "non-finite value"),
 ], ids=["oracle", "pfaffian"])
 def test_ising_overflow_is_one_error_line(capsys, argv, message):
     with warnings.catch_warnings():
@@ -251,6 +251,16 @@ def test_ising_overflow_is_one_error_line(capsys, argv, message):
         code, out, err = _run(capsys, "ising", *argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and message in err
+
+
+def test_ising_past_the_float_range_of_its_pfaffian(capsys):
+    """The 20 x 20 lattice's Pfaffian passes 1.8e308 and its amplitude is
+    near 5e-174; Z itself, near 5e150, is printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "ising", "--rows", 20, "--cols", 20, "--K", 0.4)
+    assert code == 0 and err == ""
+    assert math.isfinite(float(out)) and 1e150 < float(out) < 1e151
 
 
 # what a mutation puts in place of one node of a document

@@ -7,8 +7,22 @@ from quon2d import gaussian
 from quon2d.circuits import Circuit, Gate
 from quon2d.classify import classify
 from quon2d.compiler import compile_circuit, quon_to_dense_tensor
-from quon2d.diagram import BraidNeg, BraidPos, Cap, MajoranaDiagram, Scattering
-from quon2d.errors import InvariantViolation, ParityMismatch, ParseError, PatternMismatch
+from quon2d.diagram import (
+    BraidNeg,
+    BraidPos,
+    Cap,
+    Cup,
+    MajoranaDiagram,
+    Scattering,
+    offset_elements,
+)
+from quon2d.errors import (
+    InvalidRegion,
+    InvariantViolation,
+    ParityMismatch,
+    ParseError,
+    PatternMismatch,
+)
 from quon2d.factory import (
     FactoryLedger,
     Insert,
@@ -29,7 +43,7 @@ from quon2d.quon import (
     evaluate_closed_quon,
 )
 
-from conftest import random_circuit
+from conftest import random_circuit, random_move
 
 PI = math.pi
 
@@ -127,33 +141,6 @@ def test_ledger_replay_deterministic():
     assert replayed.core.amplitude == pytest.approx(q3.core.amplitude)
 
 
-def _random_move(q, rng):
-    """One valid move on q: a braid switched to a generic angle or to a
-    small offset from the angle that leaves it a braid (+-pi/2), a loop or
-    string-hole insert, or a bulk stretch."""
-    els, widths = q.core.elements, q.core.widths()
-    braids = [i for i, el in enumerate(els) if isinstance(el, (BraidPos, BraidNeg))]
-    kind = rng.choice(["switch", "switch", "loop", "string_hole_pair", "stretch"])
-    if kind == "switch" and braids:
-        site = braids[int(rng.integers(len(braids)))]
-        if rng.random() < 0.4:
-            theta = float(rng.uniform(-PI, PI))
-        else:
-            offset = float(rng.choice([1e-8, -1e-8, 1e-6, 1e-4, 1e-2]))
-            theta = (-PI / 2 if isinstance(els[site], BraidPos) else PI / 2) + offset
-        return Switch(site, "braid_to_scattering", theta=theta)
-    if kind == "stretch":
-        holes = {cut.time_index for cut in q.parity_cuts}
-        slices = [t for t, w in enumerate(widths) if t not in holes and w >= 2]
-        t = slices[int(rng.integers(len(slices)))]
-        reach = int(rng.integers(1, widths[t]))
-        return Stretch(t, int(rng.integers(0, widths[t] - reach)), reach)
-    t = int(rng.integers(0, len(widths)))
-    if kind == "string_hole_pair" and widths[t]:
-        return Insert(t, 2 * int(rng.integers(0, (widths[t] + 1) // 2)) + 1, "string_hole_pair")
-    return Insert(t, int(rng.integers(0, widths[t] + 1)), "closed_diagram")
-
-
 def test_components_of_random_scripts_match_the_oracle():
     """Random move scripts on compiled circuits: each component, one
     factorisation of its basis encoding, against the Fock oracle."""
@@ -162,7 +149,7 @@ def test_components_of_random_scripts_match_the_oracle():
         q = compile_circuit(random_circuit(2, 3, rng, names2=("XX", "CNOT")))
         ledger = FactoryLedger(q)
         for _ in range(int(rng.integers(3, 7))):
-            q, ledger = apply_move(q, _random_move(q, rng), ledger)
+            q, ledger = apply_move(q, random_move(q, rng), ledger)
         for _ in range(3):
             bits = BasisAssignment(tuple((int(b),) for b in rng.integers(0, 2, 4)))
             closed = encode_basis(q, bits)
@@ -327,3 +314,31 @@ def test_move_script_parser():
         parse_move_script("insert 0 0\nstretch 0 0 1 sideways")
     with pytest.raises(ParseError, match="line 1: Switch set_angle needs a finite angle"):
         parse_move_script("switch 3 set_angle nan")
+
+
+def test_insert_checks_and_evaluates_its_payload_when_built(monkeypatch):
+    """A payload that is not closed, or that evaluates to zero, is refused
+    by the move itself; the move keeps the value it normalizes with, so the
+    insert evaluates nothing, and a bare loop is never evaluated again."""
+    with pytest.raises(InvalidRegion, match="closed"):
+        Insert(0, 0, diagram=MajoranaDiagram(0, 2, (Cap(0),)))
+    with pytest.raises(InvalidRegion, match="zero"):
+        Insert(0, 0, diagram=MajoranaDiagram(0, 0, (Cap(0), Cup(0)), 0.0))
+    payload = MajoranaDiagram(0, 0, (Cap(0), Scattering(0, 0.4), Cup(0)), 1.5 - 0.5j)
+    moves = [Insert(1, 2, diagram=payload), Insert(1, 2)]
+    q = compile_circuit(Circuit(1, (Gate("H", (0,)),)))
+
+    def refuse(*args):
+        raise AssertionError("evaluated a payload at insert time")
+
+    monkeypatch.setattr(gaussian, "PreparedDiagram", refuse)
+    for move in moves:
+        grown, _ = insert_move(q, move, FactoryLedger(q))
+        assert grown.core.elements[1:1 + len(move._closed.elements)] == offset_elements(
+            move._closed.elements, 2)
+    monkeypatch.undo()
+    for move in moves:
+        grown, _ = insert_move(q, move, FactoryLedger(q))
+        bits = BasisAssignment(((0,), (1,)))
+        assert abs(evaluate_closed_quon(encode_basis(grown, bits))
+                   - evaluate_closed_quon(encode_basis(q, bits))) <= 1e-12

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -14,6 +15,7 @@ from quon2d.gaussian import (
     DEFER_TOL,
     MAX_GROUPS,
     PANEL,
+    SINGULAR_TOL,
     PreparedDiagram,
     _dense_reach,
     _eliminate,
@@ -59,7 +61,8 @@ def dense_eliminate(a, core):
     the dense matrix, as `pfaffian` finds them."""
     mag = np.abs(a)
     scale = max(float(mag.max(initial=0.0)), 1.0)
-    return _eliminate(a, core, DEFER_TOL, _dense_reach(mag), scale)
+    pf, x, e = _eliminate(a, core, DEFER_TOL, _dense_reach(mag), scale)
+    return complex(gaussian._ldexp(pf, x)), e
 
 
 def random_antisymmetric(rng, n):
@@ -392,7 +395,8 @@ def per_term(prepared, mask):
     points = len(rows) - d
     flips = sum(int(prepared._flips[g]) for g in chosen)
     phase = (1, 1j, -1, -1j)[points // 2 % 4] * (-1) ** flips
-    return prepared.amplitude * phase * prepared._pf * pfaffian(prepared._schur[np.ix_(rows, rows)])
+    pf = complex(gaussian._ldexp(prepared._pf, prepared._exp))
+    return prepared.amplitude * phase * pf * pfaffian(prepared._schur[np.ix_(rows, rows)])
 
 
 def clifford_cores(rng, count):
@@ -661,3 +665,21 @@ def test_ising_evaluation_holds_little_beyond_its_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * w_bytes, f"traced peak {peak / w_bytes:.2f} x W"
+
+
+def test_elimination_keeps_its_product_in_float_range():
+    """200 pivots of 1e8, Pf = 1e1600: `_eliminate` returns it as a mantissa
+    times a power of two, where a plain product would overflow, and
+    `pfaffian` gives inf.  Thirty of them, 1e240, come back from `pfaffian`
+    bit for bit as the plain product."""
+    a = np.zeros((400, 400), dtype=complex)
+    a[np.arange(0, 400, 2), np.arange(1, 400, 2)] = 1e8
+    a -= a.T
+    pf, x, e = _eliminate(a.copy(), 400, SINGULAR_TOL, _dense_reach(np.abs(a)), 1e8)
+    assert e == 400 and math.isfinite(abs(pf))
+    assert math.log2(abs(pf)) + x == pytest.approx(1600 * math.log2(10), rel=1e-14)
+    assert pfaffian(a) == complex(math.inf, 0)
+    product = 1.0
+    for _ in range(30):
+        product *= 1e8
+    assert pfaffian(a[:60, :60]) == product

@@ -1,5 +1,6 @@
 """Source hygiene of `src/quon2d`, checked with `ast`: no import its module
-never uses, and no function-local name that is assigned and never read."""
+never uses, no function-local name that is assigned and never read, and no
+diagram built without its checks outside the splice primitive."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,66 @@ def dead_locals(tree: ast.Module) -> list[tuple[int, str]]:
         found += [(n.lineno, n.id) for n in _own_stores(fn)
                   if not n.id.startswith("_") and n.id not in read]
     return sorted(found)
+
+
+# where a diagram may be built without its constructor's checks: the
+# constructor itself, and the splice primitive, which checks what its edit
+# can change
+UNCHECKED_BUILDERS = {
+    ("diagram.py", "MajoranaDiagram.__post_init__"),
+    ("diagram.py", "MajoranaDiagram.splice"),
+    ("quon.py", "QuonDiagram.splice"),
+}
+
+
+def _skips_checks(node) -> bool:
+    """An object.__new__ call, a write to an attribute `_widths`, or the
+    name "_widths" handed to a setattr."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return (node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object")
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr == "_widths"
+    return isinstance(node, ast.Constant) and node.value == "_widths"
+
+
+def unchecked_builds(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, qualified name of the enclosing function) of every place that
+    builds a diagram around its checks (see `_skips_checks`)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if _skips_checks(child):
+                found.append((child.lineno, scope))
+            named = isinstance(child, (*_FUNCTIONS[:2], ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_diagrams_skip_their_checks_only_in_the_splice(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    faults = [f"{path.name}:{line}: {scope or 'module'} builds a diagram without its checks"
+              for line, scope in unchecked_builds(tree)
+              if (path.name, scope) not in UNCHECKED_BUILDERS]
+    assert not faults, "\n".join(faults)
+
+
+def test_unchecked_builds_are_found():
+    tree = ast.parse(
+        "class MajoranaDiagram:\n"
+        "    def splice(self):\n"
+        "        return object.__new__(MajoranaDiagram)\n"
+        "def shortcut(d):\n"
+        "    q = object.__new__(type(d))\n"
+        "    object.__setattr__(q, '_widths', d._widths)\n"
+        "    d._widths = ()\n"
+        "    return q\n")
+    assert unchecked_builds(tree) == [(3, "MajoranaDiagram.splice"), (5, "shortcut"),
+                                      (6, "shortcut"), (7, "shortcut")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -10,7 +10,13 @@ import pytest
 import quon2d
 from quon2d.classify import classify
 from quon2d.diagram import ScatteringStar, VERTICAL
-from quon2d.errors import InvariantViolation, NonPlanarInput, Singular, TooManySites
+from quon2d.errors import (
+    InvariantViolation,
+    NonPlanarInput,
+    NumericalInstability,
+    Singular,
+    TooManySites,
+)
 from quon2d.ising import (
     IsingLattice,
     build_ising_quon,
@@ -281,3 +287,38 @@ def test_kw_chain_small_lattice_trivial():
     values = [evaluate_closed_quon(s) for s in steps]
     for a, b in zip(values, values[1:]):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def transfer_log_z(rows: int, cols: int, coupling: float) -> float:
+    """log Z of the open rows x cols lattice by its 2^cols-state row
+    transfer matrix, renormalised row by row."""
+    spins = 1 - 2 * ((np.arange(1 << cols)[:, None] >> np.arange(cols)) & 1)
+    row = np.exp(coupling * (spins[:, :-1] * spins[:, 1:]).sum(axis=1))
+    step = np.exp(coupling * spins @ spins.T)
+    vector, log_z = row.copy(), 0.0
+    for _ in range(rows - 1):
+        vector = (step @ vector) * row
+        log_z += math.log(vector.max())
+        vector /= vector.max()
+    return log_z + math.log(vector.sum())
+
+
+def test_a_strip_whose_pfaffian_passes_the_float_range():
+    """120 x 4 at K = 0.4: the Pfaffian of W passes 1.8e308 and the
+    amplitude is tiny, yet Z, near e^407, is a float; it matches the
+    transfer matrix.  At 200 x 4 the amplitude itself is not finite, which
+    is still a typed error."""
+    z = evaluate_closed_quon(build_ising_quon(IsingLattice.square(120, 4, 0.4)))
+    assert abs(z.imag) <= 1e-9 * abs(z.real)
+    want = transfer_log_z(120, 4, 0.4)
+    assert want == pytest.approx(407.48, abs=0.01)
+    assert abs(math.log(z.real) - want) <= 1e-9 * want
+    with pytest.raises(NumericalInstability):
+        evaluate_closed_quon(build_ising_quon(IsingLattice.square(200, 4, 0.4)))
+
+
+def test_transfer_matrix_matches_spin_enumeration():
+    for rows, cols, coupling in ((3, 4, 0.4), (5, 2, -0.7), (4, 3, 1.1)):
+        lattice = IsingLattice.square(rows, cols, coupling)
+        assert transfer_log_z(rows, cols, coupling) == pytest.approx(
+            math.log(partition_oracle(lattice)), rel=1e-12)

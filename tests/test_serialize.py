@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -129,3 +130,30 @@ def test_structurally_invalid_documents_are_rejected(changes):
     with pytest.raises(InvariantViolation):
         parse_diagram(_doc(**changes))
 
+
+
+def test_an_oversized_interval_fails_before_it_is_built():
+    """A 400000-strand interval with the default pairing on a 2-strand
+    boundary is checked against the boundary before its size / 2 caps are
+    built, and the message stays short."""
+    text = json.dumps({"format": "quon2d-diagram", "version": 1, "width_in": 0, "width_out": 2,
+                       "elements": [{"kind": "cap", "j": 0}],
+                       "open_intervals": [{"side": "bottom", "start": 0, "size": 400000,
+                                           "pairing": None}]})
+    assert len(text) < 200
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation, match="runs past the bottom boundary") as info:
+        parse_diagram(text)
+    assert time.perf_counter() - start < 0.05
+    assert len(str(info.value)) < 300
+
+
+def test_a_partition_error_lists_a_few_strands():
+    intervals = [{"side": "bottom", "start": 2 * k, "size": 2, "pairing": None}
+                 for k in range(2000)]
+    text = json.dumps({"format": "quon2d-diagram", "version": 1, "width_in": 0,
+                       "width_out": 4002, "elements": [{"kind": "cap", "j": 0}] * 2001,
+                       "open_intervals": intervals})
+    with pytest.raises(InvariantViolation, match="4000 strands") as info:
+        parse_diagram(text)
+    assert len(str(info.value)) < 300
