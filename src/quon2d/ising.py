@@ -8,6 +8,10 @@ so the high-temperature expansion emerges term by term and
 
     Z = sqrt(2)^sites * e^{K * edges} * eval(diagram).
 
+That prefactor is the diagram's amplitude; where it passes the float range
+(200 x 4 at K = 0.4 reaches 2^1205), its powers of two beyond 2^1000 are
+drawn as bare loops instead, sqrt(2) each (see `_closed_core`).
+
 The edge tensor is the paper-form (e^K / cosh phi) e^{phi Z} with
 tanh(phi) = e^{-2K}; the loop-level angle is its strand realization after
 string-genus cleanup (the scalars are re-collected in the amplitude).  The
@@ -178,40 +182,56 @@ def _build_square(lattice: IsingLattice) -> QuonDiagram:
     rows, cols = lattice.shape
     kk = _edge_k(lattice)
     els: list = [Cap(2 * c) for c in range(cols)]
-    amp = math.sqrt(2.0) ** lattice.n_sites
+    couplings = []
     for r in range(rows):
         for c in range(cols - 1):
             a, b = r * cols + c, r * cols + c + 1
             els.append(ScatteringStar(2 * c + 1, loop_angle(kk[(a, b)])))
-            amp *= math.exp(kk[(a, b)])
+            couplings.append(kk[(a, b)])
         if r < rows - 1:
             for c in range(cols):
                 a, b = r * cols + c, (r + 1) * cols + c
                 p = 2 * c
                 els += [Cap(p + 2), ScatteringStar(p + 1, loop_angle(kk[(a, b)])), Cup(p)]
-                amp *= math.exp(kk[(a, b)])
+                couplings.append(kk[(a, b)])
         else:
             for _ in range(cols):
                 els.append(Cup(0))
-    core = MajoranaDiagram(0, 0, tuple(els), amp)
-    return QuonDiagram(core)
+    return QuonDiagram(_closed_core(els, lattice.n_sites, couplings))
 
 
 def _build_generic(lattice: IsingLattice) -> QuonDiagram:
     n = lattice.n_sites
     els: list = [Cap(2 * s) for s in range(n)]
-    amp = math.sqrt(2.0) ** n
     for a, b, k in lattice.edges:
         a, b = min(a, b), max(a, b)
         # route loop a's right strand next to loop b's left strand and back
         out = [BraidPos(j) for j in range(2 * a + 1, 2 * b - 1)]
         back = [BraidNeg(j) for j in reversed(range(2 * a + 1, 2 * b - 1))]
         els += out + [ScatteringStar(2 * b - 1, loop_angle(k))] + back
-        amp *= math.exp(k)
     for _ in range(n):
         els.append(Cup(0))
-    core = MajoranaDiagram(0, 0, tuple(els), amp)
-    return QuonDiagram(core)
+    return QuonDiagram(_closed_core(els, n, [k for _, _, k in lattice.edges]))
+
+
+def _closed_core(els: list, sites: int, couplings: list[float]) -> MajoranaDiagram:
+    """The closed diagram of `els` with amplitude sqrt(2)^sites times e^k
+    for each coupling k, multiplied out in that order as a mantissa and a
+    power of two.  Where the product is a float it is the amplitude, bit for
+    bit the plain product; past the float range the powers of two beyond
+    2^1000 are drawn as bare loops ahead of `els`, two per factor 2 (a
+    closed loop is worth sqrt(2)), so the diagram keeps its value."""
+    amp, x = 1.0, 0
+    factors = [math.sqrt(2.0) ** min(2046, sites - done) for done in range(0, sites, 2046)]
+    for factor in factors + [math.exp(k) for k in couplings]:
+        amp *= factor
+        m, s = math.frexp(amp)
+        if not -64 < s <= 64:
+            amp, x = m, x + s
+    size = math.frexp(amp)[1] + x  # amp * 2^x lies in [2^(size - 1), 2^size)
+    doubles = size - 1000 if size > 1024 else 0
+    return MajoranaDiagram(0, 0, (Cap(0), Cup(0)) * (2 * doubles) + tuple(els),
+                           math.ldexp(amp, x - doubles))
 
 
 # -- Kramers-Wannier --------------------------------------------------------

@@ -242,9 +242,11 @@ def test_parse_circuit_text_rejects_bad_lines(text, match):
 
 @pytest.mark.parametrize("argv, message", [
     (("--rows", 2, "--cols", 2, "--K", -400, "--oracle"), "overflows a float"),
-    # the 200 x 4 strip's amplitude, e^K per bond and sqrt2 per site, is nan
-    (("--rows", 200, "--cols", 4, "--K", 0.4), "non-finite value"),
-], ids=["oracle", "pfaffian"])
+    # Z of the 300 x 4 strip, near e^1020, passes the float range
+    (("--rows", 300, "--cols", 4, "--K", 0.4), "non-finite value"),
+    # 2200 sites: sqrt(2)^sites alone passes the float range
+    (("--rows", 1100, "--cols", 2, "--K", 0.4), "non-finite value"),
+], ids=["oracle", "pfaffian", "sites"])
 def test_ising_overflow_is_one_error_line(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either

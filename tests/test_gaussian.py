@@ -9,17 +9,13 @@ import pytest
 from quon2d import gaussian
 from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
+from quon2d.elimination import PANEL, SINGULAR_TOL, _eliminate, _pfaffians, _Rows
 from quon2d.errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import (
     DEFER_TOL,
     MAX_GROUPS,
-    PANEL,
-    SINGULAR_TOL,
     PreparedDiagram,
-    _dense_reach,
-    _eliminate,
-    _pfaffians,
     assemble_frontier,
     contraction_matrix,
     evaluate_closed_fast,
@@ -57,12 +53,85 @@ def pfaffian_recursive(a):
 
 
 def dense_eliminate(a, core):
-    """`_eliminate` with DEFER_TOL, given the reaches and scale of a scan of
-    the dense matrix, as `pfaffian` finds them."""
-    mag = np.abs(a)
-    scale = max(float(mag.max(initial=0.0)), 1.0)
-    pf, x, e = _eliminate(a, core, DEFER_TOL, _dense_reach(mag), scale)
-    return complex(gaussian._ldexp(pf, x)), e
+    """`_eliminate` with DEFER_TOL of the nonzeros of a dense matrix: the
+    Pfaffian of the eliminated part, the number of eliminated rows and the
+    Schur complement."""
+    pf, x, e, schur, _ = _eliminate(_Rows.of(a), core, DEFER_TOL)
+    return complex(gaussian._ldexp(pf, x)), e, schur
+
+
+def dense(w):
+    """The matrix of a `_Rows`."""
+    n = len(w.starts) - 1
+    rows = np.repeat(np.arange(n), np.diff(w.starts))
+    a = np.zeros((n, n), dtype=complex)
+    a[rows, w.cols] = w.lower
+    a[w.cols, rows] = w.upper
+    return a
+
+
+def dense_reach(mag):
+    """One past the last nonzero column of each row, from a full scan of |a|."""
+    nonzero = mag != 0
+    n = len(mag)
+    return np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0).tolist()
+
+
+def reference_eliminate(a, core, singular_tol, reach, scale):
+    """`_eliminate` on a dense matrix, in place: the same steps, with every
+    row held in `a`, the reaches and scale given.  Returns (pf, x, e) and
+    leaves the Schur complement in a[e:, e:]."""
+    n = a.shape[0]
+    orig = list(range(n))
+    hi = 0
+    pf, x = 1.0 + 0.0j, 0
+    k = 0
+    while k + 1 < core:
+        k0 = k
+        p = np.zeros((n - k0, min(2 * PANEL, core - k0)), dtype=complex)
+        q = np.zeros_like(p)
+        while k + 1 < core and k - k0 < p.shape[1]:
+            j = k - k0
+            hi = max(hi, k + 2, reach[orig[k]])
+            row = a[k, k + 1:hi] + q[j + 1:hi - k0, :j] @ p[j, :j]
+            i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
+            if abs(row[i]) <= singular_tol * scale:
+                if core == n:
+                    return 0.0 + 0.0j, 0, n
+                core -= 1
+                hi = n
+                if core != k:
+                    a[[k, core], k:] = a[[core, k], k:]
+                    a[k:, [k, core]] = a[k:, [core, k]]
+                    p[[j, core - k0]] = p[[core - k0, j]]
+                    q[[j, core - k0]] = q[[core - k0, j]]
+                    orig[k], orig[core] = orig[core], orig[k]
+                    pf = -pf
+                continue
+            kp = k + 1 + i
+            reached = hi
+            hi = max(hi, reach[orig[k + 1]], reach[orig[kp]])
+            if i:
+                a[[k + 1, kp], k + 1:hi] = a[[kp, k + 1], k + 1:hi]
+                a[k + 1:hi, [k + 1, kp]] = a[k + 1:hi, [kp, k + 1]]
+                p[[j + 1, j + 1 + i]] = p[[j + 1 + i, j + 1]]
+                q[[j + 1, j + 1 + i]] = q[[j + 1 + i, j + 1]]
+                orig[k + 1], orig[kp] = orig[kp], orig[k + 1]
+                row[[0, i]] = row[[i, 0]]
+                pf = -pf
+            pivot = row[0]
+            pf, x = gaussian._renormalised(pf * pivot, x)
+            if k + 2 < hi:
+                tau = row[1:] / pivot
+                col = -(a[k + 1, k + 2:hi] + q[j + 2:hi - k0, :j] @ p[j + 1, :j])
+                p[j + 2:reached - k0, j] = tau
+                p[j + 2:hi - k0, j + 1] = col
+                q[j + 2:hi - k0, j] = col
+                q[j + 2:reached - k0, j + 1] = -tau
+            k += 2
+        if k < hi:
+            a[k:hi, k:hi] += p[k - k0:hi - k0] @ q[k - k0:hi - k0].T
+    return pf, x, k
 
 
 def random_antisymmetric(rng, n):
@@ -222,10 +291,8 @@ def test_banded_core_schur_identity(rng):
         if rng.random() < 0.4:
             rows = rng.choice(core, size=int(rng.integers(1, 3)))
             a[np.ix_(rows, range(core))], a[np.ix_(range(core), rows)] = 0.0, 0.0
-        eliminated = a.copy()
-        pf, e = dense_eliminate(eliminated, core)
+        pf, e, schur = dense_eliminate(a, core)
         deferred += e < core
-        schur = eliminated[e:, e:]
         for size in range(extra + 1):
             for subset in itertools.combinations(range(core, n), size):
                 rows = list(range(core)) + list(subset)
@@ -250,13 +317,12 @@ def test_deferred_rows_keep_their_pending_updates(rng):
     a[4:6, core:] = rng.normal(size=(2, 2))
     a[core, core + 1] = 0.8
     a -= a.T
-    eliminated = a.copy()
-    pf, e = dense_eliminate(eliminated, core)
+    pf, e, schur = dense_eliminate(a, core)
     assert e == core - 3
-    assert np.max(np.abs(eliminated[e:core, e:])) <= 1e-12
+    assert np.max(np.abs(schur[:core - e])) <= 1e-12
     for subset in ((core,), (core + 1,)):
         small = [0, 1, 2] + [r - e for r in subset]
-        assert abs(pf * pfaffian(eliminated[e:, e:][np.ix_(small, small)])) <= 1e-12
+        assert abs(pf * pfaffian(schur[np.ix_(small, small)])) <= 1e-12
 
 
 def test_fast_matches_oracle_loop_and_empty():
@@ -303,7 +369,7 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
                                      + els[t2:])
             _, points, _, trace = assemble_frontier(dotted)
-            entry = contraction_matrix(trace, points)[0][0, 1]
+            entry = dense(contraction_matrix(trace, points))[0, 1]
             assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
             zeros += entry == 0
             ones += (t1, p1) == (t2, p2) and entry == 1
@@ -345,10 +411,8 @@ def test_singular_core_rows_are_deferred(rng):
     a = random_antisymmetric(rng, n)
     a[np.ix_([1, 4], range(core))] = 0.0
     a[np.ix_(range(core), [1, 4])] = 0.0
-    eliminated = a.copy()
-    pf, e = dense_eliminate(eliminated, core)
+    pf, e, schur = dense_eliminate(a, core)
     assert e == core - 2
-    schur = eliminated[e:, e:]
     for size in (0, 2, 4):
         for subset in itertools.combinations(range(core, n), size):
             rows = list(range(core)) + list(subset)
@@ -490,17 +554,18 @@ def test_non_finite_value_reports_the_matrix_before_elimination(monkeypatch):
     seen = []
     real = gaussian._eliminate
 
-    def eliminate(a, *args):
-        seen.append(float(np.max(np.abs(a))))
-        return real(a, *args)
+    def eliminate(w, *args):
+        seen.append(float(np.max(np.abs(dense(w)))))
+        return real(w, *args)
 
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
-    loops = (Cap(0), Cup(0)) * 2  # sqrt(2) each: the amplitude overflows
+    loops = (Cap(0), Cup(0)) * 2  # sqrt(2) each: the amplitude passes the float range
     d = MajoranaDiagram(0, 0, (Cap(0), Cap(2), Scattering(1, 1.4), DotPair(0, 3), Cup(2), Cup(0))
                         + loops, 1e308)
     prepared = PreparedDiagram(d)
     assert prepared._points == 4
-    message = rf"a 4 x 4 Pfaffian with largest \|entry\| {seen[0]:.3g} and amplitude inf"
+    message = (rf"a 4 x 4 Pfaffian with largest \|entry\| {seen[0]:.3g} and amplitude "
+               r"[0-9.]+ x 2\^[0-9]+ \(")
     with pytest.raises(NumericalInstability, match=message):
         prepared.evaluate([0])
 
@@ -600,19 +665,19 @@ def contraction_matrix_by_mask(trace, order):
 def prepared_cases(rng, monkeypatch):
     """Prepare random closed diagrams with 0 to 4 point groups, Clifford cores
     with their projections and a small Ising lattice.  Yields, for each, the
-    points and the (W, x, y) of `contraction_matrix`, and the matrix, reach
-    and scale that `_eliminate` was given."""
+    trace, the points and the `_Rows` of `contraction_matrix`, and the
+    `_Rows` that `_eliminate` was given."""
     built, eliminated = [], []
     real_build, real_eliminate = gaussian.contraction_matrix, gaussian._eliminate
 
     def build(trace, order):
-        w, x, y = real_build(trace, order)
-        built.append((trace, order, w.copy(), x, y))
-        return w, x, y
+        w = real_build(trace, order)
+        built.append((trace, order, w))
+        return w
 
-    def eliminate(a, core, singular_tol, reach, scale):
-        eliminated.append((a.copy(), list(reach), scale))
-        return real_eliminate(a, core, singular_tol, reach, scale)
+    def eliminate(w, core, singular_tol):
+        eliminated.append(w)
+        return real_eliminate(w, core, singular_tol)
 
     monkeypatch.setattr(gaussian, "contraction_matrix", build)
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
@@ -622,49 +687,55 @@ def prepared_cases(rng, monkeypatch):
     cases.append((build_ising_quon(IsingLattice.square(4, 5, 0.3)).core, []))
     for d, groups in cases:
         PreparedDiagram(d, groups)
-        yield built.pop() + eliminated.pop()
+        yield built.pop() + (eliminated.pop(),)
 
 
 def test_pair_lists_give_the_mask_formulas_matrix(rng, monkeypatch):
     """W from the pairs of each loop equals W from the N x N mask of all
-    pairs, entry for entry, and the pairs, each once, are its nonzeros."""
+    pairs, entry for entry and bit for bit, and the pairs, each once, are its
+    nonzeros.  Blocks of 7 pairs: some rows are longer than a block, and
+    some blocks hold several rows."""
+    monkeypatch.setattr(gaussian, "PAIRS", 7)
     points = 0
-    for trace, order, w, x, y, *_ in prepared_cases(rng, monkeypatch):
-        assert np.array_equal(w, contraction_matrix_by_mask(trace, order))
-        pairs = sorted(zip(np.minimum(x, y).tolist(), np.maximum(x, y).tolist()))
-        assert pairs == [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(w)))]
+    for trace, order, w, _ in prepared_cases(rng, monkeypatch):
+        a = dense(w)
+        assert np.array_equal(raw_bits(a), raw_bits(contraction_matrix_by_mask(trace, order)))
+        rows = np.repeat(np.arange(len(order)), np.diff(w.starts))
+        pairs = sorted(zip(w.cols.tolist(), rows.tolist()))
+        assert pairs == [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(a)))]
         points += len(order)
     assert points > 1000
 
 
 def test_reaches_cover_every_entry_eliminated(rng, monkeypatch):
     """Every nonzero of the matrix `_eliminate` is given, the 1/mu entries
-    of the optional pairs and the group rows included, lies before its row's
-    reach, and the scale is max(max|entry|, 1).  The 1/mu entries widen
-    some reaches beyond those of the contractions."""
+    of the optional pairs and the group rows included, lies before the reach
+    it finds for its row, and the largest |entry| it finds is the matrix's.
+    The 1/mu entries widen some reaches beyond those of the contractions."""
     widened = 0
-    for *_, w, _, _, a, reach, scale in prepared_cases(rng, monkeypatch):
+    for *_, contractions, w in prepared_cases(rng, monkeypatch):
+        a = dense(w)
+        reach = np.array(w.reach())
         rows, cols = np.nonzero(a)
-        assert np.all(cols < np.array(reach, dtype=int)[rows])
-        assert scale == max(float(np.max(np.abs(a), initial=0.0)), 1.0)
-        widened += np.count_nonzero(np.array(reach) > _dense_reach(np.abs(w)))
+        assert np.all(cols < reach[rows])
+        assert w.largest() == float(np.max(np.abs(a), initial=0.0))
+        widened += np.count_nonzero(reach > dense_reach(np.abs(dense(contractions))))
     assert widened > 20
 
 
 def test_ising_evaluation_holds_little_beyond_its_matrix():
-    """A 14 x 14 Ising Z (N = 728) is one W and a banded elimination of it;
-    traced allocations stay within 1.5 times W's bytes, which a dense copy
-    or a full |W| scan of W would break."""
-    lattice = IsingLattice.square(14, 14, 0.3)
+    """20 x 20 at K = 0.4 (N = 1520 points) holds W by its nonzeros and a
+    window of the elimination: traced allocations stay below 16 MB, where a
+    dense W alone is 37 MB."""
+    lattice = IsingLattice.square(20, 20, 0.4)
     evaluate_closed_quon(build_ising_quon(lattice))  # warm-up
-    w_bytes = 728 ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         evaluate_closed_quon(build_ising_quon(lattice))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * w_bytes, f"traced peak {peak / w_bytes:.2f} x W"
+    assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_elimination_keeps_its_product_in_float_range():
@@ -675,7 +746,7 @@ def test_elimination_keeps_its_product_in_float_range():
     a = np.zeros((400, 400), dtype=complex)
     a[np.arange(0, 400, 2), np.arange(1, 400, 2)] = 1e8
     a -= a.T
-    pf, x, e = _eliminate(a.copy(), 400, SINGULAR_TOL, _dense_reach(np.abs(a)), 1e8)
+    pf, x, e, *_ = _eliminate(_Rows.of(a), 400, SINGULAR_TOL)
     assert e == 400 and math.isfinite(abs(pf))
     assert math.log2(abs(pf)) + x == pytest.approx(1600 * math.log2(10), rel=1e-14)
     assert pfaffian(a) == complex(math.inf, 0)
@@ -683,3 +754,56 @@ def test_elimination_keeps_its_product_in_float_range():
     for _ in range(30):
         product *= 1e8
     assert pfaffian(a[:60, :60]) == product
+
+
+@pytest.mark.filterwarnings("error")
+def test_pivots_past_the_float_range_within_one_panel():
+    """26 pivots of 1e12 and then 6 of 1e-3 in one panel: the product passes
+    1e308 after 26 steps, so it is renormalised within the panel, and the
+    Pfaffian, 1e294, comes back with no warning."""
+    a = np.zeros((64, 64), dtype=complex)
+    a[np.arange(0, 64, 2), np.arange(1, 64, 2)] = [1e12] * 26 + [1e-3] * 6
+    a -= a.T
+    assert 2 * PANEL == 64
+    assert abs(pfaffian(a) - 1e294) <= 1e-12 * 1e294
+
+
+def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
+    """`_eliminate`, which holds only a window of the matrix, gives the same
+    Pfaffian, power of two, row count and Schur complement, bit for bit, as
+    `reference_eliminate` on the whole matrix: random closed diagrams with
+    groups, Clifford cores with deferrals, Ising lattices, and random dense
+    and banded `pfaffian` inputs."""
+    calls = []
+    real = gaussian._eliminate
+
+    def eliminate(w, core, singular_tol):
+        result = real(w, core, singular_tol)
+        calls.append((w, core, singular_tol, result))
+        return result
+
+    monkeypatch.setattr(gaussian, "_eliminate", eliminate)
+    for _ in range(60):
+        d = random_closed_diagram(rng, max_width=12, max_elems=40)
+        PreparedDiagram(d, random_groups(rng, d, int(rng.integers(0, 5))))
+    for d, groups in clifford_cores(rng, 6):
+        PreparedDiagram(d, groups)
+    edges = IsingLattice.square(9, 7, 0.3).edges
+    overrides = {(a, b): float(k) for (a, b, _), k in zip(edges, rng.uniform(0.1, 0.6, len(edges)))}
+    for lattice in (IsingLattice.square(9, 7, 0.3, overrides), IsingLattice.square(12, 12, 0.4)):
+        evaluate_closed_quon(build_ising_quon(lattice))
+    for n in (4, 2 * PANEL + 6, 150):
+        pfaffian(random_antisymmetric(rng, n))
+        pfaffian(np.triu(np.tril(random_antisymmetric(rng, n), 3), -3))
+    deferred = windowed = 0
+    for w, core, singular_tol, (pf, x, e, schur, largest) in calls:
+        a = dense(w)
+        mag = np.abs(a)
+        want = reference_eliminate(a, core, singular_tol, dense_reach(mag),
+                                   max(float(mag.max(initial=0.0)), 1.0))
+        assert (raw_bits(pf).tolist(), x, e) == (raw_bits(want[0]).tolist(), want[1], want[2])
+        assert np.array_equal(raw_bits(schur), raw_bits(a[e:, e:]))
+        assert largest == float(mag.max(initial=0.0))
+        deferred += e < core
+        windowed += len(a) > 4 * PANEL
+    assert deferred >= 5 and windowed >= 3

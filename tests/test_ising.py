@@ -13,7 +13,6 @@ from quon2d.diagram import ScatteringStar, VERTICAL
 from quon2d.errors import (
     InvariantViolation,
     NonPlanarInput,
-    NumericalInstability,
     Singular,
     TooManySites,
 )
@@ -306,15 +305,15 @@ def transfer_log_z(rows: int, cols: int, coupling: float) -> float:
 def test_a_strip_whose_pfaffian_passes_the_float_range():
     """120 x 4 at K = 0.4: the Pfaffian of W passes 1.8e308 and the
     amplitude is tiny, yet Z, near e^407, is a float; it matches the
-    transfer matrix.  At 200 x 4 the amplitude itself is not finite, which
-    is still a typed error."""
-    z = evaluate_closed_quon(build_ising_quon(IsingLattice.square(120, 4, 0.4)))
-    assert abs(z.imag) <= 1e-9 * abs(z.real)
-    want = transfer_log_z(120, 4, 0.4)
-    assert want == pytest.approx(407.48, abs=0.01)
-    assert abs(math.log(z.real) - want) <= 1e-9 * want
-    with pytest.raises(NumericalInstability):
-        evaluate_closed_quon(build_ising_quon(IsingLattice.square(200, 4, 0.4)))
+    transfer matrix.  At 80 x 4 and K = 0.1 the product of element weights
+    alone underflows a float, and at 200 x 4 and K = 0.4 the lattice's
+    prefactor sqrt(2)^sites e^(K edges) passes it; both still match."""
+    for rows, coupling, log_z in ((120, 0.4, 407.48), (80, 0.1, 224.61), (200, 0.4, 679.41)):
+        z = evaluate_closed_quon(build_ising_quon(IsingLattice.square(rows, 4, coupling)))
+        assert abs(z.imag) <= 1e-9 * abs(z.real)
+        want = transfer_log_z(rows, 4, coupling)
+        assert want == pytest.approx(log_z, abs=0.01)
+        assert abs(math.log(z.real) - want) <= 1e-9 * want
 
 
 def test_transfer_matrix_matches_spin_enumeration():
