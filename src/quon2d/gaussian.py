@@ -56,16 +56,23 @@ The matrix W is kept as its nonzeros, row by row (`_Rows`, built by
 and eliminated by the windowed, blocked Parlett-Reid of `elimination.py`,
 which holds only the rows its window has reached: a banded W, such as an
 Ising lattice's, costs O(nnz + w^2) memory and O(N w^2) time for a window
-of width w, a dense W, such as a compiled circuit's, O(N^3).  A diagram
-without groups is the same elimination with every row in the core, run
-when it is prepared; `pfaffian` runs it on the nonzeros of a copy of any
-matrix.  The terms of a diagram with groups are many small matrices, where
-NumPy's per-call overhead, not arithmetic, would dominate a per-term
-elimination.  `PreparedDiagram.evaluate` gathers them into stacks of equal
-size (at most STACK entries each) and `_pfaffians` (also in
-`elimination.py`) eliminates a whole stack in one unblocked Parlett-Reid
-pass, one rank-2 update of the stack per step.  Everything here is
-validated against the Fock oracle.
+of width w, a dense W, such as a compiled circuit's, O(N^3).  Each pivot
+step there makes about 25 NumPy calls, which on a narrow window cost more
+than its arithmetic, so a banded W is eliminated BLOCK core rows at a time
+where it can: the block A11 is kept when its inverse is finite,
+max|A11| max|A11^-1| <= 1 / DEFER_TOL and every multiplier |A11^-1 A12| is
+at most 1, the bounds that partial pivoting and DEFER_TOL give a step, so a
+kept block makes the terms' Pfaffians no less accurate (the bound is on the
+multipliers, since a term's round-off grows with the product of two of
+them); a refused block runs as steps.  A diagram without groups is the
+same elimination with every row in the core, run when it is prepared;
+`pfaffian` runs it on the nonzeros of a copy of any matrix.  The terms of a
+diagram with groups are many small matrices, where NumPy's per-call
+overhead, not arithmetic, would dominate a per-term elimination.
+`PreparedDiagram.evaluate` gathers them into stacks of equal size (at most
+STACK entries each) and `_pfaffians` (also in `elimination.py`) eliminates
+a whole stack in one unblocked Parlett-Reid pass, one rank-2 update of the
+stack per step.  Everything here is validated against the Fock oracle.
 """
 
 from __future__ import annotations
@@ -80,6 +87,7 @@ from .diagram import MajoranaDiagram
 from .elimination import (
     _HIGH,
     _LOW,
+    DEFER_TOL,
     SINGULAR_TOL,
     _eliminate,
     _ldexp,
@@ -97,13 +105,6 @@ PAIRS = 1 << 16  # point pairs whose contractions are computed together
 MAX_GROUPS = 63  # point groups a term mask, a non-negative int64, can select
 MAX_TERMS = 1 << 20  # terms one evaluation holds: 2^18 of them peaked near 100 MB
 ANTISYMMETRY_TOL = 1e-10  # relative size of a + a^T that `pfaffian` accepts
-# A core pivot at or below DEFER_TOL times the scale is deferred behind the
-# core.  A kept pivot p gives multipliers up to 1/p on the group rows and a
-# term's Pfaffian multiplies two of them, so its round-off grows like
-# eps / p^2: O(1) for p near sqrt(eps), which circuits with angles at
-# k*pi/2 + 1e-8 reach.  With 1e-3 near-Clifford amplitudes stay within 1e-10
-# of the unitary; with 1e-4 an offset of 2e-4 still missed by 3e-9.
-DEFER_TOL = 1e-3
 
 _SQRT2 = math.sqrt(2.0)
 _SUB = 1e-4  # sub-slot offset for multiple insertions of one element
@@ -128,7 +129,8 @@ def pfaffian(mat: np.ndarray) -> complex:
     """Pfaffian of a complex antisymmetric matrix, which is left unchanged:
     `_eliminate` of the nonzeros of a copy, with every row in the core.  A
     deferred row leaves only entries at or below SINGULAR_TOL times
-    max(max|entry|, 1) to pair it with, and makes the Pfaffian zero.
+    max(max|entry|, 1) to pair it with, and makes the Pfaffian zero; the
+    rows of a kept block pivot are not tested (see `_eliminate`).
     Anything but a finite square matrix whose max|a + a^T| is within
     ANTISYMMETRY_TOL of that scale raises InvariantViolation."""
     try:

@@ -214,18 +214,40 @@ def _build_generic(lattice: IsingLattice) -> QuonDiagram:
     return QuonDiagram(_closed_core(els, n, [k for _, _, k in lattice.edges]))
 
 
+def _exp2(k: float) -> tuple[float, int]:
+    """(m, s) with e^k = m * 2^s: (e^k, 0) for |k| <= 512, so that it is
+    the float e^k, and otherwise m = e^(k - s ln 2) near 1, for any k that
+    math.exp would overflow or underflow on."""
+    if abs(k) <= 512:
+        return math.exp(k), 0
+    s = round(k / math.log(2.0))
+    return math.exp(k - s * math.log(2.0)), s
+
+
 def _closed_core(els: list, sites: int, couplings: list[float]) -> MajoranaDiagram:
     """The closed diagram of `els` with amplitude sqrt(2)^sites times e^k
-    for each coupling k, multiplied out in that order as a mantissa and a
-    power of two.  Where the product is a float it is the amplitude, bit for
-    bit the plain product; past the float range the powers of two beyond
-    2^1000 are drawn as bare loops ahead of `els`, two per factor 2 (a
-    closed loop is worth sqrt(2)), so the diagram keeps its value."""
+    for each coupling k (`_exp2`), multiplied out in that order as a
+    mantissa and a power of two.  Where the product is a float it is the
+    amplitude, bit for bit the plain product; past the float range the
+    powers of two beyond 2^1000 are drawn as bare loops ahead of `els`, two
+    per factor 2 (a closed loop is worth sqrt(2)), so the diagram keeps its
+    value.
+
+    Z is at least e^(sum k), the weight of the all-up configuration, so
+    where that alone reaches 2^(1024 + sites / 2) Z passes the float range
+    whatever the Pfaffian, and NumericalInstability is raised before any
+    loop is drawn; below it fewer than sites + 24 pairs of loops are drawn."""
+    weight = math.fsum(couplings) / math.log(2.0)  # log2 e^(sum k)
+    if weight >= 1024 + sites / 2:
+        raise NumericalInstability(
+            f"Z passes the float range: it is at least e^(sum of the couplings) = "
+            f"2^{weight:.4g}, the weight of the all-up configuration")
     amp, x = 1.0, 0
-    factors = [math.sqrt(2.0) ** min(2046, sites - done) for done in range(0, sites, 2046)]
-    for factor in factors + [math.exp(k) for k in couplings]:
+    factors = [(math.sqrt(2.0) ** min(2046, sites - done), 0) for done in range(0, sites, 2046)]
+    for factor, power in factors + [_exp2(k) for k in couplings]:
         amp *= factor
         m, s = math.frexp(amp)
+        x += power
         if not -64 < s <= 64:
             amp, x = m, x + s
     size = math.frexp(amp)[1] + x  # amp * 2^x lies in [2^(size - 1), 2^size)

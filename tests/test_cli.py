@@ -246,7 +246,9 @@ def test_parse_circuit_text_rejects_bad_lines(text, match):
     (("--rows", 300, "--cols", 4, "--K", 0.4), "non-finite value"),
     # 2200 sites: sqrt(2)^sites alone passes the float range
     (("--rows", 1100, "--cols", 2, "--K", 0.4), "non-finite value"),
-], ids=["oracle", "pfaffian", "sites"])
+    # e^(K edges) alone passes the float range: refused before any loop is drawn
+    (("--rows", 2, "--cols", 2, "--K", 710), "Z passes the float range"),
+], ids=["oracle", "pfaffian", "sites", "coupling"])
 def test_ising_overflow_is_one_error_line(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quon2d import gaussian
+from quon2d import elimination, gaussian
 from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
-from quon2d.elimination import PANEL, SINGULAR_TOL, _eliminate, _pfaffians, _Rows
+from quon2d.elimination import BLOCK, PANEL, SINGULAR_TOL, _eliminate, _pfaffians, _Rows
 from quon2d.errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import (
@@ -78,17 +78,41 @@ def dense_reach(mag):
 
 
 def reference_eliminate(a, core, singular_tol, reach, scale):
-    """`_eliminate` on a dense matrix, in place: the same steps, with every
-    row held in `a`, the reaches and scale given.  Returns (pf, x, e) and
-    leaves the Schur complement in a[e:, e:]."""
+    """`_eliminate` on a dense matrix, in place: the same blocks and steps,
+    with every row held in `a`, the reaches and scale given.  Returns
+    (pf, x, e, kept, refused), kept and refused counting the blocks tried,
+    and leaves the Schur complement in a[e:, e:]."""
     n = a.shape[0]
+    size = elimination.BLOCK
     orig = list(range(n))
     hi = 0
-    pf, x = 1.0 + 0.0j, 0
+    negated = False
+    factors, blocks = [], []  # step pivots, and None for each kept block
+    upper = np.triu_indices(size, 1)
+    refused = 0
+    banded = max(reach[:size], default=0) < n
+    width = size if banded and core >= size else 2 * PANEL  # columns of a panel of steps
     k = 0
     while k + 1 < core:
         k0 = k
-        p = np.zeros((n - k0, min(2 * PANEL, core - k0)), dtype=complex)
+        hi = max(hi, k + 2, reach[orig[k]])
+        if banded and k + size <= core:
+            to = max(hi, k + size, *(reach[r] for r in orig[k:k + size]))
+            a11, a12 = a[k:k + size, k:k + size], a[k:k + size, k + size:to]
+            try:
+                inv = np.linalg.inv(a11)
+            except np.linalg.LinAlgError:
+                inv = None
+            if inv is not None and np.abs(inv).max() * np.abs(a11).max() <= 1.0 / DEFER_TOL:
+                x = inv @ a12
+                if np.abs(x).max(initial=0.0) <= elimination.MULTIPLIER_MAX:
+                    blocks.append(a11[upper])
+                    factors.append(None)
+                    a[k + size:to, k + size:to] += a12.T @ x
+                    hi, k = to, k + size
+                    continue
+            refused += 1
+        p = np.zeros((n - k0, min(width, core - k0)), dtype=complex)
         q = np.zeros_like(p)
         while k + 1 < core and k - k0 < p.shape[1]:
             j = k - k0
@@ -97,7 +121,7 @@ def reference_eliminate(a, core, singular_tol, reach, scale):
             i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
             if abs(row[i]) <= singular_tol * scale:
                 if core == n:
-                    return 0.0 + 0.0j, 0, n
+                    return 0.0 + 0.0j, 0, n, len(blocks), refused
                 core -= 1
                 hi = n
                 if core != k:
@@ -106,7 +130,7 @@ def reference_eliminate(a, core, singular_tol, reach, scale):
                     p[[j, core - k0]] = p[[core - k0, j]]
                     q[[j, core - k0]] = q[[core - k0, j]]
                     orig[k], orig[core] = orig[core], orig[k]
-                    pf = -pf
+                    negated = not negated
                 continue
             kp = k + 1 + i
             reached = hi
@@ -118,9 +142,9 @@ def reference_eliminate(a, core, singular_tol, reach, scale):
                 q[[j + 1, j + 1 + i]] = q[[j + 1 + i, j + 1]]
                 orig[k + 1], orig[kp] = orig[kp], orig[k + 1]
                 row[[0, i]] = row[[i, 0]]
-                pf = -pf
+                negated = not negated
             pivot = row[0]
-            pf, x = gaussian._renormalised(pf * pivot, x)
+            factors.append(pivot)
             if k + 2 < hi:
                 tau = row[1:] / pivot
                 col = -(a[k + 1, k + 2:hi] + q[j + 2:hi - k0, :j] @ p[j + 1, :j])
@@ -131,7 +155,19 @@ def reference_eliminate(a, core, singular_tol, reach, scale):
             k += 2
         if k < hi:
             a[k:hi, k:hi] += p[k - k0:hi - k0] @ q[k - k0:hi - k0].T
-    return pf, x, k
+    # the blocks' pivots, all in one stack rebuilt from the entries above the
+    # diagonal, in pivot order among the steps'
+    above = np.array(blocks).reshape(-1, len(upper[0]))
+    stack = np.zeros((len(above), size, size), dtype=complex)
+    stack[:, upper[0], upper[1]] = above
+    stack[:, upper[1], upper[0]] = -above
+    steps = [np.where(zero, 0.0, pivot) for pivot, zero in elimination._pivots(stack, 0.0)]
+    stacked = iter(np.array(steps).T.tolist() if blocks else ())
+    pf, x = 1.0 + 0.0j, 0
+    for factor in factors:
+        for pivot in next(stacked) if factor is None else (factor,):
+            pf, x = gaussian._renormalised(pf * pivot, x)
+    return -pf if negated else pf, x, k, len(blocks), refused
 
 
 def random_antisymmetric(rng, n):
@@ -773,30 +809,44 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
     Pfaffian, power of two, row count and Schur complement, bit for bit, as
     `reference_eliminate` on the whole matrix: random closed diagrams with
     groups, Clifford cores with deferrals, Ising lattices, and random dense
-    and banded `pfaffian` inputs."""
+    and banded `pfaffian` inputs, at the kernel's block size and at blocks
+    of 4 rows, where small diagrams keep and refuse blocks too.  Ising
+    lattices keep blocks and refuse none; at the kernel's block size
+    Clifford cores, whose W is dense, try none."""
     calls = []
+    kind = ["random"]
     real = gaussian._eliminate
 
     def eliminate(w, core, singular_tol):
         result = real(w, core, singular_tol)
-        calls.append((w, core, singular_tol, result))
+        calls.append((kind[0], elimination.BLOCK, w, core, singular_tol, result))
         return result
 
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
-    for _ in range(60):
-        d = random_closed_diagram(rng, max_width=12, max_elems=40)
-        PreparedDiagram(d, random_groups(rng, d, int(rng.integers(0, 5))))
-    for d, groups in clifford_cores(rng, 6):
-        PreparedDiagram(d, groups)
-    edges = IsingLattice.square(9, 7, 0.3).edges
-    overrides = {(a, b): float(k) for (a, b, _), k in zip(edges, rng.uniform(0.1, 0.6, len(edges)))}
-    for lattice in (IsingLattice.square(9, 7, 0.3, overrides), IsingLattice.square(12, 12, 0.4)):
-        evaluate_closed_quon(build_ising_quon(lattice))
-    for n in (4, 2 * PANEL + 6, 150):
-        pfaffian(random_antisymmetric(rng, n))
-        pfaffian(np.triu(np.tril(random_antisymmetric(rng, n), 3), -3))
+    for block in (BLOCK, 4):
+        monkeypatch.setattr(elimination, "BLOCK", block)
+        kind[0] = "random"
+        for _ in range(60):
+            d = random_closed_diagram(rng, max_width=12, max_elems=40)
+            PreparedDiagram(d, random_groups(rng, d, int(rng.integers(0, 5))))
+        kind[0] = "clifford"
+        for d, groups in clifford_cores(rng, 6):
+            PreparedDiagram(d, groups)
+        kind[0] = "ising"
+        edges = IsingLattice.square(9, 7, 0.3).edges
+        overrides = {(a, b): float(k)
+                     for (a, b, _), k in zip(edges, rng.uniform(0.1, 0.6, len(edges)))}
+        for lattice in (IsingLattice.square(9, 7, 0.3, overrides),
+                        IsingLattice.square(12, 12, 0.4)):
+            evaluate_closed_quon(build_ising_quon(lattice))
+        kind[0] = "matrix"
+        for n in (4, 2 * PANEL + 6, 150):
+            pfaffian(random_antisymmetric(rng, n))
+            pfaffian(np.triu(np.tril(random_antisymmetric(rng, n), 3), -3))
     deferred = windowed = 0
-    for w, core, singular_tol, (pf, x, e, schur, largest) in calls:
+    kept, refused = {}, {}
+    for what, block, w, core, singular_tol, (pf, x, e, schur, largest) in calls:
+        monkeypatch.setattr(elimination, "BLOCK", block)
         a = dense(w)
         mag = np.abs(a)
         want = reference_eliminate(a, core, singular_tol, dense_reach(mag),
@@ -806,4 +856,109 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
         assert largest == float(mag.max(initial=0.0))
         deferred += e < core
         windowed += len(a) > 4 * PANEL
-    assert deferred >= 5 and windowed >= 3
+        if what == "ising":
+            assert want[3] > 0 and want[4] == 0
+        if what == "clifford" and block == BLOCK:
+            assert want[3] == want[4] == 0
+        kept[what, block] = kept.get((what, block), 0) + want[3]
+        refused[what, block] = refused.get((what, block), 0) + want[4]
+    assert deferred >= 10 and windowed >= 6
+    assert kept["random", 4] >= 40 and refused["random", 4] >= 40
+    assert kept["ising", BLOCK] >= 30 and refused["matrix", BLOCK] >= 5
+
+
+def counting_blocks(monkeypatch):
+    """Record, in order, whether each block `_eliminate` tries is kept."""
+    kept = []
+    real = elimination._block
+
+    def block(a, upper):
+        above = real(a, upper)
+        kept.append(above is not None)
+        return above
+
+    monkeypatch.setattr(elimination, "_block", block)
+    return kept
+
+
+def test_blocks_match_the_fock_oracle_on_random_diagrams(rng, monkeypatch):
+    """Long, narrow random closed diagrams have a banded W; with blocks of
+    2, 4 and 6 rows hundreds of blocks are kept and refused, and every value
+    matches the Fock oracle within 1e-9."""
+    kept = counting_blocks(monkeypatch)
+    for block in (2, 4, 6):
+        monkeypatch.setattr(elimination, "BLOCK", block)
+        for _ in range(40):
+            d = random_closed_diagram(rng, max_width=8, max_elems=120)
+            ref = evaluate_closed_oracle(d)
+            got = evaluate_closed_fast(d)
+            assert abs(ref - got) <= 1e-9 * max(1.0, abs(ref))
+    assert sum(kept) >= 300 and kept.count(False) >= 100
+
+
+def test_a_refused_block_midway_then_kept_blocks(rng, monkeypatch):
+    """Blocks of 2 rows on a banded matrix of 2 x 2 pivots of 2 and small
+    couplings: the blocks at rows 0 and 2 are kept; at row 4 the pivot 0.5
+    is its row's largest entry, but row 5's entry 1 in column 6 would give
+    a multiplier of 2, so that block is refused and runs as a step; the
+    blocks after it are kept again.  The Pfaffian is the expansion by
+    minors'."""
+    monkeypatch.setattr(elimination, "BLOCK", 2)
+    kept = counting_blocks(monkeypatch)
+    n = 10
+    a = np.triu(np.tril(0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))), 3), 1)
+    a[np.arange(0, n, 2), np.arange(1, n, 2)] = 2.0
+    a[4, 5], a[5, 6] = 0.5, 1.0
+    a -= a.T
+    got = pfaffian(a)
+    assert kept[:3] == [True, True, False] and kept[3:] and all(kept[3:])
+    assert abs(got - pfaffian_recursive(a)) <= 1e-12 * abs(got)
+
+
+def test_prepared_diagram_keeps_core_blocks_under_its_groups(monkeypatch):
+    """An Ising core with parity strings and single dots late in time: its W
+    stays banded, core blocks are kept, and every term is the principal
+    sub-Pfaffian, by the unblocked `_pfaffians`, of the dense W over the
+    core and the term's points."""
+    seen = []
+    real = gaussian._eliminate
+
+    def eliminate(w, core, singular_tol):
+        seen.append(dense(w))
+        return real(w, core, singular_tol)
+
+    monkeypatch.setattr(gaussian, "_eliminate", eliminate)
+    kept = counting_blocks(monkeypatch)
+    d = build_ising_quon(IsingLattice.square(5, 6, 0.3)).core
+    t = len(d.elements)
+    groups = [(t - 10, (0, 1, 2, 3)), (t - 6, (5,)), (t - 6, (1, 2)), (t - 3, (0,))]
+    prepared = PreparedDiagram(d, groups)
+    assert sum(kept) >= 4 and prepared._deferred == 0
+    w, core = seen[0], prepared._points - sum(len(g) for g in prepared._groups)
+    masks = list(range(1 << len(groups)))
+    values = prepared.evaluate(masks)
+    top = float(np.max(np.abs(values)))
+    for mask, got in zip(masks, values):
+        chosen = [g for g in range(len(groups)) if mask >> g & 1]
+        rows = list(range(core)) + [core + i for g in chosen for i in prepared._groups[g]]
+        points = len(rows) - core
+        phase = (1, 1j, -1, -1j)[points // 2 % 4] * (-1) ** sum(int(prepared._flips[g])
+                                                                 for g in chosen)
+        pf = _pfaffians(w[np.ix_(rows, rows)][None].copy())[0]
+        want = prepared.amplitude * phase * complex(gaussian._ldexp(pf, prepared._amp_exp))
+        assert abs(got - want) <= 1e-10 * top
+    assert top > 0
+
+
+def test_ising_blocks_match_spin_enumeration(rng, monkeypatch):
+    """A 3 x 8 lattice (74 points, past one panel) with per-edge couplings
+    up to 1.2: Z from kept blocks matches spin enumeration within 1e-10."""
+    kept = counting_blocks(monkeypatch)
+    edges = IsingLattice.square(3, 8, 0.3).edges
+    overrides = {(a, b): float(k) for (a, b, _), k in zip(edges, rng.uniform(0.1, 1.2, len(edges)))}
+    lattice = IsingLattice.square(3, 8, 0.3, overrides)
+    assert 2 * len(lattice.edges) > 2 * PANEL
+    z = evaluate_closed_quon(build_ising_quon(lattice))
+    assert sum(kept) >= 3 and all(kept)
+    want = partition_oracle(lattice)
+    assert abs(z - want) <= 1e-10 * want

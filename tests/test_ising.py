@@ -13,6 +13,7 @@ from quon2d.diagram import ScatteringStar, VERTICAL
 from quon2d.errors import (
     InvariantViolation,
     NonPlanarInput,
+    NumericalInstability,
     Singular,
     TooManySites,
 )
@@ -232,18 +233,34 @@ def test_star_triangle_solves_wide_couplings(rng, draw):
         assert star_triangle_solve(*u).residual(u) <= 1e-9, u
 
 
-def test_solvers_leave_scipy_unloaded():
-    """Both closed-form solvers run on numpy alone."""
-    code = ("import sys\n"
-            "from quon2d.ising import star_triangle_solve\n"
-            "from quon2d.rewrite import solve_yang_baxter_full\n"
-            "star_triangle_solve(0.3, 0.5, 0.7)\n"
-            "solve_yang_baxter_full(0, 0.7, 0)\n"
-            "assert 'scipy' not in sys.modules\n")
+def run_without_scipy(code: str) -> None:
+    """Run `code` in a fresh interpreter that imports quon2d from this
+    checkout, and check that scipy was never imported."""
     src = str(Path(quon2d.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys\n" + code + "assert 'scipy' not in sys.modules\n"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_solvers_leave_scipy_unloaded():
+    """Both closed-form solvers run on numpy alone."""
+    run_without_scipy("from quon2d.ising import star_triangle_solve\n"
+                      "from quon2d.rewrite import solve_yang_baxter_full\n"
+                      "star_triangle_solve(0.3, 0.5, 0.7)\n"
+                      "solve_yang_baxter_full(0, 0.7, 0)\n")
+
+
+def test_ising_evaluation_leaves_scipy_unloaded():
+    """A 4 x 4 lattice keeps block pivots, which invert with numpy.linalg
+    alone."""
+    run_without_scipy("from quon2d import elimination\n"
+                      "from quon2d.ising import IsingLattice, build_ising_quon\n"
+                      "from quon2d.quon import evaluate_closed_quon\n"
+                      "kept, block = [], elimination._block\n"
+                      "elimination._block = lambda *args: kept.append(block(*args)) or kept[-1]\n"
+                      "evaluate_closed_quon(build_ising_quon(IsingLattice.square(4, 4, 0.3)))\n"
+                      "assert kept and all(above is not None for above in kept)\n")
 
 
 def test_star_triangle_symmetric():
@@ -321,3 +338,17 @@ def test_transfer_matrix_matches_spin_enumeration():
         lattice = IsingLattice.square(rows, cols, coupling)
         assert transfer_log_z(rows, cols, coupling) == pytest.approx(
             math.log(partition_oracle(lattice)), rel=1e-12)
+
+
+def test_a_coupling_past_the_exponential_range():
+    """e^K of a coupling past 512 is folded into the amplitude's power of
+    two, so math.exp never overflows: the two-site Z = 4 cosh K is a float
+    at K = 709 and matches, and at K = 710 the value passes the float range
+    and raises NumericalInstability, as a 2 x 2 lattice at K = 710 does
+    before any loop is drawn."""
+    z = evaluate_closed_quon(build_ising_quon(IsingLattice.square(1, 2, 709.0)))
+    assert abs(z - 4 * math.cosh(709.0)) <= 1e-12 * 4 * math.cosh(709.0)
+    with pytest.raises(NumericalInstability, match="non-finite value"):
+        evaluate_closed_quon(build_ising_quon(IsingLattice.square(1, 2, 710.0)))
+    with pytest.raises(NumericalInstability, match="Z passes the float range"):
+        build_ising_quon(IsingLattice.square(2, 2, 710.0))
