@@ -112,6 +112,23 @@ def _couplings(text: str) -> list[complex]:
     return u
 
 
+# options whose numeric value may start with "-", which argparse reads as an
+# option unless it looks like a plain decimal (-0.1, not -1e-1)
+_SIGNED = ("--K", "--u")
+
+
+def _joined(argv) -> list[str]:
+    """argv with each option of `_SIGNED` and a value after it that starts
+    with a single "-" joined by "=", the form argparse reads as a value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="quon2d", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -160,7 +177,7 @@ def main(argv=None) -> int:
     p.add_argument("-o", "--output")
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # --help and --version exit with code 0
         return USAGE_ERROR if exc.code else 0
 

@@ -11,7 +11,9 @@ written as sub-gates by `_SUBGATES`; together they are keyed by the names of
 * H: three negative braids, amplitude exp(i pi/8),
 * Rz(theta): one vertical scattering on the middle strands,
 * XXRot(theta): cup / scattering / cap across the two blocks, amplitude
-  sqrt(2), plus one parity cut that keeps compositions parity-clean,
+  sqrt(2), plus one parity cut that keeps compositions parity-clean;
+  evaluation prunes it where the diagram already enforces it
+  (`wires.redundant_projections`), as in every benchmark template,
 * CNOT: no block; it is written into the gate stream as its e^{i pi/4 XX}
   decomposition with single-qubit Cliffords,
 * CZ: no block; it is written into the gate stream as H(t) CNOT(c, t) H(t),
@@ -20,7 +22,8 @@ written as sub-gates by `_SUBGATES`; together they are keyed by the names of
 
 `quon_to_dense_tensor` enumerates basis assignments over every open interval
 (top intervals left to right, then bottom ones), which is also how tensor
-legs are ordered; all components are terms of one factorisation.
+legs are ordered; all components are terms of one factorisation, after the
+projections the open diagram already enforces are pruned.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .quon import (
     evaluate_closed_quon,
     projection_sum,
 )
+from .wires import prune_projections
 
 _PI = math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -239,7 +243,9 @@ def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
     """The basis components of q for each assignment of per-interval bits,
     as terms of one `PreparedDiagram` evaluated in one call.
 
-    q is closed once by its all-zero encoders.  Each candidate encoder dot
+    The projections q already enforces for every basis state
+    (`prune_projections`) are dropped first.  q is then closed once by its
+    all-zero encoders.  Each candidate encoder dot
     (`encoder_slots`) is a one-point group: a top interval's at the slice
     after all top caps, a bottom interval's at the slice before the bottom
     cups, each side in descending strand order.  Top slots come first, then
@@ -248,6 +254,7 @@ def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
     More than gaussian.MAX_TERMS terms in all raise TooLarge before any mask
     is built.
     """
+    q = prune_projections(q)
     intervals = q.open_intervals
     closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
     top_end = sum(len(iv.pairing_data.elements) for iv in intervals if iv.side == TOP)

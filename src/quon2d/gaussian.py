@@ -33,10 +33,12 @@ time t_y other than y's own.
 
 One factorisation per diagram.  A parity projection (1 + P)/2 of a hole or
 notch, and a bit-dependent dot of a basis encoder, add an optional group of
-points to the diagram; a term of a hole expansion or a basis component
-selects some of these groups.  A contraction entry depends only on its own
-two points, so every term is a principal sub-Pfaffian of one matrix W over
-the core points followed by every group's points.  `PreparedDiagram`
+points to the diagram (the callers first prune the projections a diagram
+already enforces, `wires.redundant_projections`, so that a compiled
+circuit's amplitude is often one term); a term of a hole expansion or a
+basis component selects some of these groups.  A contraction entry depends
+only on its own two points, so every term is a principal sub-Pfaffian of
+one matrix W over the core points followed by every group's points.  `PreparedDiagram`
 eliminates the core rows of W once and evaluates each term as
 
     sign * Pf(eliminated) * Pf(Schur[deferred + selected])
@@ -65,7 +67,10 @@ at most 1, the bounds that partial pivoting and DEFER_TOL give a step, so a
 kept block makes the terms' Pfaffians no less accurate (the bound is on the
 multipliers, since a term's round-off grows with the product of two of
 them); a refused block runs as steps.  A diagram without groups is the
-same elimination with every row in the core, run when it is prepared;
+same elimination with every row in the core, run when it is prepared, with
+the zero test SINGULAR_TOL; where that leaves a row over, it is run again
+with the last point out of the core, so that small pivots are deferred as
+with groups and the Pfaffian of what is left has its own scale;
 `pfaffian` runs it on the nonzeros of a copy of any matrix.  The terms of a
 diagram with groups are many small matrices, where NumPy's per-call
 overhead, not arithmetic, would dominate a per-term elimination.
@@ -327,7 +332,11 @@ class PreparedDiagram:
     matrices Schur[deferred + S] are gathered into stacks by size, and each
     stack is one `_pfaffians` pass; an odd size is 0.  Without groups every
     point is core: W is eliminated whole, with the zero test SINGULAR_TOL,
-    and the one term is Pf(eliminated), or 0 when a row is left over.  Only
+    and the one term is Pf(eliminated).  When a row is left over, W is
+    eliminated again with DEFER_TOL and its last point out of the core, and
+    the term is Pf(eliminated) * Pf(Schur): a 1/mu near 1/MU_MIN makes W's
+    largest entry so large that a row of O(offset) entries, near a Clifford
+    angle, fails the zero test, although the value is not 0.  Only
     the Schur block is kept.  The amplitude (see `assemble_frontier`) and
     Pf(eliminated) (see `_eliminate`) are each kept as a mantissa and a
     power of two: each value is the amplitude's mantissa times Pf's times
@@ -367,16 +376,27 @@ class PreparedDiagram:
         self._group_of = np.array([g for g, group in enumerate(self._groups) for _ in group],
                                   dtype=int)
         self._points = len(core) + len(extras)
+
+        def contractions() -> _Rows:
+            return contraction_matrix(trace, core + extras).plus_pairs(
+                np.array([i for i, _ in pair_rows.values()], dtype=int),
+                np.array([1.0 / mus[pair_id] for pair_id in pair_rows], dtype=complex))
+
         # without groups the elimination is the whole Pfaffian and a deferral
-        # ends it, so the zero test decides; an update past the float range
-        # reaches `evaluate` as a non-finite value.  W is built in the call,
-        # so that `_eliminate` holds the only reference to its nonzeros.
+        # ends it, so the zero test decides, unless it leaves a row over; an
+        # update past the float range reaches `evaluate` as a non-finite
+        # value.  W is built in the call, so that `_eliminate` holds the only
+        # reference to its nonzeros.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
-                contraction_matrix(trace, core + extras).plus_pairs(
-                    np.array([i for i, _ in pair_rows.values()], dtype=int),
-                    np.array([1.0 / mus[pair_id] for pair_id in pair_rows], dtype=complex)),
-                len(core), DEFER_TOL if extras else SINGULAR_TOL)
+                contractions(), len(core), DEFER_TOL if extras else SINGULAR_TOL)
+            if not extras and not self._pf:
+                # a row left over: its entries are small against W's largest,
+                # which a 1/mu near 1/MU_MIN can make all but any entry.  With
+                # the last point out of the core, small pivots are deferred as
+                # with groups, and Schur's Pfaffian tests them on its own scale
+                self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
+                    contractions(), len(core) - 1, DEFER_TOL)
         self._exp = self._amp_exp + pf_exp  # applied last, to amplitude * term
         self._deferred = len(core) - self._eliminated
 
@@ -415,8 +435,8 @@ class PreparedDiagram:
     def _terms(self, masks: np.ndarray) -> np.ndarray:
         """phase * Pf(eliminated) * Pf(Schur[deferred + S]) of each mask, the
         small Pfaffians gathered into stacks by size."""
-        if not self._groups:  # S is empty; at most one row, an odd one, is left
-            return np.full(len(masks), self._pf * (0.0 if self._deferred else 1.0))
+        if not self._groups:  # S is empty: the Pfaffian of what is left
+            return np.full(len(masks), self._pf * _pfaffians(self._schur[None].copy())[0])
         bits = (masks[:, None] >> np.arange(len(self._groups)) & 1).astype(bool)
         chosen = bits[:, self._group_of]  # each term's selected points, in group order
         points = chosen.sum(axis=1)

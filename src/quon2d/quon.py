@@ -3,11 +3,13 @@
 The manifold is kept abstract: a list of parity cuts (one per hole, each a
 fermion-parity-even projection (1 + P)/2 on a strand subset at a time slice)
 plus open boundary intervals where strands terminate, carrying the pairing
-data of Appendix-style basis encoders.  Closed-Quon evaluation sums over the
-2^{n_h} cut subsets, every term a small Pfaffian of one factorisation of the
-core (gaussian.PreparedDiagram); the oracle path expands each subset into a
-plain Majorana diagram instead.  The string-genus and SWAP-hole relations
-edit the manifold syntactically.
+data of Appendix-style basis encoders.  Closed-Quon evaluation first drops
+the projections the diagram already enforces (`wires.prune_projections`)
+and the holes string-genus removal takes, then sums over the 2^{n} subsets
+of the projections left, every term a small Pfaffian of one factorisation
+of the core (gaussian.PreparedDiagram); the oracle path expands each subset
+of all the projections into a plain Majorana diagram instead.  The
+string-genus and SWAP-hole relations edit the manifold syntactically.
 """
 
 from __future__ import annotations
@@ -44,10 +46,7 @@ from .errors import (
     WidthMismatch,
 )
 from .fock import evaluate_closed_oracle
-from .wires import WireTrace
-
-TOP = "top"
-BOTTOM = "bottom"
+from .wires import BOTTOM, TOP, WireTrace, prune_projections
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -336,15 +335,23 @@ def projection_sum(terms, count: int) -> complex:
 
 
 def evaluate_closed_quon(q: QuonDiagram, use_oracle: bool = False) -> complex:
-    """(1/2)^{n_h} sum over cut subsets of the expanded Majorana diagrams.
+    """(1/2)^n sum over the subsets of n projections of the expanded
+    Majorana diagrams.
 
-    The terms are those of one `PreparedDiagram` whose point groups are the
-    projections' parity strings; `use_oracle` switches every term to the
-    Fock oracle on the expanded core instead.  More than
-    gaussian.MAX_TERMS terms raise TooLarge before any term is built.
+    The projections the diagram already enforces are dropped first
+    (`prune_projections`), then string-genus removal takes the holes it can
+    (`remove_holes_to_fixpoint`); n counts the projections left.  The terms
+    are those of one `PreparedDiagram` whose point groups are their parity
+    strings.  `use_oracle` keeps every projection and evaluates each term
+    with the Fock oracle on the expanded core instead, an independent
+    reference.  More than gaussian.MAX_TERMS terms raise TooLarge before any
+    term is built.  A diagram without projections goes straight to the
+    Pfaffian.
     """
     if q.open_intervals:
         raise HasOpenIntervals(f"{len(q.open_intervals)} open intervals remain")
+    if not use_oracle:
+        q = remove_holes_to_fixpoint(prune_projections(q))
     cuts = all_projections(q)
     n = len(cuts)
     gaussian.check_terms(1 << n, f"{n} projections")
@@ -615,31 +622,6 @@ def _touches_swap_pattern(core: MajoranaDiagram, cut: ParityCut) -> bool:
         if not cut_set:
             return True
     return False
-
-
-# -- cut normalization ------------------------------------------------------
-
-
-def normalize_cuts(q: QuonDiagram) -> QuonDiagram:
-    """Drop cuts whose projection is trivially satisfied.
-
-    Conservative: deletes only cuts with an empty strand set, and cuts whose
-    strands lie on worldlines no element touches anywhere in the diagram (so
-    the parity on them is identically even).  Caps and cups never touch a
-    segment; dots, braids and scatterings can all carry parity across.
-    """
-    trace = WireTrace(q.core)
-    labels = trace.worldline_labels()
-    touched = {labels[seg.sid] for seg in trace.segments if seg.touches}
-    keep = []
-    for cut in q.parity_cuts:
-        if not cut.strands:
-            continue
-        slice_now = trace.slices[cut.time_index]
-        if all(labels[slice_now[s]] not in touched for s in cut.strands):
-            continue
-        keep.append(cut)
-    return replace(q, parity_cuts=tuple(keep))
 
 
 # -- gluing -----------------------------------------------------------------

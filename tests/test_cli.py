@@ -212,6 +212,20 @@ def test_star_triangle_huge_coupling_warns_nothing(capsys, couplings):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("ising", "--K", "-1e-1"),
+    ("star-triangle", "--u", "-1e-1,0.2,0.3"),
+])
+def test_signed_values_with_an_exponent_parse(capsys, command, option, value):
+    """argparse reads "-1e-1" after an option as another option unless it is
+    joined to it; the separate and the joined forms give the same output."""
+    lattice = ("--rows", 2, "--cols", 2) if command == "ising" else ()
+    outputs = [_run(capsys, command, *lattice, *form)
+               for form in ((option, value), (f"{option}={value}",))]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1]
+
+
 def test_star_triangle_prints_the_relative_residual(capsys):
     """The star tensor's largest entry is 4e200; the residual is relative to
     it, so a fit good to round-off reads as one."""

@@ -217,6 +217,18 @@ def test_near_clifford_amplitudes_match_the_unitary(offset):
             assert abs(circuit_amplitude(c, divmod(col, 2), divmod(row, 2)) - u[row, col]) <= 1e-9
 
 
+@pytest.mark.parametrize("offset", [1e-8, -1e-8, 1e-6])
+def test_near_clifford_amplitude_without_projections(offset):
+    """H RZ(offset) H has no projection, so its amplitude is one elimination
+    of the whole W; <1|..|0> is about offset / 2, and W's 1/mu entry near
+    2 / offset makes the rows of that size fail a zero test relative to it.
+    The elimination is then run again with deferral, not read as 0."""
+    c = Circuit(1, (Gate("H", (0,)), Gate("RZ", (0,), offset), Gate("H", (0,))))
+    u = circuit_oracle_unitary(c)
+    for col, row in np.ndindex(2, 2):
+        assert abs(circuit_amplitude(c, (col,), (row,)) - u[row, col]) <= 1e-9
+
+
 def test_near_clifford_zero_amplitude():
     c = Circuit(2, (Gate("CNOT", (1, 0)), Gate("CNOT", (1, 0)), Gate("RZ", (0,), PI / 2 + 1e-8),
                     Gate("CNOT", (0, 1))))

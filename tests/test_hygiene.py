@@ -143,3 +143,23 @@ def test_the_checks_catch_what_they_name():
         "    return lambda: kept\n")
     assert unused_imports(tree) == [(1, "os"), (2, "pi")]
     assert dead_locals(tree) == [(5, "dead"), (8, "c")]
+
+
+# kind dispatch belongs in the element table (`diagram.py`), not in type
+# tests spread over the modules; the cap may only fall
+ISINSTANCE_CAP = 55
+
+
+def isinstance_calls(tree: ast.Module) -> int:
+    return sum(1 for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "isinstance")
+
+
+def test_isinstance_calls_stay_under_the_cap():
+    counts = {path.name: isinstance_calls(ast.parse(path.read_text(), filename=str(path)))
+              for path in MODULES}
+    total = sum(counts.values())
+    assert total <= ISINSTANCE_CAP, (
+        f"{total} isinstance calls in src/quon2d, cap {ISINSTANCE_CAP}: "
+        + ", ".join(f"{name} {n}" for name, n in sorted(counts.items()) if n))
+    assert isinstance_calls(ast.parse("isinstance(x, int)\nf(isinstance)\nisinstance\n")) == 1

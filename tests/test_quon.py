@@ -39,10 +39,11 @@ from quon2d.quon import (
     encoder_ket,
     evaluate_closed_quon,
     expanded_core,
-    normalize_cuts,
+    remove_holes_to_fixpoint,
     string_genus,
     swap_hole_remove,
 )
+from quon2d.wires import prune_projections, redundant_projections
 from quon2d.rewrite import expand_scattering
 
 from conftest import random_closed_diagram
@@ -92,15 +93,18 @@ def test_hole_expansion_bit_exact_both_orders(rng):
 
     for _ in range(20):
         q = random_quon(rng, max_width=10, max_elems=16)
-        n = len(q.parity_cuts)
-        prepared = PreparedDiagram(q.core, [(c.time_index, c.strands) for c in q.parity_cuts])
+        kept = remove_holes_to_fixpoint(prune_projections(q))  # what the evaluator expands
+        n = len(kept.parity_cuts)
+        prepared = PreparedDiagram(kept.core,
+                                   [(c.time_index, c.strands) for c in kept.parity_cuts])
 
         for order in (range(1 << n), reversed(range(1 << n))):
             terms = prepared.evaluate(list(order))
             total = complex(_math.fsum(t.real for t in terms),
                             _math.fsum(t.imag for t in terms)) * 0.5 ** n
             assert total == evaluate_closed_quon(q)
-        # and the element-level expansion agrees numerically
+        # and the element-level expansion of every projection agrees numerically
+        n = len(q.parity_cuts)
         explicit = sum(evaluate_closed_fast(expanded_core(q, s)) for s in range(1 << n))
         assert abs(explicit * 0.5 ** n - evaluate_closed_quon(q)) <= 1e-9
 
@@ -269,15 +273,21 @@ def test_resolution_of_identity(rng):
         assert abs(total - base) <= 1e-9 * max(1.0, abs(base))
 
 
-def test_normalize_cuts_conservative(rng):
-    # only provably trivial cuts are dropped, and evaluation never changes
+def test_prune_projections_keeps_the_value(rng):
+    # only projections the diagram enforces are dropped, and the value of
+    # every projection expanded (the oracle route) never changes
     for _ in range(20):
         q = random_quon(rng, max_width=8, max_elems=12)
-        cleaned = normalize_cuts(q)
-        assert len(cleaned.parity_cuts) <= len(q.parity_cuts)
-        v1 = evaluate_closed_quon(q)
-        v2 = evaluate_closed_quon(cleaned)
+        pruned = prune_projections(q)
+        assert len(pruned.parity_cuts) <= len(q.parity_cuts)
+        v1 = evaluate_closed_quon(q, use_oracle=True)
+        v2 = evaluate_closed_quon(pruned, use_oracle=True)
         assert abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1))
+    # a parity across two untouched loops is not enforced: it halves the value
+    two_loops = MajoranaDiagram(0, 0, (Cap(0), Cap(2), Cup(2), Cup(0)))
+    q = QuonDiagram(two_loops, (ParityCut(2, (0, 2)),))
+    assert prune_projections(q) is q
+    assert evaluate_closed_quon(q) == pytest.approx(1.0)
 
 
 def test_count_holes_monotone():
@@ -289,14 +299,23 @@ def test_count_holes_monotone():
     assert string_genus(q1, 0, "remove").hole_count() == 0
 
 
+# two loops that a generic scattering mixes before and after slice 3, where
+# a projection (1 + i g_0 g_1)/2 holds one strand of each scattering: no push
+# removes it, nor does string-genus removal, since no loop is quiet
+_MIXED = MajoranaDiagram(0, 0, (Cap(0), Cap(0), Scattering(1, 0.3), Scattering(1, 0.5),
+                                Cup(0), Cup(0)))
+
+
 def test_forty_projections_raise_too_large_at_once():
     """2^40 terms: TooLarge comes back before any per-term array is built,
     on the fast and the oracle route, closed or through the dense tensor of
-    an open diagram.  Building the masks alone would take terabytes."""
-    closed = QuonDiagram(MajoranaDiagram.loop(), tuple(ParityCut(1, ()) for _ in range(40)))
-    open_ = QuonDiagram(MajoranaDiagram.identity(2), (),
-                        (OpenInterval(TOP, 0, 2), OpenInterval(BOTTOM, 0, 2)),
-                        notches=tuple(ParityCut(0, (0, 1)) for _ in range(40)))
+    an open diagram.  Building the masks alone would take terabytes.  The
+    projections are ones the pruning cannot remove."""
+    closed = QuonDiagram(_MIXED, tuple(ParityCut(3, (0, 1)) for _ in range(40)))
+    open_ = QuonDiagram(MajoranaDiagram(4, 4, _MIXED.elements[2:4]), (),
+                        (OpenInterval(TOP, 0, 4), OpenInterval(BOTTOM, 0, 4)),
+                        notches=tuple(ParityCut(1, (0, 1)) for _ in range(40)))
+    assert not redundant_projections(closed) and not redundant_projections(open_)
     start = time.perf_counter()
     for use_oracle in (False, True):
         with pytest.raises(TooLarge, match="40 projections"):
@@ -304,6 +323,17 @@ def test_forty_projections_raise_too_large_at_once():
         with pytest.raises(TooLarge, match="40 projections"):
             quon_to_dense_tensor(open_, use_oracle=use_oracle)
     assert time.perf_counter() - start < 1.0
+
+
+def test_thirty_projections_left_after_pruning_raise_too_large():
+    """Ten global parities, which the two cups enforce, are pruned; the 30
+    projections left give 2^30 terms, past the budget: TooLarge, not a
+    MemoryError from 2^30 masks."""
+    q = QuonDiagram(_MIXED, tuple(ParityCut(3, (0, 1)) for _ in range(30))
+                    + tuple(ParityCut(3, (0, 1, 2, 3)) for _ in range(10)))
+    assert redundant_projections(q) == frozenset(range(30, 40))
+    with pytest.raises(TooLarge, match="30 projections"):
+        evaluate_closed_quon(q)
 
 
 def test_term_budget_bound():
