@@ -244,17 +244,19 @@ def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
     as terms of one `PreparedDiagram` evaluated in one call.
 
     The projections q already enforces for every basis state
-    (`prune_projections`) are dropped first.  q is then closed once by its
-    all-zero encoders.  Each candidate encoder dot
-    (`encoder_slots`) is a one-point group: a top interval's at the slice
-    after all top caps, a bottom interval's at the slice before the bottom
-    cups, each side in descending strand order.  Top slots come first, then
-    the projections' parity strings, then bottom slots.  A component is the
-    sum over the projections of the terms with the dots its bits put down.
-    More than gaussian.MAX_TERMS terms in all raise TooLarge before any mask
-    is built.
+    (`prune_projections`) are dropped first; one that it annihilates makes
+    every component 0j, with nothing prepared.  q is then closed once by its
+    all-zero encoders.  Each candidate encoder dot (`encoder_slots`) is a
+    one-point group: a top interval's at the slice after all top caps, a
+    bottom interval's at the slice before the bottom cups, each side in
+    descending strand order.  Top slots come first, then the projections'
+    parity strings, then bottom slots.  A component is the sum over the
+    projections of the terms with the dots its bits put down.  More than
+    gaussian.MAX_TERMS terms in all raise TooLarge before any mask is built.
     """
     q = prune_projections(q)
+    if q is None:
+        return [0j] * len(assignments)
     intervals = q.open_intervals
     closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
     top_end = sum(len(iv.pairing_data.elements) for iv in intervals if iv.side == TOP)

@@ -11,13 +11,18 @@ Conventions fixed here and relied on everywhere else:
 
 * Majorana normalization {g_j, g_k} = 2 delta_jk (so parity factors square
   to the identity).
-* A positive braid is the theta = -pi/2 member of the scattering family up
-  to the U(1) factor exp(-i pi/8); both are kept as distinct element kinds.
+* Every element but a cap or a cup is the operator a*1 + b*M, with
+  (a, b) = `weights()` and M = i^(n//2) g_{s1} ... g_{sn} over its
+  `positions()` s1 < ... < sn, the rightmost acting first: g_j for a Dot
+  and i g_j g_k for a DotPair(j, k) (both weigh (0, 1)), i g_j g_{j+1} for
+  braids and scatterings.  The Fock oracle, the Gaussian sweep, the
+  projection push and the rewrite rules all read this one statement.
+* A braid is PHASE times the vertical Scattering(j, -SIGN * pi/2): SIGN = 1
+  and PHASE = exp(i pi/8) for BraidPos, SIGN = -1 and PHASE = exp(-i pi/8)
+  for BraidNeg (SIGN is 0 for other kinds).
 * Scattering angles are stored exactly as given (complex allowed, 2pi
   periodic); "generic" means further than EPS_ANGLE from every integer
   multiple of pi/2 in the complex plane.
-* The simultaneous dot pair DotPair(j, k) means i * g_j g_k with the right
-  dot (k) acting first; a lone Dot is strictly time ordered.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Iterable, Union
 from .errors import InvariantViolation, NumericalInstability, WidthMismatch
 
 EPS_ANGLE = 1e-9
+I_POWERS = (1, 1j, -1, -1j)  # i^k by k % 4: M's phase is I_POWERS[n // 2 % 4]
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -44,6 +50,7 @@ class _Element:
     KIND = ""  # the document name
     width_delta = 0  # strands added to the slice
     dots = 0  # Majorana operators inserted
+    SIGN = 0  # a braid's sign, +1 or -1; 0 for every other kind
 
     def __post_init__(self):
         try:
@@ -115,6 +122,9 @@ class Dot(_Element):
     def positions(self):
         return (self.j,)
 
+    def weights(self) -> tuple[int, int]:
+        return 0, 1
+
     def check(self, width: int) -> None:
         if not 0 <= self.j < width:
             raise InvariantViolation(f"dot position {self.j} outside 0..{width - 1}")
@@ -136,6 +146,9 @@ class DotPair(_Element):
     def moved(self, positions):
         return DotPair(positions[0], positions[-1])
 
+    def weights(self) -> tuple[int, int]:
+        return 0, 1
+
     def check(self, width: int) -> None:
         if not 0 <= self.j < self.k < width:
             raise InvariantViolation(
@@ -143,30 +156,34 @@ class DotPair(_Element):
             )
 
 
-@dataclass(frozen=True)
-class BraidPos(_Element):
-    KIND = "braid_pos"
-
-    j: int
+class _Braid(_Element):
+    """The two braid kinds: PHASE times the vertical Scattering(j,
+    -SIGN * pi/2), whose weights are exp(-i SIGN pi/4) / sqrt2 * (1, i SIGN)."""
 
     def weights(self) -> tuple[complex, complex]:
-        """Coefficients (a, b) of the operator a*1 + b*U, U = i g_j g_{j+1}."""
-        c = cmath.exp(-1j * math.pi / 8) / math.sqrt(2)
-        return c, 1j * c
+        c = self.PHASE.conjugate() / math.sqrt(2)
+        return c, self.SIGN * 1j * c
+
+
+@dataclass(frozen=True)
+class BraidPos(_Braid):
+    KIND = "braid_pos"
+    SIGN = 1
+    PHASE = cmath.exp(1j * math.pi / 8)
+
+    j: int
 
     def dagger(self):
         return BraidNeg(self.j)
 
 
 @dataclass(frozen=True)
-class BraidNeg(_Element):
+class BraidNeg(_Braid):
     KIND = "braid_neg"
+    SIGN = -1
+    PHASE = cmath.exp(-1j * math.pi / 8)
 
     j: int
-
-    def weights(self) -> tuple[complex, complex]:
-        c = cmath.exp(1j * math.pi / 8) / math.sqrt(2)
-        return c, -1j * c
 
     def dagger(self):
         return BraidPos(self.j)
@@ -334,10 +351,6 @@ class MajoranaDiagram:
 
     def dot_count(self) -> int:
         return sum(el.dots for el in self.elements)
-
-    def is_parity_even(self) -> bool:
-        """Even total dot count; required for a diagram to embed in a Quon manifold."""
-        return self.dot_count() % 2 == 0
 
     def generic_scattering_count(self) -> int:
         return sum(1 for el in self.elements

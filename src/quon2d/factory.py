@@ -306,21 +306,15 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
     if not 0 <= move.site < len(els):
         raise PatternMismatch(f"site {move.site} out of range")
     el = els[move.site]
+    if move.change != "set_angle" and not el.SIGN:
+        raise PatternMismatch(f"element {move.site} is not a braid")
     if move.change == "flip_braid":
-        if not isinstance(el, (BraidPos, BraidNeg)):
-            raise PatternMismatch(f"element {move.site} is not a braid")
         return (q.splice(move.site, 1, (el.dagger(),), q.core.amplitude),
                 replace_ledger(ledger, move))
     if move.change == "braid_to_scattering":
-        if not isinstance(el, (BraidPos, BraidNeg)):
-            raise PatternMismatch(f"element {move.site} is not a braid")
-        # keep the braid's own normalization so non-generic angles are no-ops
-        amp = (
-            cmath.exp(1j * math.pi / 8)
-            if isinstance(el, BraidPos)
-            else cmath.exp(-1j * math.pi / 8)
-        )
-        return (q.splice(move.site, 1, (Scattering(el.j, move.theta),), q.core.amplitude * amp),
+        # the braid is PHASE times a scattering, so a non-generic angle is a no-op
+        return (q.splice(move.site, 1, (Scattering(el.j, move.theta),),
+                         q.core.amplitude * el.PHASE),
                 replace_ledger(ledger, move, is_generic_angle(move.theta)))
     # set_angle
     if not isinstance(el, Scattering):

@@ -9,9 +9,8 @@ through the Jordan-Wigner dictionary:
 * a cap at an even position inserts a fresh qubit in |0> with weight 2^{1/4};
   at an odd position it splits qubit q via |b> -> 2^{-1/4} sum_p |p, p xor b>,
 * cups are the daggers of caps,
-* braids and scatterings act as a*1 + b*(i g_j g_{j+1}) with the element's
-  `weights()`; the parity factor i g_{2q} g_{2q+1} is Z_q and
-  i g_{2q+1} g_{2q+2} is X_q X_{q+1}.
+* every other element acts as its a*1 + b*M (`diagram`'s convention), M
+  built from `apply_gamma`.
 
 Every normalization question elsewhere in the package is settled against
 this oracle.
@@ -19,11 +18,12 @@ this oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram
+from .diagram import I_POWERS, MajoranaDiagram
 from .errors import InvariantViolation, NotClosed, OracleTooLarge
 
 _QUARTER = 2.0 ** 0.25
@@ -81,12 +81,18 @@ def apply_gamma(t: np.ndarray, j: int) -> np.ndarray:
     return u
 
 
-def _parity_factor(t: np.ndarray, j: int) -> np.ndarray:
-    """Apply U = i g_j g_{j+1}: Z_q for even j, X_q X_{q+1} for odd."""
-    q, odd = divmod(j, 2)
-    if odd:
-        return _xmul(_xmul(t, q), q + 1)
-    return _zmul(t, q)
+@functools.lru_cache(maxsize=1024)
+def _monomial(positions: tuple[int, ...], qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """M = i^(n//2) g_{s1} ... g_{sn} on `qubits` qubits as (phases, sources),
+    (M t)[x] = phases[x] * t[sources[x]]: read off M applied to 1, 2, 3, ...,
+    since M permutes the basis states with phases +-1, +-i."""
+    probe = np.arange(1, 2 ** qubits + 1, dtype=complex).reshape((2,) * qubits)
+    probe = I_POWERS[len(positions) // 2 % 4] * functools.reduce(
+        apply_gamma, reversed(positions), probe).ravel()  # the rightmost acts first
+    sources = np.abs(probe).astype(int) - 1
+    phases = np.round(probe / (sources + 1))  # round away the division's last bit
+    phases.flags.writeable = sources.flags.writeable = False  # shared by every call
+    return phases, sources
 
 
 def _apply_cap(t: np.ndarray, j: int, n_after: int) -> np.ndarray:
@@ -133,27 +139,14 @@ def _apply_cup(t: np.ndarray, j: int, n_before: int) -> np.ndarray:
 def apply_element(state: FockState, el) -> FockState:
     """Apply one diagram element to a Fock state."""
     n = state.n_strands // 2
-    t = state.tensor()
-    if isinstance(el, Cap):
-        return FockState(state.n_strands + 2, _apply_cap(t, el.j, n + 1).ravel())
-    if isinstance(el, Cup):
-        return FockState(state.n_strands - 2, _apply_cup(t, el.j, n).ravel())
-    if isinstance(el, Dot):
-        return FockState(state.n_strands, apply_gamma(t, el.j).ravel())
-    if isinstance(el, DotPair):
-        u = apply_gamma(apply_gamma(t, el.k), el.j)
-        return FockState(state.n_strands, (1j * u).ravel())
-    a, b = el.weights()  # braids and scatterings
-    u = a * t + b * _parity_factor(t, el.j)
-    return FockState(state.n_strands, u.ravel())
-
-
-def global_parity(state: FockState) -> FockState:
-    """Apply the global parity operator (dots on every strand, paired left to right)."""
-    t = state.tensor()
-    for q in range(state.n_strands // 2):
-        t = _zmul(t, q)
-    return FockState(state.n_strands, t.ravel())
+    if el.width_delta > 0:
+        return FockState(state.n_strands + 2, _apply_cap(state.tensor(), el.j, n + 1).ravel())
+    if el.width_delta < 0:
+        return FockState(state.n_strands - 2, _apply_cup(state.tensor(), el.j, n).ravel())
+    a, b = el.weights()
+    phases, sources = _monomial(el.positions(), n)
+    t = state.amplitudes
+    return FockState(state.n_strands, a * t + b * (phases * t[sources]))
 
 
 def evaluate_closed_oracle(

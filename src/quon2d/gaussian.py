@@ -1,8 +1,9 @@
 """Polynomial-time evaluator for closed Majorana diagrams.
 
-Every two-strand element is a scalar alpha times (1 + mu * g_j g_{j+1}) with
-mu = i*beta/alpha, so a closed diagram is a free (caps/cups only) wiring
-decorated with weighted pair insertions and dots.  The wiring decomposes into
+Every element but a cap or cup is a*1 + b*M (`diagram`'s convention): a
+times (1 + mu * g_j g_{j+1}), mu = i*b/a, an optional point pair, or, for
+a negligible a, b*M with mandatory points, so a closed diagram is a free
+(caps/cups only) wiring decorated with points.  The wiring decomposes into
 loops worth sqrt(2) each; insertions contract pairwise by Wick's theorem, and
 the weighted sum over insertion subsets collapses into a single Pfaffian:
 
@@ -88,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import MajoranaDiagram
+from .diagram import I_POWERS, MajoranaDiagram
 from .elimination import (
     _HIGH,
     _LOW,
@@ -268,29 +269,24 @@ def assemble_frontier(diag: MajoranaDiagram):
     for t, el in enumerate(diag.elements):
         if el.width_delta:  # caps and cups are the bare wiring
             continue
-        slice_now = trace.slices[t]
-        if el.dots:
-            # a dot pair is i * g_j g_k with g_k acting first
-            if el.dots == 2:
-                amplitude *= 1j
-            for n, p in enumerate(reversed(el.positions())):
-                points.append(_Point(slice_now[p], t + n * _SUB))
-            continue
         a_w, b_w = el.weights()
         if abs(b_w) <= MU_MIN * abs(a_w):
             amplitude *= a_w
         else:
+            positions = el.positions()
             if abs(a_w) <= MU_MIN * abs(b_w):
-                # pure dot-pair insertion: (i*b) g_j g_{j+1}
-                amplitude *= 1j * b_w
+                # a pure insertion b * i^(n//2) g_{s1} ... g_{sn}: mandatory points
+                amplitude *= b_w * I_POWERS[len(positions) // 2 % 4]
                 pair_id = None
             else:
                 mu = 1j * b_w / a_w
                 amplitude *= a_w * mu
                 pair_id = len(mus)
                 mus.append(mu)
-            points.append(_Point(slice_now[el.j + 1], t + 0.0, pair_id))
-            points.append(_Point(slice_now[el.j], t + _SUB, pair_id))
+            slice_now, time = trace.slices[t], t + 0.0
+            for p in reversed(positions):  # the rightmost acts first
+                points.append(_Point(slice_now[p], time, pair_id))
+                time += _SUB
         if not _LOW <= abs(amplitude) < _HIGH:
             amplitude, x = _renormalised(amplitude, x)
 

@@ -339,19 +339,22 @@ def evaluate_closed_quon(q: QuonDiagram, use_oracle: bool = False) -> complex:
     Majorana diagrams.
 
     The projections the diagram already enforces are dropped first
-    (`prune_projections`), then string-genus removal takes the holes it can
+    (`prune_projections`), and one that it annihilates returns 0j at once;
+    then string-genus removal takes the holes it can
     (`remove_holes_to_fixpoint`); n counts the projections left.  The terms
     are those of one `PreparedDiagram` whose point groups are their parity
     strings.  `use_oracle` keeps every projection and evaluates each term
     with the Fock oracle on the expanded core instead, an independent
     reference.  More than gaussian.MAX_TERMS terms raise TooLarge before any
-    term is built.  A diagram without projections goes straight to the
-    Pfaffian.
+    term is built.  A diagram without projections goes straight to the Pfaffian.
     """
     if q.open_intervals:
         raise HasOpenIntervals(f"{len(q.open_intervals)} open intervals remain")
     if not use_oracle:
-        q = remove_holes_to_fixpoint(prune_projections(q))
+        q = prune_projections(q)
+        if q is None:
+            return 0j
+        q = remove_holes_to_fixpoint(q)
     cuts = all_projections(q)
     n = len(cuts)
     gaussian.check_terms(1 << n, f"{n} projections")

@@ -6,7 +6,7 @@ scalars are calibrated against the Fock oracle (see RULE_SCALARS and the
 calibration tests) rather than transcribed from figures:
 
 * a dot relocates across a cap or cup arm at the cost of +-i,
-* a kink (cap, braid, cup) equals exp(-i pi/8 * sign) times the plain strand,
+* a kink (cap, braid, cup) equals 1/PHASE times the plain strand,
 * switching a braid type costs a dot pair and exp(+-i pi/4),
 * a dot pair equals exp(-i pi/4) times a double positive braid,
 * a dot passes a scattering, theta -> pi - theta, at the cost of i e^{i theta},
@@ -66,15 +66,15 @@ from .quon import QuonDiagram
 
 _PI = math.pi
 
-# oracle-calibrated scalars (tests pin every entry)
+# oracle-calibrated scalars (tests pin every entry); a kink costs 1/PHASE
 RULE_SCALARS = {
-    "kink_pos": cmath.exp(-1j * _PI / 8),
-    "kink_neg": cmath.exp(1j * _PI / 8),
+    "kink_pos": BraidPos.PHASE.conjugate(),
+    "kink_neg": BraidNeg.PHASE.conjugate(),
     "braid_switch_pos_to_neg": cmath.exp(1j * _PI / 4),
     "braid_switch_neg_to_pos": cmath.exp(-1j * _PI / 4),
     "pair_dots_to_braids": cmath.exp(-1j * _PI / 4),
-    "scatter_to_braid_pos": cmath.exp(-1j * _PI / 8),
-    "scatter_to_braid_neg": cmath.exp(1j * _PI / 8),
+    "scatter_to_braid_pos": BraidPos.PHASE.conjugate(),
+    "scatter_to_braid_neg": BraidNeg.PHASE.conjugate(),
     "spacetime_loop_factor": math.sqrt(2.0),
 }
 
@@ -152,10 +152,8 @@ class ReidemeisterI(RewriteRule):
         cap, braid, cup = els[i:i + 3]
         if not (isinstance(cup, Cup) and cap.j == cup.j and braid.j in (cap.j - 1, cap.j + 1)):
             return None
-        if isinstance(braid, BraidPos) and self.writhe == 1:
-            return (), RULE_SCALARS["kink_pos"]
-        if isinstance(braid, BraidNeg) and self.writhe == -1:
-            return (), RULE_SCALARS["kink_neg"]
+        if braid.SIGN and braid.SIGN == self.writhe:
+            return (), RULE_SCALARS["kink_pos" if braid.SIGN > 0 else "kink_neg"]
         return None
 
 
@@ -194,13 +192,12 @@ class DotThroughBraid(RewriteRule):
 
     def rewrite(self, els, i):
         dot, braid = els[i:i + 2]
-        if not isinstance(braid, _BRAIDS):
+        if not braid.SIGN:
             return None
-        sign = 1 if isinstance(braid, BraidPos) else -1
         if dot.j == braid.j:
-            return (braid, Dot(braid.j + 1)), sign
+            return (braid, Dot(braid.j + 1)), braid.SIGN
         if dot.j == braid.j + 1:
-            return (braid, Dot(braid.j)), -sign
+            return (braid, Dot(braid.j)), -braid.SIGN
         return None
 
 
@@ -211,7 +208,7 @@ class BraidTypeSwitch(RewriteRule):
 
     def rewrite(self, els, i):
         el = els[i]
-        key = "braid_switch_pos_to_neg" if isinstance(el, BraidPos) else "braid_switch_neg_to_pos"
+        key = "braid_switch_pos_to_neg" if el.SIGN > 0 else "braid_switch_neg_to_pos"
         return (el.dagger(), DotPair(el.j, el.j + 1)), RULE_SCALARS[key]
 
 
@@ -390,17 +387,14 @@ def expand_scattering(diag: MajoranaDiagram, site: int, mode: str = "dots"):
 
 def braid_expansion_weights(el: Element) -> tuple[complex, complex]:
     """(A, B) with: vertical scattering = A*BraidPos + B*BraidNeg
-    (horizontal: weights swapped); braids decompose trivially."""
-    if isinstance(el, BraidPos):
-        return 1.0 + 0.0j, 0.0 + 0.0j
-    if isinstance(el, BraidNeg):
-        return 0.0 + 0.0j, 1.0 + 0.0j
-    if not isinstance(el, (Scattering, ScatteringStar)):
+    (horizontal: weights swapped), the braid of sign s weighing
+    (1 + s i e) / (2 PHASE), e = e^{i theta}; braids decompose trivially."""
+    if el.SIGN:
+        return (1.0 + 0.0j, 0.0 + 0.0j) if el.SIGN > 0 else (0.0 + 0.0j, 1.0 + 0.0j)
+    if not isinstance(el, _SCATTERINGS):
         raise NotAScattering(f"{el!r} has no exponential weight")
     e = el.exponential()
-    a_term = cmath.exp(-1j * _PI / 8) * (1 + 1j * e) / 2
-    b_term = cmath.exp(1j * _PI / 8) * (1 - 1j * e) / 2
-    return a_term, b_term
+    return tuple(b.PHASE.conjugate() * (1 + b.SIGN * 1j * e) / 2 for b in _BRAIDS)
 
 
 # -- angle solvers --------------------------------------------------------
@@ -535,10 +529,8 @@ def _as_vertical_scattering(el: Element):
     or None when it is neither a vertical scattering nor a braid."""
     if isinstance(el, Scattering) and el.orientation == VERTICAL:
         return complex(el.theta), 1.0
-    if isinstance(el, BraidPos):
-        return -_PI / 2, cmath.exp(1j * _PI / 8)
-    if isinstance(el, BraidNeg):
-        return _PI / 2, cmath.exp(-1j * _PI / 8)
+    if el.SIGN:
+        return -el.SIGN * _PI / 2, el.PHASE
     return None
 
 

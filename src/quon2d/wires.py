@@ -6,9 +6,9 @@ are treated as position-preserving here: any worldline they touch is recorded
 as "touched", which is all the quietness predicates (boundary tracking,
 string-genus loops) ever ask.
 
-`redundant_projections` follows the Majorana monomial of a projection
+`projection_eigenvalues` follows the Majorana monomial of a projection
 through the elements instead, with its exact phase, to find the projections
-a diagram already enforces.
+a diagram already enforces (+1) or annihilates (-1).
 """
 
 from __future__ import annotations
@@ -156,30 +156,32 @@ def _across(el, strands: set, forward: bool):
     el g_S = i^dk g_S' el when pushed forward; None when el maps it to no
     monomial.  A cap pushed backward or a cup pushed forward meets the
     monomial with both arms: their pair leaves it as the scalar -i, since
-    the turn is a +1 eigenvector of i g_j g_{j+1}."""
-    j = el.j
+    the turn is a +1 eigenvector of i g_j g_{j+1}.  Any other element is
+    a + b*M (`diagram`'s convention); g_S (|S| even) commutes with M when S
+    holds an even number of M's strands and anticommutes otherwise."""
     grown = el.width_delta
     if grown:
+        j = el.j
         if (grown > 0) == forward:  # the turn opens two strands in the push's direction
             return {p + 2 if p >= j else p for p in strands}, 0
         arms = (j in strands) + (j + 1 in strands)
         if arms == 1:
             return None
         return {p - 2 if p > j + 1 else p for p in strands if p - j not in (0, 1)}, 3 if arms else 0
-    if el.dots:  # g_S and a dot anticommute when the dot is on S
-        return strands, 2 * sum(p in strands for p in el.positions())
-    low = j in strands
-    if low == (j + 1 in strands):  # a + b i g_j g_{j+1} commutes with g_S
+    positions = el.positions()
+    if len(strands.intersection(positions)) % 2 == 0:  # g_S commutes with M
         return strands, 0
     a, b = el.weights()
     if b == 0:
         return strands, 0
+    if a == 0:  # g_S anticommutes with b*M
+        return strands, 2
     if b not in (1j * a, -1j * a):
         return None
     # a braid, a (1 -+ g_j g_{j+1}) for b = +-i a, maps g_j to +-g_{j+1}
     # forward and g_{j+1} to -+g_j; backward the signs swap
-    sign = (b == 1j * a) == (low == forward)
-    return strands ^ {j, j + 1}, 0 if sign else 2
+    sign = (b == 1j * a) == ((positions[0] in strands) == forward)
+    return strands ^ set(positions), 0 if sign else 2
 
 
 def _closure(intervals, side: str):
@@ -193,10 +195,10 @@ def _closure(intervals, side: str):
     return tuple(el.dagger() for iv in ordered for el in reversed(iv.pairing_data.elements))
 
 
-def _enforced(q, index: int, cut, at: dict, forward: bool) -> bool:
-    """Whether the push of `cut`, projection `index` of q (holes, then
-    notches), in one direction shows (1 + P)/2 to act as the identity: P reaches, as
-    i^k g_S, a point where it is the scalar +1.  Every step keeps
+def _eigenvalue(q, index: int, cut, at: dict, forward: bool) -> int | None:
+    """The eigenvalue, +1 or -1, that the push of `cut`, projection `index`
+    of q (holes, then notches), in one direction shows P to take, as i^k g_S
+    with S empty; None where the push stops first.  Every step keeps
     P D = i^k D g_S (backward) or D P = i^k g_S D (forward) for the part D
     of the diagram it crossed; other projections are crossed when they
     commute with g_S (an even overlap)."""
@@ -206,70 +208,73 @@ def _enforced(q, index: int, cut, at: dict, forward: bool) -> bool:
     steps = range(t, len(els)) if forward else range(t - 1, -1, -1)
     for other, others in at.get(t, ()):
         if other != index and len(strands.intersection(others)) % 2:
-            return False
+            return None
     for e in steps:
         moved = _across(els[e], strands, forward)
         if moved is None:
-            return False
+            return None
         strands, dk = moved
         k += dk
-        if not strands:
-            return k % 4 == 0
+        if not strands:  # k is even: |S|/2, plus 3 at each of |S|/2 turns, plus signs
+            return 1 - k % 4  # i^k
         for _, others in at.get(e + 1 if forward else e, ()):
             if len(strands.intersection(others)) % 2:
-                return False
+                return None
     # an open boundary: g_S is then a product of whole intervals' parities,
     # which every basis encoder fixes (its dots are even on each interval),
     # or it is not fixed; the all-zero encoders give the eigenvalue
     side = BOTTOM if forward else TOP
     for iv in q.open_intervals:
         if iv.side == side and len(strands.intersection(iv.strands)) not in (0, iv.size):
-            return False
+            return None
     closure = _closure(q.open_intervals, side)
     for el in closure if forward else reversed(closure):
         moved = _across(el, strands, forward)
         if moved is None:
-            return False
+            return None
         strands, dk = moved
         k += dk
-    return not strands and k % 4 == 0
+    return None if strands else 1 - k % 4
 
 
-def redundant_projections(q) -> frozenset[int]:
-    """The projections of the Quon diagram q (indices into its holes, then
-    its notches) that the diagram already enforces, so that dropping them,
-    together or one at a time, keeps its value or, with open intervals,
-    every basis component.
-
-    A projection (1 + P)/2 with P = i^(n/2) g_{s1} ... g_{sn}, the parity
-    string of its n strands, is redundant when P, pushed backward to the top
-    or forward to the bottom element by element (Heisenberg picture, in
-    Majorana form: Bravyi & Kitaev, quant-ph/0003137), becomes the scalar
-    +1: it empties at turns whose both arms it holds, or it reaches an open
-    boundary as a product of whole intervals' parities whose eigenvalue on
-    the encoders is +1.  The push passes dots (a sign), two-strand elements
-    it holds both or neither strands of, elements without an i g_j g_{j+1}
-    part, braids (a relabelling with a sign) and other projections it
-    commutes with, and stops anywhere else.  Only the other projections are
-    crossed, never used, so each redundant one stays redundant without the
-    others.  A diagram without projections returns at once."""
+def projection_eigenvalues(q) -> dict[int, int]:
+    """The eigenvalue, +1 or -1, that the Quon diagram q fixes for the
+    parity string P = i^(n/2) g_{s1} ... g_{sn} of a projection on n
+    strands, by index into its holes, then its notches; an unfixed P has
+    none.  P is pushed backward to the top or forward to the bottom element
+    by element (Heisenberg picture, in Majorana form: Bravyi & Kitaev,
+    quant-ph/0003137) until it is a scalar: it empties at turns whose both
+    arms it holds, or reaches an open boundary as a product of whole
+    intervals' parities, whose eigenvalue is the same on every basis
+    encoder.  It passes each element as `_across` says and the other
+    projections it commutes with, crossed but never used, so each eigenvalue
+    holds without them."""
     projections = q.parity_cuts + q.notches
-    if not projections:
-        return frozenset()
     at: dict[int, list] = {}  # slice -> (index, strands) of its projections
     for index, cut in enumerate(projections):
         at.setdefault(cut.time_index, []).append((index, cut.strands))
     ahead = len(q.core.elements) / 2  # push the shorter way first
-    return frozenset(index for index, cut in enumerate(projections)
-                     if any(_enforced(q, index, cut, at, forward) for forward in
-                            ((True, False) if cut.time_index > ahead else (False, True))))
+    found = {index: _eigenvalue(q, index, cut, at, cut.time_index > ahead)
+             or _eigenvalue(q, index, cut, at, cut.time_index <= ahead)
+             for index, cut in enumerate(projections)}
+    return {index: value for index, value in found.items() if value}
+
+
+def redundant_projections(q) -> frozenset[int]:
+    """The projections whose P q fixes to +1 (`projection_eigenvalues`): q
+    keeps its value, or every basis component, without them, or any of them."""
+    return frozenset(index for index, value in projection_eigenvalues(q).items() if value == 1)
 
 
 def prune_projections(q):
-    """q without `redundant_projections(q)`; q itself when none is."""
-    drop = redundant_projections(q)
-    if not drop:
+    """q without `redundant_projections(q)`, q itself when there are none,
+    and None when q fixes a P to -1: its projection (1 + P)/2 is then 0,
+    and so is the value, or every basis component, of q."""
+    values = projection_eigenvalues(q)
+    if -1 in values.values():
+        return None
+    if not values:
         return q
     holes = len(q.parity_cuts)
-    return replace(q, parity_cuts=tuple(c for k, c in enumerate(q.parity_cuts) if k not in drop),
-                   notches=tuple(c for k, c in enumerate(q.notches, holes) if k not in drop))
+    return replace(q, parity_cuts=tuple(c for k, c in enumerate(q.parity_cuts) if k not in values),
+                   notches=tuple(c for k, c in enumerate(q.notches, holes) if k not in values))

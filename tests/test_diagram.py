@@ -5,7 +5,6 @@ from quon2d.diagram import (
     BraidPos,
     Cap,
     Cup,
-    Dot,
     MajoranaDiagram,
     Scattering,
     compose,
@@ -83,10 +82,3 @@ def test_generic_angle_predicate():
     assert is_generic_angle(0.3)
     assert is_generic_angle(np.pi / 2 + 1e-6)
     assert is_generic_angle(0.5j)
-
-
-def test_parity_even_flag():
-    d = MajoranaDiagram(2, 2, (Dot(0),))
-    assert not d.is_parity_even()
-    d2 = MajoranaDiagram(2, 2, (Dot(0), Dot(1)))
-    assert d2.is_parity_even()

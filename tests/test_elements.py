@@ -5,6 +5,7 @@ import cmath
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quon2d.diagram import (
@@ -20,6 +21,7 @@ from quon2d.diagram import (
     ScatteringStar,
 )
 from quon2d.errors import InvariantViolation, NumericalInstability
+from quon2d.fock import FockState, apply_element, apply_gamma
 from quon2d.quon import evaluate_closed_quon
 from quon2d.serialize import element_from_dict, element_to_dict, parse_diagram, serialize_diagram
 
@@ -39,7 +41,7 @@ def test_samples_cover_every_kind():
 
 
 @pytest.mark.parametrize("el", SAMPLES, ids=repr)
-def test_element_table(el):
+def test_element_table(el, rng):
     assert el.dagger().dagger() == el
     assert el.moved(el.positions()) == el
     shifted = el.moved([p + 2 for p in el.positions()])
@@ -56,6 +58,31 @@ def test_element_table(el):
     doc = json.loads(json.dumps(element_to_dict(el)))
     assert KINDS[doc["kind"]] is type(el)
     assert element_from_dict(doc, "element") == el
+
+    if el.width_delta:
+        return
+    # the one action: a*1 + b*M, M = i^(n//2) g_{s1} ... g_{sn}, the rightmost first
+    n = len(el.positions())
+    qubits = (max(el.positions()) + 2) // 2
+    state = FockState(2 * qubits, rng.normal(size=2 ** qubits) + 1j * rng.normal(size=2 ** qubits))
+    t = state.tensor()
+    m = t
+    for p in reversed(el.positions()):
+        m = apply_gamma(m, p)
+    a, b = el.weights()
+    assert np.allclose(apply_element(state, el).tensor(), a * t + b * 1j ** (n // 2) * m,
+                       rtol=0, atol=1e-14)
+    if n == 2 and el.positions()[1] == el.j + 1:  # i g_j g_{j+1} is Z_q, or X_q X_{q+1}
+        q, odd = divmod(el.j, 2)
+        if odd:
+            parity = np.flip(t, (q, q + 1))
+        else:
+            parity = t.copy()
+            parity[(slice(None),) * q + (1,)] *= -1
+        assert np.array_equal(1j * m, parity)
+    if el.SIGN:  # a braid is PHASE times the vertical Scattering(-SIGN pi/2)
+        turn = Scattering(el.j, -el.SIGN * cmath.pi / 2).weights()
+        assert np.abs(np.array(el.weights()) - el.PHASE * np.array(turn)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("el", [el for el in SAMPLES if hasattr(el, "angle")], ids=repr)

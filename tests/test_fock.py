@@ -17,7 +17,7 @@ from quon2d.diagram import (
     tensor_product,
 )
 from quon2d.errors import NotClosed, OracleTooLarge
-from quon2d.fock import FockState, evaluate_closed_oracle, global_parity
+from quon2d.fock import evaluate_closed_oracle
 
 from conftest import random_closed_diagram
 
@@ -72,13 +72,6 @@ def test_braid_is_phase_off_scattering():
         MajoranaDiagram(0, 0, base + (Scattering(1, -math.pi / 2),) + close)
     )
     assert v_scat == pytest.approx(cmath.exp(-1j * math.pi / 8) * v_braid)
-
-
-def test_global_parity_squares_to_identity(rng):
-    vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = FockState(4, vec)
-    twice = global_parity(global_parity(state))
-    assert np.allclose(twice.amplitudes, vec)
 
 
 def test_oracle_compose_multiplicativity(rng):

@@ -380,6 +380,22 @@ def test_fast_matches_oracle_randomized(rng):
             assert abs(ref - got) <= 1e-9 * max(1.0, abs(ref))
 
 
+def test_fast_matches_oracle_near_multiples_of_half_pi():
+    """600 random diagrams (vertical scatterings, no stars) with every
+    scattering moved to k pi/2 +- offset, 150 per offset: a weight near 0
+    makes its points mandatory or its 1/mu huge, and both branches of the
+    sweep must keep the 1e-9 contract."""
+    rng = np.random.default_rng(5)
+    for offset in (1e-6, 1e-8, 1e-10, 1e-12):
+        for _ in range(150):
+            d = random_closed_diagram(rng, allow_horizontal=False, allow_star=False)
+            d = d.with_elements(
+                Scattering(el.j, int(rng.integers(4)) * math.pi / 2 + rng.choice((-1, 1)) * offset)
+                if isinstance(el, Scattering) else el for el in d.elements)
+            ref = evaluate_closed_oracle(d)
+            assert abs(evaluate_closed_fast(d) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
 def test_contraction_entries_are_two_dot_ratios(rng):
     """A Dot at slot (t1, p1) and one at (t2, p2), t1 <= t2, multiply a
     caps/cups-only wiring's value by the contraction entry of the two

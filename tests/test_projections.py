@@ -3,12 +3,15 @@
 the identity, on closed diagrams against the Fock oracle and on compiled
 circuits against their unitaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from quon2d import gaussian
 from quon2d.circuits import Circuit, Gate, circuit_oracle_unitary
 from quon2d.compiler import compile_circuit, dense_gate_matrix, quon_to_dense_tensor
-from quon2d.diagram import BraidNeg, BraidPos, Cap, Cup, MajoranaDiagram, Scattering
+from quon2d.diagram import BraidNeg, BraidPos, Cap, Cup, Dot, MajoranaDiagram, Scattering
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.ising import IsingLattice, kw_rewrite_chain
 from quon2d.quon import (
@@ -24,7 +27,7 @@ from quon2d.quon import (
     expanded_core,
     projection_sum,
 )
-from quon2d.wires import prune_projections, redundant_projections
+from quon2d.wires import projection_eigenvalues, prune_projections, redundant_projections
 
 from conftest import random_circuit, random_closed_diagram
 
@@ -53,6 +56,33 @@ def test_the_push_passes_what_maps_the_monomial_to_one(middle, strands, enforced
     if enforced:
         assert abs(oracle - evaluate_closed_oracle(q.core)) <= 1e-12
     assert abs(oracle) > 1e-3 or not enforced
+
+
+def test_a_projection_that_arrives_as_minus_one_makes_the_value_zero(monkeypatch):
+    """i g_0 g_2 becomes -i g_0 g_1 across the negative braid, and the cap
+    makes that -1: the projection kills the state.  The value is 0j with no
+    term run, closed or through the dense tensor of an open diagram, where
+    the push reaches the boundary as -1 on every basis encoder.  The oracle
+    routes keep every projection."""
+    closed = QuonDiagram(_two_loops(BraidNeg(1)), (ParityCut(3, (0, 2)),))
+    intervals = (OpenInterval(TOP, 0, 4), OpenInterval(BOTTOM, 0, 4))
+    core = MajoranaDiagram(4, 4, (Dot(0), Scattering(1, 0.3), Dot(3)))
+    open_ = QuonDiagram(core, (), intervals, notches=(ParityCut(1, (0, 1, 2, 3)),))
+    assert projection_eigenvalues(closed) == {0: -1}
+    assert projection_eigenvalues(open_) == {0: -1}
+    assert prune_projections(closed) is None and prune_projections(open_) is None
+    oracle = evaluate_closed_quon(closed, use_oracle=True)
+    dense = quon_to_dense_tensor(open_, use_oracle=True).entries
+    assert abs(oracle) <= 1e-15 and np.abs(dense).max() <= 1e-15
+    assert np.abs(quon_to_dense_tensor(replace(open_, notches=())).entries).max() > 0.1
+
+    def refuse(*args):
+        raise AssertionError("a diagram the push shows to be 0 was prepared")
+
+    monkeypatch.setattr(gaussian, "PreparedDiagram", refuse)
+    assert evaluate_closed_quon(closed) == 0j
+    entries = quon_to_dense_tensor(open_).entries
+    assert entries.shape == (4,) and not entries.any()
 
 
 def test_pruned_values_match_the_oracle_of_the_unpruned_diagram():
