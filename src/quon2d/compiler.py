@@ -22,8 +22,8 @@ written as sub-gates by `_SUBGATES`; together they are keyed by the names of
 
 `quon_to_dense_tensor` enumerates basis assignments over every open interval
 (top intervals left to right, then bottom ones), which is also how tensor
-legs are ordered; all components are terms of one factorisation, after the
-projections the open diagram already enforces are pruned.
+legs are ordered, and hands them all to `quon._components`, the route that
+`evaluate_closed_quon` takes for a closed diagram's one component.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gaussian
 from .circuits import Circuit, Gate
 from .diagram import (
     BraidNeg,
@@ -62,14 +61,11 @@ from .quon import (
     OpenInterval,
     ParityCut,
     QuonDiagram,
-    all_projections,
+    _components,
     basis_bits,
     encode_basis,
-    encoder_slots,
     evaluate_closed_quon,
-    projection_sum,
 )
-from .wires import prune_projections
 
 _PI = math.pi
 _SQRT2 = math.sqrt(2.0)
@@ -211,82 +207,23 @@ def quon_to_dense_tensor(q: QuonDiagram, use_oracle: bool = False) -> DenseTenso
     """Component enumeration over all basis assignments; legs are the open
     intervals' qubits, top intervals (left to right) first.
 
-    Every component is a set of terms of one factorisation
-    (`_prepared_components`); `use_oracle` instead closes q with each
-    assignment's encoders and evaluates it with the Fock oracle.
+    The components come from `quon._components`, the one route from a
+    diagram to its values, on its fast route or, with `use_oracle`, on its
+    Fock-oracle route.
     """
-    order = sorted(
-        range(len(q.open_intervals)),
-        key=lambda i: (q.open_intervals[i].side != TOP, q.open_intervals[i].start),
-    )
-    leg_counts = [q.open_intervals[i].qubit_count for i in order]
-    rank = sum(leg_counts)
+    order = sorted(range(len(q.open_intervals)),
+                   key=lambda i: (q.open_intervals[i].side != TOP, q.open_intervals[i].start))
+    rank = sum(iv.qubit_count for iv in q.open_intervals)
     if rank > 12:
         raise TooManyLegs(f"{rank} legs exceeds the 12-leg extraction limit")
+    bounds = list(itertools.accumulate((q.open_intervals[i].qubit_count for i in order), initial=0))
     assignments = []
     for bits in itertools.product((0, 1), repeat=rank):  # entry index order
-        groups: list[tuple[int, ...]] = [()] * len(q.open_intervals)
-        pos = 0
-        for i, count in zip(order, leg_counts):
-            groups[i] = tuple(bits[pos:pos + count])
-            pos += count
+        groups = [()] * len(order)
+        for i, lo, hi in zip(order, bounds, bounds[1:]):
+            groups[i] = bits[lo:hi]
         assignments.append(groups)
-    if use_oracle:
-        entries = [evaluate_closed_quon(encode_basis(q, BasisAssignment(groups)), use_oracle=True)
-                   for groups in assignments]
-    else:
-        entries = _prepared_components(q, assignments)
-    return DenseTensor(rank, np.array(entries, dtype=complex))
-
-
-def _prepared_components(q: QuonDiagram, assignments) -> list[complex]:
-    """The basis components of q for each assignment of per-interval bits,
-    as terms of one `PreparedDiagram` evaluated in one call.
-
-    The projections q already enforces for every basis state
-    (`prune_projections`) are dropped first; one that it annihilates makes
-    every component 0j, with nothing prepared.  q is then closed once by its
-    all-zero encoders.  Each candidate encoder dot (`encoder_slots`) is a
-    one-point group: a top interval's at the slice after all top caps, a
-    bottom interval's at the slice before the bottom cups, each side in
-    descending strand order.  Top slots come first, then the projections'
-    parity strings, then bottom slots.  A component is the sum over the
-    projections of the terms with the dots its bits put down.  More than
-    gaussian.MAX_TERMS terms in all raise TooLarge before any mask is built.
-    """
-    q = prune_projections(q)
-    if q is None:
-        return [0j] * len(assignments)
-    intervals = q.open_intervals
-    closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
-    top_end = sum(len(iv.pairing_data.elements) for iv in intervals if iv.side == TOP)
-    # (strand at the boundary, interval, slot) of every candidate dot, per side
-    slots = {
-        side: sorted(((iv.start + s, i, k) for i, iv in enumerate(intervals) if iv.side == side
-                      for k, s in enumerate(encoder_slots(iv))), reverse=True)
-        for side in (TOP, BOTTOM)
-    }
-    cuts = all_projections(closed)
-    gaussian.check_terms(len(assignments) << len(cuts),
-                         f"{len(cuts)} projections over {len(assignments)} basis assignments")
-    groups = (
-        [(top_end, (strand,)) for strand, _, _ in slots[TOP]]
-        + [(c.time_index, c.strands) for c in cuts]
-        + [(top_end + len(q.core.elements), (strand,)) for strand, _, _ in slots[BOTTOM]]
-    )
-    group_of = {(i, k): g for g, (_, i, k) in enumerate(slots[TOP])}
-    group_of.update({(i, k): g for g, (_, i, k) in
-                     enumerate(slots[BOTTOM], len(slots[TOP]) + len(cuts))})
-    masks = []
-    for bit_groups in assignments:
-        selected = 0
-        for i, bits in enumerate(bit_groups):
-            dots = [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
-            for k in dots:
-                selected |= 1 << group_of[(i, k)]
-        masks.extend(selected | s << len(slots[TOP]) for s in range(1 << len(cuts)))
-    terms = gaussian.PreparedDiagram(closed.core, groups).evaluate(masks)
-    return [projection_sum(row, len(cuts)) for row in terms.reshape(len(assignments), -1)]
+    return DenseTensor(rank, np.array(_components(q, assignments, use_oracle), dtype=complex))
 
 
 def dense_gate_matrix(q: QuonDiagram) -> np.ndarray:

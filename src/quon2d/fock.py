@@ -149,6 +149,20 @@ def apply_element(state: FockState, el) -> FockState:
     return FockState(state.n_strands, a * t + b * (phases * t[sources]))
 
 
+def propagate(state: FockState, diag: MajoranaDiagram,
+              limit: int = DEFAULT_ORACLE_LIMIT) -> FockState:
+    """`state`, on diag.width_in strands, after diag's elements; diag's
+    amplitude is left to the caller.  Raises OracleTooLarge when any slice
+    holds more than `limit` Majoranas."""
+    if diag.max_width() > limit:
+        raise OracleTooLarge(f"max width {diag.max_width()} exceeds oracle limit {limit}")
+    if state.n_strands != diag.width_in:
+        raise InvariantViolation(f"{state.n_strands} strands fed to width {diag.width_in}")
+    for el in diag.elements:
+        state = apply_element(state, el)
+    return state
+
+
 def evaluate_closed_oracle(
     diag: MajoranaDiagram, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> complex:
@@ -159,11 +173,7 @@ def evaluate_closed_oracle(
     """
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
-    if diag.max_width() > limit:
-        raise OracleTooLarge(f"max width {diag.max_width()} exceeds oracle limit {limit}")
-    state = FockState.scalar(1.0)
-    for el in diag.elements:
-        state = apply_element(state, el)
+    state = propagate(FockState.scalar(1.0), diag, limit)
     return complex(diag.amplitude) * complex(state.amplitudes[0])
 
 
@@ -172,7 +182,7 @@ def diagram_operator(diag: MajoranaDiagram, limit: int = DEFAULT_ORACLE_LIMIT) -
 
     Columns are obtained by feeding computational basis states in at the top.
     """
-    if diag.max_width() > limit:
+    if diag.max_width() > limit:  # before the matrix is allocated
         raise OracleTooLarge(f"max width {diag.max_width()} exceeds oracle limit {limit}")
     n_in = diag.width_in // 2
     n_out = diag.width_out // 2
@@ -180,8 +190,5 @@ def diagram_operator(diag: MajoranaDiagram, limit: int = DEFAULT_ORACLE_LIMIT) -
     for col in range(2 ** n_in):
         vec = np.zeros(2 ** n_in, dtype=complex)
         vec[col] = 1.0
-        state = FockState(diag.width_in, vec)
-        for el in diag.elements:
-            state = apply_element(state, el)
-        mat[:, col] = state.amplitudes
+        mat[:, col] = propagate(FockState(diag.width_in, vec), diag, limit).amplitudes
     return complex(diag.amplitude) * mat

@@ -236,7 +236,9 @@ def _closed_core(els: list, sites: int, couplings: list[float]) -> MajoranaDiagr
     Z is at least e^(sum k), the weight of the all-up configuration, so
     where that alone reaches 2^(1024 + sites / 2) Z passes the float range
     whatever the Pfaffian, and NumericalInstability is raised before any
-    loop is drawn; below it fewer than sites + 24 pairs of loops are drawn."""
+    loop is drawn; below it fewer than sites + 24 pairs of loops are drawn.
+    An amplitude under 2^-1022 raises it too: on a grid Z is then at least
+    e^(sum |k|), the Neel configuration's weight, past the float range."""
     weight = math.fsum(couplings) / math.log(2.0)  # log2 e^(sum k)
     if weight >= 1024 + sites / 2:
         raise NumericalInstability(
@@ -251,6 +253,10 @@ def _closed_core(els: list, sites: int, couplings: list[float]) -> MajoranaDiagr
         if not -64 < s <= 64:
             amp, x = m, x + s
     size = math.frexp(amp)[1] + x  # amp * 2^x lies in [2^(size - 1), 2^size)
+    if size <= -1022:
+        raise NumericalInstability(
+            f"the amplitude sqrt(2)^sites e^(sum of the couplings) is below 2^{size}, under "
+            f"the float range, and on a grid Z is at least e^(sum of |couplings|), past it")
     doubles = size - 1000 if size > 1024 else 0
     return MajoranaDiagram(0, 0, (Cap(0), Cup(0)) * (2 * doubles) + tuple(els),
                            math.ldexp(amp, x - doubles))

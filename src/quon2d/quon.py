@@ -3,12 +3,13 @@
 The manifold is kept abstract: a list of parity cuts (one per hole, each a
 fermion-parity-even projection (1 + P)/2 on a strand subset at a time slice)
 plus open boundary intervals where strands terminate, carrying the pairing
-data of Appendix-style basis encoders.  Closed-Quon evaluation first drops
-the projections the diagram already enforces (`wires.prune_projections`)
-and the holes string-genus removal takes, then sums over the 2^{n} subsets
-of the projections left, every term a small Pfaffian of one factorisation
-of the core (gaussian.PreparedDiagram); the oracle path expands each subset
-of all the projections into a plain Majorana diagram instead.  The
+data of Appendix-style basis encoders.  One route, `_components`, turns a
+diagram into its basis components (a closed diagram's value is its one
+component): the fast route drops the projections the diagram enforces
+(`wires.prune_projections`) and the holes string-genus removal takes, and
+sums over the subsets of the projections left, every term a small Pfaffian
+of one factorisation (gaussian.PreparedDiagram); the oracle route expands
+each subset of all the projections and propagates Fock states.  The
 string-genus and SWAP-hole relations edit the manifold syntactically.
 """
 
@@ -45,7 +46,7 @@ from .errors import (
     UnknownMode,
     WidthMismatch,
 )
-from .fock import evaluate_closed_oracle
+from .fock import FockState, propagate
 from .wires import BOTTOM, TOP, WireTrace, prune_projections
 
 _SQRT2 = math.sqrt(2.0)
@@ -335,34 +336,88 @@ def projection_sum(terms, count: int) -> complex:
 
 
 def evaluate_closed_quon(q: QuonDiagram, use_oracle: bool = False) -> complex:
-    """(1/2)^n sum over the subsets of n projections of the expanded
-    Majorana diagrams.
-
-    The projections the diagram already enforces are dropped first
-    (`prune_projections`), and one that it annihilates returns 0j at once;
-    then string-genus removal takes the holes it can
-    (`remove_holes_to_fixpoint`); n counts the projections left.  The terms
-    are those of one `PreparedDiagram` whose point groups are their parity
-    strings.  `use_oracle` keeps every projection and evaluates each term
-    with the Fock oracle on the expanded core instead, an independent
-    reference.  More than gaussian.MAX_TERMS terms raise TooLarge before any
-    term is built.  A diagram without projections goes straight to the Pfaffian.
-    """
+    """The value of a closed Quon diagram: its one basis component, from
+    `_components` on the fast route or, with `use_oracle`, the oracle route."""
     if q.open_intervals:
-        raise HasOpenIntervals(f"{len(q.open_intervals)} open intervals remain")
-    if not use_oracle:
-        q = prune_projections(q)
-        if q is None:
-            return 0j
-        q = remove_holes_to_fixpoint(q)
-    cuts = all_projections(q)
-    n = len(cuts)
-    gaussian.check_terms(1 << n, f"{n} projections")
+        raise HasOpenIntervals(
+            f"{len(q.open_intervals)} open intervals remain: close them with encode_basis, "
+            f"or call quon_to_dense_tensor to get every component")
+    return _components(q, [()], use_oracle)[0]
+
+
+def _components(q: QuonDiagram, assignments, use_oracle: bool = False) -> list[complex]:
+    """The basis components of q, one per assignment of per-interval bits
+    (in q.open_intervals order; a closed q has the one assignment ()).
+
+    The fast route drops the projections q enforces for every basis state
+    (`prune_projections`; one it annihilates makes every component 0j) and
+    the holes string-genus removal takes (a closed quiet loop holds no
+    boundary strand, so every encoder leaves it quiet), closes q by its
+    all-zero encoders and evaluates every term in one `PreparedDiagram`
+    call.  Its point groups are each top candidate encoder dot
+    (`encoder_slots`) after all top caps, the projections' parity strings,
+    and each bottom one before the bottom cups, each side in descending
+    strand order; a component's terms have the dots its bits put down.  The
+    oracle route keeps every projection: it propagates each top closure
+    through each expanded core once with the Fock oracle, then each of its
+    assignments' bottom closures.  A component is (1/2)^n times the sum of
+    its terms over the 2^n subsets of n projections; more than
+    gaussian.MAX_TERMS terms raise TooLarge before any is built: in all
+    (fast) or per component (oracle).
+    """
     if use_oracle:
-        return projection_sum(
-            (evaluate_closed_oracle(expanded_core(q, s)) for s in range(1 << n)), n)
-    prepared = gaussian.PreparedDiagram(q.core, [(c.time_index, c.strands) for c in cuts])
-    return projection_sum(prepared.evaluate(range(1 << n)), n)
+        n = len(all_projections(q))
+        gaussian.check_terms(1 << n, f"{n} projections")
+        by_top: dict[MajoranaDiagram, list] = {}  # top closure -> (k, amplitude, bottom)
+        for k, bits in enumerate(assignments):
+            top, bottom = _closures(q, bits)
+            amplitude = top.amplitude * (q.core.amplitude * bottom.amplitude)
+            by_top.setdefault(top, []).append((k, amplitude, bottom))
+        values = [0j] * len(assignments)
+        for top, group in by_top.items():
+            start, terms = propagate(FockState.scalar(1.0), top), [[] for _ in group]
+            for s in range(1 << n):
+                state = propagate(start, expanded_core(q, s))
+                for row, (_, amplitude, bottom) in zip(terms, group):
+                    row.append(amplitude * complex(propagate(state, bottom).amplitudes[0]))
+            for (k, _, _), row in zip(group, terms):
+                values[k] = projection_sum(row, n)
+        return values
+
+    q = prune_projections(q)
+    if q is None:
+        return [0j] * len(assignments)
+    q = remove_holes_to_fixpoint(q)
+    intervals = q.open_intervals
+    closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
+    top_end = sum(len(iv.pairing_data.elements) for iv in intervals if iv.side == TOP)
+    # (strand at the boundary, interval, slot) of every candidate dot, per side
+    slots = {
+        side: sorted(((iv.start + s, i, k) for i, iv in enumerate(intervals) if iv.side == side
+                      for k, s in enumerate(encoder_slots(iv))), reverse=True)
+        for side in (TOP, BOTTOM)
+    }
+    cuts = all_projections(closed)
+    gaussian.check_terms(len(assignments) << len(cuts),
+                         f"{len(cuts)} projections over {len(assignments)} basis assignments")
+    groups = (
+        [(top_end, (strand,)) for strand, _, _ in slots[TOP]]
+        + [(c.time_index, c.strands) for c in cuts]
+        + [(top_end + len(q.core.elements), (strand,)) for strand, _, _ in slots[BOTTOM]]
+    )
+    group_of = {(i, k): g for g, (_, i, k) in enumerate(slots[TOP])}
+    group_of.update({(i, k): g for g, (_, i, k) in
+                     enumerate(slots[BOTTOM], len(slots[TOP]) + len(cuts))})
+    masks = []
+    for bit_groups in assignments:
+        selected = 0
+        for i, bits in enumerate(bit_groups):
+            dots = [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
+            for k in dots:
+                selected |= 1 << group_of[(i, k)]
+        masks.extend(selected | s << len(slots[TOP]) for s in range(1 << len(cuts)))
+    terms = gaussian.PreparedDiagram(closed.core, groups).evaluate(masks)
+    return [projection_sum(row, len(cuts)) for row in terms.reshape(len(assignments), -1)]
 
 
 # -- basis encoders --------------------------------------------------------
@@ -400,46 +455,41 @@ def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
     return MajoranaDiagram(0, interval.size, tuple(elements), amp)
 
 
+def _closures(q: QuonDiagram, bits) -> tuple[MajoranaDiagram, MajoranaDiagram]:
+    """The diagrams that close q's open intervals for the per-interval `bits`:
+    the tensor product of the top intervals' ket encoders and that of the
+    bottom intervals' bras, each left to right."""
+    if len(bits) != len(q.open_intervals):
+        raise BitLengthMismatch(f"{len(bits)} bit groups for {len(q.open_intervals)} intervals")
+    closures = {TOP: MajoranaDiagram.empty(), BOTTOM: MajoranaDiagram.empty()}
+    for iv, b in sorted(zip(q.open_intervals, bits), key=lambda p: (p[0].side != TOP, p[0].start)):
+        ket = encoder_ket(iv, b)
+        closures[iv.side] = dg.tensor_product(closures[iv.side],
+                                              ket if iv.side == TOP else dagger(ket))
+    if closures[TOP].width_out != q.core.width_in:
+        raise WidthMismatch("top encoders do not cover the top boundary")
+    if closures[BOTTOM].width_in != q.core.width_out:
+        raise WidthMismatch("bottom encoders do not cover the bottom boundary")
+    return closures[TOP], closures[BOTTOM]
+
+
 def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
     """Close every open interval with its basis encoder; returns a closed Quon
-    diagram.  A top interval is fed the ket encoder |b> from above; a bottom
-    interval is capped by the bra <b| (the encoder's dagger), so components
-    read <bits_bottom| D |bits_top>.
-
-    Intervals are processed left to right, top before bottom.
+    diagram, q itself when it has no open interval.  A top interval is fed
+    the ket encoder |b> from above; a bottom interval is capped by the bra
+    <b| (the encoder's dagger), so components read <bits_bottom| D |bits_top>.
     """
-    if len(assignment.bits) != len(q.open_intervals):
-        raise BitLengthMismatch(
-            f"{len(assignment.bits)} bit groups for {len(q.open_intervals)} intervals"
-        )
-    order = sorted(
-        range(len(q.open_intervals)),
-        key=lambda i: (q.open_intervals[i].side != TOP, q.open_intervals[i].start),
-    )
-    top = [i for i in order if q.open_intervals[i].side == TOP]
-    bottom = [i for i in order if q.open_intervals[i].side == BOTTOM]
-
-    top_closure = MajoranaDiagram.empty()
-    for i in top:
-        ket = encoder_ket(q.open_intervals[i], assignment.bits[i])
-        top_closure = dg.tensor_product(top_closure, ket)
-    bottom_closure = MajoranaDiagram.empty()
-    for i in bottom:
-        bra = dagger(encoder_ket(q.open_intervals[i], assignment.bits[i]))
-        bottom_closure = dg.tensor_product(bottom_closure, bra)
-
-    if top_closure.width_out != q.core.width_in:
-        raise WidthMismatch("top encoders do not cover the top boundary")
-    if bottom_closure.width_in != q.core.width_out:
-        raise WidthMismatch("bottom encoders do not cover the bottom boundary")
+    top, bottom = _closures(q, assignment.bits)
+    if not q.open_intervals:
+        return q
     # the bottom closure is appended, so nothing needs re-timing for it
-    core = q.core.splice(len(q.core.elements), 0, bottom_closure.elements,
-                         q.core.amplitude * bottom_closure.amplitude)
-    bottom_closed = QuonDiagram(core, q.parity_cuts, [q.open_intervals[i] for i in top],
+    core = q.core.splice(len(q.core.elements), 0, bottom.elements,
+                         q.core.amplitude * bottom.amplitude)
+    bottom_closed = QuonDiagram(core, q.parity_cuts,
+                                [iv for iv in q.open_intervals if iv.side == TOP],
                                 q.boundary_tracking, q.notches)
-    return bottom_closed.splice(0, 0, top_closure.elements,
-                                top_closure.amplitude * core.amplitude, width_in=0,
-                                open_intervals=())
+    return bottom_closed.splice(0, 0, top.elements, top.amplitude * core.amplitude,
+                                width_in=0, open_intervals=())
 
 
 # -- manifold rewrites -----------------------------------------------------

@@ -262,7 +262,10 @@ def test_parse_circuit_text_rejects_bad_lines(text, match):
     (("--rows", 1100, "--cols", 2, "--K", 0.4), "non-finite value"),
     # e^(K edges) alone passes the float range: refused before any loop is drawn
     (("--rows", 2, "--cols", 2, "--K", 710), "Z passes the float range"),
-], ids=["oracle", "pfaffian", "sites", "coupling"])
+    # e^(K edges) alone falls under the float range, and Z is at least e^(4 |K|)
+    (("--rows", 2, "--cols", 2, "--K", -300), "under the float range"),
+    (("--rows", 2, "--cols", 2, "--K", -200), "under the float range"),
+], ids=["oracle", "pfaffian", "sites", "coupling", "underflow-300", "underflow-200"])
 def test_ising_overflow_is_one_error_line(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either

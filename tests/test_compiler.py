@@ -21,10 +21,12 @@ from quon2d.errors import (
     InvalidBit,
     InvariantViolation,
     NonAdjacentTwoQubitGate,
+    OracleTooLarge,
     TooManyLegs,
     UnknownGenerator,
 )
-from quon2d.quon import BasisAssignment, all_projections, encode_basis
+from quon2d.factory import FactoryLedger, Insert, insert_move
+from quon2d.quon import BasisAssignment, all_projections, encode_basis, evaluate_closed_quon
 
 from conftest import random_circuit
 
@@ -368,6 +370,43 @@ def test_random_contraction_matches_dense_oracle(rng):
         got = quon_to_dense_tensor(glued).tensor()
         want = np.einsum("xxab->ab", t)
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_string_hole_pairs_are_removed_before_the_dense_tensor():
+    """20 inserted string-hole pairs leave 21 projections, 2^21 terms over the
+    16 components unless string-genus removal takes the holes first."""
+    c = Circuit(2, (Gate("H", (0,)), Gate("RZ", (1,), 0.7), Gate("XX", (0, 1), 0.4),
+                    Gate("S", (1,)), Gate("H", (1,))))
+    q = compile_circuit(c)
+    ledger = FactoryLedger(q)
+    for _ in range(20):
+        q, ledger = insert_move(q, Insert(1, 1, "string_hole_pair"), ledger)
+    assert len(all_projections(q)) == 21
+    got = quon_to_dense_tensor(q).as_matrix(2).T
+    assert np.max(np.abs(got - circuit_oracle_unitary(c))) <= 1e-9
+
+
+def test_oracle_dense_tensor_shares_its_propagations():
+    """The oracle route propagates each top closure through each expanded
+    core once; every component is still, bit for bit, the oracle value of
+    the diagram its encoders close."""
+    g = Gate
+    c = Circuit(3, (g("H", (0,)), g("CNOT", (0, 1)), g("S", (1,)), g("CNOT", (1, 2)),
+                    g("H", (2,)), g("CNOT", (0, 1)), g("S", (0,)), g("CNOT", (1, 2))))
+    q = compile_circuit(c)
+    tensor = quon_to_dense_tensor(q, use_oracle=True)
+    assert np.max(np.abs(tensor.as_matrix(3).T - circuit_oracle_unitary(c))) <= 1e-12
+    for index in (0, 5, 42, 63):
+        bits = [(index >> (5 - leg)) & 1 for leg in range(6)]
+        groups = [(bits[k],) for k in range(6)]  # top intervals, then bottom ones
+        closed = encode_basis(q, BasisAssignment(tuple(groups)))
+        assert tensor.entries[index] == evaluate_closed_quon(closed, use_oracle=True)
+
+
+def test_oracle_dense_tensor_keeps_its_width_limit():
+    """Six qubits are 24 Majoranas at a slice, past the oracle's 20."""
+    with pytest.raises(OracleTooLarge):
+        quon_to_dense_tensor(compile_circuit(Circuit(6, (Gate("H", (0,)),))), use_oracle=True)
 
 
 def test_too_many_legs():

@@ -1,6 +1,7 @@
 """Source hygiene of `src/quon2d`, checked with `ast`: no import its module
-never uses, no function-local name that is assigned and never read, and no
-diagram built without its checks outside the splice primitive."""
+never uses, no function-local name that is assigned and never read, no
+diagram built without its checks outside the splice primitive, and no
+PreparedDiagram built off the one evaluation route."""
 
 import ast
 from pathlib import Path
@@ -117,6 +118,51 @@ def test_unchecked_builds_are_found():
         "    return q\n")
     assert unchecked_builds(tree) == [(3, "MajoranaDiagram.splice"), (5, "shortcut"),
                                       (6, "shortcut"), (7, "shortcut")]
+
+
+# where a diagram is factorised for evaluation: the one route from a Quon
+# diagram to its values, and the bare Majorana evaluator
+PREPARERS = {
+    ("quon.py", "_components"),
+    ("gaussian.py", "evaluate_closed_fast"),
+}
+
+
+def prepared_builds(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, qualified name of the enclosing function) of every call of
+    `PreparedDiagram`, by that name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "PreparedDiagram" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((child.lineno, scope))
+            named = isinstance(child, (*_FUNCTIONS[:2], ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_diagrams_are_prepared_only_on_the_one_route(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    faults = [f"{path.name}:{line}: {scope or 'module'} builds a PreparedDiagram"
+              for line, scope in prepared_builds(tree) if (path.name, scope) not in PREPARERS]
+    assert not faults, "\n".join(faults)
+
+
+def test_prepared_builds_are_found():
+    tree = ast.parse(
+        "from . import gaussian\n"
+        "def f(d):\n"
+        "    return gaussian.PreparedDiagram(d).evaluate([0])\n"
+        "class C:\n"
+        "    def g(self, d):\n"
+        "        return PreparedDiagram(d, ())\n"
+        "PreparedDiagram.evaluate\n")
+    assert prepared_builds(tree) == [(3, "f"), (6, "C.g")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

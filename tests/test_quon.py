@@ -80,8 +80,10 @@ def test_no_cuts_equals_core():
 def test_open_intervals_rejected():
     q = QuonDiagram(MajoranaDiagram.identity(4), (),
                     (OpenInterval(TOP, 0, 4), OpenInterval(BOTTOM, 0, 4)))
-    with pytest.raises(HasOpenIntervals):
-        evaluate_closed_quon(q)
+    for use_oracle in (False, True):
+        with pytest.raises(HasOpenIntervals,
+                           match="close them with encode_basis, or call quon_to_dense_tensor"):
+            evaluate_closed_quon(q, use_oracle)
 
 
 def test_hole_expansion_bit_exact_both_orders(rng):
