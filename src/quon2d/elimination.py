@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 PANEL = 32  # pivot steps whose trailing updates are applied together
-SINGULAR_TOL = 1e-16  # relative size of a pivot taken as zero
+SINGULAR_TOL = 1e-16  # relative size of a `_pfaffians` pivot taken as zero
 BLOCK = 20  # core rows tried as one block pivot (see `_block`)
 # A kept block's multipliers are at most 1; W's entries are phases, and a
 # multiplier that is 1 exactly comes out a few ulps above it
@@ -126,7 +126,7 @@ class _Rows(NamedTuple):
         return _Rows(starts, cols, lower, upper)
 
 
-def _eliminate(w: _Rows, core: int, singular_tol: float):
+def _eliminate(w: _Rows, core: int):
     """Blocked, banded Parlett-Reid elimination of the first `core` rows of
     the antisymmetric matrix W, given by its nonzeros.
 
@@ -164,24 +164,25 @@ def _eliminate(w: _Rows, core: int, singular_tol: float):
     the end: each A11 is held by its entries above the diagonal, and
     `_product` multiplies the pivots of one `_pivots` pass over their stack
     into the steps' pivots, each block's in its place, so pf * 2^x is the
-    plain product of the pivots in pivot order.  A kept block is not tested
-    against singular_tol: its conditioning bound already keeps it away from
-    singular.  A refused block runs as steps, one panel of BLOCK columns with
-    pivoting and deferral as below, and the next block is tried after it.
+    plain product of the pivots in pivot order.  A kept block's pivots are
+    not tested: its conditioning bound already keeps it away from singular.
+    A refused block runs as steps, one panel of BLOCK columns with pivoting
+    and deferral as below, and the next block is tried after it.
     A W that is not banded takes no block, and its panels are 2 * PANEL
     columns wide.
 
     Step k pivots the largest |entry| of row k among the remaining core
     columns into column k + 1 and eliminates with the rank-2 update
     tau col^T - col tau^T of the trailing block.  When that entry is at or
-    below singular_tol times scale = max(max|entry|, 1), row k is deferred
-    instead: swapped behind the remaining core rows.  With no rows after the
-    core it has nothing left to pair with, and the elimination stops with
-    pf = 0 and e = n: nothing is left of the Schur complement.
-    A kept pivot bounds the multipliers of the columns after the core by
-    1 / singular_tol; a term's Pfaffian over those columns multiplies two
-    of them, so its round-off grows like eps / singular_tol^2, which is why
-    `PreparedDiagram` passes DEFER_TOL and not a tolerance near sqrt(eps).
+    below DEFER_TOL times scale = max(max|entry|, 1), row k is deferred
+    instead: swapped behind the remaining core rows, into the Schur
+    complement, whose Pfaffians `_pfaffians` takes on their own scale; with
+    every row in the core, Pf(W) = pf * 2^x * Pf(schur), and a row with no
+    usable pivot at all makes that last Pfaffian 0.  A kept pivot bounds the
+    multipliers of the columns after the core by 1 / DEFER_TOL; a term's
+    Pfaffian over those columns multiplies two of them, so its round-off
+    grows like eps / DEFER_TOL^2, which is why DEFER_TOL is not near
+    sqrt(eps).
     Within a panel the updates stay pending in p and q (the current matrix
     is the stored one plus p q^T); each step reads rows k and k + 1 with one
     matrix-vector product each, and the panel's updates reach the trailing
@@ -248,9 +249,7 @@ def _eliminate(w: _Rows, core: int, singular_tol: float):
                 a, p, q = win.load(hi, k0, p, q)
             row = a[j, j + 1:hi - k0] + q[j + 1:hi - k0, :j] @ p[j, :j]
             i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
-            if abs(row[i]) <= singular_tol * scale:
-                if core == n:  # nothing kept: row k pairs with no row at all
-                    return 0.0 + 0.0j, 0, n, np.zeros((0, 0), dtype=complex), largest
+            if abs(row[i]) <= DEFER_TOL * scale:
                 core -= 1  # defer row k behind the remaining core rows
                 hi = n
                 a, p, q = win.load(n, k0, p, q)
@@ -457,7 +456,8 @@ def _pfaffians(a: np.ndarray) -> np.ndarray:
     """Pfaffians of a stack a[t] of antisymmetric matrices, overwriting a:
     the products of their `_pivots`.  A row whose largest |entry| is at or
     below SINGULAR_TOL times max(max|entry|, 1) of its matrix makes that
-    Pfaffian exactly 0 (as in `pfaffian`).  Every operation acts on each
+    Pfaffian exactly 0: the zero test of every Pfaffian, since `_eliminate`
+    defers small pivots into these matrices.  Every operation acts on each
     matrix alone, so a Pfaffian does not depend on the other matrices in the
     stack."""
     count, n = a.shape[:2]

@@ -45,12 +45,12 @@ eliminates the core rows of W once and evaluates each term as
     sign * Pf(eliminated) * Pf(Schur[deferred + selected])
 
 where Schur is the complement left on the rows after the eliminated ones.
-A core row with no usable pivot among the core rows is deferred: swapped
-behind the core, so that it joins every small matrix.  That is a reordering,
-exact in exact arithmetic, and it is what makes the singular cores of
-Clifford circuits work.  The sign is the interleave parity: moving each
-selected point from its place in time to behind the core passes the core
-points later than it.  This follows the few-non-Gaussian-element methods of
+A core row with no pivot above DEFER_TOL among the core rows is deferred:
+swapped behind the core, so that it joins every small matrix.  That is a
+reordering, exact in exact arithmetic, and it is what makes the singular
+cores of Clifford circuits work.  The sign is the interleave parity: moving
+each selected point from its place in time to behind the core passes the
+core points later than it.  This follows the few-non-Gaussian-element methods of
 Dias & Koenig (arXiv:2307.12912) and Reardon-Smith, Oszmaniec & Korzekwa
 (arXiv:2307.12702).
 
@@ -68,13 +68,11 @@ at most 1, the bounds that partial pivoting and DEFER_TOL give a step, so a
 kept block makes the terms' Pfaffians no less accurate (the bound is on the
 multipliers, since a term's round-off grows with the product of two of
 them); a refused block runs as steps.  A diagram without groups is the
-same elimination with every row in the core, run when it is prepared, with
-the zero test SINGULAR_TOL; where that leaves a row over, it is run again
-with the last point out of the core, so that small pivots are deferred as
-with groups and the Pfaffian of what is left has its own scale;
-`pfaffian` runs it on the nonzeros of a copy of any matrix.  The terms of a
-diagram with groups are many small matrices, where NumPy's per-call
-overhead, not arithmetic, would dominate a per-term elimination.
+case of none: every point is core, and its one term is Pf(eliminated) times
+the Pfaffian of the Schur complement on the deferred rows; `pfaffian` does
+the same on the nonzeros of a copy of any matrix.  The terms of a diagram
+with groups are many small matrices, where NumPy's per-call overhead, not
+arithmetic, would dominate a per-term elimination.
 `PreparedDiagram.evaluate` gathers them into stacks of equal size (at most
 STACK entries each) and `_pfaffians` (also in `elimination.py`) eliminates
 a whole stack in one unblocked Parlett-Reid pass, one rank-2 update of the
@@ -93,8 +91,6 @@ from .diagram import I_POWERS, MajoranaDiagram
 from .elimination import (
     _HIGH,
     _LOW,
-    DEFER_TOL,
-    SINGULAR_TOL,
     _eliminate,
     _ldexp,
     _pfaffians,
@@ -133,12 +129,12 @@ def _scaled_text(m: complex, x: int) -> str:
 
 def pfaffian(mat: np.ndarray) -> complex:
     """Pfaffian of a complex antisymmetric matrix, which is left unchanged:
-    `_eliminate` of the nonzeros of a copy, with every row in the core.  A
-    deferred row leaves only entries at or below SINGULAR_TOL times
-    max(max|entry|, 1) to pair it with, and makes the Pfaffian zero; the
-    rows of a kept block pivot are not tested (see `_eliminate`).
+    `_eliminate` of the nonzeros of a copy, with every row in the core, times
+    `_pfaffians` of the Schur complement on the rows it deferred, as for a
+    diagram without groups: zero when a row of that complement has only
+    entries at or below SINGULAR_TOL times max(max|entry|, 1) of it.
     Anything but a finite square matrix whose max|a + a^T| is within
-    ANTISYMMETRY_TOL of that scale raises InvariantViolation."""
+    ANTISYMMETRY_TOL of max(max|a|, 1) raises InvariantViolation."""
     try:
         a = np.array(mat, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -154,13 +150,8 @@ def pfaffian(mat: np.ndarray) -> complex:
         raise InvariantViolation(
             f"pfaffian takes an antisymmetric matrix; max|a + a^T| is {skew:.3g} against "
             f"max(max|a|, 1) {scale:.3g} (pass (a - a.T) / 2 for its antisymmetric part)")
-    n = len(a)
-    if n == 0:
-        return 1.0 + 0.0j
-    if n % 2:
-        return 0.0 + 0.0j
-    pf, x, *_ = _eliminate(_Rows.of(a), n, SINGULAR_TOL)
-    return complex(_ldexp(pf, x))
+    pf, x, _, schur, _ = _eliminate(_Rows.of(a), len(a))
+    return complex(_ldexp(pf * _pfaffians(schur[None])[0], x))
 
 
 @dataclass
@@ -326,14 +317,13 @@ class PreparedDiagram:
     pairs (`_Rows.plus_pairs`).  The sign is the parity of the number of core
     points later in time than a selected point, summed over S.  The terms'
     matrices Schur[deferred + S] are gathered into stacks by size, and each
-    stack is one `_pfaffians` pass; an odd size is 0.  Without groups every
-    point is core: W is eliminated whole, with the zero test SINGULAR_TOL,
-    and the one term is Pf(eliminated).  When a row is left over, W is
-    eliminated again with DEFER_TOL and its last point out of the core, and
-    the term is Pf(eliminated) * Pf(Schur): a 1/mu near 1/MU_MIN makes W's
-    largest entry so large that a row of O(offset) entries, near a Clifford
-    angle, fails the zero test, although the value is not 0.  Only
-    the Schur block is kept.  The amplitude (see `assemble_frontier`) and
+    stack is one `_pfaffians` pass, whose zero test SINGULAR_TOL takes each
+    matrix on its own scale; an odd size is 0.  Without groups every point
+    is core, and the one term, S empty, is Pf(eliminated) * Pf(Schur): a
+    1/mu near 1/MU_MIN makes W's largest entry so large that a row of
+    O(offset) entries, near a Clifford angle, is deferred, and the Schur
+    complement tests it against its own entries, not that one.  Only the
+    Schur block is kept.  The amplitude (see `assemble_frontier`) and
     Pf(eliminated) (see `_eliminate`) are each kept as a mantissa and a
     power of two: each value is the amplitude's mantissa times Pf's times
     the term's Pfaffian, scaled by both powers of two last, with ldexp, so a
@@ -373,26 +363,15 @@ class PreparedDiagram:
                                   dtype=int)
         self._points = len(core) + len(extras)
 
-        def contractions() -> _Rows:
-            return contraction_matrix(trace, core + extras).plus_pairs(
-                np.array([i for i, _ in pair_rows.values()], dtype=int),
-                np.array([1.0 / mus[pair_id] for pair_id in pair_rows], dtype=complex))
-
-        # without groups the elimination is the whole Pfaffian and a deferral
-        # ends it, so the zero test decides, unless it leaves a row over; an
-        # update past the float range reaches `evaluate` as a non-finite
+        # an update past the float range reaches `evaluate` as a non-finite
         # value.  W is built in the call, so that `_eliminate` holds the only
         # reference to its nonzeros.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
-                contractions(), len(core), DEFER_TOL if extras else SINGULAR_TOL)
-            if not extras and not self._pf:
-                # a row left over: its entries are small against W's largest,
-                # which a 1/mu near 1/MU_MIN can make all but any entry.  With
-                # the last point out of the core, small pivots are deferred as
-                # with groups, and Schur's Pfaffian tests them on its own scale
-                self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
-                    contractions(), len(core) - 1, DEFER_TOL)
+                contraction_matrix(trace, core + extras).plus_pairs(
+                    np.array([i for i, _ in pair_rows.values()], dtype=int),
+                    np.array([1.0 / mus[pair_id] for pair_id in pair_rows], dtype=complex)),
+                len(core))
         self._exp = self._amp_exp + pf_exp  # applied last, to amplitude * term
         self._deferred = len(core) - self._eliminated
 
@@ -406,33 +385,23 @@ class PreparedDiagram:
             values = _ldexp(self.amplitude * self._terms(masks), self._exp)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            if self._groups:
-                d = self._deferred
-                points = np.flatnonzero(masks[bad[0]] >> self._group_of & 1)
-                rows = np.concatenate([np.arange(d), d + points])
-                sub = self._schur[np.ix_(rows, rows)]
-                size, largest = len(sub), float(np.max(np.abs(sub), initial=0.0))
-                after = (f", after eliminating {self._eliminated} of {self._points} points "
-                         f"(their Pfaffian {self._pf_text()})")
-            else:  # the whole matrix, eliminated when prepared: its entries from before
-                size, largest = self._points, self._largest
-                after = f" (the Pfaffian {self._pf_text()})"
+            d = self._deferred
+            points = np.flatnonzero(masks[bad[0]] >> self._group_of & 1)
+            rows = np.concatenate([np.arange(d), d + points])
+            sub = self._schur[np.ix_(rows, rows)]
             raise NumericalInstability(
-                f"non-finite value from a {size} x {size} Pfaffian with largest |entry| "
-                f"{largest:.3g} and amplitude {_scaled_text(self.amplitude, self._amp_exp)}"
-                f"{after}"
+                f"non-finite value from a {len(sub)} x {len(sub)} Pfaffian with largest "
+                f"|entry| {np.max(np.abs(sub), initial=0.0):.3g} and amplitude "
+                f"{_scaled_text(self.amplitude, self._amp_exp)}, after eliminating "
+                f"{self._eliminated} of {self._points} points of a W with largest |entry| "
+                f"{self._largest:.3g} (their Pfaffian "
+                f"{_scaled_text(self._pf, self._exp - self._amp_exp)})"
             )
         return values
-
-    def _pf_text(self) -> str:
-        """|Pf(eliminated)| (see `_scaled_text`)."""
-        return _scaled_text(self._pf, self._exp - self._amp_exp)
 
     def _terms(self, masks: np.ndarray) -> np.ndarray:
         """phase * Pf(eliminated) * Pf(Schur[deferred + S]) of each mask, the
         small Pfaffians gathered into stacks by size."""
-        if not self._groups:  # S is empty: the Pfaffian of what is left
-            return np.full(len(masks), self._pf * _pfaffians(self._schur[None].copy())[0])
         bits = (masks[:, None] >> np.arange(len(self._groups)) & 1).astype(bool)
         chosen = bits[:, self._group_of]  # each term's selected points, in group order
         points = chosen.sum(axis=1)
@@ -440,7 +409,7 @@ class PreparedDiagram:
         d = self._deferred
         sizes = d + points
         pfs = np.zeros(len(masks), dtype=complex)  # odd sizes stay 0
-        for size in np.unique(sizes[sizes % 2 == 0]):
+        for size in set(sizes[sizes % 2 == 0].tolist()):
             terms = np.flatnonzero(sizes == size)
             rows = np.empty((len(terms), size), dtype=int)
             rows[:, :d] = np.arange(d)

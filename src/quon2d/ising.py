@@ -319,15 +319,6 @@ def kw_rewrite_chain(lattice: IsingLattice):
     return steps, IsingLattice.square(dual_rows, dual_cols, dual_k)
 
 
-def kw_dual_angle(angle: complex) -> complex:
-    """Loop-angle image under the space-time duality:
-    e^{psi} = (1 - e^{phi}) / (1 + e^{phi}); for phi = -2K this is -2K*."""
-    e = cmath.exp(complex(angle))
-    if abs(1 + e) < 1e-12 or abs(1 - e) < 1e-12:
-        raise Singular(f"angle {angle} is singular for the duality")
-    return cmath.log((1 - e) / (1 + e))
-
-
 # -- star-triangle -----------------------------------------------------------
 
 

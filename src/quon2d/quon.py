@@ -107,9 +107,10 @@ class OpenInterval:
     def strands(self) -> tuple[int, ...]:
         return tuple(range(self.start, self.start + self.size))
 
-    def pairs(self) -> list[tuple[int, int]]:
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
         """Strand pairs (local indices) read off the pairing data, ordered by
-        leftmost member."""
+        leftmost member; read once per interval, which is frozen."""
         trace = WireTrace(self.pairing_data)
         labels = trace.worldline_labels()
         groups: dict[int, list[int]] = {}
@@ -120,7 +121,7 @@ class OpenInterval:
             if len(members) != 2:
                 raise InvariantViolation("pairing data does not close strands pairwise")
             pairs.append((min(members), max(members)))
-        return sorted(pairs)
+        return tuple(sorted(pairs))
 
 
 def basis_bits(bits) -> tuple[int, ...]:
@@ -427,7 +428,7 @@ def encoder_slots(interval: OpenInterval) -> tuple[int, ...]:
     """Local strands of an interval's bit-dependent encoder dots: the
     rightmost member of each inner pair (one per qubit), then that of the
     outer pair, which takes a dot when the bit total is odd."""
-    pairs = interval.pairs()
+    pairs = interval.pairs
     return tuple(pair[1] for pair in pairs[1:]) + (pairs[0][1],)
 
 

@@ -1,10 +1,15 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and a fresh interpreter."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quon2d
 from quon2d.circuits import GATES, Circuit, Gate
 
 from quon2d.diagram import (
@@ -135,3 +140,14 @@ def random_move(q, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def run_fresh(code: str, *unloaded: str) -> None:
+    """Run `code` in a fresh interpreter that imports quon2d from this
+    checkout, and check that it imported none of the modules `unloaded`."""
+    src = str(Path(quon2d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys\n" + code + "".join(
+        f"assert {name!r} not in sys.modules, {name!r}\n" for name in unloaded)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -9,11 +9,10 @@ import pytest
 from quon2d import elimination, gaussian
 from quon2d.compiler import compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
-from quon2d.elimination import BLOCK, PANEL, SINGULAR_TOL, _eliminate, _pfaffians, _Rows
+from quon2d.elimination import BLOCK, DEFER_TOL, PANEL, _eliminate, _pfaffians, _Rows
 from quon2d.errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import (
-    DEFER_TOL,
     MAX_GROUPS,
     PreparedDiagram,
     assemble_frontier,
@@ -33,7 +32,7 @@ from quon2d.quon import (
 )
 from quon2d.wires import LEFT, WireTrace
 
-from conftest import random_circuit, random_closed_diagram
+from conftest import random_circuit, random_closed_diagram, run_fresh
 
 
 def pfaffian_recursive(a):
@@ -53,10 +52,10 @@ def pfaffian_recursive(a):
 
 
 def dense_eliminate(a, core):
-    """`_eliminate` with DEFER_TOL of the nonzeros of a dense matrix: the
-    Pfaffian of the eliminated part, the number of eliminated rows and the
-    Schur complement."""
-    pf, x, e, schur, _ = _eliminate(_Rows.of(a), core, DEFER_TOL)
+    """`_eliminate` of the nonzeros of a dense matrix: the Pfaffian of the
+    eliminated part, the number of eliminated rows and the Schur
+    complement."""
+    pf, x, e, schur, _ = _eliminate(_Rows.of(a), core)
     return complex(gaussian._ldexp(pf, x)), e, schur
 
 
@@ -77,7 +76,7 @@ def dense_reach(mag):
     return np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0).tolist()
 
 
-def reference_eliminate(a, core, singular_tol, reach, scale):
+def reference_eliminate(a, core, reach, scale):
     """`_eliminate` on a dense matrix, in place: the same blocks and steps,
     with every row held in `a`, the reaches and scale given.  Returns
     (pf, x, e, kept, refused), kept and refused counting the blocks tried,
@@ -119,9 +118,7 @@ def reference_eliminate(a, core, singular_tol, reach, scale):
             hi = max(hi, k + 2, reach[orig[k]])
             row = a[k, k + 1:hi] + q[j + 1:hi - k0, :j] @ p[j, :j]
             i = int(np.argmax(np.abs(row[:min(hi, core) - k - 1])))
-            if abs(row[i]) <= singular_tol * scale:
-                if core == n:
-                    return 0.0 + 0.0j, 0, n, len(blocks), refused
+            if abs(row[i]) <= DEFER_TOL * scale:
                 core -= 1
                 hi = n
                 if core != k:
@@ -183,6 +180,10 @@ def test_pfaffian_small_cases(rng):
         a = m - m.T
         assert pfaffian(a) == pytest.approx(pfaffian_recursive(a), rel=1e-10)
         a[0, 1] = a[1, 0] = 0.0  # the first step has to swap rows
+        assert pfaffian(a) == pytest.approx(pfaffian_recursive(a), rel=1e-10)
+        a[0] *= 1e-6  # row 0 has no pivot above DEFER_TOL: it is deferred
+        a[:, 0] *= 1e-6
+        assert _eliminate(_Rows.of(a), n)[2] < n
         assert pfaffian(a) == pytest.approx(pfaffian_recursive(a), rel=1e-10)
 
 
@@ -371,13 +372,32 @@ def test_fast_rejects_open():
         evaluate_closed_fast(MajoranaDiagram(0, 2, (Cap(0),)))
 
 
-def test_fast_matches_oracle_randomized(rng):
-    for corpus, trials in ((rng, 250), (np.random.default_rng(7), 400)):
-        for _ in range(trials):
-            d = random_closed_diagram(corpus, max_width=16, max_elems=50)
-            ref = evaluate_closed_oracle(d)
-            got = evaluate_closed_fast(d)
-            assert abs(ref - got) <= 1e-9 * max(1.0, abs(ref))
+def test_fast_matches_oracle_randomized(rng, monkeypatch):
+    """Random closed diagrams, and the cores of Clifford circuits with the
+    parity strings of every subset of their projections: every point is in
+    the core, exactly singular rows are deferred into the Schur complement,
+    and `_pfaffians` of that complement finishes the Pfaffian."""
+    diagrams = [random_closed_diagram(corpus, max_width=16, max_elems=50)
+                for corpus, trials in ((rng, 250), (np.random.default_rng(7), 400))
+                for _ in range(trials)]
+    fuzzed = len(diagrams)
+    for d, groups in clifford_cores(rng, 8):
+        q = QuonDiagram(d, tuple(ParityCut(t, strands) for t, strands in groups))
+        diagrams += [expanded_core(q, subset) for subset in range(1 << len(groups))]
+    deferred = []
+    real = gaussian._eliminate
+
+    def eliminate(w, core):
+        result = real(w, core)
+        deferred.append(result[2] < core)
+        return result
+
+    monkeypatch.setattr(gaussian, "_eliminate", eliminate)
+    for d in diagrams:
+        ref = evaluate_closed_oracle(d)
+        got = evaluate_closed_fast(d)
+        assert abs(ref - got) <= 1e-9 * max(1.0, abs(ref))
+    assert sum(deferred[fuzzed:]) >= 40
 
 
 def test_fast_matches_oracle_near_multiples_of_half_pi():
@@ -558,6 +578,16 @@ def test_batched_terms_equal_per_term_pfaffians(rng):
     assert deferred >= 8
 
 
+def test_grouped_evaluation_leaves_numpy_ma_unloaded():
+    """Terms are gathered by size without `np.unique`, which imports
+    numpy.ma (about 1 MB) on its first call."""
+    run_fresh("import quon2d\n"
+              "from quon2d.diagram import MajoranaDiagram\n"
+              "from quon2d.gaussian import PreparedDiagram\n"
+              "groups = [(1, (0, 1)), (1, (0,)), (1, (1,))]\n"
+              "PreparedDiagram(MajoranaDiagram.loop(), groups).evaluate(range(8))\n", "numpy.ma")
+
+
 def test_groups_beyond_a_mask_are_refused():
     loop, group = MajoranaDiagram.loop(), (1, (0, 1))
     assert PreparedDiagram(loop, [group] * MAX_GROUPS).evaluate([0]) == pytest.approx(2 ** 0.5)
@@ -594,15 +624,19 @@ def test_ising_across_panels():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_value_reports_the_pfaffian():
+    """Without groups both points are eliminated: the term's Pfaffian is the
+    empty one, and the message names W's largest |entry| too."""
     d = MajoranaDiagram(0, 0, (Cap(0), DotPair(0, 1), Cup(0)), 1.5e308)
-    with pytest.raises(NumericalInstability, match=r"2 x 2 Pfaffian with largest \|entry\| 1"):
+    message = (r"0 x 0 Pfaffian with largest \|entry\| 0 and amplitude .*, after eliminating "
+               r"2 of 2 points of a W with largest \|entry\| 1 \(their Pfaffian 1\)")
+    with pytest.raises(NumericalInstability, match=message):
         evaluate_closed_fast(d)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_value_reports_the_matrix_before_elimination(monkeypatch):
     """Without groups W is eliminated in place when the diagram is prepared;
-    the error still names W's size and largest |entry| from before."""
+    the error still names W's point count and largest |entry| from before."""
     seen = []
     real = gaussian._eliminate
 
@@ -616,8 +650,8 @@ def test_non_finite_value_reports_the_matrix_before_elimination(monkeypatch):
                         + loops, 1e308)
     prepared = PreparedDiagram(d)
     assert prepared._points == 4
-    message = (rf"a 4 x 4 Pfaffian with largest \|entry\| {seen[0]:.3g} and amplitude "
-               r"[0-9.]+ x 2\^[0-9]+ \(")
+    message = (r"amplitude [0-9.]+ x 2\^[0-9]+, after eliminating 4 of 4 points of a W with "
+               rf"largest \|entry\| {seen[0]:.3g} \(")
     with pytest.raises(NumericalInstability, match=message):
         prepared.evaluate([0])
 
@@ -727,9 +761,9 @@ def prepared_cases(rng, monkeypatch):
         built.append((trace, order, w))
         return w
 
-    def eliminate(w, core, singular_tol):
+    def eliminate(w, core):
         eliminated.append(w)
-        return real_eliminate(w, core, singular_tol)
+        return real_eliminate(w, core)
 
     monkeypatch.setattr(gaussian, "contraction_matrix", build)
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
@@ -798,7 +832,7 @@ def test_elimination_keeps_its_product_in_float_range():
     a = np.zeros((400, 400), dtype=complex)
     a[np.arange(0, 400, 2), np.arange(1, 400, 2)] = 1e8
     a -= a.T
-    pf, x, e, *_ = _eliminate(_Rows.of(a), 400, SINGULAR_TOL)
+    pf, x, e, *_ = _eliminate(_Rows.of(a), 400)
     assert e == 400 and math.isfinite(abs(pf))
     assert math.log2(abs(pf)) + x == pytest.approx(1600 * math.log2(10), rel=1e-14)
     assert pfaffian(a) == complex(math.inf, 0)
@@ -833,9 +867,9 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
     kind = ["random"]
     real = gaussian._eliminate
 
-    def eliminate(w, core, singular_tol):
-        result = real(w, core, singular_tol)
-        calls.append((kind[0], elimination.BLOCK, w, core, singular_tol, result))
+    def eliminate(w, core):
+        result = real(w, core)
+        calls.append((kind[0], elimination.BLOCK, w, core, result))
         return result
 
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
@@ -861,11 +895,11 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
             pfaffian(np.triu(np.tril(random_antisymmetric(rng, n), 3), -3))
     deferred = windowed = 0
     kept, refused = {}, {}
-    for what, block, w, core, singular_tol, (pf, x, e, schur, largest) in calls:
+    for what, block, w, core, (pf, x, e, schur, largest) in calls:
         monkeypatch.setattr(elimination, "BLOCK", block)
         a = dense(w)
         mag = np.abs(a)
-        want = reference_eliminate(a, core, singular_tol, dense_reach(mag),
+        want = reference_eliminate(a, core, dense_reach(mag),
                                    max(float(mag.max(initial=0.0)), 1.0))
         assert (raw_bits(pf).tolist(), x, e) == (raw_bits(want[0]).tolist(), want[1], want[2])
         assert np.array_equal(raw_bits(schur), raw_bits(a[e:, e:]))
@@ -939,9 +973,9 @@ def test_prepared_diagram_keeps_core_blocks_under_its_groups(monkeypatch):
     seen = []
     real = gaussian._eliminate
 
-    def eliminate(w, core, singular_tol):
+    def eliminate(w, core):
         seen.append(dense(w))
-        return real(w, core, singular_tol)
+        return real(w, core)
 
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
     kept = counting_blocks(monkeypatch)

@@ -1,13 +1,8 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import quon2d
 from quon2d.classify import classify
 from quon2d.diagram import ScatteringStar, VERTICAL
 from quon2d.errors import (
@@ -20,7 +15,6 @@ from quon2d.errors import (
 from quon2d.ising import (
     IsingLattice,
     build_ising_quon,
-    kw_dual_angle,
     kw_dual_coupling,
     kw_rewrite_chain,
     kw_self_dual_point,
@@ -30,6 +24,9 @@ from quon2d.ising import (
 )
 from quon2d.gaussian import PreparedDiagram
 from quon2d.quon import all_projections, evaluate_closed_quon
+from quon2d.rewrite import spacetime_dual
+
+from conftest import run_fresh
 
 
 def test_partition_oracle_basics():
@@ -200,8 +197,9 @@ def test_kw_dual_fixed_point():
     kc = kw_self_dual_point()
     assert kc == pytest.approx(0.5 * math.log(1 + math.sqrt(2)))
     assert kw_dual_coupling(kc) == pytest.approx(kc, abs=1e-9)
-    # the loop-angle duality map has the same fixed point
-    assert kw_dual_angle(-2 * kc) == pytest.approx(-2 * kc, abs=1e-9)
+    # the loop-angle duality map has the same fixed point: the loop angle
+    # dual to -2Kc is i times the angle `spacetime_dual` gives
+    assert 1j * spacetime_dual(ScatteringStar(0, -2 * kc))[1] == pytest.approx(-2 * kc, abs=1e-9)
 
 
 def test_kw_monotone_limit():
@@ -233,34 +231,24 @@ def test_star_triangle_solves_wide_couplings(rng, draw):
         assert star_triangle_solve(*u).residual(u) <= 1e-9, u
 
 
-def run_without_scipy(code: str) -> None:
-    """Run `code` in a fresh interpreter that imports quon2d from this
-    checkout, and check that scipy was never imported."""
-    src = str(Path(quon2d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys\n" + code + "assert 'scipy' not in sys.modules\n"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-
 def test_solvers_leave_scipy_unloaded():
     """Both closed-form solvers run on numpy alone."""
-    run_without_scipy("from quon2d.ising import star_triangle_solve\n"
-                      "from quon2d.rewrite import solve_yang_baxter_full\n"
-                      "star_triangle_solve(0.3, 0.5, 0.7)\n"
-                      "solve_yang_baxter_full(0, 0.7, 0)\n")
+    run_fresh("from quon2d.ising import star_triangle_solve\n"
+              "from quon2d.rewrite import solve_yang_baxter_full\n"
+              "star_triangle_solve(0.3, 0.5, 0.7)\n"
+              "solve_yang_baxter_full(0, 0.7, 0)\n", "scipy")
 
 
 def test_ising_evaluation_leaves_scipy_unloaded():
     """A 4 x 4 lattice keeps block pivots, which invert with numpy.linalg
     alone."""
-    run_without_scipy("from quon2d import elimination\n"
-                      "from quon2d.ising import IsingLattice, build_ising_quon\n"
-                      "from quon2d.quon import evaluate_closed_quon\n"
-                      "kept, block = [], elimination._block\n"
-                      "elimination._block = lambda *args: kept.append(block(*args)) or kept[-1]\n"
-                      "evaluate_closed_quon(build_ising_quon(IsingLattice.square(4, 4, 0.3)))\n"
-                      "assert kept and all(above is not None for above in kept)\n")
+    run_fresh("from quon2d import elimination\n"
+              "from quon2d.ising import IsingLattice, build_ising_quon\n"
+              "from quon2d.quon import evaluate_closed_quon\n"
+              "kept, block = [], elimination._block\n"
+              "elimination._block = lambda *args: kept.append(block(*args)) or kept[-1]\n"
+              "evaluate_closed_quon(build_ising_quon(IsingLattice.square(4, 4, 0.3)))\n"
+              "assert kept and all(above is not None for above in kept)\n", "scipy")
 
 
 def test_star_triangle_symmetric():
