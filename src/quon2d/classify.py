@@ -47,8 +47,7 @@ def boundary_tracking_ok(q: QuonDiagram) -> bool:
     marked = {labels[trace.slices[t][pos]] for t, pos in q.boundary_tracking}
     if not marked and (q.open_intervals or q.parity_cuts):
         return False
-    lines = trace.worldlines()
-    return all(trace.is_quiet(lines[li]) for li in marked)
+    return marked.isdisjoint(labels[sid] for sid, count in enumerate(trace.touches) if count)
 
 
 def classify(q: QuonDiagram, cleanup: bool = True) -> ClassReport:

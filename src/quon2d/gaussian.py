@@ -14,13 +14,14 @@ A contraction G(x, y) moves the dot x along its loop onto y's strand by
 exact moves, until g^2 = 1 is left: sliding in time along a strand (-1
 whenever it passes y on another strand) and hopping across a turn (a dot on
 the left arm of a cap, or the right arm of a cup, is i times the dot on the
-other arm).  `contraction_matrix` walks each loop once, leaving its first
-segment through the birth turn and each segment through the turn it did not
-enter by.  Segment k of the walk records its exit boundary (the turn's slice
-+ 1/4 for a cap, - 1/4 for a cup), its span from entry to exit boundary, and
-the exponent e of the phase collected before its exit: a turn adds 1 from
-the left arm of a cap or the right arm of a cup, 3 otherwise.  E is the
-loop's total.  For x before y in time on segments a != b of one loop
+other arm).  `contraction_matrix` reads the trace's one walk of each loop
+(`wires.Walk`), which leaves the loop's smallest segment through its birth
+turn and each segment through the turn it did not enter by.  Segment k of
+the walk has its exit boundary (the turn's slice + 1/4 for a cap, - 1/4 for
+a cup), its span from entry to exit boundary, and the exponent e of the
+phase collected before its exit: a turn adds 1 from the left arm of a cap
+or the right arm of a cup, 3 otherwise.  E is the loop's total.  For x
+before y in time on segments a != b of one loop
 
     G(x, y) = i^(e_b - e_a) * (i^E if k_a > k_b) * (-1)^c,
 
@@ -81,9 +82,7 @@ stack per step.  Everything here is validated against the Fock oracle.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +98,7 @@ from .elimination import (
     _split,
 )
 from .errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
-from .wires import LEFT, WireTrace
+from .wires import WireTrace
 
 MU_MIN = 1e-13
 STACK = 1 << 17  # matrix entries (2 MB) in one stack of small term matrices
@@ -110,6 +109,7 @@ ANTISYMMETRY_TOL = 1e-10  # relative size of a + a^T that `pfaffian` accepts
 
 _SQRT2 = math.sqrt(2.0)
 _SUB = 1e-4  # sub-slot offset for multiple insertions of one element
+_PHASES = np.array([1, 1j, -1, -1j])  # i^k by k % 4
 
 
 def check_terms(count: int, what: str) -> None:
@@ -154,57 +154,36 @@ def pfaffian(mat: np.ndarray) -> complex:
     return complex(_ldexp(pf * _pfaffians(schur[None])[0], x))
 
 
-@dataclass
-class _Point:
-    seg: int
-    time: float
-    pair: int | None = None  # optional-pair id, None for mandatory insertions
-
-
-def contraction_matrix(trace: WireTrace, order: list[_Point]) -> _Rows:
-    """The antisymmetric matrix W of the contractions G(x, y) of the points,
-    from one walk around each loop of `trace` (see the module docstring), as
-    its nonzeros (`_Rows`): the pairs of points on one loop, each once.  Row
-    r lists the points of its loop before it in `order`, in order, so the
-    pairs are enumerated row by row with no sort of them, and the cost is
-    the sum over loops of points^2, not N^2.  They are computed in blocks of
-    rows of about PAIRS entries, so no array but the result's is as long as
-    the list of pairs."""
-    if not order:  # bare loops have nothing to contract
+def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Rows:
+    """The antisymmetric matrix W of the contractions G(x, y) of the points
+    on the segments `seg` at the times `t`, read from the walk of `trace`, a
+    closed diagram's (see the module docstring), as its nonzeros (`_Rows`):
+    the pairs of points on one loop, each once.  Row r lists the points of
+    its loop before it, in order, so the pairs are enumerated row by row
+    with no sort of them, and the cost is the sum over loops of points^2,
+    not N^2.  They are computed in blocks of rows of about PAIRS entries, so
+    no array but the result's is as long as the list of pairs."""
+    n = len(seg)
+    if not n:  # bare loops have nothing to contract
         return _Rows(np.zeros(1, dtype=int), np.zeros(0, dtype=int),
                      np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
-    loops = trace.worldlines()
-    walk, e_walk, exit_walk, totals = [], [], [], []  # loop after loop
-    for group in loops:
-        sid, e = group[0], 0
-        tid = trace.segments[sid].birth_turn
-        for _ in group:
-            turn = trace.turns[tid]
-            walk.append(sid)
-            e_walk.append(e)
-            exit_walk.append(turn.elem_index + (0.25 if turn.kind == "cap" else -0.25))
-            e += 1 if (turn.side_of(sid) == LEFT) == (turn.kind == "cap") else 3
-            sid = turn.other(sid)
-            seg = trace.segments[sid]
-            tid = seg.death_turn if seg.birth_turn == tid else seg.birth_turn
-        totals.append(e)
-    lengths = np.array([len(group) for group in loops], dtype=int)
-    first = np.cumsum(lengths) - lengths  # walk index of each loop's first segment
-    loop_w = np.repeat(np.arange(len(loops)), lengths)
-    k_w = np.arange(len(walk)) - first[loop_w]
-    exits = np.array(exit_walk)
-    prev = np.arange(len(walk)) - 1
+    walk = trace.walk
+    lengths, exits = np.array(walk.lengths, dtype=int), np.array(walk.exits)
+    first = np.cumsum(lengths) - lengths  # walk place of each loop's first segment
+    loop_w = np.repeat(np.arange(len(lengths)), lengths)
+    k_w = np.arange(len(exits)) - first[loop_w]
+    prev = np.arange(len(exits)) - 1
     prev[first] += lengths  # a loop's first segment is entered from its last
-    lo = np.full((len(loops), lengths.max()), np.inf)  # spans, padded
+    lo = np.full((len(lengths), lengths.max()), np.inf)  # spans, padded
     hi = -lo
     lo[loop_w, k_w] = np.minimum(exits[prev], exits)
     hi[loop_w, k_w] = np.maximum(exits[prev], exits)
 
-    # each point's segment, as a walk index (the walks cover every segment once)
-    n = len(order)
-    at = np.argsort(walk)[[p.seg for p in order]]
-    t = np.array([p.time for p in order])
-    loop, k, e = loop_w[at], k_w[at], np.array(e_walk)[at]
+    place = np.empty(len(exits), dtype=int)  # each segment's walk place
+    place[walk.order] = np.arange(len(exits))
+    at = place[seg]
+    loop, k, e = loop_w[at], k_w[at], np.array(walk.phase)[at]
+    totals = np.array(walk.totals)
     # prefix[y, j]: spans among the first j of y's loop that hold t_y strictly inside
     prefix = np.zeros((n, lo.shape[1] + 1), dtype=int)
     np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
@@ -220,7 +199,6 @@ def contraction_matrix(trace: WireTrace, order: list[_Point]) -> _Rows:
     shift -= starts[:-1]
     w = _Rows(starts, np.empty(starts[-1], dtype=int), np.empty(starts[-1], dtype=complex),
               np.empty(starts[-1], dtype=complex))
-    phases = np.array([1, 1j, -1, -1j])
     r0 = 0
     while r0 < n:  # rows in blocks of about PAIRS entries, the only pair-sized arrays
         r1 = max(r0 + 1, int(np.searchsorted(starts, starts[r0] + PAIRS, side="right")) - 1)
@@ -234,8 +212,8 @@ def contraction_matrix(trace: WireTrace, order: list[_Point]) -> _Rows:
         between = prefix[y, k[y]] - prefix[y, k[x] + 1]
         exit_x = exits[at[x]]
         partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
-        power = e[y] - e[x] + (k[x] > k[y]) * np.array(totals)[loop[y]] + 2 * (between + partial)
-        g = np.where(at[x] == at[y], 1.0, phases[power % 4])
+        power = e[y] - e[x] + (k[x] > k[y]) * totals[loop[y]] + 2 * (between + partial)
+        g = np.where(at[x] == at[y], 1.0, _PHASES[power % 4])
         negated = 0.0 - g  # W[y, x], as W[x, y] = g
         w.lower[block] = np.where(first, g, negated)
         w.upper[block] = np.where(first, negated, g)
@@ -244,17 +222,21 @@ def contraction_matrix(trace: WireTrace, order: list[_Point]) -> _Rows:
 
 
 def assemble_frontier(diag: MajoranaDiagram):
-    """Sweep a closed diagram into ((amplitude, x), points, pair weights,
-    trace): the diagram's amplitude times its element weights and sqrt(2)
-    per loop is amplitude * 2^x, renormalised after each factor as in
-    `_eliminate`, so it neither overflows nor underflows, and it is the
-    plain product wherever that is in float range."""
+    """Sweep a closed diagram into ((amplitude, x), seg, time, pair, pair
+    weights, trace): the diagram's amplitude times its element weights and
+    sqrt(2) per loop is amplitude * 2^x, renormalised after each factor as
+    in `_eliminate`, so it neither overflows nor underflows, and it is the
+    plain product wherever that is in float range.  The points, in time
+    order, are the arrays seg (each one's segment), time and pair (its
+    optional pair's index into the weights, -1 for a mandatory point)."""
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
     trace = WireTrace(diag)
     amplitude, x = _renormalised(complex(diag.amplitude), 0)
-    points: list[_Point] = []
+    seg: list[int] = []
+    time: list[float] = []
+    pair: list[int] = []
     mus: list[complex] = []
 
     for t, el in enumerate(diag.elements):
@@ -268,23 +250,25 @@ def assemble_frontier(diag: MajoranaDiagram):
             if abs(a_w) <= MU_MIN * abs(b_w):
                 # a pure insertion b * i^(n//2) g_{s1} ... g_{sn}: mandatory points
                 amplitude *= b_w * I_POWERS[len(positions) // 2 % 4]
-                pair_id = None
+                pair_id = -1
             else:
                 mu = 1j * b_w / a_w
                 amplitude *= a_w * mu
                 pair_id = len(mus)
                 mus.append(mu)
-            slice_now, time = trace.slices[t], t + 0.0
+            slice_now, now = trace.slices[t], t + 0.0
             for p in reversed(positions):  # the rightmost acts first
-                points.append(_Point(slice_now[p], time, pair_id))
-                time += _SUB
+                seg.append(slice_now[p])
+                time.append(now)
+                pair.append(pair_id)
+                now += _SUB
         if not _LOW <= abs(amplitude) < _HIGH:
             amplitude, x = _renormalised(amplitude, x)
 
     # in a closed diagram every worldline is a loop; sqrt(2)^2046 = 2^1023
     # is the largest power that is a float, and a mantissa below 1 times it
     # is finite
-    loops = len(trace.worldlines())
+    loops = len(trace.walk.lengths)
     while loops:
         step = min(loops, 2046)
         if abs(amplitude) >= 1.0:
@@ -292,7 +276,8 @@ def assemble_frontier(diag: MajoranaDiagram):
             amplitude, x = m, x + s
         amplitude, x = _renormalised(amplitude * _SQRT2 ** step, x)
         loops -= step
-    return (amplitude, x), points, mus, trace
+    return ((amplitude, x), np.array(seg, dtype=int), np.array(time, dtype=float),
+            np.array(pair, dtype=int), mus, trace)
 
 
 class PreparedDiagram:
@@ -336,44 +321,41 @@ class PreparedDiagram:
     def __init__(self, diag: MajoranaDiagram, groups=()):
         if len(groups) > MAX_GROUPS:
             raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
-        (self.amplitude, self._amp_exp), points, mus, trace = assemble_frontier(diag)
-        core = sorted(points, key=lambda p: p.time)
-        extras: list[_Point] = []
+        (self.amplitude, self._amp_exp), seg, time, pair, mus, trace = assemble_frontier(diag)
+        core = len(seg)
+        extra_seg: list[int] = []
+        extra_time: list[float] = []
         self._groups: list[range] = []
         for time_index, strands in groups:
-            first = len(extras)
+            first = len(extra_seg)
             for pos in sorted(strands, reverse=True):
                 # strictly inside the slice: turn boundaries sit at t -/+ 0.25
-                time = time_index - 0.5 + 1e-6 * (len(extras) + 1)
-                extras.append(_Point(trace.slices[time_index][pos], time))
-            self._groups.append(range(first, len(extras)))
+                extra_time.append(time_index - 0.5 + 1e-6 * (len(extra_seg) + 1))
+                extra_seg.append(trace.slices[time_index][pos])
+            self._groups.append(range(first, len(extra_seg)))
 
-        pair_rows: dict[int, list[int]] = {}
-        for i, p in enumerate(core):
-            if p.pair is not None:
-                pair_rows.setdefault(p.pair, []).append(i)
-        for i, j in pair_rows.values():
-            if j - i != 1:
-                raise NumericalInstability("optional pair separated in the point order")
+        paired = np.flatnonzero(pair >= 0)  # pair after pair, each as two neighbours
+        if not (np.array_equal(pair[paired], np.repeat(np.arange(len(mus)), 2))
+                and np.all(paired[1::2] - paired[::2] == 1)):
+            raise NumericalInstability("optional pair separated in the point order")
 
-        core_times = [p.time for p in core]
-        later = [len(core) - bisect.bisect(core_times, p.time) for p in extras]
+        later = (core - np.searchsorted(time, extra_time, side="right")).tolist()
         self._flips = np.array([sum(later[i] for i in group) for group in self._groups], dtype=int)
         self._group_of = np.array([g for g, group in enumerate(self._groups) for _ in group],
                                   dtype=int)
-        self._points = len(core) + len(extras)
+        self._points = core + len(extra_seg)
 
         # an update past the float range reaches `evaluate` as a non-finite
         # value.  W is built in the call, so that `_eliminate` holds the only
         # reference to its nonzeros.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
-                contraction_matrix(trace, core + extras).plus_pairs(
-                    np.array([i for i, _ in pair_rows.values()], dtype=int),
-                    np.array([1.0 / mus[pair_id] for pair_id in pair_rows], dtype=complex)),
-                len(core))
+                contraction_matrix(trace, np.concatenate([seg, np.array(extra_seg, dtype=int)]),
+                                   np.concatenate([time, extra_time])).plus_pairs(
+                    paired[::2], np.array([1.0 / mu for mu in mus], dtype=complex)),
+                core)
         self._exp = self._amp_exp + pf_exp  # applied last, to amplitude * term
-        self._deferred = len(core) - self._eliminated
+        self._deferred = core - self._eliminated
 
     def evaluate(self, masks) -> np.ndarray:
         """The values of the terms whose groups the masks select (bit g of
@@ -405,7 +387,7 @@ class PreparedDiagram:
         bits = (masks[:, None] >> np.arange(len(self._groups)) & 1).astype(bool)
         chosen = bits[:, self._group_of]  # each term's selected points, in group order
         points = chosen.sum(axis=1)
-        phase = np.array([1, 1j, -1, -1j])[points // 2 % 4] * (-1) ** (bits @ self._flips % 2)
+        phase = _PHASES[points // 2 % 4] * (1 - 2 * (bits @ self._flips % 2))
         d = self._deferred
         sizes = d + points
         pfs = np.zeros(len(masks), dtype=complex)  # odd sizes stay 0

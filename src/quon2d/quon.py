@@ -541,8 +541,8 @@ def _delete_worldlines(q: QuonDiagram, trace: WireTrace, holes: list[int],
     through one map of slices and positions; the anchors on the deleted
     loops are dropped."""
     removed = {sid for group in loops for sid in group}
-    gone = sorted({trace.turns[turn].elem_index for sid in removed
-                   for turn in (trace.segments[sid].birth_turn, trace.segments[sid].death_turn)})
+    gone = sorted({trace.turn_elem[tid] for sid in removed
+                   for tid in (trace.birth[sid], trace.death[sid])})
 
     def new_time(t: int) -> int:
         return t - bisect_left(gone, t)

@@ -218,21 +218,21 @@ def emit_dot(q: QuonDiagram) -> str:
         if isinstance(el, (Scattering, ScatteringStar)):
             label += f" {el.angle():.3g}"
         lines.append(f'  e{t} [label="{t}: {label}", shape=box];')
-    for sid, seg in enumerate(trace.segments):
-        ends = []
-        for tid in (seg.birth_turn, seg.death_turn):
-            if tid is not None:
-                ends.append(f"e{trace.turns[tid].elem_index}")
-        for t, _el in seg.touches:
-            ends.append(f"e{t}")
-        if seg.top_position is not None:
-            lines.append(f'  top{seg.top_position} [label="in {seg.top_position}", shape=plaintext];')
-            ends.insert(0, f"top{seg.top_position}")
-        if seg.bottom_position is not None:
-            lines.append(
-                f'  bot{seg.bottom_position} [label="out {seg.bottom_position}", shape=plaintext];'
-            )
-            ends.append(f"bot{seg.bottom_position}")
+    touched = [[] for _ in trace.birth]  # per segment, the elements on it in time order
+    for t, el in enumerate(q.core.elements):
+        if not el.width_delta:
+            for p in el.positions():
+                touched[trace.slices[t][p]].append(f"e{t}")
+    bottom = {sid: pos for pos, sid in enumerate(trace.slices[-1])}
+    for sid, touches in enumerate(touched):
+        ends = [f"e{trace.turn_elem[tid]}" for tid in (trace.birth[sid], trace.death[sid])
+                if tid >= 0] + touches
+        if trace.birth[sid] < 0:  # the top slice holds segments 0, 1, ... in order
+            lines.append(f'  top{sid} [label="in {sid}", shape=plaintext];')
+            ends.insert(0, f"top{sid}")
+        if sid in bottom:
+            lines.append(f'  bot{bottom[sid]} [label="out {bottom[sid]}", shape=plaintext];')
+            ends.append(f"bot{bottom[sid]}")
         for a, b in zip(ends, ends[1:]):
             lines.append(f"  {a} -- {b} [label=s{sid}];")
     for kind, cuts, shape in (("hole", q.parity_cuts, "octagon"), ("notch", q.notches, "house")):

@@ -2,9 +2,12 @@
 
 Strand positions are ephemeral (caps and cups shift them); most structural
 reasoning needs the worldline a position belongs to.  Braids and scatterings
-are treated as position-preserving here: any worldline they touch is recorded
-as "touched", which is all the quietness predicates (boundary tracking,
-string-genus loops) ever ask.
+are treated as position-preserving here: a segment counts the elements that
+touch it, which is all the quietness predicates (boundary tracking,
+string-genus loops) ever ask.  A trace is held as flat per-segment and
+per-turn lists, and its worldlines are walked once (`Walk`): the walk gives
+the worldline groups and, on a closed loop, the phases and exit boundaries
+from which `gaussian.contraction_matrix` reads its contractions.
 
 `projection_eigenvalues` follows the Majorana monomial of a projection
 through the elements instead, with its exact phase, to find the projections
@@ -13,138 +16,144 @@ a diagram already enforces (+1) or annihilates (-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import itertools
+import math
+from dataclasses import replace
+from typing import NamedTuple
 
-from .diagram import Element, MajoranaDiagram, offset_elements
-
-LEFT = 0
-RIGHT = 1
+from .diagram import MajoranaDiagram, offset_elements
 
 TOP = "top"  # the sides of an open interval
 BOTTOM = "bottom"
 
 
-@dataclass
-class Turn:
-    kind: str  # "cap" | "cup"
-    elem_index: int
-    arms: tuple[int, int]  # (left segment, right segment)
+class Walk(NamedTuple):
+    """Every worldline of a trace walked once, in order of its smallest
+    segment id: a closed loop from that segment out through its birth turn,
+    an open worldline from one of its ends; each segment is left through the
+    turn it did not enter by.  Per walk place: `order` the segment, `phase`
+    the exponent e of the phase collected before its exit (a turn adds 1
+    from the left arm of a cap or the right arm of a cup, 3 otherwise) and
+    `exits` its exit boundary (the turn's slice + 1/4 for a cap, - 1/4 for a
+    cup; nan at an open end).  Per worldline: `lengths` its segments and
+    `totals` E, its e summed over all of them.  All are lists."""
 
-    def other(self, sid: int) -> int:
-        a, b = self.arms
-        return b if sid == a else a
-
-    def side_of(self, sid: int) -> int:
-        return LEFT if self.arms[0] == sid else RIGHT
-
-
-@dataclass
-class Segment:
-    sid: int
-    birth_turn: int | None = None  # turn id, None when entering at the top
-    death_turn: int | None = None  # turn id, None when leaving at the bottom
-    top_position: int | None = None
-    bottom_position: int | None = None
-    touches: list[tuple[int, Element]] = field(default_factory=list)
+    order: list[int]
+    phase: list[int]
+    exits: list[float]
+    lengths: list[int]
+    totals: list[int]
 
 
 class WireTrace:
-    """Segments, turns, and per-slice position maps of a diagram."""
+    """Segments, turns, and per-slice position maps of a diagram, as flat
+    lists.  Segment sid has a `birth` turn (-1 when it enters at the top,
+    where segment p is the strand at position p), a `death` turn (-1 when
+    it leaves at the bottom) and `touches`, the count of dots, braids and
+    scatterings on it.  Turn tid is element `turn_elem[tid]`, a cap when
+    `turn_cap[tid]`, else a cup, and has the arms `turn_left[tid]`,
+    `turn_right[tid]`.  slices[t] is the tuple of segment ids at the slice
+    before element t."""
 
     def __init__(self, diag: MajoranaDiagram):
         self.diagram = diag
-        self.segments: list[Segment] = []
-        self.turns: list[Turn] = []
-        # slices[t] = tuple of segment ids at the slice before element t
-        self.slices: list[tuple[int, ...]] = []
-        self._worldlines: list[list[int]] | None = None
-
-        cur: list[int] = []
-        for pos in range(diag.width_in):
-            cur.append(self._new_segment(top_position=pos))
-        self.slices.append(tuple(cur))
+        cur = list(range(diag.width_in))
+        self.slices: list[tuple[int, ...]] = [tuple(cur)]
+        birth, death, touches = [-1] * len(cur), [-1] * len(cur), [0] * len(cur)
+        self.birth, self.death, self.touches = birth, death, touches
+        self.turn_elem: list[int] = []
+        self.turn_cap: list[bool] = []
+        self.turn_left: list[int] = []
+        self.turn_right: list[int] = []
 
         for t, el in enumerate(diag.elements):
             grown = el.width_delta
-            if grown > 0:  # a cap
-                a = self._new_segment()
-                b = self._new_segment()
-                tid = len(self.turns)
-                self.turns.append(Turn("cap", t, (a, b)))
-                self.segments[a].birth_turn = tid
-                self.segments[b].birth_turn = tid
-                cur[el.j:el.j] = [a, b]
-            elif grown < 0:  # a cup
-                a, b = cur[el.j], cur[el.j + 1]
-                tid = len(self.turns)
-                self.turns.append(Turn("cup", t, (a, b)))
-                for sid in (a, b):
-                    self.segments[sid].death_turn = tid
-                del cur[el.j:el.j + 2]
+            if grown:  # a cap opens the segments a, b; a cup closes the two at j
+                j, tid = el.j, len(self.turn_elem)
+                if grown > 0:
+                    a = len(birth)
+                    b = a + 1
+                    birth += (tid, tid)
+                    death += (-1, -1)
+                    touches += (0, 0)
+                    cur[j:j] = (a, b)
+                else:
+                    a, b = cur[j], cur[j + 1]
+                    death[a] = death[b] = tid
+                    del cur[j:j + 2]
+                self.turn_elem.append(t)
+                self.turn_cap.append(grown > 0)
+                self.turn_left.append(a)
+                self.turn_right.append(b)
             else:
                 for p in el.positions():
-                    self.segments[cur[p]].touches.append((t, el))
+                    touches[cur[p]] += 1
             self.slices.append(tuple(cur))
-
-        for pos, sid in enumerate(cur):
-            self.segments[sid].bottom_position = pos
-
-    def _new_segment(self, top_position: int | None = None) -> int:
-        sid = len(self.segments)
-        self.segments.append(Segment(sid, top_position=top_position))
-        return sid
 
     # -- worldlines ------------------------------------------------------
 
+    @functools.cached_property
+    def walk(self) -> Walk:
+        """The one walk of every worldline (see `Walk`)."""
+        birth, death, cap = self.birth, self.death, self.turn_cap
+        left, right, elem = self.turn_left, self.turn_right, self.turn_elem
+        starts, reached = {}, set()  # an open worldline's smallest id -> its first end
+        for end in (*range(self.diagram.width_in), *self.slices[-1]):
+            if end in reached:
+                continue
+            sid = low = end
+            tid = birth[sid] if birth[sid] >= 0 else death[sid]
+            while tid >= 0:
+                sid = right[tid] if left[tid] == sid else left[tid]
+                low = min(low, sid)
+                tid = death[sid] if birth[sid] == tid else birth[sid]
+            reached.add(sid)  # the other end
+            starts[low] = end
+        seen = [False] * len(birth)
+        order, phase, exits, lengths, totals = [], [], [], [], []
+        for low in range(len(birth)):
+            if seen[low]:
+                continue
+            sid = start = starts.get(low, low)
+            e, first = 0, len(order)
+            tid = birth[sid] if birth[sid] >= 0 else death[sid]
+            while True:
+                seen[sid] = True
+                order.append(sid)
+                phase.append(e)
+                if tid < 0:  # an open end
+                    exits.append(math.nan)
+                    break
+                exits.append(elem[tid] + (0.25 if cap[tid] else -0.25))
+                e += 1 if (left[tid] == sid) == cap[tid] else 3
+                sid = right[tid] if left[tid] == sid else left[tid]
+                if sid == start:
+                    break
+                tid = death[sid] if birth[sid] == tid else birth[sid]
+            lengths.append(len(order) - first)
+            totals.append(e)
+        return Walk(order, phase, exits, lengths, totals)
+
     def worldlines(self) -> list[list[int]]:
-        """Connected components of segments linked through turns."""
-        if self._worldlines is None:
-            self._worldlines = self._components()
-        return self._worldlines
+        """The segment ids of each worldline, in walk order, the worldlines
+        in order of their smallest ids."""
+        order, stops = self.walk.order, list(itertools.accumulate(self.walk.lengths))
+        return [order[a:b] for a, b in zip([0, *stops], stops)]
 
     def worldline_labels(self) -> list[int]:
         """labels[sid] is the index in worldlines() of segment sid's worldline."""
-        labels = [0] * len(self.segments)
+        labels = [0] * len(self.birth)
         for li, group in enumerate(self.worldlines()):
             for sid in group:
                 labels[sid] = li
         return labels
 
-    def _components(self) -> list[list[int]]:
-        parent = list(range(len(self.segments)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for turn in self.turns:
-            a, b = (find(s) for s in turn.arms)
-            if a != b:
-                parent[a] = b
-        groups: dict[int, list[int]] = {}
-        for s in range(len(self.segments)):
-            groups.setdefault(find(s), []).append(s)
-        return list(groups.values())
-
-    def is_closed_worldline(self, group: list[int]) -> bool:
-        return all(
-            self.segments[s].top_position is None
-            and self.segments[s].bottom_position is None
-            for s in group
-        )
-
-    def is_quiet(self, group: list[int]) -> bool:
-        """No dots, braids, or scatterings touch any segment of the worldline."""
-        return all(not self.segments[s].touches for s in group)
-
     def closed_quiet_loops(self) -> list[list[int]]:
-        return [
-            g
-            for g in self.worldlines()
-            if self.is_closed_worldline(g) and self.is_quiet(g)
-        ]
+        """The closed worldlines that no dot, braid or scattering touches."""
+        birth, death, touches = self.birth, self.death, self.touches
+        return [g for g in self.worldlines()
+                if all(birth[s] >= 0 and death[s] >= 0 and not touches[s] for s in g)]
 
 
 # -- redundant projections ----------------------------------------------------

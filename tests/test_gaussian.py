@@ -30,7 +30,7 @@ from quon2d.quon import (
     evaluate_closed_quon,
     expanded_core,
 )
-from quon2d.wires import LEFT, WireTrace
+from quon2d.wires import WireTrace
 
 from conftest import random_circuit, random_closed_diagram, run_fresh
 
@@ -440,8 +440,8 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             els = d.elements
             dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
                                      + els[t2:])
-            _, points, _, trace = assemble_frontier(dotted)
-            entry = dense(contraction_matrix(trace, points))[0, 1]
+            _, seg, t, _, _, trace = assemble_frontier(dotted)
+            entry = dense(contraction_matrix(trace, seg, t))[0, 1]
             assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
             zeros += entry == 0
             ones += (t1, p1) == (t2, p2) and entry == 1
@@ -700,49 +700,32 @@ def test_evaluation_is_repeatable_and_pfaffian_keeps_its_argument(rng):
     assert np.array_equal(raw_bits(a), raw_bits(kept))
 
 
-def contraction_matrix_by_mask(trace, order):
-    """The contraction matrix from every ordered pair of points: an N x N
-    mask of the pairs on one loop with t_x < t_y (the formula that the
-    per-loop pair lists replace)."""
-    if not order:
+def contraction_matrix_by_mask(trace, seg, t):
+    """The contraction matrix from every ordered pair of points, read from
+    the trace's walk: an N x N mask of the pairs on one loop with t_x < t_y
+    (the formula that the per-loop pair lists replace)."""
+    if not len(seg):
         return np.zeros((0, 0), dtype=complex)
-    loops = trace.worldlines()
-    walk, e_walk, exit_walk, totals = [], [], [], []
-    for group in loops:
-        sid, e = group[0], 0
-        tid = trace.segments[sid].birth_turn
-        for _ in group:
-            turn = trace.turns[tid]
-            walk.append(sid)
-            e_walk.append(e)
-            exit_walk.append(turn.elem_index + (0.25 if turn.kind == "cap" else -0.25))
-            e += 1 if (turn.side_of(sid) == LEFT) == (turn.kind == "cap") else 3
-            sid = turn.other(sid)
-            seg = trace.segments[sid]
-            tid = seg.death_turn if seg.birth_turn == tid else seg.birth_turn
-        totals.append(e)
-    lengths = np.array([len(group) for group in loops], dtype=int)
+    walk = trace.walk
+    lengths, exits = np.array(walk.lengths), np.array(walk.exits)
     first = np.cumsum(lengths) - lengths
-    loop_w = np.repeat(np.arange(len(loops)), lengths)
-    k_w = np.arange(len(walk)) - first[loop_w]
-    exits = np.array(exit_walk)
-    prev = np.arange(len(walk)) - 1
-    prev[first] += lengths
-    lo = np.full((len(loops), lengths.max()), np.inf)
+    loop_w = np.repeat(np.arange(len(lengths)), lengths)
+    k_w = np.arange(len(exits)) - first[loop_w]
+    entered = exits[first[loop_w] + (k_w - 1) % lengths[loop_w]]  # the previous exit
+    lo = np.full((len(lengths), lengths.max()), np.inf)
     hi = -lo
-    lo[loop_w, k_w] = np.minimum(exits[prev], exits)
-    hi[loop_w, k_w] = np.maximum(exits[prev], exits)
-    at = np.argsort(walk)[[p.seg for p in order]]
-    t = np.array([p.time for p in order])
-    loop, k, e = loop_w[at], k_w[at], np.array(e_walk)[at]
-    prefix = np.zeros((len(order), lo.shape[1] + 1), dtype=int)
+    lo[loop_w, k_w] = np.minimum(entered, exits)
+    hi[loop_w, k_w] = np.maximum(entered, exits)
+    at = np.argsort(walk.order)[seg]
+    loop, k, e = loop_w[at], k_w[at], np.array(walk.phase)[at]
+    prefix = np.zeros((len(seg), lo.shape[1] + 1), dtype=int)
     np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
     x, y = np.nonzero((loop[:, None] == loop[None, :]) & (t[:, None] < t[None, :]))
     between = prefix[y, k[y]] - prefix[y, k[x] + 1]
     exit_x = exits[at[x]]
     partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
-    power = e[y] - e[x] + (k[x] > k[y]) * np.array(totals)[loop[y]] + 2 * (between + partial)
-    w = np.zeros((len(order), len(order)), dtype=complex)
+    power = e[y] - e[x] + (k[x] > k[y]) * np.array(walk.totals)[loop[y]] + 2 * (between + partial)
+    w = np.zeros((len(seg), len(seg)), dtype=complex)
     w[x, y] = np.where(at[x] == at[y], 1.0, np.array([1, 1j, -1, -1j])[power % 4])
     w[y, x] = 0.0 - w[x, y]
     return w
@@ -751,14 +734,14 @@ def contraction_matrix_by_mask(trace, order):
 def prepared_cases(rng, monkeypatch):
     """Prepare random closed diagrams with 0 to 4 point groups, Clifford cores
     with their projections and a small Ising lattice.  Yields, for each, the
-    trace, the points and the `_Rows` of `contraction_matrix`, and the
-    `_Rows` that `_eliminate` was given."""
+    trace, the points' segments and times and the `_Rows` of
+    `contraction_matrix`, and the `_Rows` that `_eliminate` was given."""
     built, eliminated = [], []
     real_build, real_eliminate = gaussian.contraction_matrix, gaussian._eliminate
 
-    def build(trace, order):
-        w = real_build(trace, order)
-        built.append((trace, order, w))
+    def build(trace, seg, t):
+        w = real_build(trace, seg, t)
+        built.append((trace, seg, t, w))
         return w
 
     def eliminate(w, core):
@@ -783,13 +766,13 @@ def test_pair_lists_give_the_mask_formulas_matrix(rng, monkeypatch):
     some blocks hold several rows."""
     monkeypatch.setattr(gaussian, "PAIRS", 7)
     points = 0
-    for trace, order, w, _ in prepared_cases(rng, monkeypatch):
+    for trace, seg, t, w, _ in prepared_cases(rng, monkeypatch):
         a = dense(w)
-        assert np.array_equal(raw_bits(a), raw_bits(contraction_matrix_by_mask(trace, order)))
-        rows = np.repeat(np.arange(len(order)), np.diff(w.starts))
+        assert np.array_equal(raw_bits(a), raw_bits(contraction_matrix_by_mask(trace, seg, t)))
+        rows = np.repeat(np.arange(len(seg)), np.diff(w.starts))
         pairs = sorted(zip(w.cols.tolist(), rows.tolist()))
         assert pairs == [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(a)))]
-        points += len(order)
+        points += len(seg)
     assert points > 1000
 
 

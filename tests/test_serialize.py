@@ -5,9 +5,11 @@ import pytest
 
 from quon2d.circuits import Circuit, Gate
 from quon2d.compiler import compile_circuit, parity_tensor_quon
+from quon2d.diagram import BraidPos, Cap, Cup, Dot, MajoranaDiagram, Scattering
 from quon2d.errors import InvariantViolation, ParseError
 from quon2d.factory import FactoryLedger, Insert, Stretch, Switch, apply_move
-from quon2d.serialize import element_from_dict, parse_diagram, serialize_diagram
+from quon2d.quon import OpenInterval, ParityCut, QuonDiagram
+from quon2d.serialize import element_from_dict, emit_dot, parse_diagram, serialize_diagram
 
 COMPILED = {
     name: compile_circuit(Circuit(2, gates))
@@ -157,3 +159,38 @@ def test_a_partition_error_lists_a_few_strands():
     with pytest.raises(InvariantViolation, match="4000 strands") as info:
         parse_diagram(text)
     assert len(str(info.value)) < 300
+
+
+def test_emit_dot_lists_each_segments_ends_and_touches():
+    """The whole Graphviz text of a small open diagram with a hole, a notch,
+    a dot, a braid and a scattering: each strand segment is drawn as the
+    chain of its top end, its turns, the elements that touch it in time
+    order and its bottom end."""
+    core = MajoranaDiagram(2, 2, (Cap(1), Dot(0), Scattering(2, 0.3), BraidPos(0), Cup(1)))
+    q = QuonDiagram(core, (ParityCut(2, (0, 1)),),
+                    (OpenInterval("top", 0, 2), OpenInterval("bottom", 0, 2)),
+                    notches=(ParityCut(4, (2, 3)),))
+    assert emit_dot(q) == """graph quon {
+  rankdir=TB;
+  e0 [label="0: Cap", shape=box];
+  e1 [label="1: Dot", shape=box];
+  e2 [label="2: Scattering 0.3+0j", shape=box];
+  e3 [label="3: BraidPos", shape=box];
+  e4 [label="4: Cup", shape=box];
+  top0 [label="in 0", shape=plaintext];
+  bot0 [label="out 0", shape=plaintext];
+  top0 -- e1 [label=s0];
+  e1 -- e3 [label=s0];
+  e3 -- bot0 [label=s0];
+  top1 [label="in 1", shape=plaintext];
+  bot1 [label="out 1", shape=plaintext];
+  top1 -- e2 [label=s1];
+  e2 -- bot1 [label=s1];
+  e0 -- e4 [label=s2];
+  e4 -- e3 [label=s2];
+  e0 -- e4 [label=s3];
+  e4 -- e2 [label=s3];
+  hole0 [label="hole @2 [0, 1]", shape=octagon];
+  notch0 [label="notch @4 [2, 3]", shape=house];
+}
+"""
