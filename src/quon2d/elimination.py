@@ -64,6 +64,7 @@ MULTIPLIER_MAX = 1.0 + 1e-9
 # pivot A11 is kept only with max|A11| max|A11^-1| <= 1 / DEFER_TOL.
 DEFER_TOL = 1e-3
 _LOW, _HIGH = 2.0 ** -64, 2.0 ** 64  # |mantissa| kept as it is (see `_renormalised`)
+_CHUNK = 512  # split factors multiplied at once: their product lies in [2^-512, 2^256)
 
 
 class _Rows(NamedTuple):
@@ -437,6 +438,21 @@ def _renormalised(z: complex, x: int) -> tuple[complex, int]:
         return z, x
     m, s = _split(z)
     return m, x + s
+
+
+def _times(z: complex, x: int, factors: np.ndarray) -> tuple[complex, int]:
+    """z * 2^x times the product of `factors`, renormalised as
+    `_renormalised` keeps it: each factor is first split as `_split` does,
+    so that products of _CHUNK of them, their larger parts in [0.5, 1),
+    stay in float range."""
+    scale = np.frexp(np.maximum(np.abs(factors.real), np.abs(factors.imag)))[1]
+    parts = np.empty_like(factors)
+    parts.real = np.ldexp(factors.real, -scale)
+    parts.imag = np.ldexp(factors.imag, -scale)
+    for first in range(0, len(factors), _CHUNK):
+        chunk = slice(first, first + _CHUNK)
+        z, x = _renormalised(z * complex(np.prod(parts[chunk])), x + int(scale[chunk].sum()))
+    return z, x
 
 
 def _ldexp(z, x: int):

@@ -33,6 +33,12 @@ backward turns give inverse factors, so the phases differ by i^E = -1 (on
 every loop), and the counts c by an odd number, the strands of the loop at
 time t_y other than y's own.
 
+The sweep (`assemble_frontier`) reads the diagram's columns
+(`diagram.Columns`), as the trace does: the weights of all elements but
+caps and cups, their points and the product of their scalars are computed
+as arrays, and no element object is built on the way, so a diagram built
+as columns (an Ising lattice's) is evaluated without any.
+
 One factorisation per diagram.  A parity projection (1 + P)/2 of a hole or
 notch, and a bit-dependent dot of a basis encoder, add an optional group of
 points to the diagram (the callers first prune the projections a diagram
@@ -86,16 +92,15 @@ import math
 
 import numpy as np
 
-from .diagram import I_POWERS, MajoranaDiagram
+from .diagram import MajoranaDiagram
 from .elimination import (
-    _HIGH,
-    _LOW,
     _eliminate,
     _ldexp,
     _pfaffians,
     _renormalised,
     _Rows,
     _split,
+    _times,
 )
 from .errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
 from .wires import WireTrace
@@ -222,48 +227,40 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
 
 
 def assemble_frontier(diag: MajoranaDiagram):
-    """Sweep a closed diagram into ((amplitude, x), seg, time, pair, pair
-    weights, trace): the diagram's amplitude times its element weights and
-    sqrt(2) per loop is amplitude * 2^x, renormalised after each factor as
-    in `_eliminate`, so it neither overflows nor underflows, and it is the
-    plain product wherever that is in float range.  The points, in time
-    order, are the arrays seg (each one's segment), time and pair (its
-    optional pair's index into the weights, -1 for a mandatory point)."""
+    """Sweep a closed diagram into ((amplitude, x), seg, time, pair, mus,
+    trace), reading only its columns (`diagram.Columns`): the weights of all
+    elements but caps and cups are computed as arrays.  The diagram's
+    amplitude times its element weights and sqrt(2) per loop is
+    amplitude * 2^x, renormalised as in `_eliminate`, so it neither
+    overflows nor underflows.  The points, in time order, are the arrays
+    seg (each one's segment), time and pair (its optional pair's index into
+    mus, the pairs' mu, -1 for a mandatory point)."""
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
     trace = WireTrace(diag)
-    amplitude, x = _renormalised(complex(diag.amplitude), 0)
-    seg: list[int] = []
-    time: list[float] = []
-    pair: list[int] = []
-    mus: list[complex] = []
+    columns = diag.columns
+    quiet = trace.quiet  # caps and cups are the bare wiring
+    a, b = columns.weights(quiet)
+    two = columns.k[quiet] != columns.j[quiet]  # two positions, not a dot's one
+    size_a, size_b = abs(a), abs(b)
+    inserting = size_b > MU_MIN * size_a  # the others are the scalar a
+    paired = inserting & (size_a > MU_MIN * size_b)
+    # a pure insertion b * i^(n//2) g_{s1} ... g_{sn} has mandatory points;
+    # every other element a + b*M is a * (1 + mu * M), mu = i b / a
+    mus = 1j * b[paired] / a[paired]
+    factors = np.where(inserting, b * np.where(two, 1j, 1), a)
+    factors[paired] = a[paired] * mus
+    amplitude, x = _times(*_renormalised(complex(diag.amplitude), 0), factors)
 
-    for t, el in enumerate(diag.elements):
-        if el.width_delta:  # caps and cups are the bare wiring
-            continue
-        a_w, b_w = el.weights()
-        if abs(b_w) <= MU_MIN * abs(a_w):
-            amplitude *= a_w
-        else:
-            positions = el.positions()
-            if abs(a_w) <= MU_MIN * abs(b_w):
-                # a pure insertion b * i^(n//2) g_{s1} ... g_{sn}: mandatory points
-                amplitude *= b_w * I_POWERS[len(positions) // 2 % 4]
-                pair_id = -1
-            else:
-                mu = 1j * b_w / a_w
-                amplitude *= a_w * mu
-                pair_id = len(mus)
-                mus.append(mu)
-            slice_now, now = trace.slices[t], t + 0.0
-            for p in reversed(positions):  # the rightmost acts first
-                seg.append(slice_now[p])
-                time.append(now)
-                pair.append(pair_id)
-                now += _SUB
-        if not _LOW <= abs(amplitude) < _HIGH:
-            amplitude, x = _renormalised(amplitude, x)
+    # each inserting element's points, the rightmost position acting first
+    owner = inserting.nonzero()[0]
+    owner = owner.repeat(1 + two[owner])
+    second = np.zeros(len(owner), dtype=bool)
+    second[1:] = owner[1:] == owner[:-1]
+    seg = np.array((trace.last, trace.first), dtype=int)[second.view(np.int8), owner]
+    time = quiet[owner] + second * _SUB
+    pair = np.where(paired[owner], paired.cumsum()[owner] - 1, -1)
 
     # in a closed diagram every worldline is a loop; sqrt(2)^2046 = 2^1023
     # is the largest power that is a float, and a mantissa below 1 times it
@@ -276,8 +273,7 @@ def assemble_frontier(diag: MajoranaDiagram):
             amplitude, x = m, x + s
         amplitude, x = _renormalised(amplitude * _SQRT2 ** step, x)
         loops -= step
-    return ((amplitude, x), np.array(seg, dtype=int), np.array(time, dtype=float),
-            np.array(pair, dtype=int), mus, trace)
+    return (amplitude, x), seg, time, pair, mus, trace
 
 
 class PreparedDiagram:
@@ -352,7 +348,7 @@ class PreparedDiagram:
             self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
                 contraction_matrix(trace, np.concatenate([seg, np.array(extra_seg, dtype=int)]),
                                    np.concatenate([time, extra_time])).plus_pairs(
-                    paired[::2], np.array([1.0 / mu for mu in mus], dtype=complex)),
+                    paired[::2], 1.0 / mus),
                 core)
         self._exp = self._amp_exp + pf_exp  # applied last, to amplitude * term
         self._deferred = core - self._eliminated

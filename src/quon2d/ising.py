@@ -22,6 +22,7 @@ e^{psi} = (1 - e^{-2K}) / (1 + e^{-2K}) = tanh K = e^{-2K*}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ from .diagram import (
     Cup,
     MajoranaDiagram,
     ScatteringStar,
-    VERTICAL,
 )
 from .errors import (
     InvariantViolation,
@@ -50,7 +50,11 @@ from .rewrite import RewriteSite, SpaceTimeDual, apply_rule
 
 @dataclass(frozen=True)
 class IsingLattice:
-    """Planar spin lattice; couplings K = J / k_B T are absorbed per edge."""
+    """Planar spin lattice; couplings K = J / k_B T are absorbed per edge.
+
+    Its edges are checked as arrays (`bonds`): integer sites in range and
+    distinct, finite real couplings, and, for a shaped lattice, each bond
+    of the rows x cols grid exactly once."""
 
     n_sites: int
     edges: tuple[tuple[int, int, float], ...]
@@ -62,15 +66,33 @@ class IsingLattice:
             raise InvariantViolation(
                 f"the {shape}lattice has no sites; it needs at least one row and one column"
             )
-        for a, b, k in self.edges:
-            if not (0 <= a < self.n_sites and 0 <= b < self.n_sites and a != b):
-                raise InvariantViolation(f"bad edge ({a}, {b})")
-            if not math.isfinite(k):
-                raise InvariantViolation(f"coupling {k} of edge ({a}, {b}) is not finite")
+        a, b, k = self.bonds
+        n = self.n_sites
+        bad = (a < 0) | (a >= n) | (b < 0) | (b >= n) | (a == b) | ~np.isfinite(k)
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            if np.isfinite(k[t]):
+                raise InvariantViolation(f"bad edge ({a[t]}, {b[t]})")
+            raise InvariantViolation(f"coupling {k[t]} of edge ({a[t]}, {b[t]}) is not finite")
         if self.shape is not None:
             self._check_grid()
         elif not self._planar():
             raise NonPlanarInput("the interaction graph is not planar")
+
+    @functools.cached_property
+    def bonds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as arrays: the sites a and b, integers, and the
+        couplings k, floats; InvariantViolation for an edge that is not
+        (site, site, coupling) of integer sites and a real coupling."""
+        if set(map(len, self.edges)) - {3}:
+            raise InvariantViolation("each edge must be a (site, site, coupling) triple")
+        a, b, k = (np.array(column) for column in zip(*self.edges)) if self.edges else (
+            np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+            raise InvariantViolation("edge sites must be integers")
+        if k.dtype.kind not in "biuf":
+            raise InvariantViolation(f"edge couplings must be real numbers, got {k.tolist()[:3]}")
+        return a, b, k.astype(float)
 
     def _check_grid(self) -> None:
         """A shaped lattice holds each bond of its rows x cols grid once, and
@@ -79,18 +101,20 @@ class IsingLattice:
         grid = f"the {rows} x {cols} grid"
         if self.n_sites != rows * cols:
             raise InvariantViolation(f"{grid} has {rows * cols} sites, not {self.n_sites}")
-        bonds = _grid_bonds(rows, cols)
-        grid_bonds, seen = set(bonds), set()
-        for a, b, _ in self.edges:
-            bond = (min(a, b), max(a, b))
-            if bond not in grid_bonds:
-                raise InvariantViolation(f"bond ({a}, {b}) is not a bond of {grid}")
-            if bond in seen:
-                raise InvariantViolation(f"bond ({a}, {b}) appears twice")
-            seen.add(bond)
-        for bond in bonds:
-            if bond not in seen:
-                raise InvariantViolation(f"bond {bond} of {grid} is missing")
+        a, b, _ = self.bonds
+        index = _bond_index(rows, cols, a, b)
+        if (index < 0).any():
+            t = int(np.flatnonzero(index < 0)[0])
+            raise InvariantViolation(f"bond ({a[t]}, {b[t]}) is not a bond of {grid}")
+        counts = np.bincount(index, minlength=rows * (cols - 1) + (rows - 1) * cols)
+        if counts.max(initial=1) > 1:
+            seen = set()
+            t = next(t for t, i in enumerate(index.tolist()) if i in seen or seen.add(i))
+            raise InvariantViolation(f"bond ({a[t]}, {b[t]}) appears twice")
+        if len(index) < len(counts):
+            lows, highs = _grid_bonds(rows, cols)
+            i = int(np.flatnonzero(counts == 0)[0])
+            raise InvariantViolation(f"bond {(int(lows[i]), int(highs[i]))} of {grid} is missing")
 
     def _planar(self) -> bool:
         import networkx as nx
@@ -104,26 +128,73 @@ class IsingLattice:
     @staticmethod
     def square(rows: int, cols: int, coupling: float,
                overrides: dict | None = None) -> "IsingLattice":
-        """Open rows x cols square lattice; `overrides` maps (site_a, site_b)
-        pairs to per-edge couplings."""
-        overrides = overrides or {}
-        edges = tuple(
-            (a, b, float(overrides.get((a, b), overrides.get((b, a), coupling))))
-            for a, b in _grid_bonds(rows, cols)
-        )
-        return IsingLattice(rows * cols, edges, (rows, cols))
+        """Open rows x cols square lattice with `coupling` on every bond
+        but those `overrides` maps, by a (site_a, site_b) pair in either
+        order, to a coupling of their own.  InvariantViolation for a key
+        that is no bond of the grid, a bond given in both orders, or a
+        coupling that is not a finite real number."""
+        a, b = _grid_bonds(rows, cols)
+        k = np.full(len(a), _finite_reals([coupling], "the coupling")[0])
+        if overrides and rows * cols > 0:  # a lattice of no sites refuses itself below
+            keys = list(overrides)
+            try:
+                pairs = set(map(len, keys)) == {2}
+            except TypeError:  # a key without a length
+                pairs = False
+            ends = [np.array(column) for column in zip(*keys)] if pairs else []
+            if not pairs or any(end.dtype.kind not in "iu" for end in ends):
+                raise InvariantViolation(
+                    f"override keys must be (site, site) pairs of integers, got {keys[:3]}")
+            index = _bond_index(rows, cols, *ends)
+            if (index < 0).any():
+                key = keys[int(np.flatnonzero(index < 0)[0])]
+                raise InvariantViolation(
+                    f"override {key} is not a bond of the {rows} x {cols} grid")
+            counts = np.bincount(index)
+            if counts.max() > 1:
+                i = int(np.flatnonzero(counts > 1)[0])
+                raise InvariantViolation(
+                    f"bond {(int(a[i]), int(b[i]))} is overridden twice, as "
+                    f"{(int(a[i]), int(b[i]))} and {(int(b[i]), int(a[i]))}")
+            k[index] = _finite_reals(list(overrides.values()), "override couplings")
+        return IsingLattice(rows * cols, tuple(zip(a.tolist(), b.tolist(), k.tolist())),
+                            (rows, cols))
 
 
-def _grid_bonds(rows: int, cols: int) -> list[tuple[int, int]]:
+def _finite_reals(values: list, what: str) -> np.ndarray:
+    """values as a float array; InvariantViolation unless each is a finite
+    real number."""
+    k = np.array(values)
+    if k.dtype.kind not in "biuf":
+        raise InvariantViolation(f"{what} must be real numbers, got {values[:3]}")
+    k = k.astype(float)
+    if not np.isfinite(k).all():
+        raise InvariantViolation(f"{what} must be finite, got {k[~np.isfinite(k)][0]}")
+    return k
+
+
+def _grid_bonds(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The bonds (s, s + 1) and (s, s + cols) of the open rows x cols grid,
-    site by site in row-major order."""
-    bonds = []
-    for s in range(rows * cols):
-        if (s + 1) % cols:
-            bonds.append((s, s + 1))
-        if s + cols < rows * cols:
-            bonds.append((s, s + cols))
-    return bonds
+    site by site in row-major order, as arrays of their two sites."""
+    s = np.arange(max(rows * cols, 0))
+    ends, kept = np.empty((len(s), 2), dtype=s.dtype), np.empty((len(s), 2), dtype=bool)
+    ends[:, 0], ends[:, 1] = s + 1, s + cols
+    kept[:, 0], kept[:, 1] = (s + 1) % max(cols, 1) != 0, s < len(s) - cols
+    return np.repeat(s, kept.sum(axis=1)), ends[kept]
+
+
+def _bond_index(rows: int, cols: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The place of each bond (a, b), in either order, in `_grid_bonds`: a
+    site s has s - s // cols bonds to the right and min(s, n - cols) bonds
+    down before it, and its own bond to the right before its bond down; -1
+    where (a, b) is no bond of the grid."""
+    n = rows * cols
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    down = high - low == cols  # with one column, every bond
+    beside = (low + 1) % cols != 0  # s has a bond to the right
+    known = (0 <= low) & (high < n) & (down | ((high - low == 1) & beside))
+    place = low - low // cols + np.minimum(low, n - cols) + (down & beside)
+    return np.where(known, place, -1)
 
 
 def partition_oracle(lattice: IsingLattice, limit: int = 24) -> float:
@@ -172,46 +243,54 @@ def build_ising_quon(lattice: IsingLattice) -> QuonDiagram:
     return _build_generic(lattice)
 
 
-def _edge_k(lattice: IsingLattice):
-    return {(a, b): k for a, b, k in lattice.edges} | {
-        (b, a): k for a, b, k in lattice.edges
-    }
-
-
 def _build_square(lattice: IsingLattice) -> QuonDiagram:
+    """The brickwork sweep, as columns: caps opening the first row's site
+    loops; then per row its bonds to the right, and, but for the last row,
+    per column a cap opening the site below, its bond down and a cup
+    closing the site above; the last row's cups."""
     rows, cols = lattice.shape
-    kk = _edge_k(lattice)
-    els: list = [Cap(2 * c) for c in range(cols)]
-    couplings = []
-    for r in range(rows):
-        for c in range(cols - 1):
-            a, b = r * cols + c, r * cols + c + 1
-            els.append(ScatteringStar(2 * c + 1, loop_angle(kk[(a, b)])))
-            couplings.append(kk[(a, b)])
-        if r < rows - 1:
-            for c in range(cols):
-                a, b = r * cols + c, (r + 1) * cols + c
-                p = 2 * c
-                els += [Cap(p + 2), ScatteringStar(p + 1, loop_angle(kk[(a, b)])), Cup(p)]
-                couplings.append(kk[(a, b)])
-        else:
-            for _ in range(cols):
-                els.append(Cup(0))
-    return QuonDiagram(_closed_core(els, lattice.n_sites, couplings))
+    a, b, k = lattice.bonds
+    low = np.minimum(a, b)
+    down = np.abs(b - a) == cols  # with one column, every bond
+    right, below = np.zeros((rows, cols - 1)), np.zeros((rows - 1, cols))
+    right[low[~down] // cols, low[~down] % cols] = k[~down]
+    below[low[down] // cols, low[down] % cols] = k[down]
+    c = np.arange(cols)
+    star, cap, cup = ScatteringStar.CODE, Cap.CODE, Cup.CODE
+    # a row but the last: its bonds to the right, then cap, bond down, cup per column
+    kind = np.concatenate([np.full(cols - 1, star), np.tile([cap, star, cup], cols)])
+    j = np.concatenate([2 * c[1:] - 1, np.stack([2 * c + 2, 2 * c + 1, 2 * c], axis=1).ravel()])
+    coupled = np.zeros((rows - 1, len(kind)))  # each scattering's coupling
+    coupled[:, :cols - 1] = right[:-1]
+    coupled[:, cols::3] = below
+    return QuonDiagram(_closed_core(
+        np.concatenate([np.full(cols, cap), np.tile(kind, rows - 1), np.full(cols - 1, star),
+                        np.full(cols, cup)]),
+        np.concatenate([2 * c, np.tile(j, rows - 1), 2 * c[1:] - 1, np.zeros(cols, dtype=int)]),
+        loop_angle(np.concatenate([np.zeros(cols), coupled.ravel(), right[-1], np.zeros(cols)])),
+        lattice.n_sites, k))
 
 
 def _build_generic(lattice: IsingLattice) -> QuonDiagram:
+    """All site loops first; each bond (a < b) then routes loop a's right
+    strand next to loop b's left one by braids, scatters them and braids
+    back; the cups close the loops."""
     n = lattice.n_sites
-    els: list = [Cap(2 * s) for s in range(n)]
-    for a, b, k in lattice.edges:
-        a, b = min(a, b), max(a, b)
-        # route loop a's right strand next to loop b's left strand and back
-        out = [BraidPos(j) for j in range(2 * a + 1, 2 * b - 1)]
-        back = [BraidNeg(j) for j in reversed(range(2 * a + 1, 2 * b - 1))]
-        els += out + [ScatteringStar(2 * b - 1, loop_angle(k))] + back
-    for _ in range(n):
-        els.append(Cup(0))
-    return QuonDiagram(_closed_core(els, n, [k for _, _, k in lattice.edges]))
+    a, b, k = lattice.bonds
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    out = 2 * (high - low) - 2  # braids each way: on 2 low + 1 .. 2 high - 2
+    length = 2 * out + 1
+    bond = np.repeat(np.arange(len(k)), length)
+    i = np.arange(len(bond)) - np.repeat(np.cumsum(length) - length, length)
+    turn = out[bond]  # the scattering's place in its bond's run
+    kind = np.where(i < turn, BraidPos.CODE, np.where(i == turn, ScatteringStar.CODE,
+                                                      BraidNeg.CODE))
+    j = 2 * low[bond] + 1 + np.minimum(i, 2 * turn - i)
+    return QuonDiagram(_closed_core(
+        np.concatenate([np.full(n, Cap.CODE), kind, np.full(n, Cup.CODE)]),
+        np.concatenate([2 * np.arange(n), j, np.zeros(n, dtype=int)]),
+        np.concatenate([np.zeros(n), np.where(i == turn, loop_angle(k[bond]), 0.0), np.zeros(n)]),
+        n, k))
 
 
 def _exp2(k: float) -> tuple[float, int]:
@@ -224,14 +303,16 @@ def _exp2(k: float) -> tuple[float, int]:
     return math.exp(k - s * math.log(2.0)), s
 
 
-def _closed_core(els: list, sites: int, couplings: list[float]) -> MajoranaDiagram:
-    """The closed diagram of `els` with amplitude sqrt(2)^sites times e^k
-    for each coupling k (`_exp2`), multiplied out in that order as a
-    mantissa and a power of two.  Where the product is a float it is the
-    amplitude, bit for bit the plain product; past the float range the
-    powers of two beyond 2^1000 are drawn as bare loops ahead of `els`, two
-    per factor 2 (a closed loop is worth sqrt(2)), so the diagram keeps its
-    value.
+def _closed_core(kind: np.ndarray, j: np.ndarray, phi: np.ndarray, sites: int,
+                 couplings: np.ndarray) -> MajoranaDiagram:
+    """The closed diagram of the columns `kind` and `j`, with phi the
+    parameter of each ScatteringStar (its angle is -i phi), and the
+    amplitude sqrt(2)^sites e^(sum of the couplings), the sum exactly
+    rounded (math.fsum), held as a mantissa and a power of two (`_exp2`).
+    Where that is a float it is the amplitude; past the float range the
+    powers of two beyond 2^1000 are drawn as bare loops ahead of the
+    elements, two per factor 2 (a closed loop is worth sqrt(2)), so the
+    diagram keeps its value.
 
     Z is at least e^(sum k), the weight of the all-up configuration, so
     where that alone reaches 2^(1024 + sites / 2) Z passes the float range
@@ -239,27 +320,27 @@ def _closed_core(els: list, sites: int, couplings: list[float]) -> MajoranaDiagr
     loop is drawn; below it fewer than sites + 24 pairs of loops are drawn.
     An amplitude under 2^-1022 raises it too: on a grid Z is then at least
     e^(sum |k|), the Neel configuration's weight, past the float range."""
-    weight = math.fsum(couplings) / math.log(2.0)  # log2 e^(sum k)
+    total = math.fsum(couplings.tolist())
+    weight = total / math.log(2.0)  # log2 e^(sum k)
     if weight >= 1024 + sites / 2:
         raise NumericalInstability(
             f"Z passes the float range: it is at least e^(sum of the couplings) = "
             f"2^{weight:.4g}, the weight of the all-up configuration")
-    amp, x = 1.0, 0
-    factors = [(math.sqrt(2.0) ** min(2046, sites - done), 0) for done in range(0, sites, 2046)]
-    for factor, power in factors + [_exp2(k) for k in couplings]:
-        amp *= factor
-        m, s = math.frexp(amp)
-        x += power
-        if not -64 < s <= 64:
-            amp, x = m, x + s
+    amp, x = _exp2(total)
+    amp *= math.sqrt(2.0) ** (sites % 2)
+    x += sites // 2
     size = math.frexp(amp)[1] + x  # amp * 2^x lies in [2^(size - 1), 2^size)
     if size <= -1022:
         raise NumericalInstability(
             f"the amplitude sqrt(2)^sites e^(sum of the couplings) is below 2^{size}, under "
             f"the float range, and on a grid Z is at least e^(sum of |couplings|), past it")
-    doubles = size - 1000 if size > 1024 else 0
-    return MajoranaDiagram(0, 0, (Cap(0), Cup(0)) * (2 * doubles) + tuple(els),
-                           math.ldexp(amp, x - doubles))
+    loops = 2 * (size - 1000 if size > 1024 else 0)
+    angle = np.zeros(loops * 2 + len(kind), dtype=complex)
+    angle.imag[loops * 2:] = -phi  # angle = -i phi, by parts
+    return MajoranaDiagram.from_columns(
+        0, 0, np.concatenate([np.tile([Cap.CODE, Cup.CODE], loops), kind]),
+        np.concatenate([np.zeros(2 * loops, dtype=int), j]), angle=angle,
+        amplitude=math.ldexp(amp, x - loops // 2))
 
 
 # -- Kramers-Wannier --------------------------------------------------------
@@ -308,8 +389,8 @@ def kw_rewrite_chain(lattice: IsingLattice):
 
     # space-time duality on every edge scattering; the rule replaces one
     # element by one, so the sites found up front stay valid
-    sites = [i for i, el in enumerate(current.core.elements)
-             if isinstance(el, ScatteringStar) and el.orientation == VERTICAL]
+    columns = current.core.columns
+    sites = np.flatnonzero((columns.kind == ScatteringStar.CODE) & ~columns.horizontal).tolist()
     for site in sites:
         current = apply_rule(current, SpaceTimeDual(), RewriteSite.at(site))
         steps.append(current)

@@ -27,8 +27,6 @@ import numpy as np
 from . import diagram as dg
 from . import gaussian
 from .diagram import (
-    BraidNeg,
-    BraidPos,
     Cap,
     Cup,
     DotPair,
@@ -107,21 +105,29 @@ class OpenInterval:
     def strands(self) -> tuple[int, ...]:
         return tuple(range(self.start, self.start + self.size))
 
-    @functools.cached_property
+    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Strand pairs (local indices) read off the pairing data, ordered by
-        leftmost member; read once per interval, which is frozen."""
-        trace = WireTrace(self.pairing_data)
-        labels = trace.worldline_labels()
-        groups: dict[int, list[int]] = {}
-        for pos, sid in enumerate(trace.slices[-1]):
-            groups.setdefault(labels[sid], []).append(pos)
-        pairs = []
-        for members in groups.values():
-            if len(members) != 2:
-                raise InvariantViolation("pairing data does not close strands pairwise")
-            pairs.append((min(members), max(members)))
-        return tuple(sorted(pairs))
+        leftmost member (`pairing_pairs`)."""
+        return pairing_pairs(self.pairing_data)
+
+
+@functools.lru_cache(maxsize=256)
+def pairing_pairs(pairing_data: MajoranaDiagram) -> tuple[tuple[int, int], ...]:
+    """The strand pairs of a pairing diagram, ordered by leftmost member,
+    traced once per distinct (frozen) diagram: every compiled circuit makes
+    new intervals, most of them with equal pairing data."""
+    trace = WireTrace(pairing_data)
+    labels = trace.worldline_labels()
+    groups: dict[int, list[int]] = {}
+    for pos, sid in enumerate(trace.slices[-1]):
+        groups.setdefault(labels[sid], []).append(pos)
+    pairs = []
+    for members in groups.values():
+        if len(members) != 2:
+            raise InvariantViolation("pairing data does not close strands pairwise")
+        pairs.append((min(members), max(members)))
+    return tuple(sorted(pairs))
 
 
 def basis_bits(bits) -> tuple[int, ...]:
@@ -391,7 +397,7 @@ def _components(q: QuonDiagram, assignments, use_oracle: bool = False) -> list[c
     q = remove_holes_to_fixpoint(q)
     intervals = q.open_intervals
     closed = encode_basis(q, BasisAssignment(tuple((0,) * iv.qubit_count for iv in intervals)))
-    top_end = sum(len(iv.pairing_data.elements) for iv in intervals if iv.side == TOP)
+    top_end = sum(len(iv.pairing_data) for iv in intervals if iv.side == TOP)
     # (strand at the boundary, interval, slot) of every candidate dot, per side
     slots = {
         side: sorted(((iv.start + s, i, k) for i, iv in enumerate(intervals) if iv.side == side
@@ -404,7 +410,7 @@ def _components(q: QuonDiagram, assignments, use_oracle: bool = False) -> list[c
     groups = (
         [(top_end, (strand,)) for strand, _, _ in slots[TOP]]
         + [(c.time_index, c.strands) for c in cuts]
-        + [(top_end + len(q.core.elements), (strand,)) for strand, _, _ in slots[BOTTOM]]
+        + [(top_end + len(q.core), (strand,)) for strand, _, _ in slots[BOTTOM]]
     )
     group_of = {(i, k): g for g, (_, i, k) in enumerate(slots[TOP])}
     group_of.update({(i, k): g for g, (_, i, k) in
@@ -650,9 +656,7 @@ def _touches_swap_pattern(core: MajoranaDiagram, cut: ParityCut) -> bool:
     for start, step in ((cut.time_index, +1), (cut.time_index - 1, -1)):
         positions = []
         t = start
-        while 0 <= t < len(core.elements) and isinstance(
-            core.elements[t], (BraidPos, BraidNeg)
-        ):
+        while 0 <= t < len(core.elements) and core.elements[t].SIGN:  # a braid
             positions.append(core.elements[t].j)
             t += step
         if not positions:

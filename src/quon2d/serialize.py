@@ -215,14 +215,13 @@ def emit_dot(q: QuonDiagram) -> str:
     lines = ["graph quon {", "  rankdir=TB;"]
     for t, el in enumerate(q.core.elements):
         label = type(el).__name__
-        if isinstance(el, (Scattering, ScatteringStar)):
+        if el.CODE in (Scattering.CODE, ScatteringStar.CODE):
             label += f" {el.angle():.3g}"
         lines.append(f'  e{t} [label="{t}: {label}", shape=box];')
     touched = [[] for _ in trace.birth]  # per segment, the elements on it in time order
-    for t, el in enumerate(q.core.elements):
-        if not el.width_delta:
-            for p in el.positions():
-                touched[trace.slices[t][p]].append(f"e{t}")
+    for t, first, last in zip(trace.quiet.tolist(), trace.first, trace.last):
+        for sid in (first,) if first == last else (first, last):
+            touched[sid].append(f"e{t}")
     bottom = {sid: pos for pos, sid in enumerate(trace.slices[-1])}
     for sid, touches in enumerate(touched):
         ends = [f"e{trace.turn_elem[tid]}" for tid in (trace.birth[sid], trace.death[sid])

@@ -4,10 +4,11 @@ Strand positions are ephemeral (caps and cups shift them); most structural
 reasoning needs the worldline a position belongs to.  Braids and scatterings
 are treated as position-preserving here: a segment counts the elements that
 touch it, which is all the quietness predicates (boundary tracking,
-string-genus loops) ever ask.  A trace is held as flat per-segment and
-per-turn lists, and its worldlines are walked once (`Walk`): the walk gives
-the worldline groups and, on a closed loop, the phases and exit boundaries
-from which `gaussian.contraction_matrix` reads its contractions.
+string-genus loops) ever ask.  A trace is read from the diagram's columns
+(`diagram.Columns`), one step per element, and held as flat per-segment and
+per-turn lists; its worldlines are walked once (`Walk`): the walk gives the
+worldline groups and, on a closed loop, the phases and exit boundaries from
+which `gaussian.contraction_matrix` reads its contractions.
 
 `projection_eigenvalues` follows the Majorana monomial of a projection
 through the elements instead, with its exact phase, to find the projections
@@ -22,7 +23,9 @@ import math
 from dataclasses import replace
 from typing import NamedTuple
 
-from .diagram import MajoranaDiagram, offset_elements
+import numpy as np
+
+from .diagram import WIDTH_DELTA, MajoranaDiagram, offset_elements
 
 TOP = "top"  # the sides of an open interval
 BOTTOM = "bottom"
@@ -48,48 +51,62 @@ class Walk(NamedTuple):
 
 class WireTrace:
     """Segments, turns, and per-slice position maps of a diagram, as flat
-    lists.  Segment sid has a `birth` turn (-1 when it enters at the top,
-    where segment p is the strand at position p), a `death` turn (-1 when
-    it leaves at the bottom) and `touches`, the count of dots, braids and
-    scatterings on it.  Turn tid is element `turn_elem[tid]`, a cap when
-    `turn_cap[tid]`, else a cup, and has the arms `turn_left[tid]`,
-    `turn_right[tid]`.  slices[t] is the tuple of segment ids at the slice
-    before element t."""
+    lists, read from the diagram's columns (`diagram.Columns`) and never
+    from element objects.  Segment sid has a `birth` turn (-1 when it
+    enters at the top, where segment p is the strand at position p), a
+    `death` turn (-1 when it leaves at the bottom) and `touches`, the count
+    of dots, braids and scatterings on it.  Turn tid is element
+    `turn_elem[tid]`, a cap when `turn_cap[tid]`, else a cup, and has the
+    arms `turn_left[tid]`, `turn_right[tid]`.  slices[t] is the tuple of
+    segment ids at the slice before element t; a slice no turn changes is
+    the same tuple as the one before it.  The other elements are `quiet`
+    (their indices, an array), with `first` and `last` the segments at
+    their first and last positions (`Columns.j`, `Columns.k`)."""
 
     def __init__(self, diag: MajoranaDiagram):
         self.diagram = diag
+        columns = diag.columns
         cur = list(range(diag.width_in))
-        self.slices: list[tuple[int, ...]] = [tuple(cur)]
-        birth, death, touches = [-1] * len(cur), [-1] * len(cur), [0] * len(cur)
-        self.birth, self.death, self.touches = birth, death, touches
-        self.turn_elem: list[int] = []
-        self.turn_cap: list[bool] = []
-        self.turn_left: list[int] = []
-        self.turn_right: list[int] = []
-
-        for t, el in enumerate(diag.elements):
-            grown = el.width_delta
-            if grown:  # a cap opens the segments a, b; a cup closes the two at j
-                j, tid = el.j, len(self.turn_elem)
-                if grown > 0:
-                    a = len(birth)
-                    b = a + 1
-                    birth += (tid, tid)
-                    death += (-1, -1)
-                    touches += (0, 0)
-                    cur[j:j] = (a, b)
-                else:
-                    a, b = cur[j], cur[j + 1]
-                    death[a] = death[b] = tid
-                    del cur[j:j + 2]
-                self.turn_elem.append(t)
-                self.turn_cap.append(grown > 0)
-                self.turn_left.append(a)
-                self.turn_right.append(b)
+        birth, death = [-1] * len(cur), [-1] * len(cur)
+        self.turn_elem, self.turn_cap, left, right = [], [], [], []
+        quiet, first, last = [], [], []
+        state = tuple(cur)
+        slices = [state]
+        for t, (grown, j, k) in enumerate(zip(WIDTH_DELTA[columns.kind].tolist(),
+                                              columns.j.tolist(), columns.k.tolist())):
+            if not grown:  # the segments at its first and last positions
+                quiet.append(t)
+                first.append(state[j])
+                last.append(state[k])
+                slices.append(state)
+                continue
+            tid = len(left)
+            if grown > 0:  # a cap opens the segments a, b; a cup closes the two at j
+                a = len(birth)
+                b = a + 1
+                birth += (tid, tid)
+                death += (-1, -1)
+                cur[j:j] = (a, b)
             else:
-                for p in el.positions():
-                    touches[cur[p]] += 1
-            self.slices.append(tuple(cur))
+                a, b = cur[j], cur[j + 1]
+                death[a] = death[b] = tid
+                del cur[j:j + 2]
+            self.turn_elem.append(t)
+            self.turn_cap.append(grown > 0)
+            left.append(a)
+            right.append(b)
+            state = tuple(cur)
+            slices.append(state)
+        self.birth, self.death, self.turn_left, self.turn_right = birth, death, left, right
+        self.slices: list[tuple[int, ...]] = slices
+        self.quiet, self.first, self.last = np.array(quiet, dtype=int), first, last
+        touches = [0] * len(birth)
+        for sid in first:
+            touches[sid] += 1
+        for sid, other in zip(last, first):
+            if sid != other:
+                touches[sid] += 1
+        self.touches = touches
 
     # -- worldlines ------------------------------------------------------
 
@@ -262,7 +279,7 @@ def projection_eigenvalues(q) -> dict[int, int]:
     at: dict[int, list] = {}  # slice -> (index, strands) of its projections
     for index, cut in enumerate(projections):
         at.setdefault(cut.time_index, []).append((index, cut.strands))
-    ahead = len(q.core.elements) / 2  # push the shorter way first
+    ahead = len(q.core) / 2  # push the shorter way first
     found = {index: _eigenvalue(q, index, cut, at, cut.time_index > ahead)
              or _eigenvalue(q, index, cut, at, cut.time_index <= ahead)
              for index, cut in enumerate(projections)}

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from quon2d.diagram import (
+    HORIZONTAL,
+    WIDTH_DELTA,
     BraidPos,
     Cap,
     Cup,
+    Dot,
+    DotPair,
     MajoranaDiagram,
     Scattering,
+    ScatteringStar,
     compose,
     dagger,
     is_generic_angle,
@@ -82,3 +87,54 @@ def test_generic_angle_predicate():
     assert is_generic_angle(0.3)
     assert is_generic_angle(np.pi / 2 + 1e-6)
     assert is_generic_angle(0.5j)
+
+
+def test_columns_give_back_the_diagram_and_its_weights(rng):
+    """A diagram's columns, handed to `from_columns`, give the diagram back
+    (elements built by their constructors, signed zeros of a star's phi
+    kept), and `Columns.weights` are each element's `weights()`, to the
+    last bit or two of NumPy's exp against cmath's."""
+    cases = [random_closed_diagram(rng, max_width=10, max_elems=40) for _ in range(60)]
+    cases.append(MajoranaDiagram(2, 2, (ScatteringStar(0, complex(-0.0, 0.0)),
+                                        ScatteringStar(0, complex(0.0, -0.0), HORIZONTAL))))
+    for d in cases:
+        columns = d.columns
+        again = MajoranaDiagram.from_columns(d.width_in, d.width_out, *columns,
+                                             amplitude=d.amplitude)
+        assert "elements" not in vars(again) and len(again) == len(d)
+        assert again._widths == d._widths and again.widths() == d.widths()
+        assert again == d and hash(again) == hash(d) and repr(again) == repr(d)
+        assert [str(el) for el in again.elements] == [str(el) for el in d.elements]
+        quiet = np.flatnonzero(WIDTH_DELTA[columns.kind] == 0)
+        a, b = columns.weights(quiet)
+        want = np.array([d.elements[t].weights() for t in quiet.tolist()], dtype=complex)
+        got, want = np.stack([a, b], axis=1).reshape(-1, 2), want.reshape(-1, 2)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+S, C, D, P = Scattering.CODE, Cap.CODE, Dot.CODE, DotPair.CODE
+
+
+@pytest.mark.parametrize("width_in, width_out, columns, match", [
+    (0, 0, dict(kind=[C, S, 1], j=[0.0, 0, 0], angle=[0, 0.3, 0]), "must be integers"),
+    (0, 0, dict(kind=[C, 9, 1], j=[0, 0, 0]), "unknown element kind"),
+    (0, 0, dict(kind=[C, -1, 1], j=[0, 0, 0]), "unknown element kind"),
+    (0, 0, dict(kind=[C, S, 1], j=[0, 0, 0], angle=[0, float("nan"), 0]), "finite"),
+    (0, 0, dict(kind=[C, S, 1], j=[0, 0, 0], angle=[0, complex(0, float("inf")), 0]), "finite"),
+    (0, 0, dict(kind=[C, S, 1], j=[0, 0, 0], angle=["0", "0.3", "0"]), "must be numbers"),
+    (0, 0, dict(kind=[C, S, 1], j=[0, 0, 0], horizontal=[0, 1, 0]), "orientations"),
+    (0, 0, dict(kind=[1], j=[0]), "do not fit"),
+    (0, 0, dict(kind=[C, S, 1], j=[0, 1, 0]), "do not fit"),
+    (0, 0, dict(kind=[C, D, 1], j=[0, 2, 0]), "do not fit"),
+    (0, 0, dict(kind=[C, P, 1], j=[0, 1, 0], k=[0, 1, 0]), "do not fit"),
+    (0, 0, dict(kind=[C, P, 1], j=[0, 0, 0]), "do not fit"),
+    (0, 0, dict(kind=[C, C, 1, 1], j=[0, 3, 0, 0]), "do not fit"),
+    (0, 0, dict(kind=[C, S, 1], j=[0, -1, 0]), "do not fit"),
+    (1, 1, dict(kind=[], j=[]), "width_in 1"),
+    (-2, -2, dict(kind=[], j=[]), "width_in -2"),
+    (0, 2, dict(kind=[C, 1], j=[0, 0]), "ends at width 0, declared width_out 2"),
+    (0, 0, dict(kind=[C, 1], j=[0]), "one length"),
+])
+def test_from_columns_checks_what_the_constructors_check(width_in, width_out, columns, match):
+    with pytest.raises(InvariantViolation, match=match):
+        MajoranaDiagram.from_columns(width_in, width_out, **columns)

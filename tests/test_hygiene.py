@@ -1,14 +1,19 @@
 """Source hygiene of `src/quon2d`, checked with `ast`: no import its module
 never uses, no function-local name that is assigned and never read, no
-diagram built without its checks outside the splice primitive, and no
-PreparedDiagram built off the one evaluation route."""
+diagram built without its checks outside the splice primitive and the
+columns constructor, no PreparedDiagram built off the one evaluation route,
+and every name the bench tracer wraps still where it looks."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
 import quon2d
+from quon2d.gaussian import assemble_frontier
+from quon2d.ising import IsingLattice, build_ising_quon
 
 MODULES = sorted(Path(quon2d.__file__).parent.glob("*.py"))
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -61,11 +66,13 @@ def dead_locals(tree: ast.Module) -> list[tuple[int, str]]:
 
 
 # where a diagram may be built without its constructor's checks: the
-# constructor itself, and the splice primitive, which checks what its edit
-# can change
+# constructor itself, the splice primitive, which checks what its edit
+# can change, and the columns constructor, which makes each of the
+# constructor's checks once per array (`diagram._checked_columns`)
 UNCHECKED_BUILDERS = {
     ("diagram.py", "MajoranaDiagram.__post_init__"),
     ("diagram.py", "MajoranaDiagram.splice"),
+    ("diagram.py", "MajoranaDiagram.from_columns"),
     ("quon.py", "QuonDiagram.splice"),
 }
 
@@ -193,7 +200,7 @@ def test_the_checks_catch_what_they_name():
 
 # kind dispatch belongs in the element table (`diagram.py`), not in type
 # tests spread over the modules; the cap may only fall
-ISINSTANCE_CAP = 39
+ISINSTANCE_CAP = 35
 
 
 def isinstance_calls(tree: ast.Module) -> int:
@@ -209,3 +216,38 @@ def test_isinstance_calls_stay_under_the_cap():
         f"{total} isinstance calls in src/quon2d, cap {ISINSTANCE_CAP}: "
         + ", ".join(f"{name} {n}" for name, n in sorted(counts.items()) if n))
     assert isinstance_calls(ast.parse("isinstance(x, int)\nf(isinstance)\nisinstance\n")) == 1
+
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_the_bench_tracer_finds_every_name_it_wraps():
+    """The traced benchmark run (`bench/tracing.py`, parsed here, not
+    imported) replaces each (owner, attribute) of its TARGETS through
+    `owner.__dict__[attribute]`; a refactor that moves one of them breaks
+    that run, so each must still be there.  Its "gaussian.assemble" layer
+    counts the points as len(result[1])."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    namespace = {"sys": sys}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "quon2d":
+            namespace.update({alias.asname or alias.name:
+                              importlib.import_module(f"quon2d.{alias.name}")
+                              for alias in node.names})
+    for node in tree.body:  # module-level names the targets may use, such as _classify
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) \
+                and node.targets[0].id != "TARGETS":
+            try:
+                value = compile(ast.Expression(node.value), "", "eval")
+                namespace[node.targets[0].id] = eval(value, namespace)
+            except (KeyError, NameError, AttributeError):
+                pass  # a value no target reads
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    assert len(targets.elts) >= 21
+    for target in targets.elts:
+        layer, owner, attr = target.elts
+        resolved = eval(compile(ast.Expression(owner), "", "eval"), namespace)
+        assert attr.value in resolved.__dict__, f"{layer.value}: {ast.unparse(owner)}.{attr.value}"
+    core = build_ising_quon(IsingLattice.square(2, 2, 0.3)).core
+    assert len(assemble_frontier(core)[1]) == 8  # two points on each of the 4 bonds

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from quon2d import diagram as dg
 from quon2d.classify import classify
-from quon2d.diagram import ScatteringStar, VERTICAL
+from quon2d.diagram import (
+    BraidNeg,
+    BraidPos,
+    Cap,
+    Cup,
+    MajoranaDiagram,
+    ScatteringStar,
+    VERTICAL,
+)
 from quon2d.errors import (
     InvariantViolation,
     NonPlanarInput,
@@ -18,13 +27,16 @@ from quon2d.ising import (
     kw_dual_coupling,
     kw_rewrite_chain,
     kw_self_dual_point,
+    loop_angle,
     partition_oracle,
     star_triangle_oracle,
     star_triangle_solve,
 )
-from quon2d.gaussian import PreparedDiagram
-from quon2d.quon import all_projections, evaluate_closed_quon
+from quon2d.gaussian import PreparedDiagram, assemble_frontier
+from quon2d.quon import QuonDiagram, all_projections, evaluate_closed_quon
 from quon2d.rewrite import spacetime_dual
+from quon2d.serialize import serialize_diagram
+from quon2d.wires import WireTrace
 
 from conftest import run_fresh
 
@@ -340,3 +352,103 @@ def test_a_coupling_past_the_exponential_range():
         evaluate_closed_quon(build_ising_quon(IsingLattice.square(1, 2, 710.0)))
     with pytest.raises(NumericalInstability, match="Z passes the float range"):
         build_ising_quon(IsingLattice.square(2, 2, 710.0))
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({(0, 3): 5.0}, r"override \(0, 3\) is not a bond of the 2 x 2 grid"),
+    ({(1, 2): 0.5}, r"override \(1, 2\) is not a bond"),
+    ({(0, 0): 0.5}, "is not a bond"),
+    ({(0, 9): 0.5}, "is not a bond"),
+    ({5: 0.5}, "pairs of integers"),
+    ({(0.0, 1.0): 0.5}, "pairs of integers"),
+])
+def test_square_rejects_an_override_that_is_no_bond(overrides, match):
+    with pytest.raises(InvariantViolation, match=match):
+        IsingLattice.square(2, 2, 0.3, overrides)
+
+
+def test_square_rejects_a_bond_overridden_in_both_orders():
+    with pytest.raises(InvariantViolation, match=r"bond \(0, 2\) is overridden twice"):
+        IsingLattice.square(2, 2, 0.3, {(0, 2): 0.5, (2, 0): 0.7})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", None, 0.5j])
+def test_square_rejects_a_coupling_that_is_no_finite_real(value):
+    with pytest.raises(InvariantViolation, match="override couplings must be"):
+        IsingLattice.square(2, 2, 0.3, {(0, 1): 0.5, (1, 3): value})
+    with pytest.raises(InvariantViolation, match="the coupling must be"):
+        IsingLattice.square(2, 2, value)
+
+
+def object_built_core(lattice: IsingLattice, amplitude: complex) -> MajoranaDiagram:
+    """The element objects the Ising builders emit as columns, built one by
+    one: the brickwork sweep of a square lattice, or the site loops and
+    braid detours of a generic one."""
+    kk = {(a, b): k for a, b, k in lattice.edges} | {(b, a): k for a, b, k in lattice.edges}
+    if lattice.shape is None:
+        n = lattice.n_sites
+        els = [Cap(2 * s) for s in range(n)]
+        for a, b, k in lattice.edges:
+            a, b = min(a, b), max(a, b)
+            out = range(2 * a + 1, 2 * b - 1)
+            els += ([BraidPos(j) for j in out] + [ScatteringStar(2 * b - 1, loop_angle(k))]
+                    + [BraidNeg(j) for j in reversed(out)])
+        return MajoranaDiagram(0, 0, tuple(els + [Cup(0)] * n), amplitude)
+    rows, cols = lattice.shape
+    els = [Cap(2 * c) for c in range(cols)]
+    for r in range(rows):
+        for c in range(cols - 1):
+            els.append(ScatteringStar(2 * c + 1, loop_angle(kk[(r * cols + c, r * cols + c + 1)])))
+        if r < rows - 1:
+            for c in range(cols):
+                k = kk[(r * cols + c, (r + 1) * cols + c)]
+                els += [Cap(2 * c + 2), ScatteringStar(2 * c + 1, loop_angle(k)), Cup(2 * c)]
+        else:
+            els += [Cup(0)] * cols
+    return MajoranaDiagram(0, 0, tuple(els), amplitude)
+
+
+def _random_couplings(rng, lattice: IsingLattice) -> IsingLattice:
+    return IsingLattice(lattice.n_sites, tuple((a, b, float(rng.uniform(-0.8, 0.8)))
+                                               for a, b, _ in lattice.edges), lattice.shape)
+
+
+@pytest.mark.parametrize("lattice", [
+    IsingLattice.square(1, 1, 0.3), IsingLattice.square(1, 5, 0.3), IsingLattice.square(5, 1, 0.3),
+    IsingLattice.square(14, 14, 0.3),
+    IsingLattice(6, ((0, 1, 0.3), (1, 2, 0.3), (0, 3, 0.3), (2, 5, 0.3), (3, 4, 0.3), (4, 5, 0.3),
+                     (1, 4, 0.3), (0, 4, 0.3))),
+], ids=["1x1", "1x5", "5x1", "14x14", "generic"])
+def test_the_column_built_diagram_is_the_object_built_one(lattice, rng):
+    """The builders emit columns; the diagram they make traces, sweeps and
+    evaluates as the diagram of the element objects does, and its elements,
+    built when read, are those objects, serialized alike."""
+    lattice = _random_couplings(rng, lattice)
+    built = build_ising_quon(lattice)
+    ref = QuonDiagram(object_built_core(lattice, built.core.amplitude))
+    traces = WireTrace(built.core), WireTrace(ref.core)
+    for name in ("birth", "death", "touches", "turn_elem", "turn_cap", "turn_left",
+                 "turn_right", "slices", "walk"):
+        assert getattr(traces[0], name) == getattr(traces[1], name), name
+    (amp, x), *points, mus, _ = assemble_frontier(built.core)
+    (ref_amp, ref_x), *ref_points, ref_mus, _ = assemble_frontier(ref.core)
+    for got, want in zip(points, ref_points):
+        assert np.array_equal(got, want)
+    assert abs(amp * 2.0 ** (x - ref_x) - ref_amp) <= 1e-14 * abs(ref_amp)
+    assert np.allclose(mus, ref_mus, rtol=1e-14, atol=0)
+    value = evaluate_closed_quon(built)
+    assert abs(value - evaluate_closed_quon(ref)) <= 1e-14 * abs(value)
+    assert built.core.elements == ref.core.elements and built == ref
+    assert serialize_diagram(built) == serialize_diagram(ref)
+
+
+def test_an_ising_value_builds_no_element_object(monkeypatch):
+    """The 14 x 14 lattice is built, traced, swept and evaluated from
+    columns: no element constructor runs."""
+    built = []
+    check = dg._Element.__post_init__
+    monkeypatch.setattr(dg._Element, "__post_init__", lambda el: built.append(el) or check(el))
+    q = build_ising_quon(IsingLattice.square(14, 14, 0.3, {(0, 1): 0.5}))
+    z = evaluate_closed_quon(q)
+    assert z.real > 0 and not built and "elements" not in vars(q.core)
+    assert len(q.core.elements) == len(q.core) == 14 + 13 * 14 * 3 + 14 * 13 + 14 and built

@@ -348,3 +348,18 @@ def test_term_budget_bound():
     check_terms(MAX_TERMS, "the bound")
     with pytest.raises(TooLarge, match="one evaluation holds at most"):
         check_terms(MAX_TERMS + 1, "one past the bound")
+
+
+def test_interval_pairs_are_traced_once_per_pairing_diagram(monkeypatch):
+    """Every compiled circuit makes new intervals; those with equal pairing
+    data share one trace of it (`quon.pairing_pairs`)."""
+    import quon2d.quon as quon_module
+    from quon2d.wires import BOTTOM, TOP, WireTrace
+
+    traced = []
+    monkeypatch.setattr(quon_module, "WireTrace", lambda d: traced.append(d) or WireTrace(d))
+    quon_module.pairing_pairs.cache_clear()
+    intervals = [OpenInterval(TOP, 0, 6), OpenInterval(BOTTOM, 0, 6), OpenInterval(TOP, 6, 6),
+                 OpenInterval(TOP, 0, 4)]
+    assert [iv.pairs for iv in intervals] == [((0, 5), (1, 4), (2, 3))] * 3 + [((0, 3), (1, 2))]
+    assert len(traced) == 2
