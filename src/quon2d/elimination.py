@@ -1,4 +1,4 @@
-"""Parlett-Reid eliminations of complex antisymmetric matrices.
+"""Parlett-Reid eliminations of antisymmetric matrices, in the matrix's dtype.
 
 `_eliminate` is a blocked, banded Parlett-Reid (LTL^T) with partial
 pivoting, after Wimmer, "Efficient numerical computation of the Pfaffian for
@@ -18,8 +18,8 @@ the whole matrix at step 0 and costs O(N^3).
 
 Cost model.  A step makes about 25 NumPy calls whatever the window's width,
 so on a narrow window their overhead, not the O(w) to O(w^2) arithmetic,
-sets the time: at L = 14 (window about 47 rows) the 364 steps take about
-10 ms on 2 shared vCPUs, 25-30 us each.  So on a banded W `_eliminate`
+sets the time: at L = 14 (window about 47 rows) the 364 steps of its real
+W take about 6 ms on 2 shared vCPUs, about 16 us each.  So on a banded W `_eliminate`
 first tries each next BLOCK core rows as one 2 x 2-block pivot A11, in the
 manner of Bunch & Kaufman's block LDL^T (Math. Comp. 31, 1977), on top of
 the steps: a kept block costs one inverse and one update A22 += A12^T X of
@@ -27,9 +27,10 @@ the window, about 10 calls and O(BLOCK^3 + BLOCK w^2) arithmetic, in place
 of BLOCK / 2 steps.  The Pfaffians of all kept blocks come from one
 `_pivots` pass over their stack at the end, which costs BLOCK / 2 stack
 steps however many blocks there are.  At L = 14 all 36 blocks are kept and
-the elimination takes 5.7 ms instead of 10.6 (BENCH_block_pivots.json).  At
-L = 64 the window is about 280 rows wide and both ways are bound by the
-same arithmetic (0.46 s against 0.49 s).  A dense W tries no block: there a
+the elimination takes 2.7 ms instead of 6.0 (4.7 against 8.3 in complex128,
+BENCH_real_gauge.json).  At L = 64 the window is about 280 rows wide and
+both ways are bound by the same arithmetic (0.21 s against 0.25 s; 0.40
+against 0.47 in complex128).  A dense W tries no block: there a
 block's update does a panel's arithmetic and saves a share of the calls
 only, while a refused block costs an inverse and a product over the whole
 width, and the cores of compiled circuits, the dense W's here, are exactly
@@ -40,6 +41,11 @@ unblocked pass, one rank-2 update of the whole stack per step, where NumPy's
 per-call overhead, not arithmetic, would dominate one elimination per
 matrix.  Products are kept as a mantissa and a power of two
 (`_renormalised`).
+
+The dtype follows W, as in Wimmer's real and complex routines: the
+window's buffer, the p and q panels, the kept blocks' store, `_product`'s
+stack and `_pfaffians`' stacks are float64 for a real W (a square Ising
+lattice's, gauged in `gaussian`) and complex128 otherwise.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class _Rows(NamedTuple):
         kept[at] = False
         cols = np.empty(len(kept), dtype=int)
         cols[kept], cols[at] = self.cols, missing
-        lower, upper = np.zeros((2, len(kept)), dtype=complex)
+        lower, upper = np.zeros((2, len(kept)), dtype=np.result_type(self.lower, values))
         lower[kept], upper[kept] = self.lower, self.upper
         last = starts[first + 2] - 1
         lower[last] -= values
@@ -223,7 +229,8 @@ def _eliminate(w: _Rows, core: int):
     # none is tried where W's first rows already reach its last row
     banded = max(reach[:BLOCK], default=0) < n
     upper = np.triu_indices(BLOCK, 1) if banded else None
-    blocks = np.empty((core // BLOCK if banded else 0, BLOCK * (BLOCK - 1) // 2), dtype=complex)
+    blocks = np.empty((core // BLOCK if banded else 0, BLOCK * (BLOCK - 1) // 2),
+                      dtype=win.buf.dtype)
     kept = 0
     while k + 1 < core:
         k0 = k
@@ -241,7 +248,7 @@ def _eliminate(w: _Rows, core: int):
         # the matrix and the pending updates from position k0 on, for the
         # steps of a refused block, or of a panel where none is tried
         a = win.start(k0, hi)
-        p = np.zeros((len(a), min(BLOCK if len(blocks) else 2 * PANEL, core - k0)), dtype=complex)
+        p = np.zeros((len(a), min(BLOCK if len(blocks) else 2 * PANEL, core - k0)), dtype=a.dtype)
         q = np.zeros_like(p)
         while k + 1 < core and k - k0 < p.shape[1]:
             j = k - k0
@@ -327,7 +334,7 @@ def _product(pivots: list, blocks: np.ndarray) -> tuple[complex, int]:
     stacked = iter(())
     if len(blocks):
         i, j = np.triu_indices(BLOCK, 1)
-        stack = np.zeros((len(blocks), BLOCK, BLOCK), dtype=complex)
+        stack = np.zeros((len(blocks), BLOCK, BLOCK), dtype=blocks.dtype)
         stack[:, i, j] = blocks
         stack[:, j, i] = -blocks
         steps = [np.where(zero, 0.0, pivot) for pivot, zero in _pivots(stack, 0.0)]
@@ -351,7 +358,7 @@ class _Window:
         self.w = w
         self.orig = list(range(len(w.starts) - 1))
         self.where = np.arange(len(self.orig))  # W's row r is at where[r] (see `load`)
-        self.buf = np.zeros((0, 0), dtype=complex)
+        self.buf = np.zeros((0, 0), dtype=w.lower.dtype)
         self.base = self.top = 0
 
     def start(self, k0: int, hi: int) -> np.ndarray:
@@ -373,7 +380,7 @@ class _Window:
         self._copy(to, k0)
         a = self._view(k0)
         if len(p) < len(a):
-            p, q = (np.concatenate([m, np.zeros((len(a) - len(m), m.shape[1]), dtype=complex)])
+            p, q = (np.concatenate([m, np.zeros((len(a) - len(m), m.shape[1]), dtype=m.dtype)])
                     for m in (p, q))
         return a, p, q
 
@@ -413,8 +420,8 @@ class _Window:
         live = slice(k0 - self.base, self.top - self.base)
         kept = self.buf[live, live].copy()
         if size > len(self.buf):
-            self.buf = None
-            self.buf = np.zeros((size, size), dtype=complex)
+            dtype, self.buf = self.buf.dtype, None
+            self.buf = np.zeros((size, size), dtype=dtype)
         else:
             self.buf[len(kept):] = 0.0
             self.buf[:len(kept), len(kept):] = 0.0
@@ -478,8 +485,8 @@ def _pfaffians(a: np.ndarray) -> np.ndarray:
     stack."""
     count, n = a.shape[:2]
     if n % 2:
-        return np.zeros(count, dtype=complex)
-    pf = np.ones(count, dtype=complex)
+        return np.zeros(count, dtype=a.dtype)
+    pf = np.ones(count, dtype=a.dtype)
     tol = SINGULAR_TOL * np.maximum(np.abs(a).max(axis=(1, 2), initial=0.0), 1.0)
     zero = np.zeros(count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -33,6 +33,19 @@ backward turns give inverse factors, so the phases differ by i^E = -1 (on
 every loop), and the counts c by an odd number, the strands of the loop at
 time t_y other than y's own.
 
+The gauge.  With D = diag(i^e(x)), e(x) the e of x's segment, and E = 2
+(mod 4), every contraction of D G D is exactly +-1: (-1)^(e_b + c +
+[k_a > k_b]) for x before y on segments a != b, (-1)^e within a segment.
+`contraction_matrix` returns these, from integer parities, in float64.  An
+optional pair's 1/mu becomes i^(e_x + e_(x+1)) / mu, and W is float64 when
+every such entry is exactly real, else complex128: real for a square Ising
+lattice (its scatterings' mu is imaginary, e_x + e_(x+1) odd), complex for
+a compiled circuit, and for a braid's mu = +-1 on one loop (the generic
+Ising builder's), which no gauge of that loop makes real.  On every
+principal submatrix Pf(D W D) = i^(sum of e) Pf(W), so each term is
+multiplied by i^-(sum of e over the core and its points).  No |entry|
+changes, so pivots, deferrals and blocks see the same magnitudes.
+
 The sweep (`assemble_frontier`) reads the diagram's columns
 (`diagram.Columns`), as the trace does: the weights of all elements but
 caps and cups, their points and the product of their scalars are computed
@@ -49,16 +62,17 @@ only on its own two points, so every term is a principal sub-Pfaffian of
 one matrix W over the core points followed by every group's points.  `PreparedDiagram`
 eliminates the core rows of W once and evaluates each term as
 
-    sign * Pf(eliminated) * Pf(Schur[deferred + selected])
+    gauge * sign * Pf(eliminated) * Pf(Schur[deferred + selected])
 
 where Schur is the complement left on the rows after the eliminated ones.
 A core row with no pivot above DEFER_TOL among the core rows is deferred:
 swapped behind the core, so that it joins every small matrix.  That is a
 reordering, exact in exact arithmetic, and it is what makes the singular
-cores of Clifford circuits work.  The sign is the interleave parity: moving
-each selected point from its place in time to behind the core passes the
-core points later than it.  This follows the few-non-Gaussian-element methods of
-Dias & Koenig (arXiv:2307.12912) and Reardon-Smith, Oszmaniec & Korzekwa
+cores of Clifford circuits work.  The gauge is the term's i^-(sum of e);
+the sign is the interleave parity: moving each selected point from its
+place in time to behind the core passes the core points later than it.
+This follows the few-non-Gaussian-element methods of Dias & Koenig
+(arXiv:2307.12912) and Reardon-Smith, Oszmaniec & Korzekwa
 (arXiv:2307.12702).
 
 The matrix W is kept as its nonzeros, row by row (`_Rows`, built by
@@ -133,15 +147,18 @@ def _scaled_text(m: complex, x: int) -> str:
 
 
 def pfaffian(mat: np.ndarray) -> complex:
-    """Pfaffian of a complex antisymmetric matrix, which is left unchanged:
+    """Pfaffian of an antisymmetric matrix, which is left unchanged:
     `_eliminate` of the nonzeros of a copy, with every row in the core, times
     `_pfaffians` of the Schur complement on the rows it deferred, as for a
     diagram without groups: zero when a row of that complement has only
-    entries at or below SINGULAR_TOL times max(max|entry|, 1) of it.
-    Anything but a finite square matrix whose max|a + a^T| is within
-    ANTISYMMETRY_TOL of max(max|a|, 1) raises InvariantViolation."""
+    entries at or below SINGULAR_TOL times max(max|entry|, 1) of it.  A
+    matrix of booleans, integers or reals is eliminated in float64, any
+    other in complex128.  Anything but a finite square matrix whose
+    max|a + a^T| is within ANTISYMMETRY_TOL of max(max|a|, 1) raises
+    InvariantViolation."""
     try:
-        a = np.array(mat, dtype=complex)
+        a = np.asarray(mat)
+        a = a.astype(float if a.dtype.kind in "biuf" else complex)
     except (TypeError, ValueError) as exc:
         raise InvariantViolation(f"pfaffian takes a numeric matrix: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -162,16 +179,15 @@ def pfaffian(mat: np.ndarray) -> complex:
 def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Rows:
     """The antisymmetric matrix W of the contractions G(x, y) of the points
     on the segments `seg` at the times `t`, read from the walk of `trace`, a
-    closed diagram's (see the module docstring), as its nonzeros (`_Rows`):
-    the pairs of points on one loop, each once.  Row r lists the points of
-    its loop before it, in order, so the pairs are enumerated row by row
-    with no sort of them, and the cost is the sum over loops of points^2,
-    not N^2.  They are computed in blocks of rows of about PAIRS entries, so
+    closed diagram's, each gauged to +-1 in float64 (see the module
+    docstring), as its nonzeros (`_Rows`): the pairs of points on one loop,
+    each once.  Row r lists the points of its loop before it, in order, so
+    the pairs are enumerated row by row with no sort of them, and the cost
+    is the sum over loops of points^2, not N^2.  They are computed in blocks of rows of about PAIRS entries, so
     no array but the result's is as long as the list of pairs."""
     n = len(seg)
     if not n:  # bare loops have nothing to contract
-        return _Rows(np.zeros(1, dtype=int), np.zeros(0, dtype=int),
-                     np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
+        return _Rows(np.zeros(1, dtype=int), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
     walk = trace.walk
     lengths, exits = np.array(walk.lengths, dtype=int), np.array(walk.exits)
     first = np.cumsum(lengths) - lengths  # walk place of each loop's first segment
@@ -188,7 +204,6 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
     place[walk.order] = np.arange(len(exits))
     at = place[seg]
     loop, k, e = loop_w[at], k_w[at], np.array(walk.phase)[at]
-    totals = np.array(walk.totals)
     # prefix[y, j]: spans among the first j of y's loop that hold t_y strictly inside
     prefix = np.zeros((n, lo.shape[1] + 1), dtype=int)
     np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
@@ -202,8 +217,7 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
     shift = np.empty(n, dtype=int)  # s index of a row's first entry, less the entry's index
     shift[s] = np.arange(n) - rank[s]
     shift -= starts[:-1]
-    w = _Rows(starts, np.empty(starts[-1], dtype=int), np.empty(starts[-1], dtype=complex),
-              np.empty(starts[-1], dtype=complex))
+    w = _Rows(starts, np.empty(starts[-1], dtype=int), np.empty(starts[-1]), np.empty(starts[-1]))
     r0 = 0
     while r0 < n:  # rows in blocks of about PAIRS entries, the only pair-sized arrays
         r1 = max(r0 + 1, int(np.searchsorted(starts, starts[r0] + PAIRS, side="right")) - 1)
@@ -217,8 +231,8 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
         between = prefix[y, k[y]] - prefix[y, k[x] + 1]
         exit_x = exits[at[x]]
         partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
-        power = e[y] - e[x] + (k[x] > k[y]) * totals[loop[y]] + 2 * (between + partial)
-        g = np.where(at[x] == at[y], 1.0, _PHASES[power % 4])
+        c = (k[x] > k[y]) + between + partial  # i^E = -1 for a wrap
+        g = 1.0 - 2.0 * ((e[y] + np.where(at[x] == at[y], 0, c)) & 1)
         negated = 0.0 - g  # W[y, x], as W[x, y] = g
         w.lower[block] = np.where(first, g, negated)
         w.upper[block] = np.where(first, negated, g)
@@ -289,13 +303,15 @@ class PreparedDiagram:
     decorated with the groups whose bits are set in it.  For the selected
     points S (each pair carrying a factor i) it is
 
-        amplitude * i^(|S|/2) * sign * Pf(eliminated) * Pf(Schur[deferred + S])
+        amplitude * i^(|S|/2 - e) * sign * Pf(eliminated) * Pf(Schur[deferred + S])
 
     Pf(eliminated) and Schur come from one `_eliminate` of the core rows of
-    the contraction matrix W over all points, in [core, groups] order, when
-    the diagram is prepared.  W is held as its nonzeros only: the point
-    pairs of `contraction_matrix` plus the 1/mu entries of the optional
-    pairs (`_Rows.plus_pairs`).  The sign is the parity of the number of core
+    the gauged contraction matrix W over all points, in [core, groups]
+    order, when the diagram is prepared; e sums the gauge exponents of the
+    core points and S (see the module docstring).  W is held as its
+    nonzeros only: the point pairs of `contraction_matrix` plus the gauged
+    1/mu entries of the optional pairs (`_Rows.plus_pairs`), in float64
+    where all of those are real.  The sign is the parity of the number of core
     points later in time than a selected point, summed over S.  The terms'
     matrices Schur[deferred + S] are gathered into stacks by size, and each
     stack is one `_pfaffians` pass, whose zero test SINGULAR_TOL takes each
@@ -337,6 +353,14 @@ class PreparedDiagram:
 
         later = (core - np.searchsorted(time, extra_time, side="right")).tolist()
         self._flips = np.array([sum(later[i] for i in group) for group in self._groups], dtype=int)
+        segs = np.concatenate([seg, np.array(extra_seg, dtype=int)])
+        e = np.zeros(len(trace.walk.order), dtype=int)  # each segment's walk phase
+        e[trace.walk.order] = trace.walk.phase
+        e = e[segs] % 4  # the gauge i^e of each point (see the module docstring)
+        self._core_gauge = int(e[:core].sum())
+        self._gauge = np.array([e[core:][group].sum() for group in self._groups], dtype=int)
+        pairs = _PHASES[(e[paired[::2]] + e[paired[1::2]]) % 4] * (1.0 / mus)
+        pairs = pairs if pairs.imag.any() else pairs.real  # W is real where it can be
         self._group_of = np.array([g for g, group in enumerate(self._groups) for _ in group],
                                   dtype=int)
         self._points = core + len(extra_seg)
@@ -346,9 +370,8 @@ class PreparedDiagram:
         # reference to its nonzeros.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
-                contraction_matrix(trace, np.concatenate([seg, np.array(extra_seg, dtype=int)]),
-                                   np.concatenate([time, extra_time])).plus_pairs(
-                    paired[::2], 1.0 / mus),
+                contraction_matrix(trace, segs, np.concatenate([time, extra_time])).plus_pairs(
+                    paired[::2], pairs),
                 core)
         self._exp = self._amp_exp + pf_exp  # applied last, to amplitude * term
         self._deferred = core - self._eliminated
@@ -383,7 +406,9 @@ class PreparedDiagram:
         bits = (masks[:, None] >> np.arange(len(self._groups)) & 1).astype(bool)
         chosen = bits[:, self._group_of]  # each term's selected points, in group order
         points = chosen.sum(axis=1)
-        phase = _PHASES[points // 2 % 4] * (1 - 2 * (bits @ self._flips % 2))
+        # i^(|S|/2), the interleave sign and the gauge's i^-(core e + selected e)
+        turns = points // 2 - self._core_gauge + bits @ (2 * self._flips - self._gauge)
+        phase = _PHASES[turns % 4]
         d = self._deferred
         sizes = d + points
         pfs = np.zeros(len(masks), dtype=complex)  # odd sizes stay 0

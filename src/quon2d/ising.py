@@ -61,7 +61,7 @@ class IsingLattice:
     shape: tuple[int, int] | None = None  # (rows, cols) for the built-in square
 
     def __post_init__(self):
-        if self.n_sites < 1:
+        if self.n_sites < 1 or min(self.shape or (1,)) < 1:
             shape = "" if self.shape is None else f"{self.shape[0]} x {self.shape[1]} "
             raise InvariantViolation(
                 f"the {shape}lattice has no sites; it needs at least one row and one column"
@@ -135,7 +135,7 @@ class IsingLattice:
         coupling that is not a finite real number."""
         a, b = _grid_bonds(rows, cols)
         k = np.full(len(a), _finite_reals([coupling], "the coupling")[0])
-        if overrides and rows * cols > 0:  # a lattice of no sites refuses itself below
+        if overrides and min(rows, cols) > 0:  # a lattice of no sites refuses itself below
             keys = list(overrides)
             try:
                 pairs = set(map(len, keys)) == {2}
@@ -176,7 +176,7 @@ def _finite_reals(values: list, what: str) -> np.ndarray:
 def _grid_bonds(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The bonds (s, s + 1) and (s, s + cols) of the open rows x cols grid,
     site by site in row-major order, as arrays of their two sites."""
-    s = np.arange(max(rows * cols, 0))
+    s = np.arange(max(rows, 0) * max(cols, 0))
     ends, kept = np.empty((len(s), 2), dtype=s.dtype), np.empty((len(s), 2), dtype=bool)
     ends[:, 0], ends[:, 1] = s + 1, s + cols
     kept[:, 0], kept[:, 1] = (s + 1) % max(cols, 1) != 0, s < len(s) - cols

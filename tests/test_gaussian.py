@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from quon2d import elimination, gaussian
-from quon2d.compiler import compile_circuit
+from quon2d.circuits import circuit_oracle_unitary
+from quon2d.compiler import circuit_amplitude, compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
 from quon2d.elimination import BLOCK, DEFER_TOL, PANEL, _eliminate, _pfaffians, _Rows
 from quon2d.errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
@@ -60,10 +61,10 @@ def dense_eliminate(a, core):
 
 
 def dense(w):
-    """The matrix of a `_Rows`."""
+    """The matrix of a `_Rows`, of its dtype."""
     n = len(w.starts) - 1
     rows = np.repeat(np.arange(n), np.diff(w.starts))
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n), dtype=w.lower.dtype)
     a[rows, w.cols] = w.lower
     a[w.cols, rows] = w.upper
     return a
@@ -111,7 +112,7 @@ def reference_eliminate(a, core, reach, scale):
                     hi, k = to, k + size
                     continue
             refused += 1
-        p = np.zeros((n - k0, min(width, core - k0)), dtype=complex)
+        p = np.zeros((n - k0, min(width, core - k0)), dtype=a.dtype)
         q = np.zeros_like(p)
         while k + 1 < core and k - k0 < p.shape[1]:
             j = k - k0
@@ -155,7 +156,7 @@ def reference_eliminate(a, core, reach, scale):
     # the blocks' pivots, all in one stack rebuilt from the entries above the
     # diagonal, in pivot order among the steps'
     above = np.array(blocks).reshape(-1, len(upper[0]))
-    stack = np.zeros((len(above), size, size), dtype=complex)
+    stack = np.zeros((len(above), size, size), dtype=a.dtype)
     stack[:, upper[0], upper[1]] = above
     stack[:, upper[1], upper[0]] = -above
     steps = [np.where(zero, 0.0, pivot) for pivot, zero in elimination._pivots(stack, 0.0)]
@@ -441,7 +442,8 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
                                      + els[t2:])
             _, seg, t, _, _, trace = assemble_frontier(dotted)
-            entry = dense(contraction_matrix(trace, seg, t))[0, 1]
+            e = walk_phases(trace, seg)  # W is gauged by i^(e_x + e_y)
+            entry = dense(contraction_matrix(trace, seg, t))[0, 1] * (1, -1j, -1, 1j)[sum(e) % 4]
             assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
             zeros += entry == 0
             ones += (t1, p1) == (t2, p2) and entry == 1
@@ -530,7 +532,8 @@ def per_term(prepared, mask):
     rows = list(range(d)) + [d + x for g in chosen for x in prepared._groups[g]]
     points = len(rows) - d
     flips = sum(int(prepared._flips[g]) for g in chosen)
-    phase = (1, 1j, -1, -1j)[points // 2 % 4] * (-1) ** flips
+    gauge = prepared._core_gauge + sum(int(prepared._gauge[g]) for g in chosen)
+    phase = (1, 1j, -1, -1j)[(points // 2 - gauge) % 4] * (-1) ** flips
     pf = complex(gaussian._ldexp(prepared._pf, prepared._exp))
     return prepared.amplitude * phase * pf * pfaffian(prepared._schur[np.ix_(rows, rows)])
 
@@ -700,12 +703,20 @@ def test_evaluation_is_repeatable_and_pfaffian_keeps_its_argument(rng):
     assert np.array_equal(raw_bits(a), raw_bits(kept))
 
 
+def walk_phases(trace, seg):
+    """The exponent e of the walk phase of each point's segment."""
+    e = np.zeros(len(trace.walk.order), dtype=int)
+    e[trace.walk.order] = trace.walk.phase
+    return e[seg]
+
+
 def contraction_matrix_by_mask(trace, seg, t):
     """The contraction matrix from every ordered pair of points, read from
     the trace's walk: an N x N mask of the pairs on one loop with t_x < t_y
-    (the formula that the per-loop pair lists replace)."""
+    (the formula that the per-loop pair lists replace), each contraction
+    times the gauge i^(e_x + e_y), which leaves it real."""
     if not len(seg):
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0))
     walk = trace.walk
     lengths, exits = np.array(walk.lengths), np.array(walk.exits)
     first = np.cumsum(lengths) - lengths
@@ -725,8 +736,9 @@ def contraction_matrix_by_mask(trace, seg, t):
     exit_x = exits[at[x]]
     partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
     power = e[y] - e[x] + (k[x] > k[y]) * np.array(walk.totals)[loop[y]] + 2 * (between + partial)
-    w = np.zeros((len(seg), len(seg)), dtype=complex)
-    w[x, y] = np.where(at[x] == at[y], 1.0, np.array([1, 1j, -1, -1j])[power % 4])
+    phases = np.array([1, 1j, -1, -1j])
+    w = np.zeros((len(seg), len(seg)))
+    w[x, y] = (np.where(at[x] == at[y], 1.0, phases[power % 4]) * phases[(e[x] + e[y]) % 4]).real
     w[y, x] = 0.0 - w[x, y]
     return w
 
@@ -975,8 +987,9 @@ def test_prepared_diagram_keeps_core_blocks_under_its_groups(monkeypatch):
         chosen = [g for g in range(len(groups)) if mask >> g & 1]
         rows = list(range(core)) + [core + i for g in chosen for i in prepared._groups[g]]
         points = len(rows) - core
-        phase = (1, 1j, -1, -1j)[points // 2 % 4] * (-1) ** sum(int(prepared._flips[g])
-                                                                 for g in chosen)
+        gauge = prepared._core_gauge + sum(int(prepared._gauge[g]) for g in chosen)
+        phase = (1, 1j, -1, -1j)[(points // 2 - gauge) % 4] * (-1) ** sum(int(prepared._flips[g])
+                                                                           for g in chosen)
         pf = _pfaffians(w[np.ix_(rows, rows)][None].copy())[0]
         want = prepared.amplitude * phase * complex(gaussian._ldexp(pf, prepared._amp_exp))
         assert abs(got - want) <= 1e-10 * top
@@ -995,3 +1008,136 @@ def test_ising_blocks_match_spin_enumeration(rng, monkeypatch):
     assert sum(kept) >= 3 and all(kept)
     want = partition_oracle(lattice)
     assert abs(z - want) <= 1e-10 * want
+
+
+def recording(monkeypatch, owner, name):
+    """Record the first argument of every call of owner.name, in order."""
+    seen = []
+    real = getattr(owner, name)
+
+    def call(first, *args):
+        seen.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(owner, name, call)
+    return seen
+
+
+def test_gauge_leaves_every_contraction_a_sign(rng, monkeypatch):
+    """Every entry of `contraction_matrix`, the contractions gauged by
+    i^(e_x + e_y), is exactly +-1 in float64, and every loop total E is
+    2 (mod 4): random closed diagrams with point groups, Clifford cores with
+    their projections, a small Ising lattice and the closed cores of random
+    compiled circuits with generic angles."""
+    cases = [case[:4] for case in prepared_cases(rng, monkeypatch)]
+    for _ in range(12):
+        q = compile_circuit(random_circuit(int(rng.integers(1, 4)), 8, rng))
+        zeros = BasisAssignment(tuple((0,) * iv.qubit_count for iv in q.open_intervals))
+        _, seg, t, _, _, trace = assemble_frontier(encode_basis(q, zeros).core)
+        cases.append((trace, seg, t, contraction_matrix(trace, seg, t)))
+    entries = loops = 0
+    for trace, seg, t, w in cases:
+        assert w.lower.dtype == w.upper.dtype == np.float64
+        assert np.all(np.abs(w.lower) == 1.0) and np.array_equal(w.upper, -w.lower)
+        assert all(total % 4 == 2 for total in trace.walk.totals)
+        entries += len(w.lower)
+        loops += len(trace.walk.totals)
+    assert entries > 20000 and loops > 300
+
+
+def test_w_is_real_where_every_gauged_entry_is(rng, monkeypatch):
+    """The dtype of W follows its entries.  A square Ising lattice's W is
+    float64 for couplings of either sign: its scatterings' 1/mu, gauged, are
+    real, and Z matches spin enumeration within 1e-9.  So is a generic
+    lattice without braids (a path).  The generic triangle's braids have
+    mu = +-1 with both points on one loop, where i^(e_x + e_(x+1)) is +-i,
+    so its W stays complex128; so does a compiled circuit's, whose
+    amplitudes match the unitary."""
+    dtypes = recording(monkeypatch, gaussian, "_eliminate")
+    for _ in range(3):
+        edges = IsingLattice.square(4, 4, 0.3).edges
+        overrides = {(a, b): float(k)
+                     for (a, b, _), k in zip(edges, rng.uniform(-3, 3, len(edges)))}
+        lattice = IsingLattice.square(4, 4, 0.3, overrides)
+        z = evaluate_closed_quon(build_ising_quon(lattice))
+        assert dtypes.pop().lower.dtype == np.float64
+        want = partition_oracle(lattice)
+        assert abs(z - want) <= 1e-9 * want
+    path = IsingLattice(4, ((0, 1, 0.7), (1, 2, -2.5), (2, 3, 1.1)))
+    for lattice, dtype in [(path, np.float64)] + [
+            (IsingLattice(3, ((0, 1, k), (1, 2, k), (0, 2, k))), np.complex128)
+            for k in (-3.0, -1.0, 0.5, 3.0)]:
+        z = evaluate_closed_quon(build_ising_quon(lattice))
+        assert dtypes.pop().lower.dtype == dtype
+        want = partition_oracle(lattice)
+        assert abs(z - want) <= 1e-9 * want
+    for _ in range(4):
+        c = random_circuit(2, 6, rng)
+        u = circuit_oracle_unitary(c)
+        for col, row in np.ndindex(4, 4):
+            got = circuit_amplitude(c, divmod(col, 2), divmod(row, 2))
+            assert abs(got - u[row, col]) <= 1e-9
+        assert dtypes and all(w.lower.dtype == np.complex128 for w in dtypes)
+        dtypes.clear()
+
+
+def test_real_groups_give_real_stacks_and_the_oracle_route(monkeypatch):
+    """The Ising core of `test_prepared_diagram_keeps_core_blocks_under_its_groups`
+    with its parity strings and single dots: W, the Schur complement and
+    every stack of term matrices are float64, and every term is the Fock
+    oracle of the core with the term's points inserted as dots, times
+    i^(|S|/2)."""
+    stacks = recording(monkeypatch, gaussian, "_pfaffians")
+    d = build_ising_quon(IsingLattice.square(5, 6, 0.3)).core
+    t = len(d.elements)
+    groups = [(t - 10, (0, 1, 2, 3)), (t - 6, (5,)), (t - 6, (1, 2)), (t - 3, (0,))]
+    prepared = PreparedDiagram(d, groups)
+    assert prepared._schur.dtype == np.float64
+    masks = list(range(1 << len(groups)))
+    values = prepared.evaluate(masks)
+    assert stacks and all(stack.dtype == np.float64 for stack in stacks)
+    for mask, got in zip(masks, values):
+        chosen = [groups[g] for g in range(len(groups)) if mask >> g & 1]
+        inserts = {}
+        for time_index, strands in chosen:
+            inserts.setdefault(time_index, []).extend(map(Dot, sorted(strands, reverse=True)))
+        dotted = d.with_elements([el for i in range(t + 1) for el in inserts.get(i, [])
+                                  + list(d.elements[i:i + 1])])
+        points = sum(len(strands) for _, strands in chosen)
+        want = 1j ** (points // 2) * evaluate_closed_oracle(dotted)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    assert np.count_nonzero(values) >= 8
+
+
+def test_pfaffian_of_a_real_matrix_runs_real(rng, monkeypatch):
+    """A real matrix is eliminated in float64: its Pfaffian agrees with the
+    complex elimination of the same matrix within 1e-13, bit for bit with
+    `reference_eliminate` in float64, leaves its argument unchanged, and is
+    an exact 0 for odd and singular matrices."""
+    seen = recording(monkeypatch, gaussian, "_eliminate")
+    for n in (2, 8, 2 * PANEL + 6, 150):
+        for a in (random_antisymmetric(rng, n).real,
+                  np.triu(np.tril(random_antisymmetric(rng, n).real, 3), -3)):
+            kept = a.copy()
+            got = pfaffian(a)
+            w = seen[-1]
+            assert w.lower.dtype == np.float64
+            assert np.array_equal(raw_bits(a), raw_bits(kept))
+            want = pfaffian(a.astype(complex))
+            assert seen[-1].lower.dtype == np.complex128
+            assert abs(got - want) <= 1e-13 * abs(want)
+            m = dense(w)
+            mag = np.abs(m)
+            pf, x, *_ = reference_eliminate(m, n, dense_reach(mag),
+                                            max(float(mag.max(initial=0.0)), 1.0))
+            assert got == complex(gaussian._ldexp(pf, x))
+    assert pfaffian([[0, 2], [-2, 0]]) == 2.0
+    assert pfaffian(random_antisymmetric(rng, 2 * PANEL + 1).real) == 0.0
+    singular = random_antisymmetric(rng, 2 * PANEL + 6).real
+    singular[:, 5] = singular[5] = 0.0
+    assert pfaffian(singular) == 0.0
+    pairs = np.zeros((12, 12))
+    pairs[np.arange(0, 10, 2), np.arange(1, 10, 2)] = rng.uniform(1, 2, 5)
+    pairs -= pairs.T  # the last two rows are zero
+    perm = rng.permutation(12)
+    assert pfaffian(pairs[np.ix_(perm, perm)]) == 0.0

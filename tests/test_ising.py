@@ -64,6 +64,19 @@ def test_lattice_without_sites_is_rejected(rows, cols):
         IsingLattice(0, ())
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (-2, -3), (-3, -2)])
+def test_lattice_of_two_negative_sides_has_no_sites(rows, cols):
+    """rows * cols is positive, but the shape still has no sites: the error
+    says so, with overrides or without, and for a lattice given its shape."""
+    message = f"{rows} x {cols} lattice has no sites"
+    with pytest.raises(InvariantViolation, match=message):
+        IsingLattice.square(rows, cols, 0.3)
+    with pytest.raises(InvariantViolation, match=message):
+        IsingLattice.square(rows, cols, 0.3, {(0, 1): 0.5})
+    with pytest.raises(InvariantViolation, match=message):
+        IsingLattice(rows * cols, (), (rows, cols))
+
+
 @pytest.mark.parametrize("n_sites, bonds, shape, message", [
     (4, [(0, 3)], (2, 2), r"bond \(0, 3\) is not a bond of the 2 x 2 grid"),
     (4, [(0, 1), (2, 3), (0, 2), (1, 3)], (1, 4), r"bond \(0, 2\) is not a bond of the 1 x 4"),
