@@ -75,9 +75,9 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
             q = cleaned
             clean = [0] * len(rules)
         for r, rule in enumerate(rules):
-            i = rule.first_match(q.core.elements, clean[r])
+            i = rule.first_match(q.core.columns, clean[r])
             if i is None:
-                clean[r] = len(q.core.elements)
+                clean[r] = len(q.core)
                 continue
             clean[r] = i
             q = apply_rule(q, rule, RewriteSite.at(i))

@@ -40,11 +40,11 @@ from .diagram import (
     BraidNeg,
     BraidPos,
     Cap,
+    Columns,
     Cup,
     DotPair,
     MajoranaDiagram,
     Scattering,
-    offset_elements,
 )
 from .errors import (
     BitLengthMismatch,
@@ -91,53 +91,41 @@ class DenseTensor:
     def tensor(self) -> np.ndarray:
         return self.entries.reshape([2] * self.rank) if self.rank else self.entries.reshape(())
 
-    def as_matrix(self, rows: int) -> np.ndarray:
-        """(2^rows) x (2^(rank-rows)) matrix, row legs first."""
-        return self.entries.reshape(2 ** rows, -1)
-
-    def permuted(self, order) -> "DenseTensor":
-        return DenseTensor(self.rank, np.transpose(self.tensor(), order).reshape(-1))
-
 
 # -- gate blocks ------------------------------------------------------------
 
 
 def _fixed(amplitude, *elements):
-    """The block of a gate without an angle: `elements` on strands counted
-    from the qubit block's first strand."""
-    return lambda gate, base: (offset_elements(elements, base), amplitude, (), ())
+    """The block of a gate without an angle: the columns of `elements`, on
+    strands counted from the qubit block's first strand, moved to it."""
+    template = Columns.of_elements(elements)
+    return lambda gate, base: (template.shifted(base), amplitude, (), ())
 
 
 def _xx_block(gate: Gate, base: int):
     """XX rotation across blocks at base and base+4, with its notch
     projection (the manifold pinch between the qubit blocks)."""
-    els = (Cup(base + 3), Scattering(base + 2, gate.angle), Cap(base + 3))
-    return els, _SQRT2, (), (ParityCut(3, tuple(range(base, base + 4))),)
+    rows = Columns.of_elements((Cup(base + 3), Scattering(base + 2, gate.angle), Cap(base + 3)))
+    return rows, _SQRT2, (), (ParityCut(3, tuple(range(base, base + 4))),)
 
 
-def _weave(base: int, n: int, m: int):
-    """Negative braids crossing an n-strand bundle at `base` over the m
-    strands to its right."""
-    els = []
-    for step in range(m):
-        top = base + n - 1 + step
-        for j in range(top, base + step - 1, -1):
-            els.append(BraidNeg(j))
-    return tuple(els)
+# negative braids crossing the 4-strand bundle at strand 0 over the 4
+# strands to its right
+_SWAP = Columns.of_elements(BraidNeg(j) for step in range(4) for j in range(3 + step, step - 1, -1))
 
 
 def _swap_block(gate: Gate, base: int):
     """A full 16-crossing weave between the SWAP's two closed-interval
     notches, realized as genuine holes; the SWAP-hole relation removes them
     when adjacent."""
-    els = _weave(base, 4, 4)
     strands = tuple(range(base, base + 4))
-    return els, 1.0, (ParityCut(0, strands), ParityCut(len(els), strands)), ()
+    return (_SWAP.shifted(base), 1.0,
+            (ParityCut(0, strands), ParityCut(len(_SWAP.kind), strands)), ())
 
 
 _E8 = cmath.exp(1j * _PI / 8)  # the amplitude of S, H and RXQ+
 
-# name -> (gate, first strand of its lowest qubit) -> (elements, amplitude,
+# name -> (gate, first strand of its lowest qubit) -> (columns, amplitude,
 # holes, notches), cut times counted from the block's first element
 _BLOCKS = {
     "X": _fixed(1.0, DotPair(2, 3)),
@@ -148,7 +136,8 @@ _BLOCKS = {
     "H": _fixed(_E8, BraidNeg(1), BraidNeg(2), BraidNeg(1)),
     "RXQ+": _fixed(_E8, BraidNeg(2)),
     "RXQ-": _fixed(cmath.exp(-1j * _PI / 8), BraidPos(2)),
-    "RZ": lambda gate, base: ((Scattering(base + 1, gate.angle),), 1.0, (), ()),
+    "RZ": lambda gate, base: (Columns.of_elements((Scattering(base + 1, gate.angle),)), 1.0,
+                              (), ()),
     "XX": _xx_block,
     "SWAP": _swap_block,
 }
@@ -178,19 +167,20 @@ def compile_circuit(c: Circuit) -> QuonDiagram:
     """Compile a nearest-neighbor circuit to a Quon diagram with one 4-strand
     open interval per qubit on each of the top and bottom boundaries."""
     width = 4 * c.n_qubits
-    elements: list = []
+    blocks: list[Columns] = []
     holes: list[ParityCut] = []
     notches: list[ParityCut] = []
     amplitude = 1.0 + 0.0j
+    t = 0  # the block's first element
     for g in _compiled_gates(c.gates):
-        els, amp, gate_holes, gate_notches = _BLOCKS[g.name](g, 4 * min(g.qubits))
-        t = len(elements)
+        rows, amp, gate_holes, gate_notches = _BLOCKS[g.name](g, 4 * min(g.qubits))
         holes.extend(ParityCut(t + cut.time_index, cut.strands) for cut in gate_holes)
         notches.extend(ParityCut(t + cut.time_index, cut.strands) for cut in gate_notches)
-        elements.extend(els)
+        blocks.append(rows)
+        t += len(rows.kind)
         amplitude *= amp
 
-    core = MajoranaDiagram(width, width, tuple(elements), amplitude)
+    core = MajoranaDiagram(width, width, Columns.joined(blocks), amplitude)
     intervals = tuple(
         OpenInterval(side, 4 * q, 4)
         for side in (TOP, BOTTOM)
@@ -224,14 +214,6 @@ def quon_to_dense_tensor(q: QuonDiagram, use_oracle: bool = False) -> DenseTenso
             groups[i] = bits[lo:hi]
         assignments.append(groups)
     return DenseTensor(rank, np.array(_components(q, assignments, use_oracle), dtype=complex))
-
-
-def dense_gate_matrix(q: QuonDiagram) -> np.ndarray:
-    """Dense (out x in) matrix of a compiled circuit diagram."""
-    n_top = sum(iv.qubit_count for iv in q.open_intervals if iv.side == TOP)
-    tensor = quon_to_dense_tensor(q)
-    mat = tensor.as_matrix(n_top)  # rows = top bits (inputs), cols = bottom
-    return mat.T  # (out, in)
 
 
 def circuit_amplitude(c: Circuit, bits_in, bits_out) -> complex:
@@ -388,10 +370,10 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
                 for j in range(pos, start + step - 1, -1):
                     tail.append(BraidPos(j))
             start = iv_a.start + gap
-        projection = ParityCut(len(core.elements) + len(tail), tuple(range(start, start + s)))
+        projection = ParityCut(len(core) + len(tail), tuple(range(start, start + s)))
         for k in range(s):
             tail.append(Cup(start + s - 1 - k))
-        new_core = core.splice(len(core.elements), 0, tail, core.amplitude)
+        new_core = core.splice(len(core), 0, tail, core.amplitude)
         cuts, notches = q.parity_cuts, q.notches
         if mode == "non_neighboring":
             cuts += (projection,)

@@ -12,8 +12,8 @@ Conventions fixed here and relied on everywhere else:
 * Majorana normalization {g_j, g_k} = 2 delta_jk (so parity factors square
   to the identity).
 * Every element but a cap or a cup is the operator a*1 + b*M, with
-  (a, b) = `weights()` and M = i^(n//2) g_{s1} ... g_{sn} over its
-  `positions()` s1 < ... < sn, the rightmost acting first: g_j for a Dot
+  (a, b) = `row_weights` of its row and M = i^(n//2) g_{s1} ... g_{sn} over
+  its positions s1 < ... < sn, the rightmost acting first: g_j for a Dot
   and i g_j g_k for a DotPair(j, k) (both weigh (0, 1)), i g_j g_{j+1} for
   braids and scatterings.  The Fock oracle, the Gaussian sweep, the
   projection push and the rewrite rules all read this one statement.
@@ -24,23 +24,24 @@ Conventions fixed here and relied on everywhere else:
   periodic); "generic" means further than EPS_ANGLE from every integer
   multiple of pi/2 in the complex plane.
 
-A diagram also holds its elements as columns (`Columns`): parallel arrays
-of each element's kind code (its CODE, the index of its kind in BY_CODE),
-positions, angle and orientation, derived once from the element objects
-the first time they are read.  `MajoranaDiagram.from_columns` builds a
-diagram from columns instead, checked once per array, and builds its
-element objects, through the ordinary constructors, only when `elements`
-is first read.  The trace and the Gaussian sweep read only the columns.
+A diagram stores its elements only as columns (`Columns`): tuples of each
+element's kind code (its CODE, the index of its kind in BY_CODE), first and
+last position, angle and orientation.  The element classes are the per-kind
+table (code, width delta, weights, dagger) and the public constructors:
+objects handed to `MajoranaDiagram` or to `splice` become rows once, where
+they enter, and `MajoranaDiagram.elements` builds objects back for readers
+outside the package.  One fit rule (`_misfit`) checks every row, number by
+number in a replay and array-wide in `MajoranaDiagram.from_columns`.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -64,23 +65,22 @@ class _Element:
     width_delta = 0  # strands added to the slice
     dots = 0  # Majorana operators inserted
     SIGN = 0  # a braid's sign, +1 or -1; 0 for every other kind
+    TWO = 1  # 1 for two positions, 0 for a dot's one
 
     def __post_init__(self):
         try:
-            for p in self.positions():
+            for p in (self.j, getattr(self, "k", 0)):
                 operator.index(p)
         except TypeError:
             raise InvariantViolation(f"{self!r}: strand positions must be integers") from None
 
-    def positions(self) -> tuple[int, ...]:
-        """The strand positions the element acts on, ascending: those it
-        creates on the slice after it for a cap, those it reads on the slice
-        before it for every other element."""
-        return (self.j, self.j + 1)
-
-    def moved(self, positions):
-        """This element on `positions`, listed as positions() lists them."""
-        return type(self)(positions[0])
+    def row(self) -> tuple:
+        """The element's row of `Columns`: (kind code, first position, last
+        position, angle, horizontal).  Its positions, ascending, are the
+        first and the last, or the first alone for a dot: those it creates
+        on the slice after it for a cap, those it reads on the slice before
+        it for every other element."""
+        return (self.CODE, self.j, self.j + self.TWO, 0j, False)
 
     @classmethod
     def _of_row(cls, j, k, angle, horizontal):
@@ -88,19 +88,13 @@ class _Element:
         return cls(j)
 
     def weights(self) -> tuple[complex, complex]:
-        """(a, b) of the element a*1 + b*M; kinds of fixed weights state them
-        as WEIGHTS (caps and cups have none)."""
-        return self.WEIGHTS
-
-    def check(self, width: int) -> None:
-        """Raise InvariantViolation unless the element fits a slice of `width`."""
-        if not 0 <= self.j <= width - 2:
-            raise InvariantViolation(
-                f"{type(self).__name__} position {self.j} outside 0..{width - 2}"
-            )
+        """(a, b) of the element a*1 + b*M (caps and cups have none)."""
+        kind, _, _, angle, horizontal = self.row()
+        return row_weights(kind, angle, horizontal)
 
     def dagger(self):
-        return self
+        """The adjoint element, from its row's adjoint (`Columns.dagger`)."""
+        return Columns.of_elements((self,)).dagger().objects()[0]
 
 
 @dataclass(frozen=True)
@@ -113,13 +107,6 @@ class Cap(_Element):
 
     j: int
 
-    def check(self, width: int) -> None:
-        if not 0 <= self.j <= width:
-            raise InvariantViolation(f"cap position {self.j} outside 0..{width}")
-
-    def dagger(self):
-        return Cup(self.j)
-
 
 @dataclass(frozen=True)
 class Cup(_Element):
@@ -131,9 +118,6 @@ class Cup(_Element):
 
     j: int
 
-    def dagger(self):
-        return Cap(self.j)
-
 
 @dataclass(frozen=True)
 class Dot(_Element):
@@ -142,16 +126,10 @@ class Dot(_Element):
     KIND = "dot"
     CODE = 2
     dots = 1
+    TWO = 0
     WEIGHTS = (0, 1)
 
     j: int
-
-    def positions(self):
-        return (self.j,)
-
-    def check(self, width: int) -> None:
-        if not 0 <= self.j < width:
-            raise InvariantViolation(f"dot position {self.j} outside 0..{width - 1}")
 
 
 @dataclass(frozen=True)
@@ -166,21 +144,12 @@ class DotPair(_Element):
     j: int
     k: int
 
-    def positions(self):
-        return (self.j, self.k)
-
-    def moved(self, positions):
-        return DotPair(positions[0], positions[-1])
+    def row(self):
+        return (self.CODE, self.j, self.k, 0j, False)
 
     @classmethod
     def _of_row(cls, j, k, angle, horizontal):
         return cls(j, k)
-
-    def check(self, width: int) -> None:
-        if not 0 <= self.j < self.k < width:
-            raise InvariantViolation(
-                f"dot pair ({self.j}, {self.k}) not ordered inside width {width}"
-            )
 
 
 def _braid_weights(sign: int, phase: complex) -> tuple[complex, complex]:
@@ -200,9 +169,6 @@ class BraidPos(_Element):
 
     j: int
 
-    def dagger(self):
-        return BraidNeg(self.j)
-
 
 @dataclass(frozen=True)
 class BraidNeg(_Element):
@@ -213,9 +179,6 @@ class BraidNeg(_Element):
     WEIGHTS = _braid_weights(SIGN, PHASE)
 
     j: int
-
-    def dagger(self):
-        return BraidPos(self.j)
 
 
 def scattering_weights(e, horizontal: bool):
@@ -244,17 +207,15 @@ class _ScatteringKind(_Element):
         if not finite:
             raise InvariantViolation(f"{self!r}: the angle must be a finite number")
 
-    def exponential(self) -> complex:
-        try:
-            return self._exp()
-        except OverflowError:
-            raise NumericalInstability(
-                f"{self!r}: exp(i * angle) overflows a float; the angle's imaginary "
-                f"part must stay above about -709"
-            ) from None
+    def row(self):
+        return (self.CODE, self.j, self.j + 1, self.angle(), self.orientation == HORIZONTAL)
 
-    def weights(self) -> tuple[complex, complex]:
-        return scattering_weights(self.exponential(), self.orientation == HORIZONTAL)
+    @classmethod
+    def _of_row(cls, j, k, angle, horizontal):
+        return cls(j, cls._parameter(angle), HORIZONTAL if horizontal else VERTICAL)
+
+    def exponential(self) -> complex:
+        return exponential(self.CODE, self.angle())
 
 
 @dataclass(frozen=True)
@@ -273,23 +234,16 @@ class Scattering(_ScatteringKind):
     theta: complex
     orientation: str = VERTICAL
 
-    @classmethod
-    def _of_row(cls, j, k, angle, horizontal):
-        return cls(j, angle, HORIZONTAL if horizontal else VERTICAL)
-
     def angle(self) -> complex:
         return complex(self.theta)
 
-    def _exp(self) -> complex:
-        return cmath.exp(1j * complex(self.theta))
+    @staticmethod
+    def _parameter(angle: complex) -> complex:
+        return angle
 
-    def moved(self, positions):
-        return Scattering(positions[0], self.theta, self.orientation)
-
-    def dagger(self):
-        # -conj(theta) so that the adjoint property holds for complex angles too;
-        # reduces to the negation map for real angles.
-        return Scattering(self.j, -complex(self.theta).conjugate(), self.orientation)
+    @staticmethod
+    def _exp(angle: complex) -> complex:
+        return cmath.exp(1j * angle)
 
 
 @dataclass(frozen=True)
@@ -303,24 +257,18 @@ class ScatteringStar(_ScatteringKind):
     phi: complex
     orientation: str = VERTICAL
 
-    @classmethod
-    def _of_row(cls, j, k, angle, horizontal):
-        # phi = i * angle, by parts, as angle() takes it apart
-        return cls(j, complex(-angle.imag, angle.real), HORIZONTAL if horizontal else VERTICAL)
-
     def angle(self) -> complex:
         # -i phi, by parts, so that signed zeros carry over both ways
         phi = complex(self.phi)
         return complex(phi.imag, -phi.real)
 
-    def _exp(self) -> complex:
-        return cmath.exp(complex(self.phi))
+    @staticmethod
+    def _parameter(angle: complex) -> complex:
+        return complex(-angle.imag, angle.real)  # phi = i * angle, by parts
 
-    def moved(self, positions):
-        return ScatteringStar(positions[0], self.phi, self.orientation)
-
-    def dagger(self):
-        return ScatteringStar(self.j, complex(self.phi).conjugate(), self.orientation)
+    @staticmethod
+    def _exp(angle: complex) -> complex:
+        return cmath.exp(complex(-angle.imag, angle.real))
 
 
 Element = Union[Cap, Cup, Dot, DotPair, BraidPos, BraidNeg, Scattering, ScatteringStar]
@@ -328,79 +276,162 @@ Element = Union[Cap, Cup, Dot, DotPair, BraidPos, BraidNeg, Scattering, Scatteri
 KINDS = {cls.KIND: cls for cls in Element.__args__}  # document name -> kind
 BY_CODE = tuple(sorted(Element.__args__, key=lambda cls: cls.CODE))  # kind code -> kind
 
-# by kind code: the strands added, the last position less j (a dot pair's
-# is its own k), whether it is a scattering, and the fixed weights (0 where
-# there are none)
-WIDTH_DELTA = np.array([cls.width_delta for cls in BY_CODE])
-_LAST = np.array([int(cls is not Dot) for cls in BY_CODE])
-_SCATTERING = np.array([issubclass(cls, _ScatteringKind) for cls in BY_CODE])
+# by kind code: the strands added, the strands a cap adds to the slice its
+# positions must fit (0 for other kinds), 1 for two positions (0 for a dot),
+# whether it is a scattering, the dots, the sign and the adjoint's code
+WIDTH_DELTA = tuple(cls.width_delta for cls in BY_CODE)
+GROWN = tuple(max(delta, 0) for delta in WIDTH_DELTA)
+TWO = tuple(cls.TWO for cls in BY_CODE)
+SCATTERING = tuple(issubclass(cls, _ScatteringKind) for cls in BY_CODE)
+DOTS = tuple(cls.dots for cls in BY_CODE)
+SIGN = tuple(cls.SIGN for cls in BY_CODE)
+DAGGER = (Cup.CODE, Cap.CODE, Dot.CODE, DotPair.CODE, BraidNeg.CODE, BraidPos.CODE,
+          Scattering.CODE, ScatteringStar.CODE)
 _FIXED_A, _FIXED_B = (np.array([getattr(cls, "WEIGHTS", (0, 0))[i] for cls in BY_CODE],
                                dtype=complex) for i in (0, 1))
 
 
+def exponential(kind: int, angle: complex) -> complex:
+    """e = exp(i * angle) of a scattering of kind code `kind`; raises
+    NumericalInstability where it overflows a float."""
+    try:
+        return BY_CODE[kind]._exp(angle)
+    except OverflowError:
+        raise NumericalInstability(
+            f"{BY_CODE[kind].__name__} of angle {angle}: exp(i * angle) overflows a float; "
+            f"the angle's imaginary part must stay above about -709") from None
+
+
+def row_weights(kind: int, angle: complex, horizontal: bool) -> tuple[complex, complex]:
+    """(a, b) of the element a*1 + b*M of one row: the kind's fixed WEIGHTS,
+    or a scattering's `scattering_weights`."""
+    if SCATTERING[kind]:
+        return scattering_weights(exponential(kind, angle), horizontal)
+    return BY_CODE[kind].WEIGHTS
+
+
+def _misfit(j, last, width, grown, two):
+    """Whether an element of first and last positions j, last does not fit
+    the slice of `width` it meets: a position below 0 or past the slice (a
+    cap's lie on the slice after it, `grown` = 2 strands wider), or a last
+    position not after the first where there are `two` = 1 positions.
+    Numbers, or arrays of one length (the result is then elementwise)."""
+    return (j < 0) | (last >= width + grown) | (last < j + two)
+
+
 class Columns(NamedTuple):
-    """Elements as parallel arrays, element t at index t: `kind` its kind
+    """Elements as parallel tuples, element t at index t: `kind` its kind
     code, `j` its first position and `k` its last (j for a dot, k for a dot
     pair, j + 1 for every other kind), `angle` a scattering's angle() and
-    `horizontal` whether a scattering is horizontal (0 and False for every
-    other kind)."""
+    `horizontal` whether a scattering is horizontal (0j and False for every
+    other kind).  len() of a Columns is its field count; a diagram's
+    len() is its element count."""
 
-    kind: np.ndarray
-    j: np.ndarray
-    k: np.ndarray
-    angle: np.ndarray
-    horizontal: np.ndarray
+    kind: tuple[int, ...]
+    j: tuple[int, ...]
+    k: tuple[int, ...]
+    angle: tuple[complex, ...]
+    horizontal: tuple[bool, ...]
 
     @staticmethod
-    def of(elements: tuple) -> "Columns":
-        """The columns of element objects: kinds and positions read off all
-        of them, angles and orientations off the scatterings."""
-        n = len(elements)
-        kind = np.array([el.CODE for el in elements], dtype=np.intp)
-        j = np.array([el.j for el in elements], dtype=np.intp)
-        k = j + _LAST[kind]
-        angle, horizontal = np.zeros(n, dtype=complex), np.zeros(n, dtype=bool)
-        pairs = (kind == DotPair.CODE).nonzero()[0].tolist()
-        if pairs:
-            k[pairs] = [elements[t].k for t in pairs]
-        scattering = _SCATTERING[kind].nonzero()[0].tolist()
-        if scattering:
-            angle[scattering] = [elements[t].angle() for t in scattering]
-            horizontal[scattering] = [elements[t].orientation == HORIZONTAL for t in scattering]
-        return Columns(kind, j, k, angle, horizontal)
+    def of_rows(rows) -> "Columns":
+        """The columns of rows (kind, j, k, angle, horizontal)."""
+        rows = list(rows)
+        return Columns(*zip(*rows)) if rows else NO_COLUMNS
 
-    def elements(self) -> tuple:
+    @staticmethod
+    def of_elements(elements) -> "Columns":
+        """The rows of element objects."""
+        try:
+            return Columns.of_rows([el.row() for el in elements])
+        except AttributeError:
+            raise InvariantViolation(
+                f"unknown element among {elements!r}; elements are {', '.join(KINDS)}") from None
+
+    @staticmethod
+    def joined(parts) -> "Columns":
+        """The rows of `parts`, one after the other."""
+        return Columns(*map(tuple, map(itertools.chain.from_iterable, zip(NO_COLUMNS, *parts))))
+
+    def cut(self, start: int, stop: int) -> "Columns":
+        """Rows start .. stop - 1."""
+        return Columns(*(column[start:stop] for column in self))
+
+    def shifted(self, offset: int) -> "Columns":
+        """The rows with every position moved by `offset`."""
+        return Columns(self.kind, tuple(p + offset for p in self.j),
+                       tuple(p + offset for p in self.k), self.angle, self.horizontal)
+
+    def dagger(self) -> "Columns":
+        """The adjoint rows: order reversed, caps and cups swapped, braid
+        signs flipped, each scattering angle a taken to -conj(a) by parts,
+        so that the adjoint holds for complex angles too (a star's phi goes
+        to conj(phi))."""
+        kind = tuple(DAGGER[code] for code in reversed(self.kind))
+        angle = tuple(complex(-a.real, a.imag) if SCATTERING[code] else a
+                      for code, a in zip(kind, reversed(self.angle)))
+        return Columns(kind, self.j[::-1], self.k[::-1], angle, self.horizontal[::-1])
+
+    def objects(self) -> tuple:
         """The element objects, each built by its kind's constructor."""
         return tuple(BY_CODE[code]._of_row(j, k, angle, horizontal)
-                     for code, j, k, angle, horizontal in zip(*(c.tolist() for c in self)))
+                     for code, j, k, angle, horizontal in zip(*self))
 
     def weights(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The weights (a, b) of the elements `rows`, none a cap or cup, as
         arrays: each kind's fixed weights, and `scattering_weights` of
         e = exp(i * angle) for the scatterings.  Raises NumericalInstability
         where e overflows a float, as `exponential` does."""
-        kind = self.kind[rows]
+        n = len(self.kind)
+        kind = np.fromiter(self.kind, np.intp, n)[rows]
         a, b = _FIXED_A[kind], _FIXED_B[kind]
-        at = _SCATTERING[kind].nonzero()[0]
+        at = np.array(SCATTERING)[kind].nonzero()[0]
         if not len(at):
             return a, b
         scattering = rows[at]
         with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(1j * self.angle[scattering])
+            e = np.exp(1j * np.fromiter(self.angle, complex, n)[scattering])
         if not np.isfinite(e).all():
             t = int(scattering[~np.isfinite(e)][0])
             raise NumericalInstability(
                 f"{BY_CODE[self.kind[t]].__name__} at element {t}: exp(i * angle) overflows a "
                 f"float; the angle's imaginary part must stay above about -709")
         a[at], b[at] = scattering_weights(e, False)
-        horizontal = self.horizontal[scattering]
+        horizontal = np.fromiter(self.horizontal, bool, n)[scattering]
         if horizontal.any():
             a[at[horizontal]], b[at[horizontal]] = scattering_weights(e[horizontal], True)
         return a, b
 
 
-def _checked_columns(width_in: int, width_out: int, kind, j, k, angle,
-                     horizontal) -> tuple[Columns, tuple[int, ...]]:
+NO_COLUMNS = Columns((), (), (), (), ())
+
+
+def _columns(elements) -> Columns:
+    """`elements` as columns: a Columns as it is, element objects as their rows."""
+    return elements if type(elements) is Columns else Columns.of_elements(elements)
+
+
+def _replay(width: int, columns: Columns) -> list[int]:
+    """Check each row against the width it meets (`_misfit`), starting from
+    `width`; returns it, then the width after each row."""
+    widths = [width]
+    for kind, j, last in zip(columns.kind, columns.j, columns.k):
+        if _misfit(j, last, width, GROWN[kind], TWO[kind]):
+            raise InvariantViolation(
+                f"{BY_CODE[kind].__name__} at positions {j}..{last} does not fit the slice of "
+                f"width {width}")
+        width += WIDTH_DELTA[kind]
+        widths.append(width)
+    return widths
+
+
+def _check_width_in(width_in: int) -> None:
+    if width_in < 0 or width_in % 2:
+        raise InvariantViolation(f"width_in {width_in} not an even non-negative integer")
+
+
+def _checked_arrays(width_in: int, width_out: int, kind, j, k, angle,
+                    horizontal) -> tuple[Columns, tuple[int, ...]]:
     """The columns of `MajoranaDiagram.from_columns` and the diagram's
     widths, after each check of the element constructors and of `_replay`,
     made once per array; any failure raises InvariantViolation."""
@@ -416,7 +447,7 @@ def _checked_columns(width_in: int, width_out: int, kind, j, k, angle,
     if (n and kind.dtype.kind not in "iu") or not ((0 <= kind) & (kind < len(BY_CODE))).all():
         raise InvariantViolation(f"unknown element kind codes; known are 0..{len(BY_CODE) - 1}")
     kind = kind.astype(np.intp, copy=False)
-    scattering = _SCATTERING[kind]
+    scattering = np.array(SCATTERING)[kind]
     if angle.dtype.kind not in "biufc":
         raise InvariantViolation(f"angles must be numbers, not {angle.dtype}")
     angle = np.where(scattering, angle, 0).astype(complex, copy=False)
@@ -426,16 +457,14 @@ def _checked_columns(width_in: int, width_out: int, kind, j, k, angle,
     if horizontal.dtype != bool:
         raise InvariantViolation(
             f"orientations must be booleans (horizontal), not {horizontal.dtype}")
-    if width_in < 0 or width_in % 2:
-        raise InvariantViolation(f"width_in {width_in} not an even non-negative integer")
-    delta = WIDTH_DELTA[kind]
+    _check_width_in(width_in)
     widths = np.empty(n + 1, dtype=np.intp)
     widths[0] = width_in
-    np.cumsum(delta, out=widths[1:])
+    np.cumsum(np.array(WIDTH_DELTA)[kind], out=widths[1:])
     widths[1:] += width_in
-    last = np.where(kind == DotPair.CODE, k, j + _LAST[kind])
-    room = widths[:-1] + np.maximum(delta, 0)  # a cap's positions lie on the slice after it
-    bad = (j < 0) | (last >= room) | ((last <= j) & (kind != Dot.CODE))
+    two = np.array(TWO)[kind]
+    last = np.where(kind == DotPair.CODE, k, j + two)
+    bad = _misfit(j, last, widths[:-1], np.array(GROWN)[kind], two)
     if bad.any():
         t = int(np.flatnonzero(bad)[0])
         raise InvariantViolation(
@@ -444,8 +473,8 @@ def _checked_columns(width_in: int, width_out: int, kind, j, k, angle,
     if widths[-1] != width_out:
         raise InvariantViolation(
             f"element replay ends at width {widths[-1]}, declared width_out {width_out}")
-    columns = Columns(kind, j.astype(np.intp, copy=False), last.astype(np.intp, copy=False),
-                      angle, horizontal & scattering)
+    columns = Columns(tuple(kind.tolist()), tuple(j.tolist()), tuple(last.tolist()),
+                      tuple(angle.tolist()), tuple((horizontal & scattering).tolist()))
     return columns, tuple(widths.tolist())
 
 
@@ -456,51 +485,38 @@ def is_generic_angle(theta: complex) -> bool:
     return abs(theta - k * (math.pi / 2)) > EPS_ANGLE
 
 
-def slice_widths(width_in: int, elements: Iterable[Element]) -> list[int]:
-    """Replay the element sequence; returns the width before each element plus the final width."""
-    if width_in < 0 or width_in % 2:
-        raise InvariantViolation(f"width_in {width_in} not an even non-negative integer")
-    return _replay(width_in, elements)
-
-
-def _replay(w: int, elements: Iterable[Element]) -> list[int]:
-    """Check each element against the width it meets, starting from w;
-    returns w, then the width after each element."""
-    widths = [w]
-    for el in elements:
-        try:
-            el.check(w)
-        except AttributeError:
-            raise InvariantViolation(f"unknown element {el!r}") from None
-        w += el.width_delta
-        widths.append(w)
-    return widths
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MajoranaDiagram:
-    """An ordered element sequence with a scalar amplitude.
+    """An ordered element sequence with a scalar amplitude, stored as its
+    `columns`.
 
     width_in strands enter at the top, width_out leave at the bottom.  The
-    constructor replays the whole sequence, O(len(elements)): it checks that
-    width_in is even and non-negative, that each element is a known kind
-    that fits the width it meets, and that the replay ends at width_out,
-    and it keeps the width of every slice.  `splice` edits a run of
-    elements and replays only what the edit can change.
+    constructor takes element objects, or a Columns of rows built by this
+    module (arrays from elsewhere go through `from_columns`, which checks
+    their types), and replays the whole sequence, O(len(elements)): it
+    checks that width_in is even and non-negative, that each element fits
+    the width it meets, and that the replay ends at width_out, and it keeps
+    the width of every slice.  `splice` edits a run of elements and replays
+    only what the edit can change.  Diagrams compare and hash by their
+    widths, columns and amplitude.
     """
 
     width_in: int
     width_out: int
-    # no class attribute, which would slow every read of it down
-    elements: tuple[Element, ...] = field(default_factory=tuple)
-    amplitude: complex = 1.0 + 0.0j
+    columns: Columns
+    amplitude: complex
     # the width before each element plus the final width, from the replay
-    _widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _widths: tuple[int, ...] = field(repr=False, compare=False)
+
+    def __init__(self, width_in: int, width_out: int, elements=(),
+                 amplitude: complex = 1.0 + 0.0j):
+        vars(self).update(width_in=width_in, width_out=width_out, columns=_columns(elements),
+                          amplitude=complex(amplitude))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        widths = slice_widths(self.width_in, self.elements)
+        _check_width_in(self.width_in)
+        widths = _replay(self.width_in, self.columns)
         if widths[-1] != self.width_out:
             raise InvariantViolation(
                 f"element replay ends at width {widths[-1]}, declared width_out {self.width_out}"
@@ -510,7 +526,7 @@ class MajoranaDiagram:
     @staticmethod
     def from_columns(width_in: int, width_out: int, kind, j, k=None, angle=None,
                      horizontal=None, amplitude: complex = 1.0) -> "MajoranaDiagram":
-        """The diagram of the elements given as columns (see `Columns`):
+        """The diagram of the elements given as arrays (see `Columns`):
         kind codes and first positions, with k the second position of each
         dot pair (read only there), angle each scattering's angle() and
         horizontal its orientation (both read only at scatterings).
@@ -518,22 +534,19 @@ class MajoranaDiagram:
         It equals the diagram of those element objects, and raises
         InvariantViolation where that constructor would: for positions that
         are not integers, an unknown kind, an angle that is not finite, an
-        element that does not fit the width it meets, a width_in that is not
-        even and non-negative, or a replay that does not end at width_out.
-        Each check runs once per array; the element objects are built only
-        when `elements` is first read."""
-        columns, widths = _checked_columns(width_in, width_out, kind, j, k, angle, horizontal)
-        diag = object.__new__(_FromColumns)
-        for name, value in (("width_in", width_in), ("width_out", width_out),
-                            ("amplitude", complex(amplitude)), ("_widths", widths),
-                            ("columns", columns)):
-            object.__setattr__(diag, name, value)
+        element that does not fit the width it meets (`_misfit`, once per
+        array), a width_in that is not even and non-negative, or a replay
+        that does not end at width_out."""
+        columns, widths = _checked_arrays(width_in, width_out, kind, j, k, angle, horizontal)
+        diag = object.__new__(MajoranaDiagram)
+        vars(diag).update(width_in=width_in, width_out=width_out, columns=columns,
+                          amplitude=complex(amplitude), _widths=widths)
         return diag
 
-    @functools.cached_property
-    def columns(self) -> Columns:
-        """The elements as columns, derived once from the element objects."""
-        return Columns.of(self.elements)
+    @property
+    def elements(self) -> tuple:
+        """The element objects, built from the columns on every read."""
+        return self.columns.objects()
 
     def __len__(self) -> int:
         return len(self._widths) - 1
@@ -551,63 +564,61 @@ class MajoranaDiagram:
         return max(self._widths)
 
     def dot_count(self) -> int:
-        return sum(el.dots for el in self.elements)
+        return sum(map(DOTS.__getitem__, self.columns.kind))
 
     def generic_scattering_count(self) -> int:
         columns = self.columns
-        return sum(map(is_generic_angle, columns.angle[_SCATTERING[columns.kind]].tolist()))
+        return sum(is_generic_angle(angle) for code, angle in zip(columns.kind, columns.angle)
+                   if SCATTERING[code])
 
     def scaled(self, factor: complex) -> "MajoranaDiagram":
-        return MajoranaDiagram(
-            self.width_in, self.width_out, self.elements, self.amplitude * factor
-        )
+        return self.splice(0, 0, NO_COLUMNS, self.amplitude * factor)
 
-    def splice(self, at: int, removed: int, replacement: Iterable[Element],
-               amplitude: complex, width_in: int | None = None) -> "MajoranaDiagram":
+    def splice(self, at: int, removed: int, replacement, amplitude: complex,
+               width_in: int | None = None) -> "MajoranaDiagram":
         """This diagram with the `removed` elements from index `at` replaced
-        by `replacement`, and with `amplitude`.  `width_in` is the new top
-        width of a run at the top boundary (at == 0) that changes it.
+        by `replacement` (element objects, or a Columns), and with
+        `amplitude`.  `width_in` is the new top width of a run at the top
+        boundary (at == 0) that changes it.
 
         The result is the diagram the constructor would build, width_out
         being where its replay ends, and an invalid edit raises what the
         constructor would.  The checks: the run lies inside the elements, a
         new width_in comes with at == 0 and is even and non-negative, and
-        each replacement element fits the width it meets, replayed from the
+        each replacement row fits the width it meets, replayed from the
         width at `at`.  Where that replay ends at the old width of slice
         at + removed, the elements after the run meet the widths they met
         before: their widths are reused unchecked.  Otherwise they are
-        replayed and checked too.  Cost: O(len(replacement)) element checks
+        replayed and checked too.  Cost: O(len(replacement)) row checks
         when the widths meet, O(len(elements)) otherwise, besides the tuple
-        copies of the elements and widths.
+        copies of the columns and widths.
         """
-        n = len(self.elements)
+        n = len(self._widths) - 1
         end = at + removed
         if not 0 <= at <= end <= n:
             raise InvariantViolation(f"run of {removed} elements from {at} outside 0..{n}")
-        replacement = tuple(replacement)
+        replacement = _columns(replacement)
         if width_in is None:
             width_in = self.width_in
         elif at:
             raise InvariantViolation(f"a new width_in needs a run at the top boundary, not at {at}")
-        elif width_in < 0 or width_in % 2:
-            raise InvariantViolation(f"width_in {width_in} not an even non-negative integer")
+        else:
+            _check_width_in(width_in)
         run = _replay(self._widths[at] if at else width_in, replacement)
         if run[-1] == self._widths[end]:
             tail = self._widths[end + 1:]
         else:
-            tail = tuple(_replay(run[-1], self.elements[end:])[1:])
+            tail = tuple(_replay(run[-1], self.columns.cut(end, n))[1:])
         widths = self._widths[:at] + tuple(run) + tail
+        kind, j, k, angle, horizontal = self.columns
+        new = replacement
+        columns = Columns(kind[:at] + new.kind + kind[end:], j[:at] + new.j + j[end:],
+                          k[:at] + new.k + k[end:], angle[:at] + new.angle + angle[end:],
+                          horizontal[:at] + new.horizontal + horizontal[end:])
         diag = object.__new__(MajoranaDiagram)
-        for name, value in (("width_in", width_in), ("width_out", widths[-1]),
-                            ("elements", self.elements[:at] + replacement + self.elements[end:]),
-                            ("amplitude", complex(amplitude)), ("_widths", widths)):
-            object.__setattr__(diag, name, value)
+        vars(diag).update(width_in=width_in, width_out=widths[-1], columns=columns,
+                          amplitude=complex(amplitude), _widths=widths)
         return diag
-
-    def with_elements(self, elements: Iterable[Element]) -> "MajoranaDiagram":
-        elements = tuple(elements)
-        width_out = self.width_in + sum(el.width_delta for el in elements)
-        return MajoranaDiagram(self.width_in, width_out, elements, self.amplitude)
 
     # -- constructors ----------------------------------------------------
 
@@ -625,52 +636,13 @@ class MajoranaDiagram:
         return MajoranaDiagram(0, 0, (Cap(0), Cup(0)))
 
 
-class _FromColumns(MajoranaDiagram):
-    """A diagram from `MajoranaDiagram.from_columns` whose element objects
-    are not built yet.  Reading them builds them and makes the diagram a
-    plain MajoranaDiagram, so that comparing, hashing and printing it are
-    those of the diagram of its elements, and no other diagram pays for a
-    lazy attribute."""
-
-    def _build(self) -> None:
-        object.__setattr__(self, "elements", self.columns.elements())
-        object.__setattr__(self, "__class__", MajoranaDiagram)
-
-    def __getattr__(self, name):
-        if name != "elements":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._build()
-        return self.elements
-
-    def __eq__(self, other):
-        self._build()
-        return self == other
-
-    def __hash__(self):
-        self._build()
-        return hash(self)
-
-    def __repr__(self):
-        self._build()
-        return repr(self)
-
-
 def compose(top: MajoranaDiagram, bottom: MajoranaDiagram) -> MajoranaDiagram:
     """Vertical gluing: `top` is applied first, then `bottom`."""
     if top.width_out != bottom.width_in:
         raise WidthMismatch(
             f"top width_out {top.width_out} != bottom width_in {bottom.width_in}"
         )
-    return MajoranaDiagram(
-        top.width_in,
-        bottom.width_out,
-        top.elements + bottom.elements,
-        top.amplitude * bottom.amplitude,
-    )
-
-
-def offset_elements(elements: Iterable[Element], off: int) -> tuple[Element, ...]:
-    return tuple(el.moved([p + off for p in el.positions()]) for el in elements)
+    return top.splice(len(top), 0, bottom.columns, top.amplitude * bottom.amplitude)
 
 
 def tensor_product(left: MajoranaDiagram, right: MajoranaDiagram) -> MajoranaDiagram:
@@ -679,11 +651,10 @@ def tensor_product(left: MajoranaDiagram, right: MajoranaDiagram) -> MajoranaDia
     Right's positions are offset by left's final width, so at every slice the
     offset equals left's concurrent width once left has finished.
     """
-    elements = left.elements + offset_elements(right.elements, left.width_out)
     return MajoranaDiagram(
         left.width_in + right.width_in,
         left.width_out + right.width_out,
-        elements,
+        Columns.joined((left.columns, right.columns.shifted(left.width_out))),
         left.amplitude * right.amplitude,
     )
 
@@ -691,10 +662,5 @@ def tensor_product(left: MajoranaDiagram, right: MajoranaDiagram) -> MajoranaDia
 def dagger(diag: MajoranaDiagram) -> MajoranaDiagram:
     """Vertical reflection: order reversed, caps and cups swapped, angles negated,
     braid signs flipped, amplitude conjugated."""
-    return MajoranaDiagram(
-        diag.width_out,
-        diag.width_in,
-        tuple(el.dagger() for el in reversed(diag.elements)),
-        complex(diag.amplitude).conjugate(),
-    )
-
+    return MajoranaDiagram(diag.width_out, diag.width_in, diag.columns.dagger(),
+                           complex(diag.amplitude).conjugate())

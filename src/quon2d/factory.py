@@ -23,15 +23,17 @@ from typing import Literal, Optional, get_args
 
 from . import diagram as dg
 from .diagram import (
+    BY_CODE,
+    SIGN,
     BraidNeg,
     BraidPos,
     Cap,
+    Columns,
     Cup,
     DotPair,
     MajoranaDiagram,
     Scattering,
     is_generic_angle,
-    offset_elements,
 )
 from .errors import (
     InvalidRegion,
@@ -186,7 +188,7 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
     unchanged (outbound positive-over crossings cancel the inbound ones)."""
     widths = q.core.widths()
     t, p, reach = move.time_index, move.position, move.reach
-    if not 0 <= t <= len(q.core.elements):
+    if not 0 <= t <= len(q.core):
         raise InvalidSegment(f"time {t} out of range")
     w = widths[t]
     if not 0 <= p < w:
@@ -198,9 +200,10 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
             raise PathCrossesHole("stretch path crosses a hole at this slice")
 
     if move.target == "bulk":
-        out = tuple(BraidPos(p + k) for k in range(reach))
-        back = tuple(BraidNeg(p + reach - 1 - k) for k in range(reach))
-        return q.splice(t, 0, out + back, q.core.amplitude), replace_ledger(ledger, move)
+        rows = [(BraidPos.CODE, p + k, p + k + 1, 0j, False) for k in range(reach)]
+        rows += [(BraidNeg.CODE, p + k, p + k + 1, 0j, False) for k in reversed(range(reach))]
+        return (q.splice(t, 0, Columns.of_rows(rows), q.core.amplitude),
+                replace_ledger(ledger, move))
 
     if move.target == "new_encoder":
         # the finger terminates on a fresh 2-strand bottom interval placed at
@@ -248,7 +251,7 @@ def _append(core: MajoranaDiagram, p: int, end: int) -> MajoranaDiagram:
     cuts keep their slices, so only the core is spliced."""
     tail = ((Cap(p),) + tuple(BraidPos(j) for j in range(p + 1, end + 1))
             + tuple(BraidPos(j) for j in range(p, end)))
-    return core.splice(len(core.elements), 0, tail, core.amplitude)
+    return core.splice(len(core), 0, tail, core.amplitude)
 
 
 def replace_ledger(ledger: FactoryLedger, move: Move, switched: int = 0):
@@ -262,13 +265,13 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
     tensor components are unchanged."""
     t, p = move.time_index, move.position
     widths = q.core.widths()
-    if not 0 <= t <= len(q.core.elements):
+    if not 0 <= t <= len(q.core):
         raise InvalidRegion(f"time {t} out of range")
     if not 0 <= p <= widths[t]:
         raise RegionOccupied(f"position {p} not inside slice {t} (width {widths[t]})")
 
     if move.payload == "closed_diagram":
-        return (q.splice(t, 0, offset_elements(move._closed.elements, p),
+        return (q.splice(t, 0, move._closed.columns.shifted(p),
                          q.core.amplitude * move._closed.amplitude / move._value),
                 replace_ledger(ledger, move))
 
@@ -279,7 +282,8 @@ def insert_move(q: QuonDiagram, move: Insert, ledger: FactoryLedger):
         raise ParityMismatch(
             "string-hole pair needs an odd strand count to its left; use the double variant here"
             if k == 1 else "double string-hole pair needs an even left count")
-    loops = tuple(Cap(p + i) for i in range(k)) + tuple(Cup(p + i) for i in reversed(range(k)))
+    loops = Columns.of_rows([(Cap.CODE, p + i, p + i + 1, 0j, False) for i in range(k)]
+                            + [(Cup.CODE, p + i, p + i + 1, 0j, False) for i in reversed(range(k))])
     return (
         q.splice(t, 0, loops, q.core.amplitude * _SQRT2 if k == 1 else q.core.amplitude,
                  parity_cuts=(ParityCut(t + k, tuple(range(p + k))),),
@@ -292,10 +296,10 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
     """Local replacement; n_S moves by the change in genericity at the site:
     +1 for a braid made a generic scattering, and -1, 0 or +1 for an angle
     set on a scattering."""
-    els = q.core.elements
+    c, n = q.core.columns, len(q.core)
     if move.change == "add_dot_pair":
         t = move.site
-        if not 0 <= t <= len(els):
+        if not 0 <= t <= n:
             raise PatternMismatch(f"site {t} out of range")
         p = move.position or 0
         w = q.core.widths()[t]
@@ -303,25 +307,26 @@ def switch_move(q: QuonDiagram, move: Switch, ledger: FactoryLedger):
             raise PatternMismatch(f"no strand pair at {p}")
         return q.splice(t, 0, (DotPair(p, p + 1),), q.core.amplitude), replace_ledger(ledger, move)
 
-    if not 0 <= move.site < len(els):
-        raise PatternMismatch(f"site {move.site} out of range")
-    el = els[move.site]
-    if move.change != "set_angle" and not el.SIGN:
-        raise PatternMismatch(f"element {move.site} is not a braid")
+    site = move.site
+    if not 0 <= site < n:
+        raise PatternMismatch(f"site {site} out of range")
+    code, j = c.kind[site], c.j[site]
+    if move.change != "set_angle" and not SIGN[code]:
+        raise PatternMismatch(f"element {site} is not a braid")
     if move.change == "flip_braid":
-        return (q.splice(move.site, 1, (el.dagger(),), q.core.amplitude),
+        return (q.splice(site, 1, c.cut(site, site + 1).dagger(), q.core.amplitude),
                 replace_ledger(ledger, move))
     if move.change == "braid_to_scattering":
         # the braid is PHASE times a scattering, so a non-generic angle is a no-op
-        return (q.splice(move.site, 1, (Scattering(el.j, move.theta),),
-                         q.core.amplitude * el.PHASE),
+        return (q.splice(site, 1, (Scattering(j, move.theta),),
+                         q.core.amplitude * BY_CODE[code].PHASE),
                 replace_ledger(ledger, move, is_generic_angle(move.theta)))
     # set_angle
-    if not isinstance(el, Scattering):
-        raise PatternMismatch(f"element {move.site} is not a scattering")
-    new = Scattering(el.j, move.theta, el.orientation)
-    switched = is_generic_angle(move.theta) - is_generic_angle(el.angle())
-    return (q.splice(move.site, 1, (new,), q.core.amplitude),
+    if code != Scattering.CODE:
+        raise PatternMismatch(f"element {site} is not a scattering")
+    switched = is_generic_angle(move.theta) - is_generic_angle(c.angle[site])
+    return (q.splice(site, 1, c.cut(site, site + 1)._replace(angle=(move.theta,)),
+                     q.core.amplitude),
             replace_ledger(ledger, move, switched))
 
 

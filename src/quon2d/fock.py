@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import I_POWERS, MajoranaDiagram
+from .diagram import I_POWERS, WIDTH_DELTA, MajoranaDiagram, row_weights
 from .errors import InvariantViolation, NotClosed, OracleTooLarge
 
 _QUARTER = 2.0 ** 0.25
@@ -136,30 +136,33 @@ def _apply_cup(t: np.ndarray, j: int, n_before: int) -> np.ndarray:
     return new / _QUARTER
 
 
-def apply_element(state: FockState, el) -> FockState:
-    """Apply one diagram element to a Fock state."""
+def apply_element(state: FockState, kind: int, j: int, k: int, angle: complex = 0j,
+                  horizontal: bool = False) -> FockState:
+    """Apply one diagram element, given as its row of `diagram.Columns`
+    (`el.row()` of an element object), to a Fock state."""
     n = state.n_strands // 2
-    if el.width_delta > 0:
-        return FockState(state.n_strands + 2, _apply_cap(state.tensor(), el.j, n + 1).ravel())
-    if el.width_delta < 0:
-        return FockState(state.n_strands - 2, _apply_cup(state.tensor(), el.j, n).ravel())
-    a, b = el.weights()
-    phases, sources = _monomial(el.positions(), n)
+    grown = WIDTH_DELTA[kind]
+    if grown > 0:
+        return FockState(state.n_strands + 2, _apply_cap(state.tensor(), j, n + 1).ravel())
+    if grown < 0:
+        return FockState(state.n_strands - 2, _apply_cup(state.tensor(), j, n).ravel())
+    a, b = row_weights(kind, angle, horizontal)
+    phases, sources = _monomial((j,) if j == k else (j, k), n)
     t = state.amplitudes
     return FockState(state.n_strands, a * t + b * (phases * t[sources]))
 
 
 def propagate(state: FockState, diag: MajoranaDiagram,
               limit: int = DEFAULT_ORACLE_LIMIT) -> FockState:
-    """`state`, on diag.width_in strands, after diag's elements; diag's
-    amplitude is left to the caller.  Raises OracleTooLarge when any slice
-    holds more than `limit` Majoranas."""
+    """`state`, on diag.width_in strands, after diag's elements, row by row
+    of its columns; diag's amplitude is left to the caller.  Raises
+    OracleTooLarge when any slice holds more than `limit` Majoranas."""
     if diag.max_width() > limit:
         raise OracleTooLarge(f"max width {diag.max_width()} exceeds oracle limit {limit}")
     if state.n_strands != diag.width_in:
         raise InvariantViolation(f"{state.n_strands} strands fed to width {diag.width_in}")
-    for el in diag.elements:
-        state = apply_element(state, el)
+    for row in zip(*diag.columns):
+        state = apply_element(state, *row)
     return state
 
 

@@ -47,10 +47,10 @@ multiplied by i^-(sum of e over the core and its points).  No |entry|
 changes, so pivots, deferrals and blocks see the same magnitudes.
 
 The sweep (`assemble_frontier`) reads the diagram's columns
-(`diagram.Columns`), as the trace does: the weights of all elements but
-caps and cups, their points and the product of their scalars are computed
-as arrays, and no element object is built on the way, so a diagram built
-as columns (an Ising lattice's) is evaluated without any.
+(`diagram.Columns`, the one form a diagram stores), as the trace does: the
+weights of all elements but caps and cups, their points and the product of
+their scalars are computed as arrays, made from the column tuples once per
+sweep.
 
 One factorisation per diagram.  A parity projection (1 + P)/2 of a hole or
 notch, and a bit-dependent dot of a basis encoder, add an optional group of
@@ -242,8 +242,10 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
 
 def assemble_frontier(diag: MajoranaDiagram):
     """Sweep a closed diagram into ((amplitude, x), seg, time, pair, mus,
-    trace), reading only its columns (`diagram.Columns`): the weights of all
-    elements but caps and cups are computed as arrays.  The diagram's
+    trace), reading its columns (`diagram.Columns`) and its trace: the
+    weights of all elements but caps and cups are computed as arrays
+    (`Columns.weights`), and whether an element has two positions is read
+    off the trace's segments at its first and last.  The diagram's
     amplitude times its element weights and sqrt(2) per loop is
     amplitude * 2^x, renormalised as in `_eliminate`, so it neither
     overflows nor underflows.  The points, in time order, are the arrays
@@ -253,10 +255,10 @@ def assemble_frontier(diag: MajoranaDiagram):
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
     trace = WireTrace(diag)
-    columns = diag.columns
     quiet = trace.quiet  # caps and cups are the bare wiring
-    a, b = columns.weights(quiet)
-    two = columns.k[quiet] != columns.j[quiet]  # two positions, not a dot's one
+    a, b = diag.columns.weights(quiet)
+    ends = np.array((trace.last, trace.first), dtype=int)  # the segments at both positions
+    two = ends[0] != ends[1]  # two positions, not a dot's one
     size_a, size_b = abs(a), abs(b)
     inserting = size_b > MU_MIN * size_a  # the others are the scalar a
     paired = inserting & (size_a > MU_MIN * size_b)
@@ -272,7 +274,7 @@ def assemble_frontier(diag: MajoranaDiagram):
     owner = owner.repeat(1 + two[owner])
     second = np.zeros(len(owner), dtype=bool)
     second[1:] = owner[1:] == owner[:-1]
-    seg = np.array((trace.last, trace.first), dtype=int)[second.view(np.int8), owner]
+    seg = ends[second.view(np.int8), owner]
     time = quiet[owner] + second * _SUB
     pair = np.where(paired[owner], paired.cumsum()[owner] - 1, -1)
 

@@ -390,7 +390,8 @@ def kw_rewrite_chain(lattice: IsingLattice):
     # space-time duality on every edge scattering; the rule replaces one
     # element by one, so the sites found up front stay valid
     columns = current.core.columns
-    sites = np.flatnonzero((columns.kind == ScatteringStar.CODE) & ~columns.horizontal).tolist()
+    sites = np.flatnonzero((np.array(columns.kind) == ScatteringStar.CODE)
+                           & ~np.array(columns.horizontal, dtype=bool)).tolist()
     for site in sites:
         current = apply_rule(current, SpaceTimeDual(), RewriteSite.at(site))
         steps.append(current)

@@ -27,7 +27,10 @@ import numpy as np
 from . import diagram as dg
 from . import gaussian
 from .diagram import (
+    SIGN,
+    WIDTH_DELTA,
     Cap,
+    Columns,
     Cup,
     DotPair,
     MajoranaDiagram,
@@ -225,37 +228,36 @@ class QuonDiagram:
         old = self.core
         core = old.splice(at, removed, replacement, amplitude, width_in)
         end = at + removed
-        delta = len(core.elements) - len(old.elements)
+        delta = len(core._widths) - len(old._widths)
         # the old slices whose widths the edit may have changed: at .. last
-        last = end if core._widths[end + delta] == old._widths[end] else len(old.elements)
+        last = end if core._widths[end + delta] == old._widths[end] else len(old._widths) - 1
 
         def retimed(t: int) -> int:
             if t >= end:
                 return t + delta
             return at if t > at else t
 
-        def moved(projections):
-            return tuple(c if retimed(c.time_index) == c.time_index
+        def moved(projections):  # a slice before `at` keeps its index
+            return tuple(c if c.time_index < at or retimed(c.time_index) == c.time_index
                          else ParityCut(retimed(c.time_index), c.strands) for c in projections)
 
         cuts, notched = moved(self.parity_cuts), moved(self.notches)
-        anchors = [(t, (retimed(t), pos)) for t, pos in self.boundary_tracking]
+        later = [(t, pos) for t, pos in self.boundary_tracking if t >= at]
+        anchors = [(t, (retimed(t), pos)) for t, pos in later]
         _check_marks(
             core._widths,
             [c for was, c in zip(self.parity_cuts + self.notches, cuts + notched)
              if at <= was.time_index <= last] + [*parity_cuts, *notches],
-            [anchor for t, anchor in anchors if at <= t <= last] + [*boundary_tracking])
+            [anchor for t, anchor in anchors if t <= last] + [*boundary_tracking])
         intervals = self.open_intervals if open_intervals is None else tuple(open_intervals)
         if open_intervals is not None or (core.width_in, core.width_out) != (
                 old.width_in, old.width_out):
             _check_intervals(core, intervals)
         q = object.__new__(QuonDiagram)
-        for name, value in (("core", core), ("parity_cuts", cuts + tuple(parity_cuts)),
-                            ("open_intervals", intervals),
-                            ("boundary_tracking",
-                             frozenset(anchor for _, anchor in anchors) | set(boundary_tracking)),
-                            ("notches", notched + tuple(notches))):
-            object.__setattr__(q, name, value)
+        vars(q).update(core=core, parity_cuts=cuts + tuple(parity_cuts), open_intervals=intervals,
+                       boundary_tracking=self.boundary_tracking.difference(later).union(
+                           [a for _, a in anchors], boundary_tracking),
+                       notches=notched + tuple(notches))
         return q
 
 
@@ -303,14 +305,11 @@ def _check_intervals(core: MajoranaDiagram, intervals) -> None:
 # -- hole expansion evaluation --------------------------------------------
 
 
-def parity_string_elements(strands: tuple[int, ...]):
+def parity_string_elements(strands: tuple[int, ...]) -> Columns:
     """The global-parity dot string on `strands`: simultaneous dots paired
-    left to right."""
-    out = []
+    left to right, as columns."""
     ordered = sorted(strands)
-    for a, b in zip(ordered[::2], ordered[1::2]):
-        out.append(DotPair(a, b))
-    return tuple(out)
+    return Columns.of_elements(DotPair(a, b) for a, b in zip(ordered[::2], ordered[1::2]))
 
 
 def all_projections(q: QuonDiagram) -> tuple[ParityCut, ...]:
@@ -320,18 +319,13 @@ def all_projections(q: QuonDiagram) -> tuple[ParityCut, ...]:
 def expanded_core(q: QuonDiagram, subset: int) -> MajoranaDiagram:
     """The core with parity strings inserted at the projections selected by
     `subset` (holes first, then notches)."""
-    inserts: dict[int, list] = {}
-    for bit, cut in enumerate(all_projections(q)):
+    core = q.core  # spliced latest slice first, so the other slices keep their indices
+    for bit, cut in sorted(enumerate(all_projections(q)), key=lambda b: (b[1].time_index, b[0]),
+                           reverse=True):
         if subset >> bit & 1:
-            inserts.setdefault(cut.time_index, []).extend(parity_string_elements(cut.strands))
-    if not inserts:
-        return q.core
-    els = []
-    for t in range(len(q.core.elements) + 1):
-        els.extend(inserts.get(t, ()))
-        if t < len(q.core.elements):
-            els.append(q.core.elements[t])
-    return q.core.with_elements(els)
+            core = core.splice(cut.time_index, 0, parity_string_elements(cut.strands),
+                               core.amplitude)
+    return core
 
 
 def projection_sum(terms, count: int) -> complex:
@@ -455,11 +449,10 @@ def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
     dot_strands = [slots[k] for k, b in enumerate(bits) if b]
     if sum(bits) % 2:
         dot_strands.append(slots[-1])
-    elements = list(interval.pairing_data.elements)
-    if dot_strands:
-        elements.extend(parity_string_elements(tuple(dot_strands)))
+    columns = Columns.joined((interval.pairing_data.columns,
+                              parity_string_elements(tuple(dot_strands))))
     amp = interval.pairing_data.amplitude * 2.0 ** (-(interval.qubit_count + 1) / 4)
-    return MajoranaDiagram(0, interval.size, tuple(elements), amp)
+    return MajoranaDiagram(0, interval.size, columns, amp)
 
 
 def _closures(q: QuonDiagram, bits) -> tuple[MajoranaDiagram, MajoranaDiagram]:
@@ -490,12 +483,11 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
     if not q.open_intervals:
         return q
     # the bottom closure is appended, so nothing needs re-timing for it
-    core = q.core.splice(len(q.core.elements), 0, bottom.elements,
-                         q.core.amplitude * bottom.amplitude)
+    core = q.core.splice(len(q.core), 0, bottom.columns, q.core.amplitude * bottom.amplitude)
     bottom_closed = QuonDiagram(core, q.parity_cuts,
                                 [iv for iv in q.open_intervals if iv.side == TOP],
                                 q.boundary_tracking, q.notches)
-    return bottom_closed.splice(0, 0, top.elements, top.amplitude * core.amplitude,
+    return bottom_closed.splice(0, 0, top.columns, top.amplitude * core.amplitude,
                                 width_in=0, open_intervals=())
 
 
@@ -570,11 +562,13 @@ def _delete_worldlines(q: QuonDiagram, trace: WireTrace, holes: list[int],
         return [shift[p] for p in positions if trace.slices[t][p] not in removed]
 
     deleted = set(gone)
-    elements = []
-    for t, el in enumerate(q.core.elements):
+    rows = []
+    for t, row in enumerate(zip(*q.core.columns)):
         if t not in deleted:
-            at = t + 1 if el.width_delta > 0 else t  # a cap's strands are born after it
-            elements.append(el if kept_before(at) is None else el.moved(moved(at, el.positions())))
+            at = t + 1 if WIDTH_DELTA[row[0]] > 0 else t  # a cap's strands are born after it
+            if kept_before(at) is not None:  # its strands all kept, as the loops are quiet
+                row = (row[0], *moved(at, row[1:3])) + row[3:]
+            rows.append(row)
     # one division per loop, as one removal at a time divides
     amplitude = functools.reduce(lambda amp, _: amp / _SQRT2, loops, q.core.amplitude)
 
@@ -583,7 +577,7 @@ def _delete_worldlines(q: QuonDiagram, trace: WireTrace, holes: list[int],
                      for c in projections)
 
     return QuonDiagram(
-        MajoranaDiagram(q.core.width_in, q.core.width_out, tuple(elements), amplitude),
+        MajoranaDiagram(q.core.width_in, q.core.width_out, Columns.of_rows(rows), amplitude),
         cuts(c for k, c in enumerate(q.parity_cuts) if k not in holes),
         q.open_intervals,
         frozenset((new_time(t), p) for t, anchor in q.boundary_tracking
@@ -618,7 +612,7 @@ def string_genus(q: QuonDiagram, hole_id: int, direction: str = "remove",
         raise InvalidRegion("insert needs a (time_index, position) region")
     t, p = region
     widths = q.core.widths()
-    if not 0 <= t <= len(q.core.elements) or not 0 <= p <= widths[t]:
+    if not 0 <= t <= len(q.core) or not 0 <= p <= widths[t]:
         raise InvalidRegion(f"region {region} outside the diagram")
     if (p + 1) % 2:
         raise InvalidRegion("position must leave an even cut (odd strand count left of the loop)")
@@ -656,8 +650,8 @@ def _touches_swap_pattern(core: MajoranaDiagram, cut: ParityCut) -> bool:
     for start, step in ((cut.time_index, +1), (cut.time_index - 1, -1)):
         positions = []
         t = start
-        while 0 <= t < len(core.elements) and core.elements[t].SIGN:  # a braid
-            positions.append(core.elements[t].j)
+        while 0 <= t < len(core) and SIGN[core.columns.kind[t]]:  # a braid
+            positions.append(core.columns.j[t])
             t += step
         if not positions:
             continue
@@ -680,25 +674,3 @@ def _touches_swap_pattern(core: MajoranaDiagram, cut: ParityCut) -> bool:
         if not cut_set:
             return True
     return False
-
-
-# -- gluing -----------------------------------------------------------------
-
-
-def quon_compose(top: QuonDiagram, bottom: QuonDiagram) -> QuonDiagram:
-    """Vertical gluing; top's bottom intervals fuse with bottom's top
-    intervals (they must align)."""
-    tops = sorted((iv for iv in top.open_intervals if iv.side == BOTTOM),
-                  key=lambda iv: iv.start)
-    bots = sorted((iv for iv in bottom.open_intervals if iv.side == TOP),
-                  key=lambda iv: iv.start)
-    if [(iv.start, iv.size) for iv in tops] != [(iv.start, iv.size) for iv in bots]:
-        raise WidthMismatch("glued boundary intervals do not align")
-    intervals = [iv for iv in top.open_intervals if iv.side == TOP] + [
-        iv for iv in bottom.open_intervals if iv.side == BOTTOM
-    ]
-    below = bottom.splice(0, 0, top.core.elements, top.core.amplitude * bottom.core.amplitude,
-                          width_in=top.core.width_in, open_intervals=intervals)
-    return QuonDiagram(below.core, top.parity_cuts + below.parity_cuts, intervals,
-                       top.boundary_tracking | below.boundary_tracking,
-                       top.notches + below.notches)

@@ -25,10 +25,10 @@ needs, and splices the replacement into the diagram.
 
 The Yang-Baxter solver works in the two-dimensional spinor representation
 (the three-strand scatterings generate a complexified SU(2)).  There the
-Hadamard-conjugated right-hand side is a 2x2 matrix whose entries are
-products of the partner angles' exponentials, so the solutions come in
-closed form: at most four candidates, each checked against
-`yang_baxter_operator`.  The tests verify them as 8x8 operators too.
+partner angles make one matrix diagonal and solve one quadratic, so the
+solutions come in closed form: at most four candidates, each checked
+against `yang_baxter_operator`.  The tests verify them as 8x8 operators
+too.
 """
 
 from __future__ import annotations
@@ -40,11 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import (
+    BY_CODE,
+    DAGGER,
     HORIZONTAL,
+    SCATTERING,
+    SIGN,
+    TWO,
     VERTICAL,
     BraidNeg,
     BraidPos,
     Cap,
+    Columns,
     Cup,
     Dot,
     DotPair,
@@ -52,7 +58,9 @@ from .diagram import (
     MajoranaDiagram,
     Scattering,
     ScatteringStar,
+    exponential,
     is_generic_angle,
+    row_weights,
 )
 from .errors import (
     NoSolution,
@@ -90,29 +98,32 @@ class RewriteSite:
         return RewriteSite(tuple(indices))
 
 
-_BRAIDS = (BraidPos, BraidNeg)
-_SCATTERINGS = (Scattering, ScatteringStar)
+_CAP, _CUP, _DOT, _PAIR, _SCATTERING = Cap.CODE, Cup.CODE, Dot.CODE, DotPair.CODE, Scattering.CODE
+_BRAIDS = (BraidPos.CODE, BraidNeg.CODE)
+_SCATTERINGS = (Scattering.CODE, ScatteringStar.CODE)
 
 
 class RewriteRule:
     """A value-preserving local move.  A site holds ARITY element indices;
-    the rule replaces the SPAN elements from the site's first index, which
-    must be of a LEAD kind.  `rewrite(els, *indices)` is called only where
-    those hold and returns (replacement, scalar) when the pattern (named by
-    PATTERN) is there, None when it is not, so scans catch nothing and test
-    one element kind per index."""
+    the rule replaces the SPAN elements from the site's first index, whose
+    kind code must be in LEAD.  `rewrite(c, *indices)` reads the diagram's
+    columns c (`diagram.Columns`), is called only where those hold, and
+    returns (replacement, scalar) when the pattern (named by PATTERN) is
+    there, the replacement as element objects or as columns, and None when
+    it is not, so scans catch nothing and test one kind code per index."""
 
     ARITY = 1
     SPAN = 1
     LEAD: tuple = ()
     PATTERN = ""
 
-    def first_match(self, els, start: int = 0) -> int | None:
+    def first_match(self, c, start: int = 0) -> int | None:
         """The first index from `start` on where this one-index rule
-        matches, or None.  A match at i reads els[i:i + SPAN] only."""
+        matches the columns c, or None.  A match at i reads rows
+        i .. i + SPAN - 1 only."""
         lead = self.LEAD
-        for i in range(start, len(els) - self.SPAN + 1):
-            if isinstance(els[i], lead) and self.rewrite(els, i) is not None:
+        for i, code in enumerate(c.kind[start:len(c.kind) - self.SPAN + 1], start):
+            if code in lead and self.rewrite(c, i) is not None:
                 return i
         return None
 
@@ -122,21 +133,21 @@ class DotRelocateCapCup(RewriteRule):
     """Site (dot index, cap/cup index)."""
 
     ARITY = 2
-    LEAD = (Dot,)
+    LEAD = (_DOT,)
     PATTERN = "a dot on an arm of the cap just before it or of the cup just after it"
 
-    def rewrite(self, els, di, ci):
-        dot, other = els[di], els[ci]
-        if isinstance(other, Cap) and ci == di - 1:
+    def rewrite(self, c, di, ci):
+        if c.kind[ci] == _CAP and ci == di - 1:
             sign = 1
-        elif isinstance(other, Cup) and ci == di + 1:
+        elif c.kind[ci] == _CUP and ci == di + 1:
             sign = -1
         else:
             return None
-        if dot.j == other.j:  # left arm -> right arm
-            return (Dot(other.j + 1),), sign * 1j
-        if dot.j == other.j + 1:
-            return (Dot(other.j),), -sign * 1j
+        dot, arm = c.j[di], c.j[ci]
+        if dot == arm:  # left arm -> right arm
+            return (Dot(arm + 1),), sign * 1j
+        if dot == arm + 1:
+            return (Dot(arm),), -sign * 1j
         return None
 
 
@@ -145,16 +156,16 @@ class ReidemeisterI(RewriteRule):
     writhe: int = 1  # +1 removes a positive-braid kink, -1 a negative one
 
     SPAN = 3
-    LEAD = (Cap,)
+    LEAD = (_CAP,)
     PATTERN = "a cap, a braid of the writhe's sign on a strand next to it, and the cup closing it"
 
-    def rewrite(self, els, i):
-        cap, braid, cup = els[i:i + 3]
-        if not (isinstance(cup, Cup) and cap.j == cup.j and braid.j in (cap.j - 1, cap.j + 1)):
+    def rewrite(self, c, i):
+        kind, j = c.kind, c.j
+        sign = SIGN[kind[i + 1]]
+        if not sign or sign != self.writhe or kind[i + 2] != _CUP or j[i] != j[i + 2] \
+                or j[i + 1] not in (j[i] - 1, j[i] + 1):
             return None
-        if braid.SIGN and braid.SIGN == self.writhe:
-            return (), RULE_SCALARS["kink_pos" if braid.SIGN > 0 else "kink_neg"]
-        return None
+        return (), RULE_SCALARS["kink_pos" if sign > 0 else "kink_neg"]
 
 
 @dataclass(frozen=True)
@@ -163,8 +174,8 @@ class ReidemeisterII(RewriteRule):
     LEAD = _BRAIDS
     PATTERN = "a braid followed by its inverse at the same position"
 
-    def rewrite(self, els, i):
-        if els[i + 1] == els[i].dagger():
+    def rewrite(self, c, i):
+        if c.kind[i + 1] == DAGGER[c.kind[i]] and c.j[i + 1] == c.j[i]:
             return (), 1.0
         return None
 
@@ -175,29 +186,30 @@ class ReidemeisterIII(RewriteRule):
     LEAD = _BRAIDS
     PATTERN = "three braids of one sign at alternating positions j, j +- 1, j"
 
-    def rewrite(self, els, i):
-        b1, b2, b3 = els[i:i + 3]
-        kind = type(b1)
-        if type(b2) is not kind or type(b3) is not kind or b1.j != b3.j \
-                or abs(b2.j - b1.j) != 1:
+    def rewrite(self, c, i):
+        kind, j = c.kind, c.j
+        if not kind[i] == kind[i + 1] == kind[i + 2] or j[i] != j[i + 2] \
+                or abs(j[i + 1] - j[i]) != 1:
             return None
-        return (kind(b2.j), kind(b1.j), kind(b2.j)), 1.0
+        braid = BY_CODE[kind[i]]
+        return (braid(j[i + 1]), braid(j[i]), braid(j[i + 1])), 1.0
 
 
 @dataclass(frozen=True)
 class DotThroughBraid(RewriteRule):
     SPAN = 2
-    LEAD = (Dot,)
+    LEAD = (_DOT,)
     PATTERN = "a dot on one of the strands of the braid after it"
 
-    def rewrite(self, els, i):
-        dot, braid = els[i:i + 2]
-        if not braid.SIGN:
+    def rewrite(self, c, i):
+        code, braid = c.kind[i + 1], c.j[i + 1]
+        sign = SIGN[code]
+        if not sign:
             return None
-        if dot.j == braid.j:
-            return (braid, Dot(braid.j + 1)), braid.SIGN
-        if dot.j == braid.j + 1:
-            return (braid, Dot(braid.j)), -braid.SIGN
+        if c.j[i] == braid:
+            return (BY_CODE[code](braid), Dot(braid + 1)), sign
+        if c.j[i] == braid + 1:
+            return (BY_CODE[code](braid), Dot(braid)), -sign
         return None
 
 
@@ -206,10 +218,10 @@ class BraidTypeSwitch(RewriteRule):
     LEAD = _BRAIDS
     PATTERN = "a braid"
 
-    def rewrite(self, els, i):
-        el = els[i]
-        key = "braid_switch_pos_to_neg" if el.SIGN > 0 else "braid_switch_neg_to_pos"
-        return (el.dagger(), DotPair(el.j, el.j + 1)), RULE_SCALARS[key]
+    def rewrite(self, c, i):
+        code, j = c.kind[i], c.j[i]
+        key = "braid_switch_pos_to_neg" if SIGN[code] > 0 else "braid_switch_neg_to_pos"
+        return (BY_CODE[DAGGER[code]](j), DotPair(j, j + 1)), RULE_SCALARS[key]
 
 
 @dataclass(frozen=True)
@@ -217,37 +229,36 @@ class ScatteringReduce(RewriteRule):
     LEAD = _SCATTERINGS
     PATTERN = "a scattering at a multiple of pi/2 (a horizontal one at 0)"
 
-    def rewrite(self, els, i):
-        el = els[i]
-        theta = el.angle()
+    def rewrite(self, c, i):
+        theta, j = c.angle[i], c.j[i]
         if is_generic_angle(theta):
             return None
         k = round(theta.real / (_PI / 2)) % 4
-        if el.orientation != VERTICAL:
-            return ((Cup(el.j), Cap(el.j)), 1.0) if k == 0 else None
+        if c.horizontal[i]:
+            return ((Cup(j), Cap(j)), 1.0) if k == 0 else None
         if k == 0:
             return (), 1.0
         if k == 2:
-            return (DotPair(el.j, el.j + 1),), 1.0
+            return (DotPair(j, j + 1),), 1.0
         if k == 3:  # theta = -pi/2
-            return (BraidPos(el.j),), RULE_SCALARS["scatter_to_braid_pos"]
-        return (BraidNeg(el.j),), RULE_SCALARS["scatter_to_braid_neg"]
+            return (BraidPos(j),), RULE_SCALARS["scatter_to_braid_pos"]
+        return (BraidNeg(j),), RULE_SCALARS["scatter_to_braid_neg"]
 
 
 @dataclass(frozen=True)
 class YangBaxter(RewriteRule):
     SPAN = 3
-    LEAD = (Scattering,) + _BRAIDS
+    LEAD = (_SCATTERING,) + _BRAIDS
     PATTERN = "three vertical scatterings or braids at alternating positions j, j +- 1, j"
 
-    def rewrite(self, els, i):
-        e1, e2, e3 = els[i:i + 3]
-        parts = [_as_vertical_scattering(el) for el in (e1, e2, e3)]
-        if None in parts or e1.j != e3.j or abs(e2.j - e1.j) != 1:
+    def rewrite(self, c, i):
+        parts = [_as_vertical_scattering(c, t) for t in (i, i + 1, i + 2)]
+        j = c.j
+        if None in parts or j[i] != j[i + 2] or abs(j[i + 1] - j[i]) != 1:
             return None
         (t1, f1), (t2, f2), (t3, f3) = parts
         (p1, p2, p3), scalar = solve_yang_baxter_full(t1, t2, t3)
-        repl = (Scattering(e2.j, p1), Scattering(e1.j, p2), Scattering(e2.j, p3))
+        repl = (Scattering(j[i + 1], p1), Scattering(j[i], p2), Scattering(j[i + 1], p3))
         return repl, f1 * f2 * f3 * scalar
 
 
@@ -256,130 +267,130 @@ class SpaceTimeDual(RewriteRule):
     LEAD = _SCATTERINGS
     PATTERN = "a scattering"
 
-    def rewrite(self, els, i):
-        el = els[i]
-        a, phi = spacetime_dual(el)
-        flipped = VERTICAL if el.orientation != VERTICAL else HORIZONTAL
-        dual = (Scattering(el.j, phi, flipped) if isinstance(el, Scattering)
-                else ScatteringStar(el.j, 1j * phi, flipped))
+    def rewrite(self, c, i):
+        code, j, theta = c.kind[i], c.j[i], c.angle[i]
+        a, phi = _dual(exponential(code, theta), theta)
+        flipped = VERTICAL if c.horizontal[i] else HORIZONTAL
+        dual = (Scattering(j, phi, flipped) if code == _SCATTERING
+                else ScatteringStar(j, 1j * phi, flipped))
         return (dual,), RULE_SCALARS["spacetime_loop_factor"] * a
 
 
 @dataclass(frozen=True)
 class DotPassScattering(RewriteRule):
     SPAN = 2
-    LEAD = (Dot,)
+    LEAD = (_DOT,)
     PATTERN = "a dot on one of the strands of the vertical scattering after it"
 
-    def rewrite(self, els, i):
-        dot, sc = els[i:i + 2]
-        if not isinstance(sc, Scattering) or sc.orientation != VERTICAL:
+    def rewrite(self, c, i):
+        if c.kind[i + 1] != _SCATTERING or c.horizontal[i + 1]:
             return None
-        if dot.j == sc.j:
-            moved, sign = Dot(sc.j + 1), 1j
-        elif dot.j == sc.j + 1:
-            moved, sign = Dot(sc.j), -1j
+        sc, theta = c.j[i + 1], c.angle[i + 1]
+        if c.j[i] == sc:
+            moved, sign = Dot(sc + 1), 1j
+        elif c.j[i] == sc + 1:
+            moved, sign = Dot(sc), -1j
         else:
             return None
-        return (Scattering(sc.j, _PI - complex(sc.theta)), moved), sign * sc.exponential()
+        return (Scattering(sc, _PI - theta), moved), sign * exponential(_SCATTERING, theta)
 
 
 @dataclass(frozen=True)
 class DotAbsorbScattering(RewriteRule):
     SPAN = 2
-    LEAD = (DotPair,)
+    LEAD = (_PAIR,)
     PATTERN = "a dot pair on the two strands of the vertical scattering after it"
 
-    def rewrite(self, els, i):
-        pair, sc = els[i:i + 2]
-        if not (isinstance(sc, Scattering) and sc.orientation == VERTICAL
-                and pair.j == sc.j and pair.k == sc.j + 1):
+    def rewrite(self, c, i):
+        sc = c.j[i + 1]
+        if c.kind[i + 1] != _SCATTERING or c.horizontal[i + 1] or c.j[i] != sc \
+                or c.k[i] != sc + 1:
             return None
-        return (Scattering(sc.j, complex(sc.theta) + _PI),), 1.0
+        return (Scattering(sc, c.angle[i + 1] + _PI),), 1.0
 
 
 @dataclass(frozen=True)
 class CommuteDistantElements(RewriteRule):
     SPAN = 2
     # a lone dot is parity-odd and does not commute freely
-    LEAD = (Cap, Cup, DotPair) + _BRAIDS + _SCATTERINGS
+    LEAD = (_CAP, _CUP, _PAIR) + _BRAIDS + _SCATTERINGS
     PATTERN = ("two adjacent elements, neither a lone dot, neither reading nor "
                "splitting the strands of the other")
 
-    def rewrite(self, els, i):
-        first, second = els[i:i + 2]
-        if isinstance(second, Dot):
+    def rewrite(self, c, i):
+        first, second = (tuple(column[t] for column in c) for t in (i, i + 1))
+        if second[0] == _DOT:
             return None
 
         # `second` back through `first`, to the slice before `first`
         back = _points(second)
-        if isinstance(first, Cap):
+        if first[0] == _CAP:
             # no strand read off the cap's pair, and no cap inside the pair
-            taken = (first.j + 1,) if isinstance(second, Cap) else (first.j, first.j + 1)
+            taken = (first[1] + 1,) if second[0] == _CAP else (first[1], first[1] + 1)
             if any(p in taken for p in back):
                 return None
-            back = [p - 2 if p >= first.j + 2 else p for p in back]
-        elif isinstance(first, Cup):
-            back = [p + 2 if p >= first.j else p for p in back]
+            back = [p - 2 if p >= first[1] + 2 else p for p in back]
+        elif first[0] == _CUP:
+            back = [p + 2 if p >= first[1] else p for p in back]
         new_second = _moved(second, back)
         # disjoint strands in the slice before `first`; a cap reads none
-        if new_second is None or not isinstance(first, Cap) and not isinstance(new_second, Cap) \
-                and set(first.positions()) & set(new_second.positions()):
+        if new_second is None or first[0] != _CAP and new_second[0] != _CAP \
+                and set(first[1:3]) & set(new_second[1:3]):
             return None
 
         # `first` forward through `new_second`
         forward = _points(first)
-        if isinstance(new_second, Cap):
-            forward = [p + 2 if p >= new_second.j else p for p in forward]
-        elif isinstance(new_second, Cup):
-            forward = [p - 2 if p >= new_second.j + 2 else p for p in forward]
+        if new_second[0] == _CAP:
+            forward = [p + 2 if p >= new_second[1] else p for p in forward]
+        elif new_second[0] == _CUP:
+            forward = [p - 2 if p >= new_second[1] + 2 else p for p in forward]
         new_first = _moved(first, forward)
-        return None if new_first is None else ((new_second, new_first), 1.0)
+        return None if new_first is None else (Columns.of_rows((new_second, new_first)), 1.0)
 
 
 @dataclass(frozen=True)
 class PairDotsToBraids(RewriteRule):
-    LEAD = (DotPair,)
+    LEAD = (_PAIR,)
     PATTERN = "a dot pair on adjacent strands"
 
-    def rewrite(self, els, i):
-        el = els[i]
-        if el.k != el.j + 1:
+    def rewrite(self, c, i):
+        j = c.j[i]
+        if c.k[i] != j + 1:
             return None
-        return (BraidPos(el.j), BraidPos(el.j)), RULE_SCALARS["pair_dots_to_braids"]
+        return (BraidPos(j), BraidPos(j)), RULE_SCALARS["pair_dots_to_braids"]
 
 
 # -- Table II expansions -------------------------------------------------
 
 
 def expand_scattering(diag: MajoranaDiagram, site: int, mode: str = "dots"):
-    """Expand the scattering at element `site` as a weighted pair of diagrams.
+    """Expand the scattering (or braid) at element `site` as a weighted pair
+    of diagrams.
 
     mode "dots" uses the parallel / dot-pair expansion (cup-cap pair for the
     horizontal orientation); mode "braids" uses the A/B braid expansion.
     The weighted evaluations sum to the original diagram's value exactly.
     """
-    el = diag.elements[site]
-    if not isinstance(el, (Scattering, ScatteringStar, BraidPos, BraidNeg)):
-        raise NotAScattering(f"element {site} is {type(el).__name__}")
-    j = el.j
-    orientation = getattr(el, "orientation", VERTICAL)
+    c = diag.columns
+    code, j, angle, horizontal = c.kind[site], c.j[site], c.angle[site], c.horizontal[site]
+    if not (SCATTERING[code] or SIGN[code]):
+        raise NotAScattering(f"element {site} is {BY_CODE[code].__name__}")
 
-    def rebuild(repl: tuple[Element, ...], weight: complex) -> tuple[complex, MajoranaDiagram]:
+    def rebuild(repl, weight: complex) -> tuple[complex, MajoranaDiagram]:
         return weight, diag.splice(site, 1, repl, diag.amplitude)
 
     if mode == "dots":
-        if orientation == VERTICAL:  # braids included
-            w1, w2 = el.weights()
+        if not horizontal:  # braids included
+            w1, w2 = row_weights(code, angle, horizontal)
             return [rebuild((), w1), rebuild((DotPair(j, j + 1),), w2)]
         # horizontal: cup-then-cap, plain and with a dot on each right arm
-        e = el.exponential()
+        e = exponential(code, angle)
         k = (Cup(j), Cap(j))
         k_dotted = (Dot(j + 1), Cup(j), Cap(j), Dot(j + 1))
         return [rebuild(k, (1 + e) / 2), rebuild(k_dotted, (1 - e) / 2)]
     if mode == "braids":
-        a_term, b_term = braid_expansion_weights(el)
-        if orientation == VERTICAL:
+        a_term, b_term = _expansion_weights(code, angle, site)
+        if not horizontal:
             return [rebuild((BraidPos(j),), a_term), rebuild((BraidNeg(j),), b_term)]
         return [rebuild((BraidPos(j),), b_term), rebuild((BraidNeg(j),), a_term)]
     raise UnknownMode(f"expansion mode is 'dots' or 'braids', not {mode!r}")
@@ -389,12 +400,18 @@ def braid_expansion_weights(el: Element) -> tuple[complex, complex]:
     """(A, B) with: vertical scattering = A*BraidPos + B*BraidNeg
     (horizontal: weights swapped), the braid of sign s weighing
     (1 + s i e) / (2 PHASE), e = e^{i theta}; braids decompose trivially."""
-    if el.SIGN:
-        return (1.0 + 0.0j, 0.0 + 0.0j) if el.SIGN > 0 else (0.0 + 0.0j, 1.0 + 0.0j)
-    if not isinstance(el, _SCATTERINGS):
-        raise NotAScattering(f"{el!r} has no exponential weight")
-    e = el.exponential()
-    return tuple(b.PHASE.conjugate() * (1 + b.SIGN * 1j * e) / 2 for b in _BRAIDS)
+    code, _, _, angle, _ = el.row()
+    return _expansion_weights(code, angle, el)
+
+
+def _expansion_weights(code: int, angle: complex, what) -> tuple[complex, complex]:
+    """`braid_expansion_weights` of the row of `what`, of kind code `code`."""
+    if SIGN[code]:
+        return (1.0 + 0.0j, 0.0 + 0.0j) if SIGN[code] > 0 else (0.0 + 0.0j, 1.0 + 0.0j)
+    if not SCATTERING[code]:
+        raise NotAScattering(f"{what!r} has no exponential weight")
+    e = exponential(code, angle)
+    return tuple(b.PHASE.conjugate() * (1 + b.SIGN * 1j * e) / 2 for b in (BraidPos, BraidNeg))
 
 
 # -- angle solvers --------------------------------------------------------
@@ -408,8 +425,11 @@ def spacetime_dual(el: Scattering | ScatteringStar) -> tuple[complex, complex]:
     Raises SingularAngle near theta = pi (A vanishes) and theta = 0 (no
     finite dual angle exists), and NumericalInstability when e overflows.
     """
-    e = el.exponential()
-    theta = el.angle()
+    return _dual(el.exponential(), el.angle())
+
+
+def _dual(e: complex, theta: complex) -> tuple[complex, complex]:
+    """`spacetime_dual` of a scattering of angle theta and e = e^{i theta}."""
     if abs(1 + e) <= 1e-12:
         raise SingularAngle(f"theta={theta} has 1+e^(i theta) ~ 0")
     if abs(1 - e) <= 1e-12:
@@ -467,43 +487,48 @@ def solve_yang_baxter(theta1: complex, theta2: complex, theta3: complex):
 def solve_yang_baxter_full(theta1: complex, theta2: complex, theta3: complex):
     """((phi1, phi2, phi3), scalar) with LHS == scalar * RHS, in closed form.
 
-    Conjugating by the Hadamard H turns the right-hand side into
-    S_z(phi3) S_x(phi2) S_z(phi1) = [[p, qA], [qC, pAC]], where
-    p, q = (1 +- e^{i phi2})/2, A = e^{i phi1} and C = e^{i phi3}; so
-    kappa V = that form, with V = H LHS H and scalar 1/kappa.  A diagonal V
-    takes phi2 = 0, an antidiagonal one phi2 = pi, and a full one
-    p/q = sigma = +-sqrt(v11 v22 / (v12 v21)), one candidate per sign.
-    Every candidate is checked against `yang_baxter_operator`, with scalar 1
-    first and then its own, entry by entry: each entry of scalar * RHS must
-    lie within 1e-9 of LHS's, relative to that entry's size (absolute below
-    one), so a huge entry of LHS leaves its small ones no slack.  An exact
-    candidate (scalar 1) is returned if there is one, otherwise the one with
-    the smallest sum |Im phi|.  Raises NoSolution when no candidate passes.
+    RHS = S_x(phi3) S_z(phi2) S_x(phi1) is solved for in LHS's own basis:
+    S_x(-phi) is proportional to [[1, r], [r, 1]], r = i tan(phi/2), and the
+    r1, r3 that make [[1, r3], [r3, 1]] LHS [[1, r1], [r1, 1]] = D diagonal
+    give phi1, phi3 and e^{i phi2} = D22 / D11.  The off-diagonal equations
+    leave a r1^2 + b r1 + a = 0 over LHS's entries t (a = t21 t22 - t11 t12,
+    b = t21^2 + t22^2 - t11^2 - t12^2), a candidate per root.  Ratios of
+    LHS's own entries round none away against a larger one, as H LHS H did.
+    Where a = b = 0 the partners form a family: H LHS H is diagonal
+    (phi2 = 0) or antidiagonal (phi2 = pi).  Each candidate is checked
+    against `yang_baxter_operator`, scalar 1 first and then its own: each
+    entry of scalar * RHS must lie within 1e-9 of LHS's, relative to that
+    entry (absolute below one).  A candidate of scalar 1 is returned if
+    there is one, else the one of least |log|scalar|| + sum |Im phi|.
+    Raises NoSolution when none passes, as where a partner needs what no
+    float holds: (-40j, 0.3, 0.2) needs phi1 = 9.5e-20 + 4.9e-19i, and
+    exp(i phi1) rounds away the factor e^(-4.9e-19) that LHS's e^40 needs.
     """
     target = yang_baxter_operator((theta1, theta2, theta3), first_axis="z")
     tol = 1e-9 * np.maximum(np.abs(target), 1.0)
+    t11, t12, t21, t22 = map(complex, target.ravel())
     v11, v12, v21, v22 = map(complex, (_HADAMARD @ target @ _HADAMARD).ravel())
-    # each candidate: (angles tried with scalar 1, angles for its own scalar
-    # 1/kappa, 1/kappa).  With scalar 1 the form's p = kappa v11 misses v11
-    # whatever the angles; scaling the off-diagonals by sqrt(kappa) instead
-    # of kappa keeps v22 exact and halves their error, so scalar 1 still
-    # passes where kappa is within the tolerance of 1
+    # each candidate: (angles tried with scalar 1, angles for its own scalar,
+    # that scalar).  A diagonal V = kappa S_x(phi1) also tries the angle of
+    # v22 alone with scalar 1, which keeps v22 exact where kappa is 1
     candidates = []
     if v11 and v22:
         candidates.append(((_angle(v22), 0j, 0j), (_angle(v22 / v11), 0j, 0j), v11))
     if v12 and v21:
         phis = (_angle(v12), complex(_PI), _angle(v21))
         candidates.append((phis, phis, 1.0))
-    if v11 and v12 and v21 and v22:
-        root = cmath.sqrt(v11 / v12 * (v22 / v21))
-        for sigma in (root, -root):
-            if sigma * sigma == 1:  # p + q or p - q vanishes: no finite angle
-                continue
-            p, q = sigma / (1 + sigma), 1 / (1 + sigma)
-            kappa = p / v11
-            exact, own = ((_angle(k * v12 / q), _angle(p - q), _angle(k * v21 / q))
-                          for k in (cmath.sqrt(kappa), kappa))
-            candidates.append((exact, own, 1 / kappa))
+    a = t21 * t22 - t11 * t12
+    b = t21 * t21 + t22 * t22 - t11 * t11 - t12 * t12
+    root = cmath.sqrt(b * b - 4 * a * a)
+    q = -(b + root if abs(b + root) >= abs(b - root) else b - root) / 2
+    for r1 in (a / q, q / a) if a else (0j,) if q else ():  # a = 0: r1 = 0 (or infinite)
+        (n, d), (n2, d2) = (t12 + t11 * r1, t22 + t21 * r1), (t21 + t22 * r1, t11 + t12 * r1)
+        r3 = -(n / d if abs(d) >= abs(d2) else n2 / d2) if d or d2 else 0j
+        d11 = t11 + r3 * t21 + r1 * t12 + r1 * r3 * t22
+        d22 = r1 * r3 * t11 + r3 * t12 + r1 * t21 + t22
+        if d11 and d22 and r1 * r1 != 1 and r3 * r3 != 1:  # r = +-1: phi infinite
+            phis = (2 * cmath.atan(-1j * r1), _angle(d22 / d11), 2 * cmath.atan(-1j * r3))
+            candidates.append((phis, phis, None))
     passed = []
     for exact, own, own_scalar in candidates:
         for phis, scalar in ((exact, 1.0), (own, own_scalar)):
@@ -511,9 +536,12 @@ def solve_yang_baxter_full(theta1: complex, theta2: complex, theta3: complex):
                 got = yang_baxter_operator(phis, first_axis="x")
             except NumericalInstability:  # no partner a float can hold
                 continue
-            if np.all(np.abs(target - scalar * got) <= tol):
-                passed.append((scalar != 1.0, sum(abs(phi.imag) for phi in phis),
-                               phis, complex(scalar)))
+            if scalar is None:  # LHS over RHS at RHS's largest entry
+                at = np.unravel_index(np.argmax(np.abs(got)), got.shape)
+                scalar = complex(target[at] / got[at])
+            if scalar and np.all(np.abs(target - scalar * got) <= tol):
+                passed.append((scalar != 1.0, abs(math.log(abs(scalar)))
+                               + sum(abs(phi.imag) for phi in phis), phis, complex(scalar)))
                 break
     if not passed:
         raise NoSolution(f"no Yang-Baxter partner for ({theta1}, {theta2}, {theta3})")
@@ -524,26 +552,31 @@ def solve_yang_baxter_full(theta1: complex, theta2: complex, theta3: complex):
 # -- rule application -----------------------------------------------------
 
 
-def _as_vertical_scattering(el: Element):
-    """(theta, amplitude factor) turning the element into Scattering(theta),
-    or None when it is neither a vertical scattering nor a braid."""
-    if isinstance(el, Scattering) and el.orientation == VERTICAL:
-        return complex(el.theta), 1.0
-    if el.SIGN:
-        return -el.SIGN * _PI / 2, el.PHASE
+def _as_vertical_scattering(c, t: int):
+    """(theta, amplitude factor) turning element t of the columns c into
+    Scattering(theta), or None when it is neither a vertical scattering nor
+    a braid."""
+    code = c.kind[t]
+    if code == _SCATTERING and not c.horizontal[t]:
+        return c.angle[t], 1.0
+    if SIGN[code]:
+        return -SIGN[code] * _PI / 2, BY_CODE[code].PHASE
     return None
 
 
-def _points(el: Element) -> tuple[int, ...]:
-    """Where an element sits on its slice: a cap's insertion point, or the
-    strands any other element reads."""
-    return (el.j,) if isinstance(el, Cap) else el.positions()
+def _points(row) -> tuple[int, ...]:
+    """Where the element of a row sits on its slice: a cap's insertion
+    point, or the strands any other element reads."""
+    code, j, k = row[:3]
+    return (j,) if code == _CAP or j == k else (j, k)
 
 
-def _moved(el: Element, points) -> Element | None:
-    """`el` at `points` (as `_points` lists them), or None when the element
-    cannot take them: two-strand elements whose strands were split apart."""
-    new = el.moved(points)
+def _moved(row, points):
+    """The row at `points` (as `_points` lists them), or None when the
+    element cannot take them: two-strand elements whose strands were split
+    apart."""
+    code, j = row[0], points[0]
+    new = (code, j, points[-1] if code == _PAIR else j + TWO[code]) + row[3:]
     return new if _points(new) == tuple(points) else None
 
 
@@ -555,17 +588,17 @@ def apply_rule(diag, rule: RewriteRule, site: RewriteSite):
     left-hand side.  Closed-diagram value is preserved exactly (up to the
     documented float tolerance)."""
     core = diag.core if isinstance(diag, QuonDiagram) else diag
-    els = core.elements
+    n = len(core)
     indices = site.indices
-    if len(indices) != rule.ARITY or not all(0 <= k < len(els) for k in indices):
+    if len(indices) != rule.ARITY or not all(0 <= k < n for k in indices):
         raise PatternMismatch(
-            f"{rule!r} needs a site of {rule.ARITY} element indices in 0..{len(els) - 1}, "
+            f"{rule!r} needs a site of {rule.ARITY} element indices in 0..{n - 1}, "
             f"got {indices}"
         )
     i = indices[0]
     found = None
-    if i + rule.SPAN <= len(els) and isinstance(els[i], rule.LEAD):
-        found = rule.rewrite(els, *indices)
+    if i + rule.SPAN <= n and core.columns.kind[i] in rule.LEAD:
+        found = rule.rewrite(core.columns, *indices)
     if found is None:
         raise PatternMismatch(f"{rule!r} does not match at element {i}: it needs {rule.PATTERN}")
     repl, scalar = found

@@ -35,7 +35,15 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 
-from .diagram import KINDS, MajoranaDiagram, Scattering, ScatteringStar
+from .diagram import (
+    BY_CODE,
+    HORIZONTAL,
+    KINDS,
+    SCATTERING,
+    VERTICAL,
+    DotPair,
+    MajoranaDiagram,
+)
 from .errors import InvariantViolation, ParseError
 from .quon import BOTTOM, TOP, OpenInterval, ParityCut, QuonDiagram
 from .wires import WireTrace
@@ -78,12 +86,20 @@ _FIELDS = {cls: tuple((f.name, f.type, f.default) for f in fields(cls))
            for cls in KINDS.values()}
 
 
-def element_to_dict(el) -> dict:
-    d = {"kind": el.KIND}
-    for name, kind, _ in _FIELDS[type(el)]:
-        value = getattr(el, name)
-        d[name] = _complex_out(value) if kind == "complex" else value
+def _row_to_dict(kind: int, j: int, k: int, angle: complex, horizontal: bool) -> dict:
+    """The document of one row of `diagram.Columns`: its kind's fields."""
+    cls = BY_CODE[kind]
+    d = {"kind": cls.KIND, "j": j}
+    if kind == DotPair.CODE:
+        d["k"] = k
+    if SCATTERING[kind]:
+        d[_FIELDS[cls][1][0]] = _complex_out(cls._parameter(angle))  # theta or phi
+        d["orientation"] = HORIZONTAL if horizontal else VERTICAL
     return d
+
+
+def element_to_dict(el) -> dict:
+    return _row_to_dict(*el.row())
 
 
 def element_from_dict(d: dict, where: str):
@@ -123,7 +139,7 @@ def diagram_to_dict(q: QuonDiagram) -> dict:
         "width_in": q.core.width_in,
         "width_out": q.core.width_out,
         "amplitude": _complex_out(q.core.amplitude),
-        "elements": [element_to_dict(el) for el in q.core.elements],
+        "elements": [_row_to_dict(*row) for row in zip(*q.core.columns)],
         "parity_cuts": _cuts_out(q.parity_cuts),
         "notches": _cuts_out(q.notches),
         "open_intervals": [
@@ -134,7 +150,7 @@ def diagram_to_dict(q: QuonDiagram) -> dict:
                 "pairing": {
                     "width_out": iv.pairing_data.width_out,
                     "amplitude": _complex_out(iv.pairing_data.amplitude),
-                    "elements": [element_to_dict(el) for el in iv.pairing_data.elements],
+                    "elements": [_row_to_dict(*row) for row in zip(*iv.pairing_data.columns)],
                 },
             }
             for iv in q.open_intervals
@@ -213,10 +229,11 @@ def emit_dot(q: QuonDiagram) -> str:
     segments.  A debugging aid, not a rendering contract."""
     trace = WireTrace(q.core)
     lines = ["graph quon {", "  rankdir=TB;"]
-    for t, el in enumerate(q.core.elements):
-        label = type(el).__name__
-        if el.CODE in (Scattering.CODE, ScatteringStar.CODE):
-            label += f" {el.angle():.3g}"
+    columns = q.core.columns
+    for t, (kind, angle) in enumerate(zip(columns.kind, columns.angle)):
+        label = BY_CODE[kind].__name__
+        if SCATTERING[kind]:
+            label += f" {angle:.3g}"
         lines.append(f'  e{t} [label="{t}: {label}", shape=box];')
     touched = [[] for _ in trace.birth]  # per segment, the elements on it in time order
     for t, first, last in zip(trace.quiet.tolist(), trace.first, trace.last):

@@ -5,14 +5,15 @@ reasoning needs the worldline a position belongs to.  Braids and scatterings
 are treated as position-preserving here: a segment counts the elements that
 touch it, which is all the quietness predicates (boundary tracking,
 string-genus loops) ever ask.  A trace is read from the diagram's columns
-(`diagram.Columns`), one step per element, and held as flat per-segment and
-per-turn lists; its worldlines are walked once (`Walk`): the walk gives the
-worldline groups and, on a closed loop, the phases and exit boundaries from
-which `gaussian.contraction_matrix` reads its contractions.
+(`diagram.Columns`, the one form a diagram stores), one step per element,
+and held as flat per-segment and per-turn lists; its worldlines are walked
+once (`Walk`): the walk gives the worldline groups and, on a closed loop,
+the phases and exit boundaries from which `gaussian.contraction_matrix`
+reads its contractions.
 
 `projection_eigenvalues` follows the Majorana monomial of a projection
-through the elements instead, with its exact phase, to find the projections
-a diagram already enforces (+1) or annihilates (-1).
+through the same columns, row by row, with its exact phase, to find the
+projections a diagram already enforces (+1) or annihilates (-1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagram import WIDTH_DELTA, MajoranaDiagram, offset_elements
+from .diagram import WIDTH_DELTA, Columns, MajoranaDiagram, row_weights
 
 TOP = "top"  # the sides of an open interval
 BOTTOM = "bottom"
@@ -51,17 +52,17 @@ class Walk(NamedTuple):
 
 class WireTrace:
     """Segments, turns, and per-slice position maps of a diagram, as flat
-    lists, read from the diagram's columns (`diagram.Columns`) and never
-    from element objects.  Segment sid has a `birth` turn (-1 when it
-    enters at the top, where segment p is the strand at position p), a
-    `death` turn (-1 when it leaves at the bottom) and `touches`, the count
-    of dots, braids and scatterings on it.  Turn tid is element
-    `turn_elem[tid]`, a cap when `turn_cap[tid]`, else a cup, and has the
-    arms `turn_left[tid]`, `turn_right[tid]`.  slices[t] is the tuple of
-    segment ids at the slice before element t; a slice no turn changes is
-    the same tuple as the one before it.  The other elements are `quiet`
-    (their indices, an array), with `first` and `last` the segments at
-    their first and last positions (`Columns.j`, `Columns.k`)."""
+    lists, read from the diagram's columns (`diagram.Columns`) row by row.
+    Segment sid has a `birth` turn (-1 when it enters at the top, where
+    segment p is the strand at position p), a `death` turn (-1 when it
+    leaves at the bottom) and `touches`, the count of dots, braids and
+    scatterings on it.  Turn tid is element `turn_elem[tid]`, a cap when
+    `turn_cap[tid]`, else a cup, and has the arms `turn_left[tid]`,
+    `turn_right[tid]`.  slices[t] is the tuple of segment ids at the slice
+    before element t; a slice no turn changes is the same tuple as the one
+    before it.  The other elements are `quiet` (their indices, an array),
+    with `first` and `last` the segments at their first and last positions
+    (`Columns.j`, `Columns.k`)."""
 
     def __init__(self, diag: MajoranaDiagram):
         self.diagram = diag
@@ -72,8 +73,8 @@ class WireTrace:
         quiet, first, last = [], [], []
         state = tuple(cur)
         slices = [state]
-        for t, (grown, j, k) in enumerate(zip(WIDTH_DELTA[columns.kind].tolist(),
-                                              columns.j.tolist(), columns.k.tolist())):
+        for t, (code, j, k) in enumerate(zip(columns.kind, columns.j, columns.k)):
+            grown = WIDTH_DELTA[code]
             if not grown:  # the segments at its first and last positions
                 quiet.append(t)
                 first.append(state[j])
@@ -176,28 +177,29 @@ class WireTrace:
 # -- redundant projections ----------------------------------------------------
 
 
-def _across(el, strands: set, forward: bool):
-    """The monomial i^k g_S (S = `strands`, ascending) moved across `el`:
-    (S', dk) with g_S el = i^dk el g_S' when pushed backward (g_S after el),
-    el g_S = i^dk g_S' el when pushed forward; None when el maps it to no
-    monomial.  A cap pushed backward or a cup pushed forward meets the
-    monomial with both arms: their pair leaves it as the scalar -i, since
-    the turn is a +1 eigenvector of i g_j g_{j+1}.  Any other element is
-    a + b*M (`diagram`'s convention); g_S (|S| even) commutes with M when S
-    holds an even number of M's strands and anticommutes otherwise."""
-    grown = el.width_delta
+def _across(c: Columns, e: int, strands: set, forward: bool):
+    """The monomial i^k g_S (S = `strands`, ascending) moved across element
+    e of the columns c: (S', dk) with g_S el = i^dk el g_S' when pushed
+    backward (g_S after el), el g_S = i^dk g_S' el when pushed forward;
+    None when el maps it to no monomial.  A cap pushed backward or a cup
+    pushed forward meets the monomial with both arms: their pair leaves it
+    as the scalar -i, since the turn is a +1 eigenvector of i g_j g_{j+1}.
+    Any other element is a + b*M (`diagram`'s convention); g_S (|S| even)
+    commutes with M when S holds an even number of M's strands and
+    anticommutes otherwise."""
+    kind, j, k = c.kind[e], c.j[e], c.k[e]
+    grown = WIDTH_DELTA[kind]
     if grown:
-        j = el.j
         if (grown > 0) == forward:  # the turn opens two strands in the push's direction
             return {p + 2 if p >= j else p for p in strands}, 0
         arms = (j in strands) + (j + 1 in strands)
         if arms == 1:
             return None
         return {p - 2 if p > j + 1 else p for p in strands if p - j not in (0, 1)}, 3 if arms else 0
-    positions = el.positions()
+    positions = (j,) if j == k else (j, k)
     if len(strands.intersection(positions)) % 2 == 0:  # g_S commutes with M
         return strands, 0
-    a, b = el.weights()
+    a, b = row_weights(kind, c.angle[e], c.horizontal[e])
     if b == 0:
         return strands, 0
     if a == 0:  # g_S anticommutes with b*M
@@ -206,19 +208,18 @@ def _across(el, strands: set, forward: bool):
         return None
     # a braid, a (1 -+ g_j g_{j+1}) for b = +-i a, maps g_j to +-g_{j+1}
     # forward and g_{j+1} to -+g_j; backward the signs swap
-    sign = (b == 1j * a) == ((positions[0] in strands) == forward)
+    sign = (b == 1j * a) == ((j in strands) == forward)
     return strands ^ set(positions), 0 if sign else 2
 
 
-def _closure(intervals, side: str):
-    """The elements of the all-zero basis encoders of the intervals on
-    `side`, as `quon.encode_basis` places them: kets above the top, left
-    interval first, and bras below the bottom, left interval first."""
+def _closure(intervals, side: str) -> Columns:
+    """The rows of the all-zero basis encoders of the intervals on `side`,
+    as `quon.encode_basis` places them: kets above the top, left interval
+    first, and bras below the bottom, left interval first."""
     ordered = sorted((iv for iv in intervals if iv.side == side), key=lambda iv: iv.start)
     if side == TOP:
-        return tuple(el for iv in ordered
-                     for el in offset_elements(iv.pairing_data.elements, iv.start))
-    return tuple(el.dagger() for iv in ordered for el in reversed(iv.pairing_data.elements))
+        return Columns.joined(iv.pairing_data.columns.shifted(iv.start) for iv in ordered)
+    return Columns.joined(iv.pairing_data.columns.dagger() for iv in ordered)
 
 
 def _eigenvalue(q, index: int, cut, at: dict, forward: bool) -> int | None:
@@ -229,14 +230,14 @@ def _eigenvalue(q, index: int, cut, at: dict, forward: bool) -> int | None:
     of the diagram it crossed; other projections are crossed when they
     commute with g_S (an even overlap)."""
     strands, k = set(cut.strands), len(cut.strands) // 2  # P = i^(|S|/2) g_S
-    els = q.core.elements
+    c = q.core.columns
     t = cut.time_index
-    steps = range(t, len(els)) if forward else range(t - 1, -1, -1)
+    steps = range(t, len(q.core)) if forward else range(t - 1, -1, -1)
     for other, others in at.get(t, ()):
         if other != index and len(strands.intersection(others)) % 2:
             return None
     for e in steps:
-        moved = _across(els[e], strands, forward)
+        moved = _across(c, e, strands, forward)
         if moved is None:
             return None
         strands, dk = moved
@@ -254,8 +255,9 @@ def _eigenvalue(q, index: int, cut, at: dict, forward: bool) -> int | None:
         if iv.side == side and len(strands.intersection(iv.strands)) not in (0, iv.size):
             return None
     closure = _closure(q.open_intervals, side)
-    for el in closure if forward else reversed(closure):
-        moved = _across(el, strands, forward)
+    n = len(closure.kind)
+    for e in range(n) if forward else range(n - 1, -1, -1):
+        moved = _across(closure, e, strands, forward)
         if moved is None:
             return None
         strands, dk = moved

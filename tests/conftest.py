@@ -1,4 +1,5 @@
-"""Shared generators for randomized tests, and a fresh interpreter."""
+"""Shared generators for randomized tests, the gluing and dense helpers only
+tests use, and a fresh interpreter."""
 
 import math
 import os
@@ -12,10 +13,12 @@ import pytest
 import quon2d
 from quon2d.circuits import GATES, Circuit, Gate
 
+from quon2d.compiler import DenseTensor, quon_to_dense_tensor
 from quon2d.diagram import (
     BraidNeg,
     BraidPos,
     Cap,
+    Columns,
     Cup,
     Dot,
     DotPair,
@@ -24,9 +27,51 @@ from quon2d.diagram import (
     Scattering,
     ScatteringStar,
     VERTICAL,
-    offset_elements,
 )
+from quon2d.errors import WidthMismatch
 from quon2d.factory import Insert, Stretch, Switch
+from quon2d.quon import BOTTOM, TOP, QuonDiagram
+
+
+def offset_elements(elements, off):
+    """Element objects with every position moved by `off`."""
+    return Columns.of_elements(elements).shifted(off).objects()
+
+
+def quon_compose(top: QuonDiagram, bottom: QuonDiagram) -> QuonDiagram:
+    """Vertical gluing; top's bottom intervals fuse with bottom's top
+    intervals (they must align)."""
+    tops = sorted((iv for iv in top.open_intervals if iv.side == BOTTOM),
+                  key=lambda iv: iv.start)
+    bots = sorted((iv for iv in bottom.open_intervals if iv.side == TOP),
+                  key=lambda iv: iv.start)
+    if [(iv.start, iv.size) for iv in tops] != [(iv.start, iv.size) for iv in bots]:
+        raise WidthMismatch("glued boundary intervals do not align")
+    intervals = [iv for iv in top.open_intervals if iv.side == TOP] + [
+        iv for iv in bottom.open_intervals if iv.side == BOTTOM
+    ]
+    below = bottom.splice(0, 0, top.core.columns, top.core.amplitude * bottom.core.amplitude,
+                          width_in=top.core.width_in, open_intervals=intervals)
+    return QuonDiagram(below.core, top.parity_cuts + below.parity_cuts, intervals,
+                       top.boundary_tracking | below.boundary_tracking,
+                       top.notches + below.notches)
+
+
+def dense_gate_matrix(q: QuonDiagram) -> np.ndarray:
+    """Dense (out x in) matrix of a compiled circuit diagram."""
+    n_top = sum(iv.qubit_count for iv in q.open_intervals if iv.side == TOP)
+    mat = as_matrix(quon_to_dense_tensor(q), n_top)  # rows = top bits (inputs), cols = bottom
+    return mat.T  # (out, in)
+
+
+def as_matrix(tensor: DenseTensor, rows: int) -> np.ndarray:
+    """(2^rows) x (2^(rank-rows)) matrix, row legs first."""
+    return tensor.entries.reshape(2 ** rows, -1)
+
+
+def permuted(tensor: DenseTensor, order) -> DenseTensor:
+    """The tensor with its legs in `order`."""
+    return DenseTensor(tensor.rank, np.transpose(tensor.tensor(), order).reshape(-1))
 
 
 def random_closed_diagram(rng, max_width=16, max_elems=50, allow_dots=True,

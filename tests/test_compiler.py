@@ -13,7 +13,6 @@ from quon2d.compiler import (
     compile_circuit,
     compile_generator_tensor,
     contract_legs,
-    dense_gate_matrix,
     parity_tensor_quon,
     quon_to_dense_tensor,
 )
@@ -28,7 +27,7 @@ from quon2d.errors import (
 from quon2d.factory import FactoryLedger, Insert, insert_move
 from quon2d.quon import BasisAssignment, all_projections, encode_basis, evaluate_closed_quon
 
-from conftest import random_circuit
+from conftest import as_matrix, dense_gate_matrix, permuted, quon_compose, random_circuit
 
 PI = math.pi
 
@@ -172,8 +171,6 @@ def test_functoriality(rng):
         c1 = random_circuit(2, 2, rng, two_qubit_rate=0.35)
         c2 = random_circuit(2, 2, rng, two_qubit_rate=0.35)
         both = Circuit(2, c1.gates + c2.gates)
-        from quon2d.quon import quon_compose
-
         composed = quon_compose(compile_circuit(c1), compile_circuit(c2))
         direct = compile_circuit(both)
         a = dense_gate_matrix(composed)
@@ -335,7 +332,7 @@ def test_compiled_swap_permutation():
 def test_leg_permutation_is_reindexing():
     p3 = parity_tensor_quon(3)
     t = quon_to_dense_tensor(p3)
-    rotated = t.permuted((1, 2, 0))
+    rotated = permuted(t, (1, 2, 0))
     assert np.array_equal(
         rotated.tensor(), np.transpose(t.tensor(), (1, 2, 0))
     )
@@ -382,7 +379,7 @@ def test_string_hole_pairs_are_removed_before_the_dense_tensor():
     for _ in range(20):
         q, ledger = insert_move(q, Insert(1, 1, "string_hole_pair"), ledger)
     assert len(all_projections(q)) == 21
-    got = quon_to_dense_tensor(q).as_matrix(2).T
+    got = as_matrix(quon_to_dense_tensor(q), 2).T
     assert np.max(np.abs(got - circuit_oracle_unitary(c))) <= 1e-9
 
 
@@ -395,7 +392,7 @@ def test_oracle_dense_tensor_shares_its_propagations():
                     g("H", (2,)), g("CNOT", (0, 1)), g("S", (0,)), g("CNOT", (1, 2))))
     q = compile_circuit(c)
     tensor = quon_to_dense_tensor(q, use_oracle=True)
-    assert np.max(np.abs(tensor.as_matrix(3).T - circuit_oracle_unitary(c))) <= 1e-12
+    assert np.max(np.abs(as_matrix(tensor, 3).T - circuit_oracle_unitary(c))) <= 1e-12
     for index in (0, 5, 42, 63):
         bits = [(index >> (5 - leg)) & 1 for leg in range(6)]
         groups = [(bits[k],) for k in range(6)]  # top intervals, then bottom ones

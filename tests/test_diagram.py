@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from quon2d.diagram import (
     WIDTH_DELTA,
     BraidPos,
     Cap,
+    Columns,
     Cup,
     Dot,
     DotPair,
@@ -18,8 +21,12 @@ from quon2d.diagram import (
     tensor_product,
 )
 from quon2d.errors import InvariantViolation, WidthMismatch
+from quon2d.quon import QuonDiagram
+from quon2d.serialize import parse_diagram, serialize_diagram
 
 from conftest import random_closed_diagram
+
+GOLDEN = Path(__file__).parent / "data" / "all_kinds.json"
 
 
 def test_width_replay_accepts_valid():
@@ -35,7 +42,7 @@ def test_width_replay_rejects_negative_and_odd():
     with pytest.raises(InvariantViolation):
         MajoranaDiagram(2, 2, (BraidPos(1),))  # needs positions 1,2 in width 2
     with pytest.raises(InvariantViolation):
-        MajoranaDiagram(0, 2, (Cap(0),), 1.0).with_elements((Cap(5),))
+        MajoranaDiagram(0, 2, (Cap(0),), 1.0).splice(0, 1, (Cap(5),), 1.0)
 
 
 def test_width_replay_fuzz(rng):
@@ -90,26 +97,74 @@ def test_generic_angle_predicate():
 
 
 def test_columns_give_back_the_diagram_and_its_weights(rng):
-    """A diagram's columns, handed to `from_columns`, give the diagram back
-    (elements built by their constructors, signed zeros of a star's phi
-    kept), and `Columns.weights` are each element's `weights()`, to the
-    last bit or two of NumPy's exp against cmath's."""
+    """A diagram's columns, handed to `from_columns` as arrays, give the
+    diagram back (elements built by their constructors, signed zeros of a
+    star's phi kept), and `Columns.weights` are each element's `weights()`,
+    to the last bit or two of NumPy's exp against cmath's."""
     cases = [random_closed_diagram(rng, max_width=10, max_elems=40) for _ in range(60)]
     cases.append(MajoranaDiagram(2, 2, (ScatteringStar(0, complex(-0.0, 0.0)),
                                         ScatteringStar(0, complex(0.0, -0.0), HORIZONTAL))))
     for d in cases:
         columns = d.columns
-        again = MajoranaDiagram.from_columns(d.width_in, d.width_out, *columns,
+        again = MajoranaDiagram.from_columns(d.width_in, d.width_out,
+                                             *(np.array(column) for column in columns),
                                              amplitude=d.amplitude)
         assert "elements" not in vars(again) and len(again) == len(d)
+        assert again.columns == columns and all(type(c) is tuple for c in again.columns)
         assert again._widths == d._widths and again.widths() == d.widths()
         assert again == d and hash(again) == hash(d) and repr(again) == repr(d)
         assert [str(el) for el in again.elements] == [str(el) for el in d.elements]
-        quiet = np.flatnonzero(WIDTH_DELTA[columns.kind] == 0)
+        quiet = np.flatnonzero(np.array(WIDTH_DELTA)[list(columns.kind)] == 0)
         a, b = columns.weights(quiet)
-        want = np.array([d.elements[t].weights() for t in quiet.tolist()], dtype=complex)
+        elements = d.elements
+        want = np.array([elements[t].weights() for t in quiet.tolist()], dtype=complex)
         got, want = np.stack([a, b], axis=1).reshape(-1, 2), want.reshape(-1, 2)
         assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_a_diagram_stores_its_columns_and_no_element_objects():
+    d = MajoranaDiagram(0, 0, (Cap(0), Dot(1), DotPair(0, 1), Scattering(0, 0.3, HORIZONTAL),
+                               Cup(0)), 2.0)
+    assert set(vars(d)) == {"width_in", "width_out", "columns", "amplitude", "_widths"}
+    assert d.columns == Columns((0, 2, 3, 6, 1), (0, 1, 0, 0, 0), (1, 1, 1, 1, 1),
+                                (0j, 0j, 0j, 0.3 + 0j, 0j), (False, False, False, True, False))
+    assert d.elements == (Cap(0), Dot(1), DotPair(0, 1), Scattering(0, 0.3, HORIZONTAL), Cup(0))
+    assert MajoranaDiagram(0, 0, d.columns, 2.0) == d
+    assert repr(d) == ("MajoranaDiagram(width_in=0, width_out=0, columns=Columns(kind=(0, 2, 3, "
+                       "6, 1), j=(0, 1, 0, 0, 0), k=(1, 1, 1, 1, 1), angle=(0j, 0j, 0j, "
+                       "(0.3+0j), 0j), horizontal=(False, False, False, True, False)), "
+                       "amplitude=(2+0j))")
+
+
+@pytest.mark.parametrize("first, second", [
+    (Scattering(0, -0.0), Scattering(0, 0.0)),
+    (ScatteringStar(0, complex(-0.0, 0.0)), ScatteringStar(0, 0j)),
+    (ScatteringStar(0, complex(0.0, -0.0)), ScatteringStar(0, complex(-0.0, -0.0))),
+])
+def test_signed_zero_angles_compare_and_hash_alike(first, second):
+    one, other = (MajoranaDiagram(2, 2, (el,)) for el in (first, second))
+    assert one == other and hash(one) == hash(other)
+    assert len({one, other}) == 1
+
+
+def test_a_scattering_is_not_its_star_twin():
+    for t in (0.3, 0.0, -0.7 + 0.2j):
+        vertical, star = (MajoranaDiagram(2, 2, (el,)) for el in
+                          (Scattering(0, t), ScatteringStar(0, 1j * t)))
+        assert vertical != star and star != vertical
+        assert len({vertical, star}) == 2
+
+
+def test_documents_round_trip_to_equal_diagrams_with_equal_hashes(rng):
+    """What the benchmark's edit check relies on: a parsed document equals
+    the diagram it was written from, and keys a dict to the same entry."""
+    diagrams = [parse_diagram(GOLDEN.read_text())]
+    diagrams += [QuonDiagram(random_closed_diagram(rng)) for _ in range(200)]
+    for q in diagrams:
+        again = parse_diagram(serialize_diagram(q))
+        assert again == q and hash(again) == hash(q) and not again != q
+        assert again.core == q.core and hash(again.core) == hash(q.core)
+        assert {q: 1}[again] == 1
 
 
 S, C, D, P = Scattering.CODE, Cap.CODE, Dot.CODE, DotPair.CODE

@@ -1,4 +1,4 @@
-"""The element table: every kind's adjoint, move, width check and document
+"""The element table: every kind's adjoint, row, shift, fit and document
 form, and the checks each element runs when it is built."""
 
 import cmath
@@ -14,11 +14,13 @@ from quon2d.diagram import (
     BraidNeg,
     BraidPos,
     Cap,
+    Columns,
     Cup,
     Dot,
     DotPair,
     Scattering,
     ScatteringStar,
+    _replay,
 )
 from quon2d.errors import InvariantViolation, NumericalInstability
 from quon2d.fock import FockState, apply_element, apply_gamma
@@ -26,6 +28,13 @@ from quon2d.quon import evaluate_closed_quon
 from quon2d.serialize import element_from_dict, element_to_dict, parse_diagram, serialize_diagram
 
 GOLDEN = Path(__file__).parent / "data" / "all_kinds.json"
+
+
+def positions(el):
+    """The element's strand positions, ascending, read off its row."""
+    _, j, k, _, _ = el.row()
+    return (j,) if j == k else (j, k)
+
 
 SAMPLES = [
     Cap(1), Cup(1), Dot(2), DotPair(0, 3), BraidPos(1), BraidNeg(2),
@@ -43,17 +52,20 @@ def test_samples_cover_every_kind():
 @pytest.mark.parametrize("el", SAMPLES, ids=repr)
 def test_element_table(el, rng):
     assert el.dagger().dagger() == el
-    assert el.moved(el.positions()) == el
-    shifted = el.moved([p + 2 for p in el.positions()])
-    assert shifted.positions() == tuple(p + 2 for p in el.positions())
+    rows = Columns.of_elements((el,))
+    assert rows.objects() == (el,)
+    assert rows.dagger() == Columns.of_elements((el.dagger(),))
+    shifted, = rows.shifted(2).objects()
+    assert positions(shifted) == tuple(p + 2 for p in positions(el))
 
-    # a cap may open at the right edge; every other kind reads live strands
-    fits = el.j if el.width_delta > 0 else max(el.positions()) + 1
-    el.check(fits)
+    # the one fit rule: a cap may open at the right edge; every other kind
+    # reads live strands
+    fits = el.j if el.width_delta > 0 else max(positions(el)) + 1
+    assert _replay(fits, rows) == [fits, fits + el.width_delta]
     with pytest.raises(InvariantViolation):
-        el.check(fits - 1)
+        _replay(fits - 1, rows)
     with pytest.raises(InvariantViolation):
-        el.moved([p - el.j - 1 for p in el.positions()]).check(fits + 10)
+        _replay(fits + 10, rows.shifted(-el.j - 1))
 
     doc = json.loads(json.dumps(element_to_dict(el)))
     assert KINDS[doc["kind"]] is type(el)
@@ -62,17 +74,17 @@ def test_element_table(el, rng):
     if el.width_delta:
         return
     # the one action: a*1 + b*M, M = i^(n//2) g_{s1} ... g_{sn}, the rightmost first
-    n = len(el.positions())
-    qubits = (max(el.positions()) + 2) // 2
+    n = len(positions(el))
+    qubits = (max(positions(el)) + 2) // 2
     state = FockState(2 * qubits, rng.normal(size=2 ** qubits) + 1j * rng.normal(size=2 ** qubits))
     t = state.tensor()
     m = t
-    for p in reversed(el.positions()):
+    for p in reversed(positions(el)):
         m = apply_gamma(m, p)
     a, b = el.weights()
-    assert np.allclose(apply_element(state, el).tensor(), a * t + b * 1j ** (n // 2) * m,
+    assert np.allclose(apply_element(state, *el.row()).tensor(), a * t + b * 1j ** (n // 2) * m,
                        rtol=0, atol=1e-14)
-    if n == 2 and el.positions()[1] == el.j + 1:  # i g_j g_{j+1} is Z_q, or X_q X_{q+1}
+    if n == 2 and positions(el)[1] == el.j + 1:  # i g_j g_{j+1} is Z_q, or X_q X_{q+1}
         q, odd = divmod(el.j, 2)
         if odd:
             parity = np.flip(t, (q, q + 1))

@@ -14,7 +14,6 @@ from quon2d.diagram import (
     Cup,
     MajoranaDiagram,
     Scattering,
-    offset_elements,
 )
 from quon2d.errors import (
     InvalidRegion,
@@ -43,7 +42,7 @@ from quon2d.quon import (
     evaluate_closed_quon,
 )
 
-from conftest import random_circuit, random_move
+from conftest import offset_elements, random_circuit, random_move
 
 PI = math.pi
 

@@ -2,7 +2,8 @@
 never uses, no function-local name that is assigned and never read, no
 diagram built without its checks outside the splice primitive and the
 columns constructor, no PreparedDiagram built off the one evaluation route,
-and every name the bench tracer wraps still where it looks."""
+no element objects read back from a diagram outside `diagram.py`, and every
+name the bench tracer wraps still where it looks."""
 
 import ast
 import importlib
@@ -68,7 +69,7 @@ def dead_locals(tree: ast.Module) -> list[tuple[int, str]]:
 # where a diagram may be built without its constructor's checks: the
 # constructor itself, the splice primitive, which checks what its edit
 # can change, and the columns constructor, which makes each of the
-# constructor's checks once per array (`diagram._checked_columns`)
+# constructor's checks once per array (`diagram._checked_arrays`)
 UNCHECKED_BUILDERS = {
     ("diagram.py", "MajoranaDiagram.__post_init__"),
     ("diagram.py", "MajoranaDiagram.splice"),
@@ -79,12 +80,14 @@ UNCHECKED_BUILDERS = {
 
 def _skips_checks(node) -> bool:
     """An object.__new__ call, a write to an attribute `_widths`, or the
-    name "_widths" handed to a setattr."""
+    name "_widths" handed to a setattr or as a keyword (a `vars(d).update`)."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         return (node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == "object")
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
         return node.attr == "_widths"
+    if isinstance(node, ast.keyword):
+        return node.arg == "_widths"
     return isinstance(node, ast.Constant) and node.value == "_widths"
 
 
@@ -122,9 +125,10 @@ def test_unchecked_builds_are_found():
         "    q = object.__new__(type(d))\n"
         "    object.__setattr__(q, '_widths', d._widths)\n"
         "    d._widths = ()\n"
+        "    vars(q).update(_widths=())\n"
         "    return q\n")
     assert unchecked_builds(tree) == [(3, "MajoranaDiagram.splice"), (5, "shortcut"),
-                                      (6, "shortcut"), (7, "shortcut")]
+                                      (6, "shortcut"), (7, "shortcut"), (8, "shortcut")]
 
 
 # where a diagram is factorised for evaluation: the one route from a Quon
@@ -198,9 +202,32 @@ def test_the_checks_catch_what_they_name():
     assert dead_locals(tree) == [(5, "dead"), (8, "c")]
 
 
+def elements_reads(tree: ast.Module) -> list[int]:
+    """The lines that read an attribute named `elements`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "elements"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_diagram_module_reads_element_objects(path):
+    """A diagram stores its columns; `MajoranaDiagram.elements` builds
+    objects for readers outside the package, and every module but
+    `diagram.py` reads the columns instead."""
+    if path.name == "diagram.py":
+        return
+    lines = elements_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} reads `.elements` at lines {lines}"
+
+
+def test_elements_reads_are_found():
+    tree = ast.parse("a = d.elements\nd.core.elements[0]\nelements = 1\nf(elements=2)\n")
+    assert elements_reads(tree) == [1, 2]
+
+
 # kind dispatch belongs in the element table (`diagram.py`), not in type
 # tests spread over the modules; the cap may only fall
-ISINSTANCE_CAP = 35
+ISINSTANCE_CAP = 14
 
 
 def isinstance_calls(tree: ast.Module) -> int:

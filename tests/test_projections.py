@@ -10,7 +10,7 @@ import pytest
 
 from quon2d import gaussian
 from quon2d.circuits import Circuit, Gate, circuit_oracle_unitary
-from quon2d.compiler import compile_circuit, dense_gate_matrix, quon_to_dense_tensor
+from quon2d.compiler import compile_circuit, quon_to_dense_tensor
 from quon2d.diagram import BraidNeg, BraidPos, Cap, Cup, Dot, MajoranaDiagram, Scattering
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.ising import IsingLattice, kw_rewrite_chain
@@ -29,7 +29,7 @@ from quon2d.quon import (
 )
 from quon2d.wires import projection_eigenvalues, prune_projections, redundant_projections
 
-from conftest import random_circuit, random_closed_diagram
+from conftest import dense_gate_matrix, random_circuit, random_closed_diagram
 
 
 def _two_loops(middle) -> MajoranaDiagram:

@@ -46,7 +46,7 @@ from quon2d.quon import (
 from quon2d.wires import prune_projections, redundant_projections
 from quon2d.rewrite import expand_scattering
 
-from conftest import random_closed_diagram
+from conftest import dense_gate_matrix, random_closed_diagram
 
 SQRT2 = math.sqrt(2.0)
 
@@ -208,7 +208,7 @@ def test_string_genus_removal_in_random_contexts(rng):
 
 def test_swap_hole_remove():
     from quon2d.circuits import Circuit, Gate
-    from quon2d.compiler import compile_circuit, dense_gate_matrix
+    from quon2d.compiler import compile_circuit
     from quon2d.circuits import circuit_oracle_unitary
 
     c = Circuit(2, (Gate("SWAP", (0, 1)),))
@@ -265,10 +265,10 @@ def test_resolution_of_identity(rng):
         total = 0.0 + 0.0j
         for b in (0, 1):
             ket = encoder_ket(iv, (b,))
-            from quon2d.diagram import dagger, offset_elements
+            from quon2d.diagram import dagger
 
             bra = dagger(ket)
-            insert = offset_elements(bra.elements + ket.elements, 0)
+            insert = bra.elements + ket.elements
             els = ctx.elements[:t] + insert + ctx.elements[t:]
             glued = MajoranaDiagram(0, 0, els, ctx.amplitude * bra.amplitude * ket.amplitude)
             # the gluing imposes the bundle projection; realize it as a notch

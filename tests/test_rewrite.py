@@ -417,6 +417,41 @@ def test_yang_baxter_large_imaginary_angles_are_verified_or_refused(thetas):
     assert np.all(np.abs(lhs8 - scalar * rhs8) <= 1e-9 * np.maximum(np.abs(lhs8), 1.0))
 
 
+@pytest.mark.parametrize("thetas, scalar", [
+    ((300j, 0.3, 0.2), 1.0289102525 + 0.0073819994j),
+    ((0.3, 30j, 0.2), 1.9064928144 + 0.4868075380j),
+])
+def test_yang_baxter_partners_at_large_imaginary_angles(thetas, scalar):
+    """Solved in LHS's own basis, these get partners that match every entry
+    of LHS to 1e-9 of its size: (300j, 0.3, 0.2) was refused when the
+    candidates came from H LHS H, and (0.3, 30j, 0.2) came back with the
+    scalar -3.0e-12 - 7.8e-13i, whose partner (of equal sum |Im phi|) only
+    makes RHS e^26 times too large."""
+    phis, got = solve_yang_baxter_full(*thetas)
+    lhs = yang_baxter_operator(thetas, first_axis="z")
+    rhs = yang_baxter_operator(phis, first_axis="x")
+    assert np.all(np.abs(lhs - got * rhs) <= 1e-9 * np.maximum(np.abs(lhs), 1.0))
+    assert got == pytest.approx(scalar, rel=1e-9)
+
+
+def test_yang_baxter_refuses_a_partner_that_no_float_holds():
+    """(-40j, 0.3, 0.2) has a partner in exact arithmetic, listed here to
+    the last bit with its scalar: phi1 = 9.5e-20 + 4.9e-19i.  exp(i phi1)
+    rounds to 1 + 9.5e-20i, dropping the factor e^(-4.9e-19), and LHS's
+    entries of e^40 scale that factor up to its entries of one: RHS misses
+    them by 6%.  So no partner passes the check, and the solver says so."""
+    thetas = (-40j, 0.3, 0.2)
+    with pytest.raises(NoSolution):
+        solve_yang_baxter_full(*thetas)
+    phis = (9.500697839666006e-20 + 4.905958727916238e-19j,
+            0.1912884677151682 - 39.99827354365842j, 0.29436261749860093 - 0.05877839944678103j)
+    assert cmath.exp(1j * phis[0]) == 1 + 9.500697839666006e-20j
+    lhs = yang_baxter_operator(thetas, first_axis="z")
+    rhs = yang_baxter_operator(phis, first_axis="x")
+    miss = np.abs(lhs - (0.9718520401341789 + 0.0069726306884641855j) * rhs) / np.abs(lhs)
+    assert miss[:, 1].max() < 1e-14 and miss[:, 0].max() > 0.05  # the entries of one
+
+
 def test_yang_baxter_fuzz(rng):
     """Random complex triples, and multiples of pi/2 moved by 0 or 1e-12 to
     1e-3: every triple is solved, with scalar 1 wherever scalar 1 passes."""

@@ -18,7 +18,6 @@ from quon2d.diagram import (
     MajoranaDiagram,
     Scattering,
     ScatteringStar,
-    slice_widths,
 )
 from quon2d.errors import InvariantViolation, Quon2dError
 from quon2d.factory import FactoryLedger, Insert, Stretch, apply_move, insert_move, stretch
@@ -33,7 +32,7 @@ from quon2d.quon import (
 )
 from quon2d.rewrite import ReidemeisterII, ScatteringReduce
 
-from conftest import random_circuit, random_closed_diagram, random_move
+from conftest import offset_elements, random_circuit, random_closed_diagram, random_move
 
 # one projection of each kind and one anchor at every slice 0..4
 CORE = MajoranaDiagram(2, 2, (BraidPos(0), BraidNeg(0), DotPair(0, 1), BraidPos(0)))
@@ -154,6 +153,13 @@ def full_splice(q, at, removed, replacement, amplitude, width_in=None, open_inte
                        cuts(q.notches) + tuple(notches))
 
 
+def slice_widths(start, elements):
+    """The width before each element, replayed from `start`, plus the final
+    width, as the constructor replays them."""
+    return MajoranaDiagram(start, start + sum(el.width_delta for el in elements),
+                           elements).widths()
+
+
 def _outcome(build):
     try:
         return build()
@@ -251,7 +257,7 @@ def _draw(rng, q):
                if width_out != q.core.width_out])
     if replacement and rng.random() < 0.1:  # one element off its slice
         k = int(rng.integers(len(replacement)))
-        replacement[k] = replacement[k].moved([p + 40 for p in replacement[k].positions()])
+        replacement[k], = offset_elements((replacement[k],), 40)
     if rng.random() < 0.2:  # new marks on the replaced slices
         cuts, anchors = _marks(rng, run, 1)
         kwargs["parity_cuts"] = [ParityCut(c.time_index + at, c.strands) for c in cuts]
@@ -329,9 +335,9 @@ def greedy_from_zero(q):
         if removed:
             q = cleaned
         for rule in rules:
-            i = rule.first_match(q.core.elements)
+            i = rule.first_match(q.core.columns)
             if i is not None:
-                repl, scalar = rule.rewrite(q.core.elements, i)
+                repl, scalar = rule.rewrite(q.core.columns, i)
                 q = full_splice(q, i, rule.SPAN, repl, q.core.amplitude * scalar)
                 break
         else:
