@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .circuits import GATES, Circuit, Gate
-from .errors import InvariantViolation, ParseError, Quon2dError
+from .errors import InvariantViolation, MarkInsideRun, ParseError, Quon2dError
 from .quon import QuonDiagram, evaluate_closed_quon
 from .rewrite import ReidemeisterII, RewriteSite, ScatteringReduce, apply_rule
 from .serialize import emit_dot, parse_diagram, serialize_diagram
@@ -57,13 +57,15 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
     """String-genus removals, k*pi/2 scattering reductions and Reidemeister
     II cancellations, to fixpoint.  Each pass removes the holes it can, with
     one WireTrace and one rebuild for all of them, then applies the first
-    rule that matches anywhere, at its first match.
+    rule that matches anywhere, at its first match whose run holds no cut,
+    notch or anchor between its elements (the splice refuses the others).
 
     A rule's match at i reads elements i .. i + SPAN - 1 only, so each rule
     keeps the index before which it is known not to match: its last scan's
     end, lowered to i - SPAN + 1 by a rewrite at i, which leaves the
     elements before i as they were, and reset to 0 by a hole removal.  A
-    scan starts there and finds the first match a scan from 0 would."""
+    scan starts there and finds the first match a scan from 0 would, a
+    match skipped for a mark included, as no mark before i moves."""
     from .classify import remove_holes_to_fixpoint
 
     rules = (ScatteringReduce(), ReidemeisterII())
@@ -76,11 +78,16 @@ def greedy_simplify(q: QuonDiagram) -> QuonDiagram:
             clean = [0] * len(rules)
         for r, rule in enumerate(rules):
             i = rule.first_match(q.core.columns, clean[r])
+            while i is not None:
+                try:
+                    rewritten = apply_rule(q, rule, RewriteSite.at(i))
+                    break
+                except MarkInsideRun:  # skipped: the run holds a mark
+                    i = rule.first_match(q.core.columns, i + 1)
             if i is None:
                 clean[r] = len(q.core)
                 continue
-            clean[r] = i
-            q = apply_rule(q, rule, RewriteSite.at(i))
+            clean[r], q = i, rewritten
             clean = [min(k, max(i - other.SPAN + 1, 0)) for k, other in zip(clean, rules)]
             break
         else:

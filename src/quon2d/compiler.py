@@ -344,23 +344,16 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
     if mode == "neighboring" and gap != 0:
         raise IntervalMismatch("neighboring contraction needs adjacent intervals")
 
-    intervals = []
-    for k, iv in enumerate(q.open_intervals):
-        if k in (interval_a, interval_b):
-            continue
-        if iv.side == iv_a.side and iv.start > iv_b.start:
-            intervals.append(replace(iv, start=iv.start - 2 * s))
-        elif iv.side == iv_a.side and iv.start > iv_a.start:
-            intervals.append(replace(iv, start=iv.start - s))
-        else:
-            intervals.append(iv)
+    # an interval on their side past a loses a's s strands, and past b b's too
+    a, b = iv_a.start, iv_b.start
+    intervals = [replace(iv, start=iv.start - s * ((iv.start > a) + (iv.start > b)))
+                 if iv.side == iv_a.side else iv
+                 for k, iv in enumerate(q.open_intervals) if k not in (interval_a, interval_b)]
 
-    core = q.core
     # gluing through the resolution of the identity imposes the bundle's
     # parity projection: a notch for neighboring contractions (the manifold
     # pinch between the mouths), the puncture's own cut otherwise
     if iv_a.side == BOTTOM:
-        # the gluing is appended, so nothing needs re-timing
         tail: list = []
         start = iv_a.start
         if gap:
@@ -370,19 +363,16 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
                 for j in range(pos, start + step - 1, -1):
                     tail.append(BraidPos(j))
             start = iv_a.start + gap
-        projection = ParityCut(len(core) + len(tail), tuple(range(start, start + s)))
+        projection = ParityCut(len(q.core) + len(tail), tuple(range(start, start + s)))
         for k in range(s):
             tail.append(Cup(start + s - 1 - k))
-        new_core = core.splice(len(core), 0, tail, core.amplitude)
-        cuts, notches = q.parity_cuts, q.notches
-        if mode == "non_neighboring":
-            cuts += (projection,)
-        else:
-            notches += (projection,)
-        return QuonDiagram(new_core, cuts, intervals, q.boundary_tracking, notches)
+        hole = mode == "non_neighboring"
+        return q.splice(len(q.core), 0, tail, q.core.amplitude, open_intervals=intervals,
+                        parity_cuts=(projection,) if hole else (),
+                        notches=() if hole else (projection,))
 
     if mode == "non_neighboring":
         raise IntervalMismatch("non-neighboring top contraction is not supported")
     head = tuple(Cap(iv_a.start + k) for k in range(s))
-    return q.splice(0, 0, head, core.amplitude, width_in=core.width_in - 2 * s,
+    return q.splice(0, 0, head, q.core.amplitude, width_in=q.core.width_in - 2 * s,
                     open_intervals=intervals, notches=(ParityCut(s, tuple(iv_a.strands)),))

@@ -156,7 +156,8 @@ def _eliminate(w: _Rows, core: int):
     row.  Then, from k on, the next BLOCK core rows are tried as one pivot
     A11 = the current matrix on [k, k + BLOCK), with A12 their rows over
     [k + BLOCK, hi) and hi raised first to all their reaches, so that A12
-    holds every nonzero of them.  The block is kept when
+    holds every nonzero of them.  No block whose rows reach W's last row is
+    tried (on deep circuits they lost up to 1.9e-5).  A block is kept when
     np.linalg.inv(A11) is finite, max|A11| max|A11^-1| <= 1 / DEFER_TOL,
     and every multiplier |X| = |A11^-1 A12|, over the core and group
     columns alike, is at most 1 (MULTIPLIER_MAX); the window then takes the
@@ -173,8 +174,8 @@ def _eliminate(w: _Rows, core: int):
     into the steps' pivots, each block's in its place, so pf * 2^x is the
     plain product of the pivots in pivot order.  A kept block's pivots are
     not tested: its conditioning bound already keeps it away from singular.
-    A refused block runs as steps, one panel of BLOCK columns with pivoting
-    and deferral as below, and the next block is tried after it.
+    A refused or untried block runs as steps, a panel of BLOCK columns
+    pivoted and deferred as below, and the next block is tried after it.
     A W that is not banded takes no block, and its panels are 2 * PANEL
     columns wide.
 
@@ -238,7 +239,7 @@ def _eliminate(w: _Rows, core: int):
         if kept < len(blocks) and k + BLOCK <= core:
             to = max(hi, k + BLOCK, *(reach[r] for r in orig[k:k + BLOCK]))
             # no view of the window outlives the try, so a move lets the old buf go
-            above = _block(win.start(k0, to)[:to - k0, :to - k0], upper)
+            above = _block(win.start(k0, to)[:to - k0, :to - k0], upper) if to < n else None
             if above is not None:
                 blocks[kept] = above
                 kept += 1

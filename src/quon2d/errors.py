@@ -41,6 +41,11 @@ class PatternMismatch(Quon2dError):
     pass
 
 
+class MarkInsideRun(InvariantViolation, PatternMismatch):
+    """A cut, notch or anchor lies between the elements an edit replaces
+    (`QuonDiagram.splice`); a rewrite rule's pattern does not match there."""
+
+
 class HasOpenIntervals(Quon2dError):
     pass
 

@@ -210,48 +210,29 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
         # the right edge; crossings carry it there
         if q.core.width_out == 0:
             raise InvalidSegment("no bottom boundary to grow an encoder on")
-        end_w = q.core.width_out
-        core = _append(q.core, p, end_w)
-        intervals = list(q.open_intervals)
-        intervals.append(OpenInterval(BOTTOM, end_w, 2))
-        new_q = QuonDiagram(core, q.parity_cuts, tuple(intervals),
-                            q.boundary_tracking, q.notches)
-        return new_q, replace_ledger(ledger, move)
-
-    # existing_encoder
-    if move.interval is None or not 0 <= move.interval < len(q.open_intervals):
-        raise InvalidSegment("existing_encoder needs a valid interval id")
-    iv = q.open_intervals[move.interval]
-    if iv.side != BOTTOM:
-        raise InvalidSegment("only bottom encoders can be stretched into")
-    end = iv.start + iv.size
-    if p >= end:
-        raise InvalidSegment("stretch into an encoder from its left side")
-    core = _append(q.core, p, end)
-    # the two new strands join the interval at its right edge; the
-    # pairing data gains the corresponding fresh pair
-    new_pairing = dg.tensor_product(iv.pairing_data, dg.MajoranaDiagram(0, 2, (Cap(0),)))
-    new_iv = OpenInterval(BOTTOM, iv.start, iv.size + 2, new_pairing)
-    intervals = []
-    for k, other in enumerate(q.open_intervals):
-        if k == move.interval:
-            intervals.append(new_iv)
-        elif other.side == BOTTOM and other.start >= end:
-            intervals.append(replace(other, start=other.start + 2))
-        else:
-            intervals.append(other)
-    new_q = QuonDiagram(core, q.parity_cuts, tuple(intervals),
-                        q.boundary_tracking, q.notches)
-    return new_q, replace_ledger(ledger, move)
-
-
-def _append(core: MajoranaDiagram, p: int, end: int) -> MajoranaDiagram:
-    """The core with a cap pulled out of strand p appended at the bottom,
-    its right strand carried by positive braids to position `end` + 1; the
-    cuts keep their slices, so only the core is spliced."""
-    tail = ((Cap(p),) + tuple(BraidPos(j) for j in range(p + 1, end + 1))
-            + tuple(BraidPos(j) for j in range(p, end)))
-    return core.splice(len(core), 0, tail, core.amplitude)
+        end = q.core.width_out
+        intervals = (*q.open_intervals, OpenInterval(BOTTOM, end, 2))
+    else:  # existing_encoder
+        if move.interval is None or not 0 <= move.interval < len(q.open_intervals):
+            raise InvalidSegment("existing_encoder needs a valid interval id")
+        iv = q.open_intervals[move.interval]
+        if iv.side != BOTTOM:
+            raise InvalidSegment("only bottom encoders can be stretched into")
+        end = iv.start + iv.size
+        if p >= end:
+            raise InvalidSegment("stretch into an encoder from its left side")
+        # the two new strands join the interval at its right edge; the
+        # pairing data gains the corresponding fresh pair
+        new_pairing = dg.tensor_product(iv.pairing_data, dg.MajoranaDiagram(0, 2, (Cap(0),)))
+        intervals = [OpenInterval(BOTTOM, iv.start, iv.size + 2, new_pairing) if k == move.interval
+                     else replace(other, start=other.start + 2)
+                     if other.side == BOTTOM and other.start >= end else other
+                     for k, other in enumerate(q.open_intervals)]
+    # a cap pulled out of strand p, appended at the bottom, its right strand
+    # carried by positive braids to position `end` + 1
+    tail = (Cap(p), *map(BraidPos, range(p + 1, end + 1)), *map(BraidPos, range(p, end)))
+    return (q.splice(len(q.core), 0, tail, q.core.amplitude, open_intervals=intervals),
+            replace_ledger(ledger, move))
 
 
 def replace_ledger(ledger: FactoryLedger, move: Move, switched: int = 0):

@@ -9,8 +9,14 @@ component): the fast route drops the projections the diagram enforces
 (`wires.prune_projections`) and the holes string-genus removal takes, and
 sums over the subsets of the projections left, every term a small Pfaffian
 of one factorisation (gaussian.PreparedDiagram); the oracle route expands
-each subset of all the projections and propagates Fock states.  The
-string-genus and SWAP-hole relations edit the manifold syntactically.
+each subset of all the projections and propagates Fock states.
+
+`QuonDiagram.splice` is the one edit of an existing diagram's core: it
+moves the cuts, notches and anchors by one rule and refuses one that the
+edit would cross.  `encoder_closure` is the one builder of a boundary's
+closure, which `encode_basis` splices on, the oracle route propagates and
+the projection push (`wires`) crosses.  The string-genus and SWAP-hole
+relations edit the manifold syntactically.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import diagram as dg
 from . import gaussian
 from .diagram import (
     SIGN,
@@ -34,7 +39,6 @@ from .diagram import (
     Cup,
     DotPair,
     MajoranaDiagram,
-    dagger,
 )
 from .errors import (
     BitLengthMismatch,
@@ -42,10 +46,10 @@ from .errors import (
     InvalidBit,
     InvalidRegion,
     InvariantViolation,
+    MarkInsideRun,
     NoEnclosingLoop,
     PatternMismatch,
     UnknownMode,
-    WidthMismatch,
 )
 from .fock import FockState, propagate
 from .wires import BOTTOM, TOP, WireTrace, prune_projections
@@ -201,17 +205,19 @@ class QuonDiagram:
                notches=(), boundary_tracking=()) -> "QuonDiagram":
         """This diagram with the `removed` core elements from index `at`
         replaced by `replacement` and the core amplitude set to `amplitude`:
-        the one edit of a diagram.  `width_in` is the new top width of a
-        run at the top boundary (see MajoranaDiagram.splice), and
-        `open_intervals` replaces the intervals when the edit changes a
+        the one edit of an existing diagram's core.  `width_in` is the new
+        top width of a run at the top boundary (see MajoranaDiagram.splice),
+        and `open_intervals` replaces the intervals when the edit changes a
         boundary.  `parity_cuts`, `notches` and `boundary_tracking` are new
         ones, on the result's slices, added after the re-timed ones.
 
-        Every parity cut, notch and boundary-tracking anchor is re-timed by
-        one rule: a slice at or after at + removed moves by the change in
-        length, a slice strictly inside the replaced run moves to `at`, and
-        every other slice stays.  So a pure insertion (removed == 0) moves a
-        cut at slice `at` past the inserted block.
+        One rule re-times each parity cut, notch and boundary-tracking
+        anchor (a mark) on slice t, end = at + removed: at or after `end` it
+        moves by the change in length (past the block of a pure insertion),
+        unless the edit appends at the bottom (at == len(core), no
+        `width_in`); before the run it stays; strictly inside it, it is
+        refused with a MarkInsideRun (an InvariantViolation) naming it, as
+        the elements it sat between are gone.
 
         The result equals what the constructors would build, and an invalid
         edit raises what they would.  The core replays only the replacement
@@ -228,14 +234,20 @@ class QuonDiagram:
         old = self.core
         core = old.splice(at, removed, replacement, amplitude, width_in)
         end = at + removed
+        if removed > 1:  # a mark strictly inside the run has no slice left: refuse it
+            inside = [f"parity cut {c}" for c in self.parity_cuts if at < c.time_index < end]
+            inside += [f"notch {c}" for c in self.notches if at < c.time_index < end]
+            inside += [f"boundary-tracking anchor {a}"
+                       for a in sorted(a for a in self.boundary_tracking if at < a[0] < end)]
+            if inside:
+                raise MarkInsideRun(f"{inside[0]} lies inside the replaced run {at}..{end - 1}")
         delta = len(core._widths) - len(old._widths)
         # the old slices whose widths the edit may have changed: at .. last
         last = end if core._widths[end + delta] == old._widths[end] else len(old._widths) - 1
+        appended = at == len(old) and width_in is None
 
         def retimed(t: int) -> int:
-            if t >= end:
-                return t + delta
-            return at if t > at else t
+            return t + delta if t >= end and not appended else t
 
         def moved(projections):  # a slice before `at` keeps its index
             return tuple(c if c.time_index < at or retimed(c.time_index) == c.time_index
@@ -369,14 +381,17 @@ def _components(q: QuonDiagram, assignments, use_oracle: bool = False) -> list[c
     if use_oracle:
         n = len(all_projections(q))
         gaussian.check_terms(1 << n, f"{n} projections")
-        by_top: dict[MajoranaDiagram, list] = {}  # top closure -> (k, amplitude, bottom)
+        by_top: dict[Columns, list] = {}  # top closure -> (k, amplitude, bottom)
         for k, bits in enumerate(assignments):
-            top, bottom = _closures(q, bits)
-            amplitude = top.amplitude * (q.core.amplitude * bottom.amplitude)
-            by_top.setdefault(top, []).append((k, amplitude, bottom))
+            top, top_amplitude = encoder_closure(q.open_intervals, bits, TOP)
+            bottom, bottom_amplitude = encoder_closure(q.open_intervals, bits, BOTTOM)
+            amplitude = top_amplitude * (q.core.amplitude * bottom_amplitude)
+            by_top.setdefault(top, []).append(
+                (k, amplitude, MajoranaDiagram(q.core.width_out, 0, bottom)))
         values = [0j] * len(assignments)
         for top, group in by_top.items():
-            start, terms = propagate(FockState.scalar(1.0), top), [[] for _ in group]
+            start = propagate(FockState.scalar(1.0), MajoranaDiagram(0, q.core.width_in, top))
+            terms = [[] for _ in group]
             for s in range(1 << n):
                 state = propagate(start, expanded_core(q, s))
                 for row, (_, amplitude, bottom) in zip(terms, group):
@@ -413,8 +428,7 @@ def _components(q: QuonDiagram, assignments, use_oracle: bool = False) -> list[c
     for bit_groups in assignments:
         selected = 0
         for i, bits in enumerate(bit_groups):
-            dots = [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
-            for k in dots:
+            for k in encoder_dots(bits):
                 selected |= 1 << group_of[(i, k)]
         masks.extend(selected | s << len(slots[TOP]) for s in range(1 << len(cuts)))
     terms = gaussian.PreparedDiagram(closed.core, groups).evaluate(masks)
@@ -432,10 +446,16 @@ def encoder_slots(interval: OpenInterval) -> tuple[int, ...]:
     return tuple(pair[1] for pair in pairs[1:]) + (pairs[0][1],)
 
 
+def encoder_dots(bits) -> list[int]:
+    """The encoder's dot rule, as indices into `encoder_slots`: one dot per
+    set bit, plus the outer pair's (index len(bits)) when the total is odd."""
+    return [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
+
+
 def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
     """Ket-form encoder |b> for one interval: pairing data plus simultaneous
-    dots on the `encoder_slots` its bits select, normalized so
-    <b|b'> = delta.
+    dots on the `encoder_slots` its bits select (`encoder_dots`), normalized
+    so <b|b'> = delta.
 
     The normalization 2^{-(p+1)/4} makes the p+1 pairing loops of <b|b>
     evaluate to one (1/sqrt2 in the one-qubit case).
@@ -446,31 +466,27 @@ def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
             f"{len(bits)} bits for a {interval.qubit_count}-qubit interval"
         )
     slots = encoder_slots(interval)
-    dot_strands = [slots[k] for k, b in enumerate(bits) if b]
-    if sum(bits) % 2:
-        dot_strands.append(slots[-1])
     columns = Columns.joined((interval.pairing_data.columns,
-                              parity_string_elements(tuple(dot_strands))))
+                              parity_string_elements(tuple(slots[k] for k in encoder_dots(bits)))))
     amp = interval.pairing_data.amplitude * 2.0 ** (-(interval.qubit_count + 1) / 4)
     return MajoranaDiagram(0, interval.size, columns, amp)
 
 
-def _closures(q: QuonDiagram, bits) -> tuple[MajoranaDiagram, MajoranaDiagram]:
-    """The diagrams that close q's open intervals for the per-interval `bits`:
-    the tensor product of the top intervals' ket encoders and that of the
-    bottom intervals' bras, each left to right."""
-    if len(bits) != len(q.open_intervals):
-        raise BitLengthMismatch(f"{len(bits)} bit groups for {len(q.open_intervals)} intervals")
-    closures = {TOP: MajoranaDiagram.empty(), BOTTOM: MajoranaDiagram.empty()}
-    for iv, b in sorted(zip(q.open_intervals, bits), key=lambda p: (p[0].side != TOP, p[0].start)):
-        ket = encoder_ket(iv, b)
-        closures[iv.side] = dg.tensor_product(closures[iv.side],
-                                              ket if iv.side == TOP else dagger(ket))
-    if closures[TOP].width_out != q.core.width_in:
-        raise WidthMismatch("top encoders do not cover the top boundary")
-    if closures[BOTTOM].width_in != q.core.width_out:
-        raise WidthMismatch("bottom encoders do not cover the bottom boundary")
-    return closures[TOP], closures[BOTTOM]
+def encoder_closure(intervals, bits, side: str) -> tuple[Columns, complex]:
+    """The rows and amplitude closing the `intervals` on `side` for the
+    per-interval `bits`, read by `encode_basis`, the oracle route and the
+    push (`wires`): on the top the kets (`encoder_ket`) left to right, each
+    on its strands; on the bottom their daggers, the bras, left to right,
+    each from strand 0, as the bras before it closed the strands to its left."""
+    if len(bits) != len(intervals):
+        raise BitLengthMismatch(f"{len(bits)} bit groups for {len(intervals)} intervals")
+    parts, amplitude = [], 1 + 0j
+    for iv, b in sorted(zip(intervals, bits), key=lambda p: p[0].start):
+        if iv.side == side:
+            ket = encoder_ket(iv, b)
+            parts.append(ket.columns.shifted(iv.start) if side == TOP else ket.columns.dagger())
+            amplitude *= ket.amplitude if side == TOP else ket.amplitude.conjugate()
+    return Columns.joined(parts), amplitude
 
 
 def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
@@ -478,17 +494,15 @@ def encode_basis(q: QuonDiagram, assignment: BasisAssignment) -> QuonDiagram:
     diagram, q itself when it has no open interval.  A top interval is fed
     the ket encoder |b> from above; a bottom interval is capped by the bra
     <b| (the encoder's dagger), so components read <bits_bottom| D |bits_top>.
+    Two splices: the bras appended at the bottom, then the kets at the top.
     """
-    top, bottom = _closures(q, assignment.bits)
+    top, top_amplitude = encoder_closure(q.open_intervals, assignment.bits, TOP)
+    bottom, bottom_amplitude = encoder_closure(q.open_intervals, assignment.bits, BOTTOM)
     if not q.open_intervals:
         return q
-    # the bottom closure is appended, so nothing needs re-timing for it
-    core = q.core.splice(len(q.core), 0, bottom.columns, q.core.amplitude * bottom.amplitude)
-    bottom_closed = QuonDiagram(core, q.parity_cuts,
-                                [iv for iv in q.open_intervals if iv.side == TOP],
-                                q.boundary_tracking, q.notches)
-    return bottom_closed.splice(0, 0, top.columns, top.amplitude * core.amplitude,
-                                width_in=0, open_intervals=())
+    q = q.splice(len(q.core), 0, bottom, q.core.amplitude * bottom_amplitude,
+                 open_intervals=[iv for iv in q.open_intervals if iv.side == TOP])
+    return q.splice(0, 0, top, top_amplitude * q.core.amplitude, width_in=0, open_intervals=())
 
 
 # -- manifold rewrites -----------------------------------------------------

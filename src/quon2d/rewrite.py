@@ -585,8 +585,10 @@ def apply_rule(diag, rule: RewriteRule, site: RewriteSite):
     QuonDiagram, whose cuts, notches and anchors the splice re-times;
     returns a diagram of the same type.  Raises PatternMismatch when a site
     index is out of range or the local pattern does not match the rule's
-    left-hand side.  Closed-diagram value is preserved exactly (up to the
-    documented float tolerance)."""
+    left-hand side; the splice raises MarkInsideRun, a PatternMismatch,
+    where a cut, notch or anchor lies between the elements the rule
+    replaces, as no rule may carry one across them.  Closed-diagram value
+    is preserved exactly (up to the documented float tolerance)."""
     core = diag.core if isinstance(diag, QuonDiagram) else diag
     n = len(core)
     indices = site.indices

@@ -13,7 +13,9 @@ reads its contractions.
 
 `projection_eigenvalues` follows the Majorana monomial of a projection
 through the same columns, row by row, with its exact phase, to find the
-projections a diagram already enforces (+1) or annihilates (-1).
+projections a diagram already enforces (+1) or annihilates (-1); at an open
+boundary it crosses the all-zero encoders as `quon.encoder_closure` builds
+them.
 """
 
 from __future__ import annotations
@@ -212,20 +214,11 @@ def _across(c: Columns, e: int, strands: set, forward: bool):
     return strands ^ set(positions), 0 if sign else 2
 
 
-def _closure(intervals, side: str) -> Columns:
-    """The rows of the all-zero basis encoders of the intervals on `side`,
-    as `quon.encode_basis` places them: kets above the top, left interval
-    first, and bras below the bottom, left interval first."""
-    ordered = sorted((iv for iv in intervals if iv.side == side), key=lambda iv: iv.start)
-    if side == TOP:
-        return Columns.joined(iv.pairing_data.columns.shifted(iv.start) for iv in ordered)
-    return Columns.joined(iv.pairing_data.columns.dagger() for iv in ordered)
-
-
-def _eigenvalue(q, index: int, cut, at: dict, forward: bool) -> int | None:
+def _eigenvalue(q, index: int, cut, at: dict, forward: bool, closure) -> int | None:
     """The eigenvalue, +1 or -1, that the push of `cut`, projection `index`
     of q (holes, then notches), in one direction shows P to take, as i^k g_S
-    with S empty; None where the push stops first.  Every step keeps
+    with S empty; None where the push stops first; closure(side) gives the
+    rows of that side's all-zero encoders.  Every step keeps
     P D = i^k D g_S (backward) or D P = i^k g_S D (forward) for the part D
     of the diagram it crossed; other projections are crossed when they
     commute with g_S (an even overlap)."""
@@ -254,10 +247,10 @@ def _eigenvalue(q, index: int, cut, at: dict, forward: bool) -> int | None:
     for iv in q.open_intervals:
         if iv.side == side and len(strands.intersection(iv.strands)) not in (0, iv.size):
             return None
-    closure = _closure(q.open_intervals, side)
-    n = len(closure.kind)
+    rows = closure(side)
+    n = len(rows.kind)
     for e in range(n) if forward else range(n - 1, -1, -1):
-        moved = _across(closure, e, strands, forward)
+        moved = _across(rows, e, strands, forward)
         if moved is None:
             return None
         strands, dk = moved
@@ -281,9 +274,13 @@ def projection_eigenvalues(q) -> dict[int, int]:
     at: dict[int, list] = {}  # slice -> (index, strands) of its projections
     for index, cut in enumerate(projections):
         at.setdefault(cut.time_index, []).append((index, cut.strands))
+    from .quon import encoder_closure  # quon imports this module
+
+    zeros = [(0,) * iv.qubit_count for iv in q.open_intervals]
+    closure = functools.cache(lambda side: encoder_closure(q.open_intervals, zeros, side)[0])
     ahead = len(q.core) / 2  # push the shorter way first
-    found = {index: _eigenvalue(q, index, cut, at, cut.time_index > ahead)
-             or _eigenvalue(q, index, cut, at, cut.time_index <= ahead)
+    found = {index: _eigenvalue(q, index, cut, at, cut.time_index > ahead, closure)
+             or _eigenvalue(q, index, cut, at, cut.time_index <= ahead, closure)
              for index, cut in enumerate(projections)}
     return {index: value for index, value in found.items() if value}
 

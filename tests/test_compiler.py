@@ -9,6 +9,7 @@ from quon2d.circuits import GATES, Circuit, Gate, circuit_oracle_unitary, gate_m
 from quon2d.classify import classify
 from quon2d.compiler import (
     DenseTensor,
+    caps_from_pairing,
     circuit_amplitude,
     compile_circuit,
     compile_generator_tensor,
@@ -25,7 +26,15 @@ from quon2d.errors import (
     UnknownGenerator,
 )
 from quon2d.factory import FactoryLedger, Insert, insert_move
-from quon2d.quon import BasisAssignment, all_projections, encode_basis, evaluate_closed_quon
+from quon2d.diagram import MajoranaDiagram
+from quon2d.quon import (
+    TOP,
+    BasisAssignment,
+    OpenInterval,
+    all_projections,
+    encode_basis,
+    evaluate_closed_quon,
+)
 
 from conftest import as_matrix, dense_gate_matrix, permuted, quon_compose, random_circuit
 
@@ -404,6 +413,32 @@ def test_oracle_dense_tensor_keeps_its_width_limit():
     """Six qubits are 24 Majoranas at a slice, past the oracle's 20."""
     with pytest.raises(OracleTooLarge):
         quon_to_dense_tensor(compile_circuit(Circuit(6, (Gate("H", (0,)),))), use_oracle=True)
+
+
+def test_intervals_with_their_own_pairing_data():
+    """Intervals whose pairing diagrams are nested and side-by-side caps
+    with unit-modulus complex amplitudes, listed out of side and start
+    order: both routes give one tensor, whatever the order of the list, and
+    the bras conjugate their amplitudes, so each amplitude cancels against
+    its conjugate on the other side."""
+    q = compile_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RZ", (1,), 0.7))))
+    a, b = 0.6 + 0.8j, -0.28 + 0.96j
+
+    def with_pairings(amplitudes):
+        nested = MajoranaDiagram(0, 4, caps_from_pairing(4, [(0, 3), (1, 2)]), amplitudes[0])
+        apart = MajoranaDiagram(0, 4, caps_from_pairing(4, [(0, 1), (2, 3)]), amplitudes[1])
+        intervals = [OpenInterval(iv.side, iv.start, iv.size,
+                                  nested if (iv.side == TOP) == (iv.start == 0) else apart)
+                     for iv in q.open_intervals]
+        return replace(q, open_intervals=[intervals[i] for i in (3, 0, 2, 1)])
+
+    own = with_pairings((a, b))
+    fast = quon_to_dense_tensor(own).entries
+    assert np.allclose(quon_to_dense_tensor(own, use_oracle=True).entries, fast, atol=1e-12)
+    listed = replace(own, open_intervals=own.open_intervals[::-1])
+    assert np.array_equal(quon_to_dense_tensor(listed).entries, fast)
+    assert np.allclose(quon_to_dense_tensor(with_pairings((1.0, 1.0))).entries, fast, atol=1e-12)
+    assert np.abs(fast).max() > 0.1
 
 
 def test_too_many_legs():

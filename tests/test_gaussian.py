@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quon2d import elimination, gaussian
-from quon2d.circuits import circuit_oracle_unitary
+from quon2d.circuits import Circuit, Gate, circuit_oracle_unitary
 from quon2d.compiler import circuit_amplitude, compile_circuit
 from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
 from quon2d.elimination import BLOCK, DEFER_TOL, PANEL, _eliminate, _pfaffians, _Rows
@@ -31,7 +31,7 @@ from quon2d.quon import (
     evaluate_closed_quon,
     expanded_core,
 )
-from quon2d.wires import WireTrace
+from quon2d.wires import WireTrace, prune_projections
 
 from conftest import random_circuit, random_closed_diagram, run_fresh
 
@@ -96,8 +96,8 @@ def reference_eliminate(a, core, reach, scale):
     while k + 1 < core:
         k0 = k
         hi = max(hi, k + 2, reach[orig[k]])
-        if banded and k + size <= core:
-            to = max(hi, k + size, *(reach[r] for r in orig[k:k + size]))
+        to = max(hi, k + size, *(reach[r] for r in orig[k:k + size])) if k + size <= core else n
+        if banded and to < n:  # a block whose rows reach the last row is not tried
             a11, a12 = a[k:k + size, k:k + size], a[k:k + size, k + size:to]
             try:
                 inv = np.linalg.inv(a11)
@@ -857,7 +857,8 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
     and banded `pfaffian` inputs, at the kernel's block size and at blocks
     of 4 rows, where small diagrams keep and refuse blocks too.  Ising
     lattices keep blocks and refuse none; at the kernel's block size
-    Clifford cores, whose W is dense, try none."""
+    Clifford cores, whose W is dense, try none, and no block whose rows
+    reach the last row is tried."""
     calls = []
     kind = ["random"]
     real = gaussian._eliminate
@@ -871,7 +872,7 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
     for block in (BLOCK, 4):
         monkeypatch.setattr(elimination, "BLOCK", block)
         kind[0] = "random"
-        for _ in range(60):
+        for _ in range(120):  # enough that blocks of 4 rows are refused 40 times (59 here)
             d = random_closed_diagram(rng, max_width=12, max_elems=40)
             PreparedDiagram(d, random_groups(rng, d, int(rng.integers(0, 5))))
         kind[0] = "clifford"
@@ -946,18 +947,40 @@ def test_a_refused_block_midway_then_kept_blocks(rng, monkeypatch):
     couplings: the blocks at rows 0 and 2 are kept; at row 4 the pivot 0.5
     is its row's largest entry, but row 5's entry 1 in column 6 would give
     a multiplier of 2, so that block is refused and runs as a step; the
-    blocks after it are kept again.  The Pfaffian is the expansion by
-    minors'."""
+    block after it is kept again, and the last two, whose rows reach the
+    last row, are not tried.  The Pfaffian is the expansion by minors'."""
     monkeypatch.setattr(elimination, "BLOCK", 2)
     kept = counting_blocks(monkeypatch)
-    n = 10
+    n = 12
     a = np.triu(np.tril(0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))), 3), 1)
     a[np.arange(0, n, 2), np.arange(1, n, 2)] = 2.0
     a[4, 5], a[5, 6] = 0.5, 1.0
     a -= a.T
     got = pfaffian(a)
-    assert kept[:3] == [True, True, False] and kept[3:] and all(kept[3:])
+    assert kept == [True, True, False, True]
     assert abs(got - pfaffian_recursive(a)) <= 1e-12 * abs(got)
+
+
+def h_cz_layers(k: int) -> Circuit:
+    """k layers on 3 qubits: H on qubit i mod 3, then CZ on (i mod 2, i mod 2 + 1)."""
+    return Circuit(3, tuple(g for i in range(k)
+                            for g in (Gate("H", (i % 3,)), Gate("CZ", (i % 2, i % 2 + 1)))))
+
+
+@pytest.mark.parametrize("k", [14, 18])
+def test_deep_circuit_cores_take_no_block_that_reaches_the_last_row(k):
+    """The closed core of a deep circuit has a W whose first rows are local
+    (the encoder loops) and whose later rows reach its last row, with unit
+    multipliers: blocks there lost up to 1.9e-5 against the Fock oracle.
+    Five expanded cores of the pruned, all-zero-encoded H CZ layers match
+    it within 1e-9."""
+    q = prune_projections(compile_circuit(h_cz_layers(k)))
+    closed = encode_basis(q, BasisAssignment(tuple((0,) for _ in q.open_intervals)))
+    rng = np.random.default_rng(1)
+    for subset in rng.integers(0, 1 << len(all_projections(closed)), 5):
+        d = expanded_core(closed, int(subset))
+        want = evaluate_closed_oracle(d)
+        assert abs(evaluate_closed_fast(d) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_prepared_diagram_keeps_core_blocks_under_its_groups(monkeypatch):
@@ -997,12 +1020,12 @@ def test_prepared_diagram_keeps_core_blocks_under_its_groups(monkeypatch):
 
 
 def test_ising_blocks_match_spin_enumeration(rng, monkeypatch):
-    """A 3 x 8 lattice (74 points, past one panel) with per-edge couplings
+    """A 4 x 6 lattice (76 points, past one panel) with per-edge couplings
     up to 1.2: Z from kept blocks matches spin enumeration within 1e-10."""
     kept = counting_blocks(monkeypatch)
-    edges = IsingLattice.square(3, 8, 0.3).edges
+    edges = IsingLattice.square(4, 6, 0.3).edges
     overrides = {(a, b): float(k) for (a, b, _), k in zip(edges, rng.uniform(0.1, 1.2, len(edges)))}
-    lattice = IsingLattice.square(3, 8, 0.3, overrides)
+    lattice = IsingLattice.square(4, 6, 0.3, overrides)
     assert 2 * len(lattice.edges) > 2 * PANEL
     z = evaluate_closed_quon(build_ising_quon(lattice))
     assert sum(kept) >= 3 and all(kept)

@@ -1,9 +1,10 @@
 """Source hygiene of `src/quon2d`, checked with `ast`: no import its module
 never uses, no function-local name that is assigned and never read, no
 diagram built without its checks outside the splice primitive and the
-columns constructor, no PreparedDiagram built off the one evaluation route,
-no element objects read back from a diagram outside `diagram.py`, and every
-name the bench tracer wraps still where it looks."""
+columns constructor, no Quon diagram's core edited outside its splice, no
+PreparedDiagram built off the one evaluation route, no element objects read
+back from a diagram outside `diagram.py`, and every name the bench tracer
+wraps still where it looks."""
 
 import ast
 import importlib
@@ -129,6 +130,56 @@ def test_unchecked_builds_are_found():
         "    return q\n")
     assert unchecked_builds(tree) == [(3, "MajoranaDiagram.splice"), (5, "shortcut"),
                                       (6, "shortcut"), (7, "shortcut"), (8, "shortcut")]
+
+
+# where an existing Quon diagram's core is edited: the one splice, which
+# re-times the marks, and the expansion, which splices a bare core
+CORE_SPLICERS = {
+    ("quon.py", "QuonDiagram.splice"),
+    ("quon.py", "expanded_core"),
+}
+
+
+def core_splices(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, qualified name of the enclosing function) of every `.splice`
+    call on a name `core` or on an attribute `.core`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "splice":
+                target = child.func.value
+                if getattr(target, "id", None) == "core" or getattr(target, "attr", None) == "core":
+                    found.append((child.lineno, scope))
+            named = isinstance(child, (*_FUNCTIONS[:2], ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_quon_cores_are_edited_only_by_the_splice(path):
+    """A Quon diagram's core is edited through `QuonDiagram.splice`, the one
+    place that moves its cuts, notches and anchors with it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    faults = [f"{path.name}:{line}: {scope or 'module'} splices a core by hand"
+              for line, scope in core_splices(tree) if (path.name, scope) not in CORE_SPLICERS]
+    assert not faults, "\n".join(faults)
+
+
+def test_core_splices_are_found():
+    tree = ast.parse(
+        "def f(q, core):\n"
+        "    core.splice(0, 0, (), 1.0)\n"
+        "    q.core.splice(0, 0, (), 1.0)\n"
+        "    q.splice(0, 0, (), 1.0)\n"
+        "    d.splice(0, 0, (), 1.0)\n"
+        "class QuonDiagram:\n"
+        "    def splice(self):\n"
+        "        return self.core.splice(0, 0, (), 1.0)\n")
+    assert core_splices(tree) == [(2, "f"), (3, "f"), (8, "QuonDiagram.splice")]
 
 
 # where a diagram is factorised for evaluation: the one route from a Quon

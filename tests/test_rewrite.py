@@ -23,7 +23,9 @@ from quon2d.errors import (
     Quon2dError,
     SingularAngle,
 )
+from quon2d.cli import greedy_simplify
 from quon2d.fock import diagram_operator, evaluate_closed_oracle
+from quon2d.quon import ParityCut, QuonDiagram, evaluate_closed_quon
 from quon2d.rewrite import (
     RULE_SCALARS,
     BraidTypeSwitch,
@@ -36,6 +38,7 @@ from quon2d.rewrite import (
     ReidemeisterI,
     ReidemeisterII,
     ReidemeisterIII,
+    RewriteRule,
     RewriteSite,
     ScatteringReduce,
     SpaceTimeDual,
@@ -466,3 +469,67 @@ def test_yang_baxter_fuzz(rng):
         assert _yang_baxter_error(thetas, phis, scalar) <= 1e-9, thetas
         if scalar != 1:
             assert _yang_baxter_error(thetas, phis, 1.0) > 1e-9, thetas
+
+
+# -- marks between the elements a rule replaces ------------------------------
+
+# every rule that replaces two or more elements, with a run it matches at
+# element 2 of Cap(0) Cap(0) <run> Cup(0) Cup(0), on four strands
+SPANNING_RUNS = {
+    ReidemeisterI(): (Cap(1), BraidPos(0), Cup(1)),
+    ReidemeisterII(): (BraidPos(1), BraidNeg(1)),
+    ReidemeisterIII(): (BraidPos(0), BraidPos(1), BraidPos(0)),
+    DotThroughBraid(): (Dot(1), BraidPos(1), Dot(0)),
+    YangBaxter(): (Scattering(0, 0.3), Scattering(1, 0.5), Scattering(0, 0.7)),
+    DotPassScattering(): (Dot(0), Scattering(0, 0.4), Dot(3)),
+    DotAbsorbScattering(): (DotPair(0, 1), Scattering(0, 0.4)),
+    CommuteDistantElements(): (BraidPos(0), BraidNeg(2)),
+}
+
+
+def _around(run):
+    return MajoranaDiagram(0, 0, (Cap(0), Cap(0), *run, Cup(0), Cup(0)), 0.8 - 0.3j)
+
+
+def test_every_spanning_rule_refuses_to_carry_a_mark_across_its_run():
+    """A cut, a notch or an anchor on a slice between the elements a rule
+    replaces has no place after the rewrite: apply_rule raises
+    PatternMismatch naming it, and keeps every mark at the run's ends."""
+    spanning = {type(rule) for rule in SPANNING_RUNS}
+    assert spanning == {cls for cls in RewriteRule.__subclasses__() if cls.SPAN >= 2}
+    for rule, run in SPANNING_RUNS.items():
+        core = _around(run)
+        end = 2 + rule.SPAN
+        ends = QuonDiagram(core, (ParityCut(2, (0, 1)),), (), {(end, 3)}, (ParityCut(end, (2, 3)),))
+        value = evaluate_closed_quon(ends, use_oracle=True)
+        rewritten = apply_rule(ends, rule, RewriteSite.at(2))
+        assert evaluate_closed_quon(rewritten, use_oracle=True) == pytest.approx(value, abs=1e-12)
+        delta = len(rewritten.core) - len(core)
+        assert rewritten.parity_cuts == ends.parity_cuts
+        assert rewritten.notches == (ParityCut(end + delta, (2, 3)),)
+        assert rewritten.boundary_tracking == {(end + delta, 3)}
+        for t in range(3, end):
+            for name, q in (("parity cut", QuonDiagram(core, (ParityCut(t, (0, 1)),))),
+                            ("notch", QuonDiagram(core, notches=(ParityCut(t, (1, 2)),))),
+                            ("anchor", QuonDiagram(core, boundary_tracking={(t, 0)}))):
+                with pytest.raises(PatternMismatch, match=f"{name} .*{t}"):
+                    apply_rule(q, rule, RewriteSite.at(2))
+
+
+# the braid pair's cancellation would carry the cut at 3 across it
+HELD_BY_A_PAIR = MajoranaDiagram(0, 0, (Cap(0), Cap(0), BraidPos(1), BraidNeg(1), Cup(0), Cup(0)))
+
+
+@pytest.mark.parametrize("strands, value", [((0, 1), 1.0), ((0, 2), 2.0), ((1, 3), 0.0)])
+def test_greedy_simplify_skips_a_match_around_a_cut(strands, value):
+    q = QuonDiagram(HELD_BY_A_PAIR, (ParityCut(3, strands),))
+    assert evaluate_closed_quon(q, use_oracle=True) == pytest.approx(value, abs=1e-12)
+    with pytest.raises(PatternMismatch, match="parity cut"):
+        apply_rule(q, ReidemeisterII(), RewriteSite.at(2))
+    simplified = greedy_simplify(q)
+    assert evaluate_closed_quon(simplified) == pytest.approx(value, abs=1e-12)
+    assert evaluate_closed_quon(simplified, use_oracle=True) == pytest.approx(value, abs=1e-12)
+    # a later match is still taken: the pair at 5 cancels
+    longer = QuonDiagram(HELD_BY_A_PAIR.splice(4, 0, (BraidNeg(0), BraidPos(0)), 1.0),
+                         (ParityCut(3, strands),))
+    assert greedy_simplify(longer) == q

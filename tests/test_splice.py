@@ -19,7 +19,7 @@ from quon2d.diagram import (
     Scattering,
     ScatteringStar,
 )
-from quon2d.errors import InvariantViolation, Quon2dError
+from quon2d.errors import InvariantViolation, MarkInsideRun, Quon2dError
 from quon2d.factory import FactoryLedger, Insert, Stretch, apply_move, insert_move, stretch
 from quon2d.quon import (
     BOTTOM,
@@ -50,18 +50,43 @@ def _times(q):
             sorted(t for t, _ in q.boundary_tracking))
 
 
+def _unmarked(q, t):
+    """q without its cuts, notches and anchors on slice t."""
+    return QuonDiagram(q.core, [c for c in q.parity_cuts if c.time_index != t], q.open_intervals,
+                       {a for a in q.boundary_tracking if a[0] != t},
+                       [c for c in q.notches if c.time_index != t])
+
+
 def test_splice_replacing_a_run():
     # elements 1..2 become one: slice 2 lies inside the run, 3 and 4 after it
+    with pytest.raises(MarkInsideRun, match=r"parity cut ParityCut\(time_index=2"):
+        MARKED.splice(1, 2, (DotPair(0, 1),), CORE.amplitude)
     core = MajoranaDiagram(2, 2, (BraidPos(0), DotPair(0, 1), BraidPos(0)))
-    out = MARKED.splice(1, 2, (DotPair(0, 1),), CORE.amplitude)
+    out = _unmarked(MARKED, 2).splice(1, 2, (DotPair(0, 1),), CORE.amplitude)
     assert out.core == core
-    assert _times(out) == ([0, 1, 1, 2, 3], [0, 1, 1, 2, 3], [0, 1, 2, 3])
+    assert _times(out) == ([0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3])
     assert out.open_intervals == MARKED.open_intervals
 
 
 def test_splice_pure_insertion_moves_the_slice_at_the_site():
     out = MARKED.splice(2, 0, (BraidPos(0), BraidNeg(0)), CORE.amplitude)
     assert _times(out) == ([0, 1, 4, 5, 6], [0, 1, 4, 5, 6], [0, 1, 4, 5, 6])
+
+
+def test_splice_appended_at_the_bottom_keeps_the_last_slice():
+    # an append keeps slice 4 before the block, even where it closes the boundary
+    out = MARKED.splice(4, 0, (BraidPos(0), BraidNeg(0)), CORE.amplitude)
+    assert _times(out) == _times(MARKED)
+    closed = MARKED.splice(4, 0, (Cup(0),), CORE.amplitude,
+                           open_intervals=MARKED.open_intervals[:1])
+    assert _times(closed) == _times(MARKED) and closed.core.width_out == 0
+    # a run at the top boundary with a new width_in is no append
+    empty = QuonDiagram(MajoranaDiagram(2, 2), (ParityCut(0, (0, 1)),),
+                        (OpenInterval(TOP, 0, 2), OpenInterval(BOTTOM, 0, 2)))
+    assert _times(empty.splice(0, 0, (Cup(0),), 1.0, open_intervals=empty.open_intervals[:1])) \
+        == _times(empty)
+    assert _times(empty.splice(0, 0, (Cap(0),), 1.0, width_in=0,
+                               open_intervals=empty.open_intervals[1:]))[0] == [1]
 
 
 def test_anchor_off_the_diagram_is_rejected():
@@ -121,11 +146,17 @@ def test_string_genus_removal_moves_anchors_beside_the_loop():
 # -- the splice contract: what the full constructors build ------------------
 
 
-def _retimed(t, at, removed, delta):
-    """Today's rule: after the run moves by delta, inside it moves to `at`."""
-    if t >= at + removed:
-        return t + delta
-    return at if t > at else t
+def _retimed(t, at, removed, delta, appended):
+    """The rule for a mark that is not inside the run (`_inside`): at or
+    after the run's end it moves by delta, unless the edit is `appended` at
+    the bottom; before it, it stays."""
+    return t + delta if t >= at + removed and not appended else t
+
+
+def _inside(q, at, removed):
+    """Whether a cut, notch or anchor of q lies strictly inside the run."""
+    return any(at < t < at + removed for t in [c.time_index for c in q.parity_cuts + q.notches]
+               + [t for t, _ in q.boundary_tracking])
 
 
 def full_core(q, at, removed, replacement, amplitude, width_in=None):
@@ -140,16 +171,19 @@ def full_splice(q, at, removed, replacement, amplitude, width_in=None, open_inte
     """The splice as the full constructors build it: every element replayed,
     every cut, notch, anchor and interval checked."""
     core = full_core(q, at, removed, replacement, amplitude, width_in)
+    if _inside(q, at, removed):
+        raise MarkInsideRun("a mark lies inside the replaced run")
     delta = len(replacement) - removed
+    appended = at == len(q.core.elements) and width_in is None
 
     def cuts(projections):
-        return tuple(ParityCut(_retimed(c.time_index, at, removed, delta), c.strands)
+        return tuple(ParityCut(_retimed(c.time_index, at, removed, delta, appended), c.strands)
                      for c in projections)
 
     return QuonDiagram(core, cuts(q.parity_cuts) + tuple(parity_cuts),
                        q.open_intervals if open_intervals is None else open_intervals,
-                       {(_retimed(t, at, removed, delta), p) for t, p in q.boundary_tracking}
-                       | set(boundary_tracking),
+                       {(_retimed(t, at, removed, delta, appended), p)
+                        for t, p in q.boundary_tracking} | set(boundary_tracking),
                        cuts(q.notches) + tuple(notches))
 
 
@@ -274,8 +308,9 @@ def _off_strands(widths, projections, anchors) -> bool:
 def test_splice_builds_what_the_full_constructors_build():
     """Valid and invalid splices on closed diagrams and moved circuits: the
     same diagram, with the same slice widths, or the same typed error.  The
-    invalid ones include elements after a run that changes the widths, and
-    cuts and anchors moved into a run that keeps them."""
+    invalid ones include elements after a run that changes the widths, cuts
+    and anchors strictly inside a replaced run, and cuts and anchors moved
+    off the strands of a run that keeps the widths."""
     rng = np.random.default_rng(41)
     seen = dict.fromkeys(["valid", "widths_changed", "top", "bad_run", "bad_suffix",
                           "bad_window_cut", "bad_window_anchor"], 0)
@@ -302,14 +337,20 @@ def test_splice_builds_what_the_full_constructors_build():
             elif not isinstance(core, MajoranaDiagram):
                 seen["bad_suffix"] += 1
             elif core._widths[at + len(replacement)] == q.core._widths[at + removed]:
-                # the widths meet: only the marks moved into the run can fail
-                delta = len(replacement) - removed
-                window = [ParityCut(_retimed(c.time_index, at, removed, delta), c.strands)
-                          for c in q.parity_cuts + q.notches if at <= c.time_index <= at + removed]
-                anchors = [(_retimed(t, at, removed, delta), p) for t, p in q.boundary_tracking
-                           if at <= t <= at + removed]
-                seen["bad_window_cut"] += _off_strands(core._widths, window, ())
-                seen["bad_window_anchor"] += _off_strands(core._widths, (), anchors)
+                # the widths meet: only the marks on the run's slices can fail,
+                # refused strictly inside it or off their strands at its ends
+                end, delta = at + removed, len(replacement) - removed
+                appended = at == len(q.core.elements) and "width_in" not in kwargs
+                window = [c for c in q.parity_cuts + q.notches if at <= c.time_index <= end]
+                anchors = [(t, p) for t, p in q.boundary_tracking if at <= t <= end]
+                moved = [ParityCut(_retimed(c.time_index, at, removed, delta, appended), c.strands)
+                         for c in window]
+                seen["bad_window_cut"] += (any(at < c.time_index < end for c in window)
+                                           or _off_strands(core._widths, moved, ()))
+                seen["bad_window_anchor"] += (any(at < t < end for t, _ in anchors)
+                                              or _off_strands(core._widths, (), [
+                                                  (_retimed(t, at, removed, delta, appended), p)
+                                                  for t, p in anchors]))
     assert seen["valid"] > 1000 and seen["widths_changed"] > 200 and seen["top"] > 50, seen
     assert min(seen.values()) >= 10, seen
     # a run outside the elements, and a new width_in below the top
@@ -326,8 +367,9 @@ def test_splice_builds_what_the_full_constructors_build():
 
 
 def greedy_from_zero(q):
-    """greedy_simplify with every rule scan started at element 0, and each
-    rewrite built by the full constructors."""
+    """greedy_simplify with every rule scan started at element 0, skipping a
+    match with a mark inside its run, and each rewrite built by the full
+    constructors."""
     rules = (ScatteringReduce(), ReidemeisterII())
     while True:
         cleaned = remove_holes_to_fixpoint(q)
@@ -336,6 +378,8 @@ def greedy_from_zero(q):
             q = cleaned
         for rule in rules:
             i = rule.first_match(q.core.columns)
+            while i is not None and _inside(q, i, rule.SPAN):  # skipped, as the splice refuses it
+                i = rule.first_match(q.core.columns, i + 1)
             if i is not None:
                 repl, scalar = rule.rewrite(q.core.columns, i)
                 q = full_splice(q, i, rule.SPAN, repl, q.core.amplitude * scalar)
