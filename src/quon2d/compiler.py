@@ -18,7 +18,13 @@ written as sub-gates by `_SUBGATES`; together they are keyed by the names of
   decomposition with single-qubit Cliffords,
 * CZ: no block; it is written into the gate stream as H(t) CNOT(c, t) H(t),
   so it is Clifford-form with the one notch of its CNOT,
-* SWAP: a full 16-crossing weave of negative braids with its two cuts.
+* SWAP: a full 16-crossing weave of negative braids with its two cuts:
+  pure rewiring, since the evaluator takes a braid as a crossing of two
+  worldlines (`gaussian`), which adds no points, so a SWAP costs its
+  16 crossings' scalars and the trace that follows them.
+
+The braids of S, H and the RXQ gates are crossings too: a compiled
+circuit's points are its Pauli dot pairs and its rotations' scatterings.
 
 `quon_to_dense_tensor` enumerates basis assignments over every open interval
 (top intervals left to right, then bottom ones), which is also how tensor
@@ -53,6 +59,7 @@ from .errors import (
     NonPlanarInput,
     TooManyLegs,
     UnknownGenerator,
+    UnknownMode,
 )
 from .quon import (
     BOTTOM,
@@ -327,7 +334,10 @@ def contract_legs(q: QuonDiagram, interval_a: int, interval_b: int,
     """Glue two same-side open intervals through the resolution of the
     identity.  Neighboring intervals connect directly; non-neighboring ones
     are routed across the intervening strands with positive braids and add
-    one ParityCut (a puncture)."""
+    one ParityCut (a puncture).  Any other `mode` raises UnknownMode."""
+    if mode not in ("neighboring", "non_neighboring"):
+        raise UnknownMode(
+            f"contract_legs mode is 'neighboring' or 'non_neighboring', not {mode!r}")
     try:
         iv_a = q.open_intervals[interval_a]
         iv_b = q.open_intervals[interval_b]

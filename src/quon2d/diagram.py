@@ -19,7 +19,10 @@ Conventions fixed here and relied on everywhere else:
   projection push and the rewrite rules all read this one statement.
 * A braid is PHASE times the vertical Scattering(j, -SIGN * pi/2): SIGN = 1
   and PHASE = exp(i pi/8) for BraidPos, SIGN = -1 and PHASE = exp(-i pi/8)
-  for BraidNeg (SIGN is 0 for other kinds).
+  for BraidNeg (SIGN is 0 for other kinds).  It is a(1 + mu g_j g_{j+1})
+  with mu = -SIGN, a times sqrt2 times the unitary U with U g_j = -mu g_{j+1} U
+  and U g_{j+1} = mu g_j U: a crossing of the two worldlines, each carried
+  to the other's position with a sign (CROSSING holds each kind's mu).
 * Scattering angles are stored exactly as given (complex allowed, 2pi
   periodic); "generic" means further than EPS_ANGLE from every integer
   multiple of pi/2 in the complex plane.
@@ -65,6 +68,7 @@ class _Element:
     width_delta = 0  # strands added to the slice
     dots = 0  # Majorana operators inserted
     SIGN = 0  # a braid's sign, +1 or -1; 0 for every other kind
+    CROSSING = 0  # a braid's mu = -SIGN, the sign of its crossing; 0 for every other kind
     TWO = 1  # 1 for two positions, 0 for a dot's one
 
     def __post_init__(self):
@@ -164,6 +168,7 @@ class BraidPos(_Element):
     KIND = "braid_pos"
     CODE = 4
     SIGN = 1
+    CROSSING = -1
     PHASE = cmath.exp(1j * math.pi / 8)
     WEIGHTS = _braid_weights(SIGN, PHASE)
 
@@ -175,6 +180,7 @@ class BraidNeg(_Element):
     KIND = "braid_neg"
     CODE = 5
     SIGN = -1
+    CROSSING = 1
     PHASE = cmath.exp(-1j * math.pi / 8)
     WEIGHTS = _braid_weights(SIGN, PHASE)
 
@@ -280,6 +286,11 @@ BY_CODE = tuple(sorted(Element.__args__, key=lambda cls: cls.CODE))  # kind code
 # positions must fit (0 for other kinds), 1 for two positions (0 for a dot),
 # whether it is a scattering, the dots, the sign and the adjoint's code
 WIDTH_DELTA = tuple(cls.width_delta for cls in BY_CODE)
+# by kind code: a braid's mu, +-1, 0 for every kind that is no crossing.
+# The worldline crossing from position j to j + 1 picks up the sign -mu, i^(1
+# + mu), the one crossing from j + 1 to j the sign mu, i^(1 - mu), the same
+# either way along the worldline.  `wires` and `gaussian` read crossings here
+CROSSING = tuple(cls.CROSSING for cls in BY_CODE)
 GROWN = tuple(max(delta, 0) for delta in WIDTH_DELTA)
 TWO = tuple(cls.TWO for cls in BY_CODE)
 SCATTERING = tuple(issubclass(cls, _ScatteringKind) for cls in BY_CODE)

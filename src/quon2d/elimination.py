@@ -13,8 +13,12 @@ a buffer the size of the window (`_Window`) only when the window reaches it,
 so with a window of width w it costs O(N w^2) time and O(nnz + w^2) memory.
 W of an L x L Ising lattice in time order has bandwidth about 4L, and the
 window stays near it: at L = 14 (N = 728, bandwidth 55) the buffer is at
-most 244 rows wide.  A dense matrix, such as a compiled circuit's W, opens
-the whole matrix at step 0 and costs O(N^3).
+most 244 rows wide.  A dense matrix opens the whole matrix at step 0 and
+costs O(N^3).  A compiled circuit's W is dense, since its encoder loops run
+through the whole circuit, but small: its braids are crossings of the
+wiring, so its points are its dot pairs and rotations, about 22 for a
+3-qubit amplitude of the benchmark, where the per-step overhead below costs
+more than the arithmetic.
 
 Cost model.  A step makes about 25 NumPy calls whatever the window's width,
 so on a narrow window their overhead, not the O(w) to O(w^2) arithmetic,

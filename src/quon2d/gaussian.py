@@ -1,48 +1,72 @@
 """Polynomial-time evaluator for closed Majorana diagrams.
 
-Every element but a cap or cup is a*1 + b*M (`diagram`'s convention): a
-times (1 + mu * g_j g_{j+1}), mu = i*b/a, an optional point pair, or, for
-a negligible a, b*M with mandatory points, so a closed diagram is a free
-(caps/cups only) wiring decorated with points.  The wiring decomposes into
-loops worth sqrt(2) each; insertions contract pairwise by Wick's theorem, and
-the weighted sum over insertion subsets collapses into a single Pfaffian:
+A closed diagram is a wiring of caps, cups and crossings decorated with
+points.  A braid is a(1 + mu g_j g_{j+1}) with mu = +-1, a sqrt2 times a
+unitary that carries each of its two worldlines to the other's position
+with a sign (`diagram.CROSSING`): a crossing, which gives its scalar a
+sqrt2 and no points.  Every other element but a cap or cup is a*1 + b*M
+(`diagram`'s convention): a times (1 + mu * g_j g_{j+1}), mu = i*b/a, an
+optional point pair, or, for a negligible a, b*M with mandatory points.
+The wiring decomposes into loops (`wires.WireTrace`, which follows the
+crossings); insertions contract pairwise by Wick's theorem, and the
+weighted sum over insertion subsets collapses into a single Pfaffian:
 
-    value = amplitude * sqrt(2)^loops * prod(alpha_t * mu_t)
-            * prod(mandatory scalars) * Pf(G + pair-couplings(1/mu))
+    value = amplitude * V * prod(alpha_t * mu_t) * prod(mandatory scalars)
+            * Pf(G + pair-couplings(1/mu))
+
+where V, the vacuum of the wiring, is sqrt(2)^loops times a phase
+(`_vacuum`): 1 for caps and cups alone; with crossings a product of
+exp(+-i pi/4) and a sign that knotted wirings carry, found by making the
+crossings one at a time: three BraidPos on the middle strands of two caps
+closed by two cups (a trefoil) have V = -sqrt2, and three BraidPos between
+one cap and cup (three twists of one loop) sqrt2 exp(3i pi/4).
 
 A contraction G(x, y) moves the dot x along its loop onto y's strand by
 exact moves, until g^2 = 1 is left: sliding in time along a strand (-1
-whenever it passes y on another strand) and hopping across a turn (a dot on
-the left arm of a cap, or the right arm of a cup, is i times the dot on the
-other arm).  `contraction_matrix` reads the trace's one walk of each loop
-(`wires.Walk`), which leaves the loop's smallest segment through its birth
-turn and each segment through the turn it did not enter by.  Segment k of
-the walk has its exit boundary (the turn's slice + 1/4 for a cap, - 1/4 for
-a cup), its span from entry to exit boundary, and the exponent e of the
-phase collected before its exit: a turn adds 1 from the left arm of a cap
-or the right arm of a cup, 3 otherwise.  E is the loop's total.  For x
-before y in time on segments a != b of one loop
+whenever it passes y on another strand), through a crossing (the sign
+i^(1 + mu) from position j to j + 1, i^(1 - mu) from j + 1 to j) and
+hopping across a turn (a dot on the left arm of a cap, or the right arm of
+a cup, is i times the dot on the other arm).  `contraction_matrix` reads
+the trace's one walk of each loop (`wires.Walk`), which leaves the loop's
+smallest segment through its birth turn and each segment through the turn
+it did not enter by.  Segment k of the walk has its exit boundary (the
+turn's slice + 1/4 for a cap, - 1/4 for a cup) and its span from entry to
+exit boundary.  A point's phase exponent e(x) (`WireTrace.phases`) is the
+walk's e at its segment's entry (a turn adds 1 from the left arm of a cap
+or the right arm of a cup, 3 otherwise, and a crossing its sign's
+exponent) plus the crossings its segment passes before it.  E is the
+loop's total.  For x before y in time on segments a != b of one loop
 
-    G(x, y) = i^(e_b - e_a) * (i^E if k_a > k_b) * (-1)^c,
+    G(x, y) = i^(e(y) - e(x)) * (i^E if k_a > k_b) * (-1)^c,
 
 where c counts the spans strictly between a and b, going forward, that hold
 t_y strictly inside, plus one if t_y lies strictly between t_x and a's exit.
-G is 1 within a segment and 0 across loops.  The moves walk x out through
-a's birth turn, for some segments the other way round, to the same entry:
-backward turns give inverse factors, so the phases differ by i^E = -1 (on
-every loop), and the counts c by an odd number, the strands of the loop at
-time t_y other than y's own.
+G is i^(e(y) - e(x)), a sign, within a segment and 0 across loops.  The
+moves walk x out through a's birth turn, for some segments the other way
+round, to the same entry: backward turns give inverse factors, so the
+phases differ by i^E, and the counts c by an odd number, the strands of
+the loop at time t_y other than y's own.  So i^E = -1 wherever V is not 0.
 
-The gauge.  With D = diag(i^e(x)), e(x) the e of x's segment, and E = 2
-(mod 4), every contraction of D G D is exactly +-1: (-1)^(e_b + c +
-[k_a > k_b]) for x before y on segments a != b, (-1)^e within a segment.
-`contraction_matrix` returns these, from integer parities, in float64.  An
-optional pair's 1/mu becomes i^(e_x + e_(x+1)) / mu, and W is float64 when
-every such entry is exactly real, else complex128: real for a square Ising
-lattice (its scatterings' mu is imaginary, e_x + e_(x+1) odd), complex for
-a compiled circuit, and for a braid's mu = +-1 on one loop (the generic
-Ising builder's), which no gauge of that loop makes real.  On every
-principal submatrix Pf(D W D) = i^(sum of e) Pf(W), so each term is
+Twisted loops.  A loop whose E = 0 (mod 4) is twisted: moving a dot once
+round it gives the vacuum minus itself, so V = 0.  Caps and cups alone
+never twist a loop (E = 2 on each); crossings can.  The identity
+B(mu) = mu g_j g_{j+1} B(-mu) flips a crossing for one mandatory dot pair;
+on a crossing of two loops it toggles the twist of both.  `_untwisting`
+pairs the twisted loops along a spanning forest of the loop-crossing graph
+and flips the forest's edges on those paths (a T-join); a tree with an odd
+number of twisted loops makes the value 0.  After the flips E = 2 (mod 4)
+on every loop, and the formula above holds for the flipped wiring, its
+flips' dot pairs among the mandatory points.
+
+The gauge.  With D = diag(i^e(x)) and E = 2 (mod 4), every contraction of
+D G D is exactly +-1: (-1)^(e(y) + c + [k_a > k_b]) for x before y on
+segments a != b, (-1)^e(y) within a segment.  `contraction_matrix` returns
+these, from integer parities, in float64.  An optional pair's 1/mu becomes
+i^(e_x + e_(x+1)) / mu, and W is float64 when every such entry is exactly
+real, else complex128: real for an Ising lattice, square or generic (its
+scatterings' mu is imaginary, e_x + e_(x+1) odd, and its braids are
+crossings), complex for a compiled circuit with a generic rotation.  On
+every principal submatrix Pf(D W D) = i^(sum of e) Pf(W), so each term is
 multiplied by i^-(sum of e over the core and its points).  No |entry|
 changes, so pivots, deferrals and blocks see the same magnitudes.
 
@@ -80,7 +104,10 @@ The matrix W is kept as its nonzeros, row by row (`_Rows`, built by
 and eliminated by the windowed, blocked Parlett-Reid of `elimination.py`,
 which holds only the rows its window has reached: a banded W, such as an
 Ising lattice's, costs O(nnz + w^2) memory and O(N w^2) time for a window
-of width w, a dense W, such as a compiled circuit's, O(N^3).  Each pivot
+of width w, a dense W O(N^3).  A compiled circuit's W is dense (its encoder
+loops run through the whole circuit) but small: its points are its dot
+pairs and rotations only, about 22 for the benchmark's 3-qubit amplitudes,
+whose 45 braids would add 90 as point pairs.  Each pivot
 step there makes about 25 NumPy calls, which on a narrow window cost more
 than its arithmetic, so a banded W is eliminated BLOCK core rows at a time
 where it can: the block A11 is kept when its inverse is finite,
@@ -102,11 +129,13 @@ stack per step.  Everything here is validated against the Fock oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .diagram import MajoranaDiagram
+from .diagram import CROSSING, WIDTH_DELTA, MajoranaDiagram
 from .elimination import (
     _eliminate,
     _ldexp,
@@ -176,15 +205,17 @@ def pfaffian(mat: np.ndarray) -> complex:
     return complex(_ldexp(pf * _pfaffians(schur[None])[0], x))
 
 
-def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Rows:
+def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray, e: np.ndarray) -> _Rows:
     """The antisymmetric matrix W of the contractions G(x, y) of the points
-    on the segments `seg` at the times `t`, read from the walk of `trace`, a
-    closed diagram's, each gauged to +-1 in float64 (see the module
-    docstring), as its nonzeros (`_Rows`): the pairs of points on one loop,
-    each once.  Row r lists the points of its loop before it, in order, so
-    the pairs are enumerated row by row with no sort of them, and the cost
-    is the sum over loops of points^2, not N^2.  They are computed in blocks of rows of about PAIRS entries, so
-    no array but the result's is as long as the list of pairs."""
+    on the segments `seg` at the times `t`, with the phase exponents `e`
+    (`WireTrace.phases`), read from the walk of `trace`, a closed
+    diagram's, each gauged to +-1 in float64 (see the module docstring), as
+    its nonzeros (`_Rows`): the pairs of points on one loop, each once.
+    Row r lists the points of its loop before it, in order, so the pairs
+    are enumerated row by row with no sort of them, and the cost is the sum
+    over loops of points^2, not N^2.  They are computed in blocks of rows of
+    about PAIRS entries, so no array but the result's is as long as the list
+    of pairs."""
     n = len(seg)
     if not n:  # bare loops have nothing to contract
         return _Rows(np.zeros(1, dtype=int), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
@@ -203,7 +234,7 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
     place = np.empty(len(exits), dtype=int)  # each segment's walk place
     place[walk.order] = np.arange(len(exits))
     at = place[seg]
-    loop, k, e = loop_w[at], k_w[at], np.array(walk.phase)[at]
+    loop, k = loop_w[at], k_w[at]
     # prefix[y, j]: spans among the first j of y's loop that hold t_y strictly inside
     prefix = np.zeros((n, lo.shape[1] + 1), dtype=int)
     np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
@@ -240,17 +271,203 @@ def contraction_matrix(trace: WireTrace, seg: np.ndarray, t: np.ndarray) -> _Row
     return w
 
 
+def _opened(partner: list, sign: list, j: int) -> list:
+    """The pairing of a slice after a turn opens the strands j, j + 1 as a
+    pair (i g_j g_(j+1) = +1): `partner` moved, and `sign` extended in place."""
+    partner = [p + 2 if p >= j else p for p in partner]
+    partner[j:j] = (j + 1, j)
+    sign[j:j] = (0, 2)
+    return partner
+
+
+def _closed(partner: list, sign: list, j: int) -> list:
+    """The pairing of a slice after a turn closes the strands j, j + 1: their
+    partners p, q are paired with i g_p g_q = -(i g_j g_p)(i g_(j+1) g_q),
+    `partner` moved, and `sign` shortened in place."""
+    p, q = partner[j], partner[j + 1]
+    if p != j + 1:
+        partner[p], partner[q] = q, p
+        sign[p] = (2 + sign[j] + sign[j + 1]) % 4
+        sign[q] = (sign[p] + 2) % 4
+    del partner[j:j + 2], sign[j:j + 2]
+    return [p - 2 if p > j + 1 else p for p in partner]
+
+
+def _contraction(partner: list, sign: list, bra: list, bra_sign: list, j: int) -> int | None:
+    """<b| g_j g_(j+1) |a> / <b|a> as k with the value i^k, None for 0, for
+    the states |a> and <b| of a slice given by their pairings: strand p is
+    paired with partner[p] and i g_p g_partner[p] |a> = i^sign[p] |a>, and
+    likewise <b| by bra, bra_sign.  It follows the loop of the two pairings
+    from j + 1, replacing g_y by i^(1 + sign[y]) g_partner[y] on |a> and, on
+    <b|, by -i^(1 + bra_sign[y]) g_bra[y], until it meets j (0 when it comes
+    back to j + 1 first)."""
+    k, y = 0, j + 1
+    while True:
+        p = partner[y]
+        if p == j:
+            return (k + 3 + sign[j]) % 4
+        k += 1 + sign[y]
+        q = bra[p]
+        if q == j:
+            return (k + 1 + bra_sign[p]) % 4
+        k += 3 + bra_sign[p]
+        y = q
+        if y == j + 1:
+            return None
+
+
+def _untwisting(trace: WireTrace) -> list[int] | None:
+    """The crossings (indices into `trace.crossed`) to flip so that no loop
+    of a closed diagram's wiring is twisted, None when that cannot be.
+
+    A twisted loop, one of total E = 0 (mod 4), has the vacuum 0: moving a
+    dot once round it gives i^E times -1 per other strand of it at the
+    dot's time, an odd number.  U(mu) = mu g_j g_(j+1) U(-mu) flips a
+    crossing for a mandatory dot pair, which changes the E of each of its
+    worldlines by 2: on two loops it toggles the twist of both.  So the
+    twisted loops are paired along a spanning forest of the graph of loops
+    joined by crossings, and the forest's edges on those paths are flipped
+    (a T-join: an edge is flipped when the subtree below it holds an odd
+    number of twisted loops).  A tree with an odd number of twisted loops
+    leaves one twisted whatever is flipped, so the value is 0 (every term
+    has an even number of points on the crossings' loops, whose parity the
+    wiring keeps)."""
+    odd = [total % 4 == 0 for total in trace.walk.totals]
+    if not any(odd):
+        return []
+    labels = trace.worldline_labels()
+    joined: dict[int, list] = {}
+    for f, c in enumerate(trace.crossed):
+        a, b = labels[trace.first[c]], labels[trace.last[c]]
+        if a != b:
+            joined.setdefault(a, []).append((b, f))
+            joined.setdefault(b, []).append((a, f))
+    up, order = {}, []  # loop -> (parent loop, crossing); loops, parents first
+    for root in range(len(odd)):
+        if root in up:
+            continue
+        up[root] = None
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u, f in joined.get(v, ()):
+                if u not in up:
+                    up[u] = v, f
+                    stack.append(u)
+    flipped = []
+    for v in reversed(order):
+        if up[v] is None:
+            if odd[v]:
+                return None
+        elif odd[v]:
+            parent, f = up[v]
+            flipped.append(f)
+            odd[parent] = not odd[parent]
+    return flipped
+
+
+def _vacuum(trace: WireTrace, flipped) -> tuple[int, list[int]]:
+    """The phase of the vacuum of a closed diagram's wiring, its caps, cups
+    and crossings (braids as the unitaries U = (1 + mu g_j g_(j+1)) / sqrt2),
+    the crossings `flipped` (indices into `trace.crossed`) taken with -mu:
+    (n, passed) with the vacuum exp(i pi n / 4) sqrt2^loops once the
+    crossings `passed` are flipped too.
+
+    The crossings are made one at a time in time order, the wiring below
+    each one still uncrossed: U multiplies the vacuum by (1 + mu G) / sqrt2,
+    where G is the contraction of g_j g_(j+1) at the crossing between the
+    state above it, with every earlier crossing made, and the uncrossed
+    wiring below (`_contraction`).  G is 0 (two loops merge), mu (a loop
+    splits), +-i (a loop is twisted back into one: a phase exp(+-i pi/4)),
+    or -mu, which would make this partly crossed vacuum 0 (two twisted
+    loops) even where the whole one is not.  That crossing is passed with
+    -mu; `_unflipped` restores it.  The states are pairings of the slice's
+    strands (`_opened`, `_closed`); a crossing moves each arm to the other
+    position with the signs of its mu (`diagram.CROSSING`).  The vacuum of a
+    knotted wiring carries a sign (a trefoil's is -sqrt2) that no phase per
+    crossing gives, which is why the crossings are made in turn."""
+    kind, first = trace.diagram.columns.kind, trace.diagram.columns.j
+    at = {int(trace.quiet[c]): i for i, c in enumerate(trace.crossed)}
+    bras, partner, sign = {}, [], []
+    for t in range(len(kind) - 1, -1, -1):  # the uncrossed wiring below each crossing
+        grown = WIDTH_DELTA[kind[t]]
+        if grown < 0:
+            partner = _opened(partner, sign, first[t])
+        elif grown:
+            partner = _closed(partner, sign, first[t])
+        elif t in at:
+            bras[t] = partner[:], sign[:]
+    n, passed, partner, sign = 0, [], [], []
+    for t, code in enumerate(kind):
+        grown = WIDTH_DELTA[code]
+        if grown > 0:
+            partner = _opened(partner, sign, first[t])
+        elif grown:
+            partner = _closed(partner, sign, first[t])
+        elif t in at:
+            j = first[t]
+            k = _contraction(partner, sign, *bras[t], j)
+            mu = -CROSSING[code] if at[t] in flipped else CROSSING[code]
+            if k is not None:
+                k = (k + 1 - mu) % 4  # mu G = i^k
+                if k == 2:
+                    passed.append(at[t])
+                    mu = -mu
+                elif k:
+                    n += 2 - k  # 1 +- i = sqrt2 exp(+-i pi/4)
+            p, q = partner[j], partner[j + 1]
+            if p != j + 1:  # i g_j g_p goes to -mu i g_(j+1) g_p, i g_(j+1) g_q to mu i g_j g_q
+                partner[j], partner[j + 1], partner[p], partner[q] = q, p, j + 1, j
+                sign[j], sign[j + 1] = (sign[j + 1] + 1 - mu) % 4, (sign[j] + 1 + mu) % 4
+                sign[p], sign[q] = (sign[j + 1] + 2) % 4, (sign[j] + 2) % 4
+    return n, passed
+
+
+def _unflipped(trace: WireTrace, flipped: list[int], passed: list[int], mus) -> complex:
+    """V(flipped) / V(flipped ^ passed), the vacua of the wiring with the
+    crossings `flipped`, then also `passed`, taken with -mu: prod(mu) times
+    the contraction of the passed crossings' dot pairs mu g_j g_(j+1) in
+    the second, i^-(sum of e) Pf(W) as in `PreparedDiagram`; `mus` are the
+    passed crossings' mu in the first.  Each pair sits right after its
+    crossing, g_(j+1), on the worldline that came from j, acting first."""
+    c = np.array(trace.crossed, dtype=int)[passed]  # `passed` is in time order
+    seg = np.stack([np.array(trace.first)[c], np.array(trace.last)[c]], axis=1).ravel()
+    time = (trace.quiet[c][:, None] + np.array([0.0, _SUB])).ravel()
+    e = trace.phases(seg, time, sorted(set(flipped) ^ set(passed)))
+    pf, x, _, schur, _ = _eliminate(contraction_matrix(trace, seg, time, e), len(seg))
+    pf = complex(_ldexp(pf * _pfaffians(schur[None])[0], x))  # as `pfaffian` does
+    return complex(np.prod(mus)) * _PHASES[-int(e.sum()) % 4] * pf
+
+
+class Wiring(NamedTuple):
+    """A closed diagram's trace and the crossings flipped so that no loop
+    is twisted (`_untwisting`; indices into the trace's `crossed`)."""
+
+    trace: WireTrace
+    flipped: list[int]
+
+    def phases(self, seg: np.ndarray, time: np.ndarray) -> np.ndarray:
+        """The phase exponent e of each point (`WireTrace.phases`)."""
+        return self.trace.phases(seg, time, self.flipped)
+
+
 def assemble_frontier(diag: MajoranaDiagram):
     """Sweep a closed diagram into ((amplitude, x), seg, time, pair, mus,
-    trace), reading its columns (`diagram.Columns`) and its trace: the
+    wiring), reading its columns (`diagram.Columns`) and its trace: the
     weights of all elements but caps and cups are computed as arrays
     (`Columns.weights`), and whether an element has two positions is read
-    off the trace's segments at its first and last.  The diagram's
-    amplitude times its element weights and sqrt(2) per loop is
-    amplitude * 2^x, renormalised as in `_eliminate`, so it neither
-    overflows nor underflows.  The points, in time order, are the arrays
-    seg (each one's segment), time and pair (its optional pair's index into
-    mus, the pairs' mu, -1 for a mandatory point)."""
+    off the trace's segments at its first and last.  A braid is a crossing
+    of the wiring, not a point pair: it gives its weight a times sqrt2.  The
+    crossings `_untwisting` flips each give a mandatory dot pair
+    mu g_j g_(j+1) after the crossing, and the vacuum of the wiring with
+    them flipped (`_vacuum`, `_unflipped`) its phase.  The
+    diagram's amplitude times its element weights, the vacuum's phase and
+    sqrt(2) per loop is amplitude * 2^x, renormalised as in `_eliminate`, so
+    it neither overflows nor underflows.  The points, in time order, are
+    the arrays seg (each one's segment), time and pair (its optional pair's
+    index into mus, the pairs' mu, -1 for a mandatory point); `wiring` (a
+    `Wiring`) gives their phases."""
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
@@ -261,13 +478,33 @@ def assemble_frontier(diag: MajoranaDiagram):
     two = ends[0] != ends[1]  # two positions, not a dot's one
     size_a, size_b = abs(a), abs(b)
     inserting = size_b > MU_MIN * size_a  # the others are the scalar a
+    crossed = np.array(trace.crossed, dtype=int)
+    inserting[crossed] = False  # a crossing has its scalar a sqrt2 and no points
     paired = inserting & (size_a > MU_MIN * size_b)
     # a pure insertion b * i^(n//2) g_{s1} ... g_{sn} has mandatory points;
     # every other element a + b*M is a * (1 + mu * M), mu = i b / a
     mus = 1j * b[paired] / a[paired]
     factors = np.where(inserting, b * np.where(two, 1j, 1), a)
     factors[paired] = a[paired] * mus
-    amplitude, x = _times(*_renormalised(complex(diag.amplitude), 0), factors)
+    amplitude = complex(diag.amplitude)
+    flipped: list[int] = []
+    if len(crossed):
+        factors[crossed] *= _SQRT2
+        flipped = _untwisting(trace)
+        if flipped is None:  # a twisted loop that no flip removes: the value is 0
+            amplitude, flipped = 0j, []
+        mu = np.array(CROSSING)[np.array(diag.columns.kind)[quiet[crossed]]]
+        mu[flipped] *= -1
+        turns, passed = _vacuum(trace, set(flipped))
+        amplitude *= cmath.exp(1j * math.pi / 4 * (turns % 8))
+        if passed:
+            amplitude *= _unflipped(trace, flipped, passed, mu[passed])
+        for f in flipped:  # mu g_j g_(j+1) after the crossing: g_(j+1) acts first
+            c = crossed[f]
+            factors[c] *= -mu[f]
+            inserting[c] = True
+            ends[:, c] = ends[::-1, c]
+    amplitude, x = _times(*_renormalised(amplitude, 0), factors)
 
     # each inserting element's points, the rightmost position acting first
     owner = inserting.nonzero()[0]
@@ -289,7 +526,7 @@ def assemble_frontier(diag: MajoranaDiagram):
             amplitude, x = m, x + s
         amplitude, x = _renormalised(amplitude * _SQRT2 ** step, x)
         loops -= step
-    return (amplitude, x), seg, time, pair, mus, trace
+    return (amplitude, x), seg, time, pair, mus, Wiring(trace, flipped)
 
 
 class PreparedDiagram:
@@ -335,7 +572,8 @@ class PreparedDiagram:
     def __init__(self, diag: MajoranaDiagram, groups=()):
         if len(groups) > MAX_GROUPS:
             raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
-        (self.amplitude, self._amp_exp), seg, time, pair, mus, trace = assemble_frontier(diag)
+        (self.amplitude, self._amp_exp), seg, time, pair, mus, wiring = assemble_frontier(diag)
+        trace = wiring.trace
         core = len(seg)
         extra_seg: list[int] = []
         extra_time: list[float] = []
@@ -356,9 +594,8 @@ class PreparedDiagram:
         later = (core - np.searchsorted(time, extra_time, side="right")).tolist()
         self._flips = np.array([sum(later[i] for i in group) for group in self._groups], dtype=int)
         segs = np.concatenate([seg, np.array(extra_seg, dtype=int)])
-        e = np.zeros(len(trace.walk.order), dtype=int)  # each segment's walk phase
-        e[trace.walk.order] = trace.walk.phase
-        e = e[segs] % 4  # the gauge i^e of each point (see the module docstring)
+        times = np.concatenate([time, extra_time])
+        e = wiring.phases(segs, times) % 4  # the gauge i^e of each point (module docstring)
         self._core_gauge = int(e[:core].sum())
         self._gauge = np.array([e[core:][group].sum() for group in self._groups], dtype=int)
         pairs = _PHASES[(e[paired[::2]] + e[paired[1::2]]) % 4] * (1.0 / mus)
@@ -372,8 +609,7 @@ class PreparedDiagram:
         # reference to its nonzeros.
         with np.errstate(over="ignore", invalid="ignore"):
             self._pf, pf_exp, self._eliminated, self._schur, self._largest = _eliminate(
-                contraction_matrix(trace, segs, np.concatenate([time, extra_time])).plus_pairs(
-                    paired[::2], pairs),
+                contraction_matrix(trace, segs, times, e).plus_pairs(paired[::2], pairs),
                 core)
         self._exp = self._amp_exp + pf_exp  # applied last, to amplitude * term
         self._deferred = core - self._eliminated

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import gaussian
 from .diagram import (
-    SIGN,
+    CROSSING,
     WIDTH_DELTA,
     Cap,
     Columns,
@@ -321,7 +321,8 @@ def parity_string_elements(strands: tuple[int, ...]) -> Columns:
     """The global-parity dot string on `strands`: simultaneous dots paired
     left to right, as columns."""
     ordered = sorted(strands)
-    return Columns.of_elements(DotPair(a, b) for a, b in zip(ordered[::2], ordered[1::2]))
+    return Columns.of_rows((DotPair.CODE, a, b, 0j, False)
+                           for a, b in zip(ordered[::2], ordered[1::2]))
 
 
 def all_projections(q: QuonDiagram) -> tuple[ParityCut, ...]:
@@ -452,14 +453,10 @@ def encoder_dots(bits) -> list[int]:
     return [k for k, b in enumerate(bits) if b] + ([len(bits)] if sum(bits) % 2 else [])
 
 
-def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
-    """Ket-form encoder |b> for one interval: pairing data plus simultaneous
-    dots on the `encoder_slots` its bits select (`encoder_dots`), normalized
-    so <b|b'> = delta.
-
-    The normalization 2^{-(p+1)/4} makes the p+1 pairing loops of <b|b>
-    evaluate to one (1/sqrt2 in the one-qubit case).
-    """
+def _ket(interval: OpenInterval, bits) -> tuple[Columns, complex]:
+    """The rows and amplitude of the ket encoder |bits> of one interval
+    (`encoder_ket`); bits that are no bits raise InvalidBit, a count other
+    than the interval's qubits BitLengthMismatch."""
     bits = basis_bits(bits)
     if len(bits) != interval.qubit_count:
         raise BitLengthMismatch(
@@ -468,7 +465,18 @@ def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
     slots = encoder_slots(interval)
     columns = Columns.joined((interval.pairing_data.columns,
                               parity_string_elements(tuple(slots[k] for k in encoder_dots(bits)))))
-    amp = interval.pairing_data.amplitude * 2.0 ** (-(interval.qubit_count + 1) / 4)
+    return columns, interval.pairing_data.amplitude * 2.0 ** (-(interval.qubit_count + 1) / 4)
+
+
+def encoder_ket(interval: OpenInterval, bits) -> MajoranaDiagram:
+    """Ket-form encoder |b> for one interval: pairing data plus simultaneous
+    dots on the `encoder_slots` its bits select (`encoder_dots`), normalized
+    so <b|b'> = delta.
+
+    The normalization 2^{-(p+1)/4} makes the p+1 pairing loops of <b|b>
+    evaluate to one (1/sqrt2 in the one-qubit case).
+    """
+    columns, amp = _ket(interval, bits)
     return MajoranaDiagram(0, interval.size, columns, amp)
 
 
@@ -477,15 +485,17 @@ def encoder_closure(intervals, bits, side: str) -> tuple[Columns, complex]:
     per-interval `bits`, read by `encode_basis`, the oracle route and the
     push (`wires`): on the top the kets (`encoder_ket`) left to right, each
     on its strands; on the bottom their daggers, the bras, left to right,
-    each from strand 0, as the bras before it closed the strands to its left."""
+    each from strand 0, as the bras before it closed the strands to its left.
+    The rows are built as rows (`_ket`), with no diagram per interval: they
+    fit by construction, and a splice checks them where they are used."""
     if len(bits) != len(intervals):
         raise BitLengthMismatch(f"{len(bits)} bit groups for {len(intervals)} intervals")
     parts, amplitude = [], 1 + 0j
     for iv, b in sorted(zip(intervals, bits), key=lambda p: p[0].start):
         if iv.side == side:
-            ket = encoder_ket(iv, b)
-            parts.append(ket.columns.shifted(iv.start) if side == TOP else ket.columns.dagger())
-            amplitude *= ket.amplitude if side == TOP else ket.amplitude.conjugate()
+            rows, amp = _ket(iv, b)
+            parts.append(rows.shifted(iv.start) if side == TOP else rows.dagger())
+            amplitude *= amp if side == TOP else amp.conjugate()
     return Columns.joined(parts), amplitude
 
 
@@ -664,7 +674,7 @@ def _touches_swap_pattern(core: MajoranaDiagram, cut: ParityCut) -> bool:
     for start, step in ((cut.time_index, +1), (cut.time_index - 1, -1)):
         positions = []
         t = start
-        while 0 <= t < len(core) and SIGN[core.columns.kind[t]]:  # a braid
+        while 0 <= t < len(core) and CROSSING[core.columns.kind[t]]:  # a braid
             positions.append(core.columns.j[t])
             t += step
         if not positions:

@@ -41,6 +41,7 @@ import numpy as np
 
 from .diagram import (
     BY_CODE,
+    CROSSING,
     DAGGER,
     HORIZONTAL,
     SCATTERING,
@@ -99,7 +100,7 @@ class RewriteSite:
 
 
 _CAP, _CUP, _DOT, _PAIR, _SCATTERING = Cap.CODE, Cup.CODE, Dot.CODE, DotPair.CODE, Scattering.CODE
-_BRAIDS = (BraidPos.CODE, BraidNeg.CODE)
+_BRAIDS = tuple(code for code, mu in enumerate(CROSSING) if mu)
 _SCATTERINGS = (Scattering.CODE, ScatteringStar.CODE)
 
 

@@ -241,8 +241,9 @@ def emit_dot(q: QuonDiagram) -> str:
             touched[sid].append(f"e{t}")
     bottom = {sid: pos for pos, sid in enumerate(trace.slices[-1])}
     for sid, touches in enumerate(touched):
-        ends = [f"e{trace.turn_elem[tid]}" for tid in (trace.birth[sid], trace.death[sid])
-                if tid >= 0] + touches
+        birth, death = ([f"e{trace.turn_elem[tid]}"] if tid >= 0 else []
+                        for tid in (trace.birth[sid], trace.death[sid]))
+        ends = birth + touches + death  # in time order
         if trace.birth[sid] < 0:  # the top slice holds segments 0, 1, ... in order
             lines.append(f'  top{sid} [label="in {sid}", shape=plaintext];')
             ends.insert(0, f"top{sid}")

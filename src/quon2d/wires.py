@@ -1,15 +1,20 @@
 """Worldline tracing for Majorana diagrams.
 
 Strand positions are ephemeral (caps and cups shift them); most structural
-reasoning needs the worldline a position belongs to.  Braids and scatterings
-are treated as position-preserving here: a segment counts the elements that
-touch it, which is all the quietness predicates (boundary tracking,
-string-genus loops) ever ask.  A trace is read from the diagram's columns
+reasoning needs the worldline a position belongs to.  A braid is a crossing
+(`diagram.CROSSING`): its two worldlines swap positions, each with a sign,
+so a segment runs from a turn to a turn through any number of crossings.
+Scatterings, dots and dot pairs keep positions.  A segment counts the
+elements that touch it, braids included, which is all the quietness
+predicates (boundary tracking, string-genus loops) ever ask: a quiet
+worldline passes no braid, so they see the same worldlines as when braids
+kept positions.  A trace is read from the diagram's columns
 (`diagram.Columns`, the one form a diagram stores), one step per element,
 and held as flat per-segment and per-turn lists; its worldlines are walked
 once (`Walk`): the walk gives the worldline groups and, on a closed loop,
 the phases and exit boundaries from which `gaussian.contraction_matrix`
-reads its contractions.
+reads its contractions (`WireTrace.phases` adds the crossings a point's
+segment passes before it).
 
 `projection_eigenvalues` follows the Majorana monomial of a projection
 through the same columns, row by row, with its exact phase, to find the
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagram import WIDTH_DELTA, Columns, MajoranaDiagram, row_weights
+from .diagram import CROSSING, WIDTH_DELTA, Columns, MajoranaDiagram, row_weights
 
 TOP = "top"  # the sides of an open interval
 BOTTOM = "bottom"
@@ -39,11 +44,14 @@ class Walk(NamedTuple):
     segment id: a closed loop from that segment out through its birth turn,
     an open worldline from one of its ends; each segment is left through the
     turn it did not enter by.  Per walk place: `order` the segment, `phase`
-    the exponent e of the phase collected before its exit (a turn adds 1
-    from the left arm of a cap or the right arm of a cup, 3 otherwise) and
-    `exits` its exit boundary (the turn's slice + 1/4 for a cap, - 1/4 for a
-    cup; nan at an open end).  Per worldline: `lengths` its segments and
-    `totals` E, its e summed over all of them.  All are lists."""
+    the exponent e of the phase collected before the segment is entered (a
+    turn adds 1 from the left arm of a cap or the right arm of a cup, 3
+    otherwise; a crossing adds 1 + mu to the worldline it carries from j to
+    j + 1 and 1 - mu to the other, `diagram.CROSSING`) and `exits` its exit
+    boundary (the turn's slice + 1/4 for a cap, - 1/4 for a cup; nan at an
+    open end).  Per worldline: `lengths` its segments and `totals` E, its e
+    summed over all of them: 2 (mod 4) on a loop that passes no crossing,
+    0 on a twisted one.  All are lists."""
 
     order: list[int]
     phase: list[int]
@@ -57,14 +65,17 @@ class WireTrace:
     lists, read from the diagram's columns (`diagram.Columns`) row by row.
     Segment sid has a `birth` turn (-1 when it enters at the top, where
     segment p is the strand at position p), a `death` turn (-1 when it
-    leaves at the bottom) and `touches`, the count of dots, braids and
-    scatterings on it.  Turn tid is element `turn_elem[tid]`, a cap when
-    `turn_cap[tid]`, else a cup, and has the arms `turn_left[tid]`,
+    leaves at the bottom), `touches`, the count of dots, braids and
+    scatterings on it, and `crossing`, the sum of the exponents its
+    crossings add (see `Walk`).  Turn tid is element `turn_elem[tid]`, a cap
+    when `turn_cap[tid]`, else a cup, and has the arms `turn_left[tid]`,
     `turn_right[tid]`.  slices[t] is the tuple of segment ids at the slice
-    before element t; a slice no turn changes is the same tuple as the one
-    before it.  The other elements are `quiet` (their indices, an array),
-    with `first` and `last` the segments at their first and last positions
-    (`Columns.j`, `Columns.k`)."""
+    before element t; a slice no turn or crossing changes is the same tuple
+    as the one before it.  The other elements are `quiet` (their indices,
+    an array), with `first` and `last` the segments at their first and last
+    positions (`Columns.j`, `Columns.k`) before the element; `crossed` lists
+    the braids among them (indices into `quiet`), after which `first` is at
+    position j + 1 and `last` at j."""
 
     def __init__(self, diag: MajoranaDiagram):
         self.diagram = diag
@@ -72,7 +83,7 @@ class WireTrace:
         cur = list(range(diag.width_in))
         birth, death = [-1] * len(cur), [-1] * len(cur)
         self.turn_elem, self.turn_cap, left, right = [], [], [], []
-        quiet, first, last = [], [], []
+        quiet, first, last, crossed = [], [], [], []
         state = tuple(cur)
         slices = [state]
         for t, (code, j, k) in enumerate(zip(columns.kind, columns.j, columns.k)):
@@ -81,6 +92,10 @@ class WireTrace:
                 quiet.append(t)
                 first.append(state[j])
                 last.append(state[k])
+                if CROSSING[code]:  # a braid: the two worldlines swap positions
+                    cur[j], cur[k] = cur[k], cur[j]
+                    crossed.append(len(quiet) - 1)
+                    state = tuple(cur)
                 slices.append(state)
                 continue
             tid = len(left)
@@ -103,6 +118,11 @@ class WireTrace:
         self.birth, self.death, self.turn_left, self.turn_right = birth, death, left, right
         self.slices: list[tuple[int, ...]] = slices
         self.quiet, self.first, self.last = np.array(quiet, dtype=int), first, last
+        self.crossed, self.crossing = crossed, [0] * len(birth)
+        for c in crossed:  # the signs -mu from j to j + 1, mu from j + 1 to j
+            mu = CROSSING[columns.kind[quiet[c]]]
+            self.crossing[first[c]] += 1 + mu
+            self.crossing[last[c]] += 1 - mu
         touches = [0] * len(birth)
         for sid in first:
             touches[sid] += 1
@@ -116,7 +136,7 @@ class WireTrace:
     @functools.cached_property
     def walk(self) -> Walk:
         """The one walk of every worldline (see `Walk`)."""
-        birth, death, cap = self.birth, self.death, self.turn_cap
+        birth, death, cap, crossing = self.birth, self.death, self.turn_cap, self.crossing
         left, right, elem = self.turn_left, self.turn_right, self.turn_elem
         starts, reached = {}, set()  # an open worldline's smallest id -> its first end
         for end in (*range(self.diagram.width_in), *self.slices[-1]):
@@ -142,6 +162,7 @@ class WireTrace:
                 seen[sid] = True
                 order.append(sid)
                 phase.append(e)
+                e += crossing[sid]
                 if tid < 0:  # an open end
                     exits.append(math.nan)
                     break
@@ -154,6 +175,49 @@ class WireTrace:
             lengths.append(len(order) - first)
             totals.append(e)
         return Walk(order, phase, exits, lengths, totals)
+
+    def phases(self, seg: np.ndarray, time: np.ndarray, flipped=()) -> np.ndarray:
+        """The exponent e of the phase of each point of a closed diagram
+        (`seg` its segment, `time` its time, arrays): its segment's walk
+        phase plus the crossings the walk passes on that segment before the
+        point, each at its braid's time less 1/4.  A crossing of `flipped`
+        (indices into `crossed`) counts 2 more on both of its worldlines, and
+        so does every walk phase after it."""
+        walk = self.walk
+        place = np.empty(len(walk.order), dtype=int)
+        place[walk.order] = np.arange(len(walk.order))
+        phase = np.array(walk.phase, dtype=int)
+        if not self.crossed:
+            return phase[place[seg]]
+        at = np.array(self.crossed, dtype=int)
+        mu = np.array(CROSSING)[np.array(self.diagram.columns.kind)[self.quiet[at]]]
+        de = np.concatenate([1 + mu, 1 - mu])  # i^de: -mu from j, mu from j + 1
+        passed = np.concatenate([np.array(self.first)[at], np.array(self.last)[at]])
+        if len(flipped):
+            both = np.concatenate([flipped, len(at) + np.asarray(flipped, dtype=int)])
+            de[both] += 2
+            extra = 2 * np.bincount(passed[both], minlength=len(place))[walk.order]
+            lengths = np.array(walk.lengths, dtype=int)
+            before = np.cumsum(extra) - extra  # the flipped passes before each walk place
+            phase += before - np.repeat(before[np.cumsum(lengths) - lengths], lengths)
+        # each segment's passes in time order, as keys segment * span + time
+        span = len(self.slices) + 2
+        keys = passed * span + np.tile(self.quiet[at] - 0.25, 2)
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys[by_key]
+        summed = np.zeros(len(keys) + 1, dtype=int)
+        np.cumsum(de[by_key], out=summed[1:])
+        start = summed[np.searchsorted(keys, seg * span - 1.0)]
+        before = summed[np.searchsorted(keys, seg * span + time)] - start
+        total = summed[np.searchsorted(keys, seg * span + (span - 1.0))] - start
+        # the walk leaves a segment forward in time when its exit is the later boundary
+        exits = np.array(walk.exits)
+        lengths = np.array(walk.lengths, dtype=int)
+        entry = np.roll(exits, 1)
+        first = np.cumsum(lengths) - lengths
+        entry[first] = exits[first + lengths - 1]
+        k = place[seg]
+        return phase[k] + np.where(exits[k] > entry[k], before, total - before)
 
     def worldlines(self) -> list[list[int]]:
         """The segment ids of each worldline, in walk order, the worldlines

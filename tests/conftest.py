@@ -196,3 +196,15 @@ def run_fresh(code: str, *unloaded: str) -> None:
     code = "import sys\n" + code + "".join(
         f"assert {name!r} not in sys.modules, {name!r}\n" for name in unloaded)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def flipped_totals(wiring):
+    """E of each loop of a `gaussian.Wiring` (`wires.Walk.totals`), with 2
+    more for each worldline of a flipped crossing on it."""
+    trace, totals = wiring.trace, list(wiring.trace.walk.totals)
+    labels = trace.worldline_labels()
+    for f in wiring.flipped:
+        c = trace.crossed[f]
+        for sid in (trace.first[c], trace.last[c]):
+            totals[labels[sid]] += 2
+    return totals

@@ -24,6 +24,7 @@ from quon2d.errors import (
     OracleTooLarge,
     TooManyLegs,
     UnknownGenerator,
+    UnknownMode,
 )
 from quon2d.factory import FactoryLedger, Insert, insert_move
 from quon2d.diagram import MajoranaDiagram
@@ -365,6 +366,15 @@ def test_contract_non_neighboring_adds_hole(rng):
     t4 = quon_to_dense_tensor(p4).tensor()
     got = quon_to_dense_tensor(q).tensor()
     assert np.max(np.abs(got - np.einsum("axay->xy", t4))) <= 1e-9
+
+
+def test_contract_legs_rejects_an_unknown_mode():
+    """A mode other than "neighboring" or "non_neighboring" raises
+    UnknownMode, naming both, instead of gluing as neighbours."""
+    p4 = parity_tensor_quon(4)
+    for mode in ("sideways", "Neighboring", ""):
+        with pytest.raises(UnknownMode, match="'neighboring' or 'non_neighboring'"):
+            contract_legs(p4, 0, 1, mode)
 
 
 def test_random_contraction_matches_dense_oracle(rng):

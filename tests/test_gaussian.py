@@ -1,17 +1,26 @@
 import itertools
 import math
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quon2d import elimination, gaussian
 from quon2d.circuits import Circuit, Gate, circuit_oracle_unitary
-from quon2d.compiler import circuit_amplitude, compile_circuit
-from quon2d.diagram import Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
+from quon2d.compiler import (
+    circuit_amplitude,
+    compile_circuit,
+    contract_legs,
+    parity_tensor_quon,
+    quon_to_dense_tensor,
+)
+from quon2d.diagram import BraidNeg, BraidPos, Cap, Cup, Dot, DotPair, MajoranaDiagram, Scattering
 from quon2d.elimination import BLOCK, DEFER_TOL, PANEL, _eliminate, _pfaffians, _Rows
 from quon2d.errors import InvariantViolation, NotClosed, NumericalInstability, TooLarge
+from quon2d.factory import FactoryLedger, Stretch, stretch
 from quon2d.fock import evaluate_closed_oracle
 from quon2d.gaussian import (
     MAX_GROUPS,
@@ -33,7 +42,9 @@ from quon2d.quon import (
 )
 from quon2d.wires import WireTrace, prune_projections
 
-from conftest import random_circuit, random_closed_diagram, run_fresh
+from conftest import flipped_totals, random_circuit, random_closed_diagram, run_fresh
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def pfaffian_recursive(a):
@@ -74,6 +85,8 @@ def dense_reach(mag):
     """One past the last nonzero column of each row, from a full scan of |a|."""
     nonzero = mag != 0
     n = len(mag)
+    if not n:  # a wiring without points
+        return []
     return np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0).tolist()
 
 
@@ -419,18 +432,25 @@ def test_fast_matches_oracle_near_multiples_of_half_pi():
 
 def test_contraction_entries_are_two_dot_ratios(rng):
     """A Dot at slot (t1, p1) and one at (t2, p2), t1 <= t2, multiply a
-    caps/cups-only wiring's value by the contraction entry of the two
-    points.  Every ordered pair of slots is tried: one slot twice (one
-    segment), the two arms of a cap in either order (a walk that wraps round
-    the loop and one that does not), and slots on different loops (0)."""
-    cases = 0
-    for _ in range(3):
-        while True:  # the caps and cups of a random diagram are a closed wiring
+    wiring's value by the contraction entry of the two points: caps/cups
+    wirings, and wirings of caps, cups and braids, whose worldlines cross
+    (each with a vacuum that is not 0, so that no crossing is flipped).
+    Every ordered pair of slots is tried: one slot twice (one segment), the
+    two arms of a cap in either order (a walk that wraps round the loop and
+    one that does not), slots on one segment either side of a crossing and
+    slots on different loops (0)."""
+    cases = crossings = 0
+    for braids in (False, False, False, True, True, True):
+        while True:  # the caps, cups (and braids) of a random diagram are a closed wiring
             d = random_closed_diagram(rng, max_width=6, max_elems=30)
-            d = MajoranaDiagram(0, 0, tuple(el for el in d.elements if el.width_delta))
+            d = MajoranaDiagram(0, 0, tuple(el for el in d.elements
+                                            if el.width_delta or braids and el.SIGN))
             loops = WireTrace(d).worldlines()
-            if len(loops) >= 2 and max(map(len, loops)) >= 6:
+            if (len(loops) >= 2 and max(map(len, loops)) >= 6
+                    and abs(evaluate_closed_oracle(d)) > 1e-9
+                    and len(WireTrace(d).crossed) >= 2 * braids):
                 break
+        crossings += len(WireTrace(d).crossed)
         base = evaluate_closed_oracle(d)
         widths = d.widths()
         slots = [(t, p) for t in range(len(d.elements) + 1) for p in range(widths[t])]
@@ -441,15 +461,17 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             els = d.elements
             dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
                                      + els[t2:])
-            _, seg, t, _, _, trace = assemble_frontier(dotted)
-            e = walk_phases(trace, seg)  # W is gauged by i^(e_x + e_y)
-            entry = dense(contraction_matrix(trace, seg, t))[0, 1] * (1, -1j, -1, 1j)[sum(e) % 4]
+            _, seg, t, _, _, wiring = assemble_frontier(dotted)
+            assert not wiring.flipped
+            e = wiring.phases(seg, t)  # W is gauged by i^(e_x + e_y)
+            w = dense(contraction_matrix(wiring.trace, seg, t, e))
+            entry = w[0, 1] * (1, -1j, -1, 1j)[sum(e) % 4]
             assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
             zeros += entry == 0
             ones += (t1, p1) == (t2, p2) and entry == 1
             cases += 1
         assert zeros and ones
-    assert cases > 1000
+    assert cases > 2000 and crossings >= 6
 
 
 def test_unmatchable_dots_vanish(rng):
@@ -703,18 +725,12 @@ def test_evaluation_is_repeatable_and_pfaffian_keeps_its_argument(rng):
     assert np.array_equal(raw_bits(a), raw_bits(kept))
 
 
-def walk_phases(trace, seg):
-    """The exponent e of the walk phase of each point's segment."""
-    e = np.zeros(len(trace.walk.order), dtype=int)
-    e[trace.walk.order] = trace.walk.phase
-    return e[seg]
-
-
-def contraction_matrix_by_mask(trace, seg, t):
+def contraction_matrix_by_mask(trace, seg, t, e, totals):
     """The contraction matrix from every ordered pair of points, read from
-    the trace's walk: an N x N mask of the pairs on one loop with t_x < t_y
-    (the formula that the per-loop pair lists replace), each contraction
-    times the gauge i^(e_x + e_y), which leaves it real."""
+    the trace's walk and the points' phases e: an N x N mask of the pairs on
+    one loop with t_x < t_y (the formula that the per-loop pair lists
+    replace), each contraction times the gauge i^(e_x + e_y), which leaves
+    it real; `totals` are the loops' E (`conftest.flipped_totals`)."""
     if not len(seg):
         return np.zeros((0, 0))
     walk = trace.walk
@@ -728,17 +744,18 @@ def contraction_matrix_by_mask(trace, seg, t):
     lo[loop_w, k_w] = np.minimum(entered, exits)
     hi[loop_w, k_w] = np.maximum(entered, exits)
     at = np.argsort(walk.order)[seg]
-    loop, k, e = loop_w[at], k_w[at], np.array(walk.phase)[at]
+    loop, k = loop_w[at], k_w[at]
     prefix = np.zeros((len(seg), lo.shape[1] + 1), dtype=int)
     np.cumsum((lo[loop] < t[:, None]) & (t[:, None] < hi[loop]), axis=1, out=prefix[:, 1:])
     x, y = np.nonzero((loop[:, None] == loop[None, :]) & (t[:, None] < t[None, :]))
     between = prefix[y, k[y]] - prefix[y, k[x] + 1]
     exit_x = exits[at[x]]
     partial = (np.minimum(t[x], exit_x) < t[y]) & (t[y] < np.maximum(t[x], exit_x))
-    power = e[y] - e[x] + (k[x] > k[y]) * np.array(walk.totals)[loop[y]] + 2 * (between + partial)
+    power = e[y] - e[x] + (k[x] > k[y]) * np.array(totals)[loop[y]] + 2 * (between + partial)
     phases = np.array([1, 1j, -1, -1j])
     w = np.zeros((len(seg), len(seg)))
-    w[x, y] = (np.where(at[x] == at[y], 1.0, phases[power % 4]) * phases[(e[x] + e[y]) % 4]).real
+    w[x, y] = (np.where(at[x] == at[y], phases[(e[y] - e[x]) % 4], phases[power % 4])
+               * phases[(e[x] + e[y]) % 4]).real
     w[y, x] = 0.0 - w[x, y]
     return w
 
@@ -746,20 +763,28 @@ def contraction_matrix_by_mask(trace, seg, t):
 def prepared_cases(rng, monkeypatch):
     """Prepare random closed diagrams with 0 to 4 point groups, Clifford cores
     with their projections and a small Ising lattice.  Yields, for each, the
-    trace, the points' segments and times and the `_Rows` of
-    `contraction_matrix`, and the `_Rows` that `_eliminate` was given."""
-    built, eliminated = [], []
+    wiring (`gaussian.Wiring`), the points' segments, times and phases and
+    the `_Rows` of `contraction_matrix`, and the `_Rows` that `_eliminate`
+    was given."""
+    built, eliminated, wirings = [], [], []
     real_build, real_eliminate = gaussian.contraction_matrix, gaussian._eliminate
+    real_assemble = gaussian.assemble_frontier
 
-    def build(trace, seg, t):
-        w = real_build(trace, seg, t)
-        built.append((trace, seg, t, w))
+    def assemble(d):
+        frontier = real_assemble(d)
+        wirings.append(frontier[-1])
+        return frontier
+
+    def build(trace, seg, t, e):  # the last call is the diagram's W
+        w = real_build(trace, seg, t, e)
+        built.append((seg, t, e, w))
         return w
 
     def eliminate(w, core):
         eliminated.append(w)
         return real_eliminate(w, core)
 
+    monkeypatch.setattr(gaussian, "assemble_frontier", assemble)
     monkeypatch.setattr(gaussian, "contraction_matrix", build)
     monkeypatch.setattr(gaussian, "_eliminate", eliminate)
     cases = [(d, random_groups(rng, d, int(rng.integers(0, 5))))
@@ -768,7 +793,8 @@ def prepared_cases(rng, monkeypatch):
     cases.append((build_ising_quon(IsingLattice.square(4, 5, 0.3)).core, []))
     for d, groups in cases:
         PreparedDiagram(d, groups)
-        yield built.pop() + (eliminated.pop(),)
+        yield (wirings.pop(),) + built.pop() + (eliminated.pop(),)
+        built.clear()
 
 
 def test_pair_lists_give_the_mask_formulas_matrix(rng, monkeypatch):
@@ -778,9 +804,10 @@ def test_pair_lists_give_the_mask_formulas_matrix(rng, monkeypatch):
     some blocks hold several rows."""
     monkeypatch.setattr(gaussian, "PAIRS", 7)
     points = 0
-    for trace, seg, t, w, _ in prepared_cases(rng, monkeypatch):
+    for wiring, seg, t, e, w, _ in prepared_cases(rng, monkeypatch):
         a = dense(w)
-        assert np.array_equal(raw_bits(a), raw_bits(contraction_matrix_by_mask(trace, seg, t)))
+        by_mask = contraction_matrix_by_mask(wiring.trace, seg, t, e, flipped_totals(wiring))
+        assert np.array_equal(raw_bits(a), raw_bits(by_mask))
         rows = np.repeat(np.arange(len(seg)), np.diff(w.starts))
         pairs = sorted(zip(w.cols.tolist(), rows.tolist()))
         assert pairs == [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(a)))]
@@ -872,7 +899,7 @@ def test_window_kernel_matches_the_dense_kernel_bit_for_bit(rng, monkeypatch):
     for block in (BLOCK, 4):
         monkeypatch.setattr(elimination, "BLOCK", block)
         kind[0] = "random"
-        for _ in range(120):  # enough that blocks of 4 rows are refused 40 times (59 here)
+        for _ in range(160):  # enough that blocks of 4 rows are refused 40 times
             d = random_closed_diagram(rng, max_width=12, max_elems=40)
             PreparedDiagram(d, random_groups(rng, d, int(rng.integers(0, 5))))
         kind[0] = "clifford"
@@ -930,11 +957,12 @@ def counting_blocks(monkeypatch):
 def test_blocks_match_the_fock_oracle_on_random_diagrams(rng, monkeypatch):
     """Long, narrow random closed diagrams have a banded W; with blocks of
     2, 4 and 6 rows hundreds of blocks are kept and refused, and every value
-    matches the Fock oracle within 1e-9."""
+    matches the Fock oracle within 1e-9.  (60 diagrams per size: their
+    braids are crossings and give no points.)"""
     kept = counting_blocks(monkeypatch)
     for block in (2, 4, 6):
         monkeypatch.setattr(elimination, "BLOCK", block)
-        for _ in range(40):
+        for _ in range(60):
             d = random_closed_diagram(rng, max_width=8, max_elems=120)
             ref = evaluate_closed_oracle(d)
             got = evaluate_closed_fast(d)
@@ -1049,33 +1077,40 @@ def recording(monkeypatch, owner, name):
 def test_gauge_leaves_every_contraction_a_sign(rng, monkeypatch):
     """Every entry of `contraction_matrix`, the contractions gauged by
     i^(e_x + e_y), is exactly +-1 in float64, and every loop total E is
-    2 (mod 4): random closed diagrams with point groups, Clifford cores with
-    their projections, a small Ising lattice and the closed cores of random
-    compiled circuits with generic angles."""
-    cases = [case[:4] for case in prepared_cases(rng, monkeypatch)]
-    for _ in range(12):
-        q = compile_circuit(random_circuit(int(rng.integers(1, 4)), 8, rng))
+    2 (mod 4) once the crossings the vacuum flips are counted
+    (`conftest.flipped_totals`); it is so on the walk's own totals wherever no
+    crossing is flipped: random closed diagrams with point groups, Clifford
+    cores with their projections, a small Ising lattice and the closed
+    cores of random compiled circuits with generic angles."""
+    cases = [case[:5] for case in prepared_cases(rng, monkeypatch)]
+    for _ in range(16):  # 40 gates: a circuit's braids give no points, so W is small
+        q = compile_circuit(random_circuit(int(rng.integers(1, 4)), 40, rng))
         zeros = BasisAssignment(tuple((0,) * iv.qubit_count for iv in q.open_intervals))
-        _, seg, t, _, _, trace = assemble_frontier(encode_basis(q, zeros).core)
-        cases.append((trace, seg, t, contraction_matrix(trace, seg, t)))
-    entries = loops = 0
-    for trace, seg, t, w in cases:
+        _, seg, t, _, _, wiring = assemble_frontier(encode_basis(q, zeros).core)
+        e = wiring.phases(seg, t)
+        cases.append((wiring, seg, t, e, contraction_matrix(wiring.trace, seg, t, e)))
+    entries = loops = flipped = 0
+    for wiring, seg, t, e, w in cases:
         assert w.lower.dtype == w.upper.dtype == np.float64
         assert np.all(np.abs(w.lower) == 1.0) and np.array_equal(w.upper, -w.lower)
-        assert all(total % 4 == 2 for total in trace.walk.totals)
+        assert all(total % 4 == 2 for total in flipped_totals(wiring))
+        if not wiring.flipped:
+            assert flipped_totals(wiring) == wiring.trace.walk.totals
         entries += len(w.lower)
-        loops += len(trace.walk.totals)
-    assert entries > 20000 and loops > 300
+        loops += len(wiring.trace.walk.totals)
+        flipped += len(wiring.flipped)
+    assert entries > 20000 and loops > 300 and flipped
 
 
 def test_w_is_real_where_every_gauged_entry_is(rng, monkeypatch):
     """The dtype of W follows its entries.  A square Ising lattice's W is
     float64 for couplings of either sign: its scatterings' 1/mu, gauged, are
     real, and Z matches spin enumeration within 1e-9.  So is a generic
-    lattice without braids (a path).  The generic triangle's braids have
-    mu = +-1 with both points on one loop, where i^(e_x + e_(x+1)) is +-i,
-    so its W stays complex128; so does a compiled circuit's, whose
-    amplitudes match the unitary."""
+    lattice without braids (a path), and the generic triangle: the braids
+    that route its bonds past each other are crossings, with no points, so
+    its W holds only its scatterings' pairs.  A compiled circuit's W is
+    complex128 where it holds the 1/mu of a generic rotation, float64
+    where it holds only dots; its amplitudes match the unitary."""
     dtypes = recording(monkeypatch, gaussian, "_eliminate")
     for _ in range(3):
         edges = IsingLattice.square(4, 4, 0.3).edges
@@ -1088,20 +1123,24 @@ def test_w_is_real_where_every_gauged_entry_is(rng, monkeypatch):
         assert abs(z - want) <= 1e-9 * want
     path = IsingLattice(4, ((0, 1, 0.7), (1, 2, -2.5), (2, 3, 1.1)))
     for lattice, dtype in [(path, np.float64)] + [
-            (IsingLattice(3, ((0, 1, k), (1, 2, k), (0, 2, k))), np.complex128)
+            (IsingLattice(3, ((0, 1, k), (1, 2, k), (0, 2, k))), np.float64)
             for k in (-3.0, -1.0, 0.5, 3.0)]:
         z = evaluate_closed_quon(build_ising_quon(lattice))
         assert dtypes.pop().lower.dtype == dtype
         want = partition_oracle(lattice)
         assert abs(z - want) <= 1e-9 * want
+    complex_w = 0
     for _ in range(4):
         c = random_circuit(2, 6, rng)
         u = circuit_oracle_unitary(c)
         for col, row in np.ndindex(4, 4):
             got = circuit_amplitude(c, divmod(col, 2), divmod(row, 2))
             assert abs(got - u[row, col]) <= 1e-9
-        assert dtypes and all(w.lower.dtype == np.complex128 for w in dtypes)
+        assert dtypes and all((w.lower.dtype == np.complex128) == bool(np.any(w.lower.imag))
+                              for w in dtypes)
+        complex_w += sum(w.lower.dtype == np.complex128 for w in dtypes)
         dtypes.clear()
+    assert complex_w
 
 
 def test_real_groups_give_real_stacks_and_the_oracle_route(monkeypatch):
@@ -1165,3 +1204,120 @@ def test_pfaffian_of_a_real_matrix_runs_real(rng, monkeypatch):
     pairs -= pairs.T  # the last two rows are zero
     perm = rng.permutation(12)
     assert pfaffian(pairs[np.ix_(perm, perm)]) == 0.0
+
+
+# -- braids as crossings ------------------------------------------------------
+
+
+def closed_cores(q, rng, count):
+    """`count` closed cores of q: random basis encoders, then every
+    projection expanded as a random subset of its strands' dots."""
+    for _ in range(count):
+        bits = BasisAssignment(tuple(tuple(int(b) for b in rng.integers(0, 2, iv.qubit_count))
+                                     for iv in q.open_intervals))
+        closed = encode_basis(q, bits)
+        yield expanded_core(closed, int(rng.integers(0, 1 << len(all_projections(closed)))))
+
+
+def random_weave(rng, max_width=8, max_elems=30):
+    """A random closed wiring of caps, cups and braids (of either sign, half
+    of its elements), with up to 3 dots, dot pairs or scatterings."""
+    rows, w = [], 0
+    for _ in range(int(rng.integers(3, max_elems))):
+        r = rng.random()
+        if w == 0 or (r < 0.3 and w < max_width):
+            rows.append(Cap(int(rng.integers(0, w + 1))))
+            w += 2
+        elif r < 0.5:
+            rows.append(Cup(int(rng.integers(0, w - 1))))
+            w -= 2
+        else:
+            rows.append((BraidPos, BraidNeg)[int(rng.integers(2))](int(rng.integers(0, w - 1))))
+    rows += [Cup(0)] * (w // 2)
+    for _ in range(int(rng.integers(0, 4))):
+        t = int(rng.integers(1, len(rows)))
+        w = MajoranaDiagram(0, 0, rows).widths()[t]
+        if not w:
+            continue
+        j = int(rng.integers(0, w - 1))
+        rows.insert(t, (Dot(j), DotPair(j, w - 1) if j < w - 1 else Dot(j),
+                        Scattering(j, float(rng.uniform(0, 2 * math.pi))))[int(rng.integers(3))])
+    return MajoranaDiagram(0, 0, rows)
+
+
+def test_braid_heavy_diagrams_match_the_oracle(rng):
+    """Diagrams whose wiring is mostly crossings, against the Fock oracle at
+    1e-9: the closed cores of circuits with SWAP weaves (16 braids each),
+    the dense tensors of non-neighbouring leg contractions (a bundle braided
+    across the gap) and of circuits with factory stretches (braid fingers),
+    and random wirings of caps, cups and braids with a few dots and
+    scatterings, some of whose loops are twisted."""
+    cores = 0
+    for _ in range(6):
+        c = random_circuit(3, 8, rng, two_qubit_rate=0.5, names2=("SWAP", "CZ", "XX"))
+        if not any(g.name == "SWAP" for g in c.gates):
+            c = Circuit(3, c.gates + (Gate("SWAP", (1, 2)),))
+        for d in closed_cores(compile_circuit(c), rng, 3):
+            ref = evaluate_closed_oracle(d)
+            assert abs(evaluate_closed_fast(d) - ref) <= 1e-9 * max(1.0, abs(ref))
+            cores += 1
+    tensors = [contract_legs(parity_tensor_quon(4), 0, 2, "non_neighboring"),
+               contract_legs(parity_tensor_quon(5), 1, 4, "non_neighboring")]
+    for _ in range(3):
+        q = compile_circuit(random_circuit(3, 6, rng))
+        tensors.append(contract_legs(q, 3, 5, "non_neighboring"))  # bottom legs 0 and 2
+        ledger = FactoryLedger(q)
+        for _ in range(4):
+            widths = q.core.widths()
+            t = int(rng.integers(0, len(widths)))
+            reach = int(rng.integers(1, 4))
+            if widths[t] > reach:
+                q, ledger = stretch(q, Stretch(t, int(rng.integers(0, widths[t] - reach)), reach),
+                                    ledger)
+        tensors.append(q)
+    for q in tensors:
+        fast = quon_to_dense_tensor(q).entries
+        assert np.max(np.abs(fast - quon_to_dense_tensor(q, use_oracle=True).entries)) <= 1e-9
+    twisted = 0
+    for _ in range(400):
+        d = random_weave(rng)
+        twisted += any(total % 4 == 0 for total in WireTrace(d).walk.totals)
+        ref = evaluate_closed_oracle(d)
+        assert abs(evaluate_closed_fast(d) - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert cores == 18 and twisted >= 30
+
+
+def test_a_twisted_loop_is_flipped_into_a_dot_pair(monkeypatch):
+    """H S S H = X compiled from braids: <0|X|0> = 0 comes from a wiring
+    with a twisted loop, whose crossing is flipped into a mandatory dot
+    pair, and <1|X|0> = 1 exactly to 1e-9."""
+    wirings = recording(monkeypatch, gaussian, "assemble_frontier")
+    c = Circuit(1, (Gate("H", (0,)), Gate("S", (0,)), Gate("S", (0,)), Gate("H", (0,))))
+    assert abs(circuit_amplitude(c, (0,), (0,))) <= 1e-9
+    assert abs(circuit_amplitude(c, (0,), (1,)) - 1) <= 1e-9
+    assert any(assemble_frontier(d)[-1].flipped for d in wirings)
+
+
+def test_a_compiled_circuits_braids_give_no_points(monkeypatch):
+    """The closed cores of the benchmark's seed-1 `circuit_amp` round (110
+    to 114 points each while a braid was a point pair) have two points per
+    dot pair and per scattering and none from their 44 to 46 braids, at
+    most 26 (9 dot pairs and 4 scatterings); their loops need no flipped
+    crossing."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    cores = recording(monkeypatch, gaussian, "assemble_frontier")
+    workload = workloads.WORKLOADS["circuit_amp"]
+    for spec in workloads.generate_round(workload, 1):
+        workload.run(workload.prepare(spec))
+    assert len(cores) == workload.round_size
+    for d in cores:
+        _, seg, *_, wiring = assemble_frontier(d)
+        kinds = np.array(d.columns.kind)
+        assert np.count_nonzero(kinds == BraidNeg.CODE) >= 44
+        points = (kinds == DotPair.CODE) | (kinds == Scattering.CODE)
+        assert len(seg) == 2 * np.count_nonzero(points)
+        assert len(seg) <= 26 and not wiring.flipped

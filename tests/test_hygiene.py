@@ -3,8 +3,9 @@ never uses, no function-local name that is assigned and never read, no
 diagram built without its checks outside the splice primitive and the
 columns constructor, no Quon diagram's core edited outside its splice, no
 PreparedDiagram built off the one evaluation route, no element objects read
-back from a diagram outside `diagram.py`, and every name the bench tracer
-wraps still where it looks."""
+back from a diagram outside `diagram.py`, no comparison with a braid's
+kind code outside it, and every name the bench tracer wraps still where it
+looks."""
 
 import ast
 import importlib
@@ -274,6 +275,31 @@ def test_only_the_diagram_module_reads_element_objects(path):
 def test_elements_reads_are_found():
     tree = ast.parse("a = d.elements\nd.core.elements[0]\nelements = 1\nf(elements=2)\n")
     assert elements_reads(tree) == [1, 2]
+
+
+def braid_code_comparisons(tree: ast.Module) -> list[int]:
+    """The lines of the comparisons that name `BraidPos.CODE` or
+    `BraidNeg.CODE`."""
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                   for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                   and sub.attr == "CODE" and getattr(sub.value, "id", None) in
+                   ("BraidPos", "BraidNeg")})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_crossings_are_read_from_the_one_table(path):
+    """Whether an element is a crossing, and its mu, come from
+    `diagram.CROSSING`; no other module compares kind codes with a braid's."""
+    if path.name == "diagram.py":
+        return
+    lines = braid_code_comparisons(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} compares against a braid's kind code at lines {lines}"
+
+
+def test_braid_code_comparisons_are_found():
+    tree = ast.parse("a = code == BraidPos.CODE\nb = k in (BraidNeg.CODE, 4)\n"
+                     "c = BraidPos.CODE\nd = x.CODE == y\n")
+    assert braid_code_comparisons(tree) == [1, 2]
 
 
 # kind dispatch belongs in the element table (`diagram.py`), not in type

@@ -163,9 +163,11 @@ def test_a_partition_error_lists_a_few_strands():
 
 def test_emit_dot_lists_each_segments_ends_and_touches():
     """The whole Graphviz text of a small open diagram with a hole, a notch,
-    a dot, a braid and a scattering: each strand segment is drawn as the
-    chain of its top end, its turns, the elements that touch it in time
-    order and its bottom end."""
+    a dot, a braid and a scattering: each strand segment is drawn in time
+    order as the chain of its top end or birth turn, the elements that
+    touch it and its death turn or bottom end.  The braid is a crossing:
+    the top strand 0 leaves it at position 1 and the cup closes it, and the
+    cap's left arm leaves at position 0."""
     core = MajoranaDiagram(2, 2, (Cap(1), Dot(0), Scattering(2, 0.3), BraidPos(0), Cup(1)))
     q = QuonDiagram(core, (ParityCut(2, (0, 1)),),
                     (OpenInterval("top", 0, 2), OpenInterval("bottom", 0, 2)),
@@ -178,18 +180,18 @@ def test_emit_dot_lists_each_segments_ends_and_touches():
   e3 [label="3: BraidPos", shape=box];
   e4 [label="4: Cup", shape=box];
   top0 [label="in 0", shape=plaintext];
-  bot0 [label="out 0", shape=plaintext];
   top0 -- e1 [label=s0];
   e1 -- e3 [label=s0];
-  e3 -- bot0 [label=s0];
+  e3 -- e4 [label=s0];
   top1 [label="in 1", shape=plaintext];
   bot1 [label="out 1", shape=plaintext];
   top1 -- e2 [label=s1];
   e2 -- bot1 [label=s1];
-  e0 -- e4 [label=s2];
-  e4 -- e3 [label=s2];
-  e0 -- e4 [label=s3];
-  e4 -- e2 [label=s3];
+  bot0 [label="out 0", shape=plaintext];
+  e0 -- e3 [label=s2];
+  e3 -- bot0 [label=s2];
+  e0 -- e2 [label=s3];
+  e2 -- e4 [label=s3];
   hole0 [label="hole @2 [0, 1]", shape=octagon];
   notch0 [label="notch @4 [2, 3]", shape=house];
 }

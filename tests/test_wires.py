@@ -4,9 +4,10 @@ worldline, on closed diagrams and on open ones cut from them."""
 import math
 
 from quon2d.diagram import MajoranaDiagram
+from quon2d.gaussian import assemble_frontier
 from quon2d.wires import WireTrace
 
-from conftest import random_closed_diagram
+from conftest import flipped_totals, random_closed_diagram
 
 
 def traced_diagrams(rng, count):
@@ -24,12 +25,21 @@ def test_the_walk_covers_each_worldline_once_and_closes_every_loop(rng):
     """Every segment lies on exactly one worldline; the worldlines come in
     order of their smallest ids; each turn's arms stand side by side at its
     slice; the walk steps from each segment to the other arm of the turn it
-    leaves by, back to its start on a closed loop, whose phase i^E is -1,
-    and from one open end to the other on an open worldline."""
-    loops = open_lines = 0
+    leaves by, back to its start on a closed loop, and from one open end to
+    the other on an open worldline.  A loop that passes no crossing has the
+    phase i^E = -1.  Crossings can twist a loop (E = 0 mod 4, a vacuum of 0);
+    in a closed diagram the crossings that the evaluation flips
+    (`gaussian.Wiring`) leave every loop at i^E = -1."""
+    loops = open_lines = crossing_loops = twisted = 0
     for d in traced_diagrams(rng, 60):
         trace = WireTrace(d)
         walk = trace.walk
+        crossing = {sid for c in trace.crossed for sid in (trace.first[c], trace.last[c])}
+        if d.is_closed:
+            wiring = assemble_frontier(d)[-1]
+            assert wiring.trace.walk == walk
+            assert all(total % 4 == 2 for total in flipped_totals(wiring))
+            twisted += any(total % 4 == 0 for total in walk.totals)
         lines = trace.worldlines()
         segments = len(trace.birth)
         assert sorted(sid for line in lines for sid in line) == list(range(segments))
@@ -58,11 +68,14 @@ def test_the_walk_covers_each_worldline_once_and_closes_every_loop(rng):
                 assert {sid, nxt} == {trace.turn_left[tid], trace.turn_right[tid]}
             if closed:
                 assert trace.birth[line[0]] == turn_at[exits[0]]
-                assert walk.totals[li] % 4 == 2  # i^E = -1
+                if crossing.isdisjoint(line):
+                    assert walk.totals[li] % 4 == 2  # i^E = -1
+                else:
+                    crossing_loops += 1
                 loops += 1
             else:
                 assert math.isnan(exits[-1])
                 for end in (line[0], line[-1]):
                     assert trace.birth[end] < 0 or trace.death[end] < 0
                 open_lines += 1
-    assert loops > 200 and open_lines > 100
+    assert loops > 200 and open_lines > 100 and crossing_loops > 20 and twisted
