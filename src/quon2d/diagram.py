@@ -289,7 +289,7 @@ WIDTH_DELTA = tuple(cls.width_delta for cls in BY_CODE)
 # by kind code: a braid's mu, +-1, 0 for every kind that is no crossing.
 # The worldline crossing from position j to j + 1 picks up the sign -mu, i^(1
 # + mu), the one crossing from j + 1 to j the sign mu, i^(1 - mu), the same
-# either way along the worldline.  `wires` and `gaussian` read crossings here
+# either way along the worldline.  `wires` and `gaussian` read crossings here.
 CROSSING = tuple(cls.CROSSING for cls in BY_CODE)
 GROWN = tuple(max(delta, 0) for delta in WIDTH_DELTA)
 TWO = tuple(cls.TWO for cls in BY_CODE)

@@ -487,7 +487,8 @@ def encoder_closure(intervals, bits, side: str) -> tuple[Columns, complex]:
     on its strands; on the bottom their daggers, the bras, left to right,
     each from strand 0, as the bras before it closed the strands to its left.
     The rows are built as rows (`_ket`), with no diagram per interval: they
-    fit by construction, and a splice checks them where they are used."""
+    fit by construction, and `encode_basis`'s splice and the oracle route's
+    diagrams check them where those use them."""
     if len(bits) != len(intervals):
         raise BitLengthMismatch(f"{len(bits)} bit groups for {len(intervals)} intervals")
     parts, amplitude = [], 1 + 0j

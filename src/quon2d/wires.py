@@ -193,13 +193,14 @@ class WireTrace:
         mu = np.array(CROSSING)[np.array(self.diagram.columns.kind)[self.quiet[at]]]
         de = np.concatenate([1 + mu, 1 - mu])  # i^de: -mu from j, mu from j + 1
         passed = np.concatenate([np.array(self.first)[at], np.array(self.last)[at]])
+        lengths = np.array(walk.lengths, dtype=int)
+        first = np.cumsum(lengths) - lengths  # each loop's first walk place
         if len(flipped):
             both = np.concatenate([flipped, len(at) + np.asarray(flipped, dtype=int)])
             de[both] += 2
             extra = 2 * np.bincount(passed[both], minlength=len(place))[walk.order]
-            lengths = np.array(walk.lengths, dtype=int)
-            before = np.cumsum(extra) - extra  # the flipped passes before each walk place
-            phase += before - np.repeat(before[np.cumsum(lengths) - lengths], lengths)
+            earlier = np.cumsum(extra) - extra  # the flipped passes before each walk place
+            phase += earlier - np.repeat(earlier[first], lengths)
         # each segment's passes in time order, as keys segment * span + time
         span = len(self.slices) + 2
         keys = passed * span + np.tile(self.quiet[at] - 0.25, 2)
@@ -212,9 +213,7 @@ class WireTrace:
         total = summed[np.searchsorted(keys, seg * span + (span - 1.0))] - start
         # the walk leaves a segment forward in time when its exit is the later boundary
         exits = np.array(walk.exits)
-        lengths = np.array(walk.lengths, dtype=int)
         entry = np.roll(exits, 1)
-        first = np.cumsum(lengths) - lengths
         entry[first] = exits[first + lengths - 1]
         k = place[seg]
         return phase[k] + np.where(exits[k] > entry[k], before, total - before)
