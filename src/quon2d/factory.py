@@ -81,7 +81,10 @@ def _check_fields(move, indices, optional, kind_field, kinds) -> None:
 @dataclass(frozen=True)
 class Stretch:
     """Poke a strand finger sideways at a slice; bulk fingers return in place
-    (value-preserving), encoder targets terminate on an interval."""
+    (value-preserving), encoder targets terminate on an interval.  An
+    encoder finger is built at the bottom slice, whatever the time index
+    (which must still lie in range): its strand and the holes are checked
+    there."""
 
     time_index: int
     position: int  # strand to stretch
@@ -190,6 +193,8 @@ def stretch(q: QuonDiagram, move: Stretch, ledger: FactoryLedger):
     t, p, reach = move.time_index, move.position, move.reach
     if not 0 <= t <= len(q.core):
         raise InvalidSegment(f"time {t} out of range")
+    if move.target != "bulk":  # an encoder finger is built at the bottom slice
+        t = len(q.core)
     w = widths[t]
     if not 0 <= p < w:
         raise InvalidSegment(f"strand {p} not alive at slice {t}")

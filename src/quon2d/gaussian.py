@@ -49,14 +49,13 @@ the loop at time t_y other than y's own.  So i^E = -1 wherever V is not 0.
 
 Twisted loops.  A loop whose E = 0 (mod 4) is twisted: moving a dot once
 round it gives the vacuum minus itself, so V = 0.  Caps and cups alone
-never twist a loop (E = 2 on each); crossings can.  The identity
-B(mu) = mu g_j g_{j+1} B(-mu) flips a crossing for one mandatory dot pair;
-on a crossing of two loops it toggles the twist of both.  `_untwisting`
-pairs the twisted loops along a spanning forest of the loop-crossing graph
-and flips the forest's edges on those paths (a T-join); a tree with an odd
-number of twisted loops makes the value 0.  After the flips E = 2 (mod 4)
-on every loop, and the formula above holds for the flipped wiring, its
-flips' dot pairs among the mandatory points.
+never twist a loop (E = 2 on each); crossings can.  The braid-type switch
+(`rewrite.BraidTypeSwitch`) B(mu) = mu g_j g_{j+1} B(-mu) flips a
+crossing for one mandatory dot pair.  `_vacuum` makes the crossings one at
+a time and flips each one whose factor would be 0, so the vacuum of the
+flipped wiring is a product of nonzero factors: no loop of it is twisted,
+E = 2 (mod 4) on every loop, and the formula above holds for the flipped
+wiring, its flips' dot pairs among the mandatory points.
 
 The gauge.  With D = diag(i^e(x)) and E = 2 (mod 4), every contraction of
 D G D is exactly +-1: (-1)^(e(y) + c + [k_a > k_b]) for x before y on
@@ -131,8 +130,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
-
 import numpy as np
 
 from .diagram import CROSSING, WIDTH_DELTA, MajoranaDiagram
@@ -316,105 +313,54 @@ def _contraction(partner: list, sign: list, bra: list, bra_sign: list, j: int) -
             return None
 
 
-def _untwisting(trace: WireTrace) -> list[int] | None:
-    """The crossings (indices into `trace.crossed`) to flip so that no loop
-    of a closed diagram's wiring is twisted, None when that cannot be.
-
-    A twisted loop, one of total E = 0 (mod 4), has the vacuum 0: moving a
-    dot once round it gives i^E times -1 per other strand of it at the
-    dot's time, an odd number.  U(mu) = mu g_j g_(j+1) U(-mu) flips a
-    crossing for a mandatory dot pair, which changes the E of each of its
-    worldlines by 2: on two loops it toggles the twist of both.  So the
-    twisted loops are paired along a spanning forest of the graph of loops
-    joined by crossings, and the forest's edges on those paths are flipped
-    (a T-join: an edge is flipped when the subtree below it holds an odd
-    number of twisted loops).  A tree with an odd number of twisted loops
-    leaves one twisted whatever is flipped, so the value is 0 (every term
-    has an even number of points on the crossings' loops, whose parity the
-    wiring keeps)."""
-    odd = [total % 4 == 0 for total in trace.walk.totals]
-    if not any(odd):
-        return []
-    labels = trace.worldline_labels()
-    joined: dict[int, list] = {}
-    for f, c in enumerate(trace.crossed):
-        a, b = labels[trace.first[c]], labels[trace.last[c]]
-        if a != b:
-            joined.setdefault(a, []).append((b, f))
-            joined.setdefault(b, []).append((a, f))
-    up, order = {}, []  # loop -> (parent loop, crossing); loops, parents first
-    for root in range(len(odd)):
-        if root in up:
-            continue
-        up[root] = None
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u, f in joined.get(v, ()):
-                if u not in up:
-                    up[u] = v, f
-                    stack.append(u)
-    flipped = []
-    for v in reversed(order):
-        if up[v] is None:
-            if odd[v]:
-                return None
-        elif odd[v]:
-            parent, f = up[v]
-            flipped.append(f)
-            odd[parent] = not odd[parent]
-    return flipped
-
-
-def _vacuum(trace: WireTrace, flipped, backward: bool) -> tuple[int, list[int]]:
+def _vacuum(trace: WireTrace) -> tuple[int, list[int]]:
     """The phase of the vacuum of a closed diagram's wiring, its caps, cups
     and crossings (braids as the unitaries U = (1 + mu g_j g_(j+1)) / sqrt2),
-    the crossings `flipped` (indices into `trace.crossed`) taken with -mu:
-    (n, passed) with the vacuum exp(i pi n / 4) sqrt2^loops once the
-    crossings `passed` are flipped too.
+    once the crossings it passes are flipped: (n, passed) with that vacuum
+    exp(i pi n / 4) sqrt2^loops, `passed` indices into `trace.crossed`.
 
-    The crossings are made one at a time in time order, the wiring below
-    each one still uncrossed: U multiplies the vacuum by (1 + mu G) / sqrt2,
-    where G is the contraction of g_j g_(j+1) at the crossing between the
-    state above it, with every earlier crossing made, and the uncrossed
-    wiring below (`_contraction`).  G is 0 (two loops merge), mu (a loop
-    splits), +-i (a loop is twisted back into one: a phase exp(+-i pi/4)),
-    or -mu, which would make this partly crossed vacuum 0 (two twisted
-    loops) even where the whole one is not.  That crossing is passed with
-    -mu; `_unflipped` restores it.  `backward` makes them from the bottom
-    up instead: the sweep of the adjoint wiring (caps and cups swapped, mu
-    negated, elements reversed), whose vacuum is the conjugate.  The states
-    are pairings of the slice's strands (`_opened`, `_closed`); a crossing
+    The crossings are made one at a time from the bottom up, the wiring
+    above each one still uncrossed: this is the sweep in time order of the
+    adjoint wiring (caps and cups swapped, mu negated, elements reversed),
+    whose vacuum is the conjugate.  U multiplies the vacuum by
+    (1 + mu G) / sqrt2, where G is the contraction of g_j g_(j+1) at the
+    crossing between the state below it, with every later crossing made,
+    and the uncrossed wiring above (`_contraction`).  G is 0 (two loops
+    merge), mu (a loop splits), +-i (a loop is twisted back into one: a
+    phase exp(+-i pi/4)), or -mu, which would make the factor 0.  That
+    crossing is passed: made with -mu, as the flip B(mu) = mu g_j g_(j+1)
+    B(-mu) takes it, where the factor is sqrt2.  So every factor is
+    nonzero, and the product is the vacuum of the wiring with the passed
+    crossings flipped: no loop of that wiring is twisted.  The states are
+    pairings of the slice's strands (`_opened`, `_closed`); a crossing
     moves each arm to the other position with the signs of its mu
     (`diagram.CROSSING`).  The vacuum of a knotted wiring carries a sign (a
     trefoil's is -sqrt2) that no phase per crossing gives, which is why the
-    crossings are made in turn."""
+    crossings are made in turn.  Compiled circuits pass fewer crossings from
+    the bottom up than from the top down."""
     kind, first = trace.diagram.columns.kind, trace.diagram.columns.j
     at = {int(trace.quiet[c]): i for i, c in enumerate(trace.crossed)}
-    sense = -1 if backward else 1  # the adjoint's caps are cups, and its mu is -mu
-    order = range(len(kind) - 1, -1, -1) if backward else range(len(kind))
     bras, partner, sign = {}, [], []
-    for t in reversed(order):  # the uncrossed wiring after each crossing
-        grown = sense * WIDTH_DELTA[kind[t]]
-        if grown < 0:
+    for t in range(len(kind)):  # the uncrossed wiring above each crossing
+        grown = WIDTH_DELTA[kind[t]]
+        if grown > 0:
             partner = _opened(partner, sign, first[t])
         elif grown:
             partner = _closed(partner, sign, first[t])
         elif t in at:
             bras[t] = partner[:], sign[:]
     n, passed, partner, sign = 0, [], [], []
-    for t in order:
+    for t in range(len(kind) - 1, -1, -1):
         code = kind[t]
-        grown = sense * WIDTH_DELTA[code]
-        if grown > 0:
+        grown = WIDTH_DELTA[code]
+        if grown < 0:  # the adjoint's cap
             partner = _opened(partner, sign, first[t])
         elif grown:
             partner = _closed(partner, sign, first[t])
         elif t in at:
             j = first[t]
             k = _contraction(partner, sign, *bras[t], j)
-            mu = sense * (-CROSSING[code] if at[t] in flipped else CROSSING[code])
+            mu = -CROSSING[code]  # the adjoint's
             if k is not None:
                 k = (k + 1 - mu) % 4  # mu G = i^k
                 if k == 2:
@@ -427,53 +373,26 @@ def _vacuum(trace: WireTrace, flipped, backward: bool) -> tuple[int, list[int]]:
                 partner[j], partner[j + 1], partner[p], partner[q] = q, p, j + 1, j
                 sign[j], sign[j + 1] = (sign[j + 1] + 1 - mu) % 4, (sign[j] + 1 + mu) % 4
                 sign[p], sign[q] = (sign[j + 1] + 2) % 4, (sign[j] + 2) % 4
-    return sense * n, sorted(passed)
-
-
-def _unflipped(trace: WireTrace, flipped: list[int], passed: list[int], mus) -> complex:
-    """V(flipped) / V(flipped ^ passed), the vacua of the wiring with the
-    crossings `flipped`, then also `passed`, taken with -mu: prod(mu) times
-    the contraction of the passed crossings' dot pairs mu g_j g_(j+1) in
-    the second, i^-(sum of e) Pf(W) as in `PreparedDiagram`; `mus` are the
-    passed crossings' mu in the first.  Each pair sits right after its
-    crossing, g_(j+1), on the worldline that came from j, acting first."""
-    c = np.array(trace.crossed, dtype=int)[passed]  # `passed` is in time order
-    seg = np.stack([np.array(trace.first)[c], np.array(trace.last)[c]], axis=1).ravel()
-    time = (trace.quiet[c][:, None] + np.array([0.0, _SUB])).ravel()
-    e = trace.phases(seg, time, sorted(set(flipped) ^ set(passed)))
-    pf, x, _, schur, _ = _eliminate(contraction_matrix(trace, seg, time, e), len(seg))
-    pf = complex(_ldexp(pf * _pfaffians(schur[None])[0], x))  # as `pfaffian` does
-    return complex(np.prod(mus)) * _PHASES[-int(e.sum()) % 4] * pf
-
-
-class Wiring(NamedTuple):
-    """A closed diagram's trace and the crossings flipped so that no loop
-    is twisted (`_untwisting`; indices into the trace's `crossed`)."""
-
-    trace: WireTrace
-    flipped: list[int]
-
-    def phases(self, seg: np.ndarray, time: np.ndarray) -> np.ndarray:
-        """The phase exponent e of each point (`WireTrace.phases`)."""
-        return self.trace.phases(seg, time, self.flipped)
+    return -n, passed[::-1]
 
 
 def assemble_frontier(diag: MajoranaDiagram):
     """Sweep a closed diagram into ((amplitude, x), seg, time, pair, mus,
-    wiring), reading its columns (`diagram.Columns`) and its trace: the
-    weights of all elements but caps and cups are computed as arrays
+    trace, flipped), reading its columns (`diagram.Columns`) and its trace:
+    the weights of all elements but caps and cups are computed as arrays
     (`Columns.weights`), and whether an element has two positions is read
     off the trace's segments at its first and last.  A braid is a crossing
     of the wiring, not a point pair: it gives its weight a times sqrt2.  The
-    crossings `_untwisting` flips each give a mandatory dot pair
-    mu g_j g_(j+1) after the crossing, and the vacuum of the wiring with
-    them flipped (`_vacuum`, `_unflipped`) its phase.  The
-    diagram's amplitude times its element weights, the vacuum's phase and
-    sqrt(2) per loop is amplitude * 2^x, renormalised as in `_eliminate`, so
-    it neither overflows nor underflows.  The points, in time order, are
-    the arrays seg (each one's segment), time and pair (its optional pair's
-    index into mus, the pairs' mu, -1 for a mandatory point); `wiring` (a
-    `Wiring`) gives their phases."""
+    crossings that the vacuum's one sweep passes (`_vacuum`) are `flipped`
+    (indices into the trace's `crossed`): each gives a mandatory dot pair
+    mu g_j g_(j+1) after the crossing, and the sweep's product is the
+    vacuum of the wiring with them flipped, its phase.  The diagram's
+    amplitude times its element weights, the vacuum's phase and sqrt(2) per
+    loop is amplitude * 2^x, renormalised as in `_eliminate`, so it neither
+    overflows nor underflows.  The points, in time order, are the arrays seg
+    (each one's segment), time and pair (its optional pair's index into mus,
+    the pairs' mu, -1 for a mandatory point); `trace.phases(seg, time,
+    flipped)` gives their phases."""
     if not diag.is_closed:
         raise NotClosed(f"diagram has widths {diag.width_in} -> {diag.width_out}")
 
@@ -496,22 +415,11 @@ def assemble_frontier(diag: MajoranaDiagram):
     flipped: list[int] = []
     if len(crossed):
         factors[crossed] *= _SQRT2
-        flipped = _untwisting(trace)
-        if flipped is None:  # a twisted loop that no flip removes: the value is 0
-            amplitude, flipped = 0j, []
-        mu = np.array(CROSSING)[np.array(diag.columns.kind)[quiet[crossed]]]
-        mu[flipped] *= -1
-        # the order that passes no crossing, where one of them does (from the
-        # bottom up first: on the benchmark's circuits it passes fewer)
-        turns, passed = _vacuum(trace, set(flipped), backward=True)
-        if passed:
-            turns, passed = _vacuum(trace, set(flipped), backward=False)
+        turns, flipped = _vacuum(trace)
         amplitude *= cmath.exp(1j * math.pi / 4 * (turns % 8))
-        if passed:
-            amplitude *= _unflipped(trace, flipped, passed, mu[passed])
         for f in flipped:  # mu g_j g_(j+1) after the crossing: g_(j+1) acts first
             c = crossed[f]
-            factors[c] *= -mu[f]
+            factors[c] *= CROSSING[diag.columns.kind[quiet[c]]]
             inserting[c] = True
             ends[:, c] = ends[::-1, c]
     amplitude, x = _times(*_renormalised(amplitude, 0), factors)
@@ -536,7 +444,7 @@ def assemble_frontier(diag: MajoranaDiagram):
             amplitude, x = m, x + s
         amplitude, x = _renormalised(amplitude * _SQRT2 ** step, x)
         loops -= step
-    return (amplitude, x), seg, time, pair, mus, Wiring(trace, flipped)
+    return (amplitude, x), seg, time, pair, mus, trace, flipped
 
 
 class PreparedDiagram:
@@ -582,8 +490,8 @@ class PreparedDiagram:
     def __init__(self, diag: MajoranaDiagram, groups=()):
         if len(groups) > MAX_GROUPS:
             raise TooLarge(f"{len(groups)} point groups; a term mask holds at most {MAX_GROUPS}")
-        (self.amplitude, self._amp_exp), seg, time, pair, mus, wiring = assemble_frontier(diag)
-        trace = wiring.trace
+        (self.amplitude, self._amp_exp), seg, time, pair, mus, trace, flipped = (
+            assemble_frontier(diag))
         core = len(seg)
         extra_seg: list[int] = []
         extra_time: list[float] = []
@@ -605,7 +513,7 @@ class PreparedDiagram:
         self._flips = np.array([sum(later[i] for i in group) for group in self._groups], dtype=int)
         segs = np.concatenate([seg, np.array(extra_seg, dtype=int)])
         times = np.concatenate([time, extra_time])
-        e = wiring.phases(segs, times) % 4  # the gauge i^e of each point (module docstring)
+        e = trace.phases(segs, times, flipped) % 4  # the gauge i^e of each point (module docstring)
         self._core_gauge = int(e[:core].sum())
         self._gauge = np.array([e[core:][group].sum() for group in self._groups], dtype=int)
         pairs = _PHASES[(e[paired[::2]] + e[paired[1::2]]) % 4] * (1.0 / mus)

@@ -198,12 +198,13 @@ def run_fresh(code: str, *unloaded: str) -> None:
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def flipped_totals(wiring):
-    """E of each loop of a `gaussian.Wiring` (`wires.Walk.totals`), with 2
-    more for each worldline of a flipped crossing on it."""
-    trace, totals = wiring.trace, list(wiring.trace.walk.totals)
+def flipped_totals(trace, flipped):
+    """E of each loop of a closed diagram's trace (`wires.Walk.totals`), with
+    2 more for each worldline of a crossing of `flipped` on it (the flips
+    that `gaussian.assemble_frontier` returns)."""
+    totals = list(trace.walk.totals)
     labels = trace.worldline_labels()
-    for f in wiring.flipped:
+    for f in flipped:
         c = trace.crossed[f]
         for sid in (trace.first[c], trace.last[c]):
             totals[labels[sid]] += 2

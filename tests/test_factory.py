@@ -17,9 +17,11 @@ from quon2d.diagram import (
 )
 from quon2d.errors import (
     InvalidRegion,
+    InvalidSegment,
     InvariantViolation,
     ParityMismatch,
     ParseError,
+    PathCrossesHole,
     PatternMismatch,
 )
 from quon2d.factory import (
@@ -37,6 +39,7 @@ from quon2d.quon import (
     BOTTOM,
     BasisAssignment,
     OpenInterval,
+    ParityCut,
     QuonDiagram,
     encode_basis,
     evaluate_closed_quon,
@@ -248,6 +251,28 @@ def test_stretch_into_encoders_grows_intervals():
     s3, ledger = stretch(s2, Stretch(1, 0, 0, "existing_encoder", interval=1), ledger)
     grown = s3.open_intervals[1]
     assert (grown.size, grown.qubit_count) == (6, 2)
+
+
+def test_an_encoder_stretch_is_checked_at_the_bottom_slice_it_builds_on():
+    """An encoder finger is built at the bottom slice whatever its time
+    index, so its strand and the holes are checked there: a compiled SWAP
+    has a hole on its bottom slice (and its top one), which every encoder
+    stretch crosses; strand 5 of Cap(0) Cap(2) Cap(4) Cup(4) is alive at
+    slice 3 but not at the bottom; a hole on slice 3 alone leaves the
+    bottom free, and the finger is the same from every time index."""
+    swap = compile_circuit(Circuit(2, (Gate("SWAP", (0, 1)),)))
+    assert {cut.time_index for cut in swap.parity_cuts} == {0, len(swap.core)}
+    for t in (0, 3, 5):
+        with pytest.raises(PathCrossesHole):
+            stretch(swap, Stretch(t, 1, 0, "new_encoder"), FactoryLedger(swap))
+    core = MajoranaDiagram(0, 4, (Cap(0), Cap(2), Cap(4), Cup(4)))
+    q = QuonDiagram(core, (), (OpenInterval(BOTTOM, 0, 4),))
+    with pytest.raises(InvalidSegment, match="strand 5 not alive at slice 4"):
+        stretch(q, Stretch(3, 5, 0, "new_encoder"), FactoryLedger(q))
+    holed = QuonDiagram(core, (ParityCut(3, (0, 1)),), q.open_intervals)
+    built = {stretch(holed, Stretch(t, 1, 0, "new_encoder"), FactoryLedger(holed))[0]
+             for t in range(len(core) + 1)}
+    assert len(built) == 1
 
 
 def test_punctured_matchgate_generation():

@@ -320,6 +320,45 @@ def test_window_takes_the_reach_of_an_unswapped_pivot_row():
     assert pfaffian(a) == pytest.approx(pfaffian_recursive(a), rel=1e-12)
 
 
+def test_a_late_reach_grows_the_pending_panels(rng, monkeypatch):
+    """Banded matrices of 200 to 500 rows whose second block, rows 20-39,
+    is zero, so that it is refused and runs as steps, and one of whose rows
+    has an entry at least 150 columns on: the steps reach past the rows
+    that the panel's pending updates p and q cover, and `_Window.load`
+    grows them.  The elimination is `reference_eliminate`'s bit for bit, and
+    the Pfaffian the unblocked kernel's."""
+    real_load, grown = elimination._Window.load, []
+
+    def load(window, to, k0, p, q):
+        loaded = real_load(window, to, k0, p, q)
+        grown.append(len(loaded[1]) > len(p))
+        return loaded
+
+    monkeypatch.setattr(elimination._Window, "load", load)
+    reached = 0
+    for _ in range(40):
+        n = int(rng.integers(200, 501))
+        i, j = np.indices((n, n))
+        m = rng.normal(size=(n, n)) * (np.abs(i - j) <= int(rng.integers(1, 4)))
+        m[20:40, 20:40] = 0.0
+        r = int(rng.integers(20, 40))
+        m[r, int(rng.integers(r + 150, n))] = rng.normal()
+        a = np.triu(m, 1)
+        a -= a.T
+        grown.clear()
+        pf, x, e, schur, _ = _eliminate(_Rows.of(a), n)
+        reached += any(grown)
+        ref = a.copy()
+        want = reference_eliminate(ref, n, dense_reach(np.abs(a)), max(float(np.abs(a).max()), 1.0))
+        assert (raw_bits(pf).tolist(), x, e) == (raw_bits(want[0]).tolist(), want[1], want[2])
+        assert np.array_equal(raw_bits(schur), raw_bits(ref[e:, e:]))
+        assert want[4] >= 1  # the zero block is refused
+        got = complex(gaussian._ldexp(pf * _pfaffians(schur[None])[0], x))
+        dense_pf = _pfaffians(a[None].copy())[0]
+        assert abs(got - dense_pf) <= 1e-10 * max(abs(dense_pf), 1.0)
+    assert reached >= 5
+
+
 def test_banded_core_schur_identity(rng):
     """A banded core followed by dense extra rows that reach a random run of
     the core rows, some core rows without any entry among the core rows:
@@ -434,7 +473,8 @@ def test_contraction_entries_are_two_dot_ratios(rng):
     """A Dot at slot (t1, p1) and one at (t2, p2), t1 <= t2, multiply a
     wiring's value by the contraction entry of the two points: caps/cups
     wirings, and wirings of caps, cups and braids, whose worldlines cross
-    (each with a vacuum that is not 0, so that no crossing is flipped).
+    (each with a vacuum that is not 0, and none of whose crossings the
+    vacuum's sweep flips).
     Every ordered pair of slots is tried: one slot twice (one segment), the
     two arms of a cap in either order (a walk that wraps round the loop and
     one that does not), slots on one segment either side of a crossing and
@@ -448,7 +488,8 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             loops = WireTrace(d).worldlines()
             if (len(loops) >= 2 and max(map(len, loops)) >= 6
                     and abs(evaluate_closed_oracle(d)) > 1e-9
-                    and len(WireTrace(d).crossed) >= 2 * braids):
+                    and len(WireTrace(d).crossed) >= 2 * braids
+                    and not assemble_frontier(d)[-1]):
                 break
         crossings += len(WireTrace(d).crossed)
         base = evaluate_closed_oracle(d)
@@ -461,10 +502,10 @@ def test_contraction_entries_are_two_dot_ratios(rng):
             els = d.elements
             dotted = MajoranaDiagram(0, 0, els[:t1] + (Dot(p1),) + els[t1:t2] + (Dot(p2),)
                                      + els[t2:])
-            _, seg, t, _, _, wiring = assemble_frontier(dotted)
-            assert not wiring.flipped
-            e = wiring.phases(seg, t)  # W is gauged by i^(e_x + e_y)
-            w = dense(contraction_matrix(wiring.trace, seg, t, e))
+            _, seg, t, _, _, trace, flipped = assemble_frontier(dotted)
+            assert not flipped
+            e = trace.phases(seg, t)  # W is gauged by i^(e_x + e_y)
+            w = dense(contraction_matrix(trace, seg, t, e))
             entry = w[0, 1] * (1, -1j, -1, 1j)[sum(e) % 4]
             assert abs(evaluate_closed_oracle(dotted) / base - entry) <= 1e-12
             zeros += entry == 0
@@ -763,16 +804,16 @@ def contraction_matrix_by_mask(trace, seg, t, e, totals):
 def prepared_cases(rng, monkeypatch):
     """Prepare random closed diagrams with 0 to 4 point groups, Clifford cores
     with their projections and a small Ising lattice.  Yields, for each, the
-    wiring (`gaussian.Wiring`), the points' segments, times and phases and
-    the `_Rows` of `contraction_matrix`, and the `_Rows` that `_eliminate`
-    was given."""
+    trace and its flipped crossings (`gaussian.assemble_frontier`), the
+    points' segments, times and phases and the `_Rows` of
+    `contraction_matrix`, and the `_Rows` that `_eliminate` was given."""
     built, eliminated, wirings = [], [], []
     real_build, real_eliminate = gaussian.contraction_matrix, gaussian._eliminate
     real_assemble = gaussian.assemble_frontier
 
     def assemble(d):
         frontier = real_assemble(d)
-        wirings.append(frontier[-1])
+        wirings.append(frontier[-2:])
         return frontier
 
     def build(trace, seg, t, e):  # the last call is the diagram's W
@@ -804,9 +845,9 @@ def test_pair_lists_give_the_mask_formulas_matrix(rng, monkeypatch):
     some blocks hold several rows."""
     monkeypatch.setattr(gaussian, "PAIRS", 7)
     points = 0
-    for wiring, seg, t, e, w, _ in prepared_cases(rng, monkeypatch):
+    for (trace, flipped), seg, t, e, w, _ in prepared_cases(rng, monkeypatch):
         a = dense(w)
-        by_mask = contraction_matrix_by_mask(wiring.trace, seg, t, e, flipped_totals(wiring))
+        by_mask = contraction_matrix_by_mask(trace, seg, t, e, flipped_totals(trace, flipped))
         assert np.array_equal(raw_bits(a), raw_bits(by_mask))
         rows = np.repeat(np.arange(len(seg)), np.diff(w.starts))
         pairs = sorted(zip(w.cols.tolist(), rows.tolist()))
@@ -1086,20 +1127,20 @@ def test_gauge_leaves_every_contraction_a_sign(rng, monkeypatch):
     for _ in range(16):  # 40 gates: a circuit's braids give no points, so W is small
         q = compile_circuit(random_circuit(int(rng.integers(1, 4)), 40, rng))
         zeros = BasisAssignment(tuple((0,) * iv.qubit_count for iv in q.open_intervals))
-        _, seg, t, _, _, wiring = assemble_frontier(encode_basis(q, zeros).core)
-        e = wiring.phases(seg, t)
-        cases.append((wiring, seg, t, e, contraction_matrix(wiring.trace, seg, t, e)))
-    entries = loops = flipped = 0
-    for wiring, seg, t, e, w in cases:
+        _, seg, t, _, _, trace, flipped = assemble_frontier(encode_basis(q, zeros).core)
+        e = trace.phases(seg, t, flipped)
+        cases.append(((trace, flipped), seg, t, e, contraction_matrix(trace, seg, t, e)))
+    entries = loops = flips = 0
+    for (trace, flipped), seg, t, e, w in cases:
         assert w.lower.dtype == w.upper.dtype == np.float64
         assert np.all(np.abs(w.lower) == 1.0) and np.array_equal(w.upper, -w.lower)
-        assert all(total % 4 == 2 for total in flipped_totals(wiring))
-        if not wiring.flipped:
-            assert flipped_totals(wiring) == wiring.trace.walk.totals
+        assert all(total % 4 == 2 for total in flipped_totals(trace, flipped))
+        if not flipped:
+            assert flipped_totals(trace, flipped) == trace.walk.totals
         entries += len(w.lower)
-        loops += len(wiring.trace.walk.totals)
-        flipped += len(wiring.flipped)
-    assert entries > 20000 and loops > 300 and flipped
+        loops += len(trace.walk.totals)
+        flips += len(flipped)
+    assert entries > 20000 and loops > 300 and flips
 
 
 def test_w_is_real_where_every_gauged_entry_is(rng, monkeypatch):
@@ -1249,9 +1290,7 @@ def test_braid_heavy_diagrams_match_the_oracle(rng):
     """Diagrams whose wiring is mostly crossings, against the Fock oracle at
     1e-9: the closed cores of circuits with SWAP weaves (16 braids each),
     the dense tensors of non-neighbouring leg contractions (a bundle braided
-    across the gap) and of circuits with factory stretches (braid fingers),
-    and random wirings of caps, cups and braids with a few dots and
-    scatterings, some of whose loops are twisted."""
+    across the gap) and of circuits with factory stretches (braid fingers)."""
     cores = 0
     for _ in range(6):
         c = random_circuit(3, 8, rng, two_qubit_rate=0.5, names2=("SWAP", "CZ", "XX"))
@@ -1278,13 +1317,27 @@ def test_braid_heavy_diagrams_match_the_oracle(rng):
     for q in tensors:
         fast = quon_to_dense_tensor(q).entries
         assert np.max(np.abs(fast - quon_to_dense_tensor(q, use_oracle=True).entries)) <= 1e-9
-    twisted = 0
-    for _ in range(400):
+    assert cores == 18
+
+
+def test_the_sweep_flips_each_crossing_it_cannot_make(rng):
+    """3000 random wirings of caps, cups and braids with a few dots, dot
+    pairs and scatterings, against the Fock oracle at 1e-9.  The crossings
+    that the vacuum's sweep passes are flipped, and every loop of the
+    flipped wiring has E = 2 (mod 4): so on wirings with a twisted loop,
+    and on wirings with none, whose vacuum is not 0 but a partly crossed
+    one would be."""
+    twisted = untwisted_flips = 0
+    for _ in range(3000):
         d = random_weave(rng)
-        twisted += any(total % 4 == 0 for total in WireTrace(d).walk.totals)
+        trace, flipped = assemble_frontier(d)[-2:]
+        assert all(total % 4 == 2 for total in flipped_totals(trace, flipped))
+        twist = any(total % 4 == 0 for total in trace.walk.totals)
+        twisted += twist
+        untwisted_flips += bool(flipped) and not twist
         ref = evaluate_closed_oracle(d)
         assert abs(evaluate_closed_fast(d) - ref) <= 1e-9 * max(1.0, abs(ref))
-    assert cores == 18 and twisted >= 30
+    assert twisted >= 250 and untwisted_flips >= 100
 
 
 def test_a_twisted_loop_is_flipped_into_a_dot_pair(monkeypatch):
@@ -1295,15 +1348,15 @@ def test_a_twisted_loop_is_flipped_into_a_dot_pair(monkeypatch):
     c = Circuit(1, (Gate("H", (0,)), Gate("S", (0,)), Gate("S", (0,)), Gate("H", (0,))))
     assert abs(circuit_amplitude(c, (0,), (0,))) <= 1e-9
     assert abs(circuit_amplitude(c, (0,), (1,)) - 1) <= 1e-9
-    assert any(assemble_frontier(d)[-1].flipped for d in wirings)
+    assert any(assemble_frontier(d)[-1] for d in wirings)
 
 
 def test_a_compiled_circuits_braids_give_no_points(monkeypatch):
     """The closed cores of the benchmark's seed-1 `circuit_amp` round (110
     to 114 points each while a braid was a point pair) have two points per
     dot pair and per scattering and none from their 44 to 46 braids, at
-    most 26 (9 dot pairs and 4 scatterings); their loops need no flipped
-    crossing."""
+    most 26 (9 dot pairs and 4 scatterings); the vacuum's sweep, from the
+    bottom up, flips none of their crossings."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
@@ -1315,9 +1368,9 @@ def test_a_compiled_circuits_braids_give_no_points(monkeypatch):
         workload.run(workload.prepare(spec))
     assert len(cores) == workload.round_size
     for d in cores:
-        _, seg, *_, wiring = assemble_frontier(d)
+        _, seg, *_, flipped = assemble_frontier(d)
         kinds = np.array(d.columns.kind)
         assert np.count_nonzero(kinds == BraidNeg.CODE) >= 44
         points = (kinds == DotPair.CODE) | (kinds == Scattering.CODE)
         assert len(seg) == 2 * np.count_nonzero(points)
-        assert len(seg) <= 26 and not wiring.flipped
+        assert len(seg) <= 26 and not flipped

@@ -189,16 +189,22 @@ PREPARERS = {
     ("quon.py", "_components"),
     ("gaussian.py", "evaluate_closed_fast"),
 }
+# where a contraction matrix is eliminated: once per prepared diagram, and
+# once per matrix that `pfaffian` is given
+ELIMINATORS = {
+    ("gaussian.py", "PreparedDiagram.__init__"),
+    ("gaussian.py", "pfaffian"),
+}
 
 
-def prepared_builds(tree: ast.Module) -> list[tuple[int, str]]:
+def calls_of(tree: ast.Module, name: str) -> list[tuple[int, str]]:
     """(line, qualified name of the enclosing function) of every call of
-    `PreparedDiagram`, by that name or as an attribute."""
+    `name`, by that name or as an attribute."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "PreparedDiagram" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 found.append((child.lineno, scope))
             named = isinstance(child, (*_FUNCTIONS[:2], ast.ClassDef))
@@ -212,7 +218,19 @@ def prepared_builds(tree: ast.Module) -> list[tuple[int, str]]:
 def test_diagrams_are_prepared_only_on_the_one_route(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     faults = [f"{path.name}:{line}: {scope or 'module'} builds a PreparedDiagram"
-              for line, scope in prepared_builds(tree) if (path.name, scope) not in PREPARERS]
+              for line, scope in calls_of(tree, "PreparedDiagram")
+              if (path.name, scope) not in PREPARERS]
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_diagram_is_factorised_only_once(path):
+    """`_eliminate` runs only where a diagram is prepared and in `pfaffian`,
+    so that no evaluation factorises a second matrix for its diagram."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    faults = [f"{path.name}:{line}: {scope or 'module'} calls _eliminate"
+              for line, scope in calls_of(tree, "_eliminate")
+              if (path.name, scope) not in ELIMINATORS]
     assert not faults, "\n".join(faults)
 
 
@@ -225,7 +243,19 @@ def test_prepared_builds_are_found():
         "    def g(self, d):\n"
         "        return PreparedDiagram(d, ())\n"
         "PreparedDiagram.evaluate\n")
-    assert prepared_builds(tree) == [(3, "f"), (6, "C.g")]
+    assert calls_of(tree, "PreparedDiagram") == [(3, "f"), (6, "C.g")]
+
+
+def test_eliminations_are_found():
+    tree = ast.parse(
+        "from .elimination import _eliminate\n"
+        "class C:\n"
+        "    def h(self, w):\n"
+        "        def inner():\n"
+        "            return elimination._eliminate(w, 0)\n"
+        "        return _eliminate(w, 2), inner\n"
+        "_eliminate\n")
+    assert calls_of(tree, "_eliminate") == [(5, "C.h.inner"), (6, "C.h")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -85,6 +85,22 @@ def test_a_projection_that_arrives_as_minus_one_makes_the_value_zero(monkeypatch
     assert entries.shape == (4,) and not entries.any()
 
 
+def test_the_push_stops_at_another_projection_on_its_own_slice():
+    """The cut on strands 0, 1 at slice 3 is fixed to +1 across the
+    scattering of angle 0 above it; a notch on strands 1, 2 at the same
+    slice overlaps it on one strand, so they do not commute and neither push
+    gets past the other: both are kept, and the value is the oracle's."""
+    core = MajoranaDiagram(0, 0, (Cap(0), Cap(2), Scattering(1, 0.0), Scattering(0, 0.4),
+                                  Scattering(2, 0.9), Cup(2), Cup(0)))
+    cut = ParityCut(3, (0, 1))
+    assert projection_eigenvalues(QuonDiagram(core, (cut,))) == {0: 1}
+    q = QuonDiagram(core, (cut,), notches=(ParityCut(3, (1, 2)),))
+    assert projection_eigenvalues(q) == {}
+    oracle = evaluate_closed_quon(q, use_oracle=True)
+    assert abs(oracle - 1.0) <= 1e-12
+    assert abs(evaluate_closed_quon(q) - oracle) <= 1e-12
+
+
 def test_pruned_values_match_the_oracle_of_the_unpruned_diagram():
     """Random closed diagrams (dots, braids, scatterings of both kinds) with a
     nonzero value, and random even parity cuts: holes and notches, ones that

@@ -29,16 +29,16 @@ def test_the_walk_covers_each_worldline_once_and_closes_every_loop(rng):
     the other on an open worldline.  A loop that passes no crossing has the
     phase i^E = -1.  Crossings can twist a loop (E = 0 mod 4, a vacuum of 0);
     in a closed diagram the crossings that the evaluation flips
-    (`gaussian.Wiring`) leave every loop at i^E = -1."""
+    (`gaussian.assemble_frontier`) leave every loop at i^E = -1."""
     loops = open_lines = crossing_loops = twisted = 0
     for d in traced_diagrams(rng, 60):
         trace = WireTrace(d)
         walk = trace.walk
         crossing = {sid for c in trace.crossed for sid in (trace.first[c], trace.last[c])}
         if d.is_closed:
-            wiring = assemble_frontier(d)[-1]
-            assert wiring.trace.walk == walk
-            assert all(total % 4 == 2 for total in flipped_totals(wiring))
+            frontier_trace, flipped = assemble_frontier(d)[-2:]
+            assert frontier_trace.walk == walk
+            assert all(total % 4 == 2 for total in flipped_totals(frontier_trace, flipped))
             twisted += any(total % 4 == 0 for total in walk.totals)
         lines = trace.worldlines()
         segments = len(trace.birth)
